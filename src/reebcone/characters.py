@@ -33,7 +33,7 @@ from .errors import (
     OrderTooLarge,
     UnboundedSlice,
 )
-from .geometry import ToricCone, ReebVector, triangulate_cone
+from .geometry import ToricCone, ReebVector, simplices
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -159,8 +159,7 @@ def decompose_dual(cone: ToricCone, max_box: int = MAX_BOX_POINTS) -> tuple[Simp
     """
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
-    for simplex in triangulate_cone(cone.dual_rays, cone.rays):
-        generators = tuple(cone.dual_rays[i] for i in simplex)
+    for _, generators in simplices(cone):
         inv = linalg.inverse(linalg.transpose(generators))
         excluded = tuple(
             linalg.lex_sign((linalg.dot(row, q_ref),) + tuple(row)) < 0

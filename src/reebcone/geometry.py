@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
@@ -49,15 +50,14 @@ class ToricCone:
     """A full-dimensional pointed cone together with its dual description.
 
     ``rays`` are the primitive extreme-ray generators of sigma; ``dual_rays``
-    the primitive extreme-ray generators of sigma^v.  For a full-dimensional
-    pointed cone the facet normals of sigma are exactly the extreme rays of
-    sigma^v, so ``facets_sigma == dual_rays``; both fields are kept because
-    callers use them in different roles (inequalities vs. generators).
+    the primitive extreme-ray generators of sigma^v, sorted.  For a
+    full-dimensional pointed cone the facet normals of sigma are exactly the
+    extreme rays of sigma^v, so ``dual_rays`` serve as both generators of
+    sigma^v and inequalities of sigma.
     """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
-    facets_sigma: tuple[tuple[int, ...], ...]
     dual_rays: tuple[tuple[int, ...], ...]
 
     def contains(self, v: Sequence) -> bool:
@@ -230,12 +230,7 @@ def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
             )
     if linalg.rank(kept) < dim:  # pragma: no cover - precluded by DD success
         raise NotFullDimensional("extreme rays do not span the ambient space")
-    return ToricCone(
-        dim=dim,
-        rays=tuple(kept),
-        facets_sigma=tuple(duals),
-        dual_rays=tuple(duals),
-    )
+    return ToricCone(dim=dim, rays=tuple(kept), dual_rays=tuple(duals))
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +323,19 @@ def _as_xi_tuple(cone: ToricCone, xi) -> tuple:
 # ---------------------------------------------------------------------------
 
 def triangulate_cone(rays: Sequence[tuple[int, ...]],
-                     normals: Sequence[tuple[int, ...]],
-                     reverse: bool = False) -> tuple[tuple[int, ...], ...]:
+                     normals: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Pulling triangulation of a pointed cone into simplicial subcones.
 
     ``rays`` are the extreme rays, ``normals`` a complete list of supporting
     inequalities (every facet of every face arises from one of them).  At
-    every recursion level the lowest-ordered ray is pulled and coned over
-    the triangulated facets not containing it; since each face is always
-    pulled at its own lowest ray, triangulations of shared faces agree and
-    the simplices form a genuine triangulation.  Returns tuples of indices
-    into ``rays``.  ``reverse=True`` pulls highest-ordered rays instead,
-    which generally yields a different triangulation of the same cone.
+    every recursion level the first ray in input order is pulled and coned
+    over the triangulated facets not containing it; since each face is always
+    pulled at its own first ray, triangulations of shared faces agree and the
+    simplices form a genuine triangulation.  Returns tuples of indices into
+    ``rays``.  Another input order generally yields a different triangulation
+    of the same cone.  The library triangulates each cone once, through
+    :func:`simplices`.
     """
-    order = list(range(len(rays))) if not reverse else list(range(len(rays) - 1, -1, -1))
-    position = {idx: pos for pos, idx in enumerate(order)}
 
     def facets_of(subset: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         seen: dict[frozenset, tuple[int, ...]] = {}
@@ -362,108 +355,73 @@ def triangulate_cone(rays: Sequence[tuple[int, ...]],
         if len(subset) == k:
             return [subset]
         pulled = subset[0]
-        simplices = []
+        cones = []
         for facet in facets_of(subset, k):
             if pulled in facet:
                 continue
             for piece in recurse(facet):
-                simplices.append((pulled,) + piece)
-        return simplices
+                cones.append((pulled,) + piece)
+        return cones
 
-    top = tuple(sorted(range(len(rays)), key=position.get))
-    return tuple(recurse(top))
+    return tuple(recurse(tuple(range(len(rays)))))
+
+
+@lru_cache(maxsize=None)
+def simplices(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """The triangulation of sigma^v that every closed form in xi sums over.
+
+    Pairs ``(|det U_k|, U_k)``, one per simplicial cone of the pulling
+    triangulation of sigma^v, where the rows of ``U_k`` are its n dual rays.
+    Cached, so each cone is triangulated once.
+    """
+    out = []
+    for simplex in triangulate_cone(cone.dual_rays, cone.rays):
+        gens = tuple(cone.dual_rays[i] for i in simplex)
+        out.append((abs(int(linalg.det(gens))), gens))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # the polytope Q_xi
 # ---------------------------------------------------------------------------
 
-def _abs_det(rows) -> object:
-    d = _generic_det(rows)
-    return -d if d < 0 else d
-
-
-def _generic_det(rows):
-    """Determinant by elimination, generic over Fraction or mpf scalars."""
-    n = len(rows)
-    a = [list(row) for row in rows]
-    result = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0 * result
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result = result * a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / a[col][col]
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - factor * a[col][c]
-    return result
-
-
 def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
     """The slice Q_xi = {u in sigma^v : <xi, u> <= 1} with exact metrics.
 
-    The volume and barycenter of Q_xi come from the pyramid decomposition
-    over a pulling triangulation of sigma^v (the origin is always a vertex
-    of Q_xi); the barycenter of the cross-section facet P_xi is computed
-    from an independently chosen (reversed-order) triangulation, so the
-    reported relation bary_P = (n+1)/n * bary_Q genuinely cross-checks the
-    two decompositions.
+    Closed form over :func:`simplices`: the simplex of Q_xi over U_k (apex at
+    the origin) has volume |det U_k| / (n! prod_i <xi, u_i>) and vertex sum
+    s_k = sum_i u_i / <xi, u_i>.  So with w_k = |det U_k| / prod_i <xi, u_i>,
+
+        vol = sum_k w_k / n!,   bary_Q = sum_k w_k s_k / ((n+1) sum_k w_k),
+
+    and the facet P_xi = {<xi, u> = 1}, whose pieces have areas in the same
+    ratios w_k, has bary_P = sum_k w_k s_k / (n sum_k w_k) = (n+1)/n bary_Q.
+    Exact for rational xi, multiprecision at the working precision otherwise.
     """
     vec = _as_xi_tuple(cone, xi)
     n = cone.dim
-    exact = all(isinstance(x, Fraction) for x in vec)
     with working_precision():
-        pairings = [linalg.dot(vec, u) for u in cone.dual_rays]
-        if not all(c > 0 for c in pairings):
+        pairings = {u: linalg.dot(vec, u) for u in cone.dual_rays}
+        if not all(c > 0 for c in pairings.values()):
             raise UnboundedSlice("Q_xi is unbounded: xi is not interior to sigma")
 
-        scaled = [tuple(x / c for x in u) for u, c in zip(cone.dual_rays, pairings)]
-        origin = tuple(Fraction(0) if exact else to_mpf(0) for _ in range(n))
-
-        tri_q = triangulate_cone(cone.dual_rays, cone.rays)
-        volume = 0
+        scaled = {u: tuple(x / c for x in u) for u, c in pairings.items()}
+        total = 0
         moment = [0] * n
-        for piece in tri_q:
-            w = [scaled[i] for i in piece]
-            vol_k = _abs_det(w) / math.factorial(n)
-            volume = volume + vol_k
-            centroid = [sum(col) / (n + 1) for col in zip(*w)]  # origin contributes 0
-            moment = [acc + vol_k * c for acc, c in zip(moment, centroid)]
-        bary_q = tuple(c / volume for c in moment)
-
-        tri_p = triangulate_cone(cone.dual_rays, cone.rays, reverse=True)
-        area = 0
-        moment_p = [0] * n
-        for piece in tri_p:
-            w = [scaled[i] for i in piece]
-            area_k = _abs_det(w)
-            area = area + area_k
-            centroid = [sum(col) / n for col in zip(*w)]
-            moment_p = [acc + area_k * c for acc, c in zip(moment_p, centroid)]
-        bary_p = tuple(c / area for c in moment_p)
-
-        if exact:
-            assert all(p == Fraction(n + 1, n) * q for p, q in zip(bary_p, bary_q))
-            assert linalg.dot(vec, bary_p) == 1
-            assert all(linalg.dot(v, bary_p) > 0 for v in cone.rays)
-        else:
-            tol = default_tol()
-            assert all(abs(p - (n + 1) * q / n) <= tol * (1 + abs(p))
-                       for p, q in zip(bary_p, bary_q))
-            assert abs(linalg.dot(vec, bary_p) - 1) <= tol
+        for det, gens in simplices(cone):
+            w_k = det
+            for u in gens:
+                w_k = w_k / pairings[u]
+            total = total + w_k
+            vertex_sum = [sum(col) for col in zip(*(scaled[u] for u in gens))]
+            moment = [acc + w_k * s for acc, s in zip(moment, vertex_sum)]
+        volume = total / math.factorial(n)
+        bary_q = tuple(m / ((n + 1) * total) for m in moment)
+        bary_p = tuple(m / (n * total) for m in moment)
 
     hrep = tuple([(v, ">=", 0) for v in cone.rays] + [(vec, "<=", 1)])
     return PolytopeSlice(
-        vertices_Q=(origin,) + tuple(scaled),
+        vertices_Q=(tuple(0 * x for x in vec),) + tuple(scaled.values()),
         hrep_Q=hrep,
         volume_Q=volume,
         bary_Q=bary_q,

