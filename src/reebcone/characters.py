@@ -23,8 +23,6 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import linalg
 from .config import mp_context, to_mpf, working_precision
 from .errors import (
@@ -33,7 +31,7 @@ from .errors import (
     OrderTooLarge,
     UnboundedSlice,
 )
-from .geometry import ToricCone, ReebVector, simplices
+from .geometry import ToricCone, ReebVector, integer_reeb, lattice_rows, simplices
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -350,75 +348,70 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
 
     Sums e^{-t<xi,u>} (times <eta,u> when eta is given) over all lattice
     points of sigma^v with <xi,u> <= cutoff, entirely independently of the
-    simplicial decomposition.  The neglected tail is bounded by fitting the
-    observed polynomial growth of the pairing shells; if the bound exceeds
-    rel_tol times the partial sum, CutoffTooSmall is raised.
+    simplicial decomposition.  The points are exactly those of the row scan
+    :func:`reebcone.geometry.lattice_rows` (rational xi only); the weights
+    are floats.  Along a run the pairing steps by |xi_n|, so each run sums
+    in closed form as a geometric series, arithmetico-geometric when eta is
+    given.  The neglected tail is bounded by fitting the observed polynomial
+    growth of the pairing shells; if the bound exceeds rel_tol times the
+    partial sum, CutoffTooSmall is raised.
     """
+    import numpy as np
+
     if isinstance(xi, ReebVector):
         xi = xi.xi
     if t <= 0:
         raise ValueError("t must be positive")
     n = cone.dim
-    xi_f = np.array([float(x) for x in xi], dtype=float)
-    pairings = [float(linalg.dot(xi_f, u)) for u in cone.dual_rays]
-    if not all(c > 0 for c in pairings):
-        raise UnboundedSlice("xi is not interior to sigma")
-    cutoff = float(cutoff)
-
-    verts = np.array([[float(x) / c for x in u] for u, c in zip(cone.dual_rays, pairings)])
-    verts = np.vstack([verts, np.zeros(n)]) * cutoff
-    lo = np.floor(verts.min(axis=0)).astype(np.int64)
-    hi = np.ceil(verts.max(axis=0)).astype(np.int64)
-    if n > 1 and float(np.prod((hi - lo + 1)[1:].astype(float))) > 5e7:
-        raise ExceedsSupportedSize("oracle bounding box too large for dense scan")
-
-    rays = np.array(cone.rays, dtype=np.int64)
-    eta_f = None if eta_or_none is None else np.array([float(x) for x in eta_or_none])
-
-    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(1, n)]
-    if axes:
-        grids = np.meshgrid(*axes, indexing="ij")
-        tail_coords = np.stack([g.ravel() for g in grids], axis=1)
+    prefix, a, b = lattice_rows(cone, xi, cutoff)
+    xi_int, denom = integer_reeb(cone, xi)
+    counts = b - a + 1
+    # run r starts at its lowest pairing s0[r] / denom and steps by h / t
+    step = xi_int[-1]
+    sign = 1 if step >= 0 else -1
+    x0 = a if step >= 0 else b
+    s0 = prefix @ np.array(xi_int[:-1], dtype=np.int64) + step * x0
+    h = t * abs(step) / denom
+    if step:
+        # a run weighs q^j, j < L, q = e^{-h}: sum (1 - q^L) / (1 - q), mean
+        # index 1/(e^h - 1) - L/(e^{hL} - 1), written to neither overflow nor
+        # leave rounding residue on one-point runs
+        one_minus_q, one_minus_q_l = -np.expm1(-h), -np.expm1(-h * counts)
+        geometric = one_minus_q_l / one_minus_q
+        mean = np.where(counts > 1, np.exp(-h) / one_minus_q
+                        - counts * np.exp(-h * counts) / one_minus_q_l, 0.0)
     else:
-        tail_coords = np.zeros((1, 0), dtype=np.int64)
+        geometric = counts.astype(float)
+        mean = (counts - 1) / 2
+    weights = np.exp(-t / denom * s0) * geometric
+    if eta_or_none is not None:
+        eta_f = np.array([float(x) for x in eta_or_none])
+        weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * mean)
+    partial = float(weights.sum())
 
     num_shells = int(math.ceil(cutoff))
-    shell_counts = np.zeros(num_shells + 1, dtype=np.int64)
-    partial = 0.0
-    max_coord = 0.0
-    for x0 in range(int(lo[0]), int(hi[0]) + 1):
-        pts = np.empty((tail_coords.shape[0], n), dtype=np.int64)
-        pts[:, 0] = x0
-        if n > 1:
-            pts[:, 1:] = tail_coords
-        mask = np.ones(len(pts), dtype=bool)
-        for v in rays:
-            mask &= pts @ v >= 0
-        s = pts @ xi_f
-        mask &= s <= cutoff
-        if not mask.any():
-            continue
-        s = s[mask]
-        weights = np.exp(-t * s)
-        if eta_f is not None:
-            weights = weights * (pts[mask] @ eta_f)
-            max_coord = max(max_coord, float(np.abs(pts[mask]).max()))
-        partial += float(weights.sum())
-        shell_idx = np.ceil(s).astype(np.int64)
-        np.add.at(shell_counts, np.clip(shell_idx, 0, num_shells), 1)
+    half = max(1, num_shells // 2)
+    top = s0 + abs(step) * (counts - 1)
+    live = top > (half - 1) * denom  # runs wholly below shell half-1 cancel below
+    s0, counts = s0[live], counts[live]
+    below = []  # lattice points with <xi,u> <= k, up to a constant
+    for k in range(half - 1, num_shells + 1):
+        if step:
+            below.append(int(np.clip((k * denom - s0) // abs(step) + 1, 0, counts).sum()))
+        else:
+            below.append(int(counts[s0 <= k * denom].sum()))
+    shell_counts = dict(zip(range(half, num_shells + 1), np.diff(below).tolist()))
 
     # Tail bound: shell counts grow like A * s^(n-1) (Ehrhart), with one
     # extra power of s for the eta-weighted sum.
-    half = max(1, num_shells // 2)
-    densities = [shell_counts[k] / k ** (n - 1)
-                 for k in range(half, num_shells + 1) if shell_counts[k] > 0]
+    densities = [c / k ** (n - 1) for k, c in shell_counts.items() if c > 0]
     amp = 2.0 * max(densities) if densities else 2.0
     degree = n - 1
     weight_amp = 1.0
-    if eta_f is not None:
+    if eta_or_none is not None:
         degree += 1
-        rho = max(abs(verts / cutoff).max(), 1e-9)
-        weight_amp = float(np.abs(eta_f).sum()) * rho
+        rho = max(abs(x) * denom / linalg.dot(xi_int, u) for u in cone.dual_rays for x in u)
+        weight_amp = float(np.abs(eta_f).sum()) * max(rho, 1e-9)
     tail = 0.0
     k = num_shells + 1
     while k < num_shells + 200000:

@@ -214,12 +214,10 @@ def _require_eta(spec: ConeSpec, flags: dict) -> Tuple[Fraction, ...]:
     return eta
 
 
-def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
-    results = {
-        "dim": cone.dim,
-        "rays": [list(v) for v in cone.rays],
-        "dual_rays": [list(u) for u in cone.dual_rays],
-    }
+def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
+    results["dim"] = cone.dim
+    results["rays"] = [list(v) for v in cone.rays]
+    results["dual_rays"] = [list(u) for u in cone.dual_rays]
     l = gorenstein_vector(cone, boundary=spec.boundary_coeffs)
     results["gorenstein"] = {"l": list(l.l)}
     results["q_gorenstein"] = True
@@ -235,7 +233,6 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
         results["kss"] = report.kss
         results["delta"] = report.delta
         results["residual"] = report.residual
-    return results
 
 
 def _delta_with_boundary(cone: ToricCone, xi, spec: ConeSpec):
@@ -253,10 +250,10 @@ def _delta_with_boundary(cone: ToricCone, xi, spec: ConeSpec):
     )
 
 
-def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
+def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
     report = _delta_with_boundary(cone, xi, spec)
-    return {
+    results.update({
         "delta": report.delta,
         "delta_prime": report.delta_prime,
         "bary_P": list(report.bary_P),
@@ -265,10 +262,10 @@ def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
         "kss": report.kss,
         "residual": report.residual,
         "scale": report.scale,
-    }
+    })
 
 
-def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
+def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     start = flags.get("xi") or spec.xi
     res = minimize_volume(
         cone,
@@ -277,7 +274,7 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
         start=start,
         probe_rational=flags.get("probe_rational"),
     )
-    out = {
+    results.update({
         "xi_star": [float(x) for x in res.xi_star.xi],
         "vol_star": res.vol_star,
         "gradient_norm": res.gradient_norm,
@@ -285,44 +282,35 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
         "kss_residual": res.kss_residual,
         "margin": res.margin,
         "rational_candidate": None,
-    }
+    })
     if res.rational_candidate is not None:
-        out["rational_candidate"] = {
+        results["rational_candidate"] = {
             "vector": list(res.rational_candidate.vector),
             "max_denominator": res.rational_candidate.max_denominator,
             "distance": res.rational_candidate.distance,
         }
-    return out
 
 
-def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
+def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
     eta = _require_eta(spec, flags)
     pieces = decompose_dual(cone)
     F = index_character(pieces, xi, order=2)
     C = weight_character(pieces, xi, eta, order=2)
     fut = futaki_product(cone, xi, eta)
-    return {
-        "futaki": fut,
-        "a0": F.a0,
-        "a1": F.a1,
-        "b0": C.b0,
-        "b1": C.b1,
-    }
+    results.update({"futaki": fut, "a0": F.a0, "a1": F.a1, "b0": C.b0, "b1": C.b1})
 
 
-def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
+def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
     order = flags.get("order") if flags.get("order") is not None else 2
     pieces = decompose_dual(cone)
     F = index_character(pieces, xi, order=order)
-    results = {
-        "index": {
-            "order_low": F.order_low,
-            "coeffs": list(F.coeffs),
-            "a0": F.a0,
-            "a1": F.a1,
-        }
+    results["index"] = {
+        "order_low": F.order_low,
+        "coeffs": list(F.coeffs),
+        "a0": F.a0,
+        "a1": F.a1,
     }
     eta = flags.get("eta") or spec.eta
     if eta is not None:
@@ -333,13 +321,14 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
             "b0": C.b0,
             "b1": C.b1,
         }
-    return results
 
 
-def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
+def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
-    results = {}
     m_max = flags.get("m_max")
+    t_values = flags.get("t")
+    if not m_max and not t_values:
+        raise SchemaError("oracle: provide --m-max and/or --t")
     if m_max:
         rows = []
         for v in cone.rays:
@@ -352,7 +341,6 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
                 }
             )
         results["s_m_table"] = {"m_max": m_max, "rows": rows}
-    t_values = flags.get("t")
     if t_values:
         eta = flags.get("eta") or spec.eta
         entries = []
@@ -366,9 +354,6 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict) -> dict:
             "kind": "weight" if eta is not None else "index",
             "entries": entries,
         }
-    if not results:
-        raise SchemaError("oracle: provide --m-max and/or --t")
-    return results
 
 
 _RUNNERS = {
@@ -386,21 +371,41 @@ def run(command: str, spec, flags: Optional[dict] = None) -> Report:
 
     ``spec`` may be the raw JSON text (hashed as-is) or a ConeSpec
     (hashed over its canonical repr).  Library warnings raised during
-    the run are captured into the report.
+    the run are captured into the report.  Errors propagate.
     """
     if command not in COMMANDS:
         raise ValueError("unknown command %r" % (command,))
-    flags = dict(flags or {})
-    if isinstance(spec, str):
-        text = spec
-        spec = parse_cone_spec(text)
-    else:
-        text = repr(spec)
-    input_hash = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    report, failure = _attempt(command, spec, dict(flags or {}))
+    if failure is not None:
+        raise failure
+    return report
+
+
+def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exception]]:
+    """Run one subcommand; return its report and the error that ended it.
+
+    ``spec`` is JSON text, a ConeSpec, or a Path to read.  A report cut
+    short by a ReebconeError or ValueError still carries everything known
+    before it: the spec name, the warnings so far, the results a runner
+    had filled in and the full provenance.
+    """
+    text, name, results, failure = None, "", {}, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cone = dual_cone(spec.rays, spec.dim)
-        results = _RUNNERS[command](cone, spec, flags)
+        try:
+            if isinstance(spec, Path):
+                try:
+                    spec = spec.read_text(encoding="utf-8")
+                except OSError as exc:
+                    raise InputError(str(exc)) from exc
+            text = spec if isinstance(spec, str) else repr(spec)
+            if isinstance(spec, str):
+                spec = parse_cone_spec(text)
+            name = spec.name
+            cone = dual_cone(spec.rays, spec.dim)
+            _RUNNERS[command](cone, spec, flags, results)
+        except (ReebconeError, ValueError) as exc:
+            failure = exc
     floaty = command == "minimize" or (command == "oracle" and flags.get("t"))
     provenance = {
         "package": "reebcone",
@@ -409,15 +414,22 @@ def run(command: str, spec, flags: Optional[dict] = None) -> Report:
         "precision_bits": precision_bits(),
         "tol": float(flags.get("tol") or default_tol()),
     }
-    return Report(
+    error = None
+    if failure is not None:
+        kind = type(failure).__name__ if isinstance(failure, ReebconeError) else "UsageError"
+        error = {"type": kind, "message": str(failure)}
+    digest = "" if text is None else "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    report = Report(
         command=command,
-        input_hash=input_hash,
-        spec_name=spec.name,
+        input_hash=digest,
+        spec_name=name,
         flags=_jsonable(flags),
         results=results,
         provenance=provenance,
         warnings=tuple(str(w.message) for w in caught),
+        error=error,
     )
+    return report, failure
 
 
 class _Parser(argparse.ArgumentParser):
@@ -498,50 +510,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         flags["xi"] = tuple(flags["xi"])
     if "eta" in flags:
         flags["eta"] = tuple(flags["eta"])
-    try:
-        text = Path(args.spec).read_text(encoding="utf-8")
-    except OSError as exc:
-        report = Report(
-            command=args.command,
-            input_hash="",
-            spec_name="",
-            flags=_jsonable(flags),
-            results={},
-            provenance={"package": "reebcone", "version": __version__},
-            warnings=(),
-            error={"type": "InputError", "message": str(exc)},
-        )
-        _emit(report, args.json_out)
-        return 2
-    try:
-        report = run(args.command, text, flags)
-        code = 0
-    except ReebconeError as exc:
-        report = Report(
-            command=args.command,
-            input_hash="sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            spec_name="",
-            flags=_jsonable(flags),
-            results={},
-            provenance={"package": "reebcone", "version": __version__},
-            warnings=(),
-            error={"type": type(exc).__name__, "message": str(exc)},
-        )
-        code = _exit_code(exc)
-    except ValueError as exc:
-        report = Report(
-            command=args.command,
-            input_hash="sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            spec_name="",
-            flags=_jsonable(flags),
-            results={},
-            provenance={"package": "reebcone", "version": __version__},
-            warnings=(),
-            error={"type": "UsageError", "message": str(exc)},
-        )
-        code = 1
+    report, failure = _attempt(args.command, Path(args.spec), flags)
     _emit(report, args.json_out)
-    return code
+    return 0 if failure is None else _exit_code(failure)
 
 
 def _emit(report: Report, json_out: Optional[str]) -> None:

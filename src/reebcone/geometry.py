@@ -433,57 +433,89 @@ def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
 # lattice points
 # ---------------------------------------------------------------------------
 
-def lattice_points(cone: ToricCone, xi, m: int) -> list[tuple[int, ...]]:
-    """All integer points of m*Q_xi, i.e. u in sigma^v with <xi, u> <= m.
+MAX_LATTICE_SCAN = 5 * 10 ** 7  # prefixes materialized, or points listed
+_INT64_SAFE = 2 ** 62  # bound on every int64 the row scan and its callers form
 
-    Exact enumeration over the bounding box of m*Q_xi; requires rational xi
-    (IrrationalReeb otherwise).  Points are returned in lexicographic order.
-    """
+
+def integer_reeb(cone: ToricCone, xi) -> tuple[tuple[int, ...], int]:
+    """``(d xi, d)`` for the least d > 0 making d xi integral; xi rational and interior."""
     vec = _as_xi_tuple(cone, xi)
     if not all(isinstance(x, Fraction) for x in vec):
         raise IrrationalReeb("lattice enumeration requires a rational Reeb vector")
+    denom = math.lcm(*(x.denominator for x in vec))
+    xi_int = tuple(int(x * denom) for x in vec)
+    if not all(linalg.dot(xi_int, u) > 0 for u in cone.dual_rays):
+        raise UnboundedSlice("the lattice slice is unbounded: xi is not interior to sigma")
+    return xi_int, denom
+
+
+def lattice_rows(cone: ToricCone, xi, level):
+    """The integer points of level*Q_xi as innermost runs {prefix} x [a, b].
+
+    Returns int64 arrays ``(prefix, a, b)``: row r holds the points
+    ``(*prefix[r], x)``, ``a[r] <= x <= b[r]``, and the rows hold every u in
+    sigma^v cap Z^n with <xi, u> <= level once, in lexicographic order.  The
+    prefixes run over the bounding box in the first n-1 coordinates; the rays
+    and <d xi, u> <= floor(d level), d xi integral, cut each run exactly.
+    Requires rational xi (IrrationalReeb) interior to sigma (UnboundedSlice);
+    raises ExceedsSupportedSize, before allocating, above MAX_LATTICE_SCAN
+    prefixes or where an int64 sum could overflow.
+    """
+    import numpy as np
+
+    xi_int, denom = integer_reeb(cone, xi)
+    bound = math.floor(Fraction(level) * denom)
+    corners = [[Fraction(bound * x, linalg.dot(xi_int, u)) for x in u] for u in cone.dual_rays]
+    lo = [math.floor(min(0, *axis)) for axis in zip(*corners)]
+    hi = [math.ceil(max(0, *axis)) for axis in zip(*corners)]
+    widths = [h - l + 1 for l, h in zip(lo, hi)]
+    prefixes = math.prod(widths[:-1])
+    if prefixes > MAX_LATTICE_SCAN:
+        raise ExceedsSupportedSize(
+            f"lattice scan of {prefixes} prefixes exceeds the supported {MAX_LATTICE_SCAN}"
+        )
+    # <coeffs, u> >= rhs, all integer
+    constraints = [(v, 0) for v in cone.rays] + [(tuple(-c for c in xi_int), -bound)]
+    reach = [max(-l, h) for l, h in zip(lo, hi)]
+    largest = max([prefixes * widths[-1] * max(reach)] + [
+        sum(abs(c) * r for c, r in zip(coeffs, reach)) + abs(rhs) for coeffs, rhs in constraints
+    ])
+    if largest >= _INT64_SAFE:
+        raise ExceedsSupportedSize(f"lattice scan values up to {largest} overflow int64")
+
+    prefix = np.indices(widths[:-1], dtype=np.int64).reshape(len(lo) - 1, prefixes).T + lo[:-1]
+    a = np.full(len(prefix), lo[-1], dtype=np.int64)
+    b = np.full(len(prefix), hi[-1], dtype=np.int64)
+    for coeffs, rhs in constraints:
+        partial = prefix @ np.array(coeffs[:-1], dtype=np.int64)
+        c = coeffs[-1]
+        if c > 0:
+            np.maximum(a, -((partial - rhs) // c), out=a)
+        elif c < 0:
+            np.minimum(b, (partial - rhs) // -c, out=b)
+        else:
+            b[partial < rhs] = lo[-1] - 1
+    keep = a <= b
+    return prefix[keep], a[keep], b[keep]
+
+
+def lattice_points(cone: ToricCone, xi, m: int) -> tuple[tuple[int, ...], ...]:
+    """All integer points of m*Q_xi, i.e. u in sigma^v with <xi, u> <= m.
+
+    The rows of :func:`lattice_rows` expanded, in lexicographic order;
+    requires rational xi (IrrationalReeb otherwise).
+    """
+    import numpy as np
+
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    n = cone.dim
-    pairings = [linalg.dot(vec, u) for u in cone.dual_rays]
-    if not all(c > 0 for c in pairings):
-        raise UnboundedSlice("m*Q_xi is unbounded: xi is not interior to sigma")
-
-    denom = math.lcm(*(x.denominator for x in vec))
-    xi_int = [int(x * denom) for x in vec]
-    bound = m * denom
-
-    vertices = [tuple(m * x / c for x in u) for u, c in zip(cone.dual_rays, pairings)]
-    vertices.append(tuple(Fraction(0) for _ in range(n)))
-    lo = [math.floor(min(v[i] for v in vertices)) for i in range(n)]
-    hi = [math.ceil(max(v[i] for v in vertices)) for i in range(n)]
-
-    # Constraints as (coeffs, rhs) meaning <coeffs, u> >= rhs, all integer.
-    ge_constraints = [(v, 0) for v in cone.rays]
-    ge_constraints.append((tuple(-c for c in xi_int), -bound))
-
-    points: list[tuple[int, ...]] = []
-
-    def scan(prefix: list[int], partials: list[int], depth: int):
-        if depth == n - 1:
-            lo_x, hi_x = lo[depth], hi[depth]
-            for (coeffs, rhs), p in zip(ge_constraints, partials):
-                c = coeffs[depth]
-                if c == 0:
-                    if p < rhs:
-                        return
-                elif c > 0:
-                    need = rhs - p
-                    lo_x = max(lo_x, -((-need) // c))
-                else:
-                    hi_x = min(hi_x, (p - rhs) // (-c))
-            for x in range(lo_x, hi_x + 1):
-                points.append(tuple(prefix) + (x,))
-            return
-        for x in range(lo[depth], hi[depth] + 1):
-            scan(prefix + [x],
-                 [p + coeffs[depth] * x for (coeffs, _), p in zip(ge_constraints, partials)],
-                 depth + 1)
-
-    scan([], [0] * len(ge_constraints), 0)
-    return tuple(points)
+    prefix, a, b = lattice_rows(cone, xi, m)
+    counts = b - a + 1
+    total = int(counts.sum())
+    if total > MAX_LATTICE_SCAN:
+        raise ExceedsSupportedSize(
+            f"{total} lattice points exceed the supported {MAX_LATTICE_SCAN}"
+        )
+    last = np.arange(total) + np.repeat(a - (np.cumsum(counts) - counts), counts)
+    points = np.column_stack((np.repeat(prefix, counts, axis=0), last))
+    return tuple(map(tuple, points.tolist()))

@@ -37,6 +37,7 @@ from .errors import (
     LeftReebCone,
     MaxIterations,
     NonConvergent,
+    UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
 from . import linalg
@@ -319,9 +320,10 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
 
     Samples barycentric combinations ``sum (k_i / resolution) v_i`` of
     the slice vertices with nonnegative integer weights; boundary
-    points (where the volume diverges) are skipped.  Everything is
-    evaluated in exact rational arithmetic, making this a slow but
-    independent check on the Newton route.
+    points (where the volume diverges) are skipped.  Each sample is
+    valued ``a0 = n vol(Q_xi)`` from :func:`reebcone.geometry.polytope_Q`
+    in exact rational arithmetic, making this a slow but independent
+    check on the Newton route.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive, got %r" % (resolution,))
@@ -352,8 +354,8 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
             for a in range(n)
         )
         try:
-            value, _, _ = volume_objective(cone, _project(cone, xi))
-        except LeftReebCone:
+            value = n * polytope_Q(cone, xi).volume_Q
+        except UnboundedSlice:
             continue
         if best_value is None or value < best_value:
             best_value = value

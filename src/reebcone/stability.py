@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 from .config import default_tol, to_mpf, working_precision
 from .errors import UnboundedSlice
 from .characters import decompose_dual, index_character, weight_character
-from .geometry import GorensteinVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector
+from .geometry import GorensteinVector, ToricCone, gorenstein_vector, lattice_rows, polytope_Q, reeb_vector
 from . import linalg
 
 
@@ -118,21 +118,22 @@ def s_m_oracle(cone: ToricCone, xi, v, m: int) -> Fraction:
 
     Averages ``<v, u>/m`` over the lattice points ``u`` of the dual
     cone with ``<xi, u> <= m``; as ``m`` grows this converges to
-    ``S(wt_v)``.  Exact rational arithmetic throughout, so it serves
-    as an independent check on the barycenter route to ``S``.
+    ``S(wt_v)``.  The points come from the exact row scan
+    :func:`reebcone.geometry.lattice_rows` (rational ``xi`` only), and
+    each run ``{p} x [a, b]`` of ``L = b - a + 1`` points is summed in
+    closed form: ``L`` points with coordinate sum ``(L p, (a + b) L / 2)``.
+    Exact integer and rational arithmetic throughout, so it serves as
+    an independent check on the barycenter route to ``S``.
     """
     if m <= 0:
         raise ValueError("m must be a positive integer, got %r" % (m,))
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    from .geometry import lattice_points
-
-    pts = lattice_points(cone, xi, m)
-    if not pts:
-        raise ValueError("no lattice points at level m=%d" % m)
-    total = Fraction(0)
-    for u in pts:
-        total += linalg.dot(val.v, u)
-    return Fraction(total, m * len(pts))
+    prefix, a, b = lattice_rows(cone, xi, m)
+    counts = b - a + 1
+    count = int(counts.sum())  # the origin is always counted
+    sums = [int(col @ counts) for col in prefix.T]
+    sums.append(int(((a + b) * counts).sum()) // 2)
+    return Fraction(linalg.dot(val.v, sums), m * count)
 
 
 def delta(

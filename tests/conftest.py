@@ -6,6 +6,9 @@ random unimodular change of basis, which preserves every invariant
 under test while scrambling the coordinates.
 """
 
+import itertools
+import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -164,3 +167,23 @@ def reverse_bary_P(cone, xi):
         moment = [acc + area_k * sum(col) / cone.dim
                   for acc, col in zip(moment, zip(*w))]
     return tuple(m / area for m in moment)
+
+
+def brute_lattice_points(cone, xi, level):
+    """Lattice points u of sigma^v with <xi, u> <= level, as an oracle.
+
+    Independent of the library's row scan: nested loops over the exact
+    bounding box of level * Q_xi, which is the hull of the origin and the
+    dual rays scaled onto <xi, u> = level, with a Fraction membership test
+    for every cell.  Points come out in lexicographic order.
+    """
+    xi = tuple(Fraction(x) for x in xi)
+    level = Fraction(level)
+    corners = [[level * x / dot(xi, u) for x in u] for u in cone.dual_rays]
+    lo = [math.floor(min(0, *axis)) for axis in zip(*corners)]
+    hi = [math.ceil(max(0, *axis)) for axis in zip(*corners)]
+    return tuple(
+        u for u in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        if all(sum(map(operator.mul, v, u)) >= 0 for v in cone.rays)
+        and sum(map(operator.mul, xi, u)) <= level
+    )
