@@ -141,7 +141,6 @@ def _box_points(generators: Sequence[tuple[int, ...]],
                  for c, off in zip(lam, excluded)]
         point = tuple(x - linalg.dot(row, shift) for x, row in zip(rep, cols))
         points.append(point)
-    assert len(set(points)) == count
     return tuple(sorted(points))
 
 

@@ -343,11 +343,14 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
         results["s_m_table"] = {"m_max": m_max, "rows": rows}
     if t_values:
         eta = flags.get("eta") or spec.eta
+        # the default cutoff is ceil(reach / t); the eta-weighted sum's tail
+        # carries one more power of the pairing, so it reaches further
+        reach = 14.0 if eta is None else 18.0
         entries = []
         for t in t_values:
             if float(t) <= 0:
                 raise ValueError("t must be positive, got %r" % (t,))
-            cutoff = flags.get("cutoff") or math.ceil(14.0 / float(t))
+            cutoff = flags.get("cutoff") or math.ceil(reach / float(t))
             value = truncated_character_oracle(cone, xi, eta, float(t), cutoff)
             entries.append({"t": float(t), "cutoff": cutoff, "value": value})
         results["character_values"] = {
@@ -476,7 +479,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--t", nargs="+", type=float, metavar="T",
                        help="oracle: evaluate truncated character at these t")
         p.add_argument("--cutoff", type=float,
-                       help="oracle: pairing cutoff for the lattice sum")
+                       help="oracle: pairing cutoff for the lattice sum "
+                            "(default ceil(14/t), ceil(18/t) with eta)")
         p.add_argument("--max-iter", type=int, dest="max_iter",
                        help="minimize: Newton iteration cap")
         p.add_argument("--probe-rational", type=int, dest="probe_rational",

@@ -21,6 +21,13 @@ import mpmath
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-10
 
+# Fixed tolerances of the irrational (mpf) path of ``stability.delta``.
+# Two ray ratios within RAY_TIE_RTOL * |delta| of the minimum both minimize.
+RAY_TIE_RTOL = 8 * 2.0 ** -50
+# The barycenter certifies K-semistability when |bar_P - l|_inf is at most
+# KSS_RTOL * (1 + |l|_inf).
+KSS_RTOL = 1e-9
+
 
 def precision_bits() -> int:
     """Working mpmath precision in bits, from ``REEBCONE_PRECISION``."""

@@ -29,8 +29,6 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .config import default_tol, to_mpf, working_precision
 from .errors import (
     ExceedsSupportedSize,
@@ -197,35 +195,64 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     return value, grad, hess
 
 
-def _objective_float(cone: ToricCone, coords: np.ndarray):
+def _objective_float(cone: ToricCone, coords: Sequence[float]):
     value, grad, hess = volume_objective(cone, tuple(float(c) for c in coords))
     return (
         float(value),
-        np.array(grad, dtype=float),
-        np.array([[float(h) for h in row] for row in hess], dtype=float),
+        tuple(float(g) for g in grad),
+        tuple(tuple(float(h) for h in row) for row in hess),
     )
 
 
-def _regularized_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton step with escalating Tikhonov regularization.
+def _norm(vec: Sequence[float]) -> float:
+    return math.sqrt(sum(c * c for c in vec))
+
+
+def _cholesky(hess: Sequence[Sequence[float]], lam: float):
+    """Lower factor ``L`` of ``hess + lam * I = L L^T``, or None if not positive definite."""
+    m = len(hess)
+    chol = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        row_j = chol[j]
+        pivot = hess[j][j] + lam - sum(c * c for c in row_j[:j])
+        if not pivot > 0.0:  # also rejects NaN
+            return None
+        row_j[j] = math.sqrt(pivot)
+        for i in range(j + 1, m):
+            row_i = chol[i]
+            row_i[j] = (
+                hess[i][j] - sum(a * b for a, b in zip(row_i[:j], row_j[:j]))
+            ) / row_j[j]
+    return chol
+
+
+def _regularized_step(hess: Sequence[Sequence[float]], grad: Sequence[float]) -> Tuple[float, ...]:
+    """Newton step ``-(hess + lam I)^{-1} grad`` with escalating Tikhonov regularization.
 
     Tries the plain Hessian first, then adds ``lam * I`` with ``lam``
-    growing tenfold from 1e-12; gives up loudly at 1e-4.
+    growing tenfold from 1e-12; gives up loudly at 1e-4.  The system is
+    at most ``(MAX_DIM - 1)``-square, so a Cholesky factorization in
+    plain floats followed by forward and back substitution solves it.
     """
-    m = hess.shape[0]
     lam = 0.0
     while True:
-        try:
-            np.linalg.cholesky(hess + lam * np.eye(m))
-        except np.linalg.LinAlgError:
-            lam = _REG_INITIAL if lam == 0.0 else lam * 10.0
-            if lam > _REG_MAX:
-                raise NonConvergent(
-                    "Hessian not positive definite after regularization up to %g"
-                    % _REG_MAX
-                )
-            continue
-        return np.linalg.solve(hess + lam * np.eye(m), -grad)
+        chol = _cholesky(hess, lam)
+        if chol is not None:
+            break
+        lam = _REG_INITIAL if lam == 0.0 else lam * 10.0
+        if lam > _REG_MAX:
+            raise NonConvergent(
+                "Hessian not positive definite after regularization up to %g"
+                % _REG_MAX
+            )
+    m = len(grad)
+    y = []
+    for i in range(m):  # L y = -grad
+        y.append((-grad[i] - sum(a * b for a, b in zip(chol[i][:i], y))) / chol[i][i])
+    step = [0.0] * m
+    for i in reversed(range(m)):  # L^T step = y
+        step[i] = (y[i] - sum(chol[k][i] * step[k] for k in range(i + 1, m))) / chol[i][i]
+    return tuple(step)
 
 
 def minimize_volume(
@@ -257,27 +284,27 @@ def minimize_volume(
         rv = reeb_vector(cone, start)
         scale = linalg.dot(rv.xi, l)
         start_xi = tuple(x / scale for x in rv.xi)
-    x = np.array([float(c) for c in _project(cone, start_xi)], dtype=float)
+    x = tuple(float(c) for c in _project(cone, start_xi))
 
     value, grad, hess = _objective_float(cone, x)
     iterations = 0
-    step_norm = math.inf if x.size else 0.0
-    while np.linalg.norm(grad) > tol or step_norm > tol:
+    step_norm = math.inf if x else 0.0
+    while _norm(grad) > tol or step_norm > tol:
         if iterations >= max_iter:
             raise MaxIterations(
                 "no convergence after %d Newton iterations (grad norm %.3e)"
-                % (max_iter, float(np.linalg.norm(grad)))
+                % (max_iter, _norm(grad))
             )
         step = _regularized_step(hess, grad)
         scale_t = 1.0
-        slope = float(grad @ step)
+        slope = sum(g * s for g, s in zip(grad, step))
         while True:
             if scale_t < _MIN_STEP_SCALE:
                 raise NonConvergent(
                     "line search failed at gradient norm %.3e"
-                    % float(np.linalg.norm(grad))
+                    % _norm(grad)
                 )
-            trial = x + scale_t * step
+            trial = tuple(c + scale_t * s for c, s in zip(x, step))
             try:
                 trial_value, trial_grad, trial_hess = _objective_float(cone, trial)
             except LeftReebCone:
@@ -286,12 +313,12 @@ def minimize_volume(
             if trial_value <= value + _ARMIJO * scale_t * slope:
                 break
             scale_t *= 0.5
-        step_norm = float(np.linalg.norm(scale_t * step))
+        step_norm = _norm([scale_t * s for s in step])
         x = trial
         value, grad, hess = trial_value, trial_grad, trial_hess
         iterations += 1
 
-    xi_star_tuple = _embed(cone, tuple(float(c) for c in x))
+    xi_star_tuple = _embed(cone, x)
     rv_star = reeb_vector(cone, xi_star_tuple)
     with working_precision():
         slice_ = polytope_Q(cone, tuple(to_mpf(c) for c in xi_star_tuple))
@@ -307,7 +334,7 @@ def minimize_volume(
     return MinimizeResult(
         xi_star=rv_star,
         vol_star=float(value),
-        gradient_norm=float(np.linalg.norm(grad)),
+        gradient_norm=_norm(grad),
         iterations=iterations,
         kss_residual=kss_residual,
         margin=margin,

@@ -25,7 +25,7 @@ import dataclasses
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .config import default_tol, to_mpf, working_precision
+from .config import KSS_RTOL, RAY_TIE_RTOL, default_tol, to_mpf, working_precision
 from .errors import UnboundedSlice
 from .characters import decompose_dual, index_character, weight_character
 from .geometry import GorensteinVector, ToricCone, gorenstein_vector, lattice_rows, polytope_Q, reeb_vector
@@ -199,13 +199,13 @@ def delta(
             for a, v in zip(numerators, cone.rays)
         ]
         d = min(ratios)
-        tol_rays = 8 * abs(d) * 2.0 ** (-50)
+        tol_rays = RAY_TIE_RTOL * abs(d)
         minimizing = tuple(
             i for i, r in enumerate(ratios) if abs(r - d) <= tol_rays
         )
         residual = max(abs(b - to_mpf(x)) for b, x in zip(slice_.bary_P, l.l))
         linf = max(abs(Fraction(x)) for x in l.l)
-        kss = residual <= 1e-9 * (1 + float(linf))
+        kss = residual <= KSS_RTOL * (1 + float(linf))
         d_prime = min(to_mpf(1), d)
     return StabilityReport(
         delta=d,

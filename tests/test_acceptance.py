@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reebcone.linalg as linalg
@@ -121,24 +122,23 @@ def test_criterion_03_worked_cases(fixtures, capsys):
 
 
 def _sm_table(cone, xi, m_max):
-    """S_m for m = 1..m_max from one lattice enumeration at m_max."""
+    """S_m for m = 1..m_max from one lattice enumeration at m_max.
+
+    The points are sorted by level <d xi, u> (d xi integral); S_m reads the
+    running count and the running ray pairings at the last level <= m d.
+    """
     xi = tuple(Fraction(x) for x in xi)
     denom = math.lcm(*(x.denominator for x in xi))
-    xi_int = [int(x * denom) for x in xi]
-    pts = sorted(lattice_points(cone, xi, m_max),
-                 key=lambda u: sum(c * x for c, x in zip(xi_int, u)))
-    levels = [sum(c * x for c, x in zip(xi_int, u)) for u in pts]
+    xi_int = np.array([int(x * denom) for x in xi], dtype=np.int64)
+    pts = np.array(lattice_points(cone, xi, m_max), dtype=np.int64)
+    levels = pts @ xi_int
+    order = np.argsort(levels, kind="stable")
+    dots = np.cumsum(pts[order] @ np.array(cone.rays, dtype=np.int64).T, axis=0)
+    counts = np.searchsorted(levels[order], np.arange(1, m_max + 1) * denom, side="right")
     table = {v: [] for v in cone.rays}
-    idx, count = 0, 0
-    dots = {v: 0 for v in cone.rays}
-    for m in range(1, m_max + 1):
-        while idx < len(pts) and levels[idx] <= m * denom:
-            for v in cone.rays:
-                dots[v] += sum(a * b for a, b in zip(v, pts[idx]))
-            count += 1
-            idx += 1
-        for v in cone.rays:
-            table[v].append(Fraction(dots[v], m * count))
+    for m, count in enumerate(counts.tolist(), start=1):
+        for v, dot in zip(cone.rays, dots[count - 1].tolist()):
+            table[v].append(Fraction(dot, m * count))
     return table
 
 

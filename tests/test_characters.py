@@ -101,6 +101,7 @@ class TestDecomposeDual:
         for piece in decompose_dual(fixture_cone):
             det = abs(linalg.det([list(g) for g in piece.generators]))
             assert len(piece.box_points) == det
+            assert len(set(piece.box_points)) == det
 
     def test_conifold_structure(self, conifold):
         pieces = decompose_dual(conifold)

@@ -210,6 +210,29 @@ class TestMainExitCodes:
         assert code == 1
         assert payload["error"]["type"] == "UsageError"
 
+    def test_weighted_oracle_default_cutoff(self, capsys):
+        # the eta-weighted sum's tail has one more power of the pairing
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--t", "0.2"], capsys
+        )
+        assert code == 0
+        entry = payload["results"]["character_values"]["entries"][0]
+        assert payload["results"]["character_values"]["kind"] == "weight"
+        assert entry["cutoff"] == 90
+        assert entry["value"] == pytest.approx(21744.82, rel=1e-4)
+
+    def test_vanishing_weighted_oracle_keeps_sm_table(self, capsys):
+        # conifold's eta-weighted sum is identically 0, so no cutoff passes
+        # the tail test; the S_m table computed before it stays in the report
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(SPEC_DIR / "conifold.json"),
+             "--m-max", "2", "--t", "0.2"],
+            capsys,
+        )
+        assert code == 3
+        assert payload["error"]["type"] == "CutoffTooSmall"
+        assert payload["results"]["s_m_table"]["m_max"] == 2
+
     def test_argparse_usage_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["delta"])  # --spec is required
@@ -269,3 +292,24 @@ class TestConsoleScript:
         payload = json.loads(proc.stdout)
         assert payload["results"]["delta"] == "1"
         assert payload["results"]["bary_P"] == ["1", "0", "0"]
+
+    def test_numpy_stays_off_the_import_path(self):
+        # numpy is imported lazily, by the brute-force lattice oracles only
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import reebcone.cli as cli",
+            "print('numpy' in sys.modules)",
+            "spec = sys.argv[1]",
+            "for command in ('check', 'delta', 'futaki', 'character', 'minimize'):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main([command, '--spec', spec]) == 0, command",
+            "print('numpy' in sys.modules)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SPEC_DIR / "y21.json")],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]

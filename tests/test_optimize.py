@@ -1,6 +1,8 @@
 """Volume minimization: objective, Newton solver, and brute-force oracles."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,14 +11,20 @@ from reebcone import (
     ExceedsSupportedSize,
     LeftReebCone,
     MaxIterations,
+    NonConvergent,
     convexity_probe,
+    delta,
     dual_cone,
     grid_search_oracle,
     minimize_volume,
+    polytope_Q,
     rationality_probe,
     volume_objective,
 )
-from reebcone.optimize import _embed, _project
+from reebcone.linalg import mat_vec
+from reebcone.optimize import _embed, _project, _regularized_step
+
+from conftest import apply_unimodular, unimodular_matrix
 
 
 class TestVolumeObjective:
@@ -69,6 +77,36 @@ class TestVolumeObjective:
         assert _project(y21, xi) == coords
         with pytest.raises(ValueError):
             _embed(y21, (Fraction(1, 3),))
+
+
+class TestRegularizedStep:
+    """The pure-Python Cholesky solve, against numpy as an oracle."""
+
+    def test_matches_numpy_solve(self):
+        np = pytest.importorskip("numpy")
+        rng = np.random.default_rng(4)
+        for m in range(1, 8):
+            for _ in range(20):
+                b = rng.standard_normal((m, m))
+                hess = b @ b.T + 0.1 * np.eye(m)
+                grad = rng.standard_normal(m)
+                step = _regularized_step(
+                    tuple(map(tuple, hess.tolist())), tuple(grad.tolist())
+                )
+                expected = np.linalg.solve(hess, -grad)
+                assert isinstance(step, tuple) and len(step) == m
+                err = np.max(np.abs(np.array(step) - expected))
+                assert err <= 1e-12 * np.max(np.abs(expected))
+
+    def test_singular_hessian_is_regularized(self):
+        # PSD with kernel (1, -1); the gradient lies in the kernel, so the
+        # step is -grad / lam, which shows the first lam > 0 was taken
+        step = _regularized_step(((1.0, 1.0), (1.0, 1.0)), (1.0, -1.0))
+        assert step == (pytest.approx(-1e12, rel=1e-3), pytest.approx(1e12, rel=1e-3))
+
+    def test_indefinite_hessian_raises(self):
+        with pytest.raises(NonConvergent, match="not positive definite"):
+            _regularized_step(((1.0, 0.0), (0.0, -1.0)), (1.0, 1.0))
 
 
 class TestMinimize:
@@ -202,6 +240,37 @@ class TestY21Irrational:
         assert 0 < cand.distance < 1e-3
         assert res.iterations == 5
         assert res.margin == pytest.approx(xs, abs=1e-12)
+
+
+def scrambled_cube(n):
+    """Cone over the unit (n-1)-cube at height one, in a scrambled basis.
+
+    Returns the cone, the basis change, and an off-centre interior start.
+    """
+    rays = [(1,) + e for e in itertools.product((0, 1), repeat=n - 1)]
+    mat = unimodular_matrix(random.Random(n), n)
+    cone = apply_unimodular(dual_cone(rays, n), mat)
+    weights = [1 + i % 3 for i in range(len(rays))]
+    start = tuple(sum(w * v[a] for w, v in zip(weights, rays)) for a in range(n))
+    return cone, mat, tuple(mat_vec(mat, start))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_minimize_cubes(n):
+    cone, mat, start = scrambled_cube(n)
+    res = minimize_volume(cone, start=start)
+    assert res.iterations > 1
+    assert res.kss_residual <= 1e-9
+    assert abs(float(delta(cone, res.xi_star.xi).delta) - 1) <= 1e-9
+    # the cube's symmetry puts the minimizer at its centre (1, 1/2, ..., 1/2)
+    centre = tuple(mat_vec(mat, (Fraction(1),) + (Fraction(1, 2),) * (n - 1)))
+    for got, want in zip(res.xi_star.xi, centre):
+        assert float(got) == pytest.approx(float(want), abs=1e-9)
+    exact = n * polytope_Q(cone, centre).volume_Q
+    assert res.vol_star == pytest.approx(float(exact), rel=1e-12)
+    resolution = {4: 6, 5: 3, 6: 2}[n]
+    grid = grid_search_oracle(cone, resolution)
+    assert float(grid.value) >= res.vol_star - 1e-12
 
 
 class TestGridOracle:
