@@ -54,6 +54,7 @@ from .stability import (
     StabilityReport,
     ToricValuation,
     delta,
+    futaki_pairing,
     futaki_product,
     log_discrepancy,
     ratio_profile,
@@ -88,9 +89,9 @@ __all__ = [
     "reeb_vector", "triangulate_cone",
     "LaurentSeries", "SimplicialPiece", "decompose_dual", "index_character",
     "truncated_character_oracle", "weight_character",
-    "StabilityReport", "ToricValuation", "delta", "futaki_product",
-    "log_discrepancy", "ratio_profile", "s_m_oracle", "s_prime", "s_value",
-    "toric_valuation",
+    "StabilityReport", "ToricValuation", "delta", "futaki_pairing",
+    "futaki_product", "log_discrepancy", "ratio_profile", "s_m_oracle",
+    "s_prime", "s_value", "toric_valuation",
     "GridResult", "MinimizeResult", "RationalCandidate", "convexity_probe",
     "grid_search_oracle", "minimize_volume", "rationality_probe",
     "volume_objective",

@@ -12,6 +12,13 @@ and the factors are expanded as exact truncated power series using the
 Bernoulli-type series of z/(1 - e^{-z}).  The weight character C_eta is
 obtained from the same closed form via the directional derivative
 C_eta = -(1/t) * d/ds F(xi + s*eta)|_{s=0}, applied term by term.
+
+The box points are summed as integer moments: with xi and eta written as
+integer numerators over common denominators, one pass per piece sums the
+powers of the integer pairings, the series products of the piece run on
+integers too, and each coefficient of a piece costs one rational (or mpf)
+division.  The box points themselves come from integer remainders modulo
+the piece's determinant.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -113,34 +121,23 @@ class LaurentSeries:
 # decomposition of the dual cone
 # ---------------------------------------------------------------------------
 
-def _box_points(generators: Sequence[tuple[int, ...]],
-                excluded: Sequence[bool],
-                max_box: int) -> tuple[tuple[int, ...], ...]:
+def _box_points(generators: Sequence[tuple[int, ...]], count: int, scaled_inverse,
+                excluded: Sequence[bool]) -> tuple[tuple[int, ...], ...]:
     """Lattice points of the half-open fundamental parallelepiped.
 
     Coset representatives of Z^n modulo the generator lattice come from the
-    column Hermite form (one representative per diagonal box cell); each is
-    then translated by a lattice vector into the half-open ranges demanded
-    by the excluded-facet pattern.
+    column Hermite form (one representative per diagonal box cell).  With
+    ``scaled_inverse`` = count * (generator columns)^-1, a representative has
+    barycentric coordinates num / count; its box point is sum_i r_i u_i /
+    count, r = num reduced into (0, count] on excluded facets, else [0, count).
     """
-    n = len(generators)
-    cols = linalg.transpose(generators)  # columns are the generators
+    cols = linalg.transpose(generators)
     hnf = linalg.column_hnf(cols)
-    count = 1
-    for i in range(n):
-        count *= hnf[i][i]
-    if count > max_box:
-        raise ExceedsSupportedSize(
-            f"simplicial piece has {count} box points, above the {max_box} bound"
-        )
-    inv = linalg.inverse(cols)
     points = []
-    for rep in product(*(range(hnf[i][i]) for i in range(n))):
-        lam = linalg.mat_vec(inv, rep)
-        shift = [math.ceil(c) - 1 if off else math.floor(c)
-                 for c, off in zip(lam, excluded)]
-        point = tuple(x - linalg.dot(row, shift) for x, row in zip(rep, cols))
-        points.append(point)
+    for rep in product(*(range(hnf[i][i]) for i in range(len(cols)))):
+        r = [(sum(map(mul, row, rep)) - off) % count + off
+             for row, off in zip(scaled_inverse, excluded)]
+        points.append(tuple(sum(map(mul, col, r)) // count for col in cols))
     return tuple(sorted(points))
 
 
@@ -156,15 +153,18 @@ def decompose_dual(cone: ToricCone, max_box: int = MAX_BOX_POINTS) -> tuple[Simp
     """
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
-    for _, generators in simplices(cone):
-        inv = linalg.inverse(linalg.transpose(generators))
+    for count, generators in simplices(cone):
+        if count > max_box:
+            raise ExceedsSupportedSize(
+                f"simplicial piece has {count} box points, above the {max_box} bound"
+            )
+        _, scaled_inverse = linalg.integer_inverse(linalg.transpose(generators))
         excluded = tuple(
-            linalg.lex_sign((linalg.dot(row, q_ref),) + tuple(row)) < 0
-            for row in inv
+            linalg.lex_sign((linalg.dot(row, q_ref),) + row) < 0 for row in scaled_inverse
         )
         pieces.append(SimplicialPiece(
             generators=generators,
-            box_points=_box_points(generators, excluded, max_box),
+            box_points=_box_points(generators, count, scaled_inverse, excluded),
             sign=1,
             excluded=excluded,
         ))
@@ -202,19 +202,21 @@ def _series_mul(a: list, b: list) -> list:
 
 
 def _coerce_pair(xi, eta: Optional[Sequence]):
-    """Coerce xi (and optionally eta) to a common scalar domain."""
+    """xi (and eta) as ``(numerators, denominator)`` pairs, with their scalar type.
+
+    Rational vectors become integer numerators over their least common
+    denominator, with scalar type Fraction; anything else becomes mpf at the
+    working precision over denominator 1, with scalar type ``to_mpf``, so
+    one code path serves both.
+    """
     if isinstance(xi, ReebVector):
         xi = xi.xi
-    xi = tuple(xi)
-    vals = list(xi) + (list(eta) if eta is not None else [])
-    if all(isinstance(x, (int, Fraction)) for x in vals):
-        xi = tuple(Fraction(x) for x in xi)
-        eta = tuple(Fraction(x) for x in eta) if eta is not None else None
-        return xi, eta, True
+    vecs = (tuple(xi),) if eta is None else (tuple(xi), tuple(eta))
+    if all(isinstance(x, (int, Fraction)) for vec in vecs for x in vec):
+        dens = [math.lcm(*(x.denominator for x in vec)) for vec in vecs]
+        return [(tuple(int(x * d) for x in vec), d) for vec, d in zip(vecs, dens)], Fraction
     ctx = mp_context()
-    xi = tuple(to_mpf(x, ctx) for x in xi)
-    eta = tuple(to_mpf(x, ctx) for x in eta) if eta is not None else None
-    return xi, eta, False
+    return [(tuple(to_mpf(x, ctx) for x in vec), 1) for vec in vecs], to_mpf
 
 
 def _check_order(order: int, max_order: int):
@@ -224,34 +226,67 @@ def _check_order(order: int, max_order: int):
         )
 
 
-def _piece_data(piece: SimplicialPiece, xi):
-    cs = [linalg.dot(xi, u) for u in piece.generators]
-    if not all(c > 0 for c in cs):
-        raise UnboundedSlice("xi pairs nonpositively with a dual-cone generator")
-    a_vals = [linalg.dot(xi, p) for p in piece.box_points]
-    return cs, a_vals
-
-
-def _g_factor_series(c, order: int, exact: bool) -> list:
+def _moments(ks: list, weights: list, count: int) -> list:
+    """``sum_p w_p k_p^j`` for j < count."""
     out = []
-    for j in range(order + 1):
-        gj = _g_coeff(j)
-        if not exact:
-            gj = to_mpf(gj)
-        out.append(gj * c ** (j - 1))
+    for j in range(count):
+        out.append(sum(weights))
+        if j + 1 < count:
+            weights = [w * k for w, k in zip(weights, ks)]
     return out
 
 
-def _box_series(a_vals: list, order: int, exact: bool) -> list:
-    zero = Fraction(0) if exact else to_mpf(0)
-    out = [zero] * (order + 1)
-    for a in a_vals:
-        term = Fraction(1) if exact else to_mpf(1)
-        out[0] = out[0] + term
-        for j in range(1, order + 1):
-            term = term * (-a) / j
-            out[j] = out[j] + term
-    return out
+def _piece_series(piece: SimplicialPiece, xi, eta, order: int, scalar):
+    """The t-series of one piece's closed form and, with eta, its d/ds along xi + s eta.
+
+    The closed form is B(t) prod_i g(c_i t) / (c_i t): B sums e^{-t<xi,p>}
+    over the box points p, c_i = <xi, u_i>, g(z) = z / (1 - e^{-z}) =
+    sum_j g_j z^j.  With ``xi`` and ``eta`` as ``(numerators, denominator)``
+    pairs, k = <d xi, .> and eps = <e eta, .>, the factors in tau = t / d are
+    the integer series (-1)^j (N!/j!) sum_p k_p^j tau^j for N! B and
+    gamma_j k_i^j tau^j for G g(c_i t), with N the order, G the least common
+    denominator of g_0..g_N and gamma_j = G g_j.  Their product P has
+    coefficient P_j d^(n-j) / (N! G^n K) at t^(j-n), K = prod_i k_i.  The
+    product rule over the derivative factors K (-1)^j (N!/(j-1)!) sum_p
+    eps_p k_p^(j-1) (box) and eps_i (K/k_i) (j-1) gamma_j k_i^j (factor i)
+    gives V with d/ds coefficient V_j d^(n+1-j) / (e K^2 N! G^n).  The mpf
+    path runs the same code with d = e = 1.  Returns ``(series,
+    derivative)``, the derivative None without eta.
+    """
+    xi_num, d = xi
+    n = len(piece.generators)
+    ks = [sum(map(mul, xi_num, u)) for u in piece.generators]
+    if not all(k > 0 for k in ks):
+        raise UnboundedSlice("xi pairs nonpositively with a dual-cone generator")
+    g = [_g_coeff(j) for j in range(order + 1)]
+    big_g = math.lcm(*(x.denominator for x in g))
+    gammas = [int(x * big_g) for x in g]
+    fact, k_prod = math.factorial(order), math.prod(ks)
+    kp = [sum(map(mul, xi_num, p)) for p in piece.box_points]
+    factors = [[(-1) ** j * (fact // math.factorial(j)) * m
+                for j, m in enumerate(_moments(kp, [1] * len(kp), order + 1))]]
+    factors += [[gamma * k ** j for j, gamma in enumerate(gammas)] for k in ks]
+    series, derivative = factors[0], None
+    if eta is not None:
+        eta_num, e = eta
+        ep = [sum(map(mul, eta_num, p)) for p in piece.box_points]
+        dfactors = [[0] + [(-1) ** j * (fact // math.factorial(j - 1)) * k_prod * m
+                           for j, m in enumerate(_moments(kp, ep, order), start=1)]]
+        for i, u in enumerate(piece.generators):
+            eps = sum(map(mul, eta_num, u)) * math.prod(ks[:i] + ks[i + 1:])
+            dfactors.append([eps * (j - 1) * gamma * ks[i] ** j for j, gamma in enumerate(gammas)])
+        derivative = dfactors[0]
+    for i in range(1, n + 1):
+        if derivative is not None:
+            derivative = [a + b for a, b in zip(_series_mul(derivative, factors[i]),
+                                                _series_mul(series, dfactors[i]))]
+        series = _series_mul(series, factors[i])
+    scale = fact * big_g ** n * k_prod
+    series = [scalar(p * d ** n) / (scale * d ** j) for j, p in enumerate(series)]
+    if derivative is not None:
+        derivative = [scalar(v * d ** (n + 1)) / (e * k_prod * scale * d ** j)
+                      for j, v in enumerate(derivative)]
+    return series, derivative
 
 
 def index_character(pieces: Sequence[SimplicialPiece], xi,
@@ -262,16 +297,12 @@ def index_character(pieces: Sequence[SimplicialPiece], xi,
     rational xi yields exact rational coefficients.
     """
     _check_order(order, max_order)
-    xi, _, exact = _coerce_pair(xi, None)
+    (xi,), scalar = _coerce_pair(xi, None)
     n = len(pieces[0].generators)
     with working_precision():
-        zero = Fraction(0) if exact else to_mpf(0)
-        total = [zero] * (order + 1)
+        total = [scalar(0)] * (order + 1)
         for piece in pieces:
-            cs, a_vals = _piece_data(piece, xi)
-            series = _box_series(a_vals, order, exact)
-            for c in cs:
-                series = _series_mul(series, _g_factor_series(c, order, exact))
+            series, _ = _piece_series(piece, xi, None, order, scalar)
             total = [acc + piece.sign * s for acc, s in zip(total, series)]
     return LaurentSeries(order_low=-n, coeffs=tuple(total), dim=n, kind="index")
 
@@ -286,53 +317,12 @@ def weight_character(pieces: Sequence[SimplicialPiece], xi, eta,
     whose derivatives are themselves explicit series in t.
     """
     _check_order(order, max_order)
-    xi, eta, exact = _coerce_pair(xi, eta)
+    (xi, eta), scalar = _coerce_pair(xi, eta)
     n = len(pieces[0].generators)
     with working_precision():
-        zero = Fraction(0) if exact else to_mpf(0)
-        one = Fraction(1) if exact else to_mpf(1)
-        total = [zero] * (order + 1)
+        total = [scalar(0)] * (order + 1)
         for piece in pieces:
-            cs, a_vals = _piece_data(piece, xi)
-            es = [linalg.dot(eta, u) for u in piece.generators]
-            b_vals = [linalg.dot(eta, p) for p in piece.box_points]
-
-            factors = [_g_factor_series(c, order, exact) for c in cs]
-            factors.append(_box_series(a_vals, order, exact))
-
-            dfactors = []
-            for c, e in zip(cs, es):
-                series = []
-                for j in range(order + 1):
-                    gj = _g_coeff(j)
-                    if not exact:
-                        gj = to_mpf(gj)
-                    series.append(e * gj * (j - 1) * c ** (j - 2))
-                dfactors.append(series)
-            dbox = [zero] * (order + 1)
-            for a, b in zip(a_vals, b_vals):
-                if b == 0 or order < 1:
-                    continue
-                term = -b
-                dbox[1] = dbox[1] + term
-                for j in range(2, order + 1):
-                    term = term * (-a) / (j - 1)
-                    dbox[j] = dbox[j] + term
-            dfactors.append(dbox)
-
-            m = len(factors)
-            prefix = [[one] + [zero] * order]
-            for f in factors:
-                prefix.append(_series_mul(prefix[-1], f))
-            suffix = [[one] + [zero] * order]
-            for f in reversed(factors):
-                suffix.append(_series_mul(suffix[-1], f))
-            suffix.reverse()
-
-            derivative = [zero] * (order + 1)
-            for idx in range(m):
-                part = _series_mul(_series_mul(prefix[idx], dfactors[idx]), suffix[idx + 1])
-                derivative = [acc + s for acc, s in zip(derivative, part)]
+            _, derivative = _piece_series(piece, xi, eta, order, scalar)
             total = [acc - piece.sign * s for acc, s in zip(total, derivative)]
     return LaurentSeries(order_low=-(n + 1), coeffs=tuple(total), dim=n, kind="weight")
 

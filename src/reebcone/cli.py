@@ -40,7 +40,7 @@ from .characters import decompose_dual, index_character, truncated_character_ora
 from .geometry import ToricCone, dual_cone, gorenstein_vector, reeb_vector
 from .optimize import minimize_volume
 from .stability import delta as delta_report
-from .stability import futaki_product, s_m_oracle, s_prime, s_value
+from .stability import futaki_pairing, s_m_oracle, s_prime, s_value
 
 COMMANDS = ("check", "delta", "minimize", "futaki", "character", "oracle")
 
@@ -295,10 +295,10 @@ def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
     xi = _require_xi(spec, flags)
     eta = _require_eta(spec, flags)
     pieces = decompose_dual(cone)
-    F = index_character(pieces, xi, order=2)
-    C = weight_character(pieces, xi, eta, order=2)
-    fut = futaki_product(cone, xi, eta)
-    results.update({"futaki": fut, "a0": F.a0, "a1": F.a1, "b0": C.b0, "b1": C.b1})
+    F = index_character(pieces, xi, order=1)
+    C = weight_character(pieces, xi, eta, order=1)
+    results.update({"futaki": futaki_pairing(F, C),
+                    "a0": F.a0, "a1": F.a1, "b0": C.b0, "b1": C.b1})
 
 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:

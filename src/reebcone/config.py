@@ -53,6 +53,11 @@ def default_tol() -> float:
     return tol if tol > 0 else DEFAULT_TOL
 
 
+def series_rtol() -> float:
+    """Relative tolerance of mpf character coefficients (24 bits for the long box sums)."""
+    return 2.0 ** (24 - precision_bits())
+
+
 def mp_context() -> mpmath.ctx_mp.MPContext:
     """A fresh mpmath context at the configured precision.
 

@@ -167,8 +167,8 @@ def _double_description(constraints: list[tuple[int, ...]], dim: int) -> list[tu
             f"rays span a subspace of dimension {len(basis_idx)} < {dim}"
         )
     basis = [constraints[i] for i in basis_idx]
-    inv_cols = linalg.transpose(linalg.inverse(basis))
-    rays = [linalg.integer_direction(col) for col in inv_cols]
+    inv_cols = linalg.transpose(linalg.integer_inverse(basis)[1])
+    rays = [linalg.primitivize(col) for col in inv_cols]
     inserted = list(basis)
     for k, a in enumerate(constraints):
         if k in basis_idx:

@@ -115,23 +115,29 @@ def rank(rows: Sequence[Sequence]) -> int:
     return r
 
 
-def inverse(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix; ValueError if singular."""
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(|det A|, |det A| * A^-1)`` for a nonsingular integer matrix A.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [A | I], whose divisions are all
+    exact: the last pivot is +-det A, and the right block ends as that pivot
+    times A^-1.  ValueError if A is singular.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        p = a[col][col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
+            if r != col:
                 factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+                a[r] = [(p * x - factor * y) // prev for x, y in zip(a[r], a[col])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return abs(prev), tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...]:
@@ -221,17 +227,6 @@ def column_hnf(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
             for i in range(n):
                 h[i][j] = -h[i][j]
     return tuple(tuple(row) for row in h)
-
-
-def integer_direction(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector positively proportional to a rational v.
-
-    Raises ValueError on the zero vector.
-    """
-    fracs = [Fraction(x) for x in v]
-    s = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    w = [int(f * s) for f in fracs]
-    return primitivize(w)
 
 
 def lex_sign(values: Sequence) -> int:

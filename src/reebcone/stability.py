@@ -219,21 +219,24 @@ def delta(
     )
 
 
-def futaki_product(cone: ToricCone, xi, eta, order: int = 2):
-    """Futaki pairing ``Fut(xi; eta) = -2 (a0 b1 - a1 b0) / a0**2``.
+def futaki_pairing(F, C):
+    """``Fut(xi; eta) = -2 (a0 b1 - a1 b0) / a0**2`` from the characters.
 
-    ``a0, a1`` come from the index character at ``xi`` and ``b0, b1``
-    from the weight character of ``eta``; the combination is exactly
-    the derivative of the normalized volume of ``xi + s eta`` at
-    ``s = 0`` up to positive scale, so a critical Reeb vector has
-    vanishing pairing against every ``eta``.
+    ``a0, a1`` come from the index character ``F`` at ``xi`` and ``b0, b1``
+    from the weight character ``C`` of ``eta``, each of order at least 1;
+    the combination is exactly the derivative of the normalized volume of
+    ``xi + s eta`` at ``s = 0`` up to positive scale, so a critical Reeb
+    vector has vanishing pairing against every ``eta``.
     """
+    return -2 * (F.a0 * C.b1 - F.a1 * C.b0) / (F.a0 * F.a0)
+
+
+def futaki_product(cone: ToricCone, xi, eta):
+    """Futaki pairing of a cone: :func:`futaki_pairing` of its characters to
+    order 1, since truncation leaves a0, a1, b0 and b1 unchanged."""
     pieces = decompose_dual(cone)
-    F = index_character(pieces, xi, order=order)
-    C = weight_character(pieces, xi, eta, order=order)
-    a0, a1 = F.a0, F.a1
-    b0, b1 = C.b0, C.b1
-    return -2 * (a0 * b1 - a1 * b0) / (a0 * a0)
+    return futaki_pairing(index_character(pieces, xi, order=1),
+                          weight_character(pieces, xi, eta, order=1))
 
 
 def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):

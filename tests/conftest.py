@@ -15,8 +15,10 @@ from fractions import Fraction
 
 import pytest
 
-from reebcone import ReebconeWarning, dual_cone, triangulate_cone
-from reebcone.linalg import det, dot, mat_vec, transpose
+from reebcone import ReebconeWarning, SimplicialPiece, dual_cone, triangulate_cone
+from reebcone.characters import _g_coeff
+from reebcone.geometry import simplices
+from reebcone.linalg import column_hnf, det, dot, lex_sign, mat_vec, solve_unique, transpose
 
 
 def make_orthant2():
@@ -98,11 +100,15 @@ def apply_unimodular(cone, mat):
     return dual_cone(rays, cone.dim)
 
 
+def fraction_inverse(mat):
+    """Exact inverse of a nonsingular matrix, one Fraction solve per column."""
+    n = len(mat)
+    return transpose([solve_unique(mat, [int(i == j) for i in range(n)]) for j in range(n)])
+
+
 def covector_transform(mat, u):
     """How dual vectors move: by the inverse-transpose, i.e. solve M^T x = u."""
-    from reebcone.linalg import inverse
-
-    inv_t = transpose(inverse([list(r) for r in mat]))
+    inv_t = transpose(fraction_inverse([list(r) for r in mat]))
     return tuple(mat_vec(inv_t, u))
 
 
@@ -135,6 +141,18 @@ def random_interior_xi(cone, rng: random.Random):
         sum(w * v[a] for w, v in zip(weights, cone.rays))
         for a in range(cone.dim)
     )
+
+
+def make_kgon(k: int, radius: int):
+    """Cone over the hull of a regular k-gon's rounded vertices, at height one."""
+    points = sorted({
+        (round(radius * math.cos(2 * math.pi * j / k)),
+         round(radius * math.sin(2 * math.pi * j / k)))
+        for j in range(k)
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReebconeWarning)
+        return dual_cone([(1,) + p for p in points], 3)
 
 
 def random_cone_suite(seed: int, count: int, dims=(2, 3)):
@@ -187,3 +205,86 @@ def brute_lattice_points(cone, xi, level):
         if all(sum(map(operator.mul, v, u)) >= 0 for v in cone.rays)
         and sum(map(operator.mul, xi, u)) <= level
     )
+
+
+def fraction_pieces(cone):
+    """The half-open decomposition of sigma^v in Fraction arithmetic, as an oracle.
+
+    Over the same triangulation as the library, each piece's barycentric
+    coordinates come from the exact Fraction inverse of its generator
+    columns: a facet is excluded when the reference point q = sum of the dual
+    rays lies on its negative side (ties broken lexicographically), and every
+    Hermite-form coset representative is shifted into (0, 1] on excluded
+    facets and [0, 1) elsewhere by ceil and floor of its coordinates.
+    """
+    q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
+    pieces = []
+    for _, generators in simplices(cone):
+        cols = transpose(generators)
+        inv = fraction_inverse(cols)
+        excluded = tuple(lex_sign((dot(row, q_ref),) + tuple(row)) < 0 for row in inv)
+        hnf = column_hnf(cols)
+        points = []
+        for rep in itertools.product(*(range(hnf[i][i]) for i in range(len(cols)))):
+            shift = [math.ceil(c) - 1 if off else math.floor(c)
+                     for c, off in zip(mat_vec(inv, rep), excluded)]
+            points.append(tuple(x - dot(row, shift) for x, row in zip(rep, cols)))
+        pieces.append(SimplicialPiece(generators, tuple(sorted(points)), 1, excluded))
+    return tuple(pieces)
+
+
+def per_point_box_series(points, xi, order):
+    """Taylor coefficients of sum_p e^{-t<xi,p>}, one Fraction term per point."""
+    out = [Fraction(0)] * (order + 1)
+    for p in points:
+        a, term = dot(xi, p), Fraction(1)
+        out[0] += term
+        for j in range(1, order + 1):
+            term = term * (-a) / j
+            out[j] += term
+    return out
+
+
+def per_point_box_derivative(points, xi, eta, order):
+    """d/ds at s = 0 of the box series along xi + s eta, one term per point."""
+    out = [Fraction(0)] * (order + 1)
+    for p in points:
+        a, term = dot(xi, p), -dot(eta, p)
+        for j in range(1, order + 1):
+            out[j] += term
+            term = term * (-a) / j
+    return out
+
+
+def per_point_characters(pieces, xi, eta, order):
+    """Coefficients of F and C_eta from per-point box series, as an oracle.
+
+    Each piece contributes its closed form, the box series times
+    prod_i g(c_i t) / (c_i t), and minus its eta-derivative, written out by
+    the product rule as one full product per differentiated factor; the
+    series products are plain truncated convolutions.
+    """
+    xi = tuple(Fraction(x) for x in xi)
+    eta = tuple(Fraction(x) for x in eta)
+    g = [_g_coeff(j) for j in range(order + 1)]
+
+    def product(series):
+        out = [Fraction(1)] + [Fraction(0)] * order
+        for s in series:
+            out = [sum(out[i] * s[j - i] for i in range(j + 1)) for j in range(order + 1)]
+        return out
+
+    index, weight = [Fraction(0)] * (order + 1), [Fraction(0)] * (order + 1)
+    for piece in pieces:
+        cs = [dot(xi, u) for u in piece.generators]
+        es = [dot(eta, u) for u in piece.generators]
+        factors = [[g[j] * c ** (j - 1) for j in range(order + 1)] for c in cs]
+        factors.append(per_point_box_series(piece.box_points, xi, order))
+        dfactors = [[e * g[j] * (j - 1) * c ** (j - 2) for j in range(order + 1)]
+                    for c, e in zip(cs, es)]
+        dfactors.append(per_point_box_derivative(piece.box_points, xi, eta, order))
+        index = [a + b for a, b in zip(index, product(factors))]
+        for i, df in enumerate(dfactors):
+            term = product(factors[:i] + [df] + factors[i + 1:])
+            weight = [a - b for a, b in zip(weight, term)]
+    return index, weight

@@ -10,6 +10,7 @@ z/(1 - e^{-z}), which is checked against its classical coefficients.
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -28,8 +29,25 @@ from reebcone import (
     truncated_character_oracle,
     weight_character,
 )
-from reebcone.characters import _g_coeff
-from conftest import random_cone_suite, random_height_one_cone, random_interior_xi
+from reebcone.characters import MAX_ORDER, _g_coeff
+from reebcone.cli import parse_cone_spec
+from reebcone.config import mp_context, series_rtol, to_mpf
+from conftest import (
+    fraction_inverse,
+    fraction_pieces,
+    make_kgon,
+    per_point_characters,
+    random_cone_suite,
+    random_height_one_cone,
+    random_interior_xi,
+)
+
+SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
+
+# The cone over a 16-gon of radius 10 has 3220 box points; xi and eta as in
+# the kgon-characters benchmark.
+KGON_XI = (Fraction(3), Fraction(1, 7), Fraction(-1, 5))
+KGON_ETA = (0, 1, 0)
 
 
 def halfopen_points_upto(piece, xi, m):
@@ -264,3 +282,64 @@ class TestTruncatedOracle:
     def test_interior_required(self, orthant2):
         with pytest.raises(UnboundedSlice):
             truncated_character_oracle(orthant2, (1, 0), None, 0.5, cutoff=50)
+
+
+class TestBoxPointKernel:
+    """The integer box-point kernel against the Fraction per-point oracles."""
+
+    def test_integer_inverse(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            mat = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
+                   for _ in range(n)]
+            det = linalg.det(mat)
+            if det == 0:
+                with pytest.raises(ValueError):
+                    linalg.integer_inverse(mat)
+                continue
+            count, scaled = linalg.integer_inverse(mat)
+            assert count == abs(det)
+            assert scaled == tuple(tuple(count * x for x in row)
+                                   for row in fraction_inverse(mat))
+
+    @staticmethod
+    def cases():
+        kgon = make_kgon(16, 10)
+        assert sum(len(p.box_points) for p in decompose_dual(kgon)) == 3220
+        return random_cone_suite(seed=17, count=16, dims=(2, 3, 4, 5)) + [(kgon, KGON_XI)]
+
+    def test_pieces_match_fraction_oracle(self):
+        for cone, _ in self.cases():
+            assert decompose_dual(cone) == fraction_pieces(cone)
+
+    def test_characters_match_per_point_oracle(self):
+        rng = random.Random(29)
+        for cone, xi in self.cases():
+            pieces = decompose_dual(cone)
+            eta = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cone.dim))
+            for order in range(MAX_ORDER + 1):
+                index, weight = per_point_characters(pieces, xi, eta, order)
+                assert index_character(pieces, xi, order=order).coeffs == tuple(index)
+                assert weight_character(pieces, xi, eta, order=order).coeffs == tuple(weight)
+
+    def test_mpf_path_matches_exact(self):
+        cases = [(make_kgon(16, 10), KGON_XI, KGON_ETA)]
+        for path in sorted(SPEC_DIR.glob("*.json")):
+            spec = parse_cone_spec(path.read_text(encoding="utf-8"))
+            eta = spec.eta or (0, 1) + (0,) * (spec.dim - 2)
+            cases.append((dual_cone(spec.rays, spec.dim), spec.xi, eta))
+        ctx, rtol = mp_context(), series_rtol()
+        for cone, xi, eta in cases:
+            pieces = decompose_dual(cone)
+            xi_mp = tuple(to_mpf(x, ctx) for x in xi)
+            for order in range(MAX_ORDER + 1):
+                pairs = [(index_character(pieces, xi, order=order),
+                          index_character(pieces, xi_mp, order=order)),
+                         (weight_character(pieces, xi, eta, order=order),
+                          weight_character(pieces, xi_mp, eta, order=order))]
+                for exact, approx in pairs:
+                    for e, m in zip(exact.coeffs, approx.coeffs, strict=True):
+                        assert isinstance(m, mpmath.mpf)
+                        e = to_mpf(e, ctx)
+                        assert abs(m - e) <= rtol * (1 + abs(e))
