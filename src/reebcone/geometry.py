@@ -247,33 +247,37 @@ def gorenstein_vector(cone: ToricCone,
     positive-dimensional solution set.
     """
     if boundary is None:
-        rhs = [Fraction(1)] * len(cone.rays)
+        rhs = (Fraction(1),) * len(cone.rays)
     else:
         if len(boundary) != len(cone.rays):
             raise DimensionMismatch("one boundary coefficient per ray is required")
-        rhs = []
-        for c in boundary:
-            c = Fraction(c)
+        coeffs = [Fraction(c) for c in boundary]
+        for c in coeffs:
             if not 0 <= c < 1:
                 raise ValueError(f"boundary coefficient {c} outside [0, 1)")
-            rhs.append(1 - c)
-    try:
-        l = linalg.solve_unique(cone.rays, rhs)
-    except linalg.LinearSystemInconsistent as exc:
-        raise NotQGorenstein(
-            "no rational covector pairs correctly with every ray generator"
-        ) from exc
-    except linalg.LinearSystemUnderdetermined as exc:
-        raise DegenerateSolutionSet(
-            "Gorenstein system has a positive-dimensional solution set; "
-            "supply l explicitly"
-        ) from exc
+        rhs = tuple(1 - c for c in coeffs)
+    l = _solve_gorenstein(cone, rhs)
+    if isinstance(l, linalg.LinearSystemInconsistent):
+        raise NotQGorenstein("no rational covector pairs correctly with every ray generator") from l
+    if isinstance(l, linalg.LinearSystemUnderdetermined):
+        raise DegenerateSolutionSet("Gorenstein system has a positive-dimensional solution set; "
+                                    "supply l explicitly") from l
     # Interiority of l in sigma^v: <v, l> > 0 for every nonzero v in sigma.
     # The defining equations make this automatic (<v_i, l> = 1 - c_i > 0),
     # but the check is kept as a defense for generalized callers.
     if not all(linalg.dot(v, l) > 0 for v in cone.rays):  # pragma: no cover
         raise NotQGorenstein("solution of the Gorenstein system is not interior")
     return GorensteinVector(l=l)
+
+
+@lru_cache(maxsize=None)
+def _solve_gorenstein(cone: ToricCone, rhs: tuple):
+    """l with ``<v_i, l> = rhs_i``, or the error of its solve: one solve per
+    cone and right-hand side, failures too, as :func:`reeb_vector` asks for l."""
+    try:
+        return linalg.solve_unique(cone.rays, rhs)
+    except (linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined) as exc:
+        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +381,7 @@ def simplices(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], ...]],
     out = []
     for simplex in triangulate_cone(cone.dual_rays, cone.rays):
         gens = tuple(cone.dual_rays[i] for i in simplex)
-        out.append((abs(int(linalg.det(gens))), gens))
+        out.append((abs(linalg.det(gens)), gens))
     return tuple(out)
 
 

@@ -1,7 +1,8 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra for small integer matrices.
 
-Small dense matrices only (the package targets desk-scale cones, n <= 8),
-so plain fraction Gaussian elimination is both adequate and easy to audit.
+Every matrix the package eliminates is integer (rays, dual rays, simplex
+generators; n <= 8, at most 64 rows), so rank, determinant, inverse and
+solve are views of one fraction-free Bareiss elimination on Python ints.
 Vectors are tuples; matrices are sequences of row tuples.
 """
 
@@ -25,10 +26,6 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} != {len(v)}")
     return sum(x * y for x, y in zip(u, v))
-
-
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
@@ -67,114 +64,93 @@ def primitivize(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in w)
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix, by fraction Gaussian elimination."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return result
+def _bareiss(rows: Sequence[Sequence[int]], width: int):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a (possibly rectangular) matrix."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        for i in range(r + 1, m):
-            if a[i][col] != 0:
-                factor = a[i][col] * inv
-                for c in range(col, n):
-                    a[i][c] -= factor * a[r][c]
-        r += 1
+    Pivots in the first ``width`` columns only, on each column's first
+    nonzero entry at or below the current row.  Each step sets every other
+    row to ``(pivot * row - factor * pivot_row) // previous_pivot``, exact by
+    Sylvester's identity (Bareiss, Math. Comp. 22, 1968): after k steps every
+    entry is a minor of the input, and the pivot rows are the k x k pivot
+    minor times the reduced echelon form.  Returns
+    ``(pivots, reduced, last, sign)``: the pivot columns, the reduced rows,
+    the last pivot (1 if none) and the sign of the row swaps.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    pivots: list[int] = []
+    last, sign = 1, 1
+    for col in range(width):
+        r = len(pivots)
         if r == m:
             break
-    return r
+        pivot = next((i for i in range(r, m) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        p = pivot_row[col]
+        for i in range(m):
+            if i != r:
+                factor = a[i][col]
+                a[i] = [(p * x - factor * y) // last for x, y in zip(a[i], pivot_row)]
+        last = p
+        pivots.append(col)
+    return pivots, a, last, sign
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    pivots, _, last, sign = _bareiss(rows, n)
+    return sign * last if len(pivots) == n else 0
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a (possibly rectangular) integer matrix."""
+    return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(|det A|, |det A| * A^-1)`` for a nonsingular integer matrix A.
 
-    Fraction-free (Bareiss) Gauss-Jordan on [A | I], whose divisions are all
-    exact: the last pivot is +-det A, and the right block ends as that pivot
-    times A^-1.  ValueError if A is singular.
+    Reduces [A | I]: the last pivot is +-det A, and the right block ends as
+    that pivot times A^-1.  ValueError if A is singular.
     """
     n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        for r in range(n):
-            if r != col:
-                factor = a[r][col]
-                a[r] = [(p * x - factor * y) // prev for x, y in zip(a[r], a[col])]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return abs(prev), tuple(tuple(sign * x for x in row[n:]) for row in a)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, reduced, last, _ = _bareiss(augmented, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    sign = 1 if last > 0 else -1
+    return abs(last), tuple(tuple(sign * x for x in row[n:]) for row in reduced)
 
 
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve a (possibly overdetermined) system A x = b exactly.
+def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence) -> tuple[Fraction, ...]:
+    """Solve a (possibly overdetermined) integer system A x = b exactly.
 
-    Raises LinearSystemInconsistent when no solution exists and
+    The rational right-hand side is scaled by the lcm d of its denominators
+    and [A | d b] reduced; then x_k = row_k[n] / (last pivot * d).  Raises
+    LinearSystemInconsistent when no solution exists and
     LinearSystemUnderdetermined when the solution is not unique.
     """
     m = len(rows)
     if m != len(rhs):
         raise ValueError("row/rhs length mismatch")
     n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise LinearSystemInconsistent("inconsistent linear system")
+    rhs = [Fraction(b) for b in rhs]
+    d = math.lcm(*(b.denominator for b in rhs))
+    augmented = [list(row) + [int(b * d)] for row, b in zip(rows, rhs)]
+    pivots, reduced, last, _ = _bareiss(augmented, n)
+    if any(row[n] for row in reduced[len(pivots):]):
+        raise LinearSystemInconsistent("inconsistent linear system")
     if len(pivots) < n:
         raise LinearSystemUnderdetermined("solution set is positive-dimensional")
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    return tuple(x)
+    return tuple(Fraction(row[n], last * d) for row in reduced[:n])
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 MAX_GRID_SAMPLES = 10**4
 _ARMIJO = 1e-4
+_FULL_STEP_GRAD_RATIO = 0.5
 _MIN_STEP_SCALE = 2.0**-60
 _REG_INITIAL = 1e-12
 _REG_MAX = 1e-4
@@ -267,7 +268,11 @@ def minimize_volume(
     Starts from the vertex average ``(sum v_i)/d`` (interior by
     construction) unless ``start`` is given, in which case it is
     rescaled onto the slice.  Converged when both the projected
-    gradient norm and the step norm drop below ``tol``.  The objective
+    gradient norm and the step norm drop below ``tol``.  The line search
+    also takes the full step when its ``|grad|`` is at most
+    ``_FULL_STEP_GRAD_RATIO`` of the current one: near the minimum the Armijo
+    test compares float64 values whose predicted decrease is below the
+    rounding of ``F``, and would stall the iteration.  The objective
     is analytic and convex on the whole slice interior, so failures
     surface as :class:`MaxIterations` or :class:`NonConvergent` rather
     than being patched over.
@@ -310,7 +315,8 @@ def minimize_volume(
             except LeftReebCone:
                 scale_t *= 0.5
                 continue
-            if trial_value <= value + _ARMIJO * scale_t * slope:
+            if (trial_value <= value + _ARMIJO * scale_t * slope
+                    or scale_t == 1.0 and _norm(trial_grad) <= _FULL_STEP_GRAD_RATIO * _norm(grad)):
                 break
             scale_t *= 0.5
         step_norm = _norm([scale_t * s for s in step])

@@ -18,7 +18,15 @@ import pytest
 from reebcone import ReebconeWarning, SimplicialPiece, dual_cone, triangulate_cone
 from reebcone.characters import _g_coeff
 from reebcone.geometry import simplices
-from reebcone.linalg import column_hnf, det, dot, lex_sign, mat_vec, solve_unique, transpose
+from reebcone.linalg import (
+    LinearSystemInconsistent,
+    LinearSystemUnderdetermined,
+    column_hnf,
+    dot,
+    lex_sign,
+    mat_vec,
+    transpose,
+)
 
 
 def make_orthant2():
@@ -100,10 +108,92 @@ def apply_unimodular(cone, mat):
     return dual_cone(rays, cone.dim)
 
 
+def fraction_det(rows):
+    """Determinant by Fraction Gaussian elimination, as an oracle for ``linalg.det``."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            result = -result
+        result *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] * inv
+                for c in range(col, n):
+                    a[r][c] -= factor * a[col][c]
+    return result
+
+
+def fraction_rank(rows):
+    """Rank by Fraction Gaussian elimination, as an oracle for ``linalg.rank``."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    if not a:
+        return 0
+    m, n = len(a), len(a[0])
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col]
+        for i in range(r + 1, m):
+            if a[i][col] != 0:
+                factor = a[i][col] * inv
+                for c in range(col, n):
+                    a[i][c] -= factor * a[r][c]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def fraction_solve(rows, rhs):
+    """Solve A x = b by Fraction Gauss-Jordan elimination, as an oracle for
+    ``linalg.solve_unique``: the same exceptions in the same cases."""
+    m = len(rows)
+    if m != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, m):
+        if a[i][n] != 0:
+            raise LinearSystemInconsistent("inconsistent linear system")
+    if len(pivots) < n:
+        raise LinearSystemUnderdetermined("solution set is positive-dimensional")
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = a[i][n]
+    return tuple(x)
+
+
 def fraction_inverse(mat):
     """Exact inverse of a nonsingular matrix, one Fraction solve per column."""
     n = len(mat)
-    return transpose([solve_unique(mat, [int(i == j) for i in range(n)]) for j in range(n)])
+    return transpose([fraction_solve(mat, [int(i == j) for i in range(n)]) for j in range(n)])
 
 
 def covector_transform(mat, u):
@@ -180,7 +270,7 @@ def reverse_bary_P(cone, xi):
     moment = [0] * cone.dim
     for simplex in triangulate_cone(duals, cone.rays):
         w = [scaled[i] for i in simplex]
-        area_k = abs(det(w))
+        area_k = abs(fraction_det(w))
         area += area_k
         moment = [acc + area_k * sum(col) / cone.dim
                   for acc, col in zip(moment, zip(*w))]

@@ -33,8 +33,11 @@ from reebcone.characters import MAX_ORDER, _g_coeff
 from reebcone.cli import parse_cone_spec
 from reebcone.config import mp_context, series_rtol, to_mpf
 from conftest import (
+    fraction_det,
     fraction_inverse,
     fraction_pieces,
+    fraction_rank,
+    fraction_solve,
     make_kgon,
     per_point_characters,
     random_cone_suite,
@@ -117,7 +120,7 @@ class TestDecomposeDual:
 
     def test_box_point_count_is_determinant(self, fixture_cone):
         for piece in decompose_dual(fixture_cone):
-            det = abs(linalg.det([list(g) for g in piece.generators]))
+            det = abs(fraction_det([list(g) for g in piece.generators]))
             assert len(piece.box_points) == det
             assert len(set(piece.box_points)) == det
 
@@ -293,7 +296,7 @@ class TestBoxPointKernel:
             n = rng.randint(1, 8)
             mat = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
                    for _ in range(n)]
-            det = linalg.det(mat)
+            det = fraction_det(mat)
             if det == 0:
                 with pytest.raises(ValueError):
                     linalg.integer_inverse(mat)
@@ -302,6 +305,45 @@ class TestBoxPointKernel:
             assert count == abs(det)
             assert scaled == tuple(tuple(count * x for x in row)
                                    for row in fraction_inverse(mat))
+
+    def test_rank_det_solve(self):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except (linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined) as exc:
+                return type(exc)
+
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(600):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            mat = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
+                   for _ in range(m)]
+            if m > 1 and rng.random() < 0.5:  # force a dependent row
+                i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                mat[k] = [a * x + b * y for x, y in zip(mat[i], mat[j])]
+            r = linalg.rank(mat)
+            assert r == fraction_rank(mat)
+            if r < min(m, n):
+                seen.add("rank-deficient")
+            if m == n:
+                det = linalg.det(mat)
+                assert type(det) is int and det == fraction_det(mat)
+                assert (det != 0) == (r == n)
+            if rng.random() < 0.5:  # consistent: the image of a rational x
+                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                rhs = [sum(a * b for a, b in zip(row, x)) for row in mat]
+            else:
+                rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m)]
+            got = outcome(linalg.solve_unique, mat, rhs)
+            assert got == outcome(fraction_solve, mat, rhs)
+            if isinstance(got, type):
+                seen.add(got)
+            else:
+                seen.add("solved, overdetermined" if m > n else "solved, square")
+        assert seen == {linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined,
+                        "rank-deficient", "solved, overdetermined", "solved, square"}
 
     @staticmethod
     def cases():

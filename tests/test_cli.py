@@ -14,6 +14,7 @@ from reebcone import NonIntegerRay, SchemaError, delta, futaki_product
 from reebcone.cli import ConeSpec, main, parse_cone_spec, run
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def spec_text(name: str) -> str:
@@ -292,6 +293,19 @@ class TestConsoleScript:
         payload = json.loads(proc.stdout)
         assert payload["results"]["delta"] == "1"
         assert payload["results"]["bary_P"] == ["1", "0", "0"]
+
+    def test_optimized_interpreter_matches_goldens(self):
+        # python -O strips every assert statement, so no check may rest on one
+        spec = str(SPEC_DIR / "y21.json")
+        calls = (("check", []), ("delta", []), ("minimize", ["--probe-rational", "100"]))
+        for command, flags in calls:
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "reebcone.cli", command, "--spec", spec, *flags],
+                capture_output=True,
+                check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == (GOLDEN_DIR / f"y21__{command}.json").read_bytes()
 
     def test_numpy_stays_off_the_import_path(self):
         # numpy is imported lazily, by the brute-force lattice oracles only

@@ -1,5 +1,6 @@
 """Exact polyhedral geometry: dual cones, Gorenstein vectors, slices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from reebcone import (
     triangulate_cone,
 )
 from conftest import (
+    fraction_det,
     random_cone_suite,
     random_height_one_cone,
     random_interior_xi,
@@ -108,6 +110,17 @@ class TestDualCone:
         with pytest.warns(RayPrimitivizedWarning):
             cone = dual_cone([(1.0, 0), (0, 2.0)], 2)
         assert cone.rays == ((1, 0), (0, 1))
+
+    def test_cube7_at_the_ray_cap(self):
+        # the cone over the unit 6-cube at height one: 64 rays, 12 facets
+        rays = [(1,) + e for e in itertools.product((0, 1), repeat=6)]
+        cone = dual_cone(rays, 7)
+        assert len(cone.rays) == geometry.MAX_RAYS
+        units = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+        facets = units[1:] + [linalg.vec_sub(units[0], e) for e in units[1:]]
+        assert cone.dual_rays == tuple(sorted(facets))
+        xi = random_interior_xi(cone, random.Random(7))
+        assert polytope_Q(cone, xi).bary_P == reverse_bary_P(cone, xi)
 
     def test_contains(self, conifold):
         assert conifold.contains((1, 0, 0))
@@ -205,7 +218,9 @@ class TestPolytopeQ:
         assert slice_.bary_P == (1, 0, 0)
 
     def test_barycenter_relation_random(self):
-        for cone, xi in random_cone_suite(seed=23, count=40):
+        suites = (random_cone_suite(seed=23, count=40)
+                  + random_cone_suite(seed=29, count=20, dims=(6, 7, 8)))
+        for cone, xi in suites:
             slice_ = polytope_Q(cone, xi)
             assert slice_.bary_P == reverse_bary_P(cone, xi)
             assert linalg.dot(xi, slice_.bary_P) == 1
@@ -267,7 +282,7 @@ class TestTriangulation:
         assert set(fwd) != set(rev)  # genuinely different triangulations
         for tri in (fwd, rev):
             total = sum(
-                abs(linalg.det([list(conifold.dual_rays[i]) for i in simplex]))
+                abs(fraction_det([list(conifold.dual_rays[i]) for i in simplex]))
                 for simplex in tri
             )
             assert total == 2  # lattice volume of the square cone
@@ -277,15 +292,17 @@ class TestTriangulation:
         assert tri == ((0, 1),)
 
     def test_one_triangulation_per_cone(self, monkeypatch):
-        calls = []
-        original = geometry.triangulate_cone
+        def counting(fn, calls):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(geometry, "triangulate_cone", counting)
+        calls, solves = [], []
+        monkeypatch.setattr(geometry, "triangulate_cone", counting(geometry.triangulate_cone, calls))
+        monkeypatch.setattr(linalg, "solve_unique", counting(linalg.solve_unique, solves))
         geometry.simplices.cache_clear()
+        geometry._solve_gorenstein.cache_clear()
         decompose_dual.cache_clear()
         cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
         xi = (3, Fraction(3, 2), Fraction(3, 4))
@@ -295,6 +312,7 @@ class TestTriangulation:
         futaki_product(cone, xi, (0, 1, 0))
         minimize_volume(cone)
         assert len(calls) == 1
+        assert len(solves) == 1  # one Gorenstein solve per cone
 
 
 class TestLatticePoints:

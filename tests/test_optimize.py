@@ -24,7 +24,7 @@ from reebcone import (
 from reebcone.linalg import mat_vec
 from reebcone.optimize import _embed, _project, _regularized_step
 
-from conftest import apply_unimodular, unimodular_matrix
+from conftest import apply_unimodular, random_cone_suite, unimodular_matrix
 
 
 class TestVolumeObjective:
@@ -271,6 +271,16 @@ def test_minimize_cubes(n):
     resolution = {4: 6, 5: 3, 6: 2}[n]
     grid = grid_search_oracle(cone, resolution)
     assert float(grid.value) >= res.vol_star - 1e-12
+
+
+@pytest.mark.parametrize("dims,count", [((3, 4, 5), 60), ((6, 7, 8), 30)], ids=["dims3-5", "dims6-8"])
+def test_minimize_random_suite(dims, count):
+    # near the minimum the Armijo test alone rejected good Newton steps, and
+    # these suites stalled in MaxIterations on 4 and 6 cones
+    for cone, _ in random_cone_suite(seed=11, count=count, dims=dims):
+        res = minimize_volume(cone)
+        assert res.kss_residual <= 1e-9
+        assert abs(float(delta(cone, res.xi_star.xi).delta) - 1) <= 1e-9
 
 
 class TestGridOracle:
