@@ -32,14 +32,14 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
-from .config import mp_context, to_mpf, working_precision
+from .config import to_mpf, working_precision
 from .errors import (
     CutoffTooSmall,
     ExceedsSupportedSize,
     OrderTooLarge,
     UnboundedSlice,
 )
-from .geometry import ToricCone, ReebVector, integer_reeb, lattice_rows, simplices
+from .geometry import ToricCone, ReebVector, integer_reeb, lattice_rows, numerators, simplices
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -204,19 +204,15 @@ def _series_mul(a: list, b: list) -> list:
 def _coerce_pair(xi, eta: Optional[Sequence]):
     """xi (and eta) as ``(numerators, denominator)`` pairs, with their scalar type.
 
-    Rational vectors become integer numerators over their least common
-    denominator, with scalar type Fraction; anything else becomes mpf at the
-    working precision over denominator 1, with scalar type ``to_mpf``, so
-    one code path serves both.
+    The pairs of :func:`reebcone.geometry.numerators`, with scalar type
+    Fraction when they are exact and ``to_mpf`` otherwise, so one code path
+    serves both.
     """
     if isinstance(xi, ReebVector):
         xi = xi.xi
     vecs = (tuple(xi),) if eta is None else (tuple(xi), tuple(eta))
-    if all(isinstance(x, (int, Fraction)) for vec in vecs for x in vec):
-        dens = [math.lcm(*(x.denominator for x in vec)) for vec in vecs]
-        return [(tuple(int(x * d) for x in vec), d) for vec, d in zip(vecs, dens)], Fraction
-    ctx = mp_context()
-    return [(tuple(to_mpf(x, ctx) for x in vec), 1) for vec in vecs], to_mpf
+    pairs, exact = numerators(vecs)
+    return pairs, Fraction if exact else to_mpf
 
 
 def _check_order(order: int, max_order: int):

@@ -37,7 +37,7 @@ from .errors import (
     SchemaError,
 )
 from .characters import decompose_dual, index_character, truncated_character_oracle, weight_character
-from .geometry import ToricCone, dual_cone, gorenstein_vector, reeb_vector
+from .geometry import ToricCone, dual_cone, futaki_coefficients, gorenstein_vector, reeb_vector
 from .optimize import minimize_volume
 from .stability import delta as delta_report
 from .stability import futaki_pairing, s_m_oracle, s_prime, s_value
@@ -294,11 +294,8 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -
 def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
     eta = _require_eta(spec, flags)
-    pieces = decompose_dual(cone)
-    F = index_character(pieces, xi, order=1)
-    C = weight_character(pieces, xi, eta, order=1)
-    results.update({"futaki": futaki_pairing(F, C),
-                    "a0": F.a0, "a1": F.a1, "b0": C.b0, "b1": C.b1})
+    coeffs = futaki_coefficients(cone, xi, eta)
+    results.update({"futaki": futaki_pairing(coeffs, coeffs), **coeffs._asdict()})
 
 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:

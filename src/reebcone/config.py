@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -59,13 +60,21 @@ def series_rtol() -> float:
 
 
 def mp_context() -> mpmath.ctx_mp.MPContext:
-    """A fresh mpmath context at the configured precision.
+    """The mpmath context at the configured precision, shared by all callers.
 
-    Using a dedicated context (rather than mutating the global ``mpmath.mp``)
-    keeps library calls from interfering with the caller's settings.
+    A dedicated context (rather than the global ``mpmath.mp``) keeps library
+    calls from interfering with the caller's settings.  Cloning one costs far
+    more than the arithmetic of a call, so there is one per precision in bits,
+    made on first use; a changed ``REEBCONE_PRECISION`` gets its own.  Callers
+    must not change its settings.
     """
+    return _context(precision_bits())
+
+
+@lru_cache(maxsize=None)
+def _context(bits: int) -> mpmath.ctx_mp.MPContext:
     ctx = mpmath.mp.clone()
-    ctx.prec = precision_bits()
+    ctx.prec = bits
     return ctx
 
 

@@ -15,11 +15,12 @@ configured working precision.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .config import default_tol, mp_context, to_mpf, working_precision
@@ -247,7 +248,7 @@ def gorenstein_vector(cone: ToricCone,
     positive-dimensional solution set.
     """
     if boundary is None:
-        rhs = (Fraction(1),) * len(cone.rays)
+        rhs = (1,) * len(cone.rays)
     else:
         if len(boundary) != len(cone.rays):
             raise DimensionMismatch("one boundary coefficient per ray is required")
@@ -256,28 +257,30 @@ def gorenstein_vector(cone: ToricCone,
             if not 0 <= c < 1:
                 raise ValueError(f"boundary coefficient {c} outside [0, 1)")
         rhs = tuple(1 - c for c in coeffs)
-    l = _solve_gorenstein(cone, rhs)
-    if isinstance(l, linalg.LinearSystemInconsistent):
-        raise NotQGorenstein("no rational covector pairs correctly with every ray generator") from l
-    if isinstance(l, linalg.LinearSystemUnderdetermined):
+    result = _solve_gorenstein(cone, rhs)
+    if isinstance(result, linalg.LinearSystemInconsistent):
+        raise NotQGorenstein("no rational covector pairs correctly with every ray generator") from result
+    if isinstance(result, linalg.LinearSystemUnderdetermined):
         raise DegenerateSolutionSet("Gorenstein system has a positive-dimensional solution set; "
-                                    "supply l explicitly") from l
+                                    "supply l explicitly") from result
+    return result
+
+
+@lru_cache(maxsize=None)
+def _solve_gorenstein(cone: ToricCone, rhs: tuple):
+    """l with ``<v_i, l> = rhs_i``, or the error of its solve: one solve and one
+    interiority check per cone and right-hand side, failures cached too, as
+    :func:`reeb_vector` asks for l."""
+    try:
+        l = linalg.solve_unique(cone.rays, rhs)
+    except (linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined) as exc:
+        return exc
     # Interiority of l in sigma^v: <v, l> > 0 for every nonzero v in sigma.
     # The defining equations make this automatic (<v_i, l> = 1 - c_i > 0),
     # but the check is kept as a defense for generalized callers.
     if not all(linalg.dot(v, l) > 0 for v in cone.rays):  # pragma: no cover
         raise NotQGorenstein("solution of the Gorenstein system is not interior")
     return GorensteinVector(l=l)
-
-
-@lru_cache(maxsize=None)
-def _solve_gorenstein(cone: ToricCone, rhs: tuple):
-    """l with ``<v_i, l> = rhs_i``, or the error of its solve: one solve per
-    cone and right-hand side, failures too, as :func:`reeb_vector` asks for l."""
-    try:
-        return linalg.solve_unique(cone.rays, rhs)
-    except (linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined) as exc:
-        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,8 @@ def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
     if isinstance(xi, ReebVector):
         xi = xi.xi
     vec = _coerce_xi(cone, xi)
-    if not all(linalg.dot(vec, u) > 0 for u in cone.dual_rays):
+    [(xi_num, _)], _ = numerators([vec])
+    if not all(linalg.dot(xi_num, u) > 0 for u in cone.dual_rays):
         raise UnboundedSlice(
             "xi is not interior to sigma: some dual ray pairs nonpositively"
         )
@@ -385,52 +389,172 @@ def simplices(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], ...]],
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def boundary_faces(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """The (n-1)-faces of :func:`simplices` on the boundary of sigma^v.
+
+    Pairs ``(|det W|, W)``: the rows of ``W`` are the n-1 dual rays of a
+    simplex U_k other than some u_j, all of them in the facet v_i^perp of
+    sigma^v, and |det W| is their lattice volume in v_i^perp, which is
+    |det U_k| / <v_i, u_j> (write u_j as <v_i, u_j> e + a vector of v_i^perp,
+    for any integer e with <v_i, e> = 1).  Each face of the triangulation in
+    some v_i^perp belongs to one simplex, so together the faces triangulate
+    every facet of Q_xi through the origin.  Cached, next to :func:`simplices`.
+    """
+    # bit i of tight[u] is set when <v_i, u> = 0
+    tight = {u: sum(1 << i for i, v in enumerate(cone.rays) if linalg.dot(v, u) == 0)
+             for u in cone.dual_rays}
+    everything = (1 << len(cone.rays)) - 1
+    out = []
+    for det, gens in simplices(cone):
+        for j, u in enumerate(gens):
+            face = gens[:j] + gens[j + 1:]
+            common = everything
+            for w in face:
+                common &= tight[w]
+            if common:
+                ray = cone.rays[common.bit_length() - 1]
+                out.append((det // linalg.dot(ray, u), face))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # the polytope Q_xi
 # ---------------------------------------------------------------------------
+
+def numerators(vecs: Sequence[Sequence]) -> tuple[list, bool]:
+    """Vectors as ``(numerators, denominator)`` pairs, and whether they are exact.
+
+    Rational vectors become integer numerators over their least common
+    denominator d; anything else becomes mpf at the working precision over
+    d = 1, so that the closed forms run one code path on ints or on mpf.
+    """
+    if all(isinstance(x, (int, Fraction)) for vec in vecs for x in vec):
+        out = []
+        for vec in vecs:
+            d = math.lcm(*(x.denominator for x in vec))
+            out.append((tuple(x.numerator * (d // x.denominator) for x in vec), d))
+        return out, True
+    ctx = mp_context()
+    return [(tuple(to_mpf(x, ctx) for x in vec), 1) for vec in vecs], False
+
+
+def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:
+    """``{u: <xi_num, u>}`` over the dual rays; UnboundedSlice unless all are positive."""
+    pairings = {u: linalg.dot(xi_num, u) for u in cone.dual_rays}
+    if not all(c > 0 for c in pairings.values()):
+        raise UnboundedSlice("Q_xi is unbounded: xi is not interior to sigma")
+    return pairings
+
+
+def _simplex_sums(table, pairings: dict, exact: bool) -> tuple:
+    """``(T, M, L)``: the sums of every closed form over a table of simplices.
+
+    ``table`` holds ``(det_k, U_k)`` pairs (:func:`simplices` or
+    :func:`boundary_faces`), ``pairings`` maps each dual ray u to p_u, and
+    P_k is the product of p_u over U_k.  With L the lcm of the P_k,
+
+        T / L = sum_k det_k / P_k,
+        M / L^2 = sum_k (det_k / P_k) sum_{u in U_k} u / p_u
+                = sum_u (u / p_u) sum_{k : u in U_k} det_k / P_k,
+
+    all ints when the p_u are.  On mpf pairings L = 1 and the same loop runs
+    with true division.
+    """
+    div = operator.floordiv if exact else operator.truediv
+    prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
+    big = math.lcm(*prods) if exact else 1
+    total, weights = 0, dict.fromkeys(pairings, 0)
+    for (det, gens), prod in zip(table, prods):
+        w = det * div(big, prod)
+        total += w
+        for u in gens:
+            weights[u] += w
+    moment = [0] * len(next(iter(pairings)))
+    for u, w in weights.items():
+        c = w * div(big, pairings[u])
+        moment = [m + c * x for m, x in zip(moment, u)]
+    return total, moment, big
+
 
 def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
     """The slice Q_xi = {u in sigma^v : <xi, u> <= 1} with exact metrics.
 
     Closed form over :func:`simplices`: the simplex of Q_xi over U_k (apex at
     the origin) has volume |det U_k| / (n! prod_i <xi, u_i>) and vertex sum
-    s_k = sum_i u_i / <xi, u_i>.  So with w_k = |det U_k| / prod_i <xi, u_i>,
+    s_k = sum_i u_i / <xi, u_i>, and the facet P_xi = {<xi, u> = 1} has
+    pieces of areas in the same ratios, so bary_P = (n+1)/n bary_Q is their
+    volume-weighted mean of s_k / n.  With xi = xi_num / d, p_u = <xi_num, u>
+    and (T, M, L) from :func:`_simplex_sums`, all of it is integer until
 
-        vol = sum_k w_k / n!,   bary_Q = sum_k w_k s_k / ((n+1) sum_k w_k),
+        vol = d^n T / (n! L),   bary_P = d M / (n T L),
 
-    and the facet P_xi = {<xi, u> = 1}, whose pieces have areas in the same
-    ratios w_k, has bary_P = sum_k w_k s_k / (n sum_k w_k) = (n+1)/n bary_Q.
-    Exact for rational xi, multiprecision at the working precision otherwise.
+    one Fraction per output.  Irrational xi takes the same path in mpf at the
+    working precision, with d = L = 1.
     """
     vec = _as_xi_tuple(cone, xi)
     n = cone.dim
     with working_precision():
-        pairings = {u: linalg.dot(vec, u) for u in cone.dual_rays}
-        if not all(c > 0 for c in pairings.values()):
-            raise UnboundedSlice("Q_xi is unbounded: xi is not interior to sigma")
-
-        scaled = {u: tuple(x / c for x in u) for u, c in pairings.items()}
-        total = 0
-        moment = [0] * n
-        for det, gens in simplices(cone):
-            w_k = det
-            for u in gens:
-                w_k = w_k / pairings[u]
-            total = total + w_k
-            vertex_sum = [sum(col) for col in zip(*(scaled[u] for u in gens))]
-            moment = [acc + w_k * s for acc, s in zip(moment, vertex_sum)]
-        volume = total / math.factorial(n)
-        bary_q = tuple(m / ((n + 1) * total) for m in moment)
-        bary_p = tuple(m / (n * total) for m in moment)
+        [(xi_num, d)], exact = numerators([vec])
+        ratio = Fraction if exact else operator.truediv
+        pairings = _slice_pairings(cone, xi_num)
+        total, moment, big = _simplex_sums(simplices(cone), pairings, exact)
+        volume = ratio(d ** n * total, math.factorial(n) * big)
+        bary_q = tuple(ratio(d * m, (n + 1) * total * big) for m in moment)
+        bary_p = tuple(ratio(d * m, n * total * big) for m in moment)
+        vertices = tuple(tuple(ratio(d * x, c) for x in u) for u, c in pairings.items())
 
     hrep = tuple([(v, ">=", 0) for v in cone.rays] + [(vec, "<=", 1)])
     return PolytopeSlice(
-        vertices_Q=(tuple(0 * x for x in vec),) + tuple(scaled.values()),
+        vertices_Q=(tuple(0 * x for x in vec),) + vertices,
         hrep_Q=hrep,
         volume_Q=volume,
         bary_Q=bary_q,
         bary_P=bary_p,
     )
+
+
+class FutakiCoefficients(NamedTuple):
+    """a0, a1 of the index character and b0, b1 of the weight character."""
+
+    a0: object
+    a1: object
+    b0: object
+    b1: object
+
+
+def futaki_coefficients(cone: ToricCone, xi, eta) -> FutakiCoefficients:
+    """The four character coefficients of the Futaki invariant, in closed form.
+
+    With vol and bary_P those of :func:`polytope_Q` and the faces F of
+    :func:`boundary_faces`, whose simplices of Q_xi have volumes
+    vol(F) = |det W| / ((n-1)! prod_{w in W} <xi, w>),
+
+        a0 = n vol,                     b0 = a0 <eta, bary_P>,
+        a1 = (n-1)/2 sum_F vol(F),      b1 = 1/2 sum_F vol(F) sum_{w in W} <eta, w> / <xi, w>,
+
+    on every cone, Q-Gorenstein or not: sum_F vol(F) is the lattice volume
+    of the facets of Q_xi through the origin, and b1 = -D_eta a1 / (n-1).  No box points, so no piece size bound applies.  The
+    sums are those of :func:`_simplex_sums`, integer for rational xi and eta
+    (exact Fractions out), mpf at the working precision otherwise.  For
+    n = 1, a1 takes the index character's normalization: 1/2.
+    """
+    vec = _as_xi_tuple(cone, xi)
+    n = cone.dim
+    if len(eta) != n:
+        raise DimensionMismatch(f"eta has length {len(eta)}, expected {n}")
+    with working_precision():
+        [(xi_num, d), (eta_num, e)], exact = numerators((vec, tuple(eta)))
+        ratio = Fraction if exact else operator.truediv
+        pairings = _slice_pairings(cone, xi_num)
+        t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
+        t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
+        return FutakiCoefficients(
+            a0=ratio(d ** n * t_s, math.factorial(n - 1) * l_s),
+            a1=ratio(d ** (n - 1) * t_f, 2 * math.factorial(max(n - 2, 0)) * l_f),
+            b0=ratio(d ** (n + 1) * linalg.dot(eta_num, m_s), e * math.factorial(n) * l_s ** 2),
+            b1=ratio(d ** n * linalg.dot(eta_num, m_f), 2 * e * math.factorial(n - 1) * l_f ** 2),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +568,9 @@ _INT64_SAFE = 2 ** 62  # bound on every int64 the row scan and its callers form
 def integer_reeb(cone: ToricCone, xi) -> tuple[tuple[int, ...], int]:
     """``(d xi, d)`` for the least d > 0 making d xi integral; xi rational and interior."""
     vec = _as_xi_tuple(cone, xi)
-    if not all(isinstance(x, Fraction) for x in vec):
+    [(xi_int, denom)], exact = numerators([vec])
+    if not exact:
         raise IrrationalReeb("lattice enumeration requires a rational Reeb vector")
-    denom = math.lcm(*(x.denominator for x in vec))
-    xi_int = tuple(int(x * denom) for x in vec)
     if not all(linalg.dot(xi_int, u) > 0 for u in cone.dual_rays):
         raise UnboundedSlice("the lattice slice is unbounded: xi is not interior to sigma")
     return xi_int, denom

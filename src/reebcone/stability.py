@@ -1,9 +1,11 @@
 """Stability invariants of a Fano cone singularity.
 
-Everything here is built from two primitives computed elsewhere: the
-barycenter of the Reeb slice (:func:`reebcone.geometry.polytope_Q`) and
-the index/weight character expansions
-(:mod:`reebcone.characters`).  The central objects are
+Everything here is built from the closed forms of the Reeb slice in
+:mod:`reebcone.geometry`: the volume and barycenter of
+:func:`reebcone.geometry.polytope_Q`, and for the Futaki invariant
+:func:`reebcone.geometry.futaki_coefficients`, which adds the volumes of
+the slice's boundary faces to give the leading index and weight character
+coefficients without box points.  The central objects are
 
 * ``A(v)`` -- the log discrepancy of the toric valuation ``wt_v``,
   which is the pairing of ``v`` with the Gorenstein vector ``l``;
@@ -27,8 +29,15 @@ from typing import Optional, Sequence, Tuple
 
 from .config import KSS_RTOL, RAY_TIE_RTOL, default_tol, to_mpf, working_precision
 from .errors import UnboundedSlice
-from .characters import decompose_dual, index_character, weight_character
-from .geometry import GorensteinVector, ToricCone, gorenstein_vector, lattice_rows, polytope_Q, reeb_vector
+from .geometry import (
+    GorensteinVector,
+    ToricCone,
+    futaki_coefficients,
+    gorenstein_vector,
+    lattice_rows,
+    polytope_Q,
+    reeb_vector,
+)
 from . import linalg
 
 
@@ -223,20 +232,21 @@ def futaki_pairing(F, C):
     """``Fut(xi; eta) = -2 (a0 b1 - a1 b0) / a0**2`` from the characters.
 
     ``a0, a1`` come from the index character ``F`` at ``xi`` and ``b0, b1``
-    from the weight character ``C`` of ``eta``, each of order at least 1;
-    the combination is exactly the derivative of the normalized volume of
-    ``xi + s eta`` at ``s = 0`` up to positive scale, so a critical Reeb
-    vector has vanishing pairing against every ``eta``.
+    from the weight character ``C`` of ``eta``, each of order at least 1, or
+    both from one :class:`reebcone.geometry.FutakiCoefficients`; the combination is exactly
+    the derivative of the normalized volume of ``xi + s eta`` at ``s = 0``
+    up to positive scale, so a critical Reeb vector has vanishing pairing
+    against every ``eta``.
     """
     return -2 * (F.a0 * C.b1 - F.a1 * C.b0) / (F.a0 * F.a0)
 
 
 def futaki_product(cone: ToricCone, xi, eta):
-    """Futaki pairing of a cone: :func:`futaki_pairing` of its characters to
-    order 1, since truncation leaves a0, a1, b0 and b1 unchanged."""
-    pieces = decompose_dual(cone)
-    return futaki_pairing(index_character(pieces, xi, order=1),
-                          weight_character(pieces, xi, eta, order=1))
+    """Futaki pairing of a cone: :func:`futaki_pairing` of the closed-form
+    :func:`reebcone.geometry.futaki_coefficients`, equal to that of the
+    characters to order 1."""
+    coeffs = futaki_coefficients(cone, xi, eta)
+    return futaki_pairing(coeffs, coeffs)
 
 
 def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):

@@ -6,6 +6,7 @@ random unimodular change of basis, which preserves every invariant
 under test while scrambling the coordinates.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from reebcone import ReebconeWarning, SimplicialPiece, dual_cone, triangulate_cone
+from reebcone import PolytopeSlice, ReebconeError, ReebconeWarning, SimplicialPiece, dual_cone, triangulate_cone
 from reebcone.characters import _g_coeff
 from reebcone.geometry import simplices
 from reebcone.linalg import (
@@ -202,18 +203,22 @@ def covector_transform(mat, u):
     return tuple(mat_vec(inv_t, u))
 
 
-def random_height_one_cone(rng: random.Random, dim: int, transformed: bool = True):
+def random_height_one_cone(rng: random.Random, dim: int, transformed: bool = True,
+                           extra_points: int = 0):
     """Cone over a random lattice polytope at height one in Z^dim.
 
     The rays (1, w) with w drawn from a small box always admit the
     Gorenstein vector (1, 0, ..., 0); a subsequent unimodular change
-    of basis hides the special coordinate.
+    of basis hides the special coordinate.  The polytope has the dim
+    vertices of a simplex and up to two random points; ``extra_points``
+    draws that many more, which in dims 6-8 turns mostly simplicial cones
+    into cones of many simplices (the default keeps every existing suite).
     """
     k = dim - 1
     points = {(0,) * k}
     for i in range(k):
         points.add(tuple(3 if i == j else 0 for j in range(k)))
-    while len(points) < k + 1 + rng.randrange(3):
+    while len(points) < k + 1 + rng.randrange(3) + extra_points:
         points.add(tuple(rng.randrange(0, 4) for _ in range(k)))
     rays = [(1,) + w for w in sorted(points)]
     with warnings.catch_warnings():
@@ -245,15 +250,125 @@ def make_kgon(k: int, radius: int):
         return dual_cone([(1,) + p for p in points], 3)
 
 
-def random_cone_suite(seed: int, count: int, dims=(2, 3)):
+def random_cone_suite(seed: int, count: int, dims=(2, 3), extra_points: int = 0):
     """Deterministic stream of (cone, xi) pairs for property tests."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         dim = rng.choice(list(dims))
-        cone = random_height_one_cone(rng, dim)
+        cone = random_height_one_cone(rng, dim, extra_points=extra_points)
         out.append((cone, random_interior_xi(cone, rng)))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def many_simplex_suite():
+    """Dims 6-8 height-one cones with two extra points each: every cone has
+    at least 4 simplices (the default suite of seed 29 has 10 of 20 with one)."""
+    return tuple(random_cone_suite(seed=29, count=20, dims=(6, 7, 8), extra_points=2))
+
+
+def random_box_cone_suite(seed: int, count: int, dims=(2, 3, 4, 5), high: int = 3):
+    """(cone, xi, eta) triples on cones spanned by random rays in [0, high]^dim.
+
+    Unlike the height-one cones these are mostly not Q-Gorenstein.  Draws
+    whose rays do not span Z^dim's ambient space are drawn again.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.choice(list(dims))
+        rays = [tuple(rng.randint(0, high) for _ in range(dim))
+                for _ in range(dim + rng.randrange(1, 4))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ReebconeWarning)
+                cone = dual_cone(rays, dim)
+        except ReebconeError:
+            continue
+        eta = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
+        out.append((cone, random_interior_xi(cone, rng), eta))
+    return out
+
+
+def is_q_gorenstein(cone):
+    """Whether one rational covector pairs to 1 with every ray, by ``fraction_solve``."""
+    try:
+        fraction_solve(cone.rays, [1] * len(cone.rays))
+    except LinearSystemInconsistent:
+        return False
+    return True
+
+
+def fraction_polytope_Q(cone, xi):
+    """Q_xi by one Fraction division per simplex and factor, as an oracle.
+
+    Over the library's triangulation, the simplex over U_k has weight
+    w_k = |det U_k| / prod_i <xi, u_i> and vertex sum s_k = sum_i u_i /
+    <xi, u_i>; vol = sum w_k / n!, bary_Q = sum w_k s_k / ((n+1) sum w_k)
+    and bary_P = sum w_k s_k / (n sum w_k).  Rational xi only.
+    """
+    vec = tuple(Fraction(x) for x in xi)
+    n = cone.dim
+    pairings = {u: dot(vec, u) for u in cone.dual_rays}
+    scaled = {u: tuple(x / c for x in u) for u, c in pairings.items()}
+    total = 0
+    moment = [0] * n
+    for det, gens in simplices(cone):
+        w_k = Fraction(det)
+        for u in gens:
+            w_k = w_k / pairings[u]
+        total = total + w_k
+        vertex_sum = [sum(col) for col in zip(*(scaled[u] for u in gens))]
+        moment = [acc + w_k * s for acc, s in zip(moment, vertex_sum)]
+    return PolytopeSlice(
+        vertices_Q=(tuple(0 * x for x in vec),) + tuple(scaled.values()),
+        hrep_Q=tuple([(v, ">=", 0) for v in cone.rays] + [(vec, "<=", 1)]),
+        volume_Q=total / math.factorial(n),
+        bary_Q=tuple(m / ((n + 1) * total) for m in moment),
+        bary_P=tuple(m / (n * total) for m in moment),
+    )
+
+
+def minor_lattice_volume(face):
+    """Lattice volume of n-1 vectors of Z^n in the hyperplane they span.
+
+    The gcd of their maximal minors: the minors are the coordinates of a
+    normal vector c with det(face, x) = <c, x>, c = lambda v for the
+    primitive normal v, and |lambda| = |det(face, e)| for <v, e> = 1.
+    """
+    n = len(face) + 1
+    minors = [int(fraction_det([[row[j] for j in range(n) if j != skip] for row in face]))
+              for skip in range(n)]
+    return math.gcd(*minors)
+
+
+def minor_futaki_coefficients(cone, xi, eta):
+    """(a0, a1, b0, b1) of the Futaki invariant, as an oracle.
+
+    a0 = n vol and b0 = a0 <eta, bary_P> come from :func:`fraction_polytope_Q`.
+    For a1 and b1 every facet sigma^v cap v_i^perp is triangulated on its
+    own (its dual rays in reverse order), each face W of it has volume
+    ``minor_lattice_volume(W) / ((n-1)! prod_w <xi, w>)``, and
+    a1 = (n-1)/2 sum vol(W), b1 = 1/2 sum vol(W) sum_w <eta, w> / <xi, w>.
+    """
+    xi = tuple(Fraction(x) for x in xi)
+    eta = tuple(Fraction(x) for x in eta)
+    n = cone.dim
+    q = fraction_polytope_Q(cone, xi)
+    a0 = n * q.volume_Q
+    b0 = a0 * dot(eta, q.bary_P)
+    volume, weighted = Fraction(0), Fraction(0)
+    for v in cone.rays:
+        facet = [u for u in cone.dual_rays[::-1] if dot(v, u) == 0]
+        for simplex in triangulate_cone(facet, cone.rays):
+            face = [facet[i] for i in simplex]
+            vol = Fraction(minor_lattice_volume(face), math.factorial(n - 1))
+            for w in face:
+                vol /= dot(xi, w)
+            volume += vol
+            weighted += vol * sum(dot(eta, w) / dot(xi, w) for w in face)
+    return a0, Fraction(n - 1, 2) * volume, b0, weighted / 2
 
 
 def reverse_bary_P(cone, xi):

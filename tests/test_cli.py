@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from reebcone import NonIntegerRay, SchemaError, delta, futaki_product
+from reebcone import NonIntegerRay, SchemaError, delta, dual_cone, futaki_product
 from reebcone.cli import ConeSpec, main, parse_cone_spec, run
+from conftest import minor_futaki_coefficients
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -188,6 +189,25 @@ class TestMainExitCodes:
         code, payload = self.run_main(["delta", "--spec", str(spec)], capsys)
         assert code == 3
         assert payload["error"]["type"] == "NotQGorenstein"
+
+    def test_futaki_beyond_the_box_point_bound(self, tmp_path, capsys):
+        # not Q-Gorenstein, with a piece of 1,113,098 box points: the closed
+        # form needs none (the box-point characters exit 2 here)
+        spec = tmp_path / "dim5.json"
+        spec.write_text('{"dim": 5, "rays": [[1,1,0,3,3], [1,1,2,1,3], [2,0,0,3,2],'
+                        ' [2,1,2,0,1], [2,3,3,2,1], [3,2,2,1,3]]}')
+        xi, eta = (11, 8, 9, 10, 13), (0, 1, 0, 0, 0)
+        code, payload = self.run_main(
+            ["futaki", "--spec", str(spec), "--xi", *map(str, xi), "--eta", *map(str, eta)],
+            capsys,
+        )
+        assert code == 0
+        assert payload["error"] is None
+        cone = dual_cone([tuple(v) for v in json.loads(spec.read_text())["rays"]], 5)
+        a0, a1, b0, b1 = minor_futaki_coefficients(cone, xi, eta)
+        results = {key: Fraction(value) for key, value in payload["results"].items()}
+        assert results == {"a0": a0, "a1": a1, "b0": b0, "b1": b1,
+                           "futaki": -2 * (a0 * b1 - a1 * b0) / (a0 * a0)}
 
     def test_convergence_error(self, capsys):
         code, payload = self.run_main(

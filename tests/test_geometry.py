@@ -1,12 +1,15 @@
 """Exact polyhedral geometry: dual cones, Gorenstein vectors, slices."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import reebcone.config as config
 import reebcone.geometry as geometry
 import reebcone.linalg as linalg
 from reebcone import (
@@ -25,19 +28,34 @@ from reebcone import (
     dual_cone,
     futaki_product,
     gorenstein_vector,
+    index_character,
     lattice_points,
     minimize_volume,
     polytope_Q,
     reeb_vector,
     triangulate_cone,
 )
+from reebcone.cli import parse_cone_spec
+from reebcone.config import mp_context, series_rtol, to_mpf
 from conftest import (
+    FIXTURE_MAKERS,
     fraction_det,
+    fraction_polytope_Q,
+    many_simplex_suite,
+    minor_lattice_volume,
+    random_box_cone_suite,
     random_cone_suite,
     random_height_one_cone,
     random_interior_xi,
     reverse_bary_P,
 )
+
+SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
+
+
+def bundled_specs():
+    return [parse_cone_spec(path.read_text(encoding="utf-8"))
+            for path in sorted(SPEC_DIR.glob("*.json"))]
 
 
 class TestDualCone:
@@ -226,6 +244,44 @@ class TestPolytopeQ:
             assert linalg.dot(xi, slice_.bary_P) == 1
             assert all(linalg.dot(v, slice_.bary_P) > 0 for v in cone.rays)
 
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(41)
+        cases = [(dual_cone(spec.rays, spec.dim), spec.xi) for spec in bundled_specs()]
+        cases += random_cone_suite(seed=43, count=30, dims=(2, 3, 4, 5))
+        cases += many_simplex_suite()
+        cube7 = dual_cone([(1,) + e for e in itertools.product((0, 1), repeat=6)], 7)
+        cases.append((cube7, random_interior_xi(cube7, rng)))
+        for cone, _ in cases[:12] + [cases[-1]]:
+            # common denominators of 31 digits and more
+            weights = [Fraction(rng.randint(1, 9), 10 ** 30 + rng.randrange(10 ** 6)) for _ in cone.rays]
+            xi = tuple(sum(w * v[a] for w, v in zip(weights, cone.rays)) for a in range(cone.dim))
+            assert math.lcm(*(x.denominator for x in xi)) >= 10 ** 30
+            cases.append((cone, xi))
+        for cone, xi in cases:
+            assert polytope_Q(cone, xi) == fraction_polytope_Q(cone, xi)
+
+    def test_many_simplex_suite(self):
+        # the dims 6-8 cones behind the kernel and face-sum tests are not simplicial
+        suite = many_simplex_suite()
+        assert {cone.dim for cone, _ in suite} == {6, 7, 8}
+        assert min(len(geometry.simplices(cone)) for cone, _ in suite) >= 2
+        for cone, xi in suite[:4]:
+            assert polytope_Q(cone, xi).bary_P == reverse_bary_P(cone, xi)
+
+    def test_mpf_path_matches_exact(self):
+        ctx, rtol = mp_context(), series_rtol()
+        cases = [(dual_cone(spec.rays, spec.dim), spec.xi) for spec in bundled_specs()]
+        cases += random_cone_suite(seed=47, count=12, dims=(2, 3, 4, 5))
+        cases += many_simplex_suite()[:6]
+        for cone, xi in cases:
+            exact = polytope_Q(cone, xi)
+            approx = polytope_Q(cone, tuple(to_mpf(x, ctx) for x in xi))
+            pairs = [(approx.volume_Q, exact.volume_Q)] + list(zip(approx.bary_P, exact.bary_P))
+            for m, e in pairs:
+                assert isinstance(m, ctx.mpf)
+                e = to_mpf(e, ctx)
+                assert abs(m - e) <= rtol * (1 + abs(e))
+
     def test_hrep_holds_on_vertices(self, fixture_cone):
         rng = random.Random(3)
         xi = random_interior_xi(fixture_cone, rng)
@@ -268,6 +324,27 @@ class TestPolytopeQ:
         assert abs(approx.volume_Q - exact.volume_Q) <= 1e-30
         for a, b in zip(approx.bary_P, exact.bary_P):
             assert abs(a - b) <= 1e-30
+
+
+class TestBoundaryFaces:
+    def test_faces_match_minors(self):
+        cases = [(FIXTURE_MAKERS[name](), None) for name in sorted(FIXTURE_MAKERS)]
+        cases += [(cone, xi) for cone, xi, _ in random_box_cone_suite(seed=13, count=20)]
+        cases += [(cone, xi) for cone, xi in many_simplex_suite() if len(geometry.simplices(cone)) < 10]
+        for cone, _ in cases:
+            faces = geometry.boundary_faces(cone)
+            for det, face in faces:
+                assert len(face) == cone.dim - 1
+                assert sum(all(linalg.dot(v, w) == 0 for w in face) for v in cone.rays) == 1
+                assert det == minor_lattice_volume(face)
+            # every facet of sigma^v gets at least one face
+            for v in cone.rays:
+                assert any(all(linalg.dot(v, w) == 0 for w in face) for _, face in faces)
+
+    def test_square_cone(self, conifold):
+        # four facets, each a 2-dim cone of lattice volume 1 split into one face
+        faces = geometry.boundary_faces(conifold)
+        assert sorted(det for det, _ in faces) == [1, 1, 1, 1]
 
 
 class TestTriangulation:
@@ -313,6 +390,38 @@ class TestTriangulation:
         minimize_volume(cone)
         assert len(calls) == 1
         assert len(solves) == 1  # one Gorenstein solve per cone
+
+
+class TestSetUpPaidOnce:
+    def test_one_mp_context_per_precision(self, monkeypatch):
+        clones = []
+        clone = mpmath.mp.clone
+
+        def counting():
+            clones.append(None)
+            return clone()
+
+        monkeypatch.setattr(mpmath.mp, "clone", counting)
+        monkeypatch.delenv("REEBCONE_PRECISION", raising=False)
+        config._context.cache_clear()
+        cone = dual_cone([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)], 3)
+
+        def mpf_calls():
+            xi_star = minimize_volume(cone).xi_star
+            delta(cone, xi_star.xi)
+            index_character(decompose_dual(cone), xi_star.xi, order=2)
+            return xi_star
+
+        assert not mpf_calls().is_rational
+        assert len(clones) == 1
+        monkeypatch.setenv("REEBCONE_PRECISION", "160")
+        mpf_calls()
+        assert len(clones) == 2
+        assert mp_context().prec == 160
+        monkeypatch.delenv("REEBCONE_PRECISION")
+        mpf_calls()
+        assert len(clones) == 2
+        assert mp_context().prec == 128
 
 
 class TestLatticePoints:

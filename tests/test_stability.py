@@ -7,10 +7,13 @@ import pytest
 
 import reebcone.linalg as linalg
 from reebcone import (
+    DimensionMismatch,
     NotQGorenstein,
+    UnboundedSlice,
     decompose_dual,
     delta,
     dual_cone,
+    futaki_pairing,
     futaki_product,
     gorenstein_vector,
     index_character,
@@ -23,7 +26,18 @@ from reebcone import (
     toric_valuation,
     weight_character,
 )
-from conftest import random_cone_suite, random_interior_xi
+from reebcone.characters import MAX_BOX_POINTS
+from reebcone.config import mp_context, series_rtol, to_mpf
+from reebcone.geometry import futaki_coefficients, simplices
+from conftest import (
+    is_q_gorenstein,
+    many_simplex_suite,
+    minor_futaki_coefficients,
+    random_box_cone_suite,
+    random_cone_suite,
+    random_interior_xi,
+    reverse_bary_P,
+)
 
 
 class TestToricValuation:
@@ -238,6 +252,75 @@ class TestFutaki:
         C = weight_character(decompose_dual(conifold), xi, eta, order=2)
         assert slope < 0
         assert C.b0 > 0
+
+
+class TestFutakiClosedForm:
+    def test_matches_characters(self):
+        # dims 2-5, with random box cones that are mostly not Q-Gorenstein
+        rng = random.Random(19)
+        cases = [(cone, xi, tuple(rng.randint(-4, 4) for _ in range(cone.dim)))
+                 for cone, xi in random_cone_suite(seed=59, count=20, dims=(2, 3, 4, 5))]
+        cases += random_box_cone_suite(seed=7, count=60, high=2)
+        assert sum(not is_q_gorenstein(cone) for cone, _, _ in cases) >= 30
+        assert {cone.dim for cone, _, _ in cases} == {2, 3, 4, 5}
+        for cone, xi, eta in cases:
+            pieces = decompose_dual(cone)
+            F = index_character(pieces, xi, order=1)
+            C = weight_character(pieces, xi, eta, order=1)
+            assert tuple(futaki_coefficients(cone, xi, eta)) == (F.a0, F.a1, C.b0, C.b1)
+            assert futaki_product(cone, xi, eta) == futaki_pairing(F, C)
+
+    def test_gorenstein_futaki_is_the_barycenter_residual(self):
+        # on Q-Gorenstein cones Fut(xi; eta) = <eta, l - A bary_P>, A = <xi, l>
+        rng = random.Random(23)
+        cases = random_cone_suite(seed=61, count=20, dims=(2, 3, 4, 5))
+        cases += [(cone, xi) for cone, xi, _ in random_box_cone_suite(seed=7, count=60, high=2)
+                  if is_q_gorenstein(cone)]
+        for cone, xi in cases:
+            eta = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cone.dim))
+            l = gorenstein_vector(cone).l
+            a_xi = linalg.dot(xi, l)
+            residual = [x - a_xi * b for x, b in zip(l, reverse_bary_P(cone, xi))]
+            assert futaki_product(cone, xi, eta) == linalg.dot(eta, residual)
+
+    def test_matches_minor_oracle(self):
+        cases = random_box_cone_suite(seed=13, count=30, high=3)
+        cases += [(cone, xi, (0, 1) + (0,) * (cone.dim - 2)) for cone, xi in many_simplex_suite()
+                  if len(simplices(cone)) <= 40]
+        assert {cone.dim for cone, _, _ in cases} >= {6, 7, 8}
+        for cone, xi, eta in cases:
+            assert tuple(futaki_coefficients(cone, xi, eta)) == minor_futaki_coefficients(cone, xi, eta)
+
+    def test_mpf_path_matches_exact(self):
+        ctx, rtol = mp_context(), series_rtol()
+        cases = random_box_cone_suite(seed=17, count=12)
+        cases += [(cone, xi, (0, 1) + (0,) * (cone.dim - 2)) for cone, xi in many_simplex_suite()[:4]]
+        for cone, xi, eta in cases:
+            exact = futaki_coefficients(cone, xi, eta)
+            approx = futaki_coefficients(cone, tuple(to_mpf(x, ctx) for x in xi), eta)
+            for m, e in zip(approx, exact):
+                assert isinstance(m, ctx.mpf)
+                e = to_mpf(e, ctx)
+                assert abs(m - e) <= rtol * (1 + abs(e))
+
+    def test_cone_beyond_the_box_point_bound(self):
+        # not Q-Gorenstein, with a piece of 1,113,098 box points; no decomposition is made
+        cone = dual_cone([(1, 1, 0, 3, 3), (1, 1, 2, 1, 3), (2, 0, 0, 3, 2),
+                          (2, 1, 2, 0, 1), (2, 3, 3, 2, 1), (3, 2, 2, 1, 3)], 5)
+        assert max(det for det, _ in simplices(cone)) > MAX_BOX_POINTS
+        xi, eta = (11, 8, 9, 10, 13), (0, 1, 0, 0, 0)
+        decompose_dual.cache_clear()
+        assert tuple(futaki_coefficients(cone, xi, eta)) == minor_futaki_coefficients(cone, xi, eta)
+        futaki_product(cone, xi, eta)
+        y21 = dual_cone([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)], 3)
+        futaki_product(y21, (3, 2, 2), (0, 1, 0))
+        assert decompose_dual.cache_info().misses == 0
+
+    def test_rejects_bad_input(self, conifold):
+        with pytest.raises(DimensionMismatch):
+            futaki_product(conifold, (1, 1, 1), (0, 1))
+        with pytest.raises(UnboundedSlice):
+            futaki_product(conifold, (1, 0, 0), (0, 1, 0))
 
 
 class TestRatioProfile:
