@@ -29,17 +29,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
-from .config import to_mpf, working_precision
+from .config import scalar_type
 from .errors import (
     CutoffTooSmall,
     ExceedsSupportedSize,
     OrderTooLarge,
     UnboundedSlice,
 )
-from .geometry import ToricCone, ReebVector, integer_reeb, lattice_rows, numerators, simplices
+from .geometry import ToricCone, integer_reeb, lattice_rows, reeb_numerators, simplices
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -55,13 +55,12 @@ class SimplicialPiece:
     piece).  ``box_points`` are the |det| lattice points of the fundamental
     parallelepiped, shifted into the half-open ranges matching ``excluded``
     (coordinate in (0,1] on open facets, [0,1) otherwise) so that the piece
-    sums are exactly the lattice sums of the half-open cone.  ``sign`` is
-    +1 throughout: the decomposition is disjoint, not inclusion-exclusion.
+    sums are exactly the lattice sums of the half-open cone: the
+    decomposition is disjoint, not inclusion-exclusion.
     """
 
     generators: tuple[tuple[int, ...], ...]
     box_points: tuple[tuple[int, ...], ...]
-    sign: int
     excluded: tuple[bool, ...]
 
 
@@ -78,14 +77,6 @@ class LaurentSeries:
     coeffs: tuple
     dim: int
     kind: str
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if (self.order_low, self.dim, self.kind) != (other.order_low, other.dim, other.kind):
-            raise ValueError("incompatible Laurent series")
-        k = min(len(self.coeffs), len(other.coeffs))
-        return LaurentSeries(self.order_low,
-                             tuple(a + b for a, b in zip(self.coeffs[:k], other.coeffs[:k])),
-                             self.dim, self.kind)
 
     def evaluate(self, t):
         """Evaluate the truncated expansion at a scalar t > 0."""
@@ -142,21 +133,22 @@ def _box_points(generators: Sequence[tuple[int, ...]], count: int, scaled_invers
 
 
 @lru_cache(maxsize=None)
-def decompose_dual(cone: ToricCone, max_box: int = MAX_BOX_POINTS) -> tuple[SimplicialPiece, ...]:
+def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
     """Disjoint half-open simplicial decomposition of sigma^v.
 
     The dual cone is triangulated by pulling rays; each simplicial piece
     then keeps or drops its facets according to which side of the facet
     hyperplane the (lexicographically perturbed) reference point
     q = sum of all dual rays lies on.  Exactly one piece retains every
-    shared face, so the half-open pieces partition sigma^v cap Z^n.
+    shared face, so the half-open pieces partition sigma^v cap Z^n.  Raises
+    ExceedsSupportedSize above MAX_BOX_POINTS box points in one piece.
     """
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
     for count, generators in simplices(cone):
-        if count > max_box:
+        if count > MAX_BOX_POINTS:
             raise ExceedsSupportedSize(
-                f"simplicial piece has {count} box points, above the {max_box} bound"
+                f"simplicial piece has {count} box points, above the {MAX_BOX_POINTS} bound"
             )
         _, scaled_inverse = linalg.integer_inverse(linalg.transpose(generators))
         excluded = tuple(
@@ -165,7 +157,6 @@ def decompose_dual(cone: ToricCone, max_box: int = MAX_BOX_POINTS) -> tuple[Simp
         pieces.append(SimplicialPiece(
             generators=generators,
             box_points=_box_points(generators, count, scaled_inverse, excluded),
-            sign=1,
             excluded=excluded,
         ))
     return tuple(pieces)
@@ -201,25 +192,17 @@ def _series_mul(a: list, b: list) -> list:
     return out
 
 
-def _coerce_pair(xi, eta: Optional[Sequence]):
-    """xi (and eta) as ``(numerators, denominator)`` pairs, with their scalar type.
-
-    The pairs of :func:`reebcone.geometry.numerators`, with scalar type
-    Fraction when they are exact and ``to_mpf`` otherwise, so one code path
-    serves both.
-    """
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
-    vecs = (tuple(xi),) if eta is None else (tuple(xi), tuple(eta))
-    pairs, exact = numerators(vecs)
-    return pairs, Fraction if exact else to_mpf
-
-
-def _check_order(order: int, max_order: int):
-    if not 0 <= order <= max_order:
+def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order: int):
+    """n, the ``reeb_numerators`` pairs of xi (and eta) and their scalar type,
+    Fraction when exact and mpf in the shared context otherwise; OrderTooLarge
+    outside 0..MAX_ORDER."""
+    if not 0 <= order <= MAX_ORDER:
         raise OrderTooLarge(
-            f"expansion order {order} outside the implemented depth 0..{max_order}"
+            f"expansion order {order} outside the implemented depth 0..{MAX_ORDER}"
         )
+    n = len(pieces[0].generators)
+    pairs, exact = reeb_numerators(n, xi, eta)
+    return n, pairs, scalar_type(exact)
 
 
 def _moments(ks: list, weights: list, count: int) -> list:
@@ -285,26 +268,21 @@ def _piece_series(piece: SimplicialPiece, xi, eta, order: int, scalar):
     return series, derivative
 
 
-def index_character(pieces: Sequence[SimplicialPiece], xi,
-                    order: int = 2, max_order: int = MAX_ORDER) -> LaurentSeries:
+def index_character(pieces: Sequence[SimplicialPiece], xi, order: int = 2) -> LaurentSeries:
     """Laurent expansion of F(X; xi, t) through t^(-n + order).
 
     Sums the closed form of each half-open piece and expands exactly in t;
     rational xi yields exact rational coefficients.
     """
-    _check_order(order, max_order)
-    (xi,), scalar = _coerce_pair(xi, None)
-    n = len(pieces[0].generators)
-    with working_precision():
-        total = [scalar(0)] * (order + 1)
-        for piece in pieces:
-            series, _ = _piece_series(piece, xi, None, order, scalar)
-            total = [acc + piece.sign * s for acc, s in zip(total, series)]
+    n, (xi,), scalar = _series_inputs(pieces, xi, None, order)
+    total = [scalar(0)] * (order + 1)
+    for piece in pieces:
+        series, _ = _piece_series(piece, xi, None, order, scalar)
+        total = [acc + s for acc, s in zip(total, series)]
     return LaurentSeries(order_low=-n, coeffs=tuple(total), dim=n, kind="index")
 
 
-def weight_character(pieces: Sequence[SimplicialPiece], xi, eta,
-                     order: int = 2, max_order: int = MAX_ORDER) -> LaurentSeries:
+def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2) -> LaurentSeries:
     """Laurent expansion of C_eta(X; xi, t) through t^(-(n+1) + order).
 
     Computed as the directional derivative -(1/t) d/ds F(xi + s eta)|_{s=0}
@@ -312,14 +290,11 @@ def weight_character(pieces: Sequence[SimplicialPiece], xi, eta,
     denominator factors g(<xi,u_i> t)/<xi,u_i> and the box-point numerator,
     whose derivatives are themselves explicit series in t.
     """
-    _check_order(order, max_order)
-    (xi, eta), scalar = _coerce_pair(xi, eta)
-    n = len(pieces[0].generators)
-    with working_precision():
-        total = [scalar(0)] * (order + 1)
-        for piece in pieces:
-            _, derivative = _piece_series(piece, xi, eta, order, scalar)
-            total = [acc - piece.sign * s for acc, s in zip(total, derivative)]
+    n, (xi, eta), scalar = _series_inputs(pieces, xi, eta, order)
+    total = [scalar(0)] * (order + 1)
+    for piece in pieces:
+        _, derivative = _piece_series(piece, xi, eta, order, scalar)
+        total = [acc - s for acc, s in zip(total, derivative)]
     return LaurentSeries(order_low=-(n + 1), coeffs=tuple(total), dim=n, kind="weight")
 
 
@@ -343,11 +318,12 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     """
     import numpy as np
 
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
     if t <= 0:
         raise ValueError("t must be positive")
     n = cone.dim
+    if eta_or_none is not None:
+        [_, (eta_num, e)], _ = reeb_numerators(n, xi, eta_or_none)
+        eta_f = np.array([float(x / e) for x in eta_num])
     prefix, a, b = lattice_rows(cone, xi, cutoff)
     xi_int, denom = integer_reeb(cone, xi)
     counts = b - a + 1
@@ -370,7 +346,6 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
         mean = (counts - 1) / 2
     weights = np.exp(-t / denom * s0) * geometric
     if eta_or_none is not None:
-        eta_f = np.array([float(x) for x in eta_or_none])
         weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * mean)
     partial = float(weights.sum())
 

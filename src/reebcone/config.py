@@ -4,7 +4,10 @@ Two environment variables tune the numerics:
 
 ``REEBCONE_PRECISION``
     Working precision, in bits, for multiprecision floating point
-    (default 128).  Used on the irrational/numeric code path.
+    (default 128).  Used on the irrational/numeric code path.  Every mpf
+    the library makes lives in the one shared context of
+    :func:`mp_context` at this precision; no library call changes the
+    global ``mpmath.mp``.
 
 ``REEBCONE_TOL``
     Default stopping tolerance for iterative solvers and the default
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 
@@ -78,19 +81,21 @@ def _context(bits: int) -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def working_precision():
-    """Context manager running mpmath arithmetic at the configured precision."""
-    return mpmath.workprec(precision_bits())
-
-
 def to_mpf(x, ctx=None):
-    """Coerce ``x`` (int, Fraction, float, mpf) to an mpf in ``ctx``.
+    """Coerce ``x`` (int, Fraction, float, mpf) to an mpf in ``ctx``, by
+    default :func:`mp_context`.
 
     Fractions are converted as numerator/denominator so no precision is
     lost before the final division.
     """
     if ctx is None:
-        ctx = mpmath.mp
+        ctx = mp_context()
     if isinstance(x, Fraction):
         return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
     return ctx.mpf(x)
+
+
+def scalar_type(exact: bool):
+    """The scalar type of one call: ``Fraction`` when its inputs are exact,
+    else :func:`to_mpf` bound to :func:`mp_context` for the whole call."""
+    return Fraction if exact else partial(to_mpf, ctx=mp_context())

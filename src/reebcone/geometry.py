@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .config import default_tol, mp_context, to_mpf, working_precision
+from .config import default_tol, mp_context, to_mpf
 from .errors import (
     DegenerateSolutionSet,
     DimensionMismatch,
@@ -95,15 +95,12 @@ class ReebVector:
 
 @dataclass(frozen=True)
 class PolytopeSlice:
-    """V- and H-representations of Q_xi with exact volume and barycenters.
+    """The volume of Q_xi and its barycenters, exact for rational xi.
 
-    ``hrep_Q`` lists inequalities as (coefficients, sense, rhs) triples;
     ``bary_Q`` / ``bary_P`` are the barycenters of Q_xi and of the facet
     P_xi = {u in sigma^v : <xi, u> = 1}.
     """
 
-    vertices_Q: tuple
-    hrep_Q: tuple
     volume_Q: object
     bary_Q: tuple
     bary_P: tuple
@@ -287,25 +284,28 @@ def _solve_gorenstein(cone: ToricCone, rhs: tuple):
 # Reeb vectors
 # ---------------------------------------------------------------------------
 
-def _coerce_xi(cone: ToricCone, xi: Sequence) -> tuple:
-    if len(xi) != cone.dim:
-        raise DimensionMismatch(f"xi has length {len(xi)}, expected {cone.dim}")
-    if all(isinstance(x, (int, Fraction)) for x in xi):
-        return tuple(Fraction(x) for x in xi)
-    ctx = mp_context()
-    return tuple(to_mpf(x, ctx) for x in xi)
+def reeb_numerators(n: int, xi, eta: Optional[Sequence] = None) -> tuple[list, bool]:
+    """xi (and eta) as the pairs of :func:`numerators`, and whether they are exact.
+
+    The one coercion of every function that takes xi: unwraps a ReebVector
+    and raises DimensionMismatch unless xi (and eta) have length n.  The
+    exact flag picks the scalar type of the whole call: Fraction when xi and
+    eta are rational, mpf in :func:`reebcone.config.mp_context` otherwise.
+    """
+    if isinstance(xi, ReebVector):
+        xi = xi.xi
+    vecs = {"xi": xi} if eta is None else {"xi": xi, "eta": eta}
+    for name, vec in vecs.items():
+        if len(vec) != n:
+            raise DimensionMismatch(f"{name} has length {len(vec)}, expected {n}")
+    return numerators(list(vecs.values()))
 
 
 def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
     """Validate and wrap an interior point of sigma as a ReebVector."""
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
-    vec = _coerce_xi(cone, xi)
-    [(xi_num, _)], _ = numerators([vec])
-    if not all(linalg.dot(xi_num, u) > 0 for u in cone.dual_rays):
-        raise UnboundedSlice(
-            "xi is not interior to sigma: some dual ray pairs nonpositively"
-        )
+    [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
+    _slice_pairings(cone, xi_num)
+    vec = tuple(Fraction(x, d) for x in xi_num) if exact else xi_num
     normalized = False
     try:
         l = gorenstein_vector(cone).l
@@ -313,17 +313,8 @@ def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
         l = None
     if l is not None:
         pairing = linalg.dot(vec, l)
-        if all(isinstance(x, Fraction) for x in vec):
-            normalized = pairing == 1
-        else:
-            normalized = abs(pairing - 1) <= default_tol()
+        normalized = pairing == 1 if exact else abs(pairing - 1) <= default_tol()
     return ReebVector(xi=vec, normalized=normalized)
-
-
-def _as_xi_tuple(cone: ToricCone, xi) -> tuple:
-    if isinstance(xi, ReebVector):
-        return xi.xi
-    return _coerce_xi(cone, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +431,11 @@ def numerators(vecs: Sequence[Sequence]) -> tuple[list, bool]:
 
 
 def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:
-    """``{u: <xi_num, u>}`` over the dual rays; UnboundedSlice unless all are positive."""
+    """``{u: <xi_num, u>}`` over the dual rays; UnboundedSlice unless all are
+    positive, that is unless xi is interior to sigma and Q_xi is bounded."""
     pairings = {u: linalg.dot(xi_num, u) for u in cone.dual_rays}
     if not all(c > 0 for c in pairings.values()):
-        raise UnboundedSlice("Q_xi is unbounded: xi is not interior to sigma")
+        raise UnboundedSlice("xi is not interior to sigma: some dual ray pairs nonpositively")
     return pairings
 
 
@@ -492,25 +484,14 @@ def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
     one Fraction per output.  Irrational xi takes the same path in mpf at the
     working precision, with d = L = 1.
     """
-    vec = _as_xi_tuple(cone, xi)
     n = cone.dim
-    with working_precision():
-        [(xi_num, d)], exact = numerators([vec])
-        ratio = Fraction if exact else operator.truediv
-        pairings = _slice_pairings(cone, xi_num)
-        total, moment, big = _simplex_sums(simplices(cone), pairings, exact)
-        volume = ratio(d ** n * total, math.factorial(n) * big)
-        bary_q = tuple(ratio(d * m, (n + 1) * total * big) for m in moment)
-        bary_p = tuple(ratio(d * m, n * total * big) for m in moment)
-        vertices = tuple(tuple(ratio(d * x, c) for x in u) for u, c in pairings.items())
-
-    hrep = tuple([(v, ">=", 0) for v in cone.rays] + [(vec, "<=", 1)])
+    [(xi_num, d)], exact = reeb_numerators(n, xi)
+    ratio = Fraction if exact else operator.truediv
+    total, moment, big = _simplex_sums(simplices(cone), _slice_pairings(cone, xi_num), exact)
     return PolytopeSlice(
-        vertices_Q=(tuple(0 * x for x in vec),) + vertices,
-        hrep_Q=hrep,
-        volume_Q=volume,
-        bary_Q=bary_q,
-        bary_P=bary_p,
+        volume_Q=ratio(d ** n * total, math.factorial(n) * big),
+        bary_Q=tuple(ratio(d * m, (n + 1) * total * big) for m in moment),
+        bary_P=tuple(ratio(d * m, n * total * big) for m in moment),
     )
 
 
@@ -539,22 +520,18 @@ def futaki_coefficients(cone: ToricCone, xi, eta) -> FutakiCoefficients:
     (exact Fractions out), mpf at the working precision otherwise.  For
     n = 1, a1 takes the index character's normalization: 1/2.
     """
-    vec = _as_xi_tuple(cone, xi)
     n = cone.dim
-    if len(eta) != n:
-        raise DimensionMismatch(f"eta has length {len(eta)}, expected {n}")
-    with working_precision():
-        [(xi_num, d), (eta_num, e)], exact = numerators((vec, tuple(eta)))
-        ratio = Fraction if exact else operator.truediv
-        pairings = _slice_pairings(cone, xi_num)
-        t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
-        t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
-        return FutakiCoefficients(
-            a0=ratio(d ** n * t_s, math.factorial(n - 1) * l_s),
-            a1=ratio(d ** (n - 1) * t_f, 2 * math.factorial(max(n - 2, 0)) * l_f),
-            b0=ratio(d ** (n + 1) * linalg.dot(eta_num, m_s), e * math.factorial(n) * l_s ** 2),
-            b1=ratio(d ** n * linalg.dot(eta_num, m_f), 2 * e * math.factorial(n - 1) * l_f ** 2),
-        )
+    [(xi_num, d), (eta_num, e)], exact = reeb_numerators(n, xi, eta)
+    ratio = Fraction if exact else operator.truediv
+    pairings = _slice_pairings(cone, xi_num)
+    t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
+    t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
+    return FutakiCoefficients(
+        a0=ratio(d ** n * t_s, math.factorial(n - 1) * l_s),
+        a1=ratio(d ** (n - 1) * t_f, 2 * math.factorial(max(n - 2, 0)) * l_f),
+        b0=ratio(d ** (n + 1) * linalg.dot(eta_num, m_s), e * math.factorial(n) * l_s ** 2),
+        b1=ratio(d ** n * linalg.dot(eta_num, m_f), 2 * e * math.factorial(n - 1) * l_f ** 2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +544,10 @@ _INT64_SAFE = 2 ** 62  # bound on every int64 the row scan and its callers form
 
 def integer_reeb(cone: ToricCone, xi) -> tuple[tuple[int, ...], int]:
     """``(d xi, d)`` for the least d > 0 making d xi integral; xi rational and interior."""
-    vec = _as_xi_tuple(cone, xi)
-    [(xi_int, denom)], exact = numerators([vec])
+    [(xi_int, denom)], exact = reeb_numerators(cone.dim, xi)
     if not exact:
         raise IrrationalReeb("lattice enumeration requires a rational Reeb vector")
-    if not all(linalg.dot(xi_int, u) > 0 for u in cone.dual_rays):
-        raise UnboundedSlice("the lattice slice is unbounded: xi is not interior to sigma")
+    _slice_pairings(cone, xi_int)
     return xi_int, denom
 
 

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .config import default_tol, to_mpf, working_precision
+from .config import default_tol, to_mpf
 from .errors import (
     ExceedsSupportedSize,
     LeftReebCone,
@@ -326,11 +326,8 @@ def minimize_volume(
 
     xi_star_tuple = _embed(cone, x)
     rv_star = reeb_vector(cone, xi_star_tuple)
-    with working_precision():
-        slice_ = polytope_Q(cone, tuple(to_mpf(c) for c in xi_star_tuple))
-        kss_residual = float(
-            max(abs(b - to_mpf(v)) for b, v in zip(slice_.bary_P, l))
-        )
+    slice_ = polytope_Q(cone, tuple(to_mpf(c) for c in xi_star_tuple))
+    kss_residual = float(max(abs(b - to_mpf(v)) for b, v in zip(slice_.bary_P, l)))
     margin = min(
         float(linalg.dot(xi_star_tuple, u)) for u in cone.dual_rays
     )

@@ -27,7 +27,7 @@ import dataclasses
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .config import KSS_RTOL, RAY_TIE_RTOL, default_tol, to_mpf, working_precision
+from .config import KSS_RTOL, RAY_TIE_RTOL, scalar_type
 from .errors import UnboundedSlice
 from .geometry import (
     GorensteinVector,
@@ -161,7 +161,10 @@ def delta(
     over the extreme rays ``v_i`` of ``sigma`` (the numerators are all
     1 without a boundary divisor).  The pairing with the normalized
     ``xi`` forces ``<xi, bar_P> = 1 = <xi, l>``, hence ``delta <= 1``
-    always, with equality iff ``bar_P == l``.
+    always, with equality iff ``bar_P == l``.  Rational ``xi`` gives exact
+    Fractions; any other ``xi`` takes the same steps in mpf, where rays
+    within ``RAY_TIE_RTOL * |delta|`` of the minimum tie and ``kss`` allows
+    a residual up to ``KSS_RTOL * (1 + |l|_inf)``.
 
     Boundary divisors are experimental: the ray formula is only backed
     by the theorem for ``B = 0``, so ``boundary`` requires an explicit
@@ -174,55 +177,27 @@ def delta(
         )
     l = gorenstein_vector(cone, boundary=boundary)
     rv = reeb_vector(cone, xi)
-    a_xi = linalg.dot(rv.xi, l.l)
-    numerators = [linalg.dot(v, l.l) for v in cone.rays]
+    scalar = scalar_type(rv.is_rational)
+    scale = scalar(linalg.dot(rv.xi, l.l))
+    slice_ = polytope_Q(cone, tuple(x / scale for x in rv.xi))
+    ratios = [
+        scalar(linalg.dot(v, l.l)) / linalg.dot(v, slice_.bary_P)
+        for v in cone.rays
+    ]
+    d = min(ratios)
+    residual = max(abs(b - scalar(x)) for b, x in zip(slice_.bary_P, l.l))
     if rv.is_rational:
-        scale = Fraction(a_xi)
-        xi_hat = tuple(x / scale for x in rv.xi)
-        slice_ = polytope_Q(cone, xi_hat)
-        ratios = [
-            a / linalg.dot(v, slice_.bary_P)
-            for a, v in zip(numerators, cone.rays)
-        ]
-        d = min(ratios)
-        minimizing = tuple(i for i, r in enumerate(ratios) if r == d)
-        residual = max(abs(b - x) for b, x in zip(slice_.bary_P, l.l))
-        kss = residual == 0
-        d_prime = min(Fraction(1), d)
-        return StabilityReport(
-            delta=d,
-            delta_prime=d_prime,
-            bary_P=slice_.bary_P,
-            gorenstein=l,
-            minimizing_rays=minimizing,
-            kss=kss,
-            residual=residual,
-            scale=scale,
-        )
-    with working_precision():
-        scale = to_mpf(a_xi)
-        xi_hat = tuple(to_mpf(x) / scale for x in rv.xi)
-        slice_ = polytope_Q(cone, xi_hat)
-        ratios = [
-            to_mpf(a) / linalg.dot(v, slice_.bary_P)
-            for a, v in zip(numerators, cone.rays)
-        ]
-        d = min(ratios)
-        tol_rays = RAY_TIE_RTOL * abs(d)
-        minimizing = tuple(
-            i for i, r in enumerate(ratios) if abs(r - d) <= tol_rays
-        )
-        residual = max(abs(b - to_mpf(x)) for b, x in zip(slice_.bary_P, l.l))
-        linf = max(abs(Fraction(x)) for x in l.l)
-        kss = residual <= KSS_RTOL * (1 + float(linf))
-        d_prime = min(to_mpf(1), d)
+        tie_tol = kss_tol = 0
+    else:
+        tie_tol = RAY_TIE_RTOL * abs(d)
+        kss_tol = KSS_RTOL * (1 + float(max(abs(x) for x in l.l)))
     return StabilityReport(
         delta=d,
-        delta_prime=d_prime,
+        delta_prime=min(scalar(1), d),
         bary_P=slice_.bary_P,
         gorenstein=l,
-        minimizing_rays=minimizing,
-        kss=kss,
+        minimizing_rays=tuple(i for i, r in enumerate(ratios) if abs(r - d) <= tie_tol),
+        kss=residual <= kss_tol,
         residual=residual,
         scale=scale,
     )
@@ -259,16 +234,16 @@ def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):
     """
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
     l = gorenstein_vector(cone)
-    a_v = log_discrepancy(l, val)
-    a_xi = linalg.dot(reeb_vector(cone, xi).xi, l.l)
-    sp = s_prime(cone, xi, val.v)
-    exact = isinstance(a_xi, Fraction) and isinstance(sp, Fraction)
+    rv = reeb_vector(cone, xi)
+    scalar = scalar_type(rv.is_rational)
+    a_v = scalar(log_discrepancy(l, val))
+    a_xi = linalg.dot(rv.xi, l.l)
+    sp = s_prime(cone, rv, val)
     out = []
     for t in t_values:
-        tt = Fraction(t) if exact else to_mpf(t)
-        num = (a_v if exact else to_mpf(a_v)) + tt * a_xi
+        tt = scalar(t)
         den = sp + tt * a_xi
         if den <= 0:
             raise UnboundedSlice("ratio profile hit a nonpositive denominator")
-        out.append((tt, num / den))
+        out.append((tt, (a_v + tt * a_xi) / den))
     return tuple(out)

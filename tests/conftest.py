@@ -13,11 +13,13 @@ import operator
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from reebcone import PolytopeSlice, ReebconeError, ReebconeWarning, SimplicialPiece, dual_cone, triangulate_cone
 from reebcone.characters import _g_coeff
+from reebcone.cli import parse_cone_spec
 from reebcone.geometry import simplices
 from reebcone.linalg import (
     LinearSystemInconsistent,
@@ -57,6 +59,13 @@ FIXTURE_MAKERS = {
     "conifold": make_conifold,
     "y21": make_y21,
 }
+
+
+def bundled_specs():
+    """The parsed specs under ``src/reebcone/specs``."""
+    spec_dir = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
+    return [parse_cone_spec(path.read_text(encoding="utf-8"))
+            for path in sorted(spec_dir.glob("*.json"))]
 
 
 @pytest.fixture
@@ -322,8 +331,6 @@ def fraction_polytope_Q(cone, xi):
         vertex_sum = [sum(col) for col in zip(*(scaled[u] for u in gens))]
         moment = [acc + w_k * s for acc, s in zip(moment, vertex_sum)]
     return PolytopeSlice(
-        vertices_Q=(tuple(0 * x for x in vec),) + tuple(scaled.values()),
-        hrep_Q=tuple([(v, ">=", 0) for v in cone.rays] + [(vec, "<=", 1)]),
         volume_Q=total / math.factorial(n),
         bary_Q=tuple(m / ((n + 1) * total) for m in moment),
         bary_P=tuple(m / (n * total) for m in moment),
@@ -434,7 +441,7 @@ def fraction_pieces(cone):
             shift = [math.ceil(c) - 1 if off else math.floor(c)
                      for c, off in zip(mat_vec(inv, rep), excluded)]
             points.append(tuple(x - dot(row, shift) for x, row in zip(rep, cols)))
-        pieces.append(SimplicialPiece(generators, tuple(sorted(points)), 1, excluded))
+        pieces.append(SimplicialPiece(generators, tuple(sorted(points)), excluded))
     return tuple(pieces)
 
 

@@ -18,6 +18,7 @@ import pytest
 import reebcone.linalg as linalg
 from reebcone import (
     CutoffTooSmall,
+    DimensionMismatch,
     ExceedsSupportedSize,
     OrderTooLarge,
     UnboundedSlice,
@@ -131,9 +132,12 @@ class TestDecomposeDual:
         # exactly one piece gives up its shared facet
         assert sorted(any(p.excluded) for p in pieces) == [False, True]
 
-    def test_box_guard(self, y21):
-        with pytest.raises(ExceedsSupportedSize):
-            decompose_dual(y21, max_box=3)
+    def test_box_guard(self):
+        # the first simplex of this cone has 1,113,098 box points
+        cone = dual_cone([(1, 1, 0, 3, 3), (1, 1, 2, 1, 3), (2, 0, 0, 3, 2),
+                          (2, 1, 2, 0, 1), (2, 3, 3, 2, 1), (3, 2, 2, 1, 3)], 5)
+        with pytest.raises(ExceedsSupportedSize, match="1113098 box points"):
+            decompose_dual(cone)
 
 
 class TestIndexCharacter:
@@ -287,6 +291,30 @@ class TestTruncatedOracle:
             truncated_character_oracle(orthant2, (1, 0), None, 0.5, cutoff=50)
 
 
+class TestWrongLength:
+    """xi and eta of the wrong length raise DimensionMismatch, not a silent zip."""
+
+    XI = (1, Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("eta", [(0, 1), (0, 1, 0, 9)])
+    def test_eta(self, conifold, eta):
+        pieces = decompose_dual(conifold)
+        with pytest.raises(DimensionMismatch, match="eta has length"):
+            weight_character(pieces, self.XI, eta)
+        with pytest.raises(DimensionMismatch, match="eta has length"):
+            truncated_character_oracle(conifold, self.XI, eta, 0.5, cutoff=50)
+
+    @pytest.mark.parametrize("xi", [(1, 1), (1, 1, 1, 1), (mpmath.mpf(1),) * 4])
+    def test_xi(self, conifold, xi):
+        pieces = decompose_dual(conifold)
+        with pytest.raises(DimensionMismatch, match="xi has length"):
+            index_character(pieces, xi)
+        with pytest.raises(DimensionMismatch, match="xi has length"):
+            weight_character(pieces, xi, (0, 1, 0))
+        with pytest.raises(DimensionMismatch, match="xi has length"):
+            truncated_character_oracle(conifold, xi, None, 0.5, cutoff=50)
+
+
 class TestBoxPointKernel:
     """The integer box-point kernel against the Fraction per-point oracles."""
 
@@ -382,6 +410,6 @@ class TestBoxPointKernel:
                           weight_character(pieces, xi_mp, eta, order=order))]
                 for exact, approx in pairs:
                     for e, m in zip(exact.coeffs, approx.coeffs, strict=True):
-                        assert isinstance(m, mpmath.mpf)
+                        assert isinstance(m, ctx.mpf)
                         e = to_mpf(e, ctx)
                         assert abs(m - e) <= rtol * (1 + abs(e))

@@ -224,6 +224,20 @@ class TestMainExitCodes:
         assert code == 2
         assert payload["error"]["type"] == "DimensionMismatch"
 
+    @pytest.mark.parametrize("flags", [
+        ["character", "--eta", "0", "1"],
+        ["character", "--eta", "0", "1", "0", "9"],
+        ["character", "--xi", "1", "1", "1", "1"],
+        ["oracle", "--t", "0.5", "--eta", "0", "1"],
+    ], ids=["character-short-eta", "character-long-eta", "character-long-xi", "oracle-short-eta"])
+    def test_wrong_length_is_input_error(self, flags, capsys):
+        command, *rest = flags
+        code, payload = self.run_main(
+            [command, "--spec", str(SPEC_DIR / "conifold.json"), *rest], capsys
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "DimensionMismatch"
+
     def test_nonpositive_t_is_usage_error(self, capsys):
         code, payload = self.run_main(
             ["oracle", "--spec", str(SPEC_DIR / "a1.json"), "--t", "0"], capsys
@@ -314,18 +328,35 @@ class TestConsoleScript:
         assert payload["results"]["delta"] == "1"
         assert payload["results"]["bary_P"] == ["1", "0", "0"]
 
-    def test_optimized_interpreter_matches_goldens(self):
-        # python -O strips every assert statement, so no check may rest on one
-        spec = str(SPEC_DIR / "y21.json")
-        calls = (("check", []), ("delta", []), ("minimize", ["--probe-rational", "100"]))
-        for command, flags in calls:
-            proc = subprocess.run(
-                [sys.executable, "-O", "-m", "reebcone.cli", command, "--spec", spec, *flags],
-                capture_output=True,
-                check=False,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout == (GOLDEN_DIR / f"y21__{command}.json").read_bytes()
+    def test_optimized_interpreter_matches_goldens(self, tmp_path):
+        # python -O strips every assert statement, so no check may rest on one:
+        # one -O child writes every golden report through cli.main
+        script = "\n".join([
+            "import contextlib, io, pathlib, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "import test_golden as g",
+            "from reebcone import cli",
+            "for golden, name, command, flags in g.cases():",
+            "    out = io.StringIO()",
+            "    with contextlib.redirect_stdout(out):",
+            "        code = cli.main(g.main_argv(name, command, flags))",
+            "    same = out.getvalue().encode() == (g.GOLDEN_DIR / golden).read_bytes()",
+            "    print(golden, code, same)",
+            "code, text = g.error_report(pathlib.Path(sys.argv[2]))",
+            "print(g.ERROR_GOLDEN, code, text.encode() == (g.GOLDEN_DIR / g.ERROR_GOLDEN).read_bytes())",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(Path(__file__).parent), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert sorted(golden for golden, _, _ in rows) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+        for golden, code, same in rows:
+            expected = "3" if golden == "not_q_gorenstein__check.json" else "0"
+            assert (code, same) == (expected, "True"), golden
 
     def test_numpy_stays_off_the_import_path(self):
         # numpy is imported lazily, by the brute-force lattice oracles only

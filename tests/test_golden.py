@@ -53,6 +53,15 @@ def cases():
     return out
 
 
+def main_argv(name: str, command: str, flags: dict) -> list[str]:
+    """The command line from which ``cli.main`` builds ``flags``."""
+    argv = [command, "--spec", str(SPEC_DIR / (name + ".json"))]
+    for key, value in flags.items():
+        values = value if isinstance(value, tuple) else (value,)
+        argv += ["--" + key.replace("_", "-"), *map(str, values)]
+    return argv
+
+
 def spec_text(name: str) -> str:
     return (SPEC_DIR / (name + ".json")).read_text(encoding="utf-8")
 

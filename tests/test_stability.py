@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import reebcone.linalg as linalg
@@ -18,6 +19,7 @@ from reebcone import (
     gorenstein_vector,
     index_character,
     log_discrepancy,
+    minimize_volume,
     polytope_Q,
     ratio_profile,
     s_m_oracle,
@@ -30,6 +32,7 @@ from reebcone.characters import MAX_BOX_POINTS
 from reebcone.config import mp_context, series_rtol, to_mpf
 from reebcone.geometry import futaki_coefficients, simplices
 from conftest import (
+    bundled_specs,
     is_q_gorenstein,
     many_simplex_suite,
     minor_futaki_coefficients,
@@ -157,6 +160,22 @@ class TestDelta:
             assert rep.delta <= 1
             assert rep.kss == (rep.delta == 1)
             assert rep.kss == (tuple(rep.bary_P) == tuple(rep.gorenstein.l))
+
+    def test_mpf_path_matches_exact(self):
+        ctx, rtol = mp_context(), series_rtol()
+        cases = [(dual_cone(spec.rays, spec.dim), spec.xi) for spec in bundled_specs()]
+        cases += random_cone_suite(seed=53, count=40, dims=(2, 3, 4, 5))
+        for cone, xi in cases:
+            exact = delta(cone, xi)
+            approx = delta(cone, tuple(to_mpf(x, ctx) for x in xi))
+            assert approx.minimizing_rays == exact.minimizing_rays
+            assert approx.kss == exact.kss
+            # the mpf xi carries rounding, so scale agrees to the working precision
+            for m, e in ((approx.delta, exact.delta), (approx.residual, exact.residual),
+                         (approx.scale, exact.scale)):
+                assert isinstance(m, ctx.mpf)
+                e = to_mpf(e, ctx)
+                assert abs(m - e) <= rtol * (1 + abs(e))
 
     def test_scale_invariance(self, y21):
         xi = (1, Fraction(1, 3), Fraction(2, 3))
@@ -321,6 +340,30 @@ class TestFutakiClosedForm:
             futaki_product(conifold, (1, 1, 1), (0, 1))
         with pytest.raises(UnboundedSlice):
             futaki_product(conifold, (1, 0, 0), (0, 1, 0))
+
+
+class TestPrecisionPolicy:
+    def test_caller_precision_is_neither_used_nor_changed(self, y21, monkeypatch):
+        # every mpf lives in the shared context; the global mpmath.mp is the caller's
+        ctx, rtol = mp_context(), series_rtol()
+        xi = (1, Fraction(1, 3), Fraction(2, 3))
+        xi_mp = tuple(to_mpf(x, ctx) for x in xi)
+        pieces = decompose_dual(y21)
+        star = minimize_volume(y21)
+        monkeypatch.setattr(mpmath.mp, "prec", 30)
+        assert minimize_volume(y21) == star
+        exact, approx = polytope_Q(y21, xi), polytope_Q(y21, xi_mp)
+        pairs = [(approx.volume_Q, exact.volume_Q)] + list(zip(approx.bary_P, exact.bary_P))
+        exact, approx = delta(y21, xi), delta(y21, xi_mp)
+        pairs += [(approx.delta, exact.delta), (approx.residual, exact.residual),
+                  (approx.scale, exact.scale)]
+        pairs += zip(index_character(pieces, xi_mp).coeffs, index_character(pieces, xi).coeffs,
+                     strict=True)
+        assert mpmath.mp.prec == 30
+        for m, e in pairs:
+            assert isinstance(m, ctx.mpf)
+            e = to_mpf(e, ctx)
+            assert abs(m - e) <= rtol * (1 + abs(e))
 
 
 class TestRatioProfile:
