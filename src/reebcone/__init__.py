@@ -4,96 +4,62 @@ Decides K-semistability via the barycenter certificate u_bar^P = l, computes
 delta-invariants, index/weight characters and local Futaki invariants, and
 minimizes the normalized volume over the Reeb cone — with brute-force
 oracles alongside every analytic quantity.
+
+The exports load lazily (PEP 562): ``import reebcone`` loads the error types
+only, and the first use of a name imports the submodule that defines it, so
+a caller pays for the layers it uses.
 """
 
-from .errors import (
-    ConvergenceError,
-    CutoffTooSmall,
-    DegenerateSolutionSet,
-    DimensionMismatch,
-    ExceedsSupportedSize,
-    InputError,
-    IrrationalReeb,
-    LeftReebCone,
-    MathDomainError,
-    MaxIterations,
-    NonConvergent,
-    NonIntegerRay,
-    NotFullDimensional,
-    NotPointed,
-    NotQGorenstein,
-    OrderTooLarge,
-    RayPrimitivizedWarning,
-    RedundantRayWarning,
-    ReebconeError,
-    ReebconeWarning,
-    SchemaError,
-    UnboundedSlice,
-)
-from .geometry import (
-    GorensteinVector,
-    PolytopeSlice,
-    ReebVector,
-    ToricCone,
-    dual_cone,
-    gorenstein_vector,
-    lattice_points,
-    polytope_Q,
-    reeb_vector,
-    triangulate_cone,
-)
-from .characters import (
-    LaurentSeries,
-    SimplicialPiece,
-    decompose_dual,
-    index_character,
-    truncated_character_oracle,
-    weight_character,
-)
-from .stability import (
-    StabilityReport,
-    ToricValuation,
-    delta,
-    futaki_pairing,
-    futaki_product,
-    log_discrepancy,
-    ratio_profile,
-    s_m_oracle,
-    s_prime,
-    s_value,
-    toric_valuation,
-)
-from .optimize import (
-    GridResult,
-    MinimizeResult,
-    RationalCandidate,
-    convexity_probe,
-    grid_search_oracle,
-    minimize_volume,
-    rationality_probe,
-    volume_objective,
-)
+import importlib
+
+from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError", "CutoffTooSmall", "DegenerateSolutionSet",
-    "DimensionMismatch", "ExceedsSupportedSize", "InputError",
-    "IrrationalReeb", "LeftReebCone", "MathDomainError", "MaxIterations",
-    "NonConvergent", "NonIntegerRay", "NotFullDimensional", "NotPointed",
-    "NotQGorenstein", "OrderTooLarge", "RayPrimitivizedWarning",
-    "RedundantRayWarning", "ReebconeError", "ReebconeWarning", "SchemaError",
-    "UnboundedSlice",
-    "GorensteinVector", "PolytopeSlice", "ReebVector", "ToricCone",
-    "dual_cone", "gorenstein_vector", "lattice_points", "polytope_Q",
-    "reeb_vector", "triangulate_cone",
-    "LaurentSeries", "SimplicialPiece", "decompose_dual", "index_character",
-    "truncated_character_oracle", "weight_character",
-    "StabilityReport", "ToricValuation", "delta", "futaki_pairing",
-    "futaki_product", "log_discrepancy", "ratio_profile", "s_m_oracle",
-    "s_prime", "s_value", "toric_valuation",
-    "GridResult", "MinimizeResult", "RationalCandidate", "convexity_probe",
-    "grid_search_oracle", "minimize_volume", "rationality_probe",
-    "volume_objective",
-    "__version__",
-]
+# every export, by the submodule that defines it
+_EXPORTS = {
+    "errors": (
+        "ConvergenceError", "CutoffTooSmall", "DegenerateSolutionSet",
+        "DimensionMismatch", "ExceedsSupportedSize", "InputError",
+        "IrrationalReeb", "LeftReebCone", "MathDomainError", "MaxIterations",
+        "NonConvergent", "NonIntegerRay", "NotFullDimensional", "NotPointed",
+        "NotQGorenstein", "OrderTooLarge", "RayPrimitivizedWarning",
+        "RedundantRayWarning", "ReebconeError", "ReebconeWarning",
+        "SchemaError", "UnboundedSlice",
+    ),
+    "geometry": (
+        "GorensteinVector", "PolytopeSlice", "ReebVector", "ToricCone",
+        "dual_cone", "gorenstein_vector", "lattice_points", "polytope_Q",
+        "reeb_vector", "triangulate_cone",
+    ),
+    "characters": (
+        "LaurentSeries", "SimplicialPiece", "decompose_dual", "index_character",
+        "truncated_character_oracle", "weight_character",
+    ),
+    "stability": (
+        "StabilityReport", "ToricValuation", "delta", "futaki_pairing",
+        "futaki_product", "log_discrepancy", "ratio_profile", "s_m_oracle",
+        "s_prime", "s_value", "toric_valuation",
+    ),
+    "optimize": (
+        "GridResult", "MinimizeResult", "RationalCandidate", "convexity_probe",
+        "grid_search_oracle", "minimize_volume", "rationality_probe",
+        "volume_objective",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

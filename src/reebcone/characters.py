@@ -88,12 +88,17 @@ class LaurentSeries:
             raise ValueError("a0 is an index-character coefficient")
         return self.coeffs[0] / math.factorial(self.dim - 1)
 
+    def _second(self, name: str):
+        if len(self.coeffs) < 2:
+            raise ValueError(f"{name} needs a series of order at least 1, this one has order 0")
+        return self.coeffs[1]
+
     @property
     def a1(self):
         if self.kind != "index":
             raise ValueError("a1 is an index-character coefficient")
         norm = math.factorial(self.dim - 2) if self.dim >= 2 else 1
-        return self.coeffs[1] / norm
+        return self._second("a1") / norm
 
     @property
     def b0(self):
@@ -105,7 +110,7 @@ class LaurentSeries:
     def b1(self):
         if self.kind != "weight":
             raise ValueError("b1 is a weight-character coefficient")
-        return self.coeffs[1] / math.factorial(self.dim - 1)
+        return self._second("b1") / math.factorial(self.dim - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 """Command-line surface: cone-spec ingestion, dispatch, JSON reports.
 
 The CLI is a thin shell over the library: it parses one cone spec,
-calls exactly one library routine per subcommand, and serializes the
-result.  No arithmetic happens here.  Rational values are emitted as
-exact ``"p/q"`` strings so that exactness survives the pipe, and
-reports are deterministic byte-for-byte for identical inputs, flags
-and version.
+calls the library routines of one subcommand, and serializes the
+result.  No arithmetic happens here beyond the factorials that scale the
+closed-form coefficients of ``character --order 0|1`` into Laurent
+coefficients.  Rational values are emitted as exact ``"p/q"`` strings so
+that exactness survives the pipe, and reports are deterministic
+byte-for-byte for identical inputs, flags and version.
+
+Each call starts a cold interpreter, so each subcommand imports only the
+layers it runs: :mod:`reebcone.geometry` always (every subcommand builds
+its cone), :mod:`reebcone.stability` for ``check``, ``delta``, ``futaki``
+and ``oracle``, :mod:`reebcone.characters` for ``character`` at order 2
+and above and for ``oracle``, and :mod:`reebcone.optimize` for
+``minimize``.  mpmath loads with the first mpf (``minimize``), numpy with
+the lattice oracles (``oracle``).
 
 Exit codes: 0 success, 1 usage, 2 malformed input, 3 mathematical
 domain error (not Q-Gorenstein, irrational Reeb where rationality is
@@ -36,11 +45,9 @@ from .errors import (
     ReebconeWarning,
     SchemaError,
 )
-from .characters import decompose_dual, index_character, truncated_character_oracle, weight_character
+# every subcommand builds its cone here; each runner imports the other layers
+# it calls, so a cold call loads only those
 from .geometry import ToricCone, dual_cone, futaki_coefficients, gorenstein_vector, reeb_vector
-from .optimize import minimize_volume
-from .stability import delta as delta_report
-from .stability import futaki_pairing, s_m_oracle, s_prime, s_value
 
 COMMANDS = ("check", "delta", "minimize", "futaki", "character", "oracle")
 
@@ -236,6 +243,8 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
 
 
 def _delta_with_boundary(cone: ToricCone, xi, spec: ConeSpec):
+    from .stability import delta as delta_report
+
     if spec.boundary_coeffs is None:
         return delta_report(cone, xi)
     # a boundary divisor in the spec file is the CLI user's opt-in
@@ -266,6 +275,8 @@ def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
 
 
 def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
+    from .optimize import minimize_volume
+
     start = flags.get("xi") or spec.xi
     res = minimize_volume(
         cone,
@@ -292,6 +303,8 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -
 
 
 def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
+    from .stability import futaki_pairing
+
     xi = _require_xi(spec, flags)
     eta = _require_eta(spec, flags)
     coeffs = futaki_coefficients(cone, xi, eta)
@@ -301,6 +314,28 @@ def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
     order = flags.get("order") if flags.get("order") is not None else 2
+    eta = flags.get("eta") or spec.eta
+    if 0 <= order <= 1:
+        # closed form, no box points; the coefficients LaurentSeries would
+        # hold are (n-1)! a0, (n-2)! a1, n! b0 and (n-1)! b1
+        n = cone.dim
+        c = futaki_coefficients(cone, xi, (0,) * n if eta is None else eta)
+        results["index"] = {
+            "order_low": -n,
+            "coeffs": [math.factorial(n - 1) * c.a0, math.factorial(max(n - 2, 0)) * c.a1][:order + 1],
+            "a0": c.a0,
+            "a1": c.a1 if order else None,
+        }
+        if eta is not None:
+            results["weight"] = {
+                "order_low": -(n + 1),
+                "coeffs": [math.factorial(n) * c.b0, math.factorial(n - 1) * c.b1][:order + 1],
+                "b0": c.b0,
+                "b1": c.b1 if order else None,
+            }
+        return
+    from .characters import decompose_dual, index_character, weight_character
+
     pieces = decompose_dual(cone)
     F = index_character(pieces, xi, order=order)
     results["index"] = {
@@ -309,7 +344,6 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
         "a0": F.a0,
         "a1": F.a1,
     }
-    eta = flags.get("eta") or spec.eta
     if eta is not None:
         C = weight_character(pieces, xi, eta, order=order)
         results["weight"] = {
@@ -321,6 +355,9 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
 
 
 def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
+    from .characters import truncated_character_oracle
+    from .stability import s_m_oracle, s_prime, s_value
+
     xi = _require_xi(spec, flags)
     m_max = flags.get("m_max")
     t_values = flags.get("t")

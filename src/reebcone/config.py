@@ -12,6 +12,9 @@ Two environment variables tune the numerics:
 ``REEBCONE_TOL``
     Default stopping tolerance for iterative solvers and the default
     comparison tolerance in reports (default ``1e-10``).
+
+mpmath is imported by :func:`mp_context` on first use, so exact-only
+callers never load it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-10
@@ -76,6 +81,8 @@ def mp_context() -> mpmath.ctx_mp.MPContext:
 
 @lru_cache(maxsize=None)
 def _context(bits: int) -> mpmath.ctx_mp.MPContext:
+    import mpmath
+
     ctx = mpmath.mp.clone()
     ctx.prec = bits
     return ctx

@@ -24,6 +24,7 @@ the barycenter ``(n+1)/n * bar(u)`` coincides with ``l``.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -35,6 +36,7 @@ from .geometry import (
     futaki_coefficients,
     gorenstein_vector,
     lattice_rows,
+    numerators,
     polytope_Q,
     reeb_vector,
 )
@@ -180,12 +182,15 @@ def delta(
     scalar = scalar_type(rv.is_rational)
     scale = scalar(linalg.dot(rv.xi, l.l))
     slice_ = polytope_Q(cone, tuple(x / scale for x in rv.xi))
+    # bary_P = bp / bp_d and l = ln / l_d: integer pairings, one division per ray
+    [(bp, bp_d), (ln, l_d)], exact = numerators([slice_.bary_P, l.l])
+    ratio = Fraction if exact else operator.truediv
     ratios = [
-        scalar(linalg.dot(v, l.l)) / linalg.dot(v, slice_.bary_P)
+        ratio(linalg.dot(v, ln) * bp_d, linalg.dot(v, bp) * l_d)
         for v in cone.rays
     ]
     d = min(ratios)
-    residual = max(abs(b - scalar(x)) for b, x in zip(slice_.bary_P, l.l))
+    residual = ratio(max(abs(b * l_d - x * bp_d) for b, x in zip(bp, ln)), bp_d * l_d)
     if rv.is_rational:
         tie_tol = kss_tol = 0
     else:

@@ -190,6 +190,17 @@ class TestIndexCharacter:
         with pytest.raises(OrderTooLarge):
             index_character(decompose_dual(orthant2), (1, 1), order=9)
 
+    def test_order_zero_has_no_second_coefficient(self, conifold):
+        pieces, xi, eta = decompose_dual(conifold), (2, 1, Fraction(2, 3)), (0, 1, 0)
+        F = index_character(pieces, xi, order=0)
+        C = weight_character(pieces, xi, eta, order=0)
+        assert (F.a0, C.b0) == (index_character(pieces, xi, order=1).a0,
+                                weight_character(pieces, xi, eta, order=1).b0)
+        with pytest.raises(ValueError, match="order 0"):
+            F.a1
+        with pytest.raises(ValueError, match="order 0"):
+            C.b1
+
     def test_scaling_in_xi(self, conifold):
         # F(c xi; t) = F(xi; c t): coefficients shift by powers of c
         pieces = decompose_dual(conifold)

@@ -10,12 +10,38 @@ from pathlib import Path
 
 import pytest
 
-from reebcone import NonIntegerRay, SchemaError, delta, dual_cone, futaki_product
+import test_golden
+from reebcone import (
+    NonIntegerRay,
+    SchemaError,
+    decompose_dual,
+    delta,
+    dual_cone,
+    futaki_product,
+    index_character,
+    weight_character,
+)
 from reebcone.cli import ConeSpec, main, parse_cone_spec, run
 from conftest import minor_futaki_coefficients
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# Not Q-Gorenstein, with a simplicial piece of 1,113,098 box points (above
+# MAX_BOX_POINTS), and a Reeb vector and direction on it.
+DIM5_SPEC = ('{"dim": 5, "rays": [[1,1,0,3,3], [1,1,2,1,3], [2,0,0,3,2],'
+             ' [2,1,2,0,1], [2,3,3,2,1], [3,2,2,1,3]]}')
+DIM5_XI, DIM5_ETA = (11, 8, 9, 10, 13), (0, 1, 0, 0, 0)
+
+# The modules a cold call of each subcommand must not load.
+UNLOADED = {
+    "check": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
+    "delta": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
+    "futaki": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
+    "character": ("mpmath", "numpy", "reebcone.stability", "reebcone.optimize"),
+    "minimize": ("numpy", "reebcone.characters"),
+    "oracle": ("mpmath", "reebcone.optimize"),
+}
 
 
 def spec_text(name: str) -> str:
@@ -97,6 +123,26 @@ class TestRunReports:
         payload = json.loads(report.to_json())
         assert payload["results"]["index"]["coeffs"] == ["1", "1", "5/12"]
         assert payload["results"]["index"]["order_low"] == -2
+
+    @pytest.mark.parametrize("name", test_golden.SPECS)
+    def test_leading_orders_match_box_points(self, name):
+        # orders 0 and 1 come from the closed form, with no box points
+        spec = parse_cone_spec(spec_text(name))
+        pieces = decompose_dual(dual_cone(spec.rays, spec.dim))
+        eta = spec.eta or (0, 1) + (0,) * (spec.dim - 2)
+        for order in (0, 1):
+            for flags in ({"order": order}, {"order": order, "eta": eta}):
+                results = run("character", spec_text(name), flags).results
+                F = index_character(pieces, spec.xi, order=order)
+                assert results["index"] == {"order_low": F.order_low, "coeffs": list(F.coeffs),
+                                            "a0": F.a0, "a1": F.a1 if order else None}
+                weighted = flags.get("eta", spec.eta)
+                if weighted is None:
+                    assert "weight" not in results
+                    continue
+                C = weight_character(pieces, spec.xi, weighted, order=order)
+                assert results["weight"] == {"order_low": C.order_low, "coeffs": list(C.coeffs),
+                                             "b0": C.b0, "b1": C.b1 if order else None}
 
     def test_minimize_report(self):
         report = run("minimize", spec_text("conifold"), {})
@@ -191,23 +237,50 @@ class TestMainExitCodes:
         assert payload["error"]["type"] == "NotQGorenstein"
 
     def test_futaki_beyond_the_box_point_bound(self, tmp_path, capsys):
-        # not Q-Gorenstein, with a piece of 1,113,098 box points: the closed
-        # form needs none (the box-point characters exit 2 here)
+        # the closed form needs no box points (the box-point characters exit 2 here)
         spec = tmp_path / "dim5.json"
-        spec.write_text('{"dim": 5, "rays": [[1,1,0,3,3], [1,1,2,1,3], [2,0,0,3,2],'
-                        ' [2,1,2,0,1], [2,3,3,2,1], [3,2,2,1,3]]}')
-        xi, eta = (11, 8, 9, 10, 13), (0, 1, 0, 0, 0)
+        spec.write_text(DIM5_SPEC)
         code, payload = self.run_main(
-            ["futaki", "--spec", str(spec), "--xi", *map(str, xi), "--eta", *map(str, eta)],
+            ["futaki", "--spec", str(spec), "--xi", *map(str, DIM5_XI),
+             "--eta", *map(str, DIM5_ETA)],
             capsys,
         )
         assert code == 0
         assert payload["error"] is None
-        cone = dual_cone([tuple(v) for v in json.loads(spec.read_text())["rays"]], 5)
-        a0, a1, b0, b1 = minor_futaki_coefficients(cone, xi, eta)
+        cone = dual_cone([tuple(v) for v in json.loads(DIM5_SPEC)["rays"]], 5)
+        a0, a1, b0, b1 = minor_futaki_coefficients(cone, DIM5_XI, DIM5_ETA)
         results = {key: Fraction(value) for key, value in payload["results"].items()}
         assert results == {"a0": a0, "a1": a1, "b0": b0, "b1": b1,
                            "futaki": -2 * (a0 * b1 - a1 * b0) / (a0 * a0)}
+
+    def test_character_beyond_the_box_point_bound(self, tmp_path, capsys):
+        spec = tmp_path / "dim5.json"
+        spec.write_text(DIM5_SPEC)
+        code, payload = self.run_main(
+            ["character", "--spec", str(spec), "--xi", *map(str, DIM5_XI),
+             "--eta", *map(str, DIM5_ETA), "--order", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert payload["error"] is None
+        cone = dual_cone([tuple(v) for v in json.loads(DIM5_SPEC)["rays"]], 5)
+        a0, a1, b0, b1 = map(str, minor_futaki_coefficients(cone, DIM5_XI, DIM5_ETA))
+        assert payload["results"] == {
+            "index": {"order_low": -5, "coeffs": [str(24 * Fraction(a0)), str(6 * Fraction(a1))],
+                      "a0": a0, "a1": a1},
+            "weight": {"order_low": -6, "coeffs": [str(120 * Fraction(b0)), str(24 * Fraction(b1))],
+                       "b0": b0, "b1": b1},
+        }
+
+    def test_character_order_zero(self, capsys):
+        code, payload = self.run_main(
+            ["character", "--spec", str(SPEC_DIR / "conifold.json"), "--order", "0"], capsys
+        )
+        assert code == 0
+        assert payload["results"] == {
+            "index": {"order_low": -3, "coeffs": ["16"], "a0": "8", "a1": None},
+            "weight": {"order_low": -4, "coeffs": ["0"], "b0": "0", "b1": None},
+        }
 
     def test_convergence_error(self, capsys):
         code, payload = self.run_main(
@@ -358,23 +431,43 @@ class TestConsoleScript:
             expected = "3" if golden == "not_q_gorenstein__check.json" else "0"
             assert (code, same) == (expected, "True"), golden
 
-    def test_numpy_stays_off_the_import_path(self):
-        # numpy is imported lazily, by the brute-force lattice oracles only
+    def test_import_loads_no_layer(self):
         script = "\n".join([
-            "import contextlib, io, sys",
-            "import reebcone.cli as cli",
-            "print('numpy' in sys.modules)",
-            "spec = sys.argv[1]",
-            "for command in ('check', 'delta', 'futaki', 'character', 'minimize'):",
-            "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        assert cli.main([command, '--spec', spec]) == 0, command",
-            "print('numpy' in sys.modules)",
+            "import json, sys",
+            "import reebcone.cli",
+            "print(json.dumps(sorted(sys.modules)))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert not loaded & {"mpmath", "numpy", "logging", "reebcone.stability",
+                             "reebcone.characters", "reebcone.optimize"}
+
+    @pytest.mark.parametrize("command", list(UNLOADED))
+    def test_cold_subcommand_loads_only_its_layers(self, command):
+        # one fresh interpreter per subcommand: in this process earlier tests
+        # have loaded every layer, so a layer a subcommand loads needlessly
+        # would not show here
+        golden, name, _, flags = next(
+            case for case in test_golden.cases() if case[0] == "y21__%s.json" % command
+        )
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            "from reebcone import cli",
+            "out = io.StringIO()",
+            "with contextlib.redirect_stdout(out):",
+            "    code = cli.main(sys.argv[1:])",
+            "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))",
         ])
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(SPEC_DIR / "y21.json")],
+            [sys.executable, "-c", script, *test_golden.main_argv(name, command, flags)],
             capture_output=True,
             text=True,
             check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
+        code, stdout, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert stdout.encode("utf-8") == (GOLDEN_DIR / golden).read_bytes()
+        assert not set(loaded) & set(UNLOADED[command])
