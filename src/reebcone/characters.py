@@ -325,6 +325,8 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
 
     if t <= 0:
         raise ValueError("t must be positive")
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive, got %r" % (cutoff,))
     n = cone.dim
     if eta_or_none is not None:
         [_, (eta_num, e)], _ = reeb_numerators(n, xi, eta_or_none)

@@ -207,15 +207,21 @@ def parse_cone_spec(text: str) -> ConeSpec:
     )
 
 
+def _flag(flags: dict, key: str, default=None):
+    """The value of a flag when given, an explicit 0 included; else ``default``."""
+    value = flags.get(key)
+    return default if value is None else value
+
+
 def _require_xi(spec: ConeSpec, flags: dict) -> Tuple[Fraction, ...]:
-    xi = flags.get("xi") or spec.xi
+    xi = _flag(flags, "xi", spec.xi)
     if xi is None:
         raise SchemaError("no Reeb vector: provide --xi or an 'xi' field")
     return xi
 
 
 def _require_eta(spec: ConeSpec, flags: dict) -> Tuple[Fraction, ...]:
-    eta = flags.get("eta") or spec.eta
+    eta = _flag(flags, "eta", spec.eta)
     if eta is None:
         raise SchemaError("no direction: provide --eta or an 'eta' field")
     return eta
@@ -228,7 +234,7 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
     l = gorenstein_vector(cone, boundary=spec.boundary_coeffs)
     results["gorenstein"] = {"l": list(l.l)}
     results["q_gorenstein"] = True
-    xi = flags.get("xi") or spec.xi
+    xi = _flag(flags, "xi", spec.xi)
     if xi is not None:
         rv = reeb_vector(cone, xi)
         results["reeb"] = {
@@ -277,11 +283,11 @@ def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
 def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     from .optimize import minimize_volume
 
-    start = flags.get("xi") or spec.xi
+    start = _flag(flags, "xi", spec.xi)
     res = minimize_volume(
         cone,
         tol=flags.get("tol"),
-        max_iter=flags.get("max_iter") or 100,
+        max_iter=_flag(flags, "max_iter", 100),
         start=start,
         probe_rational=flags.get("probe_rational"),
     )
@@ -313,8 +319,8 @@ def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
-    order = flags.get("order") if flags.get("order") is not None else 2
-    eta = flags.get("eta") or spec.eta
+    order = _flag(flags, "order", 2)
+    eta = _flag(flags, "eta", spec.eta)
     if 0 <= order <= 1:
         # closed form, no box points; the coefficients LaurentSeries would
         # hold are (n-1)! a0, (n-2)! a1, n! b0 and (n-1)! b1
@@ -361,9 +367,11 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
     xi = _require_xi(spec, flags)
     m_max = flags.get("m_max")
     t_values = flags.get("t")
-    if not m_max and not t_values:
+    if m_max is None and not t_values:
         raise SchemaError("oracle: provide --m-max and/or --t")
-    if m_max:
+    if m_max is not None:
+        if m_max < 1:
+            raise ValueError("m_max must be at least 1, got %r" % (m_max,))
         rows = []
         for v in cone.rays:
             rows.append(
@@ -376,7 +384,7 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
             )
         results["s_m_table"] = {"m_max": m_max, "rows": rows}
     if t_values:
-        eta = flags.get("eta") or spec.eta
+        eta = _flag(flags, "eta", spec.eta)
         # the default cutoff is ceil(reach / t); the eta-weighted sum's tail
         # carries one more power of the pairing, so it reaches further
         reach = 14.0 if eta is None else 18.0
@@ -384,7 +392,7 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
         for t in t_values:
             if float(t) <= 0:
                 raise ValueError("t must be positive, got %r" % (t,))
-            cutoff = flags.get("cutoff") or math.ceil(reach / float(t))
+            cutoff = _flag(flags, "cutoff", math.ceil(reach / float(t)))
             value = truncated_character_oracle(cone, xi, eta, float(t), cutoff)
             entries.append({"t": float(t), "cutoff": cutoff, "value": value})
         results["character_values"] = {
@@ -449,7 +457,7 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
         "version": __version__,
         "arithmetic": "float64" if floaty else "exact-rational",
         "precision_bits": precision_bits(),
-        "tol": float(flags.get("tol") or default_tol()),
+        "tol": float(_flag(flags, "tol", default_tol())),
     }
     error = None
     if failure is not None:

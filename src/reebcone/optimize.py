@@ -14,16 +14,16 @@ unique minimizer.  The minimizer is the candidate K-semistable Reeb
 vector: at ``xi*`` the barycenter relation ``bar_P = l`` holds and
 ``delta(xi*) = 1``.
 
-A brute-force simplex grid search and an exact-rational midpoint
-convexity probe are provided as independent oracles for the Newton
-route.
+The Newton objective is plain float arithmetic.  A brute-force simplex
+grid search and an exact-rational midpoint convexity probe, both valued
+exactly by :func:`reebcone.geometry.polytope_Q`, are independent oracles
+for the Newton route.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import logging
 import math
 import random
 from fractions import Fraction
@@ -39,8 +39,6 @@ from .errors import (
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
 from . import linalg
-
-logger = logging.getLogger(__name__)
 
 MAX_GRID_SAMPLES = 10**4
 _ARMIJO = 1e-4
@@ -87,50 +85,65 @@ class GridResult:
 
 @functools.lru_cache(maxsize=None)
 def _chart(cone: ToricCone):
-    """Deterministic affine chart of the slice ``{<xi, l> = 1}``.
+    """Deterministic affine chart of the slice ``{<xi, l> = 1}``, in floats.
 
     The pivot coordinate is the one with the largest ``|l_j|``
-    (rightmost on ties); the remaining ``n - 1`` coordinates are free.
-    Returns ``(l, pivot, free_indices)`` with ``xi[pivot]`` recovered
-    as ``(1 - sum l_j xi_j) / l_pivot``.
+    (rightmost on ties); the remaining ``n - 1`` coordinates are free,
+    and ``xi[pivot]`` is recovered as ``(1 - sum l_j xi_j) / l_pivot``.
+    Returns ``(l, pivot, free, ratios, products, table)``: the Gorenstein
+    vector, ``ratios[a] = l_{free_a} / l_pivot``, ``products[a][b] =
+    ratios[a] * ratios[b]`` and the pairs ``(|det U_k| / (n-1)!, U_k)``
+    over :func:`reebcone.geometry.simplices`, every float rounded once
+    from its exact value, once per cone.
     """
     l = gorenstein_vector(cone).l
     best = max(abs(x) for x in l)
     pivot = max(j for j, x in enumerate(l) if abs(x) == best)
     free = tuple(j for j in range(cone.dim) if j != pivot)
-    return l, pivot, free
+    ratios = [l[j] / l[pivot] for j in free]
+    products = tuple(tuple(float(a * b) for b in ratios) for a in ratios)
+    norm = math.factorial(cone.dim - 1)
+    table = tuple((det / norm, gens) for det, gens in simplices(cone))
+    return tuple(map(float, l)), pivot, free, tuple(map(float, ratios)), products, table
 
 
-def _embed(cone: ToricCone, coords: Sequence):
-    """Map chart coordinates to the full Reeb vector on the slice."""
-    l, pivot, free = _chart(cone)
+def _embed(cone: ToricCone, coords: Sequence) -> Tuple[float, ...]:
+    """Map chart coordinates to the full Reeb vector on the slice, in floats."""
+    l, pivot, free = _chart(cone)[:3]
     if len(coords) != len(free):
-        raise ValueError(
-            "expected %d slice coordinates, got %d" % (len(free), len(coords))
-        )
-    xi = [None] * cone.dim
-    acc = Fraction(1) if all(isinstance(c, (int, Fraction)) for c in coords) else 1.0
+        raise ValueError("expected %d slice coordinates, got %d" % (len(free), len(coords)))
+    xi = [0.0] * cone.dim
+    acc = 1.0
     for j, c in zip(free, coords):
-        xi[j] = c
-        acc = acc - l[j] * c
+        xi[j] = c = float(c)
+        acc -= l[j] * c
     xi[pivot] = acc / l[pivot]
     return tuple(xi)
 
 
-def _project(cone: ToricCone, xi: Sequence):
-    """Chart coordinates of a full Reeb vector (must lie on the slice)."""
-    _, _, free = _chart(cone)
-    return tuple(xi[j] for j in free)
+def _project(cone: ToricCone, xi: Sequence) -> Tuple[float, ...]:
+    """Chart coordinates of a full Reeb vector on the slice, in floats."""
+    _, _, free = _chart(cone)[:3]
+    return tuple(float(xi[j]) for j in free)
+
+
+def _ray_average(cone: ToricCone, weights: Sequence[int]) -> Tuple[Fraction, ...]:
+    """The exact point ``sum w_i v_i / sum w_i`` over the rays of ``sigma``, on ``<xi, l> = 1``."""
+    total = sum(weights)
+    return tuple(
+        Fraction(sum(w * v[a] for w, v in zip(weights, cone.rays)), total)
+        for a in range(cone.dim)
+    )
 
 
 def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
-    """Value, gradient and Hessian of ``a0`` in slice coordinates.
+    """Value, gradient and Hessian of ``a0`` in slice coordinates, in floats.
 
-    Accepts exact rationals (returning exact rationals) or floats.
-    The gradient and Hessian are analytic derivatives of the
-    triangulated volume over :func:`reebcone.geometry.simplices`: with
-    ``vol_k = |det U_k| / ((n-1)! prod_i c_i)`` and ``c_i = <xi, u_i>``
-    per simplex,
+    The objective of the Newton iteration; exact values of ``a0`` come
+    from :func:`reebcone.geometry.polytope_Q`.  The gradient and Hessian
+    are analytic derivatives of the triangulated volume over the
+    table of :func:`_chart`: with ``vol_k = |det U_k| / ((n-1)!
+    prod_i c_i)`` and ``c_i = <xi, u_i>`` per simplex,
 
         ``grad  = -sum_k vol_k s_k``,         ``s_k = sum_i u_i / c_i``
         ``hess = sum_k vol_k (s_k s_k^T + sum_i u_i u_i^T / c_i^2)``
@@ -139,15 +152,14 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     the point pairs nonpositively with some dual ray, i.e. lies
     outside the interior of ``sigma``.
     """
-    l, pivot, free = _chart(cone)
+    _, pivot, free, ratios, products, table = _chart(cone)
     xi = _embed(cone, xi_slice_coords)
     n = cone.dim
     m = len(free)
-    norm = math.factorial(n - 1)
-    value = 0
-    grad_full = [0] * n
-    hess_full = [[0] * n for _ in range(n)]
-    for det, gens in simplices(cone):
+    value = 0.0
+    grad_full = [0.0] * n
+    hess_full = [[0.0] * n for _ in range(n)]
+    for vol_k, gens in table:
         cs = []
         for u in gens:
             c = linalg.dot(xi, u)
@@ -156,9 +168,6 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
                     "point %s pairs nonpositively with dual ray %s" % (xi, u)
                 )
             cs.append(c)
-        # a Fraction divided by a float is a float: the float path rounds
-        # |det U_k| / (n-1)! once, then divides by each c
-        vol_k = Fraction(det, norm)
         for c in cs:
             vol_k = vol_k / c
         s_k = [0] * n
@@ -179,7 +188,6 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
             hess_full[a][b] = hess_full[b][a]
     # push through the chart xi = b + E x, columns E[:, j] = e_{free_j} -
     # (l_{free_j}/l_pivot) e_pivot: grad_x = E^T grad, hess_x = E^T H E.
-    ratios = [l[j] / l[pivot] for j in free]
     grad = tuple(
         grad_full[j] - ratios[a] * grad_full[pivot] for a, j in enumerate(free)
     )
@@ -188,21 +196,12 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
             hess_full[free[a]][free[b]]
             - ratios[b] * hess_full[free[a]][pivot]
             - ratios[a] * hess_full[pivot][free[b]]
-            + ratios[a] * ratios[b] * hess_full[pivot][pivot]
+            + products[a][b] * hess_full[pivot][pivot]
             for b in range(m)
         )
         for a in range(m)
     )
     return value, grad, hess
-
-
-def _objective_float(cone: ToricCone, coords: Sequence[float]):
-    value, grad, hess = volume_objective(cone, tuple(float(c) for c in coords))
-    return (
-        float(value),
-        tuple(float(g) for g in grad),
-        tuple(tuple(float(h) for h in row) for row in hess),
-    )
 
 
 def _norm(vec: Sequence[float]) -> float:
@@ -275,23 +274,25 @@ def minimize_volume(
     rounding of ``F``, and would stall the iteration.  The objective
     is analytic and convex on the whole slice interior, so failures
     surface as :class:`MaxIterations` or :class:`NonConvergent` rather
-    than being patched over.
+    than being patched over.  Raises ``ValueError`` unless ``tol > 0``
+    and ``max_iter >= 1``.
     """
     if tol is None:
         tol = default_tol()
+    if not tol > 0:
+        raise ValueError("tol must be positive, got %r" % (tol,))
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
     l = gorenstein_vector(cone).l
     if start is None:
-        d = len(cone.rays)
-        start_xi = tuple(
-            Fraction(sum(v[a] for v in cone.rays), d) for a in range(cone.dim)
-        )
+        start_xi = _ray_average(cone, [1] * len(cone.rays))
     else:
         rv = reeb_vector(cone, start)
         scale = linalg.dot(rv.xi, l)
         start_xi = tuple(x / scale for x in rv.xi)
-    x = tuple(float(c) for c in _project(cone, start_xi))
+    x = _project(cone, start_xi)
 
-    value, grad, hess = _objective_float(cone, x)
+    value, grad, hess = volume_objective(cone, x)
     iterations = 0
     step_norm = math.inf if x else 0.0
     while _norm(grad) > tol or step_norm > tol:
@@ -311,7 +312,7 @@ def minimize_volume(
                 )
             trial = tuple(c + scale_t * s for c, s in zip(x, step))
             try:
-                trial_value, trial_grad, trial_hess = _objective_float(cone, trial)
+                trial_value, trial_grad, trial_hess = volume_objective(cone, trial)
             except LeftReebCone:
                 scale_t *= 0.5
                 continue
@@ -336,7 +337,7 @@ def minimize_volume(
         candidate = rationality_probe(xi_star_tuple, probe_rational)
     return MinimizeResult(
         xi_star=rv_star,
-        vol_star=float(value),
+        vol_star=value,
         gradient_norm=_norm(grad),
         iterations=iterations,
         kss_residual=kss_residual,
@@ -379,10 +380,7 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
 
     for weights in compositions(resolution, d):
         count += 1
-        xi = tuple(
-            Fraction(sum(w * v[a] for w, v in zip(weights, cone.rays)), resolution)
-            for a in range(n)
-        )
+        xi = _ray_average(cone, weights)
         try:
             value = n * polytope_Q(cone, xi).volume_Q
         except UnboundedSlice:
@@ -423,7 +421,8 @@ def convexity_probe(cone: ToricCone, pairs: int = 100, seed: int = 0) -> int:
     """Midpoint-convexity spot check of the volume on random slice pairs.
 
     Draws random interior rational points of the slice, compares
-    ``F((x+y)/2)`` against ``(F(x)+F(y))/2`` in exact arithmetic and
+    ``F((x+y)/2)`` against ``(F(x)+F(y))/2`` in exact arithmetic, with
+    ``F = n vol(Q_xi)`` from :func:`reebcone.geometry.polytope_Q`, and
     returns the number of violations (logged, not fatal): convexity of
     the normalized volume is classical but worth probing since the
     minimizer's uniqueness rests on it.
@@ -432,25 +431,15 @@ def convexity_probe(cone: ToricCone, pairs: int = 100, seed: int = 0) -> int:
     d = len(cone.rays)
     violations = 0
 
-    def random_point():
-        weights = [rng.randint(1, 12) for _ in range(d)]
-        total = sum(weights)
-        return tuple(
-            Fraction(sum(w * v[a] for w, v in zip(weights, cone.rays)), total)
-            for a in range(cone.dim)
-        )
-
     for _ in range(pairs):
-        x = random_point()
-        y = random_point()
-        fx, _, _ = volume_objective(cone, _project(cone, x))
-        fy, _, _ = volume_objective(cone, _project(cone, y))
+        x, y = (_ray_average(cone, [rng.randint(1, 12) for _ in range(d)]) for _ in range(2))
         mid = tuple((a + b) / 2 for a, b in zip(x, y))
-        fm, _, _ = volume_objective(cone, _project(cone, mid))
-        if fm > Fraction(fx + fy, 2):
+        fx, fy, fm = (cone.dim * polytope_Q(cone, p).volume_Q for p in (x, y, mid))
+        if fm > (fx + fy) / 2:
             violations += 1
-            logger.warning(
-                "midpoint convexity violated at %s / %s: %s > %s",
-                x, y, fm, Fraction(fx + fy, 2),
+            import logging  # only a violation logs
+
+            logging.getLogger(__name__).warning(
+                "midpoint convexity violated at %s / %s: %s > %s", x, y, fm, (fx + fy) / 2,
             )
     return violations

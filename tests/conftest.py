@@ -20,7 +20,7 @@ import pytest
 from reebcone import PolytopeSlice, ReebconeError, ReebconeWarning, SimplicialPiece, dual_cone, triangulate_cone
 from reebcone.characters import _g_coeff
 from reebcone.cli import parse_cone_spec
-from reebcone.geometry import simplices
+from reebcone.geometry import gorenstein_vector, simplices
 from reebcone.linalg import (
     LinearSystemInconsistent,
     LinearSystemUnderdetermined,
@@ -30,6 +30,7 @@ from reebcone.linalg import (
     mat_vec,
     transpose,
 )
+from reebcone.optimize import _chart
 
 
 def make_orthant2():
@@ -334,6 +335,69 @@ def fraction_polytope_Q(cone, xi):
         volume_Q=total / math.factorial(n),
         bary_Q=tuple(m / ((n + 1) * total) for m in moment),
         bary_P=tuple(m / (n * total) for m in moment),
+    )
+
+
+def fraction_full_objective(cone, xi):
+    """Value, gradient and Hessian of a0 in the full coordinates xi, as an oracle.
+
+    One Fraction term per simplex of the library's triangulation: with
+    vol_k = |det U_k| / ((n-1)! prod_i c_i) and c_i = <xi, u_i>, the value
+    is sum vol_k, the gradient -sum vol_k s_k with s_k = sum_i u_i / c_i and
+    the Hessian sum vol_k (s_k s_k^T + sum_i u_i u_i^T / c_i^2).  Rational
+    xi only.
+    """
+    xi = tuple(Fraction(x) for x in xi)
+    n = cone.dim
+    value = Fraction(0)
+    grad = [Fraction(0)] * n
+    hess = [[Fraction(0)] * n for _ in range(n)]
+    for det, gens in simplices(cone):
+        cs = [dot(xi, u) for u in gens]
+        vol_k = Fraction(det, math.factorial(n - 1))
+        for c in cs:
+            vol_k /= c
+        s_k = [sum(u[a] / c for u, c in zip(gens, cs)) for a in range(n)]
+        value += vol_k
+        for a in range(n):
+            grad[a] -= vol_k * s_k[a]
+            for b in range(n):
+                hess[a][b] += vol_k * (s_k[a] * s_k[b]
+                                       + sum(u[a] * u[b] / (c * c) for u, c in zip(gens, cs)))
+    return value, tuple(grad), tuple(map(tuple, hess))
+
+
+def fraction_embed(cone, coords):
+    """The exact point of the slice <xi, l> = 1 with xi_free = coords, in the
+    chart of ``optimize.volume_objective``."""
+    _, pivot, free = _chart(cone)[:3]
+    l = gorenstein_vector(cone).l
+    xi = [Fraction(0)] * cone.dim
+    for j, c in zip(free, coords):
+        xi[j] = Fraction(c)
+    xi[pivot] = (1 - dot(l, xi)) / l[pivot]
+    return tuple(xi)
+
+
+def fraction_volume_objective(cone, coords):
+    """:func:`fraction_full_objective` in the chart of ``optimize.volume_objective``.
+
+    At the point :func:`fraction_embed` and with E the Jacobian of coords ->
+    xi, the gradient is E^T grad and the Hessian E^T H E, all exact.
+    """
+    _, pivot, free = _chart(cone)[:3]
+    l = gorenstein_vector(cone).l
+    value, grad, hess = fraction_full_objective(cone, fraction_embed(cone, coords))
+    columns = []  # the columns of E
+    for j in free:
+        col = [Fraction(0)] * cone.dim
+        col[j] = Fraction(1)
+        col[pivot] = -l[j] / l[pivot]
+        columns.append(col)
+    return (
+        value,
+        tuple(dot(col, grad) for col in columns),
+        tuple(tuple(dot(a, mat_vec(hess, b)) for b in columns) for a in columns),
     )
 
 

@@ -297,6 +297,11 @@ class TestTruncatedOracle:
         with pytest.raises(ValueError):
             truncated_character_oracle(orthant2, (1, 1), None, 0.0, cutoff=50)
 
+    @pytest.mark.parametrize("cutoff", [0, -3])
+    def test_nonpositive_cutoff(self, orthant2, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            truncated_character_oracle(orthant2, (1, 1), None, 0.5, cutoff=cutoff)
+
     def test_interior_required(self, orthant2):
         with pytest.raises(UnboundedSlice):
             truncated_character_oracle(orthant2, (1, 0), None, 0.5, cutoff=50)

@@ -1,7 +1,10 @@
-"""Golden CLI reports: every bundled spec x every subcommand, byte for byte.
+"""Golden CLI reports and Newton minimizers, byte for byte and bit for bit.
 
 The files under ``tests/golden/`` were written by an earlier version of the
-library; a refactor must reproduce them exactly.  Regenerate them with
+library: one report per bundled spec and subcommand, and ``newton_suite.json``
+with the ``float.hex`` of every float of :func:`reebcone.minimize_volume` on
+the seed-11 random suites.  A refactor must reproduce them exactly.
+Regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -9,6 +12,7 @@ only when a report is meant to change, and say why in ``CHANGES.md``.
 """
 
 import io
+import json
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -17,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from reebcone import cli
+from reebcone import cli, minimize_volume
+
+from conftest import random_cone_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = ROOT / "src" / "reebcone" / "specs"
@@ -38,6 +44,10 @@ CALLS = (
 # Not Q-Gorenstein: ``check`` exits 3 with an error report.
 ERROR_SPEC = '{"dim":3,"rays":[[2,0,0],[1,1,0],[1,1,1],[2,0,1]]}'
 ERROR_GOLDEN = "not_q_gorenstein__check.json"
+
+# The random suites of ``test_optimize.test_minimize_random_suite``.
+NEWTON_GOLDEN = "newton_suite.json"
+NEWTON_SUITES = (("dims3-5", (3, 4, 5), 60), ("dims6-8", (6, 7, 8), 30))
 
 
 def cases():
@@ -95,6 +105,34 @@ def test_error_report_matches_golden(tmp_path):
     assert text == (GOLDEN_DIR / ERROR_GOLDEN).read_text(encoding="utf-8")
 
 
+def newton_records() -> list[dict]:
+    """One record per cone of :data:`NEWTON_SUITES`: ``float.hex`` of each float
+    result of ``minimize_volume`` from its default start, and the iterations."""
+    out = []
+    for suite, dims, count in NEWTON_SUITES:
+        for index, (cone, _) in enumerate(random_cone_suite(seed=11, count=count, dims=dims)):
+            res = minimize_volume(cone)
+            out.append({
+                "suite": suite,
+                "index": index,
+                "xi_star": [float(x).hex() for x in res.xi_star.xi],
+                "vol_star": res.vol_star.hex(),
+                "gradient_norm": res.gradient_norm.hex(),
+                "kss_residual": res.kss_residual.hex(),
+                "margin": res.margin.hex(),
+                "iterations": res.iterations,
+            })
+    return out
+
+
+def test_newton_suite_matches_golden():
+    expected = json.loads((GOLDEN_DIR / NEWTON_GOLDEN).read_text(encoding="utf-8"))
+    records = newton_records()
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        assert got == want
+
+
 def write_golden() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for golden, name, command, flags in CASES:
@@ -104,6 +142,8 @@ def write_golden() -> None:
     if code != 3:
         sys.exit("the error spec exited %d, expected 3" % code)
     (GOLDEN_DIR / ERROR_GOLDEN).write_text(text, encoding="utf-8")
+    lines = ",\n".join(json.dumps(record) for record in newton_records())
+    (GOLDEN_DIR / NEWTON_GOLDEN).write_text("[\n" + lines + "\n]\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

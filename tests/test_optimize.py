@@ -21,62 +21,112 @@ from reebcone import (
     rationality_probe,
     volume_objective,
 )
+from reebcone import linalg
+from reebcone.geometry import gorenstein_vector
 from reebcone.linalg import mat_vec
-from reebcone.optimize import _embed, _project, _regularized_step
+from reebcone.optimize import MAX_GRID_SAMPLES, _chart, _embed, _project, _regularized_step
 
-from conftest import apply_unimodular, random_cone_suite, unimodular_matrix
+from conftest import (
+    apply_unimodular,
+    bundled_specs,
+    fraction_embed,
+    fraction_full_objective,
+    fraction_volume_objective,
+    random_cone_suite,
+    random_interior_xi,
+    unimodular_matrix,
+)
+
+
+def objective_cases():
+    """(cone, xi) on the bundled specs (their xi and three random interior
+    points each) and on the dims 3-5 random suite of seed 11."""
+    rng = random.Random(5)
+    cases = []
+    for spec in bundled_specs():
+        cone = dual_cone(spec.rays, spec.dim)
+        cases += [(cone, spec.xi)] + [(cone, random_interior_xi(cone, rng)) for _ in range(3)]
+    return cases + random_cone_suite(seed=11, count=60, dims=(3, 4, 5))
 
 
 class TestVolumeObjective:
+    """The float objective against ``fraction_volume_objective``, the exact
+    per-simplex objective of conftest, which closed forms and the slice kernel
+    pin down."""
+
     def test_orthant2_closed_form(self, orthant2):
         # chart: xi = (s, 1 - s), objective 1/(s(1-s))
-        value, grad, hess = volume_objective(orthant2, (Fraction(1, 2),))
+        value, grad, hess = fraction_volume_objective(orthant2, (Fraction(1, 2),))
         assert value == 4
         assert grad == (0,)
         assert hess == ((32,),)
-        value, grad, _ = volume_objective(orthant2, (Fraction(1, 4),))
+        assert volume_objective(orthant2, (0.5,)) == (4.0, (0.0,), ((32.0,),))
+        value, grad, _ = fraction_volume_objective(orthant2, (Fraction(1, 4),))
         assert value == Fraction(16, 3)
         assert grad == (Fraction(-128, 9),)
 
     def test_a1_closed_form(self, a1):
         # chart: xi = (1, y), objective 2/(y(2-y))
         for y in (Fraction(1), Fraction(1, 2), Fraction(5, 4)):
-            value, _, _ = volume_objective(a1, (y,))
+            value, _, _ = fraction_volume_objective(a1, (y,))
             assert value == 2 / (y * (2 - y))
 
     def test_conifold_closed_form(self, conifold):
         # chart: xi = (1, x, y), objective 1/(2x(1-x)y(1-y))
         x, y = Fraction(1, 2), Fraction(1, 2)
-        value, grad, _ = volume_objective(conifold, (x, y))
+        value, grad, _ = fraction_volume_objective(conifold, (x, y))
         assert value == 8
         assert grad == (0, 0)
         x, y = Fraction(1, 3), Fraction(1, 4)
-        value, _, _ = volume_objective(conifold, (x, y))
+        value, _, _ = fraction_volume_objective(conifold, (x, y))
         assert value == 1 / (2 * x * (1 - x) * y * (1 - y))
 
-    def test_float_mode_matches_exact(self, conifold):
-        ve, ge, he = volume_objective(conifold, (Fraction(2, 5), Fraction(3, 5)))
-        vf, gf, hf = volume_objective(conifold, (0.4, 0.6))
-        assert math.isclose(float(ve), vf, rel_tol=1e-12)
-        for a, b in zip(ge, gf):
-            assert math.isclose(float(a), b, rel_tol=1e-12)
-        for ra, rb in zip(he, hf):
-            for a, b in zip(ra, rb):
-                assert math.isclose(float(a), b, rel_tol=1e-12)
+    def test_oracle_matches_slice_kernel(self):
+        # a0 = n vol(Q_xi) and its gradient -n a0 bary_P, exactly
+        for cone, xi in objective_cases():
+            value, grad, _ = fraction_full_objective(cone, xi)
+            q = polytope_Q(cone, xi)
+            a0 = cone.dim * q.volume_Q
+            assert value == a0
+            assert grad == tuple(-cone.dim * a0 * b for b in q.bary_P)
+
+    def test_float_mode_matches_exact(self):
+        # the float objective against the Fraction oracle, to 1e-12 relative;
+        # the chart's push-through cancels, so gradient and Hessian entries
+        # are compared at the scale of the full-coordinate ones times the
+        # chart's stretch 1 + max |l_free / l_pivot|
+        for cone, xi in objective_cases():
+            l = gorenstein_vector(cone).l
+            scale = linalg.dot(xi, l)
+            coords = _project(cone, tuple(x / scale for x in xi))
+            exact = tuple(map(Fraction, coords))
+            value, grad, hess = volume_objective(cone, coords)
+            want_value, want_grad, want_hess = fraction_volume_objective(cone, exact)
+            _, full_grad, full_hess = fraction_full_objective(cone, fraction_embed(cone, exact))
+            _, pivot, free = _chart(cone)[:3]
+            stretch = 1 + max(abs(l[j] / l[pivot]) for j in free)
+            grad_scale = stretch * max(abs(g) for g in full_grad)
+            hess_scale = stretch**2 * max(abs(h) for row in full_hess for h in row)
+            assert abs(value - want_value) <= 1e-12 * want_value
+            for got, want in zip(grad, want_grad):
+                assert abs(got - want) <= 1e-12 * grad_scale
+            for got_row, want_row in zip(hess, want_hess):
+                for got, want in zip(got_row, want_row):
+                    assert abs(got - want) <= 1e-12 * hess_scale
 
     def test_left_cone(self, orthant2, conifold):
         with pytest.raises(LeftReebCone):
-            volume_objective(orthant2, (Fraction(2),))
+            volume_objective(orthant2, (2.0,))
         with pytest.raises(LeftReebCone):
-            volume_objective(conifold, (Fraction(3, 2), Fraction(1, 2)))
+            volume_objective(conifold, (1.5, 0.5))
 
     def test_chart_roundtrip(self, y21):
-        coords = (Fraction(1, 3), Fraction(2, 3))
+        coords = (1 / 3, 2 / 3)
         xi = _embed(y21, coords)
-        assert xi[0] == 1  # pivot coordinate fixed by <xi, l> = 1
+        assert xi[0] == 1.0  # pivot coordinate fixed by <xi, l> = 1
         assert _project(y21, xi) == coords
         with pytest.raises(ValueError):
-            _embed(y21, (Fraction(1, 3),))
+            _embed(y21, (1 / 3,))
 
 
 class TestRegularizedStep:
@@ -162,6 +212,12 @@ class TestMinimize:
         with pytest.raises(MaxIterations):
             minimize_volume(y21, max_iter=1)
 
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}],
+                             ids=["tol-0", "tol-negative", "tol-nan", "max-iter-0"])
+    def test_nonpositive_settings(self, y21, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            minimize_volume(y21, **kwargs)
+
     def test_determinism(self, y21):
         a = minimize_volume(y21, probe_rational=100)
         b = minimize_volume(y21, probe_rational=100)
@@ -195,10 +251,12 @@ class TestY21Irrational:
             (2, 1, -2),
         }
         for px, py in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 2))):
-            value, _, _ = volume_objective(y21, (px, py))
+            value, _, _ = fraction_volume_objective(y21, (px, py))
             expected = F.subs({x: sympy.Rational(px), y: sympy.Rational(py)})
             assert expected.is_Rational
             assert value == Fraction(int(expected.p), int(expected.q))
+            float_value, _, _ = volume_objective(y21, (float(px), float(py)))
+            assert float_value == pytest.approx(float(value), rel=1e-12)
 
     def test_minimizer_is_irrational(self, y21, symbolic):
         sympy, x, y, F = symbolic
@@ -281,6 +339,21 @@ def test_minimize_random_suite(dims, count):
         res = minimize_volume(cone)
         assert res.kss_residual <= 1e-9
         assert abs(float(delta(cone, res.xi_star.xi).delta) - 1) <= 1e-9
+
+
+def test_minimize_random_suite_against_oracles():
+    # the oracles of test_minimize_cubes on random cones of dims 4-5: the grid
+    # never beats Newton, and vol* is the exact a0 at the float xi*
+    for cone, _ in random_cone_suite(seed=11, count=20, dims=(4, 5)):
+        res = minimize_volume(cone)
+        xi_star = tuple(Fraction(float(x)) for x in res.xi_star.xi)
+        exact = cone.dim * polytope_Q(cone, xi_star).volume_Q
+        assert abs(res.vol_star - exact) <= 1e-12 * exact
+        d = len(cone.rays)
+        resolution = max(r for r in range(1, 40) if math.comb(r + d - 1, d - 1) <= 1000)
+        grid = grid_search_oracle(cone, resolution)
+        assert grid.samples <= MAX_GRID_SAMPLES
+        assert float(grid.value) >= res.vol_star - 1e-12
 
 
 class TestGridOracle:
