@@ -42,9 +42,8 @@ _EXPORTS = {
         "s_prime", "s_value", "toric_valuation",
     ),
     "optimize": (
-        "GridResult", "MinimizeResult", "RationalCandidate", "convexity_probe",
-        "grid_search_oracle", "minimize_volume", "rationality_probe",
-        "volume_objective",
+        "GridResult", "MinimizeResult", "RationalCandidate", "grid_search_oracle",
+        "minimize_volume", "rationality_probe", "volume_objective",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -320,8 +320,10 @@ def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
     order = _flag(flags, "order", 2)
+    if order < 0:
+        raise ValueError("order must be nonnegative, got %r" % (order,))
     eta = _flag(flags, "eta", spec.eta)
-    if 0 <= order <= 1:
+    if order <= 1:
         # closed form, no box points; the coefficients LaurentSeries would
         # hold are (n-1)! a0, (n-2)! a1, n! b0 and (n-1)! b1
         n = cone.dim

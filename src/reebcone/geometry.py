@@ -439,7 +439,7 @@ def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:
     return pairings
 
 
-def _simplex_sums(table, pairings: dict, exact: bool) -> tuple:
+def _simplex_sums(table, pairings: dict, exact: bool, hessian: bool = False) -> tuple:
     """``(T, M, L)``: the sums of every closed form over a table of simplices.
 
     ``table`` holds ``(det_k, U_k)`` pairs (:func:`simplices` or
@@ -450,23 +450,41 @@ def _simplex_sums(table, pairings: dict, exact: bool) -> tuple:
         M / L^2 = sum_k (det_k / P_k) sum_{u in U_k} u / p_u
                 = sum_u (u / p_u) sum_{k : u in U_k} det_k / P_k,
 
-    all ints when the p_u are.  On mpf pairings L = 1 and the same loop runs
-    with true division.
+    all ints when the p_u are.  Otherwise (float, mpf or Fraction p_u) L = 1
+    and the same loop runs with true division.  There ``hessian`` appends the
+    Hessian in xi of T, whose gradient is -M, for p_u = <xi, u>: with u~ =
+    u / p_u, s_k = sum_{u in U_k} u~, w_k = det_k / P_k and W_u = sum_{k : u
+    in U_k} w_k,
+
+        H = sum_k w_k s_k s_k^T + sum_u W_u u~ u~^T,
+
+    one dot product per entry over the rows s_k and u~.
     """
     div = operator.floordiv if exact else operator.truediv
     prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
     big = math.lcm(*prods) if exact else 1
-    total, weights = 0, dict.fromkeys(pairings, 0)
-    for (det, gens), prod in zip(table, prods):
-        w = det * div(big, prod)
-        total += w
+    simplex_weights = [det * div(big, prod) for (det, _), prod in zip(table, prods)]
+    total, weights = sum(simplex_weights), dict.fromkeys(pairings, 0)
+    for w, (_, gens) in zip(simplex_weights, table):
         for u in gens:
             weights[u] += w
     moment = [0] * len(next(iter(pairings)))
     for u, w in weights.items():
         c = w * div(big, pairings[u])
         moment = [m + c * x for m, x in zip(moment, u)]
-    return total, moment, big
+    if not hessian:
+        return total, moment, big
+    scaled = {u: [x / p for x in u] for u, p in pairings.items()}
+    rows = [list(map(sum, zip(*map(scaled.get, gens)))) for _, gens in table]
+    rows += scaled.values()
+    row_weights = simplex_weights + list(weights.values())
+    cols = list(zip(*rows))
+    hess = [[0] * len(cols) for _ in cols]
+    for a, col in enumerate(cols):
+        weighted = list(map(operator.mul, row_weights, col))
+        for b in range(a, len(cols)):
+            hess[a][b] = hess[b][a] = sum(map(operator.mul, weighted, cols[b]))
+    return total, moment, big, hess
 
 
 def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:

@@ -36,10 +36,6 @@ def vec_scale(c, u: Sequence) -> tuple:
     return tuple(c * x for x in u)
 
 
-def mat_vec(rows: Sequence[Sequence], x: Sequence) -> tuple:
-    return tuple(dot(row, x) for row in rows)
-
-
 def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows))
 

@@ -14,10 +14,10 @@ unique minimizer.  The minimizer is the candidate K-semistable Reeb
 vector: at ``xi*`` the barycenter relation ``bar_P = l`` holds and
 ``delta(xi*) = 1``.
 
-The Newton objective is plain float arithmetic.  A brute-force simplex
-grid search and an exact-rational midpoint convexity probe, both valued
-exactly by :func:`reebcone.geometry.polytope_Q`, are independent oracles
-for the Newton route.
+The Newton objective is plain float arithmetic over the slice kernel of
+:func:`reebcone.geometry.polytope_Q`.  A brute-force simplex grid search,
+valued exactly by :func:`reebcone.geometry.polytope_Q`, is an independent
+oracle for the Newton route.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -38,6 +37,7 @@ from .errors import (
     UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
+from .geometry import _simplex_sums, _slice_pairings
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -90,11 +90,10 @@ def _chart(cone: ToricCone):
     The pivot coordinate is the one with the largest ``|l_j|``
     (rightmost on ties); the remaining ``n - 1`` coordinates are free,
     and ``xi[pivot]`` is recovered as ``(1 - sum l_j xi_j) / l_pivot``.
-    Returns ``(l, pivot, free, ratios, products, table)``: the Gorenstein
-    vector, ``ratios[a] = l_{free_a} / l_pivot``, ``products[a][b] =
-    ratios[a] * ratios[b]`` and the pairs ``(|det U_k| / (n-1)!, U_k)``
-    over :func:`reebcone.geometry.simplices`, every float rounded once
-    from its exact value, once per cone.
+    Returns ``(l, pivot, free, ratios, products)``: the Gorenstein
+    vector, ``ratios[a] = l_{free_a} / l_pivot`` and ``products[a][b] =
+    ratios[a] * ratios[b]``, every float rounded once from its exact
+    value, once per cone.
     """
     l = gorenstein_vector(cone).l
     best = max(abs(x) for x in l)
@@ -102,9 +101,7 @@ def _chart(cone: ToricCone):
     free = tuple(j for j in range(cone.dim) if j != pivot)
     ratios = [l[j] / l[pivot] for j in free]
     products = tuple(tuple(float(a * b) for b in ratios) for a in ratios)
-    norm = math.factorial(cone.dim - 1)
-    table = tuple((det / norm, gens) for det, gens in simplices(cone))
-    return tuple(map(float, l)), pivot, free, tuple(map(float, ratios)), products, table
+    return tuple(map(float, l)), pivot, free, tuple(map(float, ratios)), products
 
 
 def _embed(cone: ToricCone, coords: Sequence) -> Tuple[float, ...]:
@@ -140,68 +137,37 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     """Value, gradient and Hessian of ``a0`` in slice coordinates, in floats.
 
     The objective of the Newton iteration; exact values of ``a0`` come
-    from :func:`reebcone.geometry.polytope_Q`.  The gradient and Hessian
-    are analytic derivatives of the triangulated volume over the
-    table of :func:`_chart`: with ``vol_k = |det U_k| / ((n-1)!
-    prod_i c_i)`` and ``c_i = <xi, u_i>`` per simplex,
-
-        ``grad  = -sum_k vol_k s_k``,         ``s_k = sum_i u_i / c_i``
-        ``hess = sum_k vol_k (s_k s_k^T + sum_i u_i u_i^T / c_i^2)``
-
-    pushed through the affine chart.  Raises :class:`LeftReebCone` if
-    the point pairs nonpositively with some dual ray, i.e. lies
-    outside the interior of ``sigma``.
+    from :func:`reebcone.geometry.polytope_Q`.  One pass of the slice
+    kernel :func:`reebcone.geometry._simplex_sums` gives ``(n-1)! a0 =
+    T``, its gradient ``-M`` and its Hessian ``H`` in the full
+    coordinates, pushed through the affine chart of :func:`_chart`.
+    Raises :class:`LeftReebCone` if the point pairs nonpositively with
+    some dual ray, i.e. lies outside the interior of ``sigma``.
     """
-    _, pivot, free, ratios, products, table = _chart(cone)
+    _, pivot, free, ratios, products = _chart(cone)
     xi = _embed(cone, xi_slice_coords)
-    n = cone.dim
-    m = len(free)
-    value = 0.0
-    grad_full = [0.0] * n
-    hess_full = [[0.0] * n for _ in range(n)]
-    for vol_k, gens in table:
-        cs = []
-        for u in gens:
-            c = linalg.dot(xi, u)
-            if c <= 0:
-                raise LeftReebCone(
-                    "point %s pairs nonpositively with dual ray %s" % (xi, u)
-                )
-            cs.append(c)
-        for c in cs:
-            vol_k = vol_k / c
-        s_k = [0] * n
-        for u, c in zip(gens, cs):
-            for a in range(n):
-                s_k[a] += u[a] / c
-        value = value + vol_k
-        for a in range(n):
-            grad_full[a] -= vol_k * s_k[a]
-        for a in range(n):
-            for b in range(a, n):
-                h = s_k[a] * s_k[b]
-                for u, c in zip(gens, cs):
-                    h += u[a] * u[b] / (c * c)
-                hess_full[a][b] += vol_k * h
-    for a in range(n):
-        for b in range(a):
-            hess_full[a][b] = hess_full[b][a]
+    try:
+        pairings = _slice_pairings(cone, xi)
+    except UnboundedSlice:
+        raise LeftReebCone("point %s pairs nonpositively with a dual ray" % (xi,)) from None
+    total, moment, _, hess_full = _simplex_sums(simplices(cone), pairings, False, hessian=True)
+    norm = math.factorial(cone.dim - 1)
     # push through the chart xi = b + E x, columns E[:, j] = e_{free_j} -
     # (l_{free_j}/l_pivot) e_pivot: grad_x = E^T grad, hess_x = E^T H E.
     grad = tuple(
-        grad_full[j] - ratios[a] * grad_full[pivot] for a, j in enumerate(free)
+        (ratios[a] * moment[pivot] - moment[j]) / norm for a, j in enumerate(free)
     )
     hess = tuple(
         tuple(
-            hess_full[free[a]][free[b]]
-            - ratios[b] * hess_full[free[a]][pivot]
-            - ratios[a] * hess_full[pivot][free[b]]
-            + products[a][b] * hess_full[pivot][pivot]
-            for b in range(m)
+            (hess_full[free[a]][free[b]]
+             - ratios[b] * hess_full[free[a]][pivot]
+             - ratios[a] * hess_full[pivot][free[b]]
+             + products[a][b] * hess_full[pivot][pivot]) / norm
+            for b in range(len(free))
         )
-        for a in range(m)
+        for a in range(len(free))
     )
-    return value, grad, hess
+    return total / norm, grad, hess
 
 
 def _norm(vec: Sequence[float]) -> float:
@@ -283,6 +249,8 @@ def minimize_volume(
         raise ValueError("tol must be positive, got %r" % (tol,))
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
+    if probe_rational is not None and probe_rational < 1:
+        raise ValueError("probe_rational must be at least 1, got %r" % (probe_rational,))
     l = gorenstein_vector(cone).l
     if start is None:
         start_xi = _ray_average(cone, [1] * len(cone.rays))
@@ -327,8 +295,14 @@ def minimize_volume(
 
     xi_star_tuple = _embed(cone, x)
     rv_star = reeb_vector(cone, xi_star_tuple)
-    slice_ = polytope_Q(cone, tuple(to_mpf(c) for c in xi_star_tuple))
-    kss_residual = float(max(abs(b - to_mpf(v)) for b, v in zip(slice_.bary_P, l)))
+    # vol* and the residual at xi* rescaled onto the slice in mpf: the float
+    # value carries the slice rounding of _embed, amplified n-fold by a0's
+    # homogeneity of degree -n
+    l_mp = [to_mpf(v) for v in l]
+    xi_mp = [to_mpf(c) for c in xi_star_tuple]
+    scale = linalg.dot(xi_mp, l_mp)
+    slice_ = polytope_Q(cone, tuple(c / scale for c in xi_mp))
+    kss_residual = float(max(abs(b - v) for b, v in zip(slice_.bary_P, l_mp)))
     margin = min(
         float(linalg.dot(xi_star_tuple, u)) for u in cone.dual_rays
     )
@@ -337,7 +311,7 @@ def minimize_volume(
         candidate = rationality_probe(xi_star_tuple, probe_rational)
     return MinimizeResult(
         xi_star=rv_star,
-        vol_star=value,
+        vol_star=float(cone.dim * slice_.volume_Q),
         gradient_norm=_norm(grad),
         iterations=iterations,
         kss_residual=kss_residual,
@@ -415,31 +389,3 @@ def rationality_probe(xi_star, max_denominator: int) -> RationalCandidate:
     return RationalCandidate(
         vector=vector, max_denominator=max_denominator, distance=distance
     )
-
-
-def convexity_probe(cone: ToricCone, pairs: int = 100, seed: int = 0) -> int:
-    """Midpoint-convexity spot check of the volume on random slice pairs.
-
-    Draws random interior rational points of the slice, compares
-    ``F((x+y)/2)`` against ``(F(x)+F(y))/2`` in exact arithmetic, with
-    ``F = n vol(Q_xi)`` from :func:`reebcone.geometry.polytope_Q`, and
-    returns the number of violations (logged, not fatal): convexity of
-    the normalized volume is classical but worth probing since the
-    minimizer's uniqueness rests on it.
-    """
-    rng = random.Random(seed)
-    d = len(cone.rays)
-    violations = 0
-
-    for _ in range(pairs):
-        x, y = (_ray_average(cone, [rng.randint(1, 12) for _ in range(d)]) for _ in range(2))
-        mid = tuple((a + b) / 2 for a, b in zip(x, y))
-        fx, fy, fm = (cone.dim * polytope_Q(cone, p).volume_Q for p in (x, y, mid))
-        if fm > (fx + fy) / 2:
-            violations += 1
-            import logging  # only a violation logs
-
-            logging.getLogger(__name__).warning(
-                "midpoint convexity violated at %s / %s: %s > %s", x, y, fm, (fx + fy) / 2,
-            )
-    return violations

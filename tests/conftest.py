@@ -27,7 +27,6 @@ from reebcone.linalg import (
     column_hnf,
     dot,
     lex_sign,
-    mat_vec,
     transpose,
 )
 from reebcone.optimize import _chart
@@ -97,6 +96,11 @@ def y21():
 @pytest.fixture(params=sorted(FIXTURE_MAKERS))
 def fixture_cone(request):
     return FIXTURE_MAKERS[request.param]()
+
+
+def mat_vec(rows, x):
+    """The matrix-vector product, for the basis changes of the tests."""
+    return tuple(dot(row, x) for row in rows)
 
 
 def unimodular_matrix(rng: random.Random, n: int):
@@ -379,15 +383,12 @@ def fraction_embed(cone, coords):
     return tuple(xi)
 
 
-def fraction_volume_objective(cone, coords):
-    """:func:`fraction_full_objective` in the chart of ``optimize.volume_objective``.
-
-    At the point :func:`fraction_embed` and with E the Jacobian of coords ->
-    xi, the gradient is E^T grad and the Hessian E^T H E, all exact.
-    """
+def fraction_chart(cone, grad, hess):
+    """A full-coordinate gradient and Hessian in the chart of
+    ``optimize.volume_objective``, exactly: with E the Jacobian of coords ->
+    xi, the gradient is E^T grad and the Hessian E^T H E."""
     _, pivot, free = _chart(cone)[:3]
     l = gorenstein_vector(cone).l
-    value, grad, hess = fraction_full_objective(cone, fraction_embed(cone, coords))
     columns = []  # the columns of E
     for j in free:
         col = [Fraction(0)] * cone.dim
@@ -395,10 +396,30 @@ def fraction_volume_objective(cone, coords):
         col[pivot] = -l[j] / l[pivot]
         columns.append(col)
     return (
-        value,
         tuple(dot(col, grad) for col in columns),
         tuple(tuple(dot(a, mat_vec(hess, b)) for b in columns) for a in columns),
     )
+
+
+def fraction_volume_objective(cone, coords):
+    """:func:`fraction_full_objective` in the chart of ``optimize.volume_objective``,
+    at the point :func:`fraction_embed`, all exact."""
+    value, grad, hess = fraction_full_objective(cone, fraction_embed(cone, coords))
+    return (value, *fraction_chart(cone, grad, hess))
+
+
+def fraction_positive_definite(mat):
+    """Whether a symmetric Fraction matrix is positive definite, by an exact
+    LDL^T elimination whose pivots must all be positive."""
+    rows = [list(row) for row in mat]
+    for j in range(len(rows)):
+        pivot = rows[j][j]
+        if pivot <= 0:
+            return False
+        for i in range(j + 1, len(rows)):
+            factor = rows[i][j] / pivot
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[j])]
+    return True
 
 
 def minor_lattice_volume(face):

@@ -41,6 +41,7 @@ from reebcone import (
 from conftest import (
     FIXTURE_MAKERS,
     apply_unimodular,
+    mat_vec,
     random_cone_suite,
     random_interior_xi,
     reverse_bary_P,
@@ -271,8 +272,8 @@ def test_criterion_09_gl_invariance(fixtures, capsys):
             for _ in range(20):
                 mat = unimodular_matrix(rng, cone.dim)
                 image = apply_unimodular(cone, mat)
-                xi_t = tuple(linalg.mat_vec(mat, xi))
-                eta_t = tuple(linalg.mat_vec(mat, eta))
+                xi_t = tuple(mat_vec(mat, xi))
+                eta_t = tuple(mat_vec(mat, eta))
                 rep_t = delta(image, xi_t)
                 assert rep_t.delta == rep.delta
                 pieces_t = decompose_dual(image)

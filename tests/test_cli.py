@@ -326,8 +326,9 @@ class TestMainExitCodes:
         ["oracle", "--t", "0.5", "--cutoff", "0"],
         ["oracle", "--m-max", "-2"],
         ["oracle", "--m-max", "0"],
+        ["minimize", "--probe-rational", "0", "--max-iter", "1"],
     ], ids=["max-iter-0", "tol-0", "tol-negative", "cutoff-negative", "cutoff-0",
-            "m-max-negative", "m-max-0"])
+            "m-max-negative", "m-max-0", "probe-rational-0"])
     def test_nonpositive_number_is_usage_error(self, flags, capsys):
         # an explicit 0 is passed through, not taken for "not given"
         command, *rest = flags
@@ -339,6 +340,18 @@ class TestMainExitCodes:
         assert "must be" in payload["error"]["message"]
         if "--tol" in rest:
             assert payload["provenance"]["tol"] == float(rest[-1])
+
+    def test_negative_order_is_usage_error(self, capsys, monkeypatch):
+        # refused before decompose_dual lists a single box point
+        import reebcone.characters
+
+        monkeypatch.setattr(reebcone.characters, "decompose_dual", None)
+        code, payload = self.run_main(
+            ["character", "--spec", str(SPEC_DIR / "conifold.json"), "--order", "-1"], capsys
+        )
+        assert code == 1
+        assert payload["error"]["type"] == "UsageError"
+        assert "order must be nonnegative" in payload["error"]["message"]
 
     def test_weighted_oracle_default_cutoff(self, capsys):
         # the eta-weighted sum's tail has one more power of the pairing

@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from reebcone import cli, minimize_volume
+from reebcone import cli, minimize_volume, polytope_Q
+from reebcone.config import mp_context, to_mpf
+from reebcone.geometry import _simplex_sums, _slice_pairings, gorenstein_vector, simplices
 
 from conftest import random_cone_suite
 
@@ -131,6 +133,36 @@ def test_newton_suite_matches_golden():
     assert len(records) == len(expected)
     for got, want in zip(records, expected):
         assert got == want
+
+
+def test_newton_suite_near_root():
+    # every golden xi* lies within 1e-12 relative of the root of l - bary_P
+    # at the working precision (128 bits by default), which the strict
+    # convexity of log a0 makes unique; findroot accepts a root only once the
+    # mpf polytope_Q residual is at working precision, and the Jacobian of
+    # bary_P = M / (n T) from the slice kernel, (M M^T / T^2 - H / T) / n,
+    # only steers it
+    ctx = mp_context()
+    records = json.loads((GOLDEN_DIR / NEWTON_GOLDEN).read_text(encoding="utf-8"))
+    cones = [cone for _, dims, count in NEWTON_SUITES
+             for cone, _ in random_cone_suite(seed=11, count=count, dims=dims)]
+    for record, cone in zip(records, cones):
+        n = cone.dim
+        l = [to_mpf(v, ctx) for v in gorenstein_vector(cone).l]
+
+        def residual(*xi):
+            return [b - v for b, v in zip(polytope_Q(cone, xi).bary_P, l)]
+
+        def jacobian(*xi):
+            total, moment, _, hess = _simplex_sums(simplices(cone), _slice_pairings(cone, xi),
+                                                   False, hessian=True)
+            return ctx.matrix([[(a * b / total**2 - h / total) / n for b, h in zip(moment, row)]
+                               for a, row in zip(moment, hess)])
+
+        xi_star = [float.fromhex(x) for x in record["xi_star"]]
+        root = ctx.findroot(residual, [to_mpf(x, ctx) for x in xi_star], J=jacobian)
+        error = max(abs(x - r) for x, r in zip(xi_star, root)) / max(abs(r) for r in root)
+        assert error <= 1e-12, (record["suite"], record["index"], float(error))
 
 
 def write_golden() -> None:

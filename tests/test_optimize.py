@@ -12,7 +12,6 @@ from reebcone import (
     LeftReebCone,
     MaxIterations,
     NonConvergent,
-    convexity_probe,
     delta,
     dual_cone,
     grid_search_oracle,
@@ -22,16 +21,25 @@ from reebcone import (
     volume_objective,
 )
 from reebcone import linalg
-from reebcone.geometry import gorenstein_vector
-from reebcone.linalg import mat_vec
-from reebcone.optimize import MAX_GRID_SAMPLES, _chart, _embed, _project, _regularized_step
+from reebcone.geometry import _simplex_sums, gorenstein_vector, simplices
+from reebcone.optimize import (
+    MAX_GRID_SAMPLES,
+    _chart,
+    _embed,
+    _project,
+    _ray_average,
+    _regularized_step,
+)
 
 from conftest import (
     apply_unimodular,
     bundled_specs,
+    fraction_chart,
     fraction_embed,
     fraction_full_objective,
+    fraction_positive_definite,
     fraction_volume_objective,
+    mat_vec,
     random_cone_suite,
     random_interior_xi,
     unimodular_matrix,
@@ -89,6 +97,30 @@ class TestVolumeObjective:
             a0 = cone.dim * q.volume_Q
             assert value == a0
             assert grad == tuple(-cone.dim * a0 * b for b in q.bary_P)
+
+    def test_kernel_matches_oracle(self):
+        # the slice kernel on Fraction pairings: (n-1)! a0 = T, gradient -M and
+        # Hessian H, exactly
+        for cone, xi in objective_cases():
+            xi = tuple(map(Fraction, xi))
+            pairings = {u: linalg.dot(xi, u) for u in cone.dual_rays}
+            total, moment, big, hess = _simplex_sums(simplices(cone), pairings, False, hessian=True)
+            norm = math.factorial(cone.dim - 1)
+            assert big == 1
+            assert (total / norm, tuple(-m / norm for m in moment),
+                    tuple(tuple(h / norm for h in row) for row in hess)) == fraction_full_objective(cone, xi)
+
+    def test_kernel_hessian_positive_definite(self, conifold, y21):
+        # the minimizer is unique because a0 is strictly convex on the slice:
+        # the kernel's exact chart Hessian at random rational slice points
+        rng = random.Random(3)
+        for cone in (conifold, y21):
+            for _ in range(60):
+                xi = _ray_average(cone, [rng.randint(1, 12) for _ in cone.rays])
+                pairings = {u: linalg.dot(xi, u) for u in cone.dual_rays}
+                _, moment, _, hess = _simplex_sums(simplices(cone), pairings, False, hessian=True)
+                _, chart_hess = fraction_chart(cone, [-m for m in moment], hess)
+                assert fraction_positive_definite(chart_hess)
 
     def test_float_mode_matches_exact(self):
         # the float objective against the Fraction oracle, to 1e-12 relative;
@@ -212,8 +244,9 @@ class TestMinimize:
         with pytest.raises(MaxIterations):
             minimize_volume(y21, max_iter=1)
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}],
-                             ids=["tol-0", "tol-negative", "tol-nan", "max-iter-0"])
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0},
+                                        {"probe_rational": 0, "max_iter": 1}],
+                             ids=["tol-0", "tol-negative", "tol-nan", "max-iter-0", "probe-rational-0"])
     def test_nonpositive_settings(self, y21, kwargs):
         with pytest.raises(ValueError, match="must be"):
             minimize_volume(y21, **kwargs)
@@ -326,6 +359,7 @@ def test_minimize_cubes(n):
         assert float(got) == pytest.approx(float(want), abs=1e-9)
     exact = n * polytope_Q(cone, centre).volume_Q
     assert res.vol_star == pytest.approx(float(exact), rel=1e-12)
+    assert abs(Fraction(res.vol_star) - exact) <= Fraction(1e-15) * exact
     resolution = {4: 6, 5: 3, 6: 2}[n]
     grid = grid_search_oracle(cone, resolution)
     assert float(grid.value) >= res.vol_star - 1e-12
@@ -385,7 +419,3 @@ class TestProbes:
         assert cand.vector == (Fraction(1, 2), Fraction(1, 2))
         assert cand.distance == 0.0
         assert cand.max_denominator == 10
-
-    def test_convexity_probe_clean(self, conifold, y21):
-        assert convexity_probe(conifold, pairs=60, seed=3) == 0
-        assert convexity_probe(y21, pairs=60, seed=3) == 0
