@@ -32,7 +32,7 @@ from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .config import scalar_type
+from .config import ratio_type
 from .errors import (
     CutoffTooSmall,
     ExceedsSupportedSize,
@@ -198,8 +198,9 @@ def _series_mul(a: list, b: list) -> list:
 
 
 def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order: int):
-    """n, the ``reeb_numerators`` pairs of xi (and eta) and their scalar type,
-    Fraction when exact and mpf in the shared context otherwise; OrderTooLarge
+    """n, the ``reeb_numerators`` pairs of xi (and eta) and the
+    :func:`reebcone.config.ratio_type` of their quotients, Fraction when exact
+    and one rounding to mpf in the shared context otherwise; OrderTooLarge
     outside 0..MAX_ORDER."""
     if not 0 <= order <= MAX_ORDER:
         raise OrderTooLarge(
@@ -207,7 +208,7 @@ def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order: int):
         )
     n = len(pieces[0].generators)
     pairs, exact = reeb_numerators(n, xi, eta)
-    return n, pairs, scalar_type(exact)
+    return n, pairs, ratio_type(exact)
 
 
 def _moments(ks: list, weights: list, count: int) -> list:
@@ -220,7 +221,7 @@ def _moments(ks: list, weights: list, count: int) -> list:
     return out
 
 
-def _piece_series(piece: SimplicialPiece, xi, eta, order: int, scalar):
+def _piece_series(piece: SimplicialPiece, xi, eta, order: int, ratio):
     """The t-series of one piece's closed form and, with eta, its d/ds along xi + s eta.
 
     The closed form is B(t) prod_i g(c_i t) / (c_i t): B sums e^{-t<xi,p>}
@@ -233,8 +234,10 @@ def _piece_series(piece: SimplicialPiece, xi, eta, order: int, scalar):
     coefficient P_j d^(n-j) / (N! G^n K) at t^(j-n), K = prod_i k_i.  The
     product rule over the derivative factors K (-1)^j (N!/(j-1)!) sum_p
     eps_p k_p^(j-1) (box) and eps_i (K/k_i) (j-1) gamma_j k_i^j (factor i)
-    gives V with d/ds coefficient V_j d^(n+1-j) / (e K^2 N! G^n).  The mpf
-    path runs the same code with d = e = 1.  Returns ``(series,
+    gives V with d/ds coefficient V_j d^(n+1-j) / (e K^2 N! G^n).  A
+    working-precision xi or eta runs the same code on the dyadic numerators
+    of :func:`reebcone.geometry.numerators`, d and e powers of two, and each
+    coefficient is ``ratio`` of two ints, rounded once.  Returns ``(series,
     derivative)``, the derivative None without eta.
     """
     xi_num, d = xi
@@ -266,9 +269,9 @@ def _piece_series(piece: SimplicialPiece, xi, eta, order: int, scalar):
                                                 _series_mul(series, dfactors[i]))]
         series = _series_mul(series, factors[i])
     scale = fact * big_g ** n * k_prod
-    series = [scalar(p * d ** n) / (scale * d ** j) for j, p in enumerate(series)]
+    series = [ratio(p * d ** n, scale * d ** j) for j, p in enumerate(series)]
     if derivative is not None:
-        derivative = [scalar(v * d ** (n + 1)) / (e * k_prod * scale * d ** j)
+        derivative = [ratio(v * d ** (n + 1), e * k_prod * scale * d ** j)
                       for j, v in enumerate(derivative)]
     return series, derivative
 
@@ -279,10 +282,10 @@ def index_character(pieces: Sequence[SimplicialPiece], xi, order: int = 2) -> La
     Sums the closed form of each half-open piece and expands exactly in t;
     rational xi yields exact rational coefficients.
     """
-    n, (xi,), scalar = _series_inputs(pieces, xi, None, order)
-    total = [scalar(0)] * (order + 1)
+    n, (xi,), ratio = _series_inputs(pieces, xi, None, order)
+    total = [ratio(0, 1)] * (order + 1)
     for piece in pieces:
-        series, _ = _piece_series(piece, xi, None, order, scalar)
+        series, _ = _piece_series(piece, xi, None, order, ratio)
         total = [acc + s for acc, s in zip(total, series)]
     return LaurentSeries(order_low=-n, coeffs=tuple(total), dim=n, kind="index")
 
@@ -295,10 +298,10 @@ def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2)
     denominator factors g(<xi,u_i> t)/<xi,u_i> and the box-point numerator,
     whose derivatives are themselves explicit series in t.
     """
-    n, (xi, eta), scalar = _series_inputs(pieces, xi, eta, order)
-    total = [scalar(0)] * (order + 1)
+    n, (xi, eta), ratio = _series_inputs(pieces, xi, eta, order)
+    total = [ratio(0, 1)] * (order + 1)
     for piece in pieces:
-        _, derivative = _piece_series(piece, xi, eta, order, scalar)
+        _, derivative = _piece_series(piece, xi, eta, order, ratio)
         total = [acc - s for acc, s in zip(total, derivative)]
     return LaurentSeries(order_low=-(n + 1), coeffs=tuple(total), dim=n, kind="weight")
 

@@ -3,11 +3,13 @@
 Two environment variables tune the numerics:
 
 ``REEBCONE_PRECISION``
-    Working precision, in bits, for multiprecision floating point
-    (default 128).  Used on the irrational/numeric code path.  Every mpf
-    the library makes lives in the one shared context of
-    :func:`mp_context` at this precision; no library call changes the
-    global ``mpmath.mp``.
+    Working precision p, in bits, of every input that is not rational
+    (default 128).  Such an input is rounded to p bits, and the closed
+    forms sum its exact dyadic numerators in integers, in fixed point p
+    plus a guard of bits deep, then round each output once to a p-bit mpf
+    (:func:`ratio_type`).  Every mpf the library makes lives in the one
+    shared context of :func:`mp_context` at this precision; no library
+    call changes the global ``mpmath.mp``.
 
 ``REEBCONE_TOL``
     Default stopping tolerance for iterative solvers and the default
@@ -106,3 +108,30 @@ def scalar_type(exact: bool):
     """The scalar type of one call: ``Fraction`` when its inputs are exact,
     else :func:`to_mpf` bound to :func:`mp_context` for the whole call."""
     return Fraction if exact else partial(to_mpf, ctx=mp_context())
+
+
+def ratio_type(exact: bool):
+    """The quotient of two ints, q > 0, for one call: ``Fraction(p, q)`` when
+    its inputs are exact, else p / q rounded once to the nearest mpf of
+    :func:`mp_context`.
+
+    The mpf quotient is ``mpmath.libmp.from_rational`` without its exact
+    conversion of p and q to mpf, which strips every trailing zero bit one
+    byte at a time on mpmath's pure-Python backend: the truncated quotient
+    to at least prec + 3 bits, with a sticky last bit set when the
+    remainder is nonzero, rounds to nearest as mpmath's own division does.
+    """
+    if exact:
+        return Fraction
+    from mpmath.libmp import from_man_exp, round_nearest
+
+    ctx = mp_context()
+    prec = ctx.prec
+
+    def ratio(p: int, q: int):
+        shift = max(0, prec + 3 - p.bit_length() + q.bit_length())
+        quot, rem = divmod(abs(p) << shift, q)
+        man = quot << 1 | (rem != 0)
+        return ctx.make_mpf(from_man_exp(-man if p < 0 else man, -shift - 1, prec, round_nearest))
+
+    return ratio

@@ -7,9 +7,11 @@ sigma^v are the ``dual_rays`` and double as the facet data of sigma.  A Reeb
 vector is a point of int(sigma); slicing sigma^v at ``<xi, u> <= 1`` produces
 the bounded polytope Q_xi whose volume and barycenter drive everything else.
 
-All computations with rational data are exact (``fractions.Fraction``);
-irrational Reeb vectors are handled in multiprecision floats at the
-configured working precision.
+All computations with rational data are exact (``fractions.Fraction``).
+Any other Reeb vector is rounded to an mpf at the configured working
+precision p and split exactly into integer numerators over a power of two;
+the closed forms then sum integers, truncated in fixed point to p plus a
+guard of bits below each term, and round each output once to an mpf.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .config import default_tol, mp_context, to_mpf
+from .config import default_tol, mp_context, precision_bits, ratio_type, to_mpf
 from .errors import (
     DegenerateSolutionSet,
     DimensionMismatch,
@@ -40,6 +42,7 @@ from .errors import (
 
 MAX_DIM = 8
 MAX_RAYS = 64
+_GUARD_BITS = 32  # fixed-point bits of the working-precision sums beyond the precision
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +292,9 @@ def reeb_numerators(n: int, xi, eta: Optional[Sequence] = None) -> tuple[list, b
 
     The one coercion of every function that takes xi: unwraps a ReebVector
     and raises DimensionMismatch unless xi (and eta) have length n.  The
-    exact flag picks the scalar type of the whole call: Fraction when xi and
-    eta are rational, mpf in :func:`reebcone.config.mp_context` otherwise.
+    exact flag picks the arithmetic of the whole call: Fractions when xi and
+    eta are rational, otherwise the working precision of
+    :func:`reebcone.config.mp_context`.
     """
     if isinstance(xi, ReebVector):
         xi = xi.xi
@@ -305,15 +309,18 @@ def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
     """Validate and wrap an interior point of sigma as a ReebVector."""
     [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
     _slice_pairings(cone, xi_num)
-    vec = tuple(Fraction(x, d) for x in xi_num) if exact else xi_num
+    ratio = ratio_type(exact)
+    # exact on both paths: a dyadic numerator has at most the working precision's bits
+    vec = tuple(ratio(x, d) for x in xi_num)
     normalized = False
     try:
         l = gorenstein_vector(cone).l
     except (NotQGorenstein, DegenerateSolutionSet):
         l = None
     if l is not None:
-        pairing = linalg.dot(vec, l)
-        normalized = pairing == 1 if exact else abs(pairing - 1) <= default_tol()
+        l_num, l_d = _common_denominator(l)
+        a, b = linalg.dot(xi_num, l_num), d * l_d
+        normalized = abs(ratio(a - b, b)) <= (0 if exact else default_tol())
     return ReebVector(xi=vec, normalized=normalized)
 
 
@@ -413,21 +420,35 @@ def boundary_faces(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], .
 # the polytope Q_xi
 # ---------------------------------------------------------------------------
 
+def _common_denominator(vec: Sequence) -> tuple[tuple[int, ...], int]:
+    """A rational vector as integer numerators over their least common denominator."""
+    d = math.lcm(*(x.denominator for x in vec))
+    return tuple(x.numerator * (d // x.denominator) for x in vec), d
+
+
 def numerators(vecs: Sequence[Sequence]) -> tuple[list, bool]:
     """Vectors as ``(numerators, denominator)`` pairs, and whether they are exact.
 
     Rational vectors become integer numerators over their least common
-    denominator d; anything else becomes mpf at the working precision over
-    d = 1, so that the closed forms run one code path on ints or on mpf.
+    denominator d.  Anything else is rounded to mpf at the working precision
+    and split exactly into its dyadic parts man 2^exp, so its numerators are
+    integers over d = 2^k, the least power of two that clears every exp.
+    NaN and infinite entries, which have no such parts, raise
+    UnboundedSlice.  Either way the closed forms run on integers.
     """
     if all(isinstance(x, (int, Fraction)) for vec in vecs for x in vec):
-        out = []
-        for vec in vecs:
-            d = math.lcm(*(x.denominator for x in vec))
-            out.append((tuple(x.numerator * (d // x.denominator) for x in vec), d))
-        return out, True
+        return [_common_denominator(vec) for vec in vecs], True
     ctx = mp_context()
-    return [(tuple(to_mpf(x, ctx) for x in vec), 1) for vec in vecs], False
+    out = []
+    for vec in vecs:
+        values = [to_mpf(x, ctx) for x in vec]
+        if not all(map(ctx.isfinite, values)):
+            raise UnboundedSlice(f"non-finite entry in {[str(x) for x in values]}")
+        parts = [x._mpf_[:3] for x in values]  # (sign, man, exp), man odd or 0
+        k = max([0] + [-exp for _, man, exp in parts if man])
+        out.append((tuple((-man if sign else man) << (exp + k) for sign, man, exp in parts),
+                    1 << k))
+    return out, False
 
 
 def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:
@@ -444,13 +465,20 @@ def _simplex_sums(table, pairings: dict, exact: bool, hessian: bool = False) -> 
 
     ``table`` holds ``(det_k, U_k)`` pairs (:func:`simplices` or
     :func:`boundary_faces`), ``pairings`` maps each dual ray u to p_u, and
-    P_k is the product of p_u over U_k.  With L the lcm of the P_k,
+    P_k is the product of p_u over U_k.  On int p_u,
 
         T / L = sum_k det_k / P_k,
         M / L^2 = sum_k (det_k / P_k) sum_{u in U_k} u / p_u
                 = sum_u (u / p_u) sum_{k : u in U_k} det_k / P_k,
 
-    all ints when the p_u are.  Otherwise (float, mpf or Fraction p_u) L = 1
+    with every quotient taken as ``L // P_k`` and ``L // p_u``.  When
+    ``exact``, L is the lcm of the P_k and both sides are equal.  Otherwise
+    (the p_u of a working-precision xi) L = 2^(b + max bit length of the
+    P_k), b = the working precision plus ``_GUARD_BITS``, so each quotient
+    is truncated by less than one unit in 2^b of itself; every term of T,
+    of W_u below and of <v, M> for v in sigma is positive, so each of them
+    carries a relative error below 2^-b times a small count of roundings,
+    whatever the number of simplices.  On float, mpf or Fraction p_u, L = 1
     and the same loop runs with true division.  There ``hessian`` appends the
     Hessian in xi of T, whose gradient is -M, for p_u = <xi, u>: with u~ =
     u / p_u, s_k = sum_{u in U_k} u~, w_k = det_k / P_k and W_u = sum_{k : u
@@ -460,9 +488,14 @@ def _simplex_sums(table, pairings: dict, exact: bool, hessian: bool = False) -> 
 
     one dot product per entry over the rows s_k and u~.
     """
-    div = operator.floordiv if exact else operator.truediv
     prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
-    big = math.lcm(*prods) if exact else 1
+    if not isinstance(next(iter(pairings.values())), int):
+        div, big = operator.truediv, 1
+    elif exact:
+        div, big = operator.floordiv, math.lcm(*prods)
+    else:
+        bits = precision_bits() + _GUARD_BITS + max(map(int.bit_length, prods), default=0)
+        div, big = operator.floordiv, 1 << bits
     simplex_weights = [det * div(big, prod) for (det, _), prod in zip(table, prods)]
     total, weights = sum(simplex_weights), dict.fromkeys(pairings, 0)
     for w, (_, gens) in zip(simplex_weights, table):
@@ -487,6 +520,15 @@ def _simplex_sums(table, pairings: dict, exact: bool, hessian: bool = False) -> 
     return total, moment, big, hess
 
 
+def _slice_sums(cone: ToricCone, xi) -> tuple:
+    """``(xi_num, d, exact, (T, M, L))``: xi as the pair of :func:`numerators`,
+    whether it is exact, and the sums of :func:`_simplex_sums` over
+    :func:`simplices` at p_u = <xi_num, u>; UnboundedSlice unless xi is
+    interior to sigma."""
+    [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
+    return xi_num, d, exact, _simplex_sums(simplices(cone), _slice_pairings(cone, xi_num), exact)
+
+
 def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
     """The slice Q_xi = {u in sigma^v : <xi, u> <= 1} with exact metrics.
 
@@ -499,13 +541,13 @@ def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
 
         vol = d^n T / (n! L),   bary_P = d M / (n T L),
 
-    one Fraction per output.  Irrational xi takes the same path in mpf at the
-    working precision, with d = L = 1.
+    one Fraction per output.  Any other xi takes the same integer path with
+    d = 2^k and the fixed-point L, and each output is one mpf, the int ratio
+    rounded once at the working precision.
     """
     n = cone.dim
-    [(xi_num, d)], exact = reeb_numerators(n, xi)
-    ratio = Fraction if exact else operator.truediv
-    total, moment, big = _simplex_sums(simplices(cone), _slice_pairings(cone, xi_num), exact)
+    _, d, exact, (total, moment, big) = _slice_sums(cone, xi)
+    ratio = ratio_type(exact)
     return PolytopeSlice(
         volume_Q=ratio(d ** n * total, math.factorial(n) * big),
         bary_Q=tuple(ratio(d * m, (n + 1) * total * big) for m in moment),
@@ -534,13 +576,14 @@ def futaki_coefficients(cone: ToricCone, xi, eta) -> FutakiCoefficients:
 
     on every cone, Q-Gorenstein or not: sum_F vol(F) is the lattice volume
     of the facets of Q_xi through the origin, and b1 = -D_eta a1 / (n-1).  No box points, so no piece size bound applies.  The
-    sums are those of :func:`_simplex_sums`, integer for rational xi and eta
-    (exact Fractions out), mpf at the working precision otherwise.  For
-    n = 1, a1 takes the index character's normalization: 1/2.
+    sums are those of :func:`_simplex_sums`, integer on every path: exact
+    Fractions out for rational xi and eta, otherwise each output is the int
+    ratio rounded once to an mpf at the working precision.  For n = 1, a1
+    takes the index character's normalization: 1/2.
     """
     n = cone.dim
     [(xi_num, d), (eta_num, e)], exact = reeb_numerators(n, xi, eta)
-    ratio = Fraction if exact else operator.truediv
+    ratio = ratio_type(exact)
     pairings = _slice_pairings(cone, xi_num)
     t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
     t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)

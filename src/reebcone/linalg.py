@@ -9,6 +9,7 @@ Vectors are tuples; matrices are sequences of row tuples.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,7 +26,7 @@ def dot(u: Sequence, v: Sequence):
     """Exact inner product of two equal-length vectors."""
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} != {len(v)}")
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple:

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .config import default_tol, to_mpf
+from .config import default_tol
 from .errors import (
     ExceedsSupportedSize,
     LeftReebCone,
@@ -37,7 +37,7 @@ from .errors import (
     UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
-from .geometry import _simplex_sums, _slice_pairings
+from .geometry import _common_denominator, _simplex_sums, _slice_pairings, _slice_sums
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -295,14 +295,17 @@ def minimize_volume(
 
     xi_star_tuple = _embed(cone, x)
     rv_star = reeb_vector(cone, xi_star_tuple)
-    # vol* and the residual at xi* rescaled onto the slice in mpf: the float
-    # value carries the slice rounding of _embed, amplified n-fold by a0's
+    # vol* and the residual at the exact dyadic xi* rescaled onto the slice,
+    # by homogeneity from the working-precision sums at xi* as in
+    # stability.delta, each rounded once to float: the float objective's value
+    # carries the slice rounding of _embed, amplified n-fold by a0's
     # homogeneity of degree -n
-    l_mp = [to_mpf(v) for v in l]
-    xi_mp = [to_mpf(c) for c in xi_star_tuple]
-    scale = linalg.dot(xi_mp, l_mp)
-    slice_ = polytope_Q(cone, tuple(c / scale for c in xi_mp))
-    kss_residual = float(max(abs(b - v) for b, v in zip(slice_.bary_P, l_mp)))
+    n = cone.dim
+    xi_num, _, _, (total, moment, big) = _slice_sums(cone, xi_star_tuple)
+    l_num, l_d = _common_denominator(l)
+    a = linalg.dot(xi_num, l_num)
+    den = l_d * n * total * big
+    kss_residual = max(abs(a * m * l_d - v * den) for m, v in zip(moment, l_num)) / (den * l_d)
     margin = min(
         float(linalg.dot(xi_star_tuple, u)) for u in cone.dual_rays
     )
@@ -311,7 +314,7 @@ def minimize_volume(
         candidate = rationality_probe(xi_star_tuple, probe_rational)
     return MinimizeResult(
         xi_star=rv_star,
-        vol_star=float(cone.dim * slice_.volume_Q),
+        vol_star=a ** n * total / (l_d ** n * math.factorial(n - 1) * big),
         gradient_norm=_norm(grad),
         iterations=iterations,
         kss_residual=kss_residual,

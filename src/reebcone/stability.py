@@ -24,19 +24,19 @@ the barycenter ``(n+1)/n * bar(u)`` coincides with ``l``.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .config import KSS_RTOL, RAY_TIE_RTOL, scalar_type
+from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type, scalar_type
 from .errors import UnboundedSlice
 from .geometry import (
     GorensteinVector,
     ToricCone,
+    _common_denominator,
+    _slice_sums,
     futaki_coefficients,
     gorenstein_vector,
     lattice_rows,
-    numerators,
     polytope_Q,
     reeb_vector,
 )
@@ -163,10 +163,17 @@ def delta(
     over the extreme rays ``v_i`` of ``sigma`` (the numerators are all
     1 without a boundary divisor).  The pairing with the normalized
     ``xi`` forces ``<xi, bar_P> = 1 = <xi, l>``, hence ``delta <= 1``
-    always, with equality iff ``bar_P == l``.  Rational ``xi`` gives exact
-    Fractions; any other ``xi`` takes the same steps in mpf, where rays
-    within ``RAY_TIE_RTOL * |delta|`` of the minimum tie and ``kss`` allows
-    a residual up to ``KSS_RTOL * (1 + |l|_inf)``.
+    always, with equality iff ``bar_P == l``.
+
+    No rescaled ``xi`` is formed: bar_P has degree -1 in ``xi``, so with
+    ``xi = xi_num / d``, ``l = l_num / l_d``, ``a = <xi_num, l_num>`` and
+    the sums ``(T, M, L)`` of :func:`reebcone.geometry.polytope_Q` at ``xi``
+    itself, the normalized barycenter is ``a M / den``, ``den = l_d n T L``.
+    Every ratio and the residual are then one quotient of ints: exact
+    Fractions for rational ``xi``, otherwise rounded once to an mpf at the
+    working precision, where rays within ``RAY_TIE_RTOL * |delta|`` of the
+    minimum tie and ``kss`` allows a residual up to
+    ``KSS_RTOL * (1 + |l|_inf)``.
 
     Boundary divisors are experimental: the ray formula is only backed
     by the theorem for ``B = 0``, so ``boundary`` requires an explicit
@@ -178,33 +185,31 @@ def delta(
             "pass experimental=True to opt in"
         )
     l = gorenstein_vector(cone, boundary=boundary)
-    rv = reeb_vector(cone, xi)
-    scalar = scalar_type(rv.is_rational)
-    scale = scalar(linalg.dot(rv.xi, l.l))
-    slice_ = polytope_Q(cone, tuple(x / scale for x in rv.xi))
-    # bary_P = bp / bp_d and l = ln / l_d: integer pairings, one division per ray
-    [(bp, bp_d), (ln, l_d)], exact = numerators([slice_.bary_P, l.l])
-    ratio = Fraction if exact else operator.truediv
+    xi_num, d, exact, (total, moment, big) = _slice_sums(cone, xi)
+    l_num, l_d = _common_denominator(l.l)
+    ratio = ratio_type(exact)
+    a = linalg.dot(xi_num, l_num)
+    den = l_d * cone.dim * total * big
     ratios = [
-        ratio(linalg.dot(v, ln) * bp_d, linalg.dot(v, bp) * l_d)
+        ratio(linalg.dot(v, l_num) * den, l_d * a * linalg.dot(v, moment))
         for v in cone.rays
     ]
-    d = min(ratios)
-    residual = ratio(max(abs(b * l_d - x * bp_d) for b, x in zip(bp, ln)), bp_d * l_d)
-    if rv.is_rational:
+    low = min(ratios)
+    residual = ratio(max(abs(a * m * l_d - x * den) for m, x in zip(moment, l_num)), den * l_d)
+    if exact:
         tie_tol = kss_tol = 0
     else:
-        tie_tol = RAY_TIE_RTOL * abs(d)
+        tie_tol = RAY_TIE_RTOL * abs(low)
         kss_tol = KSS_RTOL * (1 + float(max(abs(x) for x in l.l)))
     return StabilityReport(
-        delta=d,
-        delta_prime=min(scalar(1), d),
-        bary_P=slice_.bary_P,
+        delta=low,
+        delta_prime=min(ratio(1, 1), low),
+        bary_P=tuple(ratio(a * m, den) for m in moment),
         gorenstein=l,
-        minimizing_rays=tuple(i for i, r in enumerate(ratios) if abs(r - d) <= tie_tol),
+        minimizing_rays=tuple(i for i, r in enumerate(ratios) if abs(r - low) <= tie_tol),
         kss=residual <= kss_tol,
         residual=residual,
-        scale=scale,
+        scale=ratio(a, d * l_d),
     )
 
 

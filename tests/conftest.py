@@ -17,7 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from reebcone import PolytopeSlice, ReebconeError, ReebconeWarning, SimplicialPiece, dual_cone, triangulate_cone
+from reebcone import (
+    PolytopeSlice,
+    ReebconeError,
+    ReebconeWarning,
+    SimplicialPiece,
+    StabilityReport,
+    dual_cone,
+    polytope_Q,
+    triangulate_cone,
+)
 from reebcone.characters import _g_coeff
 from reebcone.cli import parse_cone_spec
 from reebcone.geometry import gorenstein_vector, simplices
@@ -482,6 +491,33 @@ def reverse_bary_P(cone, xi):
         moment = [acc + area_k * sum(col) / cone.dim
                   for acc, col in zip(moment, zip(*w))]
     return tuple(m / area for m in moment)
+
+
+def rescaled_delta(cone, xi, boundary=None):
+    """The stability report of ``delta`` by rescaling xi, as an oracle.
+
+    xi is divided by <xi, l> in Fractions, ``polytope_Q`` gives bary_P at
+    that point of the slice, and delta is the least ratio <v_i, l> /
+    <v_i, bary_P> over the rays; ``delta`` itself works at xi by
+    homogeneity.  Rational xi only.
+    """
+    l = gorenstein_vector(cone, boundary=boundary)
+    vec = tuple(Fraction(x) for x in xi)
+    scale = dot(vec, l.l)
+    bary_P = polytope_Q(cone, tuple(x / scale for x in vec)).bary_P
+    ratios = [dot(v, l.l) / dot(v, bary_P) for v in cone.rays]
+    low = min(ratios)
+    residual = max(abs(b - x) for b, x in zip(bary_P, l.l))
+    return StabilityReport(
+        delta=low,
+        delta_prime=min(Fraction(1), low),
+        bary_P=bary_P,
+        gorenstein=l,
+        minimizing_rays=tuple(i for i, r in enumerate(ratios) if r == low),
+        kss=residual == 0,
+        residual=residual,
+        scale=scale,
+    )
 
 
 def brute_lattice_points(cone, xi, level):

@@ -194,6 +194,11 @@ class TestReebVector:
         assert reeb_vector(orthant2, (Fraction(1, 2), Fraction(1, 2))).normalized
         assert not reeb_vector(orthant2, (1, 1)).normalized
         assert reeb_vector(a1, (1, Fraction(3, 2))).normalized  # <xi, (1,0)> = 1
+        near = (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10 ** 12))
+        assert not reeb_vector(orthant2, near).normalized  # exact: no tolerance
+        # working precision: |<xi, l> - 1| against the default tolerance 1e-10
+        assert reeb_vector(orthant2, (0.5, 0.5 + 2.0 ** -40)).normalized
+        assert not reeb_vector(orthant2, (0.5, 0.5 + 2.0 ** -30)).normalized
 
     def test_rationality(self, orthant2):
         assert reeb_vector(orthant2, (1, 2)).is_rational

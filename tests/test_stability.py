@@ -1,12 +1,15 @@
 """Stability invariants: log discrepancies, S-values, delta, Futaki."""
 
+import functools
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import reebcone.geometry as geometry
 import reebcone.linalg as linalg
+import reebcone.optimize as optimize
 from reebcone import (
     DimensionMismatch,
     NotQGorenstein,
@@ -19,6 +22,7 @@ from reebcone import (
     gorenstein_vector,
     index_character,
     log_discrepancy,
+    reeb_vector,
     minimize_volume,
     polytope_Q,
     ratio_profile,
@@ -29,16 +33,18 @@ from reebcone import (
     weight_character,
 )
 from reebcone.characters import MAX_BOX_POINTS
-from reebcone.config import mp_context, series_rtol, to_mpf
+from reebcone.config import mp_context, ratio_type, series_rtol, to_mpf
 from reebcone.geometry import futaki_coefficients, simplices
 from conftest import (
     bundled_specs,
     is_q_gorenstein,
+    make_kgon,
     many_simplex_suite,
     minor_futaki_coefficients,
     random_box_cone_suite,
     random_cone_suite,
     random_interior_xi,
+    rescaled_delta,
     reverse_bary_P,
 )
 
@@ -224,6 +230,19 @@ class TestDelta:
         with pytest.raises(NotQGorenstein):
             delta(cone, (1, 1, 1))
 
+    def test_matches_rescaled_oracle(self, a1):
+        # the homogeneity form gives every field of the route through xi / <xi, l>
+        cases = [(dual_cone(spec.rays, spec.dim), spec.xi) for spec in bundled_specs()]
+        cases += random_cone_suite(seed=11, count=40, dims=(2, 3, 4, 5))
+        cases += random_cone_suite(seed=11, count=15, dims=(6, 7, 8))
+        assert {cone.dim for cone, _ in cases} == set(range(2, 9))
+        for cone, xi in cases:
+            assert delta(cone, xi) == rescaled_delta(cone, xi)
+        boundary = (Fraction(1, 2), 0)
+        for xi in ((1, 1), (1, Fraction(2, 7))):
+            rep = delta(a1, xi, boundary=boundary, experimental=True)
+            assert rep == rescaled_delta(a1, xi, boundary=boundary)
+
 
 class TestFutaki:
     def test_c2_worked(self, orthant2):
@@ -359,6 +378,113 @@ class TestPrecisionPolicy:
             assert isinstance(m, ctx.mpf)
             e = to_mpf(e, ctx)
             assert abs(m - e) <= rtol * (1 + abs(e))
+
+
+@functools.lru_cache(maxsize=None)
+def minimizer_cases():
+    """(cone, float xi*) on both seed-11 suites, the cone over a 64-gon (62
+    simplices) and a cone at height 2, whose l = (1/2, 0, 0) is not integral."""
+    cones = [cone for dims, count in (((3, 4, 5), 60), ((6, 7, 8), 30))
+             for cone, _ in random_cone_suite(seed=11, count=count, dims=dims)]
+    cones.append(make_kgon(64, 119))
+    cones.append(dual_cone([(2, -1, 1), (2, -1, -1), (2, 3, -1), (2, 1, 3)], 3))
+    return tuple((cone, tuple(float(x) for x in minimize_volume(cone).xi_star.xi))
+                 for cone in cones)
+
+
+class TestWorkingPrecision:
+    def test_ratio_rounds_like_mpmath(self):
+        # one correctly rounded quotient, bit for bit mpmath's from_rational,
+        # on wide ints, exact quotients and halfway cases at the precision
+        ctx, ratio = mp_context(), ratio_type(False)
+        rng = random.Random(5)
+        tie = 2 ** ctx.prec + 1
+        cases = [(0, 7), (tie, 1), (-tie, 2 ** 40), (3 * tie, 3), (2 * tie + 2, 2)]
+        for _ in range(3000):
+            q = rng.randrange(1, 2 ** rng.randrange(1, 900)) << rng.randrange(300)
+            p = rng.randrange(-2 ** rng.randrange(1, 900), 2 ** 900) << rng.randrange(300)
+            cases += [(p, q), (q * rng.randrange(-9, 9), q)]
+        for p, q in cases:
+            want = mpmath.libmp.from_rational(p, q, ctx.prec, mpmath.libmp.round_nearest)
+            assert ratio(p, q)._mpf_ == want, (p, q)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), mpmath.mpf("nan")])
+    def test_non_finite_entries_rejected(self, y21, bad):
+        xi = (3, bad, 2)
+        for call in (lambda: polytope_Q(y21, xi), lambda: delta(y21, xi),
+                     lambda: reeb_vector(y21, xi),
+                     lambda: futaki_coefficients(y21, xi, (0, 1, 0)),
+                     lambda: futaki_coefficients(y21, (3, 2, 2), xi)):
+            with pytest.raises(UnboundedSlice):
+                call()
+
+    def test_kernel_sums_ints(self, monkeypatch):
+        # working-precision xi reaches the slice kernel as integer numerators;
+        # only the float Newton objective divides there
+        kernel, calls = geometry._simplex_sums, []
+
+        def recording(table, pairings, exact, hessian=False):
+            calls.append((hessian, {type(p) for p in pairings.values()}))
+            return kernel(table, pairings, exact, hessian)
+
+        monkeypatch.setattr(geometry, "_simplex_sums", recording)
+        monkeypatch.setattr(optimize, "_simplex_sums", recording)
+        ctx = mp_context()
+        for cone, xi in random_cone_suite(seed=11, count=12, dims=(2, 3, 4, 5)):
+            xi_mp = tuple(to_mpf(x, ctx) for x in xi)
+            polytope_Q(cone, xi_mp)
+            delta(cone, xi_mp)
+            futaki_coefficients(cone, xi_mp, (0, 1) + (0,) * (cone.dim - 2))
+            futaki_coefficients(cone, xi, xi_mp)
+            assert calls and all(not h and types == {int} for h, types in calls)
+            calls.clear()
+            minimize_volume(cone)
+            assert {h for h, _ in calls} == {False, True}
+            assert all(types == ({float} if h else {int}) for h, types in calls)
+            calls.clear()
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    def test_within_two_bits_of_exact(self, monkeypatch, precision):
+        # at the same dyadic xi*, against the exact Fractions: eta is a point of
+        # sigma, so <eta, u> >= 0 on the dual rays and b0, b1 do not cancel
+        monkeypatch.setenv("REEBCONE_PRECISION", str(precision))
+        ctx = mp_context()
+        assert ctx.prec == precision
+        bound = Fraction(1, 2 ** (precision - 2))
+
+        def close(approx, exact):
+            assert all(isinstance(m, ctx.mpf) for m in approx)
+            error = max(abs(_exact(m) - e) for m, e in zip(approx, exact))
+            assert error <= bound * max(map(abs, exact))
+
+        for cone, star in minimizer_cases():
+            xi_mp = tuple(to_mpf(x, ctx) for x in star)
+            xi = tuple(map(Fraction, star))
+            eta = tuple(map(sum, zip(*cone.rays)))
+            approx, exact = polytope_Q(cone, xi_mp), polytope_Q(cone, xi)
+            close([approx.volume_Q], [exact.volume_Q])
+            close(approx.bary_Q, exact.bary_Q)
+            close(approx.bary_P, exact.bary_P)
+            approx, exact = delta(cone, xi_mp), delta(cone, xi)
+            for field in ("delta", "delta_prime", "scale"):
+                close([getattr(approx, field)], [getattr(exact, field)])
+            close(approx.bary_P, exact.bary_P)
+            assert abs(_exact(approx.residual) - exact.residual) <= bound * max(map(abs, exact.bary_P))
+            for m, e in zip(futaki_coefficients(cone, xi_mp, eta), futaki_coefficients(cone, xi, eta)):
+                close([m], [e])
+            # kss_residual and vol* are the same sums rounded once to float
+            res = minimize_volume(cone)
+            assert (abs(res.kss_residual - exact.residual)
+                    <= bound * max(map(abs, exact.bary_P)) + exact.residual / 2 ** 53)
+            a0 = cone.dim * polytope_Q(cone, tuple(x / exact.scale for x in xi)).volume_Q
+            assert abs(res.vol_star - a0) <= a0 / 2 ** 53
+
+
+def _exact(m):
+    """An mpf as the Fraction it equals."""
+    man, exp = m.man_exp
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if m < 0 else value
 
 
 class TestRatioProfile:
