@@ -43,6 +43,9 @@ from .errors import (
 MAX_DIM = 8
 MAX_RAYS = 64
 _GUARD_BITS = 32  # fixed-point bits of the working-precision sums beyond the precision
+# bits of a working-precision numerator or denominator beyond the precision;
+# every float vector fits (at most 1024 + 1074 bits)
+_MAX_SPREAD_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +312,12 @@ def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
     """Validate and wrap an interior point of sigma as a ReebVector."""
     [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
     _slice_pairings(cone, xi_num)
+    return _wrap_reeb(cone, xi_num, d, exact)
+
+
+def _wrap_reeb(cone: ToricCone, xi_num: Sequence, d: int, exact: bool) -> ReebVector:
+    """The ReebVector of xi = xi_num / d, a pair of :func:`numerators` already
+    checked interior to sigma."""
     ratio = ratio_type(exact)
     # exact on both paths: a dyadic numerator has at most the working precision's bits
     vec = tuple(ratio(x, d) for x in xi_num)
@@ -432,9 +441,10 @@ def numerators(vecs: Sequence[Sequence]) -> tuple[list, bool]:
     Rational vectors become integer numerators over their least common
     denominator d.  Anything else is rounded to mpf at the working precision
     and split exactly into its dyadic parts man 2^exp, so its numerators are
-    integers over d = 2^k, the least power of two that clears every exp.
-    NaN and infinite entries, which have no such parts, raise
-    UnboundedSlice.  Either way the closed forms run on integers.
+    ints over d = 2^k, the least power of two that clears every exp.  NaN
+    and infinite entries, which have no such parts, raise UnboundedSlice;
+    numerators or d wider than the precision plus ``_MAX_SPREAD_BITS`` bits
+    raise ExceedsSupportedSize.  Either way the closed forms run on ints.
     """
     if all(isinstance(x, (int, Fraction)) for vec in vecs for x in vec):
         return [_common_denominator(vec) for vec in vecs], True
@@ -444,10 +454,18 @@ def numerators(vecs: Sequence[Sequence]) -> tuple[list, bool]:
         values = [to_mpf(x, ctx) for x in vec]
         if not all(map(ctx.isfinite, values)):
             raise UnboundedSlice(f"non-finite entry in {[str(x) for x in values]}")
-        parts = [x._mpf_[:3] for x in values]  # (sign, man, exp), man odd or 0
+        # (sign, man, exp), man odd or 0; int(man) because mpmath's gmpy
+        # backend stores mantissas as mpz
+        parts = [(sign, int(man), exp) for sign, man, exp, _ in (x._mpf_ for x in values)]
         k = max([0] + [-exp for _, man, exp in parts if man])
-        out.append((tuple((-man if sign else man) << (exp + k) for sign, man, exp in parts),
-                    1 << k))
+        nums = tuple((-man if sign else man) << (exp + k) for sign, man, exp in parts)
+        width = max(k, *map(int.bit_length, nums))
+        if width > ctx.prec + _MAX_SPREAD_BITS:
+            raise ExceedsSupportedSize(
+                f"binary exponents of {[str(x) for x in values]} spread over {width} bits, "
+                f"beyond the supported {ctx.prec + _MAX_SPREAD_BITS}"
+            )
+        out.append((nums, 1 << k))
     return out, False
 
 
@@ -460,7 +478,7 @@ def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:
     return pairings
 
 
-def _simplex_sums(table, pairings: dict, exact: bool, hessian: bool = False) -> tuple:
+def _simplex_sums(table, pairings: dict, exact: bool = False, divide: bool = False) -> tuple:
     """``(T, M, L)``: the sums of every closed form over a table of simplices.
 
     ``table`` holds ``(det_k, U_k)`` pairs (:func:`simplices` or
@@ -478,18 +496,18 @@ def _simplex_sums(table, pairings: dict, exact: bool, hessian: bool = False) -> 
     is truncated by less than one unit in 2^b of itself; every term of T,
     of W_u below and of <v, M> for v in sigma is positive, so each of them
     carries a relative error below 2^-b times a small count of roundings,
-    whatever the number of simplices.  On float, mpf or Fraction p_u, L = 1
-    and the same loop runs with true division.  There ``hessian`` appends the
-    Hessian in xi of T, whose gradient is -M, for p_u = <xi, u>: with u~ =
-    u / p_u, s_k = sum_{u in U_k} u~, w_k = det_k / P_k and W_u = sum_{k : u
-    in U_k} w_k,
+    whatever the number of simplices.  With ``divide`` the p_u are floats,
+    mpfs or Fractions, L = 1, the same loop runs with true division, and
+    the Hessian in xi of T, whose gradient is -M, is appended for p_u =
+    <xi, u>: with u~ = u / p_u, s_k = sum_{u in U_k} u~, w_k = det_k / P_k
+    and W_u = sum_{k : u in U_k} w_k,
 
         H = sum_k w_k s_k s_k^T + sum_u W_u u~ u~^T,
 
     one dot product per entry over the rows s_k and u~.
     """
     prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
-    if not isinstance(next(iter(pairings.values())), int):
+    if divide:
         div, big = operator.truediv, 1
     elif exact:
         div, big = operator.floordiv, math.lcm(*prods)
@@ -505,7 +523,7 @@ def _simplex_sums(table, pairings: dict, exact: bool, hessian: bool = False) -> 
     for u, w in weights.items():
         c = w * div(big, pairings[u])
         moment = [m + c * x for m, x in zip(moment, u)]
-    if not hessian:
+    if not divide:
         return total, moment, big
     scaled = {u: [x / p for x in u] for u, p in pairings.items()}
     rows = [list(map(sum, zip(*map(scaled.get, gens)))) for _, gens in table]
@@ -527,6 +545,38 @@ def _slice_sums(cone: ToricCone, xi) -> tuple:
     interior to sigma."""
     [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
     return xi_num, d, exact, _simplex_sums(simplices(cone), _slice_pairings(cone, xi_num), exact)
+
+
+class _NormalizedSums(NamedTuple):
+    """The sums of :func:`_slice_sums` at xi = xi_num / d, normalized to
+    <xi, l> = 1 by homogeneity: with l = l_num / l_d, a = <xi_num, l_num> and
+    den = l_d n T L, the barycenter bary_P at xi / <xi, l> is a M / den."""
+
+    xi_num: tuple
+    d: int
+    exact: bool
+    total: int
+    moment: list
+    big: int
+    l_num: tuple
+    l_d: int
+    a: int
+    den: int
+
+    @property
+    def residual(self) -> tuple[int, int]:
+        """|bary_P - l|_inf at xi / <xi, l> as a pair (numerator, denominator) of ints."""
+        gap = max(abs(self.a * m * self.l_d - x * self.den) for m, x in zip(self.moment, self.l_num))
+        return gap, self.den * self.l_d
+
+
+def _normalized_sums(cone: ToricCone, xi, l: Sequence[Fraction]) -> _NormalizedSums:
+    """:class:`_NormalizedSums` of xi against the Gorenstein vector l; no
+    rescaled xi is formed."""
+    xi_num, d, exact, (total, moment, big) = _slice_sums(cone, xi)
+    l_num, l_d = _common_denominator(l)
+    return _NormalizedSums(xi_num, d, exact, total, moment, big, l_num, l_d,
+                          linalg.dot(xi_num, l_num), l_d * cone.dim * total * big)
 
 
 def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:

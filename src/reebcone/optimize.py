@@ -37,7 +37,7 @@ from .errors import (
     UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
-from .geometry import _common_denominator, _simplex_sums, _slice_pairings, _slice_sums
+from .geometry import _normalized_sums, _simplex_sums, _slice_pairings, _wrap_reeb
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -150,7 +150,7 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
         pairings = _slice_pairings(cone, xi)
     except UnboundedSlice:
         raise LeftReebCone("point %s pairs nonpositively with a dual ray" % (xi,)) from None
-    total, moment, _, hess_full = _simplex_sums(simplices(cone), pairings, False, hessian=True)
+    total, moment, _, hess_full = _simplex_sums(simplices(cone), pairings, divide=True)
     norm = math.factorial(cone.dim - 1)
     # push through the chart xi = b + E x, columns E[:, j] = e_{free_j} -
     # (l_{free_j}/l_pivot) e_pivot: grad_x = E^T grad, hess_x = E^T H E.
@@ -294,18 +294,14 @@ def minimize_volume(
         iterations += 1
 
     xi_star_tuple = _embed(cone, x)
-    rv_star = reeb_vector(cone, xi_star_tuple)
     # vol* and the residual at the exact dyadic xi* rescaled onto the slice,
-    # by homogeneity from the working-precision sums at xi* as in
-    # stability.delta, each rounded once to float: the float objective's value
+    # by homogeneity from the working-precision sums at xi* that
+    # stability.delta uses too, each rounded once to float: the float objective's value
     # carries the slice rounding of _embed, amplified n-fold by a0's
     # homogeneity of degree -n
     n = cone.dim
-    xi_num, _, _, (total, moment, big) = _slice_sums(cone, xi_star_tuple)
-    l_num, l_d = _common_denominator(l)
-    a = linalg.dot(xi_num, l_num)
-    den = l_d * n * total * big
-    kss_residual = max(abs(a * m * l_d - v * den) for m, v in zip(moment, l_num)) / (den * l_d)
+    sums = _normalized_sums(cone, xi_star_tuple, l)
+    gap, gap_den = sums.residual
     margin = min(
         float(linalg.dot(xi_star_tuple, u)) for u in cone.dual_rays
     )
@@ -313,11 +309,11 @@ def minimize_volume(
     if probe_rational is not None:
         candidate = rationality_probe(xi_star_tuple, probe_rational)
     return MinimizeResult(
-        xi_star=rv_star,
-        vol_star=a ** n * total / (l_d ** n * math.factorial(n - 1) * big),
+        xi_star=_wrap_reeb(cone, sums.xi_num, sums.d, sums.exact),
+        vol_star=sums.a ** n * sums.total / (sums.l_d ** n * math.factorial(n - 1) * sums.big),
         gradient_norm=_norm(grad),
         iterations=iterations,
-        kss_residual=kss_residual,
+        kss_residual=gap / gap_den,
         margin=margin,
         rational_candidate=candidate,
     )

@@ -32,8 +32,7 @@ from .errors import UnboundedSlice
 from .geometry import (
     GorensteinVector,
     ToricCone,
-    _common_denominator,
-    _slice_sums,
+    _normalized_sums,
     futaki_coefficients,
     gorenstein_vector,
     lattice_rows,
@@ -168,7 +167,8 @@ def delta(
     No rescaled ``xi`` is formed: bar_P has degree -1 in ``xi``, so with
     ``xi = xi_num / d``, ``l = l_num / l_d``, ``a = <xi_num, l_num>`` and
     the sums ``(T, M, L)`` of :func:`reebcone.geometry.polytope_Q` at ``xi``
-    itself, the normalized barycenter is ``a M / den``, ``den = l_d n T L``.
+    itself, the normalized barycenter is ``a M / den``, ``den = l_d n T L``
+    (:func:`reebcone.geometry._normalized_sums`).
     Every ratio and the residual are then one quotient of ints: exact
     Fractions for rational ``xi``, otherwise rounded once to an mpf at the
     working precision, where rays within ``RAY_TIE_RTOL * |delta|`` of the
@@ -185,18 +185,15 @@ def delta(
             "pass experimental=True to opt in"
         )
     l = gorenstein_vector(cone, boundary=boundary)
-    xi_num, d, exact, (total, moment, big) = _slice_sums(cone, xi)
-    l_num, l_d = _common_denominator(l.l)
-    ratio = ratio_type(exact)
-    a = linalg.dot(xi_num, l_num)
-    den = l_d * cone.dim * total * big
+    sums = _normalized_sums(cone, xi, l.l)
+    ratio = ratio_type(sums.exact)
     ratios = [
-        ratio(linalg.dot(v, l_num) * den, l_d * a * linalg.dot(v, moment))
+        ratio(linalg.dot(v, sums.l_num) * sums.den, sums.l_d * sums.a * linalg.dot(v, sums.moment))
         for v in cone.rays
     ]
     low = min(ratios)
-    residual = ratio(max(abs(a * m * l_d - x * den) for m, x in zip(moment, l_num)), den * l_d)
-    if exact:
+    residual = ratio(*sums.residual)
+    if sums.exact:
         tie_tol = kss_tol = 0
     else:
         tie_tol = RAY_TIE_RTOL * abs(low)
@@ -204,12 +201,12 @@ def delta(
     return StabilityReport(
         delta=low,
         delta_prime=min(ratio(1, 1), low),
-        bary_P=tuple(ratio(a * m, den) for m in moment),
+        bary_P=tuple(ratio(sums.a * m, sums.den) for m in sums.moment),
         gorenstein=l,
         minimizing_rays=tuple(i for i, r in enumerate(ratios) if abs(r - low) <= tie_tol),
         kss=residual <= kss_tol,
         residual=residual,
-        scale=ratio(a, d * l_d),
+        scale=ratio(sums.a, sums.d * sums.l_d),
     )
 
 

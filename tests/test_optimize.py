@@ -104,7 +104,7 @@ class TestVolumeObjective:
         for cone, xi in objective_cases():
             xi = tuple(map(Fraction, xi))
             pairings = {u: linalg.dot(xi, u) for u in cone.dual_rays}
-            total, moment, big, hess = _simplex_sums(simplices(cone), pairings, False, hessian=True)
+            total, moment, big, hess = _simplex_sums(simplices(cone), pairings, divide=True)
             norm = math.factorial(cone.dim - 1)
             assert big == 1
             assert (total / norm, tuple(-m / norm for m in moment),
@@ -118,7 +118,7 @@ class TestVolumeObjective:
             for _ in range(60):
                 xi = _ray_average(cone, [rng.randint(1, 12) for _ in cone.rays])
                 pairings = {u: linalg.dot(xi, u) for u in cone.dual_rays}
-                _, moment, _, hess = _simplex_sums(simplices(cone), pairings, False, hessian=True)
+                _, moment, _, hess = _simplex_sums(simplices(cone), pairings, divide=True)
                 _, chart_hess = fraction_chart(cone, [-m for m in moment], hess)
                 assert fraction_positive_definite(chart_hess)
 

@@ -12,6 +12,7 @@ import reebcone.linalg as linalg
 import reebcone.optimize as optimize
 from reebcone import (
     DimensionMismatch,
+    ExceedsSupportedSize,
     NotQGorenstein,
     UnboundedSlice,
     decompose_dual,
@@ -418,14 +419,39 @@ class TestWorkingPrecision:
             with pytest.raises(UnboundedSlice):
                 call()
 
+    def test_numerators_are_exact_ints(self):
+        # the dyadic split of an mpf is exact and made of plain ints, whatever
+        # type mpmath's backend stores its mantissas in
+        ctx = mp_context()
+        xi = (to_mpf(Fraction(1, 3), ctx), ctx.mpf(-2.5), ctx.mpf(0), ctx.mpf(3) * 2 ** 200)
+        [(nums, d)], exact = geometry.numerators([xi])
+        assert not exact
+        assert all(type(x) is int for x in nums + (d,))
+        assert [Fraction(x, d) for x in nums] == [_exact(x) for x in xi]
+
+    def test_exponent_spread_bounded(self, y21):
+        # every float vector fits, however far apart its entries' exponents;
+        # an mpf vector whose numerators would run to millions of bits is refused
+        for scale in (1e300, 1e-300):
+            assert polytope_Q(y21, (3 * scale, 2 * scale, 2 * scale)).volume_Q > 0
+        assert delta(y21, (3e300, 2e-300, 2.0)).delta > 0
+        ctx = mp_context()
+        for big in (ctx.mpf(2) ** 10 ** 6, ctx.mpf(2) ** -10 ** 6):
+            xi = (3 * big, 2 * big, 2 * big)
+            for call in (lambda: polytope_Q(y21, xi), lambda: delta(y21, xi),
+                         lambda: reeb_vector(y21, xi),
+                         lambda: futaki_coefficients(y21, (3, 2, 2), xi)):
+                with pytest.raises(ExceedsSupportedSize):
+                    call()
+
     def test_kernel_sums_ints(self, monkeypatch):
         # working-precision xi reaches the slice kernel as integer numerators;
         # only the float Newton objective divides there
         kernel, calls = geometry._simplex_sums, []
 
-        def recording(table, pairings, exact, hessian=False):
-            calls.append((hessian, {type(p) for p in pairings.values()}))
-            return kernel(table, pairings, exact, hessian)
+        def recording(table, pairings, exact=False, divide=False):
+            calls.append((divide, {type(p) for p in pairings.values()}))
+            return kernel(table, pairings, exact, divide)
 
         monkeypatch.setattr(geometry, "_simplex_sums", recording)
         monkeypatch.setattr(optimize, "_simplex_sums", recording)
