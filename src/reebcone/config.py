@@ -7,7 +7,8 @@ Two environment variables tune the numerics:
     (default 128).  Such an input is rounded to p bits, and the closed
     forms sum its exact dyadic numerators in integers, in fixed point p
     plus a guard of bits deep, then round each output once to a p-bit mpf
-    (:func:`ratio_type`).  Every mpf the library makes lives in the one
+    (:func:`ratio_type`, the one scalar coercion of the library's outputs,
+    which are Fractions for rational inputs).  Every mpf lives in the one
     shared context of :func:`mp_context` at this precision; no library
     call changes the global ``mpmath.mp``.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -102,12 +103,6 @@ def to_mpf(x, ctx=None):
     if isinstance(x, Fraction):
         return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
     return ctx.mpf(x)
-
-
-def scalar_type(exact: bool):
-    """The scalar type of one call: ``Fraction`` when its inputs are exact,
-    else :func:`to_mpf` bound to :func:`mp_context` for the whole call."""
-    return Fraction if exact else partial(to_mpf, ctx=mp_context())
 
 
 def ratio_type(exact: bool):

@@ -563,6 +563,10 @@ class _NormalizedSums(NamedTuple):
     a: int
     den: int
 
+    def s_prime(self, v_num: Sequence[int], v_d: int = 1) -> tuple[int, int]:
+        """S'(v) = <v, bary_P> at xi / <xi, l>, v = v_num / v_d: the ints (a <v_num, M>, v_d den)."""
+        return self.a * linalg.dot(v_num, self.moment), v_d * self.den
+
     @property
     def residual(self) -> tuple[int, int]:
         """|bary_P - l|_inf at xi / <xi, l> as a pair (numerator, denominator) of ints."""

@@ -1,8 +1,8 @@
 """Stability invariants of a Fano cone singularity.
 
-Everything here is built from the closed forms of the Reeb slice in
-:mod:`reebcone.geometry`: the volume and barycenter of
-:func:`reebcone.geometry.polytope_Q`, and for the Futaki invariant
+Everything here is built from the integer sums ``(T, M, L)`` of the Reeb
+slice's closed forms in :mod:`reebcone.geometry` (those of
+:func:`reebcone.geometry.polytope_Q`), and for the Futaki invariant
 :func:`reebcone.geometry.futaki_coefficients`, which adds the volumes of
 the slice's boundary faces to give the leading index and weight character
 coefficients without box points.  The central objects are
@@ -15,29 +15,32 @@ coefficients without box points.  The central objects are
   ``S' = (n+1)/n * A(xi) * S`` is the normalized expected order.
 
 For a toric cone the infimum over all valuations is attained on the
-extreme rays of ``sigma``, which reduces ``delta`` to a finite minimum
-of ratios of linear pairings against the barycenter.  K-semistability
-is equivalent to ``delta == 1``, which in turn happens exactly when
-the barycenter ``(n+1)/n * bar(u)`` coincides with ``l``.
+extreme rays of ``sigma``; every pairing with the barycenter is one
+quotient of those ints, exact for rational ``xi`` and otherwise rounded
+once at the working precision.  K-semistability is equivalent to
+``delta == 1``, which in turn happens exactly when the barycenter
+``(n+1)/n * bar(u)`` coincides with ``l``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Sequence, Tuple
 
-from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type, scalar_type
+from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type
 from .errors import UnboundedSlice
 from .geometry import (
     GorensteinVector,
     ToricCone,
+    _common_denominator,
     _normalized_sums,
+    _slice_sums,
     futaki_coefficients,
     gorenstein_vector,
     lattice_rows,
-    polytope_Q,
-    reeb_vector,
+    numerators,
 )
 from . import linalg
 
@@ -67,9 +70,10 @@ def toric_valuation(cone: ToricCone, v: Sequence) -> ToricValuation:
         )
     if all(x == 0 for x in vv):
         raise ValueError("the apex v = 0 does not define a valuation")
-    if not cone.contains(vv):
+    v_num, _ = _common_denominator(vv)  # d v, d > 0: the signs of v's pairings, in ints
+    if not cone.contains(v_num):
         raise ValueError("v = %s lies outside the cone" % (vv,))
-    return ToricValuation(v=vv, interior=cone.interior_contains(vv))
+    return ToricValuation(v=vv, interior=cone.interior_contains(v_num))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,25 +106,21 @@ def log_discrepancy(l: GorensteinVector, v: ToricValuation):
 
 
 def s_value(cone: ToricCone, xi, v) -> object:
-    """Expected vanishing order ``S(wt_v) = <v, bar(u)>``.
-
-    ``bar(u)`` is the volume-normalized barycenter of the slice
-    polytope ``Q``; the value is exact when ``xi`` is rational.
-    """
+    """Expected vanishing order ``S(wt_v) = <v, bar(u)>`` on any cone: with ``xi =
+    xi_num / d``, ``v = v_num / v_d`` and the sums of :func:`reebcone.geometry.polytope_Q`,
+    the one int ratio ``d <v_num, M> / (v_d (n+1) T L)``."""
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    xi_vec = reeb_vector(cone, xi).xi
-    slice_ = polytope_Q(cone, xi_vec)
-    return linalg.dot(val.v, slice_.bary_Q)
+    _, d, exact, (total, moment, big) = _slice_sums(cone, xi)
+    v_num, v_d = _common_denominator(val.v)
+    return ratio_type(exact)(d * linalg.dot(v_num, moment), v_d * (cone.dim + 1) * total * big)
 
 
 def s_prime(cone: ToricCone, xi, v) -> object:
-    """Normalized expected order ``S'(wt_v) = A(xi) <v, (n+1)/n bar(u)>``."""
+    """Normalized expected order ``S'(wt_v) = A(xi) <v, (n+1)/n bar(u)>``, the
+    int pair of :meth:`reebcone.geometry._NormalizedSums.s_prime` as one ratio."""
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    rv = reeb_vector(cone, xi)
-    l = gorenstein_vector(cone)
-    slice_ = polytope_Q(cone, rv.xi)
-    a_xi = linalg.dot(rv.xi, l.l)
-    return a_xi * linalg.dot(val.v, slice_.bary_P)
+    sums = _normalized_sums(cone, xi, gorenstein_vector(cone).l)
+    return ratio_type(sums.exact)(*sums.s_prime(*_common_denominator(val.v)))
 
 
 def s_m_oracle(cone: ToricCone, xi, v, m: int) -> Fraction:
@@ -164,16 +164,14 @@ def delta(
     ``xi`` forces ``<xi, bar_P> = 1 = <xi, l>``, hence ``delta <= 1``
     always, with equality iff ``bar_P == l``.
 
-    No rescaled ``xi`` is formed: bar_P has degree -1 in ``xi``, so with
-    ``xi = xi_num / d``, ``l = l_num / l_d``, ``a = <xi_num, l_num>`` and
-    the sums ``(T, M, L)`` of :func:`reebcone.geometry.polytope_Q` at ``xi``
-    itself, the normalized barycenter is ``a M / den``, ``den = l_d n T L``
-    (:func:`reebcone.geometry._normalized_sums`).
-    Every ratio and the residual are then one quotient of ints: exact
-    Fractions for rational ``xi``, otherwise rounded once to an mpf at the
-    working precision, where rays within ``RAY_TIE_RTOL * |delta|`` of the
-    minimum tie and ``kss`` allows a residual up to
-    ``KSS_RTOL * (1 + |l|_inf)``.
+    No rescaled ``xi`` is formed: with ``xi = xi_num / d``, ``l = l_num / l_d``,
+    ``a = <xi_num, l_num>`` and the sums ``(T, M, L)`` of
+    :func:`reebcone.geometry.polytope_Q` at ``xi``, bar_P is ``a M / den``,
+    ``den = l_d n T L``, by homogeneity, and each ``A(v_i) / S'(v_i)`` is the
+    int pair of :func:`s_prime`, compared by cross-multiplication.  delta, bar_P
+    and the residual are Fractions for rational ``xi``, else each rounded once,
+    with rays within ``RAY_TIE_RTOL * delta`` of the minimum tied and ``kss``
+    up to a residual of ``KSS_RTOL * (1 + |l|_inf)``.
 
     Boundary divisors are experimental: the ray formula is only backed
     by the theorem for ``B = 0``, so ``boundary`` requires an explicit
@@ -187,23 +185,21 @@ def delta(
     l = gorenstein_vector(cone, boundary=boundary)
     sums = _normalized_sums(cone, xi, l.l)
     ratio = ratio_type(sums.exact)
-    ratios = [
-        ratio(linalg.dot(v, sums.l_num) * sums.den, sums.l_d * sums.a * linalg.dot(v, sums.moment))
-        for v in cone.rays
-    ]
-    low = min(ratios)
+    # A(v_i) / S'(v_i) = (<v_i, l_num> / l_d) / (s_i / den): compare <v_i, l_num> / s_i
+    pairs = [(linalg.dot(v, sums.l_num), sums.s_prime(v)[0]) for v in cone.rays]
+    low_a, low_s = min(pairs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    low = ratio(low_a * sums.den, sums.l_d * low_s)
     residual = ratio(*sums.residual)
-    if sums.exact:
-        tie_tol = kss_tol = 0
-    else:
-        tie_tol = RAY_TIE_RTOL * abs(low)
-        kss_tol = KSS_RTOL * (1 + float(max(abs(x) for x in l.l)))
+    tie_num, tie_den = (0, 1) if sums.exact else RAY_TIE_RTOL.as_integer_ratio()
+    kss_tol = 0 if sums.exact else KSS_RTOL * (1 + float(max(map(abs, l.l))))
     return StabilityReport(
         delta=low,
         delta_prime=min(ratio(1, 1), low),
         bary_P=tuple(ratio(sums.a * m, sums.den) for m in sums.moment),
         gorenstein=l,
-        minimizing_rays=tuple(i for i, r in enumerate(ratios) if abs(r - low) <= tie_tol),
+        # a_i / s_i - low_a / low_s <= RAY_TIE_RTOL * low_a / low_s, times s_i low_s
+        minimizing_rays=tuple(i for i, (a_v, s) in enumerate(pairs)
+                              if (a_v * low_s - low_a * s) * tie_den <= tie_num * low_a * s),
         kss=residual <= kss_tol,
         residual=residual,
         scale=ratio(sums.a, sums.d * sums.l_d),
@@ -238,19 +234,23 @@ def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):
     in ``t`` on ``t >= 0`` and tends to 1, so ``f(0) = A(v)/S'(v)``
     bounds the whole profile on the side determined by the sign of
     ``A(v) - S'(v)``.  Returned as a tuple of ``(t, f(t))`` pairs.
+
+    With ``S'(v) = s / s_d`` from :func:`s_prime` and ``t = t_num / t_d``
+    (:func:`reebcone.geometry.numerators`), ``t`` and ``f(t)`` are one int ratio
+    each, ``f(t)`` over ``d l_d s_d t_d``; UnboundedSlice if ``S'(v) + t A(xi) <= 0``.
     """
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    l = gorenstein_vector(cone)
-    rv = reeb_vector(cone, xi)
-    scalar = scalar_type(rv.is_rational)
-    a_v = scalar(log_discrepancy(l, val))
-    a_xi = linalg.dot(rv.xi, l.l)
-    sp = s_prime(cone, rv, val)
+    sums = _normalized_sums(cone, xi, gorenstein_vector(cone).l)
+    ratio = ratio_type(sums.exact)
+    v_num, v_d = _common_denominator(val.v)
+    s, s_d = sums.s_prime(v_num, v_d)
+    # A(v), A(xi) and S'(v) times d l_d s_d
+    a_v, a_xi, s = linalg.dot(v_num, sums.l_num) * sums.d * sums.den, sums.a * s_d, s * sums.d * sums.l_d
     out = []
     for t in t_values:
-        tt = scalar(t)
-        den = sp + tt * a_xi
+        [((t_num,), t_d)], _ = numerators([(t,)])
+        den = s * t_d + t_num * a_xi
         if den <= 0:
             raise UnboundedSlice("ratio profile hit a nonpositive denominator")
-        out.append((tt, (a_v + tt * a_xi) / den))
+        out.append((ratio(t_num, t_d), ratio(a_v * t_d + t_num * a_xi, den)))
     return tuple(out)

@@ -23,12 +23,16 @@ from reebcone import (
     ReebconeWarning,
     SimplicialPiece,
     StabilityReport,
+    UnboundedSlice,
     dual_cone,
     polytope_Q,
+    reeb_vector,
+    toric_valuation,
     triangulate_cone,
 )
 from reebcone.characters import _g_coeff
 from reebcone.cli import parse_cone_spec
+from reebcone.config import mp_context, to_mpf
 from reebcone.geometry import gorenstein_vector, simplices
 from reebcone.linalg import (
     LinearSystemInconsistent,
@@ -518,6 +522,49 @@ def rescaled_delta(cone, xi, boundary=None):
         residual=residual,
         scale=scale,
     )
+
+
+def polytope_s_value(cone, xi, v):
+    """S(v) = <v, bary_Q> through ``reeb_vector`` and ``polytope_Q``, as an oracle.
+
+    A dot product with the barycenter that ``polytope_Q`` returns, where
+    ``s_value`` forms one int ratio of the slice sums: in Fractions for
+    rational xi, in mpf arithmetic on the rounded barycenter otherwise.
+    """
+    val = toric_valuation(cone, v)
+    return dot(val.v, polytope_Q(cone, reeb_vector(cone, xi).xi).bary_Q)
+
+
+def polytope_s_prime(cone, xi, v):
+    """S'(v) = A(xi) <v, bary_P> by the route of :func:`polytope_s_value`."""
+    val = toric_valuation(cone, v)
+    rv = reeb_vector(cone, xi)
+    l = gorenstein_vector(cone)
+    return dot(rv.xi, l.l) * dot(val.v, polytope_Q(cone, rv.xi).bary_P)
+
+
+def polytope_ratio_profile(cone, xi, v, t_values):
+    """The ``(t, f(t))`` pairs of ``ratio_profile`` from :func:`polytope_s_prime`.
+
+    Each t is coerced to the scalar of the call, a Fraction for rational xi
+    and an mpf of the working precision otherwise, and f(t) = (A(v) + t
+    A(xi)) / (S'(v) + t A(xi)) is evaluated in that scalar.
+    """
+    val = toric_valuation(cone, v)
+    l = gorenstein_vector(cone)
+    rv = reeb_vector(cone, xi)
+    scalar = Fraction if rv.is_rational else functools.partial(to_mpf, ctx=mp_context())
+    a_v = scalar(dot(val.v, l.l))
+    a_xi = dot(rv.xi, l.l)
+    sp = polytope_s_prime(cone, rv, val.v)
+    out = []
+    for t in t_values:
+        tt = scalar(t)
+        den = sp + tt * a_xi
+        if den <= 0:
+            raise UnboundedSlice("ratio profile hit a nonpositive denominator")
+        out.append((tt, (a_v + tt * a_xi) / den))
+    return tuple(out)
 
 
 def brute_lattice_points(cone, xi, level):

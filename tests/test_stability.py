@@ -42,6 +42,9 @@ from conftest import (
     make_kgon,
     many_simplex_suite,
     minor_futaki_coefficients,
+    polytope_ratio_profile,
+    polytope_s_prime,
+    polytope_s_value,
     random_box_cone_suite,
     random_cone_suite,
     random_interior_xi,
@@ -111,6 +114,43 @@ class TestSValues:
         for t in (1, 2):
             w = tuple(a + t * b for a, b in zip(v, xi))
             assert s_prime(orthant2, xi, w) == s_prime(orthant2, xi, v) + t * a_xi
+
+    def test_matches_polytope_route(self):
+        # one int ratio of the slice sums equals, value and type, the dot
+        # products with the barycenter of polytope_Q at rational xi
+        cases = [(dual_cone(spec.rays, spec.dim), spec.xi) for spec in bundled_specs()]
+        cases += random_cone_suite(seed=11, count=40, dims=(2, 3, 4, 5))
+        cases += random_cone_suite(seed=11, count=15, dims=(6, 7, 8))
+        assert {cone.dim for cone, _ in cases} == set(range(2, 9))
+        t_values = (0, 1, Fraction(7, 3), 0.5, 10 ** 6)
+        for cone, xi in cases:
+            inner = tuple(x / 3 + y for x, y in zip(xi, cone.rays[0]))  # v with a denominator
+            for v in cone.rays + (inner,):
+                got = [s_value(cone, xi, v), s_prime(cone, xi, v)]
+                want = [polytope_s_value(cone, xi, v), polytope_s_prime(cone, xi, v)]
+                for pair in ratio_profile(cone, xi, v, t_values):
+                    got += pair
+                for pair in polytope_ratio_profile(cone, xi, v, t_values):
+                    want += pair
+                assert got == want
+                assert all(type(x) is Fraction for x in got)
+
+    def test_not_q_gorenstein(self):
+        # S needs no Gorenstein vector; S' and the profile raise without one
+        cone = dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, -1)], 3)
+        assert not is_q_gorenstein(cone)
+        ctx = mp_context()
+        for xi in ((1, 1, 1), (2, Fraction(3, 2), 1)):
+            xi_mp = tuple(to_mpf(x, ctx) for x in xi)
+            for v in cone.rays:
+                s = s_value(cone, xi, v)
+                assert s > 0 and s == polytope_s_value(cone, xi, v)
+                assert abs(s_value(cone, xi_mp, v) - to_mpf(s, ctx)) <= series_rtol() * s
+                for x in (xi, xi_mp):
+                    with pytest.raises(NotQGorenstein):
+                        s_prime(cone, x, v)
+                    with pytest.raises(NotQGorenstein):
+                        ratio_profile(cone, x, v, [0])
 
 
 class TestSmOracle:
@@ -184,12 +224,22 @@ class TestDelta:
                 e = to_mpf(e, ctx)
                 assert abs(m - e) <= rtol * (1 + abs(e))
 
+    def test_near_ties(self, orthant2):
+        # rational ratios tie only when equal; at the working precision the
+        # rays within RAY_TIE_RTOL * delta of the minimum tie
+        xi = (1, 1 + Fraction(1, 10 ** 20))
+        assert delta(orthant2, xi).minimizing_rays == (0,)
+        xi_mp = tuple(to_mpf(x, mp_context()) for x in xi)
+        assert xi_mp[1] != 1
+        assert delta(orthant2, xi_mp).minimizing_rays == (0, 1)
+
     def test_scale_invariance(self, y21):
         xi = (1, Fraction(1, 3), Fraction(2, 3))
         assert delta(y21, xi).delta == delta(y21, tuple(5 * x for x in xi)).delta
 
     def test_definitional_form_on_rays(self):
-        # delta = (n/((n+1) A(xi))) min_i A(v_i)/S(v_i) for B = 0
+        # delta = (n/((n+1) A(xi))) min_i A(v_i)/S(v_i) for B = 0, with S from
+        # the barycenter of polytope_Q rather than the sums delta reads
         for cone, xi in random_cone_suite(seed=67, count=10):
             rep = delta(cone, xi)
             l = rep.gorenstein.l
@@ -197,7 +247,7 @@ class TestDelta:
             a_xi = linalg.dot(xi, l)
             ratios = [
                 Fraction(n, n + 1) / a_xi * linalg.dot(v, l)
-                / s_value(cone, xi, v)
+                / polytope_s_value(cone, xi, v)
                 for v in cone.rays
             ]
             assert min(ratios) == rep.delta
@@ -462,7 +512,11 @@ class TestWorkingPrecision:
             delta(cone, xi_mp)
             futaki_coefficients(cone, xi_mp, (0, 1) + (0,) * (cone.dim - 2))
             futaki_coefficients(cone, xi, xi_mp)
-            assert calls and all(not h and types == {int} for h, types in calls)
+            s_value(cone, xi_mp, cone.rays[0])
+            s_prime(cone, xi_mp, cone.rays[0])
+            ratio_profile(cone, xi_mp, cone.rays[0], (0, 1))
+            assert len(calls) == 9
+            assert all(not h and types == {int} for h, types in calls)
             calls.clear()
             minimize_volume(cone)
             assert {h for h, _ in calls} == {False, True}
@@ -491,6 +545,7 @@ class TestWorkingPrecision:
             close([approx.volume_Q], [exact.volume_Q])
             close(approx.bary_Q, exact.bary_Q)
             close(approx.bary_P, exact.bary_P)
+            bary_Q = exact.bary_Q
             approx, exact = delta(cone, xi_mp), delta(cone, xi)
             for field in ("delta", "delta_prime", "scale"):
                 close([getattr(approx, field)], [getattr(exact, field)])
@@ -498,6 +553,17 @@ class TestWorkingPrecision:
             assert abs(_exact(approx.residual) - exact.residual) <= bound * max(map(abs, exact.bary_P))
             for m, e in zip(futaki_coefficients(cone, xi_mp, eta), futaki_coefficients(cone, xi, eta)):
                 close([m], [e])
+            # S, S' and f(t) on every ray, against the exact barycenters; S' is
+            # <v, bary_P> at xi / <xi, l>, and <xi, l> is the scale
+            a_xi, t_values = exact.scale, (0, 1, 0.5, 10 ** 6)
+            for v in cone.rays:
+                s, sp = linalg.dot(v, bary_Q), linalg.dot(v, exact.bary_P)
+                close([s_value(cone, xi_mp, v), s_prime(cone, xi_mp, v)], [s, sp])
+                a_v = linalg.dot(v, exact.gorenstein.l)
+                profile = ratio_profile(cone, xi_mp, v, t_values)
+                assert [_exact(t) for t, _ in profile] == list(map(Fraction, t_values))
+                close([f for _, f in profile],
+                      [(a_v + t * a_xi) / (sp + t * a_xi) for t in map(Fraction, t_values)])
             # kss_residual and vol* are the same sums rounded once to float
             res = minimize_volume(cone)
             assert (abs(res.kss_residual - exact.residual)
@@ -534,3 +600,36 @@ class TestRatioProfile:
         values = [f for _, f in prof]
         assert values[0] > 1
         assert values == sorted(values, reverse=True)
+
+    def test_scalar_inputs(self, a1):
+        # int, Fraction and float t come back exact at rational xi; at a
+        # working-precision xi they, and an mpf t, come back as mpfs of it
+        ctx, rtol = mp_context(), series_rtol()
+        xi, v = (1, Fraction(1, 2)), (1, 2)
+        t_values = (3, Fraction(7, 3), 0.5)
+        exact = ratio_profile(a1, xi, v, t_values)
+        assert [t for t, _ in exact] == [3, Fraction(7, 3), Fraction(1, 2)]
+        assert all(type(x) is Fraction for pair in exact for x in pair)
+        assert exact == polytope_ratio_profile(a1, xi, v, t_values)
+        t_values += (ctx.mpf(2) / 3,)
+        approx = ratio_profile(a1, tuple(to_mpf(x, ctx) for x in xi), v, t_values)
+        a_v, a_xi = Fraction(1), Fraction(1)  # <v, l> and <xi, l> for l = (1, 0)
+        sp = s_prime(a1, xi, v)
+        for t_in, (t, f) in zip(t_values, approx):
+            assert isinstance(t, ctx.mpf) and isinstance(f, ctx.mpf)
+            assert t == to_mpf(t_in, ctx)
+            want = (a_v + _exact(t) * a_xi) / (sp + _exact(t) * a_xi)
+            assert abs(_exact(f) - want) <= rtol * want
+
+    def test_nonpositive_denominator(self, a1):
+        # S'(v) + t A(xi) <= 0 leaves f(t) undefined, on both paths
+        ctx = mp_context()
+        xi, v = (1, Fraction(1, 2)), (1, 2)
+        edge = -s_prime(a1, xi, v) / linalg.dot(xi, gorenstein_vector(a1).l)
+        assert edge == -2
+        xi_mp = tuple(to_mpf(y, ctx) for y in xi)
+        for x, extra in ((xi, ()), (xi_mp, (to_mpf(edge, ctx),))):
+            assert ratio_profile(a1, x, v, [edge + Fraction(1, 10 ** 9)])[0][1] < 0
+            for t in (edge, edge - 1, float(edge) - 0.5) + extra:
+                with pytest.raises(UnboundedSlice):
+                    ratio_profile(a1, x, v, [0, t])
