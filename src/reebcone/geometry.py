@@ -152,51 +152,53 @@ def _validate_rays(cone_rays: Sequence[Sequence], dim: int) -> list[tuple[int, .
     return rays
 
 
+def _incidence(normals: Sequence[Sequence[int]], gens: Sequence[Sequence[int]]) -> list[int]:
+    """Per normal a, the generators tight on it as a bitmask: bit i is set
+    when ``<a, gens[i]> = 0``.  When a is valid on the cone over ``gens``,
+    the mask is the face that a cuts out, and faces compare by inclusion."""
+    return [sum(1 << i for i, g in enumerate(gens) if linalg.dot(a, g) == 0) for a in normals]
+
+
 def _double_description(constraints: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {u : <a, u> >= 0 for each constraint a}.
 
-    Incremental insertion: start from n linearly independent constraints
-    (whose cone is spanned by the columns of the inverse matrix), then cut
-    with the remaining halfspaces, generating new rays from adjacent
-    positive/negative pairs.
+    Incremental insertion: start from the first n linearly independent
+    constraints (whose cone is spanned by the columns of the inverse
+    matrix), then cut with the remaining halfspaces.  Each ray keeps the
+    bitmask of the inserted constraints it is tight on.  A ray on the
+    positive and a ray on the negative side of the new constraint span a
+    new ray on its hyperplane when they are adjacent, which the
+    combinatorial test of Fukuda and Prodon (LNCS 1120, 1996) decides: no
+    third ray is tight on every constraint that both are tight on.  Adjacent
+    rays share at least n - 2 tight constraints, which is checked first.
     """
-    basis_idx: list[int] = []
-    for k in range(len(constraints)):
-        if linalg.rank([constraints[i] for i in basis_idx + [k]]) > len(basis_idx):
-            basis_idx.append(k)
-        if len(basis_idx) == dim:
-            break
+    basis_idx = linalg.pivot_columns(linalg.transpose(constraints))
     if len(basis_idx) < dim:
         raise NotFullDimensional(
             f"rays span a subspace of dimension {len(basis_idx)} < {dim}"
         )
-    basis = [constraints[i] for i in basis_idx]
-    inv_cols = linalg.transpose(linalg.integer_inverse(basis)[1])
-    rays = [linalg.primitivize(col) for col in inv_cols]
-    inserted = list(basis)
+    inv_cols = linalg.transpose(linalg.integer_inverse([constraints[i] for i in basis_idx])[1])
+    inserted = sum(1 << i for i in basis_idx)
+    # column j of the inverse pairs to 0 with every basis constraint but the j-th
+    rays = {linalg.primitivize(col): inserted & ~(1 << i) for col, i in zip(inv_cols, basis_idx)}
     for k, a in enumerate(constraints):
-        if k in basis_idx:
+        if inserted >> k & 1:
             continue
-        values = [linalg.dot(a, r) for r in rays]
-        plus = [r for r, val in zip(rays, values) if val > 0]
-        zero = [r for r, val in zip(rays, values) if val == 0]
-        minus = [r for r, val in zip(rays, values) if val < 0]
-        if minus:
-            fresh: dict[tuple[int, ...], None] = {}
-            for rp in plus:
-                for rm in minus:
-                    tight = [c for c in inserted
-                             if linalg.dot(c, rp) == 0 and linalg.dot(c, rm) == 0]
-                    if linalg.rank(tight) != dim - 2:
-                        continue
-                    combo = linalg.vec_sub(
-                        linalg.vec_scale(linalg.dot(a, rp), rm),
-                        linalg.vec_scale(linalg.dot(a, rm), rp),
-                    )
-                    fresh[linalg.primitivize(combo)] = None
-            rays = plus + zero + list(fresh)
-        inserted.append(a)
-    return rays
+        values = {r: linalg.dot(a, r) for r in rays}
+        minus = [r for r in rays if values[r] < 0]
+        fresh = {}
+        for rp in (r for r in rays if values[r] > 0):
+            for rm in minus:
+                common = rays[rp] & rays[rm]
+                if (common.bit_count() >= dim - 2
+                        and sum(common & mask == common for mask in rays.values()) == 2):
+                    # inside the 2-face of rp and rm, so tight on common and on a only
+                    ray = tuple(values[rp] * y - values[rm] * x for x, y in zip(rp, rm))
+                    fresh[linalg.primitivize(ray)] = common | 1 << k
+        rays = {r: mask | (values[r] == 0) << k
+                for r, mask in rays.items() if values[r] >= 0} | fresh
+        inserted |= 1 << k
+    return list(rays)
 
 
 def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
@@ -204,8 +206,10 @@ def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
 
     Computes the extreme rays of sigma^v by double description, drops input
     generators that are not extreme rays of sigma (with a warning), and
-    records the facet data.  Raises NotFullDimensional or NotPointed on
-    degenerate input.
+    records the facet data.  The extreme-ray test is by incidence: the dual
+    rays are the facets of sigma, and a generator is extreme unless another
+    one lies on a strict superset of its facets.  Raises NotFullDimensional
+    or NotPointed on degenerate input.
     """
     rays = _validate_rays(cone_rays, dim)
     unique: dict[tuple[int, ...], None] = {}
@@ -217,15 +221,14 @@ def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
             unique[r] = None
     rays = list(unique)
 
-    duals = _double_description(rays, dim)
+    duals = sorted(_double_description(rays, dim))
     if linalg.rank(duals) < dim:
         raise NotPointed("cone contains a line (dual cone is not full-dimensional)")
-    duals = sorted(duals)
 
+    facets = _incidence(rays, duals)
     kept = []
-    for k, v in enumerate(rays):
-        tight = [u for u in duals if linalg.dot(v, u) == 0]
-        if linalg.rank(tight) == dim - 1:
+    for k, (v, mask) in enumerate(zip(rays, facets)):
+        if not any(mask & other == mask != other for other in facets):
             kept.append(v)
         else:
             warnings.warn(
@@ -271,19 +274,14 @@ def gorenstein_vector(cone: ToricCone,
 
 @lru_cache(maxsize=None)
 def _solve_gorenstein(cone: ToricCone, rhs: tuple):
-    """l with ``<v_i, l> = rhs_i``, or the error of its solve: one solve and one
-    interiority check per cone and right-hand side, failures cached too, as
-    :func:`reeb_vector` asks for l."""
+    """l with ``<v_i, l> = rhs_i``, or the error of its solve: one solve per
+    cone and right-hand side, failures cached too, as :func:`reeb_vector`
+    asks for l.  l is interior to sigma^v with no further check: the solve
+    holds every row exactly, so ``<v_i, l> = rhs_i > 0``."""
     try:
-        l = linalg.solve_unique(cone.rays, rhs)
+        return GorensteinVector(l=linalg.solve_unique(cone.rays, rhs))
     except (linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined) as exc:
         return exc
-    # Interiority of l in sigma^v: <v, l> > 0 for every nonzero v in sigma.
-    # The defining equations make this automatic (<v_i, l> = 1 - c_i > 0),
-    # but the check is kept as a defense for generalized callers.
-    if not all(linalg.dot(v, l) > 0 for v in cone.rays):  # pragma: no cover
-        raise NotQGorenstein("solution of the Gorenstein system is not interior")
-    return GorensteinVector(l=l)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,11 @@ def triangulate_cone(rays: Sequence[tuple[int, ...]],
     """Pulling triangulation of a pointed cone into simplicial subcones.
 
     ``rays`` are the extreme rays, ``normals`` a complete list of supporting
-    inequalities (every facet of every face arises from one of them).  At
+    inequalities: every facet of every face arises from one of them.  That
+    completeness carries the whole facet test.  A face is the bitmask of
+    its rays, each normal a cuts out the face ``face & zero[a]``, and the
+    facets of a face are the maximal proper ones, in the order of their
+    first normal; a facet of a k-dimensional face has dimension k - 1.  At
     every recursion level the first ray in input order is pulled and coned
     over the triangulated facets not containing it; since each face is always
     pulled at its own first ray, triangulations of shared faces agree and the
@@ -351,34 +353,21 @@ def triangulate_cone(rays: Sequence[tuple[int, ...]],
     of the same cone.  The library triangulates each cone once, through
     :func:`simplices`.
     """
+    zero = _incidence(normals, rays)
 
-    def facets_of(subset: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-        seen: dict[frozenset, tuple[int, ...]] = {}
-        for a in normals:
-            tight = tuple(i for i in subset if linalg.dot(a, rays[i]) == 0)
-            if len(tight) == len(subset):
-                continue
-            key = frozenset(tight)
-            if key in seen:
-                continue
-            if linalg.rank([rays[i] for i in tight]) == k - 1:
-                seen[key] = tight
-        return list(seen.values())
-
-    def recurse(subset: tuple[int, ...]) -> list[tuple[int, ...]]:
-        k = linalg.rank([rays[i] for i in subset])
-        if len(subset) == k:
-            return [subset]
-        pulled = subset[0]
+    def recurse(face: int, k: int) -> list[tuple[int, ...]]:
+        members = tuple(i for i in range(len(rays)) if face >> i & 1)
+        if len(members) == k:
+            return [members]
+        proper = dict.fromkeys(face & z for z in zero if face & z != face)
         cones = []
-        for facet in facets_of(subset, k):
-            if pulled in facet:
+        for facet in proper:
+            if facet >> members[0] & 1 or any(facet & g == facet != g for g in proper):
                 continue
-            for piece in recurse(facet):
-                cones.append((pulled,) + piece)
+            cones.extend((members[0],) + piece for piece in recurse(facet, k - 1))
         return cones
 
-    return tuple(recurse(tuple(range(len(rays)))))
+    return tuple(recurse((1 << len(rays)) - 1, linalg.rank(rays)))
 
 
 @lru_cache(maxsize=None)
@@ -409,8 +398,7 @@ def boundary_faces(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], .
     every facet of Q_xi through the origin.  Cached, next to :func:`simplices`.
     """
     # bit i of tight[u] is set when <v_i, u> = 0
-    tight = {u: sum(1 << i for i, v in enumerate(cone.rays) if linalg.dot(v, u) == 0)
-             for u in cone.dual_rays}
+    tight = dict(zip(cone.dual_rays, _incidence(cone.dual_rays, cone.rays)))
     everything = (1 << len(cone.rays)) - 1
     out = []
     for det, gens in simplices(cone):

@@ -29,14 +29,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(operator.mul, u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> tuple:
-    return tuple(c * x for x in u)
-
-
 def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows))
 
@@ -107,9 +99,15 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * last if len(pivots) == n else 0
 
 
+def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The columns of an integer matrix that are independent of the columns
+    before them: the first basis of its column space, picked greedily."""
+    return _bareiss(rows, len(rows[0]) if rows else 0)[0]
+
+
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of a (possibly rectangular) integer matrix."""
-    return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
+    return len(pivot_columns(rows))
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -30,6 +30,7 @@ from reebcone import (
     toric_valuation,
     triangulate_cone,
 )
+from reebcone import linalg
 from reebcone.characters import _g_coeff
 from reebcone.cli import parse_cone_spec
 from reebcone.config import mp_context, to_mpf
@@ -182,6 +183,35 @@ def fraction_rank(rows):
         if r == m:
             break
     return r
+
+
+def brute_force_dual_cone(rays, dim):
+    """``(rays, dual_rays, dropped)`` of ``dual_cone`` by brute force, as an oracle.
+
+    For a full-dimensional pointed cone: every (n-1)-subset of the distinct
+    primitive rays of rank n-1 has a normal, the cofactors of its minors
+    (``linalg.det``, itself checked against ``fraction_det``); the facets
+    are the primitive normals that are >= 0 on all rays.  A ray is extreme
+    when the facets through it have rank n-1 (``fraction_rank``), and
+    ``dropped`` counts the duplicate and non-extreme rays, one
+    ``RedundantRayWarning`` each.
+    """
+    prim = [tuple(x // math.gcd(*ray) for x in ray) for ray in rays]
+    unique = list(dict.fromkeys(prim))
+    facets = set()
+    for subset in itertools.combinations(unique, dim - 1):
+        normal = [(-1) ** j * linalg.det([[v[i] for i in range(dim) if i != j] for v in subset])
+                  for j in range(dim)]
+        if not any(normal):
+            continue
+        g = math.gcd(*normal)
+        for sign in (1, -1):
+            u = tuple(sign * x // g for x in normal)
+            if all(dot(u, v) >= 0 for v in unique):
+                facets.add(u)
+    kept = tuple(v for v in unique
+                 if fraction_rank([u for u in facets if dot(u, v) == 0]) == dim - 1)
+    return kept, tuple(sorted(facets)), len(prim) - len(kept)
 
 
 def fraction_solve(rows, rhs):

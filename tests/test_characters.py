@@ -369,6 +369,11 @@ class TestBoxPointKernel:
                 mat[k] = [a * x + b * y for x, y in zip(mat[i], mat[j])]
             r = linalg.rank(mat)
             assert r == fraction_rank(mat)
+            greedy = []  # each column independent of the columns kept before it
+            for j in range(n):
+                if fraction_rank([[row[i] for i in greedy + [j]] for row in mat]) > len(greedy):
+                    greedy.append(j)
+            assert linalg.pivot_columns(mat) == greedy
             if r < min(m, n):
                 seen.add("rank-deficient")
             if m == n:

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import operator
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -37,9 +39,12 @@ from reebcone import (
 from reebcone.config import mp_context, series_rtol, to_mpf
 from conftest import (
     FIXTURE_MAKERS,
+    brute_force_dual_cone,
     bundled_specs,
     fraction_det,
     fraction_polytope_Q,
+    make_conifold,
+    make_kgon,
     many_simplex_suite,
     minor_lattice_volume,
     random_box_cone_suite,
@@ -48,6 +53,24 @@ from conftest import (
     random_interior_xi,
     reverse_bary_P,
 )
+
+
+def counting(fn, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
+def cube_rays(n):
+    """The rays of the cone over the unit (n-1)-cube at height one."""
+    return [(1,) + e for e in itertools.product((0, 1), repeat=n - 1)]
+
+
+def pair_sums(rays):
+    """Every sum of two rays: redundant generators of sigma, valid inequalities of sigma^v."""
+    return [tuple(map(operator.add, v, w)) for v, w in itertools.combinations(rays, 2)]
+
 
 class TestDualCone:
     def test_orthant2(self, orthant2):
@@ -122,14 +145,42 @@ class TestDualCone:
 
     def test_cube7_at_the_ray_cap(self):
         # the cone over the unit 6-cube at height one: 64 rays, 12 facets
-        rays = [(1,) + e for e in itertools.product((0, 1), repeat=6)]
-        cone = dual_cone(rays, 7)
+        cone = dual_cone(cube_rays(7), 7)
         assert len(cone.rays) == geometry.MAX_RAYS
         units = [tuple(int(i == j) for j in range(7)) for i in range(7)]
-        facets = units[1:] + [linalg.vec_sub(units[0], e) for e in units[1:]]
+        facets = units[1:] + [tuple(map(operator.sub, units[0], e)) for e in units[1:]]
         assert cone.dual_rays == tuple(sorted(facets))
         xi = random_interior_xi(cone, random.Random(7))
         assert polytope_Q(cone, xi).bary_P == reverse_bary_P(cone, xi)
+
+    @staticmethod
+    def degenerate_cones():
+        """(rays, dim) of cones of dims <= 5 with many facets or redundant rays."""
+        out = []
+        for n in range(3, 6):
+            k = n - 1
+            cross = [(1,) + tuple(s * (i == j) for j in range(k)) for i in range(k) for s in (1, -1)]
+            centre = (2,) + (1,) * k  # inside sigma
+            edge = (2, 1) + (0,) * (k - 1)  # inside a 2-face of sigma
+            cube = cube_rays(n)
+            out += [(cross, n), ([(1,) + (0,) * k] + cross, n), (cube, n),
+                    ([centre] + cube + [edge], n), (cube[::-1] + [edge, centre, cube[0]], n)]
+        rng = random.Random(17)
+        for _ in range(20):
+            rays = list(random_height_one_cone(rng, rng.choice([3, 4, 5]), extra_points=2).rays)
+            out.append((rays + pair_sums(rays[:2]), len(rays[0])))
+        return out
+
+    def test_matches_brute_force_facets(self):
+        dropped_total = 0
+        for rays, dim in self.degenerate_cones():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cone = dual_cone(rays, dim)
+            dropped = sum(issubclass(w.category, RedundantRayWarning) for w in caught)
+            assert (cone.rays, cone.dual_rays, dropped) == brute_force_dual_cone(rays, dim)
+            dropped_total += dropped
+        assert dropped_total >= 30
 
     def test_contains(self, conifold):
         assert conifold.contains((1, 0, 0))
@@ -354,13 +405,28 @@ class TestTriangulation:
         tri = triangulate_cone(orthant2.dual_rays, orthant2.rays)
         assert tri == ((0, 1),)
 
-    def test_one_triangulation_per_cone(self, monkeypatch):
-        def counting(fn, calls):
-            def wrapper(*args):
-                calls.append(args)
-                return fn(*args)
-            return wrapper
+    def test_redundant_normals(self):
+        # a sum of two rays of sigma is valid on sigma^v but cuts out no new facet
+        cones = [make_conifold(), make_kgon(8, 3), dual_cone(cube_rays(5), 5)]
+        cones += [cone for cone, _ in many_simplex_suite()[:4]]
+        for cone in cones:
+            normals = cone.rays + tuple(pair_sums(cone.rays))
+            tri = triangulate_cone(cone.dual_rays, cone.rays)
+            assert len(tri) > 1
+            assert triangulate_cone(cone.dual_rays, normals) == tri
+            facet = [u for u in cone.dual_rays if linalg.dot(cone.rays[0], u) == 0]
+            assert triangulate_cone(facet, normals) == triangulate_cone(facet, cone.rays)
 
+    def test_faces_by_incidence(self, monkeypatch):
+        # the cone over the 6-cube: rank checks pointedness and span and the
+        # dimension at the top of the triangulation; every other face is a bitmask
+        calls = []
+        monkeypatch.setattr(linalg, "rank", counting(linalg.rank, calls))
+        geometry.simplices.cache_clear()
+        geometry.simplices(dual_cone(cube_rays(7), 7))
+        assert len(calls) <= 3
+
+    def test_one_triangulation_per_cone(self, monkeypatch):
         calls, solves = [], []
         monkeypatch.setattr(geometry, "triangulate_cone", counting(geometry.triangulate_cone, calls))
         monkeypatch.setattr(linalg, "solve_unique", counting(linalg.solve_unique, solves))
