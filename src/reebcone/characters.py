@@ -17,8 +17,8 @@ The box points are summed as integer moments: with xi and eta written as
 integer numerators over common denominators, one pass per piece sums the
 powers of the integer pairings, the series products of the piece run on
 integers too, and each coefficient of a piece costs one rational (or mpf)
-division.  The box points themselves come from integer remainders modulo
-the piece's determinant.
+division.  The box points themselves come from a walk of Z^n modulo the
+generator lattice, on barycentric numerators modulo the piece's determinant.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from operator import mul
 from typing import Sequence
 
@@ -121,19 +120,28 @@ def _box_points(generators: Sequence[tuple[int, ...]], count: int, scaled_invers
                 excluded: Sequence[bool]) -> tuple[tuple[int, ...], ...]:
     """Lattice points of the half-open fundamental parallelepiped.
 
-    Coset representatives of Z^n modulo the generator lattice come from the
-    column Hermite form (one representative per diagonal box cell).  With
-    ``scaled_inverse`` = count * (generator columns)^-1, a representative has
-    barycentric coordinates num / count; its box point is sum_i r_i u_i /
-    count, r = num reduced into (0, count] on excluded facets, else [0, count).
+    With U the generator columns and ``scaled_inverse`` S = count * U^-1,
+    z -> S z mod count embeds Z^n / U Z^n in (Z/count)^n, and the columns of
+    S generate the image.  The image is closed one column at a time: the
+    column is added to every element found so far, coset after coset, until
+    the first shifted element is back in the subgroup of the earlier columns;
+    the walk ends once it holds count elements.  An element r is the
+    barycentric numerator of its box point sum_i r_i u_i / count, r_i taken
+    in (0, count] on excluded facets and in [0, count) elsewhere.
     """
+    group = [(0,) * len(generators)]
+    for col in zip(*scaled_inverse):
+        members, coset = set(group), group
+        while len(group) < count:
+            coset = [tuple([(a + b) % count for a, b in zip(r, col)]) for r in coset]
+            if coset[0] in members:
+                break
+            group += coset
     cols = linalg.transpose(generators)
-    hnf = linalg.column_hnf(cols)
     points = []
-    for rep in product(*(range(hnf[i][i]) for i in range(len(cols)))):
-        r = [(sum(map(mul, row, rep)) - off) % count + off
-             for row, off in zip(scaled_inverse, excluded)]
-        points.append(tuple(sum(map(mul, col, r)) // count for col in cols))
+    for r in group:
+        r = [(x or count) if off else x for x, off in zip(r, excluded)]
+        points.append(tuple([sum(map(mul, col, r)) // count for col in cols]))
     return tuple(sorted(points))
 
 
@@ -144,9 +152,11 @@ def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
     The dual cone is triangulated by pulling rays; each simplicial piece
     then keeps or drops its facets according to which side of the facet
     hyperplane the (lexicographically perturbed) reference point
-    q = sum of all dual rays lies on.  Exactly one piece retains every
-    shared face, so the half-open pieces partition sigma^v cap Z^n.  Raises
-    ExceedsSupportedSize above MAX_BOX_POINTS box points in one piece.
+    q = sum of all dual rays lies on: facet i is dropped when the tuple
+    (<row_i, q>,) + row_i, row_i the scaled inverse's row i, sorts below
+    zero.  Exactly one piece retains every shared face, so the half-open
+    pieces partition sigma^v cap Z^n.  Raises ExceedsSupportedSize above
+    MAX_BOX_POINTS box points in one piece.
     """
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
@@ -156,9 +166,8 @@ def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
                 f"simplicial piece has {count} box points, above the {MAX_BOX_POINTS} bound"
             )
         _, scaled_inverse = linalg.integer_inverse(linalg.transpose(generators))
-        excluded = tuple(
-            linalg.lex_sign((linalg.dot(row, q_ref),) + row) < 0 for row in scaled_inverse
-        )
+        origin = (0,) * (len(generators) + 1)
+        excluded = tuple((linalg.dot(row, q_ref),) + row < origin for row in scaled_inverse)
         pieces.append(SimplicialPiece(
             generators=generators,
             box_points=_box_points(generators, count, scaled_inverse, excluded),

@@ -28,8 +28,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -50,6 +52,7 @@ from .errors import (
 from .geometry import ToricCone, dual_cone, futaki_coefficients, gorenstein_vector, reeb_vector
 
 COMMANDS = ("check", "delta", "minimize", "futaki", "character", "oracle")
+MAX_EXPONENT = 4300  # largest |exponent| of a decimal input such as 1e-4300
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,14 +90,16 @@ class Report:
 def _jsonable(obj):
     """Recursively convert report values to JSON-stable primitives.
 
-    Fractions become exact "p/q" strings; any non-rational scalar is
-    forced through float (shortest round-trip repr keeps the bytes
-    deterministic).
+    Fractions become exact "p/q" strings (just "p" when q = 1), of any
+    size: the digits go through Decimal, which has no limit on converting
+    an int to a string; any non-rational scalar is forced through float
+    (shortest round-trip repr keeps the bytes deterministic).
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
-        return str(obj)
+        p, q = (str(Decimal(k)) for k in obj.as_integer_ratio())
+        return p if q == "1" else p + "/" + q
     if isinstance(obj, float):
         return obj
     if isinstance(obj, dict):
@@ -106,6 +111,16 @@ def _jsonable(obj):
     return float(obj)
 
 
+def _rational(token: str) -> Fraction:
+    """``Fraction(token)``, with ValueError for a decimal exponent above
+    MAX_EXPONENT in size: Fraction builds 10**exponent before any other
+    check, which takes seconds at 1e-10000000."""
+    exponent = re.search(r"e([-+]?[\d_]+)", token, re.IGNORECASE)
+    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise ValueError("decimal exponent above %d in size" % MAX_EXPONENT)
+    return Fraction(token)
+
+
 def _parse_scalar(value, where: str) -> Fraction:
     """One rational coordinate: int, "p/q" / decimal string, or [num, den]."""
     if isinstance(value, bool):
@@ -114,9 +129,9 @@ def _parse_scalar(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError("%s: cannot parse %r as a rational" % (where, value))
+            return _rational(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError("%s: cannot parse %r as a rational: %s" % (where, value, exc))
     if isinstance(value, list) and len(value) == 2 and all(
         isinstance(v, int) and not isinstance(v, bool) for v in value
     ):
@@ -155,6 +170,8 @@ def parse_cone_spec(text: str) -> ConeSpec:
             "invalid JSON at line %d column %d: %s"
             % (exc.lineno, exc.colno, exc.msg)
         )
+    except ValueError as exc:  # an integer literal above the int-to-str digit limit
+        raise SchemaError("invalid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
     unknown = sorted(set(doc) - _ALLOWED_KEYS)
@@ -489,9 +506,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction_arg(token: str) -> Fraction:
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("%r is not a rational number" % token)
+        return _rational(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError("%r is not a rational number: %s" % (token, exc))
 
 
 def _build_parser() -> _Parser:

@@ -94,10 +94,6 @@ class ReebVector:
     xi: tuple
     normalized: bool
 
-    @property
-    def is_rational(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for x in self.xi)
-
 
 @dataclass(frozen=True)
 class PolytopeSlice:

@@ -1,9 +1,10 @@
 """Exact linear algebra for small integer matrices.
 
 Every matrix the package eliminates is integer (rays, dual rays, simplex
-generators; n <= 8, at most 64 rows), so rank, determinant, inverse and
-solve are views of one fraction-free Bareiss elimination on Python ints.
-Vectors are tuples; matrices are sequences of row tuples.
+generators; n <= 8, at most 64 rows), so pivot columns, rank, determinant,
+inverse and solve are views of one fraction-free Bareiss elimination on
+Python ints; besides it the module has only ``dot``, ``transpose`` and
+``primitivize``.  Vectors are tuples; matrices are sequences of row tuples.
 """
 
 from __future__ import annotations
@@ -147,64 +148,3 @@ def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence) -> tuple[Fraction
         raise LinearSystemUnderdetermined("solution set is positive-dimensional")
     return tuple(Fraction(row[n], last * d) for row in reduced[:n])
 
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, p, q) with p*a + q*b = g = gcd(a,b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def column_hnf(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Column-style Hermite form of a nonsingular integer matrix.
-
-    Returns a lower-triangular matrix with positive diagonal whose columns
-    span the same lattice as the input's columns (only unimodular column
-    operations are applied). Off-diagonal entries are not reduced; the
-    triangular shape and positive diagonal are all the box-point
-    enumeration needs.
-    """
-    n = len(rows)
-    h = [[int(x) for x in row] for row in rows]
-    if any(len(row) != n for row in h):
-        raise ValueError("column_hnf requires a square matrix")
-
-    def combine_columns(j, k, p, q, r, s):
-        # (col_j, col_k) <- (p*col_j + q*col_k, r*col_j + s*col_k)
-        for i in range(n):
-            cj, ck = h[i][j], h[i][k]
-            h[i][j] = p * cj + q * ck
-            h[i][k] = r * cj + s * ck
-
-    for j in range(n):
-        for k in range(j + 1, n):
-            if h[j][k] == 0:
-                continue
-            a, b = h[j][j], h[j][k]
-            g, p, q = _egcd(a, b)
-            # unimodular: det [[p, -b/g], [q, a/g]] = 1
-            combine_columns(j, k, p, q, -b // g, a // g)
-        if h[j][j] == 0:
-            raise ValueError("matrix is singular")
-        if h[j][j] < 0:
-            for i in range(n):
-                h[i][j] = -h[i][j]
-    return tuple(tuple(row) for row in h)
-
-
-def lex_sign(values: Sequence) -> int:
-    """Sign of the first nonzero entry of a sequence (0 if all zero)."""
-    for x in values:
-        if x > 0:
-            return 1
-        if x < 0:
-            return -1
-    return 0

@@ -56,10 +56,6 @@ class ToricValuation:
     v: Tuple[Fraction, ...]
     interior: bool
 
-    @property
-    def dim(self) -> int:
-        return len(self.v)
-
 
 def toric_valuation(cone: ToricCone, v: Sequence) -> ToricValuation:
     """Validate ``v in sigma - {0}`` and wrap it as a valuation."""

@@ -38,9 +38,7 @@ from reebcone.geometry import gorenstein_vector, simplices
 from reebcone.linalg import (
     LinearSystemInconsistent,
     LinearSystemUnderdetermined,
-    column_hnf,
     dot,
-    lex_sign,
     transpose,
 )
 from reebcone.optimize import _chart
@@ -583,7 +581,8 @@ def polytope_ratio_profile(cone, xi, v, t_values):
     val = toric_valuation(cone, v)
     l = gorenstein_vector(cone)
     rv = reeb_vector(cone, xi)
-    scalar = Fraction if rv.is_rational else functools.partial(to_mpf, ctx=mp_context())
+    exact = all(isinstance(x, Fraction) for x in rv.xi)
+    scalar = Fraction if exact else functools.partial(to_mpf, ctx=mp_context())
     a_v = scalar(dot(val.v, l.l))
     a_xi = dot(rv.xi, l.l)
     sp = polytope_s_prime(cone, rv, val.v)
@@ -617,22 +616,77 @@ def brute_lattice_points(cone, xi, level):
     )
 
 
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: returns (g, p, q) with p*a + q*b = g = gcd(a,b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def column_hnf(rows):
+    """Column-style Hermite form of a nonsingular integer matrix.
+
+    Returns a lower-triangular matrix with positive diagonal whose columns
+    span the same lattice as the input's columns (only unimodular column
+    operations are applied). Off-diagonal entries are not reduced; the
+    triangular shape and positive diagonal are all the box-point
+    enumeration needs.
+    """
+    n = len(rows)
+    h = [[int(x) for x in row] for row in rows]
+    if any(len(row) != n for row in h):
+        raise ValueError("column_hnf requires a square matrix")
+
+    def combine_columns(j, k, p, q, r, s):
+        # (col_j, col_k) <- (p*col_j + q*col_k, r*col_j + s*col_k)
+        for i in range(n):
+            cj, ck = h[i][j], h[i][k]
+            h[i][j] = p * cj + q * ck
+            h[i][k] = r * cj + s * ck
+
+    for j in range(n):
+        for k in range(j + 1, n):
+            if h[j][k] == 0:
+                continue
+            a, b = h[j][j], h[j][k]
+            g, p, q = _egcd(a, b)
+            # unimodular: det [[p, -b/g], [q, a/g]] = 1
+            combine_columns(j, k, p, q, -b // g, a // g)
+        if h[j][j] == 0:
+            raise ValueError("matrix is singular")
+        if h[j][j] < 0:
+            for i in range(n):
+                h[i][j] = -h[i][j]
+    return tuple(tuple(row) for row in h)
+
+
 def fraction_pieces(cone):
     """The half-open decomposition of sigma^v in Fraction arithmetic, as an oracle.
 
     Over the same triangulation as the library, each piece's barycentric
     coordinates come from the exact Fraction inverse of its generator
     columns: a facet is excluded when the reference point q = sum of the dual
-    rays lies on its negative side (ties broken lexicographically), and every
-    Hermite-form coset representative is shifted into (0, 1] on excluded
-    facets and [0, 1) elsewhere by ceil and floor of its coordinates.
+    rays lies on its negative side (ties broken by the first nonzero entry of
+    the inverse's row), and each coset of Z^n modulo the generator lattice,
+    enumerated by the diagonal of the column Hermite form (:func:`column_hnf`,
+    independent of the library's walk of the cosets), is shifted into (0, 1]
+    on excluded facets and [0, 1) elsewhere by ceil and floor of its
+    coordinates.
     """
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
     for _, generators in simplices(cone):
         cols = transpose(generators)
         inv = fraction_inverse(cols)
-        excluded = tuple(lex_sign((dot(row, q_ref),) + tuple(row)) < 0 for row in inv)
+        excluded = tuple(next((x for x in (dot(row, q_ref), *row) if x), 0) < 0 for row in inv)
         hnf = column_hnf(cols)
         points = []
         for rep in itertools.product(*(range(hnf[i][i]) for i in range(len(cols)))):

@@ -398,7 +398,8 @@ class TestBoxPointKernel:
     def cases():
         kgon = make_kgon(16, 10)
         assert sum(len(p.box_points) for p in decompose_dual(kgon)) == 3220
-        return random_cone_suite(seed=17, count=16, dims=(2, 3, 4, 5)) + [(kgon, KGON_XI)]
+        return (random_cone_suite(seed=17, count=16, dims=(2, 3, 4, 5))
+                + random_cone_suite(seed=31, count=6, dims=(6, 7, 8)) + [(kgon, KGON_XI)])
 
     def test_pieces_match_fraction_oracle(self):
         for cone, _ in self.cases():

@@ -376,6 +376,30 @@ class TestMainExitCodes:
         assert payload["error"]["type"] == "CutoffTooSmall"
         assert payload["results"]["s_m_table"]["m_max"] == 2
 
+    def test_large_exact_output(self, a1, capsys):
+        # the report's exact values run past the 4300-digit int-to-str limit
+        xi = (1, Fraction("1e-2200"))
+        code, payload = self.run_main(
+            ["delta", "--spec", str(SPEC_DIR / "a1.json"), "--xi", "1", "1e-2200"], capsys
+        )
+        assert code == 0
+        assert Fraction(payload["results"]["delta"]) == delta(a1, xi).delta
+
+    @pytest.mark.parametrize("entry", ['"1e-100000"', "1e-100000", "9" * 5000],
+                             ids=["exponent-string", "exponent-literal", "5000-digit-int"])
+    def test_oversized_spec_number_is_schema_error(self, entry, tmp_path, capsys):
+        spec = tmp_path / "big.json"
+        spec.write_text('{"dim": 2, "rays": [[1,0],[1,2]], "xi": [1, %s]}' % entry)
+        code, payload = self.run_main(["check", "--spec", str(spec)], capsys)
+        assert code == 2
+        assert payload["error"]["type"] == "SchemaError"
+
+    def test_oversized_flag_exponent_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--spec", str(SPEC_DIR / "a1.json"), "--xi", "1", "1e-100000"])
+        assert exc.value.code == 1
+        assert "exponent above 4300" in capsys.readouterr().err
+
     def test_argparse_usage_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["delta"])  # --spec is required
