@@ -40,6 +40,7 @@ from . import __version__
 from .config import default_tol, precision_bits
 from .errors import (
     ConvergenceError,
+    ExceedsSupportedSize,
     InputError,
     MathDomainError,
     NonIntegerRay,
@@ -49,7 +50,7 @@ from .errors import (
 )
 # every subcommand builds its cone here; each runner imports the other layers
 # it calls, so a cold call loads only those
-from .geometry import ToricCone, dual_cone, futaki_coefficients, gorenstein_vector, reeb_vector
+from .geometry import ToricCone, _slice_sums, dual_cone, futaki_coefficients, gorenstein_vector
 
 COMMANDS = ("check", "delta", "minimize", "futaki", "character", "oracle")
 MAX_EXPONENT = 4300  # largest |exponent| of a decimal input such as 1e-4300
@@ -172,6 +173,8 @@ def parse_cone_spec(text: str) -> ConeSpec:
         )
     except ValueError as exc:  # an integer literal above the int-to-str digit limit
         raise SchemaError("invalid JSON: %s" % exc)
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested deeper than the interpreter's recursion limit")
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
     unknown = sorted(set(doc) - _ALLOWED_KEYS)
@@ -253,38 +256,39 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
     results["q_gorenstein"] = True
     xi = _flag(flags, "xi", spec.xi)
     if xi is not None:
-        rv = reeb_vector(cone, xi)
+        from .stability import _delta
+
+        sums = _slice_sums(cone, xi, l.l)
+        rv = sums.reeb  # normalized against the Gorenstein vector, not a boundary's l
         results["reeb"] = {
             "xi": list(rv.xi),
             "interior": True,
             "normalized": rv.normalized,
         }
-        report = _delta_with_boundary(cone, xi, spec)
+        _warn_boundary(spec)
+        report = _delta(cone, sums, l)
         results["kss"] = report.kss
         results["delta"] = report.delta
         results["residual"] = report.residual
 
 
-def _delta_with_boundary(cone: ToricCone, xi, spec: ConeSpec):
-    from .stability import delta as delta_report
-
-    if spec.boundary_coeffs is None:
-        return delta_report(cone, xi)
-    # a boundary divisor in the spec file is the CLI user's opt-in
-    warnings.warn(
-        "boundary divisor coefficients are experimental and excluded "
-        "from the acceptance-backed surface",
-        ReebconeWarning,
-        stacklevel=2,
-    )
-    return delta_report(
-        cone, xi, boundary=spec.boundary_coeffs, experimental=True
-    )
+def _warn_boundary(spec: ConeSpec) -> None:
+    """Warn of a boundary divisor: in a spec file, the CLI user's opt-in to it."""
+    if spec.boundary_coeffs is not None:
+        warnings.warn(
+            "boundary divisor coefficients are experimental and excluded "
+            "from the acceptance-backed surface",
+            ReebconeWarning,
+            stacklevel=2,
+        )
 
 
 def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
+    from .stability import delta
+
     xi = _require_xi(spec, flags)
-    report = _delta_with_boundary(cone, xi, spec)
+    _warn_boundary(spec)
+    report = delta(cone, xi, spec.boundary_coeffs, experimental=True)
     results.update({
         "delta": report.delta,
         "delta_prime": report.delta_prime,
@@ -381,7 +385,7 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
 
 def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     from .characters import truncated_character_oracle
-    from .stability import s_m_oracle, s_prime, s_value
+    from .stability import _oracle_table
 
     xi = _require_xi(spec, flags)
     m_max = flags.get("m_max")
@@ -391,17 +395,7 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
     if m_max is not None:
         if m_max < 1:
             raise ValueError("m_max must be at least 1, got %r" % (m_max,))
-        rows = []
-        for v in cone.rays:
-            rows.append(
-                {
-                    "v": list(v),
-                    "s_m": [s_m_oracle(cone, xi, v, m) for m in range(1, m_max + 1)],
-                    "s": s_value(cone, xi, v),
-                    "s_prime": s_prime(cone, xi, v),
-                }
-            )
-        results["s_m_table"] = {"m_max": m_max, "rows": rows}
+        results["s_m_table"] = {"m_max": m_max, "rows": _oracle_table(cone, xi, m_max)}
     if t_values:
         eta = _flag(flags, "eta", spec.eta)
         # the default cutoff is ceil(reach / t); the eta-weighted sum's tail
@@ -411,7 +405,12 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
         for t in t_values:
             if float(t) <= 0:
                 raise ValueError("t must be positive, got %r" % (t,))
-            cutoff = _flag(flags, "cutoff", math.ceil(reach / float(t)))
+            cutoff = flags.get("cutoff")
+            if cutoff is None:
+                if not reach / float(t) < math.inf:
+                    raise ExceedsSupportedSize(
+                        "t = %r puts the default cutoff past every float" % (t,))
+                cutoff = math.ceil(reach / float(t))
             value = truncated_character_oracle(cone, xi, eta, float(t), cutoff)
             entries.append({"t": float(t), "cutoff": cutoff, "value": value})
         results["character_values"] = {
@@ -462,6 +461,8 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
                     spec = spec.read_text(encoding="utf-8")
                 except OSError as exc:
                     raise InputError(str(exc)) from exc
+                except UnicodeDecodeError as exc:
+                    raise SchemaError("spec is not UTF-8: %s" % exc) from exc
             text = spec if isinstance(spec, str) else repr(spec)
             if isinstance(spec, str):
                 spec = parse_cone_spec(text)
@@ -511,6 +512,16 @@ def _fraction_arg(token: str) -> Fraction:
         raise argparse.ArgumentTypeError("%r is not a rational number: %s" % (token, exc))
 
 
+def _finite_arg(token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("%r is not a finite number" % (token,))
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="reebcone",
@@ -534,12 +545,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--eta", nargs="+", type=_fraction_arg, metavar="C",
                        help="direction coordinates (overrides the spec)")
         p.add_argument("--order", type=int, help="character expansion order")
-        p.add_argument("--tol", type=float, help="convergence tolerance")
+        p.add_argument("--tol", type=_finite_arg, help="convergence tolerance")
         p.add_argument("--m-max", type=int, dest="m_max",
                        help="oracle: compute S_m for m = 1..M")
-        p.add_argument("--t", nargs="+", type=float, metavar="T",
+        p.add_argument("--t", nargs="+", type=_finite_arg, metavar="T",
                        help="oracle: evaluate truncated character at these t")
-        p.add_argument("--cutoff", type=float,
+        p.add_argument("--cutoff", type=_finite_arg,
                        help="oracle: pairing cutoff for the lattice sum "
                             "(default ceil(14/t), ceil(18/t) with eta)")
         p.add_argument("--max-iter", type=int, dest="max_iter",
@@ -576,15 +587,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if "eta" in flags:
         flags["eta"] = tuple(flags["eta"])
     report, failure = _attempt(args.command, Path(args.spec), flags)
-    _emit(report, args.json_out)
-    return 0 if failure is None else _exit_code(failure)
-
-
-def _emit(report: Report, json_out: Optional[str]) -> None:
     payload = report.to_json()
+    if args.json_out:
+        # written before stdout, so that a failed write is the report's error
+        try:
+            Path(args.json_out).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            failure = InputError("cannot write --json-out: %s" % exc)
+            payload = dataclasses.replace(
+                report, error={"type": "InputError", "message": str(failure)}
+            ).to_json()
     sys.stdout.write(payload)
-    if json_out:
-        Path(json_out).write_text(payload, encoding="utf-8")
+    return 0 if failure is None else _exit_code(failure)
 
 
 if __name__ == "__main__":

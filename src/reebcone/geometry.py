@@ -271,9 +271,9 @@ def gorenstein_vector(cone: ToricCone,
 @lru_cache(maxsize=None)
 def _solve_gorenstein(cone: ToricCone, rhs: tuple):
     """l with ``<v_i, l> = rhs_i``, or the error of its solve: one solve per
-    cone and right-hand side, failures cached too, as :func:`reeb_vector`
-    asks for l.  l is interior to sigma^v with no further check: the solve
-    holds every row exactly, so ``<v_i, l> = rhs_i > 0``."""
+    cone and right-hand side, failures cached too, as every ``reeb`` of a
+    :class:`_SliceSums` asks for l.  l is interior to sigma^v with no further
+    check: the solve holds every row exactly, so ``<v_i, l> = rhs_i > 0``."""
     try:
         return GorensteinVector(l=linalg.solve_unique(cone.rays, rhs))
     except (linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined) as exc:
@@ -304,27 +304,7 @@ def reeb_numerators(n: int, xi, eta: Optional[Sequence] = None) -> tuple[list, b
 
 def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
     """Validate and wrap an interior point of sigma as a ReebVector."""
-    [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
-    _slice_pairings(cone, xi_num)
-    return _wrap_reeb(cone, xi_num, d, exact)
-
-
-def _wrap_reeb(cone: ToricCone, xi_num: Sequence, d: int, exact: bool) -> ReebVector:
-    """The ReebVector of xi = xi_num / d, a pair of :func:`numerators` already
-    checked interior to sigma."""
-    ratio = ratio_type(exact)
-    # exact on both paths: a dyadic numerator has at most the working precision's bits
-    vec = tuple(ratio(x, d) for x in xi_num)
-    normalized = False
-    try:
-        l = gorenstein_vector(cone).l
-    except (NotQGorenstein, DegenerateSolutionSet):
-        l = None
-    if l is not None:
-        l_num, l_d = _common_denominator(l)
-        a, b = linalg.dot(xi_num, l_num), d * l_d
-        normalized = abs(ratio(a - b, b)) <= (0 if exact else default_tol())
-    return ReebVector(xi=vec, normalized=normalized)
+    return _slice_sums(cone, xi).reeb
 
 
 # ---------------------------------------------------------------------------
@@ -522,33 +502,31 @@ def _simplex_sums(table, pairings: dict, exact: bool = False, divide: bool = Fal
     return total, moment, big, hess
 
 
-def _slice_sums(cone: ToricCone, xi) -> tuple:
-    """``(xi_num, d, exact, (T, M, L))``: xi as the pair of :func:`numerators`,
-    whether it is exact, and the sums of :func:`_simplex_sums` over
-    :func:`simplices` at p_u = <xi_num, u>; UnboundedSlice unless xi is
-    interior to sigma."""
-    [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
-    return xi_num, d, exact, _simplex_sums(simplices(cone), _slice_pairings(cone, xi_num), exact)
+class _SliceSums(NamedTuple):
+    """One slice pass at xi = xi_num / d (:func:`numerators`): (T, M, L) of
+    :func:`_simplex_sums` over :func:`simplices`, and l = l_num / l_d, the
+    Gorenstein vector or a boundary l where one is given.  With a = <xi_num,
+    l_num> and den = l_d n T L, bary_P at xi / <xi, l> is a M / den."""
 
-
-class _NormalizedSums(NamedTuple):
-    """The sums of :func:`_slice_sums` at xi = xi_num / d, normalized to
-    <xi, l> = 1 by homogeneity: with l = l_num / l_d, a = <xi_num, l_num> and
-    den = l_d n T L, the barycenter bary_P at xi / <xi, l> is a M / den."""
-
+    cone: ToricCone
     xi_num: tuple
     d: int
     exact: bool
     total: int
     moment: list
     big: int
-    l_num: tuple
-    l_d: int
-    a: int
-    den: int
+    l_num: Optional[tuple] = None
+    l_d: int = 1
+    a: int = 0
+    den: int = 0
+
+    def s_value(self, v_num: Sequence[int], v_d: int = 1) -> tuple[int, int]:
+        """S(v) = <v, bary_Q> at xi, v = v_num / v_d: the ints (d <v_num, M>, v_d (n+1) T L)."""
+        return (self.d * linalg.dot(v_num, self.moment),
+                v_d * (self.cone.dim + 1) * self.total * self.big)
 
     def s_prime(self, v_num: Sequence[int], v_d: int = 1) -> tuple[int, int]:
-        """S'(v) = <v, bary_P> at xi / <xi, l>, v = v_num / v_d: the ints (a <v_num, M>, v_d den)."""
+        """S'(v) = <v, bary_P> at xi / <xi, l>: the ints (a <v_num, M>, v_d den)."""
         return self.a * linalg.dot(v_num, self.moment), v_d * self.den
 
     @property
@@ -557,14 +535,30 @@ class _NormalizedSums(NamedTuple):
         gap = max(abs(self.a * m * self.l_d - x * self.den) for m, x in zip(self.moment, self.l_num))
         return gap, self.den * self.l_d
 
+    @property
+    def reeb(self) -> ReebVector:
+        """xi, normalized when <xi, l> = 1 (within the tolerance unless exact) for
+        the Gorenstein vector l, whatever l the sums hold; never without one."""
+        ratio, normalized = ratio_type(self.exact), False
+        found = _solve_gorenstein(self.cone, (1,) * len(self.cone.rays))
+        if isinstance(found, GorensteinVector):
+            l_num, l_d = _common_denominator(found.l)
+            a, b = linalg.dot(self.xi_num, l_num), self.d * l_d
+            normalized = abs(ratio(a - b, b)) <= (0 if self.exact else default_tol())
+        # exact on both paths: a dyadic numerator has at most the working precision's bits
+        return ReebVector(xi=tuple(ratio(x, self.d) for x in self.xi_num), normalized=normalized)
 
-def _normalized_sums(cone: ToricCone, xi, l: Sequence[Fraction]) -> _NormalizedSums:
-    """:class:`_NormalizedSums` of xi against the Gorenstein vector l; no
-    rescaled xi is formed."""
-    xi_num, d, exact, (total, moment, big) = _slice_sums(cone, xi)
+
+def _slice_sums(cone: ToricCone, xi, l: Optional[Sequence[Fraction]] = None) -> _SliceSums:
+    """The :class:`_SliceSums` of xi, against l when given; UnboundedSlice
+    unless xi is interior to sigma."""
+    [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
+    total, moment, big = _simplex_sums(simplices(cone), _slice_pairings(cone, xi_num), exact)
+    if l is None:
+        return _SliceSums(cone, xi_num, d, exact, total, moment, big)
     l_num, l_d = _common_denominator(l)
-    return _NormalizedSums(xi_num, d, exact, total, moment, big, l_num, l_d,
-                          linalg.dot(xi_num, l_num), l_d * cone.dim * total * big)
+    return _SliceSums(cone, xi_num, d, exact, total, moment, big,
+                      l_num, l_d, linalg.dot(xi_num, l_num), l_d * cone.dim * total * big)
 
 
 def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
@@ -584,12 +578,12 @@ def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
     rounded once at the working precision.
     """
     n = cone.dim
-    _, d, exact, (total, moment, big) = _slice_sums(cone, xi)
-    ratio = ratio_type(exact)
+    sums = _slice_sums(cone, xi)
+    d, total, big, ratio = sums.d, sums.total, sums.big, ratio_type(sums.exact)
     return PolytopeSlice(
         volume_Q=ratio(d ** n * total, math.factorial(n) * big),
-        bary_Q=tuple(ratio(d * m, (n + 1) * total * big) for m in moment),
-        bary_P=tuple(ratio(d * m, n * total * big) for m in moment),
+        bary_Q=tuple(ratio(d * m, (n + 1) * total * big) for m in sums.moment),
+        bary_P=tuple(ratio(d * m, n * total * big) for m in sums.moment),
     )
 
 
@@ -650,6 +644,18 @@ def integer_reeb(cone: ToricCone, xi) -> tuple[tuple[int, ...], int]:
     return xi_int, denom
 
 
+def _scan_box(cone: ToricCone, xi, level) -> tuple:
+    """``(d xi, floor(d level), lo, hi, prefixes)``: d xi integral, the bounding
+    box ``[lo, hi]`` of level*Q_xi, whose vertices other than 0 lie on the dual
+    rays, and the number of prefixes :func:`lattice_rows` scans in it."""
+    xi_int, denom = integer_reeb(cone, xi)
+    bound = math.floor(Fraction(level) * denom)
+    corners = [[Fraction(bound * x, linalg.dot(xi_int, u)) for x in u] for u in cone.dual_rays]
+    lo = [math.floor(min(0, *axis)) for axis in zip(*corners)]
+    hi = [math.ceil(max(0, *axis)) for axis in zip(*corners)]
+    return xi_int, bound, lo, hi, math.prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1]))
+
+
 def lattice_rows(cone: ToricCone, xi, level):
     """The integer points of level*Q_xi as innermost runs {prefix} x [a, b].
 
@@ -664,13 +670,8 @@ def lattice_rows(cone: ToricCone, xi, level):
     """
     import numpy as np
 
-    xi_int, denom = integer_reeb(cone, xi)
-    bound = math.floor(Fraction(level) * denom)
-    corners = [[Fraction(bound * x, linalg.dot(xi_int, u)) for x in u] for u in cone.dual_rays]
-    lo = [math.floor(min(0, *axis)) for axis in zip(*corners)]
-    hi = [math.ceil(max(0, *axis)) for axis in zip(*corners)]
+    xi_int, bound, lo, hi, prefixes = _scan_box(cone, xi, level)
     widths = [h - l + 1 for l, h in zip(lo, hi)]
-    prefixes = math.prod(widths[:-1])
     if prefixes > MAX_LATTICE_SCAN:
         raise ExceedsSupportedSize(
             f"lattice scan of {prefixes} prefixes exceeds the supported {MAX_LATTICE_SCAN}"

@@ -37,7 +37,7 @@ from .errors import (
     UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
-from .geometry import _normalized_sums, _simplex_sums, _slice_pairings, _wrap_reeb
+from .geometry import _simplex_sums, _slice_pairings, _slice_sums
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -294,13 +294,12 @@ def minimize_volume(
         iterations += 1
 
     xi_star_tuple = _embed(cone, x)
-    # vol* and the residual at the exact dyadic xi* rescaled onto the slice,
-    # by homogeneity from the working-precision sums at xi* that
-    # stability.delta uses too, each rounded once to float: the float objective's value
-    # carries the slice rounding of _embed, amplified n-fold by a0's
-    # homogeneity of degree -n
+    # vol* and the residual at the exact dyadic xi* rescaled onto the slice, by
+    # homogeneity from the sums at xi* that stability.delta uses too, each rounded
+    # once to float: the float objective carries the slice rounding of _embed,
+    # amplified n-fold by a0's homogeneity of degree -n
     n = cone.dim
-    sums = _normalized_sums(cone, xi_star_tuple, l)
+    sums = _slice_sums(cone, xi_star_tuple, l)
     gap, gap_den = sums.residual
     margin = min(
         float(linalg.dot(xi_star_tuple, u)) for u in cone.dual_rays
@@ -309,7 +308,7 @@ def minimize_volume(
     if probe_rational is not None:
         candidate = rationality_probe(xi_star_tuple, probe_rational)
     return MinimizeResult(
-        xi_star=_wrap_reeb(cone, sums.xi_num, sums.d, sums.exact),
+        xi_star=sums.reeb,
         vol_star=sums.a ** n * sums.total / (sums.l_d ** n * math.factorial(n - 1) * sums.big),
         gradient_norm=_norm(grad),
         iterations=iterations,

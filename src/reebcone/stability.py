@@ -1,8 +1,9 @@
 """Stability invariants of a Fano cone singularity.
 
 Everything here is built from the integer sums ``(T, M, L)`` of the Reeb
-slice's closed forms in :mod:`reebcone.geometry` (those of
-:func:`reebcone.geometry.polytope_Q`), and for the Futaki invariant
+slice's closed forms in :mod:`reebcone.geometry`: one
+:class:`reebcone.geometry._SliceSums` per ``(cone, xi)``, the value behind
+:func:`reebcone.geometry.polytope_Q` too, and for the Futaki invariant
 :func:`reebcone.geometry.futaki_coefficients`, which adds the volumes of
 the slice's boundary faces to give the leading index and weight character
 coefficients without box points.  The central objects are
@@ -30,13 +31,15 @@ from functools import cmp_to_key
 from typing import Optional, Sequence, Tuple
 
 from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type
-from .errors import UnboundedSlice
+from .errors import ExceedsSupportedSize, UnboundedSlice
 from .geometry import (
+    MAX_LATTICE_SCAN,
     GorensteinVector,
     ToricCone,
     _common_denominator,
-    _normalized_sums,
+    _scan_box,
     _slice_sums,
+    _SliceSums,
     futaki_coefficients,
     gorenstein_vector,
     lattice_rows,
@@ -102,44 +105,65 @@ def log_discrepancy(l: GorensteinVector, v: ToricValuation):
 
 
 def s_value(cone: ToricCone, xi, v) -> object:
-    """Expected vanishing order ``S(wt_v) = <v, bar(u)>`` on any cone: with ``xi =
-    xi_num / d``, ``v = v_num / v_d`` and the sums of :func:`reebcone.geometry.polytope_Q`,
-    the one int ratio ``d <v_num, M> / (v_d (n+1) T L)``."""
+    """Expected vanishing order ``S(wt_v) = <v, bar(u)>`` on any cone, the int
+    pair of :meth:`reebcone.geometry._SliceSums.s_value` as one ratio."""
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    _, d, exact, (total, moment, big) = _slice_sums(cone, xi)
-    v_num, v_d = _common_denominator(val.v)
-    return ratio_type(exact)(d * linalg.dot(v_num, moment), v_d * (cone.dim + 1) * total * big)
+    sums = _slice_sums(cone, xi)
+    return ratio_type(sums.exact)(*sums.s_value(*_common_denominator(val.v)))
 
 
 def s_prime(cone: ToricCone, xi, v) -> object:
     """Normalized expected order ``S'(wt_v) = A(xi) <v, (n+1)/n bar(u)>``, the
-    int pair of :meth:`reebcone.geometry._NormalizedSums.s_prime` as one ratio."""
+    int pair of :meth:`reebcone.geometry._SliceSums.s_prime` as one ratio."""
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    sums = _normalized_sums(cone, xi, gorenstein_vector(cone).l)
+    sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
     return ratio_type(sums.exact)(*sums.s_prime(*_common_denominator(val.v)))
 
 
 def s_m_oracle(cone: ToricCone, xi, v, m: int) -> Fraction:
     """Finite-level average ``S_m(wt_v)`` from an explicit weight count.
 
-    Averages ``<v, u>/m`` over the lattice points ``u`` of the dual
-    cone with ``<xi, u> <= m``; as ``m`` grows this converges to
-    ``S(wt_v)``.  The points come from the exact row scan
-    :func:`reebcone.geometry.lattice_rows` (rational ``xi`` only), and
-    each run ``{p} x [a, b]`` of ``L = b - a + 1`` points is summed in
-    closed form: ``L`` points with coordinate sum ``(L p, (a + b) L / 2)``.
-    Exact integer and rational arithmetic throughout, so it serves as
+    Averages ``<v, u>/m`` over the lattice points ``u`` of the dual cone with
+    ``<xi, u> <= m``, which converges to ``S(wt_v)`` as ``m`` grows.  Exact
+    arithmetic over one :func:`_level_sums` (rational ``xi`` only), so it is
     an independent check on the barycenter route to ``S``.
     """
     if m <= 0:
         raise ValueError("m must be a positive integer, got %r" % (m,))
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
+    total, den = _level_sums(cone, xi, m)
+    return Fraction(linalg.dot(val.v, total), den)
+
+
+def _level_sums(cone: ToricCone, xi, m: int) -> tuple[list[int], int]:
+    """``(sum of u, m #points)`` over the lattice points u of ``m Q_xi``, each run
+    ``{p} x [a, b]`` of :func:`reebcone.geometry.lattice_rows` summed in closed form."""
     prefix, a, b = lattice_rows(cone, xi, m)
     counts = b - a + 1
-    count = int(counts.sum())  # the origin is always counted
     sums = [int(col @ counts) for col in prefix.T]
     sums.append(int(((a + b) * counts).sum()) // 2)
-    return Fraction(linalg.dot(val.v, sums), m * count)
+    return sums, m * int(counts.sum())  # the origin is always counted
+
+
+def _oracle_table(cone: ToricCone, xi, m_max: int) -> list[dict]:
+    """Rows ``{v, s_m: [S_m(v), m = 1..m_max], s: S(v), s_prime: S'(v)}`` over
+    the rays v of sigma, from one lattice scan per level and one slice pass.
+    ExceedsSupportedSize before the first scan when ``m_max`` times the
+    prefixes of the level-``m_max`` scan exceed ``MAX_LATTICE_SCAN``."""
+    prefixes = _scan_box(cone, xi, m_max)[-1]
+    if m_max * prefixes > MAX_LATTICE_SCAN:
+        raise ExceedsSupportedSize(
+            "%d levels of up to %d prefixes exceed the supported %d"
+            % (m_max, prefixes, MAX_LATTICE_SCAN)
+        )
+    levels = [_level_sums(cone, xi, m) for m in range(1, m_max + 1)]
+    sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
+    ratio = ratio_type(sums.exact)
+    return [
+        {"v": list(v), "s_m": [Fraction(linalg.dot(v, total), den) for total, den in levels],
+         "s": ratio(*sums.s_value(v)), "s_prime": ratio(*sums.s_prime(v))}
+        for v in cone.rays
+    ]
 
 
 def delta(
@@ -160,14 +184,11 @@ def delta(
     ``xi`` forces ``<xi, bar_P> = 1 = <xi, l>``, hence ``delta <= 1``
     always, with equality iff ``bar_P == l``.
 
-    No rescaled ``xi`` is formed: with ``xi = xi_num / d``, ``l = l_num / l_d``,
-    ``a = <xi_num, l_num>`` and the sums ``(T, M, L)`` of
-    :func:`reebcone.geometry.polytope_Q` at ``xi``, bar_P is ``a M / den``,
-    ``den = l_d n T L``, by homogeneity, and each ``A(v_i) / S'(v_i)`` is the
-    int pair of :func:`s_prime`, compared by cross-multiplication.  delta, bar_P
-    and the residual are Fractions for rational ``xi``, else each rounded once,
-    with rays within ``RAY_TIE_RTOL * delta`` of the minimum tied and ``kss``
-    up to a residual of ``KSS_RTOL * (1 + |l|_inf)``.
+    Each ``A(v_i) / S'(v_i)`` is a pair of ints of one
+    :class:`reebcone.geometry._SliceSums`, compared by cross-multiplication.
+    delta, bar_P and the residual are Fractions for rational ``xi``, else each
+    rounded once, with rays within ``RAY_TIE_RTOL * delta`` of the minimum
+    tied and ``kss`` up to a residual of ``KSS_RTOL * (1 + |l|_inf)``.
 
     Boundary divisors are experimental: the ray formula is only backed
     by the theorem for ``B = 0``, so ``boundary`` requires an explicit
@@ -179,7 +200,11 @@ def delta(
             "pass experimental=True to opt in"
         )
     l = gorenstein_vector(cone, boundary=boundary)
-    sums = _normalized_sums(cone, xi, l.l)
+    return _delta(cone, _slice_sums(cone, xi, l.l), l)
+
+
+def _delta(cone: ToricCone, sums: _SliceSums, l: GorensteinVector) -> StabilityReport:
+    """The body of :func:`delta`, on the sums of xi normalized against l."""
     ratio = ratio_type(sums.exact)
     # A(v_i) / S'(v_i) = (<v_i, l_num> / l_d) / (s_i / den): compare <v_i, l_num> / s_i
     pairs = [(linalg.dot(v, sums.l_num), sums.s_prime(v)[0]) for v in cone.rays]
@@ -236,7 +261,7 @@ def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):
     each, ``f(t)`` over ``d l_d s_d t_d``; UnboundedSlice if ``S'(v) + t A(xi) <= 0``.
     """
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    sums = _normalized_sums(cone, xi, gorenstein_vector(cone).l)
+    sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
     ratio = ratio_type(sums.exact)
     v_num, v_d = _common_denominator(val.v)
     s, s_d = sums.s_prime(v_num, v_d)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,11 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DIM5_SPEC = ('{"dim": 5, "rays": [[1,1,0,3,3], [1,1,2,1,3], [2,0,0,3,2],'
              ' [2,1,2,0,1], [2,3,3,2,1], [3,2,2,1,3]]}')
 DIM5_XI, DIM5_ETA = (11, 8, 9, 10, 13), (0, 1, 0, 0, 0)
+
+# An experimental boundary divisor: l = (1/2, 1/4), while the Gorenstein
+# vector of the cone is (1, 0), so xi is normalized against the latter only.
+BOUNDARY_SPEC = ('{"dim": 2, "rays": [[1, 0], [1, 2]],'
+                 ' "xi": [1, 1], "boundary_coeffs": ["1/2", 0]}')
 
 # The modules a cold call of each subcommand must not load.
 UNLOADED = {
@@ -172,17 +178,42 @@ class TestRunReports:
         assert report.results["rays"] == [[1, 0], [0, 1]]
 
     def test_boundary_spec_is_experimental(self):
-        text = (
-            '{"dim": 2, "rays": [[1, 0], [1, 2]],'
-            ' "xi": [1, 1], "boundary_coeffs": ["1/2", 0]}'
-        )
-        report = run("delta", text, {})
+        report = run("delta", BOUNDARY_SPEC, {})
         assert any("experimental" in w for w in report.warnings)
         assert report.results["gorenstein"]["l"] == [
             Fraction(1, 2),
             Fraction(1, 4),
         ]
         assert report.results["delta"] == Fraction(2, 3)
+
+    def test_boundary_check_normalizes_against_the_gorenstein_vector(self):
+        # one slice pass: reeb.normalized against the cone's l, delta against the boundary's
+        report = run("check", BOUNDARY_SPEC, {})
+        assert any("experimental" in w for w in report.warnings)
+        assert report.results["gorenstein"]["l"] == [Fraction(1, 2), Fraction(1, 4)]
+        assert report.results["reeb"] == {"xi": [1, 1], "interior": True, "normalized": True}
+        assert report.results["delta"] == Fraction(2, 3)
+        assert report.results["residual"] == Fraction(1, 4)
+        assert report.results["kss"] is False
+
+    def test_oracle_table_is_one_slice_pass(self, monkeypatch):
+        # S and S' of every ray from one slice pass, S_m from one lattice scan per level
+        from reebcone import geometry, stability
+
+        calls = {"slice": 0, "scan": 0}
+        kernel, scan = geometry._simplex_sums, stability.lattice_rows
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(geometry, "_simplex_sums", counted("slice", kernel))
+        monkeypatch.setattr(stability, "lattice_rows", counted("scan", scan))
+        report = run("oracle", spec_text("y21"), {"m_max": 3})
+        assert len(report.results["s_m_table"]["rows"]) == 4
+        assert calls == {"slice": 1, "scan": 3}
 
     def test_unknown_command(self):
         with pytest.raises(ValueError):
@@ -399,6 +430,76 @@ class TestMainExitCodes:
             main(["check", "--spec", str(SPEC_DIR / "a1.json"), "--xi", "1", "1e-100000"])
         assert exc.value.code == 1
         assert "exponent above 4300" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["minimize", "--tol", "inf"],
+        ["oracle", "--t", "0.5", "--cutoff", "inf"],
+        ["oracle", "--t", "nan"],
+        ["oracle", "--t", "inf"],
+        ["oracle", "--t", "0.5", "--cutoff", "nan"],
+    ], ids=["tol-inf", "cutoff-inf", "t-nan", "t-inf", "cutoff-nan"])
+    def test_non_finite_flag_exits_1(self, flags, capsys):
+        # refused by argparse, naming the flag, like any other malformed flag
+        command, *rest = flags
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", str(SPEC_DIR / "y21.json"), *rest])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert "argument %s: %r is not a finite number" % (rest[-2], rest[-1]) in captured.err
+
+    def test_tiny_t_is_refused(self, capsys):
+        # ceil(14 / t) of a subnormal t has no float, and no scan reaches that far
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(SPEC_DIR / "a1.json"), "--t", "1e-320"], capsys
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "ExceedsSupportedSize"
+
+    def test_non_utf8_spec_is_schema_error(self, tmp_path, capsys):
+        spec = tmp_path / "bytes.json"
+        spec.write_bytes(b"\xff\xfe")
+        code, payload = self.run_main(["check", "--spec", str(spec)], capsys)
+        assert code == 2
+        assert payload["error"]["type"] == "SchemaError"
+        assert "not UTF-8" in payload["error"]["message"]
+
+    def test_deeply_nested_spec_is_schema_error(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text('{"dim": 2, "rays": [[1, 0], [0, 1]], "comment": %s}'
+                        % ("[" * 100_000 + "]" * 100_000))
+        code, payload = self.run_main(["check", "--spec", str(spec)], capsys)
+        assert code == 2
+        assert payload["error"]["type"] == "SchemaError"
+        assert "nested deeper" in payload["error"]["message"]
+
+    def test_unwritable_json_out_is_input_error(self, tmp_path, capsys):
+        # the write comes first, so the one report on stdout carries its failure
+        target = tmp_path / "missing" / "report.json"
+        code, payload = self.run_main(
+            ["delta", "--spec", str(SPEC_DIR / "a1.json"), "--json-out", str(target)], capsys
+        )
+        assert code == 2
+        assert payload["error"]["type"] == "InputError"
+        assert "--json-out" in payload["error"]["message"]
+        assert payload["results"]["delta"] == "1"
+        assert not target.exists()
+
+    def test_m_max_beyond_the_scan_bound(self, capsys, monkeypatch):
+        # refused before the first lattice scan: 10^9 levels used to run unbounded
+        import reebcone.stability
+
+        def no_scan(*args):
+            raise AssertionError("a lattice level was scanned")
+
+        monkeypatch.setattr(reebcone.stability, "lattice_rows", no_scan)
+        start = time.perf_counter()
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "1000000000"], capsys
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload["error"]["type"] == "ExceedsSupportedSize"
 
     def test_argparse_usage_exits_1(self):
         with pytest.raises(SystemExit) as exc:
