@@ -28,12 +28,12 @@ _EXPORTS = {
         "SchemaError", "UnboundedSlice",
     ),
     "geometry": (
-        "GorensteinVector", "PolytopeSlice", "ReebVector", "ToricCone",
-        "dual_cone", "gorenstein_vector", "lattice_points", "polytope_Q",
-        "reeb_vector", "triangulate_cone",
+        "GorensteinVector", "LaurentSeries", "PolytopeSlice", "ReebVector",
+        "ToricCone", "dual_cone", "gorenstein_vector", "lattice_points",
+        "polytope_Q", "reeb_vector", "triangulate_cone",
     ),
     "characters": (
-        "LaurentSeries", "SimplicialPiece", "decompose_dual", "index_character",
+        "SimplicialPiece", "decompose_dual", "index_character",
         "truncated_character_oracle", "weight_character",
     ),
     "stability": (

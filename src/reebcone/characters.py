@@ -38,7 +38,8 @@ from .errors import (
     OrderTooLarge,
     UnboundedSlice,
 )
-from .geometry import ToricCone, integer_reeb, lattice_rows, reeb_numerators, simplices
+from .geometry import (LaurentSeries, ToricCone, integer_reeb, lattice_rows, reeb_numerators,
+                       simplices)
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -61,55 +62,6 @@ class SimplicialPiece:
     generators: tuple[tuple[int, ...], ...]
     box_points: tuple[tuple[int, ...], ...]
     excluded: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Principal-part coefficients of a character expansion at t = 0.
-
-    ``coeffs[j]`` is the Laurent coefficient of t^(order_low + j).  For an
-    index character order_low = -n and (n-1)! a0 = coeffs[0]; for a weight
-    character order_low = -(n+1) and n! b0 = coeffs[0].
-    """
-
-    order_low: int
-    coeffs: tuple
-    dim: int
-    kind: str
-
-    def evaluate(self, t):
-        """Evaluate the truncated expansion at a scalar t > 0."""
-        return sum(c * t ** (self.order_low + j) for j, c in enumerate(self.coeffs))
-
-    @property
-    def a0(self):
-        if self.kind != "index":
-            raise ValueError("a0 is an index-character coefficient")
-        return self.coeffs[0] / math.factorial(self.dim - 1)
-
-    def _second(self, name: str):
-        if len(self.coeffs) < 2:
-            raise ValueError(f"{name} needs a series of order at least 1, this one has order 0")
-        return self.coeffs[1]
-
-    @property
-    def a1(self):
-        if self.kind != "index":
-            raise ValueError("a1 is an index-character coefficient")
-        norm = math.factorial(self.dim - 2) if self.dim >= 2 else 1
-        return self._second("a1") / norm
-
-    @property
-    def b0(self):
-        if self.kind != "weight":
-            raise ValueError("b0 is a weight-character coefficient")
-        return self.coeffs[0] / math.factorial(self.dim)
-
-    @property
-    def b1(self):
-        if self.kind != "weight":
-            raise ValueError("b1 is a weight-character coefficient")
-        return self._second("b1") / math.factorial(self.dim - 1)
 
 
 # ---------------------------------------------------------------------------

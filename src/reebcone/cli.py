@@ -2,11 +2,13 @@
 
 The CLI is a thin shell over the library: it parses one cone spec,
 calls the library routines of one subcommand, and serializes the
-result.  No arithmetic happens here beyond the factorials that scale the
-closed-form coefficients of ``character --order 0|1`` into Laurent
-coefficients.  Rational values are emitted as exact ``"p/q"`` strings so
-that exactness survives the pipe, and reports are deterministic
-byte-for-byte for identical inputs, flags and version.
+result.  It computes no invariant: each report block is a library result
+type (``StabilityReport``, ``MinimizeResult`` with xi* as floats,
+``LaurentSeries``) written out field by field, and the one number it
+derives is the default cutoff of ``oracle --t``.  Rational values are
+emitted as exact ``"p/q"`` strings so that exactness survives the pipe,
+and reports are deterministic byte-for-byte for identical inputs, flags
+and version.
 
 Each call starts a cold interpreter, so each subcommand imports only the
 layers it runs: :mod:`reebcone.geometry` always (every subcommand builds
@@ -288,17 +290,7 @@ def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
 
     xi = _require_xi(spec, flags)
     _warn_boundary(spec)
-    report = delta(cone, xi, spec.boundary_coeffs, experimental=True)
-    results.update({
-        "delta": report.delta,
-        "delta_prime": report.delta_prime,
-        "bary_P": list(report.bary_P),
-        "gorenstein": {"l": list(report.gorenstein.l)},
-        "minimizing_rays": list(report.minimizing_rays),
-        "kss": report.kss,
-        "residual": report.residual,
-        "scale": report.scale,
-    })
+    results.update(dataclasses.asdict(delta(cone, xi, spec.boundary_coeffs, experimental=True)))
 
 
 def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
@@ -312,21 +304,7 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -
         start=start,
         probe_rational=flags.get("probe_rational"),
     )
-    results.update({
-        "xi_star": [float(x) for x in res.xi_star.xi],
-        "vol_star": res.vol_star,
-        "gradient_norm": res.gradient_norm,
-        "iterations": res.iterations,
-        "kss_residual": res.kss_residual,
-        "margin": res.margin,
-        "rational_candidate": None,
-    })
-    if res.rational_candidate is not None:
-        results["rational_candidate"] = {
-            "vector": list(res.rational_candidate.vector),
-            "max_denominator": res.rational_candidate.max_denominator,
-            "distance": res.rational_candidate.distance,
-        }
+    results.update(dataclasses.asdict(res), xi_star=[float(x) for x in res.xi_star.xi])
 
 
 def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
@@ -334,8 +312,8 @@ def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
 
     xi = _require_xi(spec, flags)
     eta = _require_eta(spec, flags)
-    coeffs = futaki_coefficients(cone, xi, eta)
-    results.update({"futaki": futaki_pairing(coeffs, coeffs), **coeffs._asdict()})
+    F, C = futaki_coefficients(cone, xi, eta)
+    results.update(futaki=futaki_pairing(F, C), a0=F.a0, a1=F.a1, b0=C.b0, b1=C.b1)
 
 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
@@ -345,42 +323,21 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
         raise ValueError("order must be nonnegative, got %r" % (order,))
     eta = _flag(flags, "eta", spec.eta)
     if order <= 1:
-        # closed form, no box points; the coefficients LaurentSeries would
-        # hold are (n-1)! a0, (n-2)! a1, n! b0 and (n-1)! b1
-        n = cone.dim
-        c = futaki_coefficients(cone, xi, (0,) * n if eta is None else eta)
-        results["index"] = {
-            "order_low": -n,
-            "coeffs": [math.factorial(n - 1) * c.a0, math.factorial(max(n - 2, 0)) * c.a1][:order + 1],
-            "a0": c.a0,
-            "a1": c.a1 if order else None,
-        }
-        if eta is not None:
-            results["weight"] = {
-                "order_low": -(n + 1),
-                "coeffs": [math.factorial(n) * c.b0, math.factorial(n - 1) * c.b1][:order + 1],
-                "b0": c.b0,
-                "b1": c.b1 if order else None,
-            }
-        return
-    from .characters import decompose_dual, index_character, weight_character
+        F, C = futaki_coefficients(cone, xi, eta)  # closed form to order 1, no box points
+    else:
+        from .characters import decompose_dual, index_character, weight_character
 
-    pieces = decompose_dual(cone)
-    F = index_character(pieces, xi, order=order)
-    results["index"] = {
-        "order_low": F.order_low,
-        "coeffs": list(F.coeffs),
-        "a0": F.a0,
-        "a1": F.a1,
-    }
-    if eta is not None:
-        C = weight_character(pieces, xi, eta, order=order)
-        results["weight"] = {
-            "order_low": C.order_low,
-            "coeffs": list(C.coeffs),
-            "b0": C.b0,
-            "b1": C.b1,
-        }
+        pieces = decompose_dual(cone)
+        F = index_character(pieces, xi, order=order)
+        C = None if eta is None else weight_character(pieces, xi, eta, order=order)
+    for block, series, low, high in (("index", F, "a0", "a1"), ("weight", C, "b0", "b1")):
+        if series is not None:
+            results[block] = {
+                "order_low": series.order_low,
+                "coeffs": list(series.coeffs[:order + 1]),
+                low: getattr(series, low),
+                high: getattr(series, high) if order else None,
+            }
 
 
 def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:

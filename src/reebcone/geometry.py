@@ -5,7 +5,9 @@ integer vectors v_1..v_d (``rays``).  Its dual
 ``sigma^v = {u : <v_i, u> >= 0 for all i}`` lives in M_R; the extreme rays of
 sigma^v are the ``dual_rays`` and double as the facet data of sigma.  A Reeb
 vector is a point of int(sigma); slicing sigma^v at ``<xi, u> <= 1`` produces
-the bounded polytope Q_xi whose volume and barycenter drive everything else.
+the bounded polytope Q_xi whose volume and barycenter drive everything else;
+the volumes of its facets through the origin add the index and weight
+characters to order 1, as :class:`LaurentSeries`.
 
 All computations with rational data are exact (``fractions.Fraction``).
 Any other Reeb vector is rounded to an mpf at the configured working
@@ -42,6 +44,11 @@ from .errors import (
 
 MAX_DIM = 8
 MAX_RAYS = 64
+# caps on the cone work the two above let in, checked as the work runs: at
+# most about 10 s of dual_cone + simplices (on a 2-core Xeon VM, a simplex
+# takes up to 0.4 ms with 1000 dual rays in dim 8)
+MAX_DUAL_RAYS = 1000  # running rays of the double description
+MAX_SIMPLICES = 20000  # simplices of the triangulation of sigma^v
 _GUARD_BITS = 32  # fixed-point bits of the working-precision sums beyond the precision
 # bits of a working-precision numerator or denominator beyond the precision;
 # every float vector fits (at most 1024 + 1074 bits)
@@ -106,6 +113,41 @@ class PolytopeSlice:
     volume_Q: object
     bary_Q: tuple
     bary_P: tuple
+
+
+@dataclass(frozen=True)
+class LaurentSeries:
+    """Principal-part coefficients of a character expansion at t = 0.
+
+    ``coeffs[j]`` is the Laurent coefficient of t^(order_low + j), with
+    order_low = -n for an index character and -(n+1) for a weight
+    character.  Its a_j (index) or b_j (weight) is coeffs[j] / k!,
+    k = max(-order_low - 1 - j, 0): (n-1)! a0, (n-2)! a1, n! b0 and
+    (n-1)! b1 are the leading coefficients, and a1 = coeffs[1] for n = 1.
+    """
+
+    order_low: int
+    coeffs: tuple
+    dim: int
+    kind: str
+
+    def evaluate(self, t):
+        """Evaluate the truncated expansion at a scalar t > 0."""
+        return sum(c * t ** (self.order_low + j) for j, c in enumerate(self.coeffs))
+
+    def _coefficient(self, kind: str, j: int):
+        name = ("a" if kind == "index" else "b") + str(j)
+        if self.kind != kind:
+            raise ValueError(f"{name} is a coefficient of the {kind} character")
+        if len(self.coeffs) <= j:
+            raise ValueError(f"{name} needs a series of order at least {j}, "
+                             f"this one has order {len(self.coeffs) - 1}")
+        return self.coeffs[j] / math.factorial(max(-self.order_low - 1 - j, 0))
+
+    a0 = property(lambda self: self._coefficient("index", 0))
+    a1 = property(lambda self: self._coefficient("index", 1))
+    b0 = property(lambda self: self._coefficient("weight", 0))
+    b1 = property(lambda self: self._coefficient("weight", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +235,8 @@ def _double_description(constraints: list[tuple[int, ...]], dim: int) -> list[tu
                     fresh[linalg.primitivize(ray)] = common | 1 << k
         rays = {r: mask | (values[r] == 0) << k
                 for r, mask in rays.items() if values[r] >= 0} | fresh
+        if len(rays) > MAX_DUAL_RAYS:
+            raise ExceedsSupportedSize(f"dual cone exceeds the supported {MAX_DUAL_RAYS} rays")
         inserted |= 1 << k
     return list(rays)
 
@@ -205,7 +249,8 @@ def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
     records the facet data.  The extreme-ray test is by incidence: the dual
     rays are the facets of sigma, and a generator is extreme unless another
     one lies on a strict superset of its facets.  Raises NotFullDimensional
-    or NotPointed on degenerate input.
+    or NotPointed on degenerate input, and ExceedsSupportedSize as soon as
+    the double description holds more than MAX_DUAL_RAYS rays.
     """
     rays = _validate_rays(cone_rays, dim)
     unique: dict[tuple[int, ...], None] = {}
@@ -327,13 +372,19 @@ def triangulate_cone(rays: Sequence[tuple[int, ...]],
     simplices form a genuine triangulation.  Returns tuples of indices into
     ``rays``.  Another input order generally yields a different triangulation
     of the same cone.  The library triangulates each cone once, through
-    :func:`simplices`.
+    :func:`simplices`.  Raises ExceedsSupportedSize as soon as more than
+    MAX_SIMPLICES simplices are emitted.
     """
     zero = _incidence(normals, rays)
+    emitted = 0
 
     def recurse(face: int, k: int) -> list[tuple[int, ...]]:
+        nonlocal emitted
         members = tuple(i for i in range(len(rays)) if face >> i & 1)
         if len(members) == k:
+            emitted += 1  # each simplex ends in one such leaf
+            if emitted > MAX_SIMPLICES:
+                raise ExceedsSupportedSize(f"triangulation exceeds {MAX_SIMPLICES} simplices")
             return [members]
         proper = dict.fromkeys(face & z for z in zero if face & z != face)
         cones = []
@@ -587,17 +638,9 @@ def polytope_Q(cone: ToricCone, xi) -> PolytopeSlice:
     )
 
 
-class FutakiCoefficients(NamedTuple):
-    """a0, a1 of the index character and b0, b1 of the weight character."""
-
-    a0: object
-    a1: object
-    b0: object
-    b1: object
-
-
-def futaki_coefficients(cone: ToricCone, xi, eta) -> FutakiCoefficients:
-    """The four character coefficients of the Futaki invariant, in closed form.
+def futaki_coefficients(cone: ToricCone, xi, eta=None) -> tuple:
+    """The index character F at xi and the weight character C of eta to
+    order 1, in closed form: ``(F, C)``, with C None when no eta is given.
 
     With vol and bary_P those of :func:`polytope_Q` and the faces F of
     :func:`boundary_faces`, whose simplices of Q_xi have volumes
@@ -607,24 +650,28 @@ def futaki_coefficients(cone: ToricCone, xi, eta) -> FutakiCoefficients:
         a1 = (n-1)/2 sum_F vol(F),      b1 = 1/2 sum_F vol(F) sum_{w in W} <eta, w> / <xi, w>,
 
     on every cone, Q-Gorenstein or not: sum_F vol(F) is the lattice volume
-    of the facets of Q_xi through the origin, and b1 = -D_eta a1 / (n-1).  No box points, so no piece size bound applies.  The
-    sums are those of :func:`_simplex_sums`, integer on every path: exact
-    Fractions out for rational xi and eta, otherwise each output is the int
-    ratio rounded once to an mpf at the working precision.  For n = 1, a1
-    takes the index character's normalization: 1/2.
+    of the facets of Q_xi through the origin, and b1 = -D_eta a1 / (n-1).
+    The Laurent coefficients are the int ratios d^n T / L, d^(n-1) T_F /
+    (2 L_F), d^(n+1) <eta_num, M> / (e L^2) and d^n <eta_num, M_F> / (2 e
+    L_F^2) of :func:`_simplex_sums` over :func:`simplices` (T, M, L) and
+    the faces (T_F, M_F, L_F), n = 1 included (one empty face, a1 = 1/2):
+    Fractions for rational xi and eta, else each rounded once to an mpf at
+    the working precision.  No box points, so no piece size bound applies.
     """
     n = cone.dim
-    [(xi_num, d), (eta_num, e)], exact = reeb_numerators(n, xi, eta)
-    ratio = ratio_type(exact)
+    pairs, exact = reeb_numerators(n, xi, eta)
+    (xi_num, d), ratio = pairs[0], ratio_type(exact)
     pairings = _slice_pairings(cone, xi_num)
     t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
     t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
-    return FutakiCoefficients(
-        a0=ratio(d ** n * t_s, math.factorial(n - 1) * l_s),
-        a1=ratio(d ** (n - 1) * t_f, 2 * math.factorial(max(n - 2, 0)) * l_f),
-        b0=ratio(d ** (n + 1) * linalg.dot(eta_num, m_s), e * math.factorial(n) * l_s ** 2),
-        b1=ratio(d ** n * linalg.dot(eta_num, m_f), 2 * e * math.factorial(n - 1) * l_f ** 2),
-    )
+    F = LaurentSeries(-n, (ratio(d ** n * t_s, l_s), ratio(d ** (n - 1) * t_f, 2 * l_f)), n, "index")
+    if eta is None:
+        return F, None
+    eta_num, e = pairs[1]
+    return F, LaurentSeries(-(n + 1), (
+        ratio(d ** (n + 1) * linalg.dot(eta_num, m_s), e * l_s ** 2),
+        ratio(d ** n * linalg.dot(eta_num, m_f), 2 * e * l_f ** 2),
+    ), n, "weight")
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +732,8 @@ def lattice_rows(cone: ToricCone, xi, level):
     if largest >= _INT64_SAFE:
         raise ExceedsSupportedSize(f"lattice scan values up to {largest} overflow int64")
 
-    prefix = np.indices(widths[:-1], dtype=np.int64).reshape(len(lo) - 1, prefixes).T + lo[:-1]
+    offset = np.array(lo[:-1], dtype=np.int64)  # int64 even when empty, in dim 1
+    prefix = np.indices(widths[:-1], dtype=np.int64).reshape(len(lo) - 1, prefixes).T + offset
     a = np.full(len(prefix), lo[-1], dtype=np.int64)
     b = np.full(len(prefix), hi[-1], dtype=np.int64)
     for coeffs, rhs in constraints:

@@ -5,8 +5,9 @@ slice's closed forms in :mod:`reebcone.geometry`: one
 :class:`reebcone.geometry._SliceSums` per ``(cone, xi)``, the value behind
 :func:`reebcone.geometry.polytope_Q` too, and for the Futaki invariant
 :func:`reebcone.geometry.futaki_coefficients`, which adds the volumes of
-the slice's boundary faces to give the leading index and weight character
-coefficients without box points.  The central objects are
+the slice's boundary faces to give the index and weight characters to
+order 1 as :class:`reebcone.geometry.LaurentSeries`, without box points.
+The central objects are
 
 * ``A(v)`` -- the log discrepancy of the toric valuation ``wt_v``,
   which is the pairing of ``v`` with the Gorenstein vector ``l``;
@@ -148,16 +149,17 @@ def _level_sums(cone: ToricCone, xi, m: int) -> tuple[list[int], int]:
 def _oracle_table(cone: ToricCone, xi, m_max: int) -> list[dict]:
     """Rows ``{v, s_m: [S_m(v), m = 1..m_max], s: S(v), s_prime: S'(v)}`` over
     the rays v of sigma, from one lattice scan per level and one slice pass.
-    ExceedsSupportedSize before the first scan when ``m_max`` times the
-    prefixes of the level-``m_max`` scan exceed ``MAX_LATTICE_SCAN``."""
+    ExceedsSupportedSize when ``m_max`` times the prefixes of the
+    level-``m_max`` scan exceed ``MAX_LATTICE_SCAN``, then NotQGorenstein
+    from the slice pass, both before the first scan."""
     prefixes = _scan_box(cone, xi, m_max)[-1]
     if m_max * prefixes > MAX_LATTICE_SCAN:
         raise ExceedsSupportedSize(
             "%d levels of up to %d prefixes exceed the supported %d"
             % (m_max, prefixes, MAX_LATTICE_SCAN)
         )
-    levels = [_level_sums(cone, xi, m) for m in range(1, m_max + 1)]
     sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
+    levels = [_level_sums(cone, xi, m) for m in range(1, m_max + 1)]
     ratio = ratio_type(sums.exact)
     return [
         {"v": list(v), "s_m": [Fraction(linalg.dot(v, total), den) for total, den in levels],
@@ -231,21 +233,20 @@ def futaki_pairing(F, C):
     """``Fut(xi; eta) = -2 (a0 b1 - a1 b0) / a0**2`` from the characters.
 
     ``a0, a1`` come from the index character ``F`` at ``xi`` and ``b0, b1``
-    from the weight character ``C`` of ``eta``, each of order at least 1, or
-    both from one :class:`reebcone.geometry.FutakiCoefficients`; the combination is exactly
-    the derivative of the normalized volume of ``xi + s eta`` at ``s = 0``
-    up to positive scale, so a critical Reeb vector has vanishing pairing
-    against every ``eta``.
+    from the weight character ``C`` of ``eta``, two
+    :class:`reebcone.geometry.LaurentSeries` of order at least 1; the
+    combination is exactly the derivative of the normalized volume of
+    ``xi + s eta`` at ``s = 0`` up to positive scale, so a critical Reeb
+    vector has vanishing pairing against every ``eta``.
     """
     return -2 * (F.a0 * C.b1 - F.a1 * C.b0) / (F.a0 * F.a0)
 
 
 def futaki_product(cone: ToricCone, xi, eta):
     """Futaki pairing of a cone: :func:`futaki_pairing` of the closed-form
-    :func:`reebcone.geometry.futaki_coefficients`, equal to that of the
-    characters to order 1."""
-    coeffs = futaki_coefficients(cone, xi, eta)
-    return futaki_pairing(coeffs, coeffs)
+    characters of :func:`reebcone.geometry.futaki_coefficients`, equal to
+    those of the box points to order 1."""
+    return futaki_pairing(*futaki_coefficients(cone, xi, eta))
 
 
 def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):

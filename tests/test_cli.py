@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,7 +108,7 @@ class TestRunReports:
         report = run("delta", text, {"xi": (1, Fraction(1, 2))})
         direct = delta(a1, (1, Fraction(1, 2)))
         assert report.results["delta"] == direct.delta == Fraction(1, 2)
-        assert report.results["minimizing_rays"] == [1]
+        assert report.results["minimizing_rays"] == (1,)
         assert report.results["kss"] is False
         assert report.spec_name == "a1"
         assert report.error is None
@@ -150,6 +151,13 @@ class TestRunReports:
                 assert results["weight"] == {"order_low": C.order_low, "coeffs": list(C.coeffs),
                                              "b0": C.b0, "b1": C.b1 if order else None}
 
+    def test_dim_1_closed_form_is_the_series_head(self):
+        # order 1 from the closed form, order 3 from the box points
+        text = '{"dim": 1, "rays": [[1]], "xi": [2], "eta": [1]}'
+        head, full = (run("character", text, {"order": order}).results for order in (1, 3))
+        for block in ("index", "weight"):
+            assert head[block] == dict(full[block], coeffs=full[block]["coeffs"][:2])
+
     def test_minimize_report(self):
         report = run("minimize", spec_text("conifold"), {})
         res = report.results
@@ -180,10 +188,7 @@ class TestRunReports:
     def test_boundary_spec_is_experimental(self):
         report = run("delta", BOUNDARY_SPEC, {})
         assert any("experimental" in w for w in report.warnings)
-        assert report.results["gorenstein"]["l"] == [
-            Fraction(1, 2),
-            Fraction(1, 4),
-        ]
+        assert report.results["gorenstein"]["l"] == (Fraction(1, 2), Fraction(1, 4))
         assert report.results["delta"] == Fraction(2, 3)
 
     def test_boundary_check_normalizes_against_the_gorenstein_vector(self):
@@ -501,6 +506,39 @@ class TestMainExitCodes:
         assert code == 2
         assert payload["error"]["type"] == "ExceedsSupportedSize"
 
+    def test_m_max_on_a_cone_not_q_gorenstein_scans_nothing(self, tmp_path, capsys, monkeypatch):
+        # S' needs l, and its absence ends the call before the first level is scanned
+        import reebcone.stability
+
+        scans = []
+        scan = reebcone.stability.lattice_rows
+        monkeypatch.setattr(reebcone.stability, "lattice_rows",
+                            lambda *args: scans.append(args) or scan(*args))
+        spec = tmp_path / "nqg.json"
+        spec.write_text('{"dim":3,"rays":[[2,0,0],[1,1,0],[1,1,1],[2,0,1]]}')
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(spec), "--xi", "6", "2", "2", "--m-max", "120"], capsys
+        )
+        assert (code, payload["error"]["type"], payload["results"]) == (3, "NotQGorenstein", {})
+        assert payload["warnings"] == ["ray 0 re-primitivized to [1, 0, 0]"]
+        assert scans == []
+
+    def test_oracle_on_a_dim_1_cone(self, tmp_path, capsys):
+        # the lattice points of m Q_xi are 0..floor(m / 2), and at t = 1/2 the
+        # weighted sum is sum_k k e^{-k} = e^{-1} / (1 - e^{-1})^2
+        spec = tmp_path / "dim1.json"
+        spec.write_text('{"dim":1,"rays":[[1]],"xi":[2],"eta":[1]}')
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(spec), "--m-max", "3", "--t", "0.5"], capsys
+        )
+        assert code == 0
+        assert payload["error"] is None
+        assert payload["results"]["s_m_table"]["rows"] == [
+            {"v": [1], "s_m": ["0", "1/4", "1/6"], "s": "1/4", "s_prime": "1"}
+        ]
+        [entry] = payload["results"]["character_values"]["entries"]
+        assert abs(entry["value"] - math.exp(-1) / (1 - math.exp(-1)) ** 2) < 1e-5
+
     def test_argparse_usage_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["delta"])  # --spec is required
@@ -632,3 +670,20 @@ class TestConsoleScript:
         assert code == 0
         assert stdout.encode("utf-8") == (GOLDEN_DIR / golden).read_bytes()
         assert not set(loaded) & set(UNLOADED[command])
+
+    def test_cold_closed_form_character_loads_no_box_points(self):
+        # orders 0 and 1 read the closed form of reebcone.geometry
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            "from reebcone import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = cli.main(sys.argv[1:])",
+            "print(json.dumps([code, sorted(sys.modules)]))",
+        ])
+        argv = ["character", "--spec", str(SPEC_DIR / "y21.json"), "--order", "1"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert not set(loaded) & {"reebcone.characters", *UNLOADED["character"]}

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import reebcone.geometry as geometry
 import reebcone.linalg as linalg
 from reebcone import (
     DegenerateSolutionSet,
+    ExceedsSupportedSize,
     GorensteinVector,
     IrrationalReeb,
     NonIntegerRay,
@@ -23,6 +25,7 @@ from reebcone import (
     NotQGorenstein,
     RayPrimitivizedWarning,
     RedundantRayWarning,
+    ReebconeWarning,
     UnboundedSlice,
     decompose_dual,
     delta,
@@ -70,6 +73,11 @@ def cube_rays(n):
 def pair_sums(rays):
     """Every sum of two rays: redundant generators of sigma, valid inequalities of sigma^v."""
     return [tuple(map(operator.add, v, w)) for v, w in itertools.combinations(rays, 2)]
+
+
+def cross_rays(n):
+    """The rays of the cone over the (n-1)-dimensional cross-polytope at height one."""
+    return [(1,) + tuple(s * (i == j) for j in range(n - 1)) for i in range(n - 1) for s in (1, -1)]
 
 
 class TestDualCone:
@@ -159,7 +167,7 @@ class TestDualCone:
         out = []
         for n in range(3, 6):
             k = n - 1
-            cross = [(1,) + tuple(s * (i == j) for j in range(k)) for i in range(k) for s in (1, -1)]
+            cross = cross_rays(n)
             centre = (2,) + (1,) * k  # inside sigma
             edge = (2, 1) + (0,) * (k - 1)  # inside a 2-face of sigma
             cube = cube_rays(n)
@@ -188,6 +196,38 @@ class TestDualCone:
         assert not conifold.contains((0, 1, 0))
         assert conifold.interior_contains((1, Fraction(1, 2), Fraction(1, 2)))
         assert not conifold.interior_contains((1, 0, 0))
+
+
+class TestWorkCaps:
+    def test_dim7_point_cloud_refused_fast(self):
+        # 64 random points at height one: about 2,500 dual rays and 10^5
+        # simplices, over a minute of work without the cap on dual rays
+        rng = random.Random(5)
+        points = [(1,) + tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(64)]
+        start = time.perf_counter()
+        with warnings.catch_warnings(), pytest.raises(ExceedsSupportedSize, match="1000 rays"):
+            warnings.simplefilter("ignore", ReebconeWarning)
+            dual_cone(points, 7)
+        assert time.perf_counter() - start < 2
+
+    def test_dim8_cross_polytope_cone_accepted(self):
+        cone = dual_cone(cross_rays(8), 8)
+        assert (len(cone.dual_rays), len(geometry.simplices(cone))) == (128, 5040)
+
+    def test_caps_checked_while_the_work_runs(self, monkeypatch):
+        # the dim-7 cross-polytope cone: 64 dual rays, at most 64 at any step, and 720 simplices
+        rays = cross_rays(7)
+        cone = dual_cone(rays, 7)
+        monkeypatch.setattr(geometry, "MAX_DUAL_RAYS", 64)
+        assert dual_cone(rays, 7) == cone
+        monkeypatch.setattr(geometry, "MAX_DUAL_RAYS", 63)
+        with pytest.raises(ExceedsSupportedSize, match="63 rays"):
+            dual_cone(rays, 7)
+        monkeypatch.setattr(geometry, "MAX_SIMPLICES", 720)
+        assert len(triangulate_cone(cone.dual_rays, cone.rays)) == 720
+        monkeypatch.setattr(geometry, "MAX_SIMPLICES", 719)
+        with pytest.raises(ExceedsSupportedSize, match="719 simplices"):
+            triangulate_cone(cone.dual_rays, cone.rays)
 
 
 class TestGorensteinVector:

@@ -34,9 +34,11 @@ LEVEL = 6
 
 
 def _cases():
-    """(id, cone, xi, eta): the bundled specs, a random suite of dims 2-4, and
-    one xi with xi_n = 0, where every run has a single pairing."""
-    out = [("xi_n_zero", dual_cone([(1, -1), (1, 1)], 2), (1, 0), (1, 3))]
+    """(id, cone, xi, eta): the bundled specs, a random suite of dims 2-4, one
+    xi with xi_n = 0, where every run has a single pairing, and a dim-1 cone,
+    whose prefixes have no coordinates."""
+    out = [("xi_n_zero", dual_cone([(1, -1), (1, 1)], 2), (1, 0), (1, 3)),
+           ("dim1", dual_cone([(1,)], 1), (Fraction(2, 3),), (-2,))]
     for path in sorted(SPEC_DIR.glob("*.json")):
         spec = parse_cone_spec(path.read_text(encoding="utf-8"))
         eta = spec.eta or (1,) + (0,) * (spec.dim - 1)

@@ -53,6 +53,12 @@ from conftest import (
 )
 
 
+def leading_coefficients(cone, xi, eta):
+    """(a0, a1, b0, b1) of the closed-form characters of ``futaki_coefficients``."""
+    F, C = futaki_coefficients(cone, xi, eta)
+    return F.a0, F.a1, C.b0, C.b1
+
+
 class TestToricValuation:
     def test_validation(self, conifold):
         with pytest.raises(ValueError):
@@ -340,19 +346,29 @@ class TestFutaki:
 
 class TestFutakiClosedForm:
     def test_matches_characters(self):
-        # dims 2-5, with random box cones that are mostly not Q-Gorenstein
+        # dims 2-5, with random box cones that are mostly not Q-Gorenstein, a
+        # dim-1 cone and small-piece cones of dims 6-8: the closed form's
+        # series are the box points', so one normalization gives both a_j, b_j
         rng = random.Random(19)
         cases = [(cone, xi, tuple(rng.randint(-4, 4) for _ in range(cone.dim)))
                  for cone, xi in random_cone_suite(seed=59, count=20, dims=(2, 3, 4, 5))]
         cases += random_box_cone_suite(seed=7, count=60, high=2)
         assert sum(not is_q_gorenstein(cone) for cone, _, _ in cases) >= 30
-        assert {cone.dim for cone, _, _ in cases} == {2, 3, 4, 5}
+        cases += [(dual_cone([(1,)], 1), (2,), (1,)), (dual_cone([(1,)], 1), (Fraction(1, 3),), (-5,))]
+        cases += random_box_cone_suite(seed=7, count=12, dims=(6, 7, 8), high=1)
+        assert {cone.dim for cone, _, _ in cases} == set(range(1, 9))
         for cone, xi, eta in cases:
             pieces = decompose_dual(cone)
             F = index_character(pieces, xi, order=1)
             C = weight_character(pieces, xi, eta, order=1)
-            assert tuple(futaki_coefficients(cone, xi, eta)) == (F.a0, F.a1, C.b0, C.b1)
+            assert futaki_coefficients(cone, xi, eta) == (F, C)
+            assert futaki_coefficients(cone, xi) == (F, None)
+            assert leading_coefficients(cone, xi, eta) == (F.a0, F.a1, C.b0, C.b1)
             assert futaki_product(cone, xi, eta) == futaki_pairing(F, C)
+        # F(t) = 1 / (1 - e^{-2t}) = 1/(2t) + 1/2 + ...: for n = 1, a0 = a1 = 1/2
+        F, _ = futaki_coefficients(dual_cone([(1,)], 1), (2,))
+        half = Fraction(1, 2)
+        assert (F.coeffs, F.a0, F.a1) == ((half, half), half, half)
 
     def test_gorenstein_futaki_is_the_barycenter_residual(self):
         # on Q-Gorenstein cones Fut(xi; eta) = <eta, l - A bary_P>, A = <xi, l>
@@ -373,15 +389,15 @@ class TestFutakiClosedForm:
                   if len(simplices(cone)) <= 40]
         assert {cone.dim for cone, _, _ in cases} >= {6, 7, 8}
         for cone, xi, eta in cases:
-            assert tuple(futaki_coefficients(cone, xi, eta)) == minor_futaki_coefficients(cone, xi, eta)
+            assert leading_coefficients(cone, xi, eta) == minor_futaki_coefficients(cone, xi, eta)
 
     def test_mpf_path_matches_exact(self):
         ctx, rtol = mp_context(), series_rtol()
         cases = random_box_cone_suite(seed=17, count=12)
         cases += [(cone, xi, (0, 1) + (0,) * (cone.dim - 2)) for cone, xi in many_simplex_suite()[:4]]
         for cone, xi, eta in cases:
-            exact = futaki_coefficients(cone, xi, eta)
-            approx = futaki_coefficients(cone, tuple(to_mpf(x, ctx) for x in xi), eta)
+            exact = leading_coefficients(cone, xi, eta)
+            approx = leading_coefficients(cone, tuple(to_mpf(x, ctx) for x in xi), eta)
             for m, e in zip(approx, exact):
                 assert isinstance(m, ctx.mpf)
                 e = to_mpf(e, ctx)
@@ -394,7 +410,7 @@ class TestFutakiClosedForm:
         assert max(det for det, _ in simplices(cone)) > MAX_BOX_POINTS
         xi, eta = (11, 8, 9, 10, 13), (0, 1, 0, 0, 0)
         decompose_dual.cache_clear()
-        assert tuple(futaki_coefficients(cone, xi, eta)) == minor_futaki_coefficients(cone, xi, eta)
+        assert leading_coefficients(cone, xi, eta) == minor_futaki_coefficients(cone, xi, eta)
         futaki_product(cone, xi, eta)
         y21 = dual_cone([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)], 3)
         futaki_product(y21, (3, 2, 2), (0, 1, 0))
@@ -551,7 +567,7 @@ class TestWorkingPrecision:
                 close([getattr(approx, field)], [getattr(exact, field)])
             close(approx.bary_P, exact.bary_P)
             assert abs(_exact(approx.residual) - exact.residual) <= bound * max(map(abs, exact.bary_P))
-            for m, e in zip(futaki_coefficients(cone, xi_mp, eta), futaki_coefficients(cone, xi, eta)):
+            for m, e in zip(leading_coefficients(cone, xi_mp, eta), leading_coefficients(cone, xi, eta)):
                 close([m], [e])
             # S, S' and f(t) on every ray, against the exact barycenters; S' is
             # <v, bary_P> at xi / <xi, l>, and <xi, l> is the scale
