@@ -21,11 +21,10 @@ _EXPORTS = {
     "errors": (
         "ConvergenceError", "CutoffTooSmall", "DegenerateSolutionSet",
         "DimensionMismatch", "ExceedsSupportedSize", "InputError",
-        "IrrationalReeb", "LeftReebCone", "MathDomainError", "MaxIterations",
-        "NonConvergent", "NonIntegerRay", "NotFullDimensional", "NotPointed",
-        "NotQGorenstein", "OrderTooLarge", "RayPrimitivizedWarning",
-        "RedundantRayWarning", "ReebconeError", "ReebconeWarning",
-        "SchemaError", "UnboundedSlice",
+        "IrrationalReeb", "MathDomainError", "MaxIterations", "NonConvergent",
+        "NonIntegerRay", "NotFullDimensional", "NotPointed", "NotQGorenstein",
+        "OrderTooLarge", "RayPrimitivizedWarning", "RedundantRayWarning",
+        "ReebconeError", "ReebconeWarning", "SchemaError", "UnboundedSlice",
     ),
     "geometry": (
         "GorensteinVector", "LaurentSeries", "PolytopeSlice", "ReebVector",

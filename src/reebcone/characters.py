@@ -158,15 +158,19 @@ def _series_mul(a: list, b: list) -> list:
     return out
 
 
-def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order: int):
-    """n, the ``reeb_numerators`` pairs of xi (and eta) and the
-    :func:`reebcone.config.ratio_type` of their quotients, Fraction when exact
-    and one rounding to mpf in the shared context otherwise; OrderTooLarge
-    outside 0..MAX_ORDER."""
+def check_order(order: int) -> None:
+    """OrderTooLarge outside 0..MAX_ORDER, before any piece is built."""
     if not 0 <= order <= MAX_ORDER:
         raise OrderTooLarge(
             f"expansion order {order} outside the implemented depth 0..{MAX_ORDER}"
         )
+
+
+def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order: int):
+    """n, the ``reeb_numerators`` pairs of xi (and eta) and the ratio_type of
+    their quotients, Fraction when exact and one rounding to mpf in the shared
+    context otherwise, after :func:`check_order`."""
+    check_order(order)
     n = len(pieces[0].generators)
     pairs, exact = reeb_numerators(n, xi, eta)
     return n, pairs, ratio_type(exact)

@@ -52,7 +52,7 @@ from .errors import (
 )
 # every subcommand builds its cone here; each runner imports the other layers
 # it calls, so a cold call loads only those
-from .geometry import ToricCone, _slice_sums, dual_cone, futaki_coefficients, gorenstein_vector
+from .geometry import ToricCone, dual_cone, futaki_coefficients, gorenstein_vector, reeb_vector
 
 COMMANDS = ("check", "delta", "minimize", "futaki", "character", "oracle")
 MAX_EXPONENT = 4300  # largest |exponent| of a decimal input such as 1e-4300
@@ -258,17 +258,16 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
     results["q_gorenstein"] = True
     xi = _flag(flags, "xi", spec.xi)
     if xi is not None:
-        from .stability import _delta
+        from .stability import delta
 
-        sums = _slice_sums(cone, xi, l.l)
-        rv = sums.reeb  # normalized against the Gorenstein vector, not a boundary's l
+        rv = reeb_vector(cone, xi)  # normalized against the Gorenstein vector, not a boundary's l
         results["reeb"] = {
             "xi": list(rv.xi),
             "interior": True,
             "normalized": rv.normalized,
         }
         _warn_boundary(spec)
-        report = _delta(cone, sums, l)
+        report = delta(cone, xi, spec.boundary_coeffs, experimental=True)
         results["kss"] = report.kss
         results["delta"] = report.delta
         results["residual"] = report.residual
@@ -325,8 +324,9 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
     if order <= 1:
         F, C = futaki_coefficients(cone, xi, eta)  # closed form to order 1, no box points
     else:
-        from .characters import decompose_dual, index_character, weight_character
+        from .characters import check_order, decompose_dual, index_character, weight_character
 
+        check_order(order)  # before decompose_dual lists a single box point
         pieces = decompose_dual(cone)
         F = index_character(pieces, xi, order=order)
         C = None if eta is None else weight_character(pieces, xi, eta, order=order)

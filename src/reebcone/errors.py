@@ -95,9 +95,3 @@ class MaxIterations(ConvergenceError):
 class NonConvergent(ConvergenceError):
     """Search direction could not be stabilized (e.g. Hessian indefinite)."""
 
-
-class LeftReebCone(ReebconeError):
-    """A line-search step left the open cone of admissible Reeb vectors.
-
-    Internal control-flow signal; callers backtrack and retry.
-    """

@@ -35,23 +35,14 @@ def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
 
 
 def primitivize(v: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries.
+    """Divide a vector of ints by the gcd of its entries.
 
-    Raises ValueError on the zero vector or non-integer entries.
+    Raises ValueError on the zero vector.
     """
-    w = []
-    for x in v:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError(f"non-integer entry {x}")
-            x = x.numerator
-        elif not isinstance(x, int):
-            raise ValueError(f"non-integer entry {x!r}")
-        w.append(x)
-    g = math.gcd(*w) if w else 0
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in w)
+    return tuple(x // g for x in v)
 
 
 def _bareiss(rows: Sequence[Sequence[int]], width: int):

@@ -31,7 +31,6 @@ from typing import Optional, Sequence, Tuple
 from .config import default_tol
 from .errors import (
     ExceedsSupportedSize,
-    LeftReebCone,
     MaxIterations,
     NonConvergent,
     UnboundedSlice,
@@ -141,15 +140,11 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     kernel :func:`reebcone.geometry._simplex_sums` gives ``(n-1)! a0 =
     T``, its gradient ``-M`` and its Hessian ``H`` in the full
     coordinates, pushed through the affine chart of :func:`_chart`.
-    Raises :class:`LeftReebCone` if the point pairs nonpositively with
+    Raises :class:`UnboundedSlice` if the point pairs nonpositively with
     some dual ray, i.e. lies outside the interior of ``sigma``.
     """
     _, pivot, free, ratios, products = _chart(cone)
-    xi = _embed(cone, xi_slice_coords)
-    try:
-        pairings = _slice_pairings(cone, xi)
-    except UnboundedSlice:
-        raise LeftReebCone("point %s pairs nonpositively with a dual ray" % (xi,)) from None
+    pairings = _slice_pairings(cone, _embed(cone, xi_slice_coords))
     total, moment, _, hess_full = _simplex_sums(simplices(cone), pairings, divide=True)
     norm = math.factorial(cone.dim - 1)
     # push through the chart xi = b + E x, columns E[:, j] = e_{free_j} -
@@ -281,7 +276,7 @@ def minimize_volume(
             trial = tuple(c + scale_t * s for c, s in zip(x, step))
             try:
                 trial_value, trial_grad, trial_hess = volume_objective(cone, trial)
-            except LeftReebCone:
+            except UnboundedSlice:  # the step left the Reeb cone
                 scale_t *= 0.5
                 continue
             if (trial_value <= value + _ARMIJO * scale_t * slope
@@ -308,7 +303,7 @@ def minimize_volume(
     if probe_rational is not None:
         candidate = rationality_probe(xi_star_tuple, probe_rational)
     return MinimizeResult(
-        xi_star=sums.reeb,
+        xi_star=reeb_vector(cone, xi_star_tuple),
         vol_star=sums.a ** n * sums.total / (sums.l_d ** n * math.factorial(n - 1) * sums.big),
         gradient_norm=_norm(grad),
         iterations=iterations,

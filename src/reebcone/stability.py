@@ -40,7 +40,6 @@ from .geometry import (
     _common_denominator,
     _scan_box,
     _slice_sums,
-    _SliceSums,
     futaki_coefficients,
     gorenstein_vector,
     lattice_rows,
@@ -186,7 +185,7 @@ def delta(
     ``xi`` forces ``<xi, bar_P> = 1 = <xi, l>``, hence ``delta <= 1``
     always, with equality iff ``bar_P == l``.
 
-    Each ``A(v_i) / S'(v_i)`` is a pair of ints of one
+    Each ``A(v_i) / S'(v_i)`` is a pair of ints of the one slice pass
     :class:`reebcone.geometry._SliceSums`, compared by cross-multiplication.
     delta, bar_P and the residual are Fractions for rational ``xi``, else each
     rounded once, with rays within ``RAY_TIE_RTOL * delta`` of the minimum
@@ -202,11 +201,7 @@ def delta(
             "pass experimental=True to opt in"
         )
     l = gorenstein_vector(cone, boundary=boundary)
-    return _delta(cone, _slice_sums(cone, xi, l.l), l)
-
-
-def _delta(cone: ToricCone, sums: _SliceSums, l: GorensteinVector) -> StabilityReport:
-    """The body of :func:`delta`, on the sums of xi normalized against l."""
+    sums = _slice_sums(cone, xi, l.l)
     ratio = ratio_type(sums.exact)
     # A(v_i) / S'(v_i) = (<v_i, l_num> / l_d) / (s_i / den): compare <v_i, l_num> / s_i
     pairs = [(linalg.dot(v, sums.l_num), sums.s_prime(v)[0]) for v in cone.rays]

@@ -483,7 +483,9 @@ def minor_futaki_coefficients(cone, xi, eta):
     For a1 and b1 every facet sigma^v cap v_i^perp is triangulated on its
     own (its dual rays in reverse order), each face W of it has volume
     ``minor_lattice_volume(W) / ((n-1)! prod_w <xi, w>)``, and
-    a1 = (n-1)/2 sum vol(W), b1 = 1/2 sum vol(W) sum_w <eta, w> / <xi, w>.
+    a1 = (n-1)! / (2 max(n-2, 0)!) sum vol(W), which is (n-1)/2 sum vol(W)
+    from n = 2 on and 1/2 at n = 1 (one empty face), and
+    b1 = 1/2 sum vol(W) sum_w <eta, w> / <xi, w>.
     """
     xi = tuple(Fraction(x) for x in xi)
     eta = tuple(Fraction(x) for x in eta)
@@ -501,7 +503,8 @@ def minor_futaki_coefficients(cone, xi, eta):
                 vol /= dot(xi, w)
             volume += vol
             weighted += vol * sum(dot(eta, w) / dot(xi, w) for w in face)
-    return a0, Fraction(n - 1, 2) * volume, b0, weighted / 2
+    a1 = Fraction(math.factorial(n - 1), 2 * math.factorial(max(n - 2, 0))) * volume
+    return a0, a1, b0, weighted / 2
 
 
 def reverse_bary_P(cone, xi):

@@ -389,6 +389,18 @@ class TestMainExitCodes:
         assert payload["error"]["type"] == "UsageError"
         assert "order must be nonnegative" in payload["error"]["message"]
 
+    def test_order_too_large_lists_no_box_points(self, capsys, monkeypatch):
+        import reebcone.characters
+
+        calls = []
+        monkeypatch.setattr(reebcone.characters, "decompose_dual", calls.append)
+        code, payload = self.run_main(
+            ["character", "--spec", str(SPEC_DIR / "conifold.json"), "--order", "5"], capsys
+        )
+        assert (code, payload["error"]["type"]) == (3, "OrderTooLarge")
+        assert payload["error"]["message"] == "expansion order 5 outside the implemented depth 0..4"
+        assert calls == []
+
     def test_weighted_oracle_default_cutoff(self, capsys):
         # the eta-weighted sum's tail has one more power of the pairing
         code, payload = self.run_main(
@@ -505,6 +517,27 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert payload["error"]["type"] == "ExceedsSupportedSize"
+
+    def test_m_max_bound_keeps_scans_small(self, capsys, monkeypatch):
+        # y21: 62 levels of up to 31,125 prefixes pass the cap, 63 of 32,131 do not
+        import reebcone.stability
+
+        def no_scan(*args):
+            raise AssertionError("a lattice level was scanned")
+
+        monkeypatch.setattr(reebcone.stability, "lattice_rows", no_scan)
+        start = time.perf_counter()
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "63"], capsys
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, payload["error"]["type"]) == (2, "ExceedsSupportedSize")
+        assert "63 levels of up to 32131 prefixes" in payload["error"]["message"]
+        monkeypatch.undo()
+        code, payload = self.run_main(
+            ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "62"], capsys
+        )
+        assert (code, len(payload["results"]["s_m_table"]["rows"][0]["s_m"])) == (0, 62)
 
     def test_m_max_on_a_cone_not_q_gorenstein_scans_nothing(self, tmp_path, capsys, monkeypatch):
         # S' needs l, and its absence ends the call before the first level is scanned

@@ -25,6 +25,7 @@ from reebcone import (
     NotQGorenstein,
     RayPrimitivizedWarning,
     RedundantRayWarning,
+    ReebVector,
     ReebconeWarning,
     UnboundedSlice,
     decompose_dual,
@@ -291,6 +292,18 @@ class TestReebVector:
         assert reeb_vector(orthant2, (0.5, 0.5 + 2.0 ** -40)).normalized
         assert not reeb_vector(orthant2, (0.5, 0.5 + 2.0 ** -30)).normalized
 
+    def test_no_slice_pass(self, monkeypatch, conifold):
+        # the pairings and the Gorenstein vector decide everything
+        calls = []
+        monkeypatch.setattr(geometry, "_simplex_sums", counting(geometry._simplex_sums, calls))
+        assert reeb_vector(conifold, (2, 1, 1)) == ReebVector(xi=(2, 1, 1), normalized=False)
+        assert reeb_vector(conifold, (1.0, 0.5, 0.5)).normalized
+        with pytest.raises(UnboundedSlice):
+            reeb_vector(conifold, (1, 1, 0))
+        not_q_gorenstein = dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, -1)], 3)
+        assert not reeb_vector(not_q_gorenstein, (3, 3, 1)).normalized
+        assert calls == []
+
     def test_rationality(self, orthant2):
         assert {type(x) for x in reeb_vector(orthant2, (1, 2)).xi} == {Fraction}
         assert {type(x) for x in reeb_vector(orthant2, (1.0, mpmath.sqrt(2))).xi} == {mp_context().mpf}
@@ -543,6 +556,20 @@ class TestLatticePoints:
         m = 20
         count = len(lattice_points(conifold, xi, m))
         assert abs(count / m**3 - float(vol)) < 0.6
+
+    def test_scan_cap_at_its_exact_value(self, monkeypatch, y21):
+        # y21 at its spec xi and level 20: 3,321 prefixes and 19,861 points
+        xi = (1, Fraction(1, 3), Fraction(2, 3))
+        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 3321)
+        assert len(geometry.lattice_rows(y21, xi, 20)[0]) <= 3321
+        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 3320)
+        with pytest.raises(ExceedsSupportedSize, match="3321 prefixes"):
+            geometry.lattice_rows(y21, xi, 20)
+        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 19861)
+        assert len(lattice_points(y21, xi, 20)) == 19861
+        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 19860)
+        with pytest.raises(ExceedsSupportedSize, match="19861 lattice points"):
+            lattice_points(y21, xi, 20)
 
     def test_irrational_xi_rejected(self, orthant2):
         with pytest.raises(IrrationalReeb):

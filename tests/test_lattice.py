@@ -133,8 +133,8 @@ def test_oversized_scan_raises_before_allocating(monkeypatch):
         lattice_rows(orthant3, (1, 1, 1), 10 ** 5)  # 1e10 prefixes
     with pytest.raises(ExceedsSupportedSize, match="prefixes"):
         truncated_character_oracle(orthant3, (1, 1, 1), None, 1e-4, 10 ** 5)
-    # few prefixes, but sums over the runs would pass 2**63
+    # 11 prefixes, but sums over their runs of 10**13 points would pass 2**63
     with pytest.raises(ExceedsSupportedSize, match="int64"):
-        s_m_oracle(make_orthant2(), (1, 1), (1, 0), 10 ** 7)
+        s_m_oracle(make_orthant2(), (1, Fraction(1, 10 ** 12)), (1, 0), 10)
     with pytest.raises(ExceedsSupportedSize, match="int64"):
         lattice_points(dual_cone([(1,)], 1), (1,), 2 ** 62)

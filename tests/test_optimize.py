@@ -9,9 +9,9 @@ import pytest
 
 from reebcone import (
     ExceedsSupportedSize,
-    LeftReebCone,
     MaxIterations,
     NonConvergent,
+    UnboundedSlice,
     delta,
     dual_cone,
     grid_search_oracle,
@@ -20,6 +20,8 @@ from reebcone import (
     rationality_probe,
     volume_objective,
 )
+import reebcone.geometry as geometry
+import reebcone.optimize as optimize
 from reebcone import linalg
 from reebcone.geometry import _simplex_sums, gorenstein_vector, simplices
 from reebcone.optimize import (
@@ -147,9 +149,9 @@ class TestVolumeObjective:
                     assert abs(got - want) <= 1e-12 * hess_scale
 
     def test_left_cone(self, orthant2, conifold):
-        with pytest.raises(LeftReebCone):
+        with pytest.raises(UnboundedSlice):
             volume_objective(orthant2, (2.0,))
-        with pytest.raises(LeftReebCone):
+        with pytest.raises(UnboundedSlice):
             volume_objective(conifold, (1.5, 0.5))
 
     def test_chart_roundtrip(self, y21):
@@ -231,6 +233,19 @@ class TestMinimize:
             pytest.approx(0.5, abs=1e-12),
             pytest.approx(0.5, abs=1e-12),
         )
+
+    def test_one_slice_pass_with_a_start(self, monkeypatch, conifold):
+        # the start is wrapped from its pairings; only the tail at xi* sums the slice
+        calls, slice_sums = [], geometry._slice_sums
+
+        def counting(*args):
+            calls.append(args)
+            return slice_sums(*args)
+
+        monkeypatch.setattr(geometry, "_slice_sums", counting)
+        monkeypatch.setattr(optimize, "_slice_sums", counting)
+        minimize_volume(conifold, start=(4, Fraction(1, 5), 2))
+        assert len(calls) == 1
 
     def test_kss_residual_at_rounding_residue(self):
         # the barycenter of the minimizer is taken in mpf; on this cone an

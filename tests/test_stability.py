@@ -387,7 +387,8 @@ class TestFutakiClosedForm:
         cases = random_box_cone_suite(seed=13, count=30, high=3)
         cases += [(cone, xi, (0, 1) + (0,) * (cone.dim - 2)) for cone, xi in many_simplex_suite()
                   if len(simplices(cone)) <= 40]
-        assert {cone.dim for cone, _, _ in cases} >= {6, 7, 8}
+        cases.append((dual_cone([(1,)], 1), (2,), (1,)))  # F = 1/(1 - e^(-2t)): a1 = 1/2
+        assert {cone.dim for cone, _, _ in cases} >= {1, 6, 7, 8}
         for cone, xi, eta in cases:
             assert leading_coefficients(cone, xi, eta) == minor_futaki_coefficients(cone, xi, eta)
 
