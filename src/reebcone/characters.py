@@ -17,8 +17,11 @@ The box points are summed as integer moments: with xi and eta written as
 integer numerators over common denominators, one pass per piece sums the
 powers of the integer pairings, the series products of the piece run on
 integers too, and each coefficient of a piece costs one rational (or mpf)
-division.  The box points themselves come from a walk of Z^n modulo the
-generator lattice, on barycentric numerators modulo the piece's determinant.
+division.  A piece stores its box points p = sum_i r_i u_i / |det| only as
+their barycentric numerators r_i, found by a walk of Z^n modulo the
+generator lattice that adds a whole coset per step, and each pairing
+<xi, p> is sum_i r_i <xi, u_i> / |det| from the n pairings <xi, u_i>; the
+points themselves are a view for tests and counts.
 """
 
 from __future__ import annotations
@@ -47,54 +50,70 @@ MAX_BOX_POINTS = 10 ** 6
 
 @dataclass(frozen=True)
 class SimplicialPiece:
-    """A half-open simplicial subcone of sigma^v with its box points.
+    """A half-open simplicial subcone of sigma^v with its box points as numerators.
 
-    ``generators`` are n linearly independent primitive dual rays; facet i
-    of the piece is where the i-th barycentric coordinate vanishes, and
+    ``generators`` are n linearly independent primitive dual rays u_i; facet
+    i of the piece is where the i-th barycentric coordinate vanishes, and
     ``excluded[i]`` marks it open (its points belong to a neighboring
-    piece).  ``box_points`` are the |det| lattice points of the fundamental
-    parallelepiped, shifted into the half-open ranges matching ``excluded``
-    (coordinate in (0,1] on open facets, [0,1) otherwise) so that the piece
-    sums are exactly the lattice sums of the half-open cone: the
-    decomposition is disjoint, not inclusion-exclusion.
+    piece).  The |det| box points are the lattice points sum_i r_i u_i / |det|
+    of the fundamental parallelepiped, shifted into the half-open ranges
+    matching ``excluded`` (r_i in (0, |det|] on open facets, [0, |det|)
+    otherwise) so that the piece sums are exactly the lattice sums of the
+    half-open cone: the decomposition is disjoint, not inclusion-exclusion.
+    ``numerators[i]`` lists the i-th numerators r_i of every box point, in one
+    order for all i; :attr:`box_points` is a view of the points themselves.
     """
 
     generators: tuple[tuple[int, ...], ...]
-    box_points: tuple[tuple[int, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
     excluded: tuple[bool, ...]
+
+    @property
+    def box_points(self) -> tuple[tuple[int, ...], ...]:
+        """The box points sum_i r_i u_i / |det|, sorted: built on each read, for
+        tests, oracles and counts; the series read the numerators."""
+        count, rows = len(self.numerators[0]), linalg.transpose(self.generators)
+        return tuple(sorted(tuple([sum(map(mul, row, r)) // count for row in rows])
+                            for r in zip(*self.numerators)))
 
 
 # ---------------------------------------------------------------------------
 # decomposition of the dual cone
 # ---------------------------------------------------------------------------
 
-def _box_points(generators: Sequence[tuple[int, ...]], count: int, scaled_inverse,
+def _box_points(count: int, scaled_inverse,
                 excluded: Sequence[bool]) -> tuple[tuple[int, ...], ...]:
-    """Lattice points of the half-open fundamental parallelepiped.
+    """Barycentric numerators of the half-open fundamental parallelepiped.
 
     With U the generator columns and ``scaled_inverse`` S = count * U^-1,
     z -> S z mod count embeds Z^n / U Z^n in (Z/count)^n, and the columns of
-    S generate the image.  The image is closed one column at a time: the
-    column is added to every element found so far, coset after coset, until
-    the first shifted element is back in the subgroup of the earlier columns;
-    the walk ends once it holds count elements.  An element r is the
-    barycentric numerator of its box point sum_i r_i u_i / count, r_i taken
-    in (0, count] on excluded facets and in [0, count) elsewhere.
+    S generate the image.  The image is closed one column c at a time, a
+    whole coset per step: the least k >= 1 with k c in the subgroup H of the
+    earlier columns is count / gcd(count, c) while H is trivial, and is
+    found by stepping k c against H otherwise; H then grows to the k cosets
+    H + m c, m < k, one coordinate list at a time, and the walk ends once it
+    holds count elements.  Returns the numerators column-major, entry i
+    holding every r_i, in (0, count] on excluded facets and in [0, count)
+    elsewhere.
     """
-    group = [(0,) * len(generators)]
+    group, size = [[0] for _ in excluded], 1
     for col in zip(*scaled_inverse):
-        members, coset = set(group), group
-        while len(group) < count:
-            coset = [tuple([(a + b) % count for a, b in zip(r, col)]) for r in coset]
-            if coset[0] in members:
-                break
-            group += coset
-    cols = linalg.transpose(generators)
-    points = []
-    for r in group:
-        r = [(x or count) if off else x for x, off in zip(r, excluded)]
-        points.append(tuple([sum(map(mul, col, r)) // count for col in cols]))
-    return tuple(sorted(points))
+        if size == count:
+            break
+        if size == 1:
+            k = count // math.gcd(count, *col)
+        else:
+            members, k = set(zip(*group)), 1
+            step = tuple([c % count for c in col])
+            while step not in members:
+                step = tuple([(a + c) % count for a, c in zip(step, col)])
+                k += 1
+        if k > 1:
+            group = [[(h + m * c) % count for m in range(k) for h in hs]
+                     for hs, c in zip(group, col)]
+            size *= k
+    return tuple(tuple([r or count for r in rs]) if off else tuple(rs)
+                 for rs, off in zip(group, excluded))
 
 
 @lru_cache(maxsize=None)
@@ -107,22 +126,26 @@ def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
     q = sum of all dual rays lies on: facet i is dropped when the tuple
     (<row_i, q>,) + row_i, row_i the scaled inverse's row i, sorts below
     zero.  Exactly one piece retains every shared face, so the half-open
-    pieces partition sigma^v cap Z^n.  Raises ExceedsSupportedSize above
-    MAX_BOX_POINTS box points in one piece.
+    pieces partition sigma^v cap Z^n.  Each piece keeps the barycentric
+    numerators of its box points from the coset walk of :func:`_box_points`
+    and builds no point.  Raises ExceedsSupportedSize above MAX_BOX_POINTS
+    box points in one piece, before any piece is walked.
     """
+    found = simplices(cone)
+    too_big = next((count for count, _ in found if count > MAX_BOX_POINTS), None)
+    if too_big is not None:
+        raise ExceedsSupportedSize(
+            f"simplicial piece has {too_big} box points, above the {MAX_BOX_POINTS} bound"
+        )
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
-    for count, generators in simplices(cone):
-        if count > MAX_BOX_POINTS:
-            raise ExceedsSupportedSize(
-                f"simplicial piece has {count} box points, above the {MAX_BOX_POINTS} bound"
-            )
+    for count, generators in found:
         _, scaled_inverse = linalg.integer_inverse(linalg.transpose(generators))
         origin = (0,) * (len(generators) + 1)
         excluded = tuple((linalg.dot(row, q_ref),) + row < origin for row in scaled_inverse)
         pieces.append(SimplicialPiece(
             generators=generators,
-            box_points=_box_points(generators, count, scaled_inverse, excluded),
+            numerators=_box_points(count, scaled_inverse, excluded),
             excluded=excluded,
         ))
     return tuple(pieces)
@@ -167,13 +190,28 @@ def check_order(order: int) -> None:
 
 
 def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order: int):
-    """n, the ``reeb_numerators`` pairs of xi (and eta) and the ratio_type of
+    """n, the ``reeb_numerators`` pairs of xi (and eta), the ratio_type of
     their quotients, Fraction when exact and one rounding to mpf in the shared
-    context otherwise, after :func:`check_order`."""
+    context otherwise, and the integers every piece's series shares: gamma_j
+    = G g_j, G and (-1)^j N!/j! for j <= N (see :func:`_piece_series`), after
+    :func:`check_order`."""
     check_order(order)
     n = len(pieces[0].generators)
     pairs, exact = reeb_numerators(n, xi, eta)
-    return n, pairs, ratio_type(exact)
+    g = [_g_coeff(j) for j in range(order + 1)]
+    big_g, fact = math.lcm(*(x.denominator for x in g)), math.factorial(order)
+    shared = ([int(x * big_g) for x in g], big_g,
+              [(-1) ** j * (fact // math.factorial(j)) for j in range(order + 1)])
+    return n, pairs, ratio_type(exact), shared
+
+
+def _pairings(weights: list, numerators, count: int) -> list:
+    """``<v, p>`` at every box point p from ``weights`` w_i = <v, u_i>:
+    sum_i w_i r_i / count, exact since p = sum_i r_i u_i / count is a lattice point."""
+    acc = [0] * count
+    for w, rs in zip(weights, numerators):
+        acc = [a + w * r for a, r in zip(acc, rs)]
+    return [a // count for a in acc]
 
 
 def _moments(ks: list, weights: list, count: int) -> list:
@@ -186,7 +224,7 @@ def _moments(ks: list, weights: list, count: int) -> list:
     return out
 
 
-def _piece_series(piece: SimplicialPiece, xi, eta, order: int, ratio):
+def _piece_series(piece: SimplicialPiece, xi, eta, ratio, shared):
     """The t-series of one piece's closed form and, with eta, its d/ds along xi + s eta.
 
     The closed form is B(t) prod_i g(c_i t) / (c_i t): B sums e^{-t<xi,p>}
@@ -195,38 +233,36 @@ def _piece_series(piece: SimplicialPiece, xi, eta, order: int, ratio):
     pairs, k = <d xi, .> and eps = <e eta, .>, the factors in tau = t / d are
     the integer series (-1)^j (N!/j!) sum_p k_p^j tau^j for N! B and
     gamma_j k_i^j tau^j for G g(c_i t), with N the order, G the least common
-    denominator of g_0..g_N and gamma_j = G g_j.  Their product P has
-    coefficient P_j d^(n-j) / (N! G^n K) at t^(j-n), K = prod_i k_i.  The
-    product rule over the derivative factors K (-1)^j (N!/(j-1)!) sum_p
-    eps_p k_p^(j-1) (box) and eps_i (K/k_i) (j-1) gamma_j k_i^j (factor i)
-    gives V with d/ds coefficient V_j d^(n+1-j) / (e K^2 N! G^n).  A
-    working-precision xi or eta runs the same code on the dyadic numerators
-    of :func:`reebcone.geometry.numerators`, d and e powers of two, and each
-    coefficient is ``ratio`` of two ints, rounded once.  Returns ``(series,
-    derivative)``, the derivative None without eta.
+    denominator of g_0..g_N and gamma_j = G g_j, ``shared`` as
+    :func:`_series_inputs` gives them, and k_p and eps_p come from the k_i,
+    the eps_i and the piece's numerators by :func:`_pairings`.  Their
+    product P has coefficient P_j d^(n-j) / (N! G^n K) at t^(j-n), K =
+    prod_i k_i.  The product rule over the derivative factors K (-1)^j
+    (N!/(j-1)!) sum_p eps_p k_p^(j-1) (box) and eps_i (K/k_i) (j-1) gamma_j
+    k_i^j (factor i) gives V with d/ds coefficient V_j d^(n+1-j) / (e K^2 N!
+    G^n).  A working-precision xi or eta runs the same code on the dyadic
+    numerators of :func:`reebcone.geometry.numerators`, d and e powers of
+    two, and each coefficient is ``ratio`` of two ints, rounded once.
+    Returns ``(series, derivative)``, the derivative None without eta.
     """
+    gammas, big_g, box = shared
     xi_num, d = xi
-    n = len(piece.generators)
+    n, count, order = len(piece.generators), len(piece.numerators[0]), len(gammas) - 1
     ks = [sum(map(mul, xi_num, u)) for u in piece.generators]
     if not all(k > 0 for k in ks):
         raise UnboundedSlice("xi pairs nonpositively with a dual-cone generator")
-    g = [_g_coeff(j) for j in range(order + 1)]
-    big_g = math.lcm(*(x.denominator for x in g))
-    gammas = [int(x * big_g) for x in g]
-    fact, k_prod = math.factorial(order), math.prod(ks)
-    kp = [sum(map(mul, xi_num, p)) for p in piece.box_points]
-    factors = [[(-1) ** j * (fact // math.factorial(j)) * m
-                for j, m in enumerate(_moments(kp, [1] * len(kp), order + 1))]]
+    fact, k_prod = box[0], math.prod(ks)
+    kp = _pairings(ks, piece.numerators, count)
+    factors = [[b * m for b, m in zip(box, _moments(kp, [1] * count, order + 1))]]
     factors += [[gamma * k ** j for j, gamma in enumerate(gammas)] for k in ks]
     series, derivative = factors[0], None
     if eta is not None:
         eta_num, e = eta
-        ep = [sum(map(mul, eta_num, p)) for p in piece.box_points]
-        dfactors = [[0] + [(-1) ** j * (fact // math.factorial(j - 1)) * k_prod * m
-                           for j, m in enumerate(_moments(kp, ep, order), start=1)]]
-        for i, u in enumerate(piece.generators):
-            eps = sum(map(mul, eta_num, u)) * math.prod(ks[:i] + ks[i + 1:])
-            dfactors.append([eps * (j - 1) * gamma * ks[i] ** j for j, gamma in enumerate(gammas)])
+        es = [sum(map(mul, eta_num, u)) for u in piece.generators]
+        ep = _pairings(es, piece.numerators, count)
+        dfactors = [[0] + [-b * k_prod * m for b, m in zip(box, _moments(kp, ep, order))]]
+        dfactors += [[eps * (k_prod // k) * (j - 1) * gamma * k ** j
+                      for j, gamma in enumerate(gammas)] for k, eps in zip(ks, es)]
         derivative = dfactors[0]
     for i in range(1, n + 1):
         if derivative is not None:
@@ -247,10 +283,10 @@ def index_character(pieces: Sequence[SimplicialPiece], xi, order: int = 2) -> La
     Sums the closed form of each half-open piece and expands exactly in t;
     rational xi yields exact rational coefficients.
     """
-    n, (xi,), ratio = _series_inputs(pieces, xi, None, order)
+    n, (xi,), ratio, shared = _series_inputs(pieces, xi, None, order)
     total = [ratio(0, 1)] * (order + 1)
     for piece in pieces:
-        series, _ = _piece_series(piece, xi, None, order, ratio)
+        series, _ = _piece_series(piece, xi, None, ratio, shared)
         total = [acc + s for acc, s in zip(total, series)]
     return LaurentSeries(order_low=-n, coeffs=tuple(total), dim=n, kind="index")
 
@@ -263,10 +299,10 @@ def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2)
     denominator factors g(<xi,u_i> t)/<xi,u_i> and the box-point numerator,
     whose derivatives are themselves explicit series in t.
     """
-    n, (xi, eta), ratio = _series_inputs(pieces, xi, eta, order)
+    n, (xi, eta), ratio, shared = _series_inputs(pieces, xi, eta, order)
     total = [ratio(0, 1)] * (order + 1)
     for piece in pieces:
-        _, derivative = _piece_series(piece, xi, eta, order, ratio)
+        _, derivative = _piece_series(piece, xi, eta, ratio, shared)
         total = [acc - s for acc, s in zip(total, derivative)]
     return LaurentSeries(order_low=-(n + 1), coeffs=tuple(total), dim=n, kind="weight")
 

@@ -21,7 +21,6 @@ from reebcone import (
     PolytopeSlice,
     ReebconeError,
     ReebconeWarning,
-    SimplicialPiece,
     StabilityReport,
     UnboundedSlice,
     dual_cone,
@@ -671,32 +670,42 @@ def column_hnf(rows):
     return tuple(tuple(row) for row in h)
 
 
+def fraction_box_points(generators, excluded):
+    """The half-open box points of one simplicial cone in Fraction arithmetic.
+
+    Each coset of Z^n modulo the lattice of ``generators``, enumerated by
+    the diagonal of the column Hermite form (:func:`column_hnf`, independent
+    of the library's walk of the cosets), is shifted into (0, 1] on
+    ``excluded`` facets and [0, 1) elsewhere by ceil and floor of its
+    barycentric coordinates from the exact Fraction inverse.  Sorted.
+    """
+    cols = transpose(generators)
+    inv = fraction_inverse(cols)
+    hnf = column_hnf(cols)
+    points = []
+    for rep in itertools.product(*(range(hnf[i][i]) for i in range(len(cols)))):
+        shift = [math.ceil(c) - 1 if off else math.floor(c)
+                 for c, off in zip(mat_vec(inv, rep), excluded)]
+        points.append(tuple(x - dot(row, shift) for x, row in zip(rep, cols)))
+    return tuple(sorted(points))
+
+
 def fraction_pieces(cone):
     """The half-open decomposition of sigma^v in Fraction arithmetic, as an oracle.
 
-    Over the same triangulation as the library, each piece's barycentric
-    coordinates come from the exact Fraction inverse of its generator
-    columns: a facet is excluded when the reference point q = sum of the dual
-    rays lies on its negative side (ties broken by the first nonzero entry of
-    the inverse's row), and each coset of Z^n modulo the generator lattice,
-    enumerated by the diagonal of the column Hermite form (:func:`column_hnf`,
-    independent of the library's walk of the cosets), is shifted into (0, 1]
-    on excluded facets and [0, 1) elsewhere by ceil and floor of its
-    coordinates.
+    Over the same triangulation as the library, triples ``(generators,
+    box_points, excluded)``: a facet is excluded when the reference point
+    q = sum of the dual rays has a negative barycentric coordinate on it by
+    the exact Fraction inverse (ties broken by the first nonzero entry of the
+    inverse's row), and the box points are those of
+    :func:`fraction_box_points`.
     """
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
     for _, generators in simplices(cone):
-        cols = transpose(generators)
-        inv = fraction_inverse(cols)
+        inv = fraction_inverse(transpose(generators))
         excluded = tuple(next((x for x in (dot(row, q_ref), *row) if x), 0) < 0 for row in inv)
-        hnf = column_hnf(cols)
-        points = []
-        for rep in itertools.product(*(range(hnf[i][i]) for i in range(len(cols)))):
-            shift = [math.ceil(c) - 1 if off else math.floor(c)
-                     for c, off in zip(mat_vec(inv, rep), excluded)]
-            points.append(tuple(x - dot(row, shift) for x, row in zip(rep, cols)))
-        pieces.append(SimplicialPiece(generators, tuple(sorted(points)), excluded))
+        pieces.append((generators, fraction_box_points(generators, excluded), excluded))
     return tuple(pieces)
 
 

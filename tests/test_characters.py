@@ -15,12 +15,14 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import reebcone.characters as characters
 import reebcone.linalg as linalg
 from reebcone import (
     CutoffTooSmall,
     DimensionMismatch,
     ExceedsSupportedSize,
     OrderTooLarge,
+    SimplicialPiece,
     UnboundedSlice,
     decompose_dual,
     dual_cone,
@@ -30,10 +32,12 @@ from reebcone import (
     truncated_character_oracle,
     weight_character,
 )
-from reebcone.characters import MAX_ORDER, _g_coeff
+from reebcone.characters import MAX_ORDER, _box_points, _g_coeff
 from reebcone.cli import parse_cone_spec
 from reebcone.config import mp_context, series_rtol, to_mpf
+from reebcone.geometry import MAX_DIM, simplices
 from conftest import (
+    fraction_box_points,
     fraction_det,
     fraction_inverse,
     fraction_pieces,
@@ -44,6 +48,7 @@ from conftest import (
     random_cone_suite,
     random_height_one_cone,
     random_interior_xi,
+    unimodular_matrix,
 )
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
@@ -138,6 +143,64 @@ class TestDecomposeDual:
                           (2, 1, 2, 0, 1), (2, 3, 3, 2, 1), (3, 2, 2, 1, 3)], 5)
         with pytest.raises(ExceedsSupportedSize, match="1113098 box points"):
             decompose_dual(cone)
+
+    def test_box_guard_refuses_before_walking(self, monkeypatch):
+        # pieces of 1 and 1,000,001 box points, the small one first
+        cone = dual_cone([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1000001)], 3)
+        assert [det for det, _ in simplices(cone)] == [1, 1000001]
+        walk, calls = characters._box_points, []
+        monkeypatch.setattr(characters, "_box_points",
+                            lambda *args: calls.append(args) or walk(*args))
+        with pytest.raises(ExceedsSupportedSize,
+                           match="has 1000001 box points, above the 1000000 bound"):
+            decompose_dual(cone)
+        assert calls == []
+
+
+class TestBoxWalk:
+    """The coset walk of ``_box_points`` on groups Z^n / U Z^n that are not cyclic."""
+
+    @staticmethod
+    def generator_sets():
+        """2 I_n for n = 2..MAX_DIM, group (Z/2)^n, and diag(2, 4, 6), each also
+        as W U V for random W, V in GL(n, Z)."""
+        def matmul(a, b):
+            return [[linalg.dot(row, col) for col in zip(*b)] for row in a]
+
+        rng = random.Random(47)
+        for diagonal in [[2] * n for n in range(2, MAX_DIM + 1)] + [[2, 4, 6]]:
+            n = len(diagonal)
+            u = [[x * (i == j) for j in range(n)] for i, x in enumerate(diagonal)]
+            yield tuple(zip(*u))
+            yield tuple(zip(*matmul(matmul(unimodular_matrix(rng, n), u), unimodular_matrix(rng, n))))
+
+    def test_view_matches_hermite_listing(self):
+        seen = 0
+        for generators in self.generator_sets():
+            n = len(generators)
+            count, scaled_inverse = linalg.integer_inverse(linalg.transpose(generators))
+            for excluded in [(False,) * n, tuple(i % 2 == 0 for i in range(n))]:
+                numerators = _box_points(count, scaled_inverse, excluded)
+                assert all(len(rs) == count for rs in numerators)
+                piece = SimplicialPiece(generators, numerators, excluded)
+                assert piece.box_points == fraction_box_points(generators, excluded)
+                seen += 1
+        assert seen == 4 * (MAX_DIM - 1) + 4
+
+    def test_characters_never_read_the_view(self, monkeypatch):
+        pieces = decompose_dual(make_kgon(16, 10))
+
+        def characters_at_order_4():
+            return (index_character(pieces, KGON_XI, order=4),
+                    weight_character(pieces, KGON_XI, KGON_ETA, order=4))
+
+        expected = characters_at_order_4()
+
+        def refuse(piece):
+            raise RuntimeError("the series read the box_points view")
+
+        monkeypatch.setattr(SimplicialPiece, "box_points", property(refuse), raising=False)
+        assert characters_at_order_4() == expected
 
 
 class TestIndexCharacter:
@@ -403,7 +466,8 @@ class TestBoxPointKernel:
 
     def test_pieces_match_fraction_oracle(self):
         for cone, _ in self.cases():
-            assert decompose_dual(cone) == fraction_pieces(cone)
+            pieces = [(p.generators, p.box_points, p.excluded) for p in decompose_dual(cone)]
+            assert tuple(pieces) == fraction_pieces(cone)
 
     def test_characters_match_per_point_oracle(self):
         rng = random.Random(29)

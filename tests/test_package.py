@@ -1,9 +1,12 @@
-"""The package surface: every export resolves lazily to its submodule's object."""
+"""The package surface: every export resolves lazily to its submodule's object, and no
+library module has a bare assert."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +48,13 @@ def test_import_loads_the_errors_only():
     loaded = set(json.loads(proc.stdout))
     assert {m for m in loaded if m.startswith("reebcone")} == {"reebcone", "reebcone.errors"}
     assert not loaded & {"mpmath", "numpy"}
+
+
+def test_library_has_no_bare_assert():
+    # python -O strips assert statements, so the library raises typed errors instead
+    modules = sorted(Path(reebcone.__file__).parent.glob("*.py"))
+    assert len(modules) >= 9
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
