@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -116,7 +115,6 @@ def _box_points(count: int, scaled_inverse,
                  for rs, off in zip(group, excluded))
 
 
-@lru_cache(maxsize=None)
 def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
     """Disjoint half-open simplicial decomposition of sigma^v.
 
@@ -129,7 +127,8 @@ def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
     pieces partition sigma^v cap Z^n.  Each piece keeps the barycentric
     numerators of its box points from the coset walk of :func:`_box_points`
     and builds no point.  Raises ExceedsSupportedSize above MAX_BOX_POINTS
-    box points in one piece, before any piece is walked.
+    box points in one piece, before any piece is walked.  Not cached: each
+    call walks afresh, and the box points live as long as the caller keeps them.
     """
     found = simplices(cone)
     too_big = next((count for count, _ in found if count > MAX_BOX_POINTS), None)
@@ -327,10 +326,10 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     """
     import numpy as np
 
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive, got %r" % (cutoff,))
+    for name, value in (("t", t), ("cutoff", cutoff)):
+        if not 0 < value < math.inf:
+            raise ValueError("%s must be positive and finite, got %r" % (name, value))
+    t = float(t)
     n = cone.dim
     if eta_or_none is not None:
         [_, (eta_num, e)], _ = reeb_numerators(n, xi, eta_or_none)

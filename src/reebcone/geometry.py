@@ -49,6 +49,9 @@ MAX_RAYS = 64
 # takes up to 0.4 ms with 1000 dual rays in dim 8)
 MAX_DUAL_RAYS = 1000  # running rays of the double description
 MAX_SIMPLICES = 20000  # simplices of the triangulation of sigma^v
+# entries of each per-cone cache (simplices, _solve_gorenstein, optimize._chart): an op
+# reuses only the cone it works on, so a process that sweeps cones holds flat memory
+CONE_CACHE_SIZE = 16
 _GUARD_BITS = 32  # fixed-point bits of the working-precision sums beyond the precision
 # bits of a working-precision numerator or denominator beyond the precision;
 # every float vector fits (at most 1024 + 1074 bits)
@@ -167,17 +170,14 @@ def _validate_rays(cone_rays: Sequence[Sequence], dim: int) -> list[tuple[int, .
             raise DimensionMismatch(f"ray {k} has length {len(raw)}, expected {dim}")
         entries = []
         for x in raw:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise NonIntegerRay(f"ray {k} has non-integer entry {x}")
+            if isinstance(x, Fraction) and x.denominator == 1:
                 x = x.numerator
-            if isinstance(x, float):
-                if not x.is_integer():
-                    raise NonIntegerRay(f"ray {k} has non-integer entry {x}")
+            elif isinstance(x, float) and x.is_integer():
                 x = int(x)
-            if not isinstance(x, int):
-                raise NonIntegerRay(f"ray {k} has non-integer entry {x!r}")
-            entries.append(x)
+            try:
+                entries.append(operator.index(x))  # any integer, NumPy's too
+            except TypeError:
+                raise NonIntegerRay(f"ray {k} has non-integer entry {x!r}") from None
         if not any(entries):
             raise NonIntegerRay(f"ray {k} is the zero vector")
         prim = linalg.primitivize(entries)
@@ -311,11 +311,11 @@ def gorenstein_vector(cone: ToricCone,
                                     "supply l explicitly") from exc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def _solve_gorenstein(cone: ToricCone, rhs: tuple) -> GorensteinVector:
-    """l with ``<v_i, l> = rhs_i``, cached per cone and right-hand side (a
-    failed solve raises again).  l is interior to sigma^v with no further
-    check: the solve holds every row exactly, so ``<v_i, l> = rhs_i > 0``."""
+    """l with ``<v_i, l> = rhs_i``, cached for the last CONE_CACHE_SIZE pairs of
+    cone and rhs (a failed solve raises again); interior to sigma^v with no
+    further check: the solve holds every row exactly, so ``<v_i, l> = rhs_i > 0``."""
     return GorensteinVector(l=linalg.solve_unique(cone.rays, rhs))
 
 
@@ -408,13 +408,14 @@ def triangulate_cone(rays: Sequence[tuple[int, ...]],
     return tuple(recurse((1 << len(rays)) - 1, linalg.rank(rays)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def simplices(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """The triangulation of sigma^v that every closed form in xi sums over.
 
     Pairs ``(|det U_k|, U_k)``, one per simplicial cone of the pulling
     triangulation of sigma^v, where the rows of ``U_k`` are its n dual rays.
-    Cached, so each cone is triangulated once.
+    Cached for the last CONE_CACHE_SIZE cones, so an op triangulates its cone
+    once however many closed forms it sums.
     """
     out = []
     for simplex in triangulate_cone(cone.dual_rays, cone.rays):
@@ -423,7 +424,6 @@ def simplices(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], ...]],
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def boundary_faces(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """The (n-1)-faces of :func:`simplices` on the boundary of sigma^v.
 
@@ -433,7 +433,8 @@ def boundary_faces(cone: ToricCone) -> tuple[tuple[int, tuple[tuple[int, ...], .
     |det U_k| / <v_i, u_j> (write u_j as <v_i, u_j> e + a vector of v_i^perp,
     for any integer e with <v_i, e> = 1).  Each face of the triangulation in
     some v_i^perp belongs to one simplex, so together the faces triangulate
-    every facet of Q_xi through the origin.  Cached, next to :func:`simplices`.
+    every facet of Q_xi through the origin.  Not cached: each call reads
+    the cached :func:`simplices`, and an op needs the faces once.
     """
     # bit i of tight[u] is set when <v_i, u> = 0
     tight = dict(zip(cone.dual_rays, _incidence(cone.dual_rays, cone.rays)))
@@ -694,6 +695,8 @@ def _scan_box(cone: ToricCone, xi, level) -> tuple:
     """``(d xi, floor(d level), lo, hi, prefixes)``: d xi integral, the bounding
     box ``[lo, hi]`` of level*Q_xi, whose vertices other than 0 lie on the dual
     rays, and the number of prefixes :func:`lattice_rows` scans in it."""
+    if not -math.inf < level < math.inf:
+        raise ValueError(f"level must be finite, got {level!r}")
     xi_int, denom = integer_reeb(cone, xi)
     bound = math.floor(Fraction(level) * denom)
     corners = [[Fraction(bound * x, linalg.dot(xi_int, u)) for x in u] for u in cone.dual_rays]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -36,7 +37,7 @@ from .errors import (
     UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
-from .geometry import _simplex_sums, _slice_pairings, _slice_sums
+from .geometry import CONE_CACHE_SIZE, _simplex_sums, _slice_pairings, _slice_sums
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -82,7 +83,7 @@ class GridResult:
     samples: int
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CONE_CACHE_SIZE)
 def _chart(cone: ToricCone):
     """Deterministic affine chart of the slice ``{<xi, l> = 1}``, in floats.
 
@@ -92,7 +93,8 @@ def _chart(cone: ToricCone):
     Returns ``(l, pivot, free, ratios, products)``: the Gorenstein
     vector, ``ratios[a] = l_{free_a} / l_pivot`` and ``products[a][b] =
     ratios[a] * ratios[b]``, every float rounded once from its exact
-    value, once per cone.
+    value.  Cached for the last CONE_CACHE_SIZE cones, so every step of
+    one minimization reads one chart.
     """
     l = gorenstein_vector(cone).l
     best = max(abs(x) for x in l)
@@ -313,6 +315,14 @@ def minimize_volume(
     )
 
 
+def _compositions(total: int, parts: int):
+    """The tuples of ``parts`` nonnegative ints summing to ``total``, in lexicographic
+    order: stars and bars, ``parts - 1`` bars among ``total + parts - 1`` places."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
 def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
     """Exact brute-force minimum of the volume over a slice grid.
 
@@ -333,20 +343,8 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
             "grid of %d samples exceeds the supported %d"
             % (samples, MAX_GRID_SAMPLES)
         )
-    best_value = None
-    best_xi = None
-    count = 0
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
-    for weights in compositions(resolution, d):
-        count += 1
+    best_value = best_xi = None
+    for weights in _compositions(resolution, d):
         xi = _ray_average(cone, weights)
         try:
             value = n * polytope_Q(cone, xi).volume_Q
@@ -359,7 +357,7 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
         raise NonConvergent(
             "no interior grid point at resolution %d" % resolution
         )
-    return GridResult(xi=best_xi, value=best_value, samples=count)
+    return GridResult(xi=best_xi, value=best_value, samples=samples)
 
 
 def rationality_probe(xi_star, max_denominator: int) -> RationalCandidate:

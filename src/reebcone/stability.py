@@ -128,7 +128,7 @@ def s_m_oracle(cone: ToricCone, xi, v, m: int) -> Fraction:
     arithmetic over one :func:`_level_sums` (rational ``xi`` only), so it is
     an independent check on the barycenter route to ``S``.
     """
-    if m <= 0:
+    if not isinstance(m, int) or m <= 0:
         raise ValueError("m must be a positive integer, got %r" % (m,))
     val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
     total, den = _level_sums(cone, xi, m)

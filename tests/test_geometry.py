@@ -1,14 +1,17 @@
 """Exact polyhedral geometry: dual cones, Gorenstein vectors, slices."""
 
+import gc
 import itertools
 import math
 import operator
 import random
 import time
 import warnings
+import weakref
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 
 import reebcone.config as config
@@ -146,6 +149,12 @@ class TestDualCone:
     def test_non_integer_ray(self):
         with pytest.raises(NonIntegerRay):
             dual_cone([(1, 0), (0, Fraction(1, 2))], 2)
+
+    def test_numpy_integer_rays(self):
+        rays = [(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)]
+        cone = dual_cone([tuple(map(numpy.int64, v)) for v in rays], 3)
+        assert cone == dual_cone(rays, 3)
+        assert all(type(x) is int for v in cone.rays + cone.dual_rays for x in v)
 
     def test_integer_valued_floats_accepted(self):
         with pytest.warns(RayPrimitivizedWarning):
@@ -485,7 +494,6 @@ class TestTriangulation:
         monkeypatch.setattr(linalg, "solve_unique", counting(linalg.solve_unique, solves))
         geometry.simplices.cache_clear()
         geometry._solve_gorenstein.cache_clear()
-        decompose_dual.cache_clear()
         cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
         xi = (3, Fraction(3, 2), Fraction(3, 4))
         polytope_Q(cone, xi)
@@ -495,6 +503,27 @@ class TestTriangulation:
         minimize_volume(cone)
         assert len(calls) == 1
         assert len(solves) == 1  # one Gorenstein solve per cone
+
+
+class TestCacheRetention:
+    def test_caches_let_go_of_earlier_cones(self):
+        # every per-cone cache is bounded, so a cone no op works on any
+        # longer is freed however many cones a process has seen
+        def work(cone, xi, eta):
+            polytope_Q(cone, xi)
+            delta(cone, xi)
+            futaki_product(cone, xi, eta)
+            index_character(decompose_dual(cone), xi, order=2)
+            minimize_volume(cone)
+
+        cone = dual_cone([(1, 0, 0), (1, 5, 0), (1, 2, 3), (1, 0, 1)], 3)
+        work(cone, (4, 7, 4), (0, 1, 0))
+        ref = weakref.ref(cone)
+        for k in range(1, 101):
+            work(dual_cone([(1, 0), (1, k)], 2), (2, k), (0, 1))
+        del cone
+        gc.collect()
+        assert ref() is None
 
 
 class TestSetUpPaidOnce:

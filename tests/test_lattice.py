@@ -27,7 +27,8 @@ from reebcone import (
 from reebcone.cli import parse_cone_spec
 from reebcone.geometry import lattice_rows
 from reebcone.linalg import dot
-from conftest import brute_lattice_points, make_orthant2, make_orthant3, make_y21, random_cone_suite
+from conftest import (brute_lattice_points, make_conifold, make_orthant2, make_orthant3, make_y21,
+                      random_cone_suite)
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
 LEVEL = 6
@@ -138,3 +139,29 @@ def test_oversized_scan_raises_before_allocating(monkeypatch):
         s_m_oracle(make_orthant2(), (1, Fraction(1, 10 ** 12)), (1, 0), 10)
     with pytest.raises(ExceedsSupportedSize, match="int64"):
         lattice_points(dual_cone([(1,)], 1), (1,), 2 ** 62)
+
+
+def test_exact_t_is_summed_as_its_float():
+    cone, xi = make_conifold(), (3, 2, 2)
+    for eta in (None, (0, 1, 0)):
+        exact = truncated_character_oracle(cone, xi, eta, Fraction(1, 5), 90)
+        assert exact == truncated_character_oracle(cone, xi, eta, 0.2, 90)
+
+
+@pytest.mark.parametrize("call, args, match", [
+    (truncated_character_oracle, (None, math.nan, 40), "t must be positive and finite"),
+    (truncated_character_oracle, (None, math.inf, 40), "t must be positive and finite"),
+    (truncated_character_oracle, (None, -math.inf, 40), "t must be positive and finite"),
+    (truncated_character_oracle, (None, 0.5, math.nan), "cutoff must be positive and finite"),
+    (truncated_character_oracle, (None, 0.5, math.inf), "cutoff must be positive and finite"),
+    (lattice_points, (math.inf,), "level must be finite"),
+    (lattice_points, (math.nan,), "level must be finite"),
+    (lattice_rows, (-math.inf,), "level must be finite"),
+    (s_m_oracle, ((1, 0, 0), 2.5), "m must be a positive integer"),
+    (s_m_oracle, ((1, 0, 0), Fraction(2)), "m must be a positive integer"),
+    (s_m_oracle, ((1, 0, 0), math.inf), "m must be a positive integer"),
+], ids=["t-nan", "t-inf", "t-minus-inf", "cutoff-nan", "cutoff-inf", "points-inf", "points-nan",
+        "rows-minus-inf", "m-float", "m-fraction", "m-inf"])
+def test_oracle_inputs_outside_their_domain(call, args, match):
+    with pytest.raises(ValueError, match=match):
+        call(make_conifold(), (3, 2, 2), *args)

@@ -27,6 +27,7 @@ from reebcone.geometry import _simplex_sums, gorenstein_vector, simplices
 from reebcone.optimize import (
     MAX_GRID_SAMPLES,
     _chart,
+    _compositions,
     _embed,
     _project,
     _ray_average,
@@ -426,6 +427,13 @@ class TestGridOracle:
     def test_size_guard(self, orthant3):
         with pytest.raises(ExceedsSupportedSize):
             grid_search_oracle(orthant3, 200)
+
+    def test_compositions_in_lexicographic_order(self):
+        # the grid's first minimum, and so its GridResult, depends on this order
+        for total, parts in itertools.product(range(7), range(1, 5)):
+            expected = sorted(w for w in itertools.product(range(total + 1), repeat=parts)
+                              if sum(w) == total)
+            assert list(_compositions(total, parts)) == expected
 
 
 class TestProbes:
