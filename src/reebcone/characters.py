@@ -27,6 +27,7 @@ points themselves are a view for tests and counts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -327,7 +328,7 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     import numpy as np
 
     for name, value in (("t", t), ("cutoff", cutoff)):
-        if not 0 < value < math.inf:
+        if not 0 < value <= sys.float_info.max:  # also an exact value past float range
             raise ValueError("%s must be positive and finite, got %r" % (name, value))
     t = float(t)
     n = cone.dim

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
-from .config import default_tol, precision_bits
+from .config import DEFAULT_TOL, precision_bits
 from .errors import (
     ConvergenceError,
     ExceedsSupportedSize,
@@ -298,7 +298,7 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -
     start = _flag(flags, "xi", spec.xi)
     res = minimize_volume(
         cone,
-        tol=flags.get("tol"),
+        tol=_flag(flags, "tol", DEFAULT_TOL),
         max_iter=_flag(flags, "max_iter", 100),
         start=start,
         probe_rational=flags.get("probe_rational"),
@@ -434,7 +434,7 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
         "version": __version__,
         "arithmetic": "float64" if floaty else "exact-rational",
         "precision_bits": precision_bits(),
-        "tol": float(_flag(flags, "tol", default_tol())),
+        "tol": float(_flag(flags, "tol", DEFAULT_TOL)),
     }
     error = None
     if failure is not None:

@@ -1,6 +1,6 @@
-"""Runtime configuration: precision and tolerance knobs.
+"""Runtime configuration: the working precision and the fixed tolerances.
 
-Two environment variables tune the numerics:
+One environment variable tunes the numerics:
 
 ``REEBCONE_PRECISION``
     Working precision p, in bits, of every input that is not rational
@@ -12,9 +12,9 @@ Two environment variables tune the numerics:
     shared context of :func:`mp_context` at this precision; no library
     call changes the global ``mpmath.mp``.
 
-``REEBCONE_TOL``
-    Default stopping tolerance for iterative solvers and the default
-    comparison tolerance in reports (default ``1e-10``).
+``DEFAULT_TOL`` is the stopping tolerance of the Newton solver and the
+normalization tolerance of a working-precision Reeb vector; ``--tol`` and
+``minimize_volume(tol=...)`` set the solver's per call.
 
 mpmath is imported by :func:`mp_context` on first use, so exact-only
 callers never load it.
@@ -51,18 +51,6 @@ def precision_bits() -> int:
     except ValueError:
         return DEFAULT_PRECISION
     return bits if bits >= 53 else DEFAULT_PRECISION
-
-
-def default_tol() -> float:
-    """Default convergence/comparison tolerance, from ``REEBCONE_TOL``."""
-    raw = os.environ.get("REEBCONE_TOL", "")
-    if not raw:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        return DEFAULT_TOL
-    return tol if tol > 0 else DEFAULT_TOL
 
 
 def series_rtol() -> float:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .config import default_tol, mp_context, precision_bits, ratio_type, to_mpf
+from .config import DEFAULT_TOL, mp_context, precision_bits, ratio_type, to_mpf
 from .errors import (
     DegenerateSolutionSet,
     DimensionMismatch,
@@ -352,7 +352,7 @@ def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
     try:
         l_num, l_d = _common_denominator(gorenstein_vector(cone).l)
         a, b = linalg.dot(xi_num, l_num), d * l_d
-        normalized = abs(ratio(a - b, b)) <= (0 if exact else default_tol())
+        normalized = abs(ratio(a - b, b)) <= (0 if exact else DEFAULT_TOL)
     except (NotQGorenstein, DegenerateSolutionSet):
         normalized = False
     # exact on both paths: a dyadic numerator has at most the working precision's bits

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .config import default_tol
+from .config import DEFAULT_TOL
 from .errors import (
     ExceedsSupportedSize,
     MaxIterations,
@@ -44,8 +44,6 @@ MAX_GRID_SAMPLES = 10**4
 _ARMIJO = 1e-4
 _FULL_STEP_GRAD_RATIO = 0.5
 _MIN_STEP_SCALE = 2.0**-60
-_REG_INITIAL = 1e-12
-_REG_MAX = 1e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,22 +190,28 @@ def _cholesky(hess: Sequence[Sequence[float]], lam: float):
 def _regularized_step(hess: Sequence[Sequence[float]], grad: Sequence[float]) -> Tuple[float, ...]:
     """Newton step ``-(hess + lam I)^{-1} grad`` with escalating Tikhonov regularization.
 
-    Tries the plain Hessian first, then adds ``lam * I`` with ``lam``
-    growing tenfold from 1e-12; gives up loudly at 1e-4.  The system is
-    at most ``(MAX_DIM - 1)``-square, so a Cholesky factorization in
-    plain floats followed by forward and back substitution solves it.
+    Tries the plain Hessian first.  Only if that is not positive definite
+    does it read the Hessian's scale ``s = max_i |hess_ii|`` and add ``lam
+    * I``, with ``lam`` growing tenfold from ``2^-52 s``, the rounding of
+    the largest diagonal entry, so the step is the same for ``c hess, c
+    grad`` at any power of two ``c``.  It gives up loudly with
+    :class:`NonConvergent` once ``lam`` passes ``s``, or at once when
+    ``s`` is not finite and positive.  The system is at most ``(MAX_DIM -
+    1)``-square, so a Cholesky factorization in plain floats followed by
+    forward and back substitution solves it.
     """
-    lam = 0.0
-    while True:
-        chol = _cholesky(hess, lam)
-        if chol is not None:
-            break
-        lam = _REG_INITIAL if lam == 0.0 else lam * 10.0
-        if lam > _REG_MAX:
-            raise NonConvergent(
-                "Hessian not positive definite after regularization up to %g"
-                % _REG_MAX
-            )
+    chol = _cholesky(hess, 0.0)
+    if chol is None:
+        scale = max(abs(row[i]) for i, row in enumerate(hess))
+        lam = scale * 2.0**-52
+        while chol is None:
+            if not 0.0 < lam <= scale < math.inf:  # also rejects NaN and an underflowed shift
+                raise NonConvergent(
+                    "Hessian not positive definite after regularization up to "
+                    "its largest diagonal entry %g" % scale
+                )
+            chol = _cholesky(hess, lam)
+            lam *= 10.0
     m = len(grad)
     y = []
     for i in range(m):  # L y = -grad
@@ -220,7 +224,7 @@ def _regularized_step(hess: Sequence[Sequence[float]], grad: Sequence[float]) ->
 
 def minimize_volume(
     cone: ToricCone,
-    tol: Optional[float] = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int = 100,
     start: Optional[Sequence] = None,
     probe_rational: Optional[int] = None,
@@ -235,13 +239,13 @@ def minimize_volume(
     ``_FULL_STEP_GRAD_RATIO`` of the current one: near the minimum the Armijo
     test compares float64 values whose predicted decrease is below the
     rounding of ``F``, and would stall the iteration.  The objective
-    is analytic and convex on the whole slice interior, so failures
-    surface as :class:`MaxIterations` or :class:`NonConvergent` rather
-    than being patched over.  Raises ``ValueError`` unless ``tol > 0``
+    is analytic and convex on the whole slice interior; where rounding
+    leaves its float Hessian indefinite, :func:`_regularized_step`
+    shifts it on the Hessian's own scale.  Failures surface as
+    :class:`MaxIterations` or :class:`NonConvergent` rather than being
+    patched over.  Raises ``ValueError`` unless ``tol > 0``
     and ``max_iter >= 1``.
     """
-    if tol is None:
-        tol = default_tol()
     if not tol > 0:
         raise ValueError("tol must be positive, got %r" % (tol,))
     if max_iter < 1:

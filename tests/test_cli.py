@@ -326,6 +326,16 @@ class TestMainExitCodes:
         assert code == 4
         assert payload["error"]["type"] == "MaxIterations"
 
+    def test_minimize_from_a_start_near_the_boundary(self, capsys):
+        # the float Hessian at this start does not factor; its largest
+        # diagonal entry is 7.8e26, so a shift of 1e-4 is lost in its rounding
+        code, payload = self.run_main(
+            ["minimize", "--spec", str(SPEC_DIR / "orthant3.json"), "--xi", "1", "4", "1e-8"],
+            capsys,
+        )
+        assert code == 0
+        assert max(abs(x - 1 / 3) for x in payload["results"]["xi_star"]) <= 1e-12
+
     def test_bad_xi_is_input_error(self, capsys):
         code, payload = self.run_main(
             ["delta", "--spec", str(SPEC_DIR / "a1.json"), "--xi", "1"], capsys

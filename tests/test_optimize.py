@@ -184,14 +184,33 @@ class TestRegularizedStep:
                 assert err <= 1e-12 * np.max(np.abs(expected))
 
     def test_singular_hessian_is_regularized(self):
-        # PSD with kernel (1, -1); the gradient lies in the kernel, so the
-        # step is -grad / lam, which shows the first lam > 0 was taken
-        step = _regularized_step(((1.0, 1.0), (1.0, 1.0)), (1.0, -1.0))
-        assert step == (pytest.approx(-1e12, rel=1e-3), pytest.approx(1e12, rel=1e-3))
+        # PSD diag(c, 0) with the gradient on its kernel: the step is exactly
+        # -grad / lam, which shows that the first shift is 2^-52 c, the
+        # rounding of the Hessian's largest diagonal entry
+        for c in (1.0, 2.0**100, 2.0**-100):
+            step = _regularized_step(((c, 0.0), (0.0, 0.0)), (0.0, 1.0))
+            assert step == (0.0, -1.0 / (c * 2.0**-52))
+
+    def test_shift_grows_tenfold(self):
+        # diag(1, -4 * 2^-52) fails at the first shift and factors at the
+        # second, 10 * 2^-52, which leaves 6 * 2^-52 on the kernel-side pivot
+        step = _regularized_step(((1.0, 0.0), (0.0, -4 * 2.0**-52)), (0.0, 1.0))
+        assert step == (0.0, pytest.approx(-(2.0**52) / 6, rel=1e-12))
+
+    @pytest.mark.parametrize("c", [2.0**100, 2.0**-100])
+    def test_step_is_invariant_under_scaling(self, c):
+        # PSD with kernel (1, -1) and the gradient in it: the shift must
+        # follow the Hessian's scale for the step to be unchanged
+        hess, grad = ((1.0, 1.0), (1.0, 1.0)), (1.0, -1.0)
+        scaled = _regularized_step(
+            tuple(tuple(c * h for h in row) for row in hess), tuple(c * g for g in grad)
+        )
+        assert scaled == _regularized_step(hess, grad)
 
     def test_indefinite_hessian_raises(self):
-        with pytest.raises(NonConvergent, match="not positive definite"):
-            _regularized_step(((1.0, 0.0), (0.0, -1.0)), (1.0, 1.0))
+        for c in (1.0, 2.0**100, 2.0**-100, 0.0, math.inf, math.nan, 1e-310):
+            with pytest.raises(NonConvergent, match="not positive definite"):
+                _regularized_step(((c, 0.0), (0.0, -c)), (1.0, 1.0))
 
 
 class TestMinimize:

@@ -240,6 +240,15 @@ class TestDelta:
         assert xi_mp[1] != 1
         assert delta(orthant2, xi_mp).minimizing_rays == (0, 1)
 
+    def test_near_ties_are_tight(self, orthant2):
+        # at the working precision, ratios 2^-30 apart do not tie
+        assert delta(orthant2, (1.0, 1.0 + 2**-30)).minimizing_rays == (0,)
+
+    def test_kss_is_tight(self, orthant2):
+        # a working-precision xi 1e-6 from the minimizer is not K-semistable
+        assert delta(orthant2, (0.5, 0.5)).kss
+        assert not delta(orthant2, (0.5 + 1e-6, 0.5)).kss
+
     def test_scale_invariance(self, y21):
         xi = (1, Fraction(1, 3), Fraction(2, 3))
         assert delta(y21, xi).delta == delta(y21, tuple(5 * x for x in xi)).delta
@@ -384,6 +393,38 @@ class TestFutakiClosedForm:
             residual = [x - a_xi * b for x, b in zip(l, reverse_bary_P(cone, xi))]
             assert futaki_product(cone, xi, eta) == linalg.dot(eta, residual)
 
+    def test_gorenstein_coefficient_identities(self):
+        # cut Q_xi into pyramids with apex c l: every facet through the origin
+        # is at lattice distance <xi, l>, so the faces route's order-1
+        # coefficients follow from the slice route's order-0 ones
+        rng = random.Random(37)
+        ctx = mp_context()
+        cases = [(dual_cone(spec.rays, spec.dim), spec.xi) for spec in bundled_specs()]
+        cases += random_cone_suite(seed=11, count=40, dims=(2, 3, 4, 5))
+        cases += [(cone, xi) for cone, xi in many_simplex_suite() if len(simplices(cone)) <= 40]
+        cases += [(cone, xi) for cone, xi, _ in random_box_cone_suite(seed=7, count=60, high=2)
+                  if is_q_gorenstein(cone)]
+        assert len(cases) >= 60
+        for k, (cone, xi) in enumerate(cases):
+            eta = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cone.dim))
+            l = gorenstein_vector(cone).l
+            a_xi, a_eta = linalg.dot(xi, l), linalg.dot(eta, l)
+            F, C = futaki_coefficients(cone, xi, eta)
+            assert F.coeffs[1] == a_xi * F.coeffs[0] / 2
+            assert C.coeffs[1] == (a_xi * C.coeffs[0] - a_eta * F.coeffs[0]) / 2
+            if k % 4:
+                continue
+            # at a working-precision xi each coefficient is rounded once: the
+            # identities hold, at the dyadic xi it stands for, within 2^-(p-2)
+            xi_mp = tuple(to_mpf(x, ctx) for x in xi)
+            a_xi = linalg.dot(tuple(map(_exact, xi_mp)), l)
+            F, C = futaki_coefficients(cone, xi_mp, eta)
+            (f0, f1), (c0, c1) = map(_exact, F.coeffs), map(_exact, C.coeffs)
+            rtol = Fraction(1, 2 ** (ctx.prec - 2))
+            assert abs(f1 - a_xi * f0 / 2) <= rtol * abs(a_xi * f0 / 2)
+            scale = (abs(a_xi * c0) + abs(a_eta * f0)) / 2
+            assert abs(c1 - (a_xi * c0 - a_eta * f0) / 2) <= rtol * scale
+
     def test_matches_minor_oracle(self):
         cases = random_box_cone_suite(seed=13, count=30, high=3)
         cases += [(cone, xi, (0, 1) + (0,) * (cone.dim - 2)) for cone, xi in many_simplex_suite()
@@ -514,6 +555,13 @@ class TestWorkingPrecision:
                          lambda: futaki_coefficients(y21, (3, 2, 2), xi)):
                 with pytest.raises(ExceedsSupportedSize):
                     call()
+
+    def test_exponent_spread_just_past_the_bound(self, orthant2):
+        # the refusal sits at a few thousand bits past the precision, not ten times that
+        ctx = mp_context()
+        assert polytope_Q(orthant2, (ctx.mpf(1), ctx.mpf(2) ** -(ctx.prec + 3772))).volume_Q > 0
+        with pytest.raises(ExceedsSupportedSize):
+            polytope_Q(orthant2, (ctx.mpf(1), ctx.mpf(2) ** -(ctx.prec + 4172)))
 
     def test_kernel_sums_ints(self, monkeypatch):
         # working-precision xi reaches the slice kernel as integer numerators;
