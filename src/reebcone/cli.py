@@ -387,11 +387,10 @@ _RUNNERS = {
 
 
 def run(command: str, spec, flags: Optional[dict] = None) -> Report:
-    """Execute one subcommand against a spec (text or parsed) and report.
+    """Execute one subcommand against a spec's JSON text and report.
 
-    ``spec`` may be the raw JSON text (hashed as-is) or a ConeSpec
-    (hashed over its canonical repr).  Library warnings raised during
-    the run are captured into the report.  Errors propagate.
+    The text is hashed as-is.  Library warnings raised during the run are
+    captured into the report.  Errors propagate.
     """
     if command not in COMMANDS:
         raise ValueError("unknown command %r" % (command,))
@@ -404,15 +403,16 @@ def run(command: str, spec, flags: Optional[dict] = None) -> Report:
 def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exception]]:
     """Run one subcommand; return its report and the error that ended it.
 
-    ``spec`` is JSON text, a ConeSpec, or a Path to read.  A report cut
+    ``spec`` is JSON text or a Path to read.  A report cut
     short by a ReebconeError or ValueError still carries everything known
     before it: the spec name, the warnings so far, the results a runner
     had filled in and the full provenance.
     """
-    text, name, results, failure = None, "", {}, None
+    text, name, results, failure, bits = None, "", {}, None, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            bits = precision_bits()
             if isinstance(spec, Path):
                 try:
                     spec = spec.read_text(encoding="utf-8")
@@ -420,9 +420,8 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
                     raise InputError(str(exc)) from exc
                 except UnicodeDecodeError as exc:
                     raise SchemaError("spec is not UTF-8: %s" % exc) from exc
-            text = spec if isinstance(spec, str) else repr(spec)
-            if isinstance(spec, str):
-                spec = parse_cone_spec(text)
+            text = spec
+            spec = parse_cone_spec(text)
             name = spec.name
             cone = dual_cone(spec.rays, spec.dim)
             _RUNNERS[command](cone, spec, flags, results)
@@ -433,7 +432,7 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
         "package": "reebcone",
         "version": __version__,
         "arithmetic": "float64" if floaty else "exact-rational",
-        "precision_bits": precision_bits(),
+        "precision_bits": bits,
         "tol": float(_flag(flags, "tol", DEFAULT_TOL)),
     }
     error = None

@@ -4,7 +4,8 @@ One environment variable tunes the numerics:
 
 ``REEBCONE_PRECISION``
     Working precision p, in bits, of every input that is not rational
-    (default 128).  Such an input is rounded to p bits, and the closed
+    (default 128; 53 to ``MAX_PRECISION``, else :class:`InputError`).
+    Such an input is rounded to p bits, and the closed
     forms sum its exact dyadic numerators in integers, in fixed point p
     plus a guard of bits deep, then round each output once to a p-bit mpf
     (:func:`ratio_type`, the one scalar coercion of the library's outputs,
@@ -12,8 +13,8 @@ One environment variable tunes the numerics:
     shared context of :func:`mp_context` at this precision; no library
     call changes the global ``mpmath.mp``.
 
-``DEFAULT_TOL`` is the stopping tolerance of the Newton solver and the
-normalization tolerance of a working-precision Reeb vector; ``--tol`` and
+``DEFAULT_TOL`` bounds the Newton decrement at which the solver stops, and is
+the normalization tolerance of a working-precision Reeb vector; ``--tol`` and
 ``minimize_volume(tol=...)`` set the solver's per call.
 
 mpmath is imported by :func:`mp_context` on first use, so exact-only
@@ -27,10 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .errors import InputError
+
 if TYPE_CHECKING:
     import mpmath
 
 DEFAULT_PRECISION = 128
+MAX_PRECISION = 2**15  # futaki_coefficients on a dim-7 cone of 19,812 simplices: ~7 s
 DEFAULT_TOL = 1e-10
 
 # Fixed tolerances of the irrational (mpf) path of ``stability.delta``.
@@ -42,15 +46,19 @@ KSS_RTOL = 1e-9
 
 
 def precision_bits() -> int:
-    """Working mpmath precision in bits, from ``REEBCONE_PRECISION``."""
+    """Working mpmath precision in bits, from ``REEBCONE_PRECISION``: an
+    integer from 53 to MAX_PRECISION, or unset for the default."""
     raw = os.environ.get("REEBCONE_PRECISION", "")
     if not raw:
         return DEFAULT_PRECISION
     try:
         bits = int(raw)
     except ValueError:
-        return DEFAULT_PRECISION
-    return bits if bits >= 53 else DEFAULT_PRECISION
+        bits = 0
+    if not 53 <= bits <= MAX_PRECISION:
+        raise InputError("REEBCONE_PRECISION must be an integer from 53 to %d, got %r"
+                         % (MAX_PRECISION, raw))
+    return bits
 
 
 def series_rtol() -> float:

@@ -8,9 +8,11 @@ explicit finite sum
     ``F(xi) = sum_k d_k / prod_i <xi, u_{k,i}>``
 
 over simplices with constant ``d_k > 0``, which is analytic on all of
-the interior of ``sigma`` (every factor is positive there) and convex,
-so a damped Newton iteration in an affine chart of the slice finds the
-unique minimizer.  The minimizer is the candidate K-semistable Reeb
+the interior of ``sigma`` (every factor is positive there).  Up to a
+constant ``F`` is the characteristic function of ``sigma``, whose log is
+a self-concordant barrier (Güler 1996), so a damped Newton iteration on
+``log F`` in an affine chart of the slice finds the unique minimizer with
+no line-search constant.  The minimizer is the candidate K-semistable Reeb
 vector: at ``xi*`` the barycenter relation ``bar_P = l`` holds and
 ``delta(xi*) = 1``.
 
@@ -41,8 +43,6 @@ from .geometry import CONE_CACHE_SIZE, _simplex_sums, _slice_pairings, _slice_su
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
-_ARMIJO = 1e-4
-_FULL_STEP_GRAD_RATIO = 0.5
 _MIN_STEP_SCALE = 2.0**-60
 
 
@@ -165,10 +165,6 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     return total / norm, grad, hess
 
 
-def _norm(vec: Sequence[float]) -> float:
-    return math.sqrt(sum(c * c for c in vec))
-
-
 def _cholesky(hess: Sequence[Sequence[float]], lam: float):
     """Lower factor ``L`` of ``hess + lam * I = L L^T``, or None if not positive definite."""
     m = len(hess)
@@ -229,22 +225,22 @@ def minimize_volume(
     start: Optional[Sequence] = None,
     probe_rational: Optional[int] = None,
 ) -> MinimizeResult:
-    """Damped Newton minimization of ``a0`` on the slice ``<xi, l> = 1``.
+    """Damped Newton minimization of ``log a0`` on the slice ``<xi, l> = 1``.
 
     Starts from the vertex average ``(sum v_i)/d`` (interior by
     construction) unless ``start`` is given, in which case it is
-    rescaled onto the slice.  Converged when both the projected
-    gradient norm and the step norm drop below ``tol``.  The line search
-    also takes the full step when its ``|grad|`` is at most
-    ``_FULL_STEP_GRAD_RATIO`` of the current one: near the minimum the Armijo
-    test compares float64 values whose predicted decrease is below the
-    rounding of ``F``, and would stall the iteration.  The objective
-    is analytic and convex on the whole slice interior; where rounding
-    leaves its float Hessian indefinite, :func:`_regularized_step`
-    shifts it on the Hessian's own scale.  Failures surface as
-    :class:`MaxIterations` or :class:`NonConvergent` rather than being
-    patched over.  Raises ``ValueError`` unless ``tol > 0``
-    and ``max_iter >= 1``.
+    rescaled onto the slice.  Each step solves for the Newton step ``s``
+    of ``log a0`` (gradient ``g / a0`` and Hessian ``H / a0 - (g / a0)(g /
+    a0)^T`` from one :func:`volume_objective` pass) and moves by ``s / (1
+    + lam)``, where ``lam = sqrt(-(g / a0) . s)`` is the Newton decrement
+    (Nesterov 2004, sec. 4.1.5).  ``tol`` bounds ``lam``: the iteration
+    stops after the step whose ``lam`` is at most ``tol``, and an empty
+    chart (``n = 1``) takes no step.  Two guards catch rounding:
+    :func:`_regularized_step` shifts a float Hessian that is not positive
+    definite, and a step that leaves the Reeb cone is halved, down to
+    ``_MIN_STEP_SCALE``.  Failures surface as :class:`MaxIterations` or
+    :class:`NonConvergent`.  Raises ``ValueError`` unless ``tol > 0`` and
+    ``max_iter >= 1``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive, got %r" % (tol,))
@@ -263,35 +259,27 @@ def minimize_volume(
 
     value, grad, hess = volume_objective(cone, x)
     iterations = 0
-    step_norm = math.inf if x else 0.0
-    while _norm(grad) > tol or step_norm > tol:
+    decrement = math.inf if x else 0.0
+    while decrement > tol:
         if iterations >= max_iter:
-            raise MaxIterations(
-                "no convergence after %d Newton iterations (grad norm %.3e)"
-                % (max_iter, _norm(grad))
-            )
-        step = _regularized_step(hess, grad)
-        scale_t = 1.0
-        slope = sum(g * s for g, s in zip(grad, step))
+            raise MaxIterations("no convergence after %d Newton iterations (Newton decrement %.3e)"
+                                % (max_iter, decrement))
+        grad_f = [g / value for g in grad]  # f = log a0
+        hess_f = [[h / value - a * b for b, h in zip(grad_f, row)] for a, row in zip(grad_f, hess)]
+        step = _regularized_step(hess_f, grad_f)
+        decrement = math.sqrt(max(0.0, -sum(g * s for g, s in zip(grad_f, step))))
+        scale_t = 1.0 / (1.0 + decrement)
         while True:
             if scale_t < _MIN_STEP_SCALE:
-                raise NonConvergent(
-                    "line search failed at gradient norm %.3e"
-                    % _norm(grad)
-                )
+                raise NonConvergent("damped Newton step left the Reeb cone (Newton decrement %.3e)"
+                                    % decrement)
             trial = tuple(c + scale_t * s for c, s in zip(x, step))
             try:
-                trial_value, trial_grad, trial_hess = volume_objective(cone, trial)
-            except UnboundedSlice:  # the step left the Reeb cone
-                scale_t *= 0.5
-                continue
-            if (trial_value <= value + _ARMIJO * scale_t * slope
-                    or scale_t == 1.0 and _norm(trial_grad) <= _FULL_STEP_GRAD_RATIO * _norm(grad)):
+                value, grad, hess = volume_objective(cone, trial)
                 break
-            scale_t *= 0.5
-        step_norm = _norm([scale_t * s for s in step])
+            except UnboundedSlice:  # rounding took the step out of the Reeb cone
+                scale_t *= 0.5
         x = trial
-        value, grad, hess = trial_value, trial_grad, trial_hess
         iterations += 1
 
     xi_star_tuple = _embed(cone, x)
@@ -311,7 +299,7 @@ def minimize_volume(
     return MinimizeResult(
         xi_star=reeb_vector(cone, xi_star_tuple),
         vol_star=sums.a ** n * sums.total / (sums.l_d ** n * math.factorial(n - 1) * sums.big),
-        gradient_norm=_norm(grad),
+        gradient_norm=math.sqrt(sum(c * c for c in grad)),
         iterations=iterations,
         kss_residual=gap / gap_den,
         margin=margin,

@@ -24,6 +24,7 @@ from reebcone import (
     weight_character,
 )
 from reebcone.cli import ConeSpec, main, parse_cone_spec, run
+from reebcone.config import MAX_PRECISION
 from conftest import minor_futaki_coefficients
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
@@ -230,6 +231,16 @@ class TestMainExitCodes:
         code = main(argv)
         out = capsys.readouterr().out
         return code, json.loads(out) if out else None
+
+    @pytest.mark.parametrize("raw", ["12x", "40", str(MAX_PRECISION + 1)])
+    def test_bad_precision_is_an_input_error(self, monkeypatch, capsys, raw):
+        # refused before the spec is read: one report, exit 2, no precision
+        monkeypatch.setenv("REEBCONE_PRECISION", raw)
+        code, payload = self.run_main(["check", "--spec", str(SPEC_DIR / "y21.json")], capsys)
+        assert code == 2
+        assert payload["error"]["type"] == "InputError"
+        assert "REEBCONE_PRECISION" in payload["error"]["message"]
+        assert payload["provenance"]["precision_bits"] is None
 
     def test_success(self, capsys):
         code, payload = self.run_main(
@@ -631,7 +642,7 @@ class TestConsoleScript:
         assert len(outputs) == 1
         payload = json.loads(outputs.pop())
         # the CLI seeds Newton from the spec's xi = (1, 1/3, 2/3)
-        assert payload["results"]["iterations"] == 7
+        assert payload["results"]["iterations"] == 8
 
     def test_delta_exit_and_payload(self):
         proc = self.invoke(

@@ -21,6 +21,7 @@ from reebcone import (
     DegenerateSolutionSet,
     ExceedsSupportedSize,
     GorensteinVector,
+    InputError,
     IrrationalReeb,
     NonIntegerRay,
     NotFullDimensional,
@@ -524,6 +525,21 @@ class TestCacheRetention:
         del cone
         gc.collect()
         assert ref() is None
+
+
+class TestPrecisionSetting:
+    @pytest.mark.parametrize("raw", ["12x", "40", str(config.MAX_PRECISION + 1)])
+    def test_out_of_range_is_refused(self, monkeypatch, y21, raw):
+        # outside input: below 53 bits the float paths lose accuracy, and past
+        # the cap a single call can run for more than a minute
+        monkeypatch.setenv("REEBCONE_PRECISION", raw)
+        with pytest.raises(InputError, match="REEBCONE_PRECISION"):
+            polytope_Q(y21, (1.0, 0.5, 0.5))
+
+    def test_range_ends_are_accepted(self, monkeypatch):
+        for raw, bits in (("", 128), ("53", 53), (str(config.MAX_PRECISION), config.MAX_PRECISION)):
+            monkeypatch.setenv("REEBCONE_PRECISION", raw)
+            assert config.precision_bits() == bits
 
 
 class TestSetUpPaidOnce:

@@ -9,7 +9,7 @@ one full Tier-1 run, about 50 s on a 2-core machine.  Run it from the root
 of a checkout, outside Tier-1::
 
     python3 tools/mutation_sweep.py                      # every mutant
-    python3 tools/mutation_sweep.py --list               # names only
+    python3 tools/mutation_sweep.py --list               # names; exit 1 if one is stale
     python3 tools/mutation_sweep.py kss-rtol ray-tie-rtol -- tests/test_stability.py
 
 Names select mutants; arguments after ``--`` replace the pytest selection
@@ -79,12 +79,15 @@ MUTANTS = [
      "delta_prime=min(ratio(1, 1), low)", "delta_prime=max(ratio(1, 1), low)"),
     ("kss-rtol", "config.py", "KSS_RTOL = 1e-9", "KSS_RTOL = 1e-3"),
     ("ray-tie-rtol", "config.py", "RAY_TIE_RTOL = 8 * 2.0 ** -50", "RAY_TIE_RTOL = 2.0 ** -20"),
-    # optimize: Newton, its line search and the Tikhonov ladder
-    ("newton-full-step-ratio", "optimize.py",
-     "_FULL_STEP_GRAD_RATIO = 0.5", "_FULL_STEP_GRAD_RATIO = 0.99"),
-    ("newton-armijo", "optimize.py", "_ARMIJO = 1e-4", "_ARMIJO = 0.5"),
-    ("newton-stop-rule", "optimize.py",
-     "while _norm(grad) > tol or step_norm > tol:", "while _norm(grad) > tol and step_norm > tol:"),
+    # optimize: the damped Newton step on log a0 and the Tikhonov ladder
+    ("newton-damping", "optimize.py",
+     "scale_t = 1.0 / (1.0 + decrement)", "scale_t = 1.0"),
+    ("newton-log-hessian", "optimize.py",
+     "[h / value - a * b for b, h", "[h / value for b, h"),
+    ("newton-stop-tol", "optimize.py", "while decrement > tol:", "while decrement > 1e6 * tol:"),
+    ("newton-last-step", "optimize.py",
+     "        scale_t = 1.0 / (1.0 + decrement)\n",
+     "        if decrement <= tol:\n            break\n        scale_t = 1.0 / (1.0 + decrement)\n"),
     ("newton-margin", "optimize.py", "margin = min(", "margin = max("),
     ("ladder-fixed-start", "optimize.py", "lam = scale * 2.0**-52", "lam = 1e-12"),
     ("ladder-rung-factor", "optimize.py", "lam *= 10.0", "lam *= 100.0"),
@@ -127,9 +130,12 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv[:split])
     if args.list:
-        for name, path, _, _ in MUTANTS:
-            print(f"{name:26} {path}")
-        return 0
+        stale = 0
+        for name, path, old, _ in MUTANTS:
+            matches = (ROOT / "src" / "reebcone" / path).read_text(encoding="utf-8").count(old)
+            stale += matches != 1
+            print(f"{name:26} {path:14} {'' if matches == 1 else 'stale'}".rstrip())
+        return 1 if stale else 0
     unknown = set(args.names) - {m[0] for m in MUTANTS}
     if unknown:
         parser.error("unknown mutants: " + ", ".join(sorted(unknown)))
