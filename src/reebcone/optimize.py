@@ -17,9 +17,10 @@ vector: at ``xi*`` the barycenter relation ``bar_P = l`` holds and
 ``delta(xi*) = 1``.
 
 The Newton objective is plain float arithmetic over the slice kernel of
-:func:`reebcone.geometry.polytope_Q`.  A brute-force simplex grid search,
-valued exactly by :func:`reebcone.geometry.polytope_Q`, is an independent
-oracle for the Newton route.
+:func:`reebcone.geometry.polytope_Q`.  A brute-force simplex grid search is
+an independent oracle for the Newton route: it ranks its samples by the
+exact integer ratio T/L of that kernel and values only the winner with
+:func:`reebcone.geometry.polytope_Q`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -121,6 +123,17 @@ def _project(cone: ToricCone, xi: Sequence) -> Tuple[float, ...]:
     """Chart coordinates of a full Reeb vector on the slice, in floats."""
     _, _, free = _chart(cone)[:3]
     return tuple(float(xi[j]) for j in free)
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int, with ValueError unless it is a positive integer."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = 0
+    if index < 1:
+        raise ValueError("%s must be a positive integer, got %r" % (name, value))
+    return index
 
 
 def _ray_average(cone: ToricCone, weights: Sequence[int]) -> Tuple[Fraction, ...]:
@@ -239,15 +252,15 @@ def minimize_volume(
     :func:`_regularized_step` shifts a float Hessian that is not positive
     definite, and a step that leaves the Reeb cone is halved, down to
     ``_MIN_STEP_SCALE``.  Failures surface as :class:`MaxIterations` or
-    :class:`NonConvergent`.  Raises ``ValueError`` unless ``tol > 0`` and
-    ``max_iter >= 1``.
+    :class:`NonConvergent`.  Raises ``ValueError`` unless ``tol`` is
+    positive and finite and ``max_iter`` (and ``probe_rational``, when
+    given) is a positive integer.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive, got %r" % (tol,))
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
-    if probe_rational is not None and probe_rational < 1:
-        raise ValueError("probe_rational must be at least 1, got %r" % (probe_rational,))
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    max_iter = _positive_int("max_iter", max_iter)
+    if probe_rational is not None:
+        probe_rational = _positive_int("probe_rational", probe_rational)
     l = gorenstein_vector(cone).l
     if start is None:
         start_xi = _ray_average(cone, [1] * len(cone.rays))
@@ -320,36 +333,40 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
 
     Samples barycentric combinations ``sum (k_i / resolution) v_i`` of
     the slice vertices with nonnegative integer weights; boundary
-    points (where the volume diverges) are skipped.  Each sample is
-    valued ``a0 = n vol(Q_xi)`` from :func:`reebcone.geometry.polytope_Q`
+    points (where the volume diverges) are skipped.  As ``a0`` is
+    homogeneous of degree ``-n``, the samples rank as the integer ratio
+    ``T / L`` of :func:`reebcone.geometry._simplex_sums` at the pairings
+    ``sum k_i <v_i, u>``, compared by cross-multiplication, and the first
+    minimum in :func:`_compositions` order wins.  Only that sample is
+    valued, ``a0 = n vol(Q_xi)`` from :func:`reebcone.geometry.polytope_Q`
     in exact rational arithmetic, making this a slow but independent
     check on the Newton route.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive, got %r" % (resolution,))
+    resolution = _positive_int("resolution", resolution)
     d = len(cone.rays)
-    n = cone.dim
     samples = math.comb(resolution + d - 1, d - 1)
     if samples > MAX_GRID_SAMPLES:
         raise ExceedsSupportedSize(
             "grid of %d samples exceeds the supported %d"
             % (samples, MAX_GRID_SAMPLES)
         )
-    best_value = best_xi = None
+    table = simplices(cone)
+    # <v_i, u> >= 0 for every ray v_i of sigma and dual ray u
+    columns = [(u, [linalg.dot(v, u) for v in cone.rays]) for u in cone.dual_rays]
+    best_total = best_big = best_weights = None
     for weights in _compositions(resolution, d):
-        xi = _ray_average(cone, weights)
-        try:
-            value = n * polytope_Q(cone, xi).volume_Q
-        except UnboundedSlice:
+        pairings = {u: sum(map(operator.mul, weights, col)) for u, col in columns}
+        if not all(pairings.values()):  # on the boundary of sigma
             continue
-        if best_value is None or value < best_value:
-            best_value = value
-            best_xi = xi
-    if best_value is None:
+        total, _, big = _simplex_sums(table, pairings, exact=True)
+        if best_weights is None or total * best_big < best_total * big:
+            best_total, best_big, best_weights = total, big, weights
+    if best_weights is None:
         raise NonConvergent(
             "no interior grid point at resolution %d" % resolution
         )
-    return GridResult(xi=best_xi, value=best_value, samples=samples)
+    xi = _ray_average(cone, best_weights)
+    return GridResult(xi=xi, value=cone.dim * polytope_Q(cone, xi).volume_Q, samples=samples)
 
 
 def rationality_probe(xi_star, max_denominator: int) -> RationalCandidate:
@@ -360,10 +377,7 @@ def rationality_probe(xi_star, max_denominator: int) -> RationalCandidate:
     max-norm gap, which callers compare against the convergence
     tolerance to judge whether the minimizer looks quasi-regular.
     """
-    if max_denominator <= 0:
-        raise ValueError(
-            "max_denominator must be positive, got %r" % (max_denominator,)
-        )
+    max_denominator = _positive_int("max_denominator", max_denominator)
     coords = xi_star.xi if isinstance(xi_star, ReebVector) else tuple(xi_star)
     vector = tuple(
         Fraction(float(c)).limit_denominator(max_denominator) for c in coords

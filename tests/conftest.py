@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from reebcone import (
+    NonConvergent,
     PolytopeSlice,
     ReebconeError,
     ReebconeWarning,
@@ -40,7 +41,7 @@ from reebcone.linalg import (
     dot,
     transpose,
 )
-from reebcone.optimize import _chart
+from reebcone.optimize import GridResult, _chart, _compositions, _ray_average
 
 
 def make_orthant2():
@@ -380,6 +381,28 @@ def fraction_polytope_Q(cone, xi):
         bary_Q=tuple(m / ((n + 1) * total) for m in moment),
         bary_P=tuple(m / (n * total) for m in moment),
     )
+
+
+def fraction_grid_oracle(cone, resolution):
+    """The GridResult of ``grid_search_oracle``, one Fraction ``polytope_Q`` per sample.
+
+    Values every sample ``sum k_i v_i / resolution`` of the slice grid as
+    ``n vol(Q_xi)`` in Fractions, skips those on the boundary of sigma, and
+    keeps the first minimum in ``_compositions`` order.
+    """
+    d, n = len(cone.rays), cone.dim
+    best_value = best_xi = None
+    for weights in _compositions(resolution, d):
+        xi = _ray_average(cone, weights)
+        try:
+            value = n * polytope_Q(cone, xi).volume_Q
+        except UnboundedSlice:
+            continue
+        if best_value is None or value < best_value:
+            best_value, best_xi = value, xi
+    if best_value is None:
+        raise NonConvergent("no interior grid point at resolution %d" % resolution)
+    return GridResult(xi=best_xi, value=best_value, samples=math.comb(resolution + d - 1, d - 1))
 
 
 def fraction_full_objective(cone, xi):

@@ -35,14 +35,17 @@ from reebcone.optimize import (
 )
 
 from conftest import (
+    FIXTURE_MAKERS,
     apply_unimodular,
     bundled_specs,
     fraction_chart,
     fraction_embed,
     fraction_full_objective,
+    fraction_grid_oracle,
     fraction_positive_definite,
     fraction_volume_objective,
     mat_vec,
+    random_box_cone_suite,
     random_cone_suite,
     random_interior_xi,
     unimodular_matrix,
@@ -308,9 +311,12 @@ class TestMinimize:
         with pytest.raises(MaxIterations):
             minimize_volume(y21, max_iter=1)
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0},
-                                        {"probe_rational": 0, "max_iter": 1}],
-                             ids=["tol-0", "tol-negative", "tol-nan", "max-iter-0", "probe-rational-0"])
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+                                        {"max_iter": 0}, {"max_iter": 2.5},
+                                        {"probe_rational": 0, "max_iter": 1},
+                                        {"probe_rational": 2.5, "max_iter": 1}],
+                             ids=["tol-0", "tol-negative", "tol-nan", "tol-inf", "max-iter-0",
+                                  "max-iter-float", "probe-rational-0", "probe-rational-float"])
     def test_nonpositive_settings(self, y21, kwargs):
         with pytest.raises(ValueError, match="must be"):
             minimize_volume(y21, **kwargs)
@@ -476,6 +482,55 @@ class TestGridOracle:
         with pytest.raises(ExceedsSupportedSize):
             grid_search_oracle(orthant3, 200)
 
+    @pytest.mark.parametrize("resolution", [12.0, Fraction(12), "12", 0, -3],
+                             ids=["float", "fraction", "str", "zero", "negative"])
+    def test_resolution_must_be_a_positive_integer(self, monkeypatch, conifold, resolution):
+        monkeypatch.setattr(optimize, "simplices", None)  # refused before any work
+        with pytest.raises(ValueError, match="resolution must be a positive integer"):
+            grid_search_oracle(conifold, resolution)
+
+    @pytest.mark.parametrize("resolution", [5, 7, 12])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_MAKERS))
+    def test_matches_fraction_oracle_on_specs(self, name, resolution):
+        cone = FIXTURE_MAKERS[name]()
+        assert grid_search_oracle(cone, resolution) == fraction_grid_oracle(cone, resolution)
+
+    def test_matches_fraction_oracle_on_random_suites(self):
+        cones = [cone for cone, _ in random_cone_suite(seed=11, count=25, dims=(3, 4, 5))]
+        cones += [cone for cone, _, _ in random_box_cone_suite(seed=7, count=10, dims=(3, 4))]
+        for cone in cones:
+            d = len(cone.rays)
+            resolution = max(r for r in range(1, 40) if math.comb(r + d - 1, d - 1) <= 1000)
+            assert grid_search_oracle(cone, resolution) == fraction_grid_oracle(cone, resolution)
+
+    @pytest.mark.parametrize("resolution, xi", [(5, (Fraction(2, 5), Fraction(3, 5))),
+                                                (7, (Fraction(3, 7), Fraction(4, 7)))])
+    def test_first_of_tied_minima(self, orthant2, resolution, xi):
+        # the weights (2, 3) and (3, 2) tie at resolution 5, (3, 4) and (4, 3) at 7;
+        # the first in lexicographic order wins
+        res = grid_search_oracle(orthant2, resolution)
+        assert res.xi == xi
+        assert res.value == 1 / (xi[0] * xi[1])  # a0 = 2 vol(Q_xi) = 1 / (xi_1 xi_2)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_MAKERS))
+    def test_one_slice_valuation_per_call(self, monkeypatch, name):
+        # the samples rank by the integer kernel; polytope_Q values the winner only
+        cone, resolution = FIXTURE_MAKERS[name](), 7
+        counts = dict.fromkeys(("polytope_Q", "_simplex_sums"), 0)
+
+        def spy(key, fn):
+            def counting(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counting
+
+        for key in counts:
+            monkeypatch.setattr(optimize, key, spy(key, getattr(optimize, key)))
+        grid_search_oracle(cone, resolution)
+        interior = sum(all(linalg.dot(_ray_average(cone, w), u) > 0 for u in cone.dual_rays)
+                       for w in _compositions(resolution, len(cone.rays)))
+        assert counts == {"polytope_Q": 1, "_simplex_sums": interior}
+
     def test_compositions_in_lexicographic_order(self):
         # the grid's first minimum, and so its GridResult, depends on this order
         for total, parts in itertools.product(range(7), range(1, 5)):
@@ -490,3 +545,9 @@ class TestProbes:
         assert cand.vector == (Fraction(1, 2), Fraction(1, 2))
         assert cand.distance == 0.0
         assert cand.max_denominator == 10
+
+    @pytest.mark.parametrize("max_denominator", [2.5, 10.0, 0],
+                             ids=["float", "integral-float", "zero"])
+    def test_rationality_probe_refuses_non_integers(self, max_denominator):
+        with pytest.raises(ValueError, match="max_denominator must be a positive integer"):
+            rationality_probe((0.5, 0.5), max_denominator)

@@ -93,6 +93,11 @@ MUTANTS = [
     ("ladder-rung-factor", "optimize.py", "lam *= 10.0", "lam *= 100.0"),
     ("ladder-ceiling", "optimize.py",
      "if not 0.0 < lam <= scale < math.inf:", "if not 0.0 < lam <= 1e12 * scale < math.inf:"),
+    # optimize: the grid oracle's ranking by the integer ratio T/L
+    ("grid-first-minimum", "optimize.py",
+     "total * best_big < best_total * big", "total * best_big <= best_total * big"),
+    ("grid-cross-multiply", "optimize.py",
+     "total * best_big < best_total * big", "total * big < best_total * best_big"),
 ]
 
 
