@@ -311,6 +311,57 @@ def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2)
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
+def _shell_counts(s0, counts, step: int, xs: Sequence[int]):
+    """The points of the runs in each shell ``(xs[i-1], xs[i]]``, as int64.
+
+    Run r holds the pairings s0[r] + j h, j < counts[r], h = |step|, of the
+    row scan (int64 arrays), and ``xs`` is increasing.  Runs wholly at or
+    below xs[0] add the same count at or below every x and are dropped
+    first.  With h = 0 a run is counts[r] points at s0[r], and the points at
+    or below x are a prefix sum over the sorted s0.  Otherwise a run is the
+    progression from s0 less the one from its end s0 + counts h, and the
+    points at or below x of the progressions from the ends e <= x are
+
+        Phi(x) = sum_{e <= x} (floor((x - e) / h) + 1)
+               = m (Q + 1) - sum_{e <= x} q - #{e <= x : r > P}
+
+    for m ends e = q h + r at or below x = Q h + P, 0 <= r, P < h: one
+    searchsorted, a prefix sum of q over the sorted ends, and one prefix
+    count of [r > P] for each residue P of xs below h - 1.
+    """
+    import numpy as np
+
+    h = abs(step)
+    live = s0 + h * (counts - 1) > xs[0]
+    s0, counts = s0[live], counts[live]
+    xs = np.array(xs, dtype=np.int64)
+    acc = np.zeros(len(s0) + 1, dtype=np.int64)  # one buffer for every prefix sum
+    if not h:
+        order = np.argsort(s0)
+        np.cumsum(counts[order], out=acc[1:])
+        return np.diff(acc[np.searchsorted(s0[order], xs, side="right")])
+    x_q, x_r = np.divmod(xs, h)
+    residues = {r for r in x_r.tolist() if r < h - 1}  # no r is above h - 1
+
+    def phi(ends):
+        ends.sort()
+        at = np.searchsorted(ends, xs, side="right")
+        e_q, e_r = np.divmod(ends, h)
+        np.cumsum(e_q, out=acc[1:])
+        below = at * (x_q + 1) - acc[at]
+        for r in residues:
+            np.cumsum(e_r > r, out=acc[1:])
+            picked = x_r == r
+            below[picked] -= acc[at[picked]]
+        return below
+
+    # m (Q + 1) and the prefix sums of q can leave int64 and wrap around, but
+    # the difference is a count of scanned points, below 2^62 by the guard of
+    # lattice_rows, so int64's arithmetic modulo 2^64 leaves it exact
+    ends = s0 + h * counts
+    return np.diff(phi(s0) - phi(ends))
+
+
 def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
                                rel_tol: float = 1e-3) -> float:
     """Brute-force lattice sum approximating F (or C_eta with eta given).
@@ -322,7 +373,9 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     are floats.  Along a run the pairing steps by |xi_n|, so each run sums
     in closed form as a geometric series, arithmetico-geometric when eta is
     given.  The neglected tail is bounded by fitting the observed polynomial
-    growth of the pairing shells; if the bound exceeds rel_tol times the
+    growth of the pairing shells k - 1 < <xi,u> <= k, k from cutoff/2 up,
+    whose sizes :func:`_shell_counts` takes from prefix sums over the sorted
+    run ends, not from a pass per shell; if the bound exceeds rel_tol times the
     partial sum, CutoffTooSmall is raised.
     """
     import numpy as np
@@ -360,18 +413,11 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
         weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * mean)
     partial = float(weights.sum())
 
+    del prefix, a, b, x0, geometric, mean, weights  # only the run starts and lengths count
     num_shells = int(math.ceil(cutoff))
     half = max(1, num_shells // 2)
-    top = s0 + abs(step) * (counts - 1)
-    live = top > (half - 1) * denom  # runs wholly below shell half-1 cancel below
-    s0, counts = s0[live], counts[live]
-    below = []  # lattice points with <xi,u> <= k, up to a constant
-    for k in range(half - 1, num_shells + 1):
-        if step:
-            below.append(int(np.clip((k * denom - s0) // abs(step) + 1, 0, counts).sum()))
-        else:
-            below.append(int(counts[s0 <= k * denom].sum()))
-    shell_counts = dict(zip(range(half, num_shells + 1), np.diff(below).tolist()))
+    shell_counts = dict(zip(range(half, num_shells + 1), _shell_counts(
+        s0, counts, step, [k * denom for k in range(half - 1, num_shells + 1)]).tolist()))
 
     # Tail bound: shell counts grow like A * s^(n-1) (Ehrhart), with one
     # extra power of s for the eta-weighted sum.

@@ -505,6 +505,24 @@ def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:
     return pairings
 
 
+def _volume_sums(table, pairings: dict, exact: bool = False, divide: bool = False) -> tuple:
+    """``(w, T, L)``: the volume part of :func:`_simplex_sums`, the per-simplex
+    weights w_k = det_k L / P_k, their sum T and the scale L, with L and the
+    quotient chosen by ``exact`` and ``divide`` as there.  T / L is (n-1)! a0
+    over :func:`simplices`; alone it ranks the samples of
+    :func:`reebcone.optimize.grid_search_oracle`."""
+    prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
+    if divide:
+        div, big = operator.truediv, 1
+    elif exact:
+        div, big = operator.floordiv, math.lcm(*prods)
+    else:
+        bits = precision_bits() + _GUARD_BITS + max(map(int.bit_length, prods), default=0)
+        div, big = operator.floordiv, 1 << bits
+    simplex_weights = [det * div(big, prod) for (det, _), prod in zip(table, prods)]
+    return simplex_weights, sum(simplex_weights), big
+
+
 def _simplex_sums(table, pairings: dict, exact: bool = False, divide: bool = False) -> tuple:
     """``(T, M, L)``: the sums of every closed form over a table of simplices.
 
@@ -516,8 +534,9 @@ def _simplex_sums(table, pairings: dict, exact: bool = False, divide: bool = Fal
         M / L^2 = sum_k (det_k / P_k) sum_{u in U_k} u / p_u
                 = sum_u (u / p_u) sum_{k : u in U_k} det_k / P_k,
 
-    with every quotient taken as ``L // P_k`` and ``L // p_u``.  When
-    ``exact``, L is the lcm of the P_k and both sides are equal.  Otherwise
+    with every quotient taken as ``L // P_k`` and ``L // p_u``; T, L and the
+    weights det_k L // P_k come from :func:`_volume_sums`.  When ``exact``,
+    L is the lcm of the P_k and both sides are equal.  Otherwise
     (the p_u of a working-precision xi) L = 2^(b + max bit length of the
     P_k), b = the working precision plus ``_GUARD_BITS``, so each quotient
     is truncated by less than one unit in 2^b of itself; every term of T,
@@ -533,16 +552,9 @@ def _simplex_sums(table, pairings: dict, exact: bool = False, divide: bool = Fal
 
     one dot product per entry over the rows s_k and u~.
     """
-    prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
-    if divide:
-        div, big = operator.truediv, 1
-    elif exact:
-        div, big = operator.floordiv, math.lcm(*prods)
-    else:
-        bits = precision_bits() + _GUARD_BITS + max(map(int.bit_length, prods), default=0)
-        div, big = operator.floordiv, 1 << bits
-    simplex_weights = [det * div(big, prod) for (det, _), prod in zip(table, prods)]
-    total, weights = sum(simplex_weights), dict.fromkeys(pairings, 0)
+    simplex_weights, total, big = _volume_sums(table, pairings, exact, divide)
+    div = operator.truediv if divide else operator.floordiv
+    weights = dict.fromkeys(pairings, 0)
     for w, (_, gens) in zip(simplex_weights, table):
         for u in gens:
             weights[u] += w
@@ -694,14 +706,20 @@ def integer_reeb(cone: ToricCone, xi) -> tuple[tuple[int, ...], int]:
 def _scan_box(cone: ToricCone, xi, level) -> tuple:
     """``(d xi, floor(d level), lo, hi, prefixes)``: d xi integral, the bounding
     box ``[lo, hi]`` of level*Q_xi, whose vertices other than 0 lie on the dual
-    rays, and the number of prefixes :func:`lattice_rows` scans in it."""
+    rays, and the number of prefixes :func:`lattice_rows` scans in it.
+
+    The vertex on the dual ray u is (bound / p) u with p = <d xi, u> > 0 and
+    bound = floor(d level), so axis j of the box runs from min(0, floor(bound
+    u_j / p)) to max(0, ceil(bound u_j / p)) over the dual rays, each an int
+    quotient ``bound * u_j // p`` or ``-(-bound * u_j // p)``.
+    """
     if not -math.inf < level < math.inf:
         raise ValueError(f"level must be finite, got {level!r}")
     xi_int, denom = integer_reeb(cone, xi)
     bound = math.floor(Fraction(level) * denom)
-    corners = [[Fraction(bound * x, linalg.dot(xi_int, u)) for x in u] for u in cone.dual_rays]
-    lo = [math.floor(min(0, *axis)) for axis in zip(*corners)]
-    hi = [math.ceil(max(0, *axis)) for axis in zip(*corners)]
+    scaled = [([bound * x for x in u], linalg.dot(xi_int, u)) for u in cone.dual_rays]
+    lo = [min(0, *axis) for axis in zip(*([x // p for x in u] for u, p in scaled))]
+    hi = [max(0, *axis) for axis in zip(*([-(-x // p) for x in u] for u, p in scaled))]
     return xi_int, bound, lo, hi, math.prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1]))
 
 

@@ -19,8 +19,8 @@ vector: at ``xi*`` the barycenter relation ``bar_P = l`` holds and
 The Newton objective is plain float arithmetic over the slice kernel of
 :func:`reebcone.geometry.polytope_Q`.  A brute-force simplex grid search is
 an independent oracle for the Newton route: it ranks its samples by the
-exact integer ratio T/L of that kernel and values only the winner with
-:func:`reebcone.geometry.polytope_Q`.
+exact integer ratio T/L of that kernel's volume part and values only the
+winner with :func:`reebcone.geometry.polytope_Q`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
-from .geometry import CONE_CACHE_SIZE, _simplex_sums, _slice_pairings, _slice_sums
+from .geometry import CONE_CACHE_SIZE, _simplex_sums, _slice_pairings, _slice_sums, _volume_sums
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -335,9 +335,10 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
     the slice vertices with nonnegative integer weights; boundary
     points (where the volume diverges) are skipped.  As ``a0`` is
     homogeneous of degree ``-n``, the samples rank as the integer ratio
-    ``T / L`` of :func:`reebcone.geometry._simplex_sums` at the pairings
-    ``sum k_i <v_i, u>``, compared by cross-multiplication, and the first
-    minimum in :func:`_compositions` order wins.  Only that sample is
+    ``T / L`` of the volume kernel :func:`reebcone.geometry._volume_sums`
+    at the pairings ``sum k_i <v_i, u>`` (no moment is summed), compared
+    by cross-multiplication, and the first minimum in :func:`_compositions`
+    order wins.  Only that sample is
     valued, ``a0 = n vol(Q_xi)`` from :func:`reebcone.geometry.polytope_Q`
     in exact rational arithmetic, making this a slow but independent
     check on the Newton route.
@@ -358,7 +359,7 @@ def grid_search_oracle(cone: ToricCone, resolution: int) -> GridResult:
         pairings = {u: sum(map(operator.mul, weights, col)) for u, col in columns}
         if not all(pairings.values()):  # on the boundary of sigma
             continue
-        total, _, big = _simplex_sums(table, pairings, exact=True)
+        _, total, big = _volume_sums(table, pairings, exact=True)
         if best_weights is None or total * best_big < best_total * big:
             best_total, best_big, best_weights = total, big, weights
     if best_weights is None:

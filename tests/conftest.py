@@ -641,6 +641,24 @@ def brute_lattice_points(cone, xi, level):
     )
 
 
+def fraction_scan_box(cone, xi, level):
+    """``(lo, hi, prefixes)`` of the row scan's bounding box, in Fractions.
+
+    The reference for ``geometry._scan_box``: with d the least common
+    denominator of xi and bound = floor(d level), the corner on each dual ray
+    u is the Fraction (bound / <d xi, u>) u, and the box floors the least and
+    ceils the greatest of 0 and the corners, axis by axis; ``prefixes`` counts
+    the box's points in the first n - 1 coordinates.
+    """
+    xi = tuple(Fraction(x) for x in xi)
+    d = math.lcm(*(x.denominator for x in xi))
+    bound = math.floor(Fraction(level) * d)
+    corners = [[Fraction(bound * x) / dot([d * y for y in xi], u) for x in u] for u in cone.dual_rays]
+    lo = [math.floor(min(0, *axis)) for axis in zip(*corners)]
+    hi = [math.ceil(max(0, *axis)) for axis in zip(*corners)]
+    return lo, hi, math.prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1]))
+
+
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: returns (g, p, q) with p*a + q*b = g = gcd(a,b) >= 0."""
     old_r, r = a, b

@@ -6,6 +6,7 @@ over ``geometry.lattice_rows``.  Each is checked here against
 row scan: nested loops over the bounding box with Fraction membership tests.
 """
 
+import bisect
 import functools
 import math
 import random
@@ -24,10 +25,12 @@ from reebcone import (
     s_m_oracle,
     truncated_character_oracle,
 )
+from reebcone.characters import _shell_counts
 from reebcone.cli import parse_cone_spec
-from reebcone.geometry import lattice_rows
+from reebcone.geometry import _INT64_SAFE, _scan_box, integer_reeb, lattice_rows
 from reebcone.linalg import dot
-from conftest import (brute_lattice_points, make_conifold, make_orthant2, make_orthant3, make_y21,
+from conftest import (brute_lattice_points, fraction_scan_box, make_conifold, make_kgon,
+                      make_orthant2, make_orthant3, make_y21, random_box_cone_suite,
                       random_cone_suite)
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
@@ -108,6 +111,70 @@ def test_character_oracle_keeps_points_on_the_cutoff():
     expected = math.fsum(math.exp(-float(dot(xi, u))) for u in pts)
     observed = truncated_character_oracle(cone, xi, None, 1.0, 14)
     assert abs(observed - expected) <= 1e-12 * expected
+
+
+def test_scan_box_matches_fraction_box():
+    # the box bounds the scan and decides the MAX_LATTICE_SCAN and --m-max refusals,
+    # so it must be the Fraction box exactly: a hi that floors where it should ceil
+    # still finds every point here, but moves those refusals
+    cases = [(cone, xi) for cone, xi, _ in random_box_cone_suite(seed=7, count=20, dims=(2, 3, 4))]
+    cases += random_cone_suite(seed=11, count=20, dims=(2, 3, 4))
+    cases += [(make_kgon(k, 4), (3, Fraction(1, 5), Fraction(-1, 7))) for k in (6, 9, 13)]
+    assert sum(min(map(min, cone.dual_rays)) < 0 for cone, _ in cases) >= 30
+    for cone, xi in cases:
+        for level in (1, 5, Fraction(37, 3), 20.5):
+            assert _scan_box(cone, xi, level)[2:] == fraction_scan_box(cone, xi, level)
+
+
+def _runs(cone, xi, level):
+    """``(s0, counts, step, d)``: the runs of the level-``level`` row scan as the
+    character oracle reads them, each from its lowest pairing s0 with d xi, in
+    steps of |step|, d xi integral."""
+    prefix, a, b = lattice_rows(cone, xi, level)
+    xi_int, d = integer_reeb(cone, xi)
+    step = xi_int[-1]
+    s0 = prefix @ numpy.array(xi_int[:-1], dtype=numpy.int64) + step * (a if step >= 0 else b)
+    return s0, b - a + 1, step, d
+
+
+@pytest.mark.parametrize("cone, xi, level, first", [
+    (make_y21(), (1, Fraction(1, 3), Fraction(2, 3)), 14, 0),  # step 2, d = 3
+    (make_y21(), (1, Fraction(1, 3), Fraction(2, 3)), 14, 6),
+    (make_kgon(9, 4), (3, Fraction(1, 7), Fraction(-1, 5)), 8, 2),  # step -7, d = 35
+    (make_kgon(9, 4), (3, Fraction(1, 7), Fraction(-2, 5)), 8, 2),  # step -14, d = 35
+    (make_kgon(6, 4), (3, Fraction(1, 7), 0), 8, 2),  # step 0: a run has one pairing
+    (make_conifold(), (3, 2, 2), 12, 4),  # step 2, d = 1
+    (make_y21(), (1, Fraction(1, 3), Fraction(2, 3)), 6, 6),  # every run at or below xs[0]
+], ids=["y21", "y21-upper", "kgon-negative", "kgon-negative-2", "kgon-zero", "conifold",
+        "all-below"])
+def test_shell_counts_match_brute_force(cone, xi, level, first):
+    # per shell (x, x'] of d <xi, u>: the oracle's shells k - 1 < <xi, u> <= k, which
+    # many runs end in, and unit shells, which meet every residue of x modulo the step
+    s0, counts, step, d = _runs(cone, xi, level)
+    pairings = sorted(d * dot(xi, u) for u in brute_lattice_points(cone, xi, level))
+    for spacing in (d, 1):
+        xs = list(range(first * d, (level + 1) * d + 1, spacing))
+        below = [bisect.bisect_right(pairings, x) for x in xs]
+        expected = [hi - lo for lo, hi in zip(below, below[1:])]
+        assert _shell_counts(s0, counts, step, xs).tolist() == expected
+
+
+@pytest.mark.parametrize("step", [3, -3, 0])
+def test_shell_counts_at_the_int64_guard(step):
+    # pairings just under the bound lattice_rows admits: m (Q + 1) and the prefix
+    # sums of q pass 2^63 and wrap, and the counts must come out exact regardless
+    rng = random.Random(3)
+    top = _INT64_SAFE - 1
+    s0 = [top - rng.randrange(3 * 10 ** 4) for _ in range(60)]
+    counts = [rng.randint(1, 40) for _ in s0]
+    s0 = [s - abs(step) * (c - 1) for s, c in zip(s0, counts)]
+    xs = [top - 3 * 10 ** 4 - 5 + 7 * k for k in range(4300)]
+    points = sorted(s + abs(step) * j for s, c in zip(s0, counts) for j in range(c))
+    below = [bisect.bisect_right(points, x) for x in xs]
+    expected = [hi - lo for lo, hi in zip(below, below[1:])]
+    got = _shell_counts(numpy.array(s0, dtype=numpy.int64), numpy.array(counts, dtype=numpy.int64),
+                        step, xs)
+    assert got.tolist() == expected
 
 
 @pytest.mark.parametrize("xi", [(1.0, 0.5), (mpmath.mpf(1), mpmath.sqrt(2))], ids=["float", "mpf"])

@@ -514,9 +514,10 @@ class TestGridOracle:
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_MAKERS))
     def test_one_slice_valuation_per_call(self, monkeypatch, name):
-        # the samples rank by the integer kernel; polytope_Q values the winner only
+        # the samples rank by the volume kernel alone, one pass per interior sample
+        # and no moment summed; polytope_Q values the winner only
         cone, resolution = FIXTURE_MAKERS[name](), 7
-        counts = dict.fromkeys(("polytope_Q", "_simplex_sums"), 0)
+        counts = dict.fromkeys(("polytope_Q", "_volume_sums", "_simplex_sums"), 0)
 
         def spy(key, fn):
             def counting(*args, **kwargs):
@@ -529,7 +530,7 @@ class TestGridOracle:
         grid_search_oracle(cone, resolution)
         interior = sum(all(linalg.dot(_ray_average(cone, w), u) > 0 for u in cone.dual_rays)
                        for w in _compositions(resolution, len(cone.rays)))
-        assert counts == {"polytope_Q": 1, "_simplex_sums": interior}
+        assert counts == {"polytope_Q": 1, "_volume_sums": interior, "_simplex_sums": 0}
 
     def test_compositions_in_lexicographic_order(self):
         # the grid's first minimum, and so its GridResult, depends on this order

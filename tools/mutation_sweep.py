@@ -57,6 +57,9 @@ MUTANTS = [
     ("sums-hessian-ray-term", "geometry.py",
      "    rows += scaled.values()\n", ""),
     ("spread-bits", "geometry.py", "_MAX_SPREAD_BITS = 4096", "_MAX_SPREAD_BITS = 40960"),
+    # geometry: the integer scan box
+    ("scan-box-floor", "geometry.py", "[x // p for x in u]", "[-(-x // p) for x in u]"),
+    ("scan-box-ceil", "geometry.py", "[-(-x // p) for x in u]", "[x // p for x in u]"),
     # characters: box points and the per-piece series
     ("box-half-open", "characters.py",
      "tuple([r or count for r in rs]) if off", "tuple(rs) if off"),
@@ -70,6 +73,9 @@ MUTANTS = [
      "* (j - 1) * gamma * k ** j", "* j * gamma * k ** j"),
     ("series-order-shift", "characters.py",
      "series = [ratio(p * d ** n, scale * d ** j)", "series = [ratio(p * d ** n, scale * d ** (j + 1))"),
+    # characters: the oracle's shell counts from the sorted run ends
+    ("shells-residue-strict", "characters.py", "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,"),
+    ("shells-live-threshold", "characters.py", "(counts - 1) > xs[0]", "(counts - 1) > xs[1]"),
     # stability: delta and its working-precision tolerances
     ("delta-tie-inclusive", "stability.py",
      "<= tie_num * low_a * s)", "< tie_num * low_a * s)"),
