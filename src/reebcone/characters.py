@@ -15,10 +15,12 @@ C_eta = -(1/t) * d/ds F(xi + s*eta)|_{s=0}, applied term by term.
 
 The box points are summed as integer moments: with xi and eta written as
 integer numerators over common denominators, one pass per piece sums the
-powers of the integer pairings, the series products of the piece run on
-integers too, and each coefficient of a piece costs one rational (or mpf)
-division.  A piece stores its box points p = sum_i r_i u_i / |det| only as
-their barycentric numerators r_i, found by a walk of Z^n modulo the
+powers of the integer pairings, and the series products of the piece run
+on integers too, over K = prod_i <xi, u_i> times a shared int.  The
+pieces' ints are added over one common scale L, the lcm of the K for
+rational xi and eta and a fixed point otherwise, so each output
+coefficient costs one rational (or mpf) division.  A piece stores its box
+points p = sum_i r_i u_i / |det| only as their barycentric numerators r_i, found by a walk of Z^n modulo the
 generator lattice that adds a whole coset per step, and each pairing
 <xi, p> is sum_i r_i <xi, u_i> / |det| from the n pairings <xi, u_i>; the
 points themselves are a view for tests and counts.
@@ -30,7 +32,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, index, mul
 from typing import Sequence
 
 from . import linalg
@@ -41,8 +45,8 @@ from .errors import (
     OrderTooLarge,
     UnboundedSlice,
 )
-from .geometry import (LaurentSeries, ToricCone, integer_reeb, lattice_rows, reeb_numerators,
-                       simplices)
+from .geometry import (LaurentSeries, ToricCone, _common_scale, integer_reeb, lattice_rows,
+                       reeb_numerators, simplices)
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -181,86 +185,85 @@ def _series_mul(a: list, b: list) -> list:
     return out
 
 
-def check_order(order: int) -> None:
-    """OrderTooLarge outside 0..MAX_ORDER, before any piece is built."""
+def check_order(order) -> int:
+    """``order`` as an int: ValueError unless it is an integer, OrderTooLarge
+    outside 0..MAX_ORDER, before any piece is built."""
+    try:
+        order = index(order)
+    except TypeError:
+        raise ValueError(f"expansion order must be an integer, got {order!r}") from None
     if not 0 <= order <= MAX_ORDER:
         raise OrderTooLarge(
             f"expansion order {order} outside the implemented depth 0..{MAX_ORDER}"
         )
+    return order
 
 
-def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order: int):
-    """n, the ``reeb_numerators`` pairs of xi (and eta), the ratio_type of
-    their quotients, Fraction when exact and one rounding to mpf in the shared
-    context otherwise, and the integers every piece's series shares: gamma_j
-    = G g_j, G and (-1)^j N!/j! for j <= N (see :func:`_piece_series`), after
-    :func:`check_order`."""
-    check_order(order)
+def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order):
+    """n, the ``reeb_numerators`` pairs of xi (and eta), whether they are exact,
+    and the integers every piece's series shares: gamma_j = G g_j, (-1)^j
+    N!/j! for j <= N and N! G^n (see :func:`_piece_series`), after
+    :func:`check_order`; ValueError on no pieces, before any work."""
+    order = check_order(order)
+    if not pieces:
+        raise ValueError("no simplicial pieces: pass those of decompose_dual")
     n = len(pieces[0].generators)
     pairs, exact = reeb_numerators(n, xi, eta)
     g = [_g_coeff(j) for j in range(order + 1)]
     big_g, fact = math.lcm(*(x.denominator for x in g)), math.factorial(order)
-    shared = ([int(x * big_g) for x in g], big_g,
-              [(-1) ** j * (fact // math.factorial(j)) for j in range(order + 1)])
-    return n, pairs, ratio_type(exact), shared
+    shared = ([int(x * big_g) for x in g],
+              [(-1) ** j * (fact // math.factorial(j)) for j in range(order + 1)],
+              fact * big_g ** n)
+    return n, pairs, exact, shared
 
 
-def _pairings(weights: list, numerators, count: int) -> list:
-    """``<v, p>`` at every box point p from ``weights`` w_i = <v, u_i>:
-    sum_i w_i r_i / count, exact since p = sum_i r_i u_i / count is a lattice point."""
-    acc = [0] * count
-    for w, rs in zip(weights, numerators):
-        acc = [a + w * r for a, r in zip(acc, rs)]
-    return [a // count for a in acc]
-
-
-def _moments(ks: list, weights: list, count: int) -> list:
-    """``sum_p w_p k_p^j`` for j < count."""
-    out = []
-    for j in range(count):
-        out.append(sum(weights))
-        if j + 1 < count:
-            weights = [w * k for w, k in zip(weights, ks)]
-    return out
-
-
-def _piece_series(piece: SimplicialPiece, xi, eta, ratio, shared):
-    """The t-series of one piece's closed form and, with eta, its d/ds along xi + s eta.
+def _piece_series(piece: SimplicialPiece, xi_num, eta_num, shared) -> tuple:
+    """The t-series of one piece's closed form and, with eta, its d/ds along
+    xi + s eta, as ints: ``(K, P, V)``, V None without eta.
 
     The closed form is B(t) prod_i g(c_i t) / (c_i t): B sums e^{-t<xi,p>}
     over the box points p, c_i = <xi, u_i>, g(z) = z / (1 - e^{-z}) =
-    sum_j g_j z^j.  With ``xi`` and ``eta`` as ``(numerators, denominator)``
-    pairs, k = <d xi, .> and eps = <e eta, .>, the factors in tau = t / d are
-    the integer series (-1)^j (N!/j!) sum_p k_p^j tau^j for N! B and
-    gamma_j k_i^j tau^j for G g(c_i t), with N the order, G the least common
-    denominator of g_0..g_N and gamma_j = G g_j, ``shared`` as
-    :func:`_series_inputs` gives them, and k_p and eps_p come from the k_i,
-    the eps_i and the piece's numerators by :func:`_pairings`.  Their
-    product P has coefficient P_j d^(n-j) / (N! G^n K) at t^(j-n), K =
-    prod_i k_i.  The product rule over the derivative factors K (-1)^j
-    (N!/(j-1)!) sum_p eps_p k_p^(j-1) (box) and eps_i (K/k_i) (j-1) gamma_j
-    k_i^j (factor i) gives V with d/ds coefficient V_j d^(n+1-j) / (e K^2 N!
-    G^n).  A working-precision xi or eta runs the same code on the dyadic
-    numerators of :func:`reebcone.geometry.numerators`, d and e powers of
-    two, and each coefficient is ``ratio`` of two ints, rounded once.
-    Returns ``(series, derivative)``, the derivative None without eta.
+    sum_j g_j z^j.  With xi = xi_num / d and eta = eta_num / e, k = <xi_num,
+    .> and eps = <eta_num, .>, the factors in tau = t / d are the integer
+    series (-1)^j (N!/j!) sum_p k_p^j tau^j for N! B and gamma_j k_i^j tau^j
+    for G g(c_i t), with N the order, G the least common denominator of
+    g_0..g_N and gamma_j = G g_j, ``shared`` as :func:`_series_inputs` gives
+    them.  The box points enter through K_p = |det| k_p = sum_i k_i r_i, one
+    chained map over the numerators r_i, and their powers: sum_p k_p^j is
+    sum_p K_p^j / |det|^j and sum_p eps_p k_p^j is sum_p E_p K_p^j /
+    |det|^(j+1), both exact.  Their product P has coefficient P_j d^(n-j) /
+    (N! G^n K) at t^(j-n), K = prod_i k_i.  The product rule over the
+    derivative factors K (-1)^j (N!/(j-1)!) sum_p eps_p k_p^(j-1) (box) and
+    eps_i (K/k_i) (j-1) gamma_j k_i^j (factor i) gives V with d/ds
+    coefficient V_j d^(n+1-j) / (e K^2 N! G^n).  A working-precision xi or
+    eta runs the same code on the dyadic numerators of
+    :func:`reebcone.geometry.numerators`, d and e powers of two.
     """
-    gammas, big_g, box = shared
-    xi_num, d = xi
+    gammas, box, _ = shared
     n, count, order = len(piece.generators), len(piece.numerators[0]), len(gammas) - 1
     ks = [sum(map(mul, xi_num, u)) for u in piece.generators]
     if not all(k > 0 for k in ks):
         raise UnboundedSlice("xi pairs nonpositively with a dual-cone generator")
-    fact, k_prod = box[0], math.prod(ks)
-    kp = _pairings(ks, piece.numerators, count)
-    factors = [[b * m for b, m in zip(box, _moments(kp, [1] * count, order + 1))]]
+    k_prod = math.prod(ks)
+
+    def scaled_pairings(weights):  # |det| <v, p> = sum_i w_i r_i at every box point
+        return list(reduce(partial(map, add), map(map, repeat(mul), piece.numerators,
+                                                  map(repeat, weights))))
+
+    kp = scaled_pairings(ks)
+    powers = [kp]  # K_p^j up to j = N - 1; each sum multiplies once more
+    while len(powers) < order - 1:
+        powers.append(list(map(mul, powers[-1], kp)))
+    sums = [count, sum(kp)] + [sum(map(mul, p, kp)) for p in powers[:order - 1]]
+    factors = [[b * m // count ** j for j, (b, m) in enumerate(zip(box, sums))]]
     factors += [[gamma * k ** j for j, gamma in enumerate(gammas)] for k in ks]
     series, derivative = factors[0], None
-    if eta is not None:
-        eta_num, e = eta
+    if eta_num is not None:
         es = [sum(map(mul, eta_num, u)) for u in piece.generators]
-        ep = _pairings(es, piece.numerators, count)
-        dfactors = [[0] + [-b * k_prod * m for b, m in zip(box, _moments(kp, ep, order))]]
+        ep = scaled_pairings(es)
+        moments = [sum(ep)] + [sum(map(mul, ep, p)) for p in powers[:order - 1]]
+        dfactors = [[0] + [-b * k_prod * m // count ** (j + 1)
+                           for j, (b, m) in enumerate(zip(box[:order], moments))]]
         dfactors += [[eps * (k_prod // k) * (j - 1) * gamma * k ** j
                       for j, gamma in enumerate(gammas)] for k, eps in zip(ks, es)]
         derivative = dfactors[0]
@@ -269,26 +272,37 @@ def _piece_series(piece: SimplicialPiece, xi, eta, ratio, shared):
             derivative = [a + b for a, b in zip(_series_mul(derivative, factors[i]),
                                                 _series_mul(series, dfactors[i]))]
         series = _series_mul(series, factors[i])
-    scale = fact * big_g ** n * k_prod
-    series = [ratio(p * d ** n, scale * d ** j) for j, p in enumerate(series)]
-    if derivative is not None:
-        derivative = [ratio(v * d ** (n + 1), e * k_prod * scale * d ** j)
-                      for j, v in enumerate(derivative)]
-    return series, derivative
+    return k_prod, series, derivative
+
+
+def _summed(parts, power: int, exact: bool) -> tuple[list, int]:
+    """``(S, L)``: the coefficients x_j of the pieces' ``(K, x)`` pairs summed
+    over one scale, S_j / L^power = sum x_j / K^power, with L from
+    :func:`reebcone.geometry._common_scale` and each (L // K)^power taken once
+    per piece."""
+    big = _common_scale([k for k, _ in parts], exact)
+    sums = [0] * len(parts[0][1])
+    for k, coeffs in parts:
+        w = (big // k) ** power
+        sums = [acc + w * x for acc, x in zip(sums, coeffs)]
+    return sums, big
 
 
 def index_character(pieces: Sequence[SimplicialPiece], xi, order: int = 2) -> LaurentSeries:
     """Laurent expansion of F(X; xi, t) through t^(-n + order).
 
-    Sums the closed form of each half-open piece and expands exactly in t;
-    rational xi yields exact rational coefficients.
+    Sums the closed form of each half-open piece, as the ints of
+    :func:`_piece_series` over one common scale L, and rounds each
+    coefficient once: d^(n-j) sum_k P_j (L / K) / (N! G^n L) at t^(j-n), a
+    Fraction for rational xi, else an mpf at the working precision.
+    ValueError on no pieces or a non-integer order.
     """
-    n, (xi,), ratio, shared = _series_inputs(pieces, xi, None, order)
-    total = [ratio(0, 1)] * (order + 1)
-    for piece in pieces:
-        series, _ = _piece_series(piece, xi, None, ratio, shared)
-        total = [acc + s for acc, s in zip(total, series)]
-    return LaurentSeries(order_low=-n, coeffs=tuple(total), dim=n, kind="index")
+    n, [(xi_num, d)], exact, shared = _series_inputs(pieces, xi, None, order)
+    parts = [_piece_series(piece, xi_num, None, shared)[:2] for piece in pieces]
+    sums, big = _summed(parts, 1, exact)
+    ratio, scale = ratio_type(exact), shared[-1] * big
+    coeffs = tuple(ratio(s * d ** n, scale * d ** j) for j, s in enumerate(sums))
+    return LaurentSeries(order_low=-n, coeffs=coeffs, dim=n, kind="index")
 
 
 def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2) -> LaurentSeries:
@@ -297,14 +311,17 @@ def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2)
     Computed as the directional derivative -(1/t) d/ds F(xi + s eta)|_{s=0}
     of the piecewise closed form: the product rule is applied to the
     denominator factors g(<xi,u_i> t)/<xi,u_i> and the box-point numerator,
-    whose derivatives are themselves explicit series in t.
+    whose derivatives are themselves explicit series in t.  The ints V of
+    :func:`_piece_series` are summed over one common scale, (L / K)^2 per
+    piece, and each coefficient -d^(n+1-j) sum_k V_j (L / K)^2 / (e N! G^n
+    L^2) is rounded once.  ValueError on no pieces or a non-integer order.
     """
-    n, (xi, eta), ratio, shared = _series_inputs(pieces, xi, eta, order)
-    total = [ratio(0, 1)] * (order + 1)
-    for piece in pieces:
-        _, derivative = _piece_series(piece, xi, eta, ratio, shared)
-        total = [acc - s for acc, s in zip(total, derivative)]
-    return LaurentSeries(order_low=-(n + 1), coeffs=tuple(total), dim=n, kind="weight")
+    n, [(xi_num, d), (eta_num, e)], exact, shared = _series_inputs(pieces, xi, eta, order)
+    parts = [(k, v) for k, _, v in (_piece_series(piece, xi_num, eta_num, shared) for piece in pieces)]
+    sums, big = _summed(parts, 2, exact)
+    ratio, scale = ratio_type(exact), e * shared[-1] * big ** 2
+    coeffs = tuple(ratio(-v * d ** (n + 1), scale * d ** j) for j, v in enumerate(sums))
+    return LaurentSeries(order_low=-(n + 1), coeffs=coeffs, dim=n, kind="weight")
 
 
 # ---------------------------------------------------------------------------

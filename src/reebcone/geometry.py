@@ -5,9 +5,10 @@ integer vectors v_1..v_d (``rays``).  Its dual
 ``sigma^v = {u : <v_i, u> >= 0 for all i}`` lives in M_R; the extreme rays of
 sigma^v are the ``dual_rays`` and double as the facet data of sigma.  A Reeb
 vector is a point of int(sigma); slicing sigma^v at ``<xi, u> <= 1`` produces
-the bounded polytope Q_xi whose volume and barycenter drive everything else;
-the volumes of its facets through the origin add the index and weight
-characters to order 1, as :class:`LaurentSeries`.
+the bounded polytope Q_xi whose volume and barycenter drive everything else,
+and with the Gorenstein vector, or else the volumes of Q_xi's facets
+through the origin, give the index and weight characters to order 1, as
+:class:`LaurentSeries`.
 
 All computations with rational data are exact (``fractions.Fraction``).
 Any other Reeb vector is rounded to an mpf at the configured working
@@ -505,6 +506,18 @@ def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:
     return pairings
 
 
+def _common_scale(prods: Sequence[int], exact: bool) -> int:
+    """The scale L that sums terms x_k / P_k, ints P_k > 0, as the one int ratio
+    sum_k x_k (L // P_k) / L, for the slice kernel and the characters alike:
+    the lcm of the P_k when ``exact``, else (dyadic products, whose lcm would
+    grow without bound) the fixed point 2^(p + ``_GUARD_BITS`` + the largest
+    bit length of the P_k) at working precision p, which truncates each
+    L // P_k by less than one unit in 2^(p + ``_GUARD_BITS``) of itself."""
+    if exact:
+        return math.lcm(*prods)
+    return 1 << (precision_bits() + _GUARD_BITS + max(map(int.bit_length, prods), default=0))
+
+
 def _volume_sums(table, pairings: dict, exact: bool = False, divide: bool = False) -> tuple:
     """``(w, T, L)``: the volume part of :func:`_simplex_sums`, the per-simplex
     weights w_k = det_k L / P_k, their sum T and the scale L, with L and the
@@ -514,11 +527,8 @@ def _volume_sums(table, pairings: dict, exact: bool = False, divide: bool = Fals
     prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
     if divide:
         div, big = operator.truediv, 1
-    elif exact:
-        div, big = operator.floordiv, math.lcm(*prods)
     else:
-        bits = precision_bits() + _GUARD_BITS + max(map(int.bit_length, prods), default=0)
-        div, big = operator.floordiv, 1 << bits
+        div, big = operator.floordiv, _common_scale(prods, exact)
     simplex_weights = [det * div(big, prod) for (det, _), prod in zip(table, prods)]
     return simplex_weights, sum(simplex_weights), big
 
@@ -666,14 +676,29 @@ def futaki_coefficients(cone: ToricCone, xi, eta=None) -> tuple:
     L_F^2) of :func:`_simplex_sums` over :func:`simplices` (T, M, L) and
     the faces (T_F, M_F, L_F), n = 1 included (one empty face, a1 = 1/2):
     Fractions for rational xi and eta, else each rounded once to an mpf at
-    the working precision.  No box points, so no piece size bound applies.
+    the working precision.  One route gives the face sums per cone.  With
+    a Gorenstein vector l = l_num / l_d, Q_xi is the union of the pyramids
+    over those facets with apex l / <xi, l>, at lattice distance 1 / <xi,
+    l> from each, so a1 = <xi, l> a0 / 2 and b1 = (<xi, l> b0 - <eta, l>
+    a0) / 2: T_F = a T, M_F = l_d (a M - T L l_num) and L_F = l_d L, a =
+    <xi_num, l_num>, from the one slice pass, and no face is built.  Only
+    where :func:`gorenstein_vector` raises NotQGorenstein or
+    DegenerateSolutionSet are the faces summed.  No box points, so no piece
+    size bound applies.
     """
     n = cone.dim
     pairs, exact = reeb_numerators(n, xi, eta)
     (xi_num, d), ratio = pairs[0], ratio_type(exact)
     pairings = _slice_pairings(cone, xi_num)
     t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
-    t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
+    try:
+        l_num, l_d = _common_denominator(gorenstein_vector(cone).l)
+    except (NotQGorenstein, DegenerateSolutionSet):
+        t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
+    else:
+        a = linalg.dot(xi_num, l_num)
+        t_f, l_f = a * t_s, l_d * l_s
+        m_f = [l_d * (a * m - t_s * l_s * x) for m, x in zip(m_s, l_num)]
     F = LaurentSeries(-n, (ratio(d ** n * t_s, l_s), ratio(d ** (n - 1) * t_f, 2 * l_f)), n, "index")
     if eta is None:
         return F, None

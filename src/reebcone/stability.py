@@ -4,9 +4,11 @@ Everything here is built from the integer sums ``(T, M, L)`` of the Reeb
 slice's closed forms in :mod:`reebcone.geometry`: one
 :class:`reebcone.geometry._SliceSums` per ``(cone, xi)``, the value behind
 :func:`reebcone.geometry.polytope_Q` too, and for the Futaki invariant
-:func:`reebcone.geometry.futaki_coefficients`, which adds the volumes of
-the slice's boundary faces to give the index and weight characters to
-order 1 as :class:`reebcone.geometry.LaurentSeries`, without box points.
+:func:`reebcone.geometry.futaki_coefficients`, which gives the index and
+weight characters to order 1 as :class:`reebcone.geometry.LaurentSeries`,
+without box points: from those sums and the Gorenstein vector alone on a
+Q-Gorenstein cone, and with the volumes of the slice's boundary faces
+added on any other.
 The central objects are
 
 * ``A(v)`` -- the log discrepancy of the toric valuation ``wt_v``,

@@ -33,8 +33,9 @@ from reebcone import (
 from reebcone import linalg
 from reebcone.characters import _g_coeff
 from reebcone.cli import parse_cone_spec
-from reebcone.config import mp_context, to_mpf
-from reebcone.geometry import gorenstein_vector, simplices
+from reebcone.config import mp_context, ratio_type, to_mpf
+from reebcone.geometry import (LaurentSeries, _simplex_sums, _slice_pairings, boundary_faces,
+                               gorenstein_vector, reeb_numerators, simplices)
 from reebcone.linalg import (
     LinearSystemInconsistent,
     LinearSystemUnderdetermined,
@@ -527,6 +528,29 @@ def minor_futaki_coefficients(cone, xi, eta):
             weighted += vol * sum(dot(eta, w) / dot(xi, w) for w in face)
     a1 = Fraction(math.factorial(n - 1), 2 * math.factorial(max(n - 2, 0))) * volume
     return a0, a1, b0, weighted / 2
+
+
+def faces_futaki_coefficients(cone, xi, eta):
+    """``(F, C)`` of ``futaki_coefficients`` by the boundary-faces route on any cone.
+
+    The library sums :func:`reebcone.geometry.boundary_faces` only where no
+    Gorenstein vector exists; this sums them everywhere, as the second
+    route on Q-Gorenstein cones: a1 = d^(n-1) T_F / (2 L_F) and b1 = d^n
+    <eta_num, M_F> / (2 e L_F^2) from the slice kernel over the faces, a0
+    and b0 from it over :func:`simplices`, each one int ratio (an mpf of
+    the working precision unless xi and eta are exact).
+    """
+    n = cone.dim
+    pairs, exact = reeb_numerators(n, xi, eta)
+    (xi_num, d), (eta_num, e), ratio = pairs[0], pairs[1], ratio_type(exact)
+    pairings = _slice_pairings(cone, xi_num)
+    t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
+    t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
+    return (LaurentSeries(-n, (ratio(d ** n * t_s, l_s), ratio(d ** (n - 1) * t_f, 2 * l_f)),
+                          n, "index"),
+            LaurentSeries(-(n + 1), (ratio(d ** (n + 1) * dot(eta_num, m_s), e * l_s ** 2),
+                                     ratio(d ** n * dot(eta_num, m_f), 2 * e * l_f ** 2)),
+                          n, "weight"))
 
 
 def reverse_bary_P(cone, xi):

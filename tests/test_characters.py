@@ -34,8 +34,8 @@ from reebcone import (
 )
 from reebcone.characters import MAX_ORDER, _box_points, _g_coeff
 from reebcone.cli import parse_cone_spec
-from reebcone.config import mp_context, series_rtol, to_mpf
-from reebcone.geometry import MAX_DIM, simplices
+from reebcone.config import mp_context, ratio_type, series_rtol, to_mpf
+from reebcone.geometry import MAX_DIM, numerators, simplices
 from conftest import (
     fraction_box_points,
     fraction_det,
@@ -394,6 +394,28 @@ class TestWrongLength:
             truncated_character_oracle(conifold, xi, None, 0.5, cutoff=50)
 
 
+class TestBadArguments:
+    """A bad order or no pieces raise ValueError before any work, not a raw error."""
+
+    XI, ETA = (1, Fraction(1, 2), Fraction(1, 2)), (0, 1, 0)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, Fraction(2), "2", None])
+    def test_non_integer_order(self, conifold, order):
+        pieces = decompose_dual(conifold)
+        for call in (lambda: characters.check_order(order),
+                     lambda: index_character(pieces, self.XI, order=order),
+                     lambda: weight_character(pieces, self.XI, self.ETA, order=order)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("pieces", [(), []])
+    def test_no_pieces(self, pieces):
+        with pytest.raises(ValueError, match="no simplicial pieces"):
+            index_character(pieces, self.XI)
+        with pytest.raises(ValueError, match="no simplicial pieces"):
+            weight_character(pieces, self.XI, self.ETA)
+
+
 class TestBoxPointKernel:
     """The integer box-point kernel against the Fraction per-point oracles."""
 
@@ -479,14 +501,22 @@ class TestBoxPointKernel:
                 assert index_character(pieces, xi, order=order).coeffs == tuple(index)
                 assert weight_character(pieces, xi, eta, order=order).coeffs == tuple(weight)
 
-    def test_mpf_path_matches_exact(self):
-        cases = [(make_kgon(16, 10), KGON_XI, KGON_ETA)]
+    @staticmethod
+    def mpf_cases():
+        """The 16-gon, a dim-5 cone of 161 pieces whose higher coefficients sum
+        many terms of both signs, and the bundled specs, with an eta each."""
+        many, xi = random_cone_suite(seed=18, count=1, dims=(5,), extra_points=16)[0]
+        assert len(simplices(many)) > 100
+        cases = [(make_kgon(16, 10), KGON_XI, KGON_ETA), (many, xi, (0, 1, -2, 0, 3))]
         for path in sorted(SPEC_DIR.glob("*.json")):
             spec = parse_cone_spec(path.read_text(encoding="utf-8"))
             eta = spec.eta or (0, 1) + (0,) * (spec.dim - 2)
             cases.append((dual_cone(spec.rays, spec.dim), spec.xi, eta))
+        return cases
+
+    def test_mpf_path_matches_exact(self):
         ctx, rtol = mp_context(), series_rtol()
-        for cone, xi, eta in cases:
+        for cone, xi, eta in self.mpf_cases():
             pieces = decompose_dual(cone)
             xi_mp = tuple(to_mpf(x, ctx) for x in xi)
             for order in range(MAX_ORDER + 1):
@@ -499,3 +529,22 @@ class TestBoxPointKernel:
                         assert isinstance(m, ctx.mpf)
                         e = to_mpf(e, ctx)
                         assert abs(m - e) <= rtol * (1 + abs(e))
+
+    def test_mpf_path_rounds_once(self):
+        # each coefficient at a working-precision xi is the exact one at the
+        # dyadic xi it stands for, rounded once: the pieces are summed in
+        # fixed point with guard bits, not as rounded mpfs
+        ctx, ratio = mp_context(), ratio_type(False)
+        for cone, xi, eta in self.mpf_cases():
+            pieces = decompose_dual(cone)
+            xi_mp = tuple(to_mpf(x, ctx) for x in xi)
+            [(nums, d)], _ = numerators([xi_mp])
+            dyadic = tuple(Fraction(x, d) for x in nums)
+            for order in range(MAX_ORDER + 1):
+                pairs = [(index_character(pieces, dyadic, order=order),
+                          index_character(pieces, xi_mp, order=order)),
+                         (weight_character(pieces, dyadic, eta, order=order),
+                          weight_character(pieces, xi_mp, eta, order=order))]
+                for exact, approx in pairs:
+                    for e, m in zip(exact.coeffs, approx.coeffs, strict=True):
+                        assert m._mpf_ == ratio(e.numerator, e.denominator)._mpf_

@@ -39,6 +39,7 @@ from reebcone.config import mp_context, ratio_type, series_rtol, to_mpf
 from reebcone.geometry import futaki_coefficients, simplices
 from conftest import (
     bundled_specs,
+    faces_futaki_coefficients,
     is_q_gorenstein,
     make_kgon,
     many_simplex_suite,
@@ -394,9 +395,10 @@ class TestFutakiClosedForm:
             assert futaki_product(cone, xi, eta) == linalg.dot(eta, residual)
 
     def test_gorenstein_coefficient_identities(self):
-        # cut Q_xi into pyramids with apex c l: every facet through the origin
-        # is at lattice distance <xi, l>, so the faces route's order-1
-        # coefficients follow from the slice route's order-0 ones
+        # cut Q_xi into pyramids with apex l / <xi, l>: every facet through the
+        # origin is at lattice distance 1 / <xi, l> from it, so the faces
+        # route's order-1 coefficients follow from the order-0 ones, which
+        # the library uses on every Q-Gorenstein cone
         rng = random.Random(37)
         ctx = mp_context()
         cases = [(dual_cone(spec.rays, spec.dim), spec.xi) for spec in bundled_specs()]
@@ -409,21 +411,49 @@ class TestFutakiClosedForm:
             eta = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cone.dim))
             l = gorenstein_vector(cone).l
             a_xi, a_eta = linalg.dot(xi, l), linalg.dot(eta, l)
-            F, C = futaki_coefficients(cone, xi, eta)
+            F, C = faces_futaki_coefficients(cone, xi, eta)
             assert F.coeffs[1] == a_xi * F.coeffs[0] / 2
             assert C.coeffs[1] == (a_xi * C.coeffs[0] - a_eta * F.coeffs[0]) / 2
+            assert futaki_coefficients(cone, xi, eta) == (F, C)  # the library's slice route
             if k % 4:
                 continue
             # at a working-precision xi each coefficient is rounded once: the
-            # identities hold, at the dyadic xi it stands for, within 2^-(p-2)
+            # identities hold, at the dyadic xi it stands for, within 2^-(p-2),
+            # on both routes
             xi_mp = tuple(to_mpf(x, ctx) for x in xi)
             a_xi = linalg.dot(tuple(map(_exact, xi_mp)), l)
-            F, C = futaki_coefficients(cone, xi_mp, eta)
-            (f0, f1), (c0, c1) = map(_exact, F.coeffs), map(_exact, C.coeffs)
             rtol = Fraction(1, 2 ** (ctx.prec - 2))
-            assert abs(f1 - a_xi * f0 / 2) <= rtol * abs(a_xi * f0 / 2)
-            scale = (abs(a_xi * c0) + abs(a_eta * f0)) / 2
-            assert abs(c1 - (a_xi * c0 - a_eta * f0) / 2) <= rtol * scale
+            for F, C in (faces_futaki_coefficients(cone, xi_mp, eta),
+                         futaki_coefficients(cone, xi_mp, eta)):
+                (f0, f1), (c0, c1) = map(_exact, F.coeffs), map(_exact, C.coeffs)
+                assert abs(f1 - a_xi * f0 / 2) <= rtol * abs(a_xi * f0 / 2)
+                scale = (abs(a_xi * c0) + abs(a_eta * f0)) / 2
+                assert abs(c1 - (a_xi * c0 - a_eta * f0) / 2) <= rtol * scale
+
+    def test_boundary_faces_only_without_gorenstein_vector(self, monkeypatch):
+        # one route per cone: the slice pass alone where l exists, the boundary
+        # faces only where gorenstein_vector raises
+        faces, calls = geometry.boundary_faces, []
+
+        def recording(cone):
+            calls.append(cone)
+            return faces(cone)
+
+        monkeypatch.setattr(geometry, "boundary_faces", recording)
+        cases = [(dual_cone(spec.rays, spec.dim), spec.xi, (0, 1) + (0,) * (spec.dim - 2))
+                 for spec in bundled_specs()]
+        cases += [(cone, xi, (1,) * cone.dim)
+                  for cone, xi in random_cone_suite(seed=11, count=12, dims=(2, 3, 4, 5))]
+        cases += random_box_cone_suite(seed=7, count=60, high=2)
+        seen = set()
+        for cone, xi, eta in cases:
+            gorenstein = is_q_gorenstein(cone)
+            seen.add(gorenstein)
+            futaki_coefficients(cone, xi, eta)
+            futaki_product(cone, xi, eta)
+            assert calls == ([] if gorenstein else [cone, cone])
+            calls.clear()
+        assert seen == {True, False}
 
     def test_matches_minor_oracle(self):
         cases = random_box_cone_suite(seed=13, count=30, high=3)
@@ -584,7 +614,7 @@ class TestWorkingPrecision:
             s_value(cone, xi_mp, cone.rays[0])
             s_prime(cone, xi_mp, cone.rays[0])
             ratio_profile(cone, xi_mp, cone.rays[0], (0, 1))
-            assert len(calls) == 9
+            assert len(calls) == 7
             assert all(not h and types == {int} for h, types in calls)
             calls.clear()
             minimize_volume(cone)

@@ -47,13 +47,16 @@ MUTANTS = [
     ("faces-drop-one", "geometry.py",
      "                out.append((det // linalg.dot(ray, u), face))\n    return tuple(out)",
      "                out.append((det // linalg.dot(ray, u), face))\n    return tuple(out[1:])"),
-    ("futaki-slice-route", "geometry.py",
-     "(ratio(d ** n * t_s, l_s),", "(ratio(d ** n * t_s, 2 * l_s),"),
+    ("futaki-slice-route", "geometry.py", "(a * m - t_s * l_s * x)", "(a * m - t_s * x)"),
+    ("futaki-gorenstein-half", "geometry.py",
+     "t_f, l_f = a * t_s, l_d * l_s", "t_f, l_f = 2 * a * t_s, l_d * l_s"),
     ("pairings-strict", "geometry.py",
      "if not all(c > 0 for c in pairings.values()):", "if not all(c >= 0 for c in pairings.values()):"),
     ("sums-weight-accumulate", "geometry.py",
      "            weights[u] += w", "            weights[u] = w"),
     ("sums-guard-bits", "geometry.py", "_GUARD_BITS = 32", "_GUARD_BITS = 4"),
+    ("scale-guard", "geometry.py",
+     "precision_bits() + _GUARD_BITS + max(", "precision_bits() + max("),
     ("sums-hessian-ray-term", "geometry.py",
      "    rows += scaled.values()\n", ""),
     ("spread-bits", "geometry.py", "_MAX_SPREAD_BITS = 4096", "_MAX_SPREAD_BITS = 40960"),
@@ -72,7 +75,9 @@ MUTANTS = [
     ("series-derivative-power", "characters.py",
      "* (j - 1) * gamma * k ** j", "* j * gamma * k ** j"),
     ("series-order-shift", "characters.py",
-     "series = [ratio(p * d ** n, scale * d ** j)", "series = [ratio(p * d ** n, scale * d ** (j + 1))"),
+     "ratio(s * d ** n, scale * d ** j)", "ratio(s * d ** n, scale * d ** (j + 1))"),
+    ("series-derivative-scale", "characters.py",
+     "_summed(parts, 2, exact)", "_summed(parts, 1, exact)"),
     # characters: the oracle's shell counts from the sorted run ends
     ("shells-residue-strict", "characters.py", "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,"),
     ("shells-live-threshold", "characters.py", "(counts - 1) > xs[0]", "(counts - 1) > xs[1]"),
