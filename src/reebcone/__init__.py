@@ -32,7 +32,7 @@ _EXPORTS = {
         "polytope_Q", "reeb_vector", "triangulate_cone",
     ),
     "characters": (
-        "SimplicialPiece", "decompose_dual", "index_character",
+        "SimplicialPiece", "character_series", "decompose_dual", "index_character",
         "truncated_character_oracle", "weight_character",
     ),
     "stability": (

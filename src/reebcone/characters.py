@@ -14,13 +14,14 @@ obtained from the same closed form via the directional derivative
 C_eta = -(1/t) * d/ds F(xi + s*eta)|_{s=0}, applied term by term.
 
 The box points are summed as integer moments: with xi and eta written as
-integer numerators over common denominators, one pass per piece sums the
-powers of the integer pairings, and the series products of the piece run
-on integers too, over K = prod_i <xi, u_i> times a shared int.  The
-pieces' ints are added over one common scale L, the lcm of the K for
-rational xi and eta and a fixed point otherwise, so each output
-coefficient costs one rational (or mpf) division.  A piece stores its box
-points p = sum_i r_i u_i / |det| only as their barycentric numerators r_i, found by a walk of Z^n modulo the
+integer numerators over common denominators, :func:`character_series` makes
+one pass per piece, which sums the powers of the integer pairings and runs
+the series products of both characters on integers too, over K = prod_i
+<xi, u_i> times a shared int.  The pieces' ints are added over one common
+scale L, the lcm of the K for rational xi and eta and a fixed point
+otherwise, so each output coefficient costs one rational (or mpf)
+division.  A piece stores its box points p = sum_i r_i u_i / |det| only as
+their barycentric numerators r_i, found by a walk of Z^n modulo the
 generator lattice that adds a whole coset per step, and each pairing
 <xi, p> is sum_i r_i <xi, u_i> / |det| from the n pairings <xi, u_i>; the
 points themselves are a view for tests and counts.
@@ -186,35 +187,17 @@ def _series_mul(a: list, b: list) -> list:
 
 
 def check_order(order) -> int:
-    """``order`` as an int: ValueError unless it is an integer, OrderTooLarge
-    outside 0..MAX_ORDER, before any piece is built."""
+    """``order`` as an int, before any piece is built: ValueError unless it is
+    a nonnegative integer, OrderTooLarge above MAX_ORDER."""
     try:
         order = index(order)
     except TypeError:
         raise ValueError(f"expansion order must be an integer, got {order!r}") from None
-    if not 0 <= order <= MAX_ORDER:
-        raise OrderTooLarge(
-            f"expansion order {order} outside the implemented depth 0..{MAX_ORDER}"
-        )
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if order > MAX_ORDER:
+        raise OrderTooLarge(f"expansion order {order} outside the implemented depth 0..{MAX_ORDER}")
     return order
-
-
-def _series_inputs(pieces: Sequence[SimplicialPiece], xi, eta, order):
-    """n, the ``reeb_numerators`` pairs of xi (and eta), whether they are exact,
-    and the integers every piece's series shares: gamma_j = G g_j, (-1)^j
-    N!/j! for j <= N and N! G^n (see :func:`_piece_series`), after
-    :func:`check_order`; ValueError on no pieces, before any work."""
-    order = check_order(order)
-    if not pieces:
-        raise ValueError("no simplicial pieces: pass those of decompose_dual")
-    n = len(pieces[0].generators)
-    pairs, exact = reeb_numerators(n, xi, eta)
-    g = [_g_coeff(j) for j in range(order + 1)]
-    big_g, fact = math.lcm(*(x.denominator for x in g)), math.factorial(order)
-    shared = ([int(x * big_g) for x in g],
-              [(-1) ** j * (fact // math.factorial(j)) for j in range(order + 1)],
-              fact * big_g ** n)
-    return n, pairs, exact, shared
 
 
 def _piece_series(piece: SimplicialPiece, xi_num, eta_num, shared) -> tuple:
@@ -227,7 +210,7 @@ def _piece_series(piece: SimplicialPiece, xi_num, eta_num, shared) -> tuple:
     .> and eps = <eta_num, .>, the factors in tau = t / d are the integer
     series (-1)^j (N!/j!) sum_p k_p^j tau^j for N! B and gamma_j k_i^j tau^j
     for G g(c_i t), with N the order, G the least common denominator of
-    g_0..g_N and gamma_j = G g_j, ``shared`` as :func:`_series_inputs` gives
+    g_0..g_N and gamma_j = G g_j, ``shared`` as :func:`character_series` gives
     them.  The box points enter through K_p = |det| k_p = sum_i k_i r_i, one
     chained map over the numerators r_i, and their powers: sum_p k_p^j is
     sum_p K_p^j / |det|^j and sum_p eps_p k_p^j is sum_p E_p K_p^j /
@@ -288,40 +271,53 @@ def _summed(parts, power: int, exact: bool) -> tuple[list, int]:
     return sums, big
 
 
-def index_character(pieces: Sequence[SimplicialPiece], xi, order: int = 2) -> LaurentSeries:
-    """Laurent expansion of F(X; xi, t) through t^(-n + order).
+def character_series(pieces: Sequence[SimplicialPiece], xi, eta=None,
+                     order: int = 2) -> tuple[LaurentSeries, LaurentSeries | None]:
+    """``(F, C)``: the index character at xi through t^(-n + order) and the
+    weight character of eta through t^(-(n+1) + order), C None without eta.
 
-    Sums the closed form of each half-open piece, as the ints of
-    :func:`_piece_series` over one common scale L, and rounds each
-    coefficient once: d^(n-j) sum_k P_j (L / K) / (N! G^n L) at t^(j-n), a
-    Fraction for rational xi, else an mpf at the working precision.
-    ValueError on no pieces or a non-integer order.
+    One :func:`_piece_series` per piece; its ints P and V are summed over one
+    scale L each, and each coefficient is rounded once: d^(n-j) sum_k P_j (L /
+    K) / (N! G^n L) at t^(j-n), and -d^(n+1-j) sum_k V_j (L / K)^2 / (e N! G^n
+    L^2) at t^(j-n-1), C = -(1/t) d/ds F(xi + s eta)|_{s=0}.  Fractions for
+    rational xi and eta, else mpfs at the working precision.  ValueError on
+    no pieces, and :func:`check_order`'s errors on a bad order, before any work.
     """
-    n, [(xi_num, d)], exact, shared = _series_inputs(pieces, xi, None, order)
-    parts = [_piece_series(piece, xi_num, None, shared)[:2] for piece in pieces]
-    sums, big = _summed(parts, 1, exact)
+    order = check_order(order)
+    if not pieces:
+        raise ValueError("no simplicial pieces: pass those of decompose_dual")
+    n = len(pieces[0].generators)
+    pairs, exact = reeb_numerators(n, xi, eta)
+    (xi_num, d), (eta_num, e) = [*pairs, (None, 1)][:2]
+    g = [_g_coeff(j) for j in range(order + 1)]
+    big_g, fact = math.lcm(*(x.denominator for x in g)), math.factorial(order)
+    shared = ([int(x * big_g) for x in g],
+              [(-1) ** j * (fact // math.factorial(j)) for j in range(order + 1)],
+              fact * big_g ** n)
+    parts = [_piece_series(piece, xi_num, eta_num, shared) for piece in pieces]
+    sums, big = _summed([(k, p) for k, p, _ in parts], 1, exact)
     ratio, scale = ratio_type(exact), shared[-1] * big
-    coeffs = tuple(ratio(s * d ** n, scale * d ** j) for j, s in enumerate(sums))
-    return LaurentSeries(order_low=-n, coeffs=coeffs, dim=n, kind="index")
+    F = LaurentSeries(order_low=-n, dim=n, kind="index", coeffs=tuple(
+        ratio(s * d ** n, scale * d ** j) for j, s in enumerate(sums)))
+    if eta_num is None:
+        return F, None
+    sums, big = _summed([(k, v) for k, _, v in parts], 2, exact)
+    scale = e * shared[-1] * big ** 2
+    C = LaurentSeries(order_low=-(n + 1), dim=n, kind="weight", coeffs=tuple(
+        ratio(-v * d ** (n + 1), scale * d ** j) for j, v in enumerate(sums)))
+    return F, C
+
+
+def index_character(pieces: Sequence[SimplicialPiece], xi, order: int = 2) -> LaurentSeries:
+    """F of :func:`character_series` without eta; goes once ROADMAP item 1b
+    moves the benchmark's ``kgon-characters`` op to :func:`character_series`."""
+    return character_series(pieces, xi, None, order)[0]
 
 
 def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2) -> LaurentSeries:
-    """Laurent expansion of C_eta(X; xi, t) through t^(-(n+1) + order).
-
-    Computed as the directional derivative -(1/t) d/ds F(xi + s eta)|_{s=0}
-    of the piecewise closed form: the product rule is applied to the
-    denominator factors g(<xi,u_i> t)/<xi,u_i> and the box-point numerator,
-    whose derivatives are themselves explicit series in t.  The ints V of
-    :func:`_piece_series` are summed over one common scale, (L / K)^2 per
-    piece, and each coefficient -d^(n+1-j) sum_k V_j (L / K)^2 / (e N! G^n
-    L^2) is rounded once.  ValueError on no pieces or a non-integer order.
-    """
-    n, [(xi_num, d), (eta_num, e)], exact, shared = _series_inputs(pieces, xi, eta, order)
-    parts = [(k, v) for k, _, v in (_piece_series(piece, xi_num, eta_num, shared) for piece in pieces)]
-    sums, big = _summed(parts, 2, exact)
-    ratio, scale = ratio_type(exact), e * shared[-1] * big ** 2
-    coeffs = tuple(ratio(-v * d ** (n + 1), scale * d ** j) for j, v in enumerate(sums))
-    return LaurentSeries(order_low=-(n + 1), coeffs=coeffs, dim=n, kind="weight")
+    """C of :func:`character_series`; goes once ROADMAP item 1b moves the
+    benchmark's ``kgon-characters`` op to :func:`character_series`."""
+    return character_series(pieces, xi, eta, order)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ and version.
 Each call starts a cold interpreter, so each subcommand imports only the
 layers it runs: :mod:`reebcone.geometry` always (every subcommand builds
 its cone), :mod:`reebcone.stability` for ``check``, ``delta``, ``futaki``
-and ``oracle``, :mod:`reebcone.characters` for ``character`` at order 2
-and above and for ``oracle``, and :mod:`reebcone.optimize` for
-``minimize``.  mpmath loads with the first mpf (``minimize``), numpy with
-the lattice oracles (``oracle``).
+and ``oracle``, :mod:`reebcone.characters` for ``oracle`` and for one
+``character_series`` call at every ``character`` order but the closed-form
+0 and 1, and :mod:`reebcone.optimize` for ``minimize``.  mpmath loads
+with the first mpf (``minimize``), numpy with the lattice oracles
+(``oracle``).
 
 Exit codes: 0 success, 1 usage, 2 malformed input, 3 mathematical
 domain error (not Q-Gorenstein, irrational Reeb where rationality is
@@ -253,6 +254,7 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
     results["dim"] = cone.dim
     results["rays"] = [list(v) for v in cone.rays]
     results["dual_rays"] = [list(u) for u in cone.dual_rays]
+    _warn_boundary(spec)
     l = gorenstein_vector(cone, boundary=spec.boundary_coeffs)
     results["gorenstein"] = {"l": list(l.l)}
     results["q_gorenstein"] = True
@@ -266,7 +268,6 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
             "interior": True,
             "normalized": rv.normalized,
         }
-        _warn_boundary(spec)
         report = delta(cone, xi, spec.boundary_coeffs, experimental=True)
         results["kss"] = report.kss
         results["delta"] = report.delta
@@ -318,18 +319,14 @@ def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     xi = _require_xi(spec, flags)
     order = _flag(flags, "order", 2)
-    if order < 0:
-        raise ValueError("order must be nonnegative, got %r" % (order,))
     eta = _flag(flags, "eta", spec.eta)
-    if order <= 1:
-        F, C = futaki_coefficients(cone, xi, eta)  # closed form to order 1, no box points
+    if order in (0, 1):  # the closed form: a cold call loads no characters, no box points
+        F, C = futaki_coefficients(cone, xi, eta)
     else:
-        from .characters import check_order, decompose_dual, index_character, weight_character
+        from .characters import character_series, check_order, decompose_dual
 
-        check_order(order)  # before decompose_dual lists a single box point
-        pieces = decompose_dual(cone)
-        F = index_character(pieces, xi, order=order)
-        C = None if eta is None else weight_character(pieces, xi, eta, order=order)
+        order = check_order(order)  # before decompose_dual lists a single box point
+        F, C = character_series(decompose_dual(cone), xi, eta, order)
     for block, series, low, high in (("index", F, "a0", "a1"), ("weight", C, "b0", "b1")):
         if series is not None:
             results[block] = {

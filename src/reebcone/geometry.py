@@ -798,12 +798,16 @@ def lattice_points(cone: ToricCone, xi, m: int) -> tuple[tuple[int, ...], ...]:
     """All integer points of m*Q_xi, i.e. u in sigma^v with <xi, u> <= m.
 
     The rows of :func:`lattice_rows` expanded, in lexicographic order;
-    requires rational xi (IrrationalReeb otherwise).
+    requires rational xi (IrrationalReeb otherwise) and an int m >= 1.
     """
-    import numpy as np
-
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be a positive integer, got {m!r}") from None
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    import numpy as np
+
     prefix, a, b = lattice_rows(cone, xi, m)
     counts = b - a + 1
     total = int(counts.sum())

@@ -24,6 +24,7 @@ from reebcone import (
     OrderTooLarge,
     SimplicialPiece,
     UnboundedSlice,
+    character_series,
     decompose_dual,
     dual_cone,
     index_character,
@@ -253,6 +254,16 @@ class TestIndexCharacter:
         with pytest.raises(OrderTooLarge):
             index_character(decompose_dual(orthant2), (1, 1), order=9)
 
+    def test_character_series_is_both_characters(self, conifold):
+        # one call gives F and C, and no C without eta
+        pieces, xi, eta = decompose_dual(conifold), (2, 1, Fraction(2, 3)), (0, 1, 0)
+        for order in range(MAX_ORDER + 1):
+            F, C = character_series(pieces, xi, eta, order)
+            assert (F.kind, C.kind) == ("index", "weight")
+            index, weight = per_point_characters(pieces, xi, eta, order)
+            assert (F.coeffs, C.coeffs) == (tuple(index), tuple(weight))
+            assert character_series(pieces, xi, None, order) == (F, None)
+
     def test_order_zero_has_no_second_coefficient(self, conifold):
         pieces, xi, eta = decompose_dual(conifold), (2, 1, Fraction(2, 3)), (0, 1, 0)
         F = index_character(pieces, xi, order=0)
@@ -404,9 +415,21 @@ class TestBadArguments:
         pieces = decompose_dual(conifold)
         for call in (lambda: characters.check_order(order),
                      lambda: index_character(pieces, self.XI, order=order),
-                     lambda: weight_character(pieces, self.XI, self.ETA, order=order)):
+                     lambda: weight_character(pieces, self.XI, self.ETA, order=order),
+                     lambda: character_series(pieces, self.XI, self.ETA, order)):
             with pytest.raises(ValueError, match="must be an integer"):
                 call()
+
+    @pytest.mark.parametrize("order", [-1, -5])
+    def test_negative_order(self, conifold, order):
+        # the CLI's message, from the one order check
+        pieces = decompose_dual(conifold)
+        for call in (lambda: characters.check_order(order),
+                     lambda: index_character(pieces, self.XI, order=order),
+                     lambda: character_series(pieces, self.XI, self.ETA, order)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"order must be nonnegative, got {order}"
 
     @pytest.mark.parametrize("pieces", [(), []])
     def test_no_pieces(self, pieces):
@@ -414,6 +437,8 @@ class TestBadArguments:
             index_character(pieces, self.XI)
         with pytest.raises(ValueError, match="no simplicial pieces"):
             weight_character(pieces, self.XI, self.ETA)
+        with pytest.raises(ValueError, match="no simplicial pieces"):
+            character_series(pieces, self.XI, self.ETA)
 
 
 class TestBoxPointKernel:

@@ -202,6 +202,27 @@ class TestRunReports:
         assert report.results["residual"] == Fraction(1, 4)
         assert report.results["kss"] is False
 
+    def test_check_warns_of_a_boundary_without_xi(self):
+        # the boundary's l is reported, so the opt-in warning comes with it
+        text = '{"dim": 2, "rays": [[1,0],[0,1]], "boundary_coeffs": ["1/2", 0]}'
+        report = run("check", text, {})
+        assert any("experimental" in w for w in report.warnings)
+        assert report.results["gorenstein"]["l"] == [Fraction(1, 2), 1]
+
+    def test_character_is_one_pass_per_piece(self, monkeypatch):
+        # both characters come from one _piece_series per piece
+        import reebcone.characters
+
+        spec = parse_cone_spec(spec_text("y21"))
+        pieces = decompose_dual(dual_cone(spec.rays, spec.dim))
+        calls = []
+        real = reebcone.characters._piece_series
+        monkeypatch.setattr(reebcone.characters, "_piece_series",
+                            lambda piece, *args: calls.append(piece) or real(piece, *args))
+        results = run("character", spec_text("y21"), {"order": 3, "eta": (0, 1, 0)}).results
+        assert "weight" in results
+        assert calls == list(pieces)
+
     def test_oracle_table_is_one_slice_pass(self, monkeypatch):
         # S and S' of every ray from one slice pass, S_m from one lattice scan per level
         from reebcone import geometry, stability

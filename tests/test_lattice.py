@@ -223,14 +223,19 @@ def test_exact_t_is_summed_as_its_float():
     (truncated_character_oracle, (None, 0.5, math.nan), "cutoff must be positive and finite"),
     (truncated_character_oracle, (None, 0.5, math.inf), "cutoff must be positive and finite"),
     (truncated_character_oracle, (None, 0.5, 10**400), "cutoff must be positive and finite"),
-    (lattice_points, (math.inf,), "level must be finite"),
-    (lattice_points, (math.nan,), "level must be finite"),
+    (lattice_points, (math.inf,), "m must be a positive integer"),
+    (lattice_points, (math.nan,), "m must be a positive integer"),
+    (lattice_points, (2.5,), "m must be a positive integer"),
+    (lattice_points, ("3",), "m must be a positive integer"),
+    (lattice_points, (None,), "m must be a positive integer"),
+    (lattice_points, (0,), "m must be a positive integer"),
     (lattice_rows, (-math.inf,), "level must be finite"),
     (s_m_oracle, ((1, 0, 0), 2.5), "m must be a positive integer"),
     (s_m_oracle, ((1, 0, 0), Fraction(2)), "m must be a positive integer"),
     (s_m_oracle, ((1, 0, 0), math.inf), "m must be a positive integer"),
 ], ids=["t-nan", "t-inf", "t-minus-inf", "t-past-float", "cutoff-nan", "cutoff-inf",
-        "cutoff-past-float", "points-inf", "points-nan",
+        "cutoff-past-float", "points-inf", "points-nan", "points-float", "points-str",
+        "points-none", "points-zero",
         "rows-minus-inf", "m-float", "m-fraction", "m-inf"])
 def test_oracle_inputs_outside_their_domain(call, args, match):
     with pytest.raises(ValueError, match=match):

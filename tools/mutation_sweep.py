@@ -5,16 +5,23 @@ sweep copies the checkout (without ``.git`` and caches) into a fresh
 temporary directory per mutant, applies the edit there, and runs
 ``python -m pytest -x -q`` against the copy.  A mutant is killed when a test
 fails, and survives when the whole suite passes; a survivor therefore costs
-one full Tier-1 run, about 50 s on a 2-core machine.  Run it from the root
-of a checkout, outside Tier-1::
+one full Tier-1 run, about 55 s on a 2-core machine.  Each mutant records
+the test that killed it in the last full sweep; ``--killers`` runs every
+mutant against that test alone, a few seconds each, so that a weakened
+killer shows as a survivor.  Run it from the root of a checkout, outside
+Tier-1::
 
-    python3 tools/mutation_sweep.py                      # every mutant
+    python3 tools/mutation_sweep.py                      # every mutant, full suite
     python3 tools/mutation_sweep.py --list               # names; exit 1 if one is stale
+    python3 tools/mutation_sweep.py --killers            # each mutant against its killer
     python3 tools/mutation_sweep.py kss-rtol ray-tie-rtol -- tests/test_stability.py
 
 Names select mutants; arguments after ``--`` replace the pytest selection
-(the whole of ``tests`` by default).  The last line is a summary; the exit
-status is 1 when a mutant survives or an edit no longer applies.
+(the whole of ``tests`` by default, the recorded killer with ``--killers``).
+The last line is a summary; the exit status is 1 when a mutant survives or
+an edit no longer applies.  The mutants of ``EQUIVALENT`` change no
+behaviour, each for the reason it gives; ``--list`` checks that their edits
+still apply, and nothing runs them.
 """
 
 from __future__ import annotations
@@ -30,85 +37,157 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 900  # far above a full Tier-1 run: a mutant that hangs counts as killed
 
-# (name, file under src/reebcone, old text, new text); each old text occurs once
+# (name, file under src/reebcone, old text, new text, the test that killed it in
+# the last full sweep); each old text occurs once
 MUTANTS = [
     # geometry: double description, triangulation, slice sums
     ("dd-adjacency-rank", "geometry.py",
-     "common.bit_count() >= dim - 2", "common.bit_count() >= dim - 1"),
-    ("dd-adjacency-count", "geometry.py",
-     "for mask in rays.values()) == 2):", "for mask in rays.values()) <= 2):"),
+     "common.bit_count() >= dim - 2", "common.bit_count() >= dim - 1",
+     "tests/test_lattice.py"),
     ("dd-keep-tight", "geometry.py",
-     "for r, mask in rays.items() if values[r] >= 0}", "for r, mask in rays.items() if values[r] > 0}"),
+     "for r, mask in rays.items() if values[r] >= 0}",
+     "for r, mask in rays.items() if values[r] > 0}",
+     "tests/test_lattice.py"),
     ("tri-maximal-facets", "geometry.py",
      "if facet >> first & 1 or any(facet & g == facet != g for g in proper):",
-     "if facet >> first & 1:"),
+     "if facet >> first & 1:",
+     "tests/test_geometry.py::TestTriangulation::test_redundant_normals"),
     ("tri-pull-last-ray", "geometry.py",
-     "first = (face & -face).bit_length() - 1", "first = face.bit_length() - 1"),
+     "first = (face & -face).bit_length() - 1", "first = face.bit_length() - 1",
+     "tests/test_characters.py::TestDecomposeDual::test_box_guard"),
     ("faces-drop-one", "geometry.py",
      "                out.append((det // linalg.dot(ray, u), face))\n    return tuple(out)",
-     "                out.append((det // linalg.dot(ray, u), face))\n    return tuple(out[1:])"),
-    ("futaki-slice-route", "geometry.py", "(a * m - t_s * l_s * x)", "(a * m - t_s * x)"),
+     "                out.append((det // linalg.dot(ray, u), face))\n    return tuple(out[1:])",
+     "tests/test_cli.py::TestMainExitCodes::test_futaki_beyond_the_box_point_bound"),
+    ("futaki-slice-route", "geometry.py",
+     "(a * m - t_s * l_s * x)", "(a * m - t_s * x)",
+     "tests/test_acceptance.py::test_criterion_07_futaki_properties"),
     ("futaki-gorenstein-half", "geometry.py",
-     "t_f, l_f = a * t_s, l_d * l_s", "t_f, l_f = 2 * a * t_s, l_d * l_s"),
+     "t_f, l_f = a * t_s, l_d * l_s", "t_f, l_f = 2 * a * t_s, l_d * l_s",
+     "tests/test_acceptance.py::test_criterion_07_futaki_properties"),
     ("pairings-strict", "geometry.py",
-     "if not all(c > 0 for c in pairings.values()):", "if not all(c >= 0 for c in pairings.values()):"),
+     "if not all(c > 0 for c in pairings.values()):",
+     "if not all(c >= 0 for c in pairings.values()):",
+     "tests/test_characters.py::TestTruncatedOracle::test_interior_required"),
     ("sums-weight-accumulate", "geometry.py",
-     "            weights[u] += w", "            weights[u] = w"),
-    ("sums-guard-bits", "geometry.py", "_GUARD_BITS = 32", "_GUARD_BITS = 4"),
+     "            weights[u] += w", "            weights[u] = w",
+     "tests/test_acceptance.py::test_criterion_01_barycenter_relation"),
+    ("sums-guard-bits", "geometry.py",
+     "_GUARD_BITS = 32", "_GUARD_BITS = 4",
+     "tests/test_characters.py::TestBoxPointKernel::test_mpf_path_rounds_once"),
     ("scale-guard", "geometry.py",
-     "precision_bits() + _GUARD_BITS + max(", "precision_bits() + max("),
+     "precision_bits() + _GUARD_BITS + max(", "precision_bits() + max(",
+     "tests/test_characters.py::TestBoxPointKernel::test_mpf_path_rounds_once"),
     ("sums-hessian-ray-term", "geometry.py",
-     "    rows += scaled.values()\n", ""),
-    ("spread-bits", "geometry.py", "_MAX_SPREAD_BITS = 4096", "_MAX_SPREAD_BITS = 40960"),
+     "    rows += scaled.values()\n", "",
+     "tests/test_acceptance.py::test_criterion_08_minimizer_endpoint"),
+    ("spread-bits", "geometry.py",
+     "_MAX_SPREAD_BITS = 4096", "_MAX_SPREAD_BITS = 40960",
+     "tests/test_stability.py::TestWorkingPrecision::test_exponent_spread_just_past_the_bound"),
     # geometry: the integer scan box
-    ("scan-box-floor", "geometry.py", "[x // p for x in u]", "[-(-x // p) for x in u]"),
-    ("scan-box-ceil", "geometry.py", "[-(-x // p) for x in u]", "[x // p for x in u]"),
-    # characters: box points and the per-piece series
+    ("scan-box-floor", "geometry.py",
+     "[x // p for x in u]", "[-(-x // p) for x in u]",
+     "tests/test_lattice.py::test_scan_box_matches_fraction_box"),
+    ("scan-box-ceil", "geometry.py",
+     "[-(-x // p) for x in u]", "[x // p for x in u]",
+     "tests/test_lattice.py::test_scan_box_matches_fraction_box"),
+    # characters: box points, the per-piece series and the one order check
     ("box-half-open", "characters.py",
-     "tuple([r or count for r in rs]) if off", "tuple(rs) if off"),
+     "tuple([r or count for r in rs]) if off", "tuple(rs) if off",
+     "tests/test_acceptance.py::test_criterion_05_index_character"),
     ("box-first-order", "characters.py",
-     "k = count // math.gcd(count, *col)", "k = count // math.gcd(count, col[0])"),
-    ("box-early-exit", "characters.py",
-     "        if size == count:\n            break", "        if size == count:\n            continue"),
+     "k = count // math.gcd(count, *col)", "k = count // math.gcd(count, col[0])",
+     "tests/test_acceptance.py::test_criterion_05_index_character"),
     ("series-positive-pairings", "characters.py",
-     "if not all(k > 0 for k in ks):", "if not all(k >= 0 for k in ks):"),
+     "if not all(k > 0 for k in ks):", "if not all(k >= 0 for k in ks):",
+     "tests/test_fuzz.py::test_fuzz_main"),
     ("series-derivative-power", "characters.py",
-     "* (j - 1) * gamma * k ** j", "* j * gamma * k ** j"),
+     "* (j - 1) * gamma * k ** j", "* j * gamma * k ** j",
+     "tests/test_acceptance.py::test_criterion_06_b0_identity"),
     ("series-order-shift", "characters.py",
-     "ratio(s * d ** n, scale * d ** j)", "ratio(s * d ** n, scale * d ** (j + 1))"),
+     "ratio(s * d ** n, scale * d ** j)", "ratio(s * d ** n, scale * d ** (j + 1))",
+     "tests/test_acceptance.py::test_criterion_05_index_character"),
     ("series-derivative-scale", "characters.py",
-     "_summed(parts, 2, exact)", "_summed(parts, 1, exact)"),
+     "for k, _, v in parts], 2, exact)", "for k, _, v in parts], 1, exact)",
+     "tests/test_acceptance.py::test_criterion_06_b0_identity"),
+    ("series-no-weight-without-eta", "characters.py",
+     "    if eta_num is None:\n        return F, None",
+     "    if eta_num is None:\n        return F, F",
+     "tests/test_acceptance.py::test_criterion_10_determinism"),
+    ("order-negative-bound", "characters.py",
+     "if order < 0:", "if order < -1:",
+     "tests/test_characters.py::TestBadArguments::test_negative_order[-1]"),
     # characters: the oracle's shell counts from the sorted run ends
-    ("shells-residue-strict", "characters.py", "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,"),
-    ("shells-live-threshold", "characters.py", "(counts - 1) > xs[0]", "(counts - 1) > xs[1]"),
+    ("shells-residue-strict", "characters.py",
+     "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,",
+     "tests/test_lattice.py::test_shell_counts_match_brute_force[y21]"),
+    ("shells-live-threshold", "characters.py",
+     "(counts - 1) > xs[0]", "(counts - 1) > xs[1]",
+     "tests/test_lattice.py::test_shell_counts_match_brute_force[kgon-negative]"),
     # stability: delta and its working-precision tolerances
     ("delta-tie-inclusive", "stability.py",
-     "<= tie_num * low_a * s)", "< tie_num * low_a * s)"),
+     "<= tie_num * low_a * s)", "< tie_num * low_a * s)",
+     "tests/test_cli.py::TestRunReports::test_delta_is_a_thin_shell"),
     ("delta-kss-inclusive", "stability.py",
-     "kss=residual <= kss_tol,", "kss=residual < kss_tol,"),
+     "kss=residual <= kss_tol,", "kss=residual < kss_tol,",
+     "tests/test_acceptance.py::test_criterion_03_worked_cases"),
     ("delta-prime-cap", "stability.py",
-     "delta_prime=min(ratio(1, 1), low)", "delta_prime=max(ratio(1, 1), low)"),
-    ("kss-rtol", "config.py", "KSS_RTOL = 1e-9", "KSS_RTOL = 1e-3"),
-    ("ray-tie-rtol", "config.py", "RAY_TIE_RTOL = 8 * 2.0 ** -50", "RAY_TIE_RTOL = 2.0 ** -20"),
+     "delta_prime=min(ratio(1, 1), low)", "delta_prime=max(ratio(1, 1), low)",
+     "tests/test_cli.py::TestConsoleScript::test_optimized_interpreter_matches_goldens"),
+    ("kss-rtol", "config.py",
+     "KSS_RTOL = 1e-9", "KSS_RTOL = 1e-3",
+     "tests/test_stability.py::TestDelta::test_kss_is_tight"),
+    ("ray-tie-rtol", "config.py",
+     "RAY_TIE_RTOL = 8 * 2.0 ** -50", "RAY_TIE_RTOL = 2.0 ** -20",
+     "tests/test_stability.py::TestDelta::test_near_ties_are_tight"),
     # optimize: the damped Newton step on log a0 and the Tikhonov ladder
     ("newton-damping", "optimize.py",
-     "scale_t = 1.0 / (1.0 + decrement)", "scale_t = 1.0"),
+     "scale_t = 1.0 / (1.0 + decrement)", "scale_t = 1.0",
+     "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
     ("newton-log-hessian", "optimize.py",
-     "[h / value - a * b for b, h", "[h / value for b, h"),
-    ("newton-stop-tol", "optimize.py", "while decrement > tol:", "while decrement > 1e6 * tol:"),
+     "[h / value - a * b for b, h", "[h / value for b, h",
+     "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
+    ("newton-stop-tol", "optimize.py",
+     "while decrement > tol:", "while decrement > 1e6 * tol:",
+     "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
     ("newton-last-step", "optimize.py",
      "        scale_t = 1.0 / (1.0 + decrement)\n",
-     "        if decrement <= tol:\n            break\n        scale_t = 1.0 / (1.0 + decrement)\n"),
-    ("newton-margin", "optimize.py", "margin = min(", "margin = max("),
-    ("ladder-fixed-start", "optimize.py", "lam = scale * 2.0**-52", "lam = 1e-12"),
-    ("ladder-rung-factor", "optimize.py", "lam *= 10.0", "lam *= 100.0"),
+     "        if decrement <= tol:\n            break\n        scale_t = 1.0 / (1.0 + decrement)\n",
+     "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
+    ("newton-margin", "optimize.py",
+     "margin = min(", "margin = max(",
+     "tests/test_cli.py::TestConsoleScript::test_optimized_interpreter_matches_goldens"),
+    ("ladder-fixed-start", "optimize.py",
+     "lam = scale * 2.0**-52", "lam = 1e-12",
+     "tests/test_optimize.py::TestRegularizedStep::test_singular_hessian_is_regularized"),
+    ("ladder-rung-factor", "optimize.py",
+     "lam *= 10.0", "lam *= 100.0",
+     "tests/test_optimize.py::TestRegularizedStep::test_shift_grows_tenfold"),
     ("ladder-ceiling", "optimize.py",
-     "if not 0.0 < lam <= scale < math.inf:", "if not 0.0 < lam <= 1e12 * scale < math.inf:"),
+     "if not 0.0 < lam <= scale < math.inf:", "if not 0.0 < lam <= 1e12 * scale < math.inf:",
+     "tests/test_optimize.py::TestRegularizedStep::test_indefinite_hessian_raises"),
     # optimize: the grid oracle's ranking by the integer ratio T/L
     ("grid-first-minimum", "optimize.py",
-     "total * best_big < best_total * big", "total * best_big <= best_total * big"),
+     "total * best_big < best_total * big", "total * best_big <= best_total * big",
+     "tests/test_optimize.py::TestGridOracle::test_matches_fraction_oracle_on_specs[a1-5]"),
     ("grid-cross-multiply", "optimize.py",
-     "total * best_big < best_total * big", "total * big < best_total * best_big"),
+     "total * best_big < best_total * big", "total * big < best_total * best_big",
+     "tests/test_acceptance.py::test_criterion_08_minimizer_endpoint"),
+    # cli: orders 0 and 1 take the closed form and load no characters
+    ("cli-closed-form-orders", "cli.py",
+     "if order in (0, 1):", "if order in (0,):",
+     "tests/test_cli.py::TestMainExitCodes::test_character_beyond_the_box_point_bound"),
+]
+
+# (name, file, old text, new text, why no test can kill it); listed, never run
+EQUIVALENT = [
+    ("dd-adjacency-count", "geometry.py",
+     "for mask in rays.values()) == 2):", "for mask in rays.values()) <= 2):",
+     "the count includes the two rays themselves, so it is never below 2"),
+    ("box-early-exit", "characters.py",
+     "        if size == count:\n            break",
+     "        if size == count:\n            continue",
+     "once the group is full every later column lies in it, so each later k is 1"),
 ]
 
 
@@ -140,27 +219,34 @@ def run_mutant(name, path, old, new, pytest_args):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     split = argv.index("--") if "--" in argv else len(argv)
-    pytest_args = argv[split + 1:] or ["tests"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true", help="list the mutants and exit")
+    mode.add_argument("--killers", action="store_true",
+                      help="run each mutant against the test that killed it, not the suite")
     args = parser.parse_args(argv[:split])
     if args.list:
         stale = 0
-        for name, path, old, _ in MUTANTS:
+        rows = [(m, "") for m in MUTANTS] + [(m, "equivalent") for m in EQUIVALENT]
+        for (name, path, old, _, _), kind in rows:
             matches = (ROOT / "src" / "reebcone" / path).read_text(encoding="utf-8").count(old)
             stale += matches != 1
-            print(f"{name:26} {path:14} {'' if matches == 1 else 'stale'}".rstrip())
+            print(f"{name:30} {path:14} {kind if matches == 1 else 'stale'}".rstrip())
         return 1 if stale else 0
     unknown = set(args.names) - {m[0] for m in MUTANTS}
     if unknown:
         parser.error("unknown mutants: " + ", ".join(sorted(unknown)))
     chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
     tally = {"killed": 0, "survived": 0, "stale": 0}
-    for name, path, old, new in chosen:
-        verdict, detail = run_mutant(name, path, old, new, pytest_args)
+    for name, path, old, new, killer in chosen:
+        pytest_args = argv[split + 1:] or ([killer] if args.killers else ["tests"])
+        if "" in pytest_args:
+            verdict, detail = "stale", "no recorded killer"
+        else:
+            verdict, detail = run_mutant(name, path, old, new, pytest_args)
         tally[verdict] += 1
-        print(f"{verdict:8} {name:26} {detail}", flush=True)
+        print(f"{verdict:8} {name:30} {detail}", flush=True)
     print(", ".join(f"{count} {verdict}" for verdict, count in tally.items()))
     return 1 if tally["survived"] or tally["stale"] else 0
 
