@@ -30,7 +30,6 @@ points themselves are a view for tests and counts.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -46,8 +45,8 @@ from .errors import (
     OrderTooLarge,
     UnboundedSlice,
 )
-from .geometry import (LaurentSeries, ToricCone, _common_scale, integer_reeb, lattice_rows,
-                       reeb_numerators, simplices)
+from .geometry import (LaurentSeries, ToricCone, _common_scale, _positive_finite, integer_reeb,
+                       lattice_rows, reeb_numerators, simplices)
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -375,6 +374,16 @@ def _shell_counts(s0, counts, step: int, xs: Sequence[int]):
     return np.diff(phi(s0) - phi(ends))
 
 
+def _default_cutoff(t, weighted: bool) -> int:
+    """The oracle's cutoff when none is given: ceil(14 / t), or ceil(18 / t) for the
+    eta-weighted sum, whose tail has one more power of the pairing.  ValueError unless
+    t is positive and finite, ExceedsSupportedSize if the cutoff passes every float."""
+    reach, value = 18.0 if weighted else 14.0, float(_positive_finite("t", t))
+    if not value or reach / value == math.inf:  # an exact t may round to 0.0
+        raise ExceedsSupportedSize(f"t = {t!r} puts the default cutoff past every float")
+    return math.ceil(reach / value)
+
+
 def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
                                rel_tol: float = 1e-3) -> float:
     """Brute-force lattice sum approximating F (or C_eta with eta given).
@@ -393,10 +402,8 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     """
     import numpy as np
 
-    for name, value in (("t", t), ("cutoff", cutoff)):
-        if not 0 < value <= sys.float_info.max:  # also an exact value past float range
-            raise ValueError("%s must be positive and finite, got %r" % (name, value))
-    t = float(t)
+    t = float(_positive_finite("t", t))
+    _positive_finite("cutoff", cutoff)
     n = cone.dim
     if eta_or_none is not None:
         [_, (eta_num, e)], _ = reeb_numerators(n, xi, eta_or_none)

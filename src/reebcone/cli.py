@@ -4,8 +4,9 @@ The CLI is a thin shell over the library: it parses one cone spec,
 calls the library routines of one subcommand, and serializes the
 result.  It computes no invariant: each report block is a library result
 type (``StabilityReport``, ``MinimizeResult`` with xi* as floats,
-``LaurentSeries``) written out field by field, and the one number it
-derives is the default cutoff of ``oracle --t``.  Rational values are
+``LaurentSeries``) written out field by field.  Each flag given goes unchecked
+to the library function that takes it, and one not given is left to that
+function's default, but for ``character``'s order 2.  Rational values are
 emitted as exact ``"p/q"`` strings so that exactness survives the pipe,
 and reports are deterministic byte-for-byte for identical inputs, flags
 and version.
@@ -43,7 +44,6 @@ from . import __version__
 from .config import DEFAULT_TOL, precision_bits
 from .errors import (
     ConvergenceError,
-    ExceedsSupportedSize,
     InputError,
     MathDomainError,
     NonIntegerRay,
@@ -296,14 +296,8 @@ def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
 def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     from .optimize import minimize_volume
 
-    start = _flag(flags, "xi", spec.xi)
-    res = minimize_volume(
-        cone,
-        tol=_flag(flags, "tol", DEFAULT_TOL),
-        max_iter=_flag(flags, "max_iter", 100),
-        start=start,
-        probe_rational=flags.get("probe_rational"),
-    )
+    given = {k: flags[k] for k in ("tol", "max_iter", "probe_rational") if flags.get(k) is not None}
+    res = minimize_volume(cone, start=_flag(flags, "xi", spec.xi), **given)
     results.update(dataclasses.asdict(res), xi_star=[float(x) for x in res.xi_star.xi])
 
 
@@ -320,7 +314,7 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
     xi = _require_xi(spec, flags)
     order = _flag(flags, "order", 2)
     eta = _flag(flags, "eta", spec.eta)
-    if order in (0, 1):  # the closed form: a cold call loads no characters, no box points
+    if isinstance(order, int) and order in (0, 1):  # closed form: no characters, no box points
         F, C = futaki_coefficients(cone, xi, eta)
     else:
         from .characters import character_series, check_order, decompose_dual
@@ -338,7 +332,7 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
 
 
 def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
-    from .characters import truncated_character_oracle
+    from .characters import _default_cutoff, truncated_character_oracle
     from .stability import _oracle_table
 
     xi = _require_xi(spec, flags)
@@ -347,25 +341,15 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
     if m_max is None and not t_values:
         raise SchemaError("oracle: provide --m-max and/or --t")
     if m_max is not None:
-        if m_max < 1:
-            raise ValueError("m_max must be at least 1, got %r" % (m_max,))
         results["s_m_table"] = {"m_max": m_max, "rows": _oracle_table(cone, xi, m_max)}
     if t_values:
         eta = _flag(flags, "eta", spec.eta)
-        # the default cutoff is ceil(reach / t); the eta-weighted sum's tail
-        # carries one more power of the pairing, so it reaches further
-        reach = 14.0 if eta is None else 18.0
         entries = []
         for t in t_values:
-            if float(t) <= 0:
-                raise ValueError("t must be positive, got %r" % (t,))
             cutoff = flags.get("cutoff")
             if cutoff is None:
-                if not reach / float(t) < math.inf:
-                    raise ExceedsSupportedSize(
-                        "t = %r puts the default cutoff past every float" % (t,))
-                cutoff = math.ceil(reach / float(t))
-            value = truncated_character_oracle(cone, xi, eta, float(t), cutoff)
+                cutoff = _default_cutoff(t, eta is not None)
+            value = truncated_character_oracle(cone, xi, eta, t, cutoff)
             entries.append({"t": float(t), "cutoff": cutoff, "value": value})
         results["character_values"] = {
             "kind": "weight" if eta is not None else "index",
@@ -430,7 +414,7 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
         "version": __version__,
         "arithmetic": "float64" if floaty else "exact-rational",
         "precision_bits": bits,
-        "tol": float(_flag(flags, "tol", DEFAULT_TOL)),
+        "tol": _flag(flags, "tol", DEFAULT_TOL),  # as given: minimize_volume checks it
     }
     error = None
     if failure is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,6 +153,27 @@ class LaurentSeries:
     a1 = property(lambda self: self._coefficient("index", 1))
     b0 = property(lambda self: self._coefficient("weight", 0))
     b1 = property(lambda self: self._coefficient("weight", 1))
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int, with ValueError unless it is a positive integer."""
+    try:
+        index = operator.index(value)  # any integer, NumPy's too
+    except TypeError:
+        index = 0
+    if index < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return index
+
+
+def _positive_finite(name: str, value):
+    """``value`` as given, with ValueError unless it is a positive number in float range."""
+    try:
+        if 0 < value <= sys.float_info.max:  # not NaN, nor an exact value past the floats
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -798,14 +820,9 @@ def lattice_points(cone: ToricCone, xi, m: int) -> tuple[tuple[int, ...], ...]:
     """All integer points of m*Q_xi, i.e. u in sigma^v with <xi, u> <= m.
 
     The rows of :func:`lattice_rows` expanded, in lexicographic order;
-    requires rational xi (IrrationalReeb otherwise) and an int m >= 1.
+    requires rational xi (IrrationalReeb) and a positive integer m (ValueError, before numpy loads).
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"m must be a positive integer, got {m!r}") from None
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    m = _positive_int("m", m)
     import numpy as np
 
     prefix, a, b = lattice_rows(cone, xi, m)

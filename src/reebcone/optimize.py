@@ -41,7 +41,8 @@ from .errors import (
     UnboundedSlice,
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
-from .geometry import CONE_CACHE_SIZE, _simplex_sums, _slice_pairings, _slice_sums, _volume_sums
+from .geometry import CONE_CACHE_SIZE, _positive_finite, _positive_int, _simplex_sums
+from .geometry import _slice_pairings, _slice_sums, _volume_sums
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -123,17 +124,6 @@ def _project(cone: ToricCone, xi: Sequence) -> Tuple[float, ...]:
     """Chart coordinates of a full Reeb vector on the slice, in floats."""
     _, _, free = _chart(cone)[:3]
     return tuple(float(xi[j]) for j in free)
-
-
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int, with ValueError unless it is a positive integer."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        index = 0
-    if index < 1:
-        raise ValueError("%s must be a positive integer, got %r" % (name, value))
-    return index
 
 
 def _ray_average(cone: ToricCone, weights: Sequence[int]) -> Tuple[Fraction, ...]:
@@ -252,12 +242,11 @@ def minimize_volume(
     :func:`_regularized_step` shifts a float Hessian that is not positive
     definite, and a step that leaves the Reeb cone is halved, down to
     ``_MIN_STEP_SCALE``.  Failures surface as :class:`MaxIterations` or
-    :class:`NonConvergent`.  Raises ``ValueError`` unless ``tol`` is
-    positive and finite and ``max_iter`` (and ``probe_rational``, when
+    :class:`NonConvergent`.  Raises ``ValueError`` unless ``tol`` is a
+    positive number in float range and ``max_iter`` (and ``probe_rational``, when
     given) is a positive integer.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    _positive_finite("tol", tol)
     max_iter = _positive_int("max_iter", max_iter)
     if probe_rational is not None:
         probe_rational = _positive_int("probe_rational", probe_rational)

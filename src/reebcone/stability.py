@@ -40,6 +40,7 @@ from .geometry import (
     GorensteinVector,
     ToricCone,
     _common_denominator,
+    _positive_int,
     _scan_box,
     _slice_sums,
     futaki_coefficients,
@@ -62,9 +63,11 @@ class ToricValuation:
     interior: bool
 
 
-def toric_valuation(cone: ToricCone, v: Sequence) -> ToricValuation:
-    """Validate ``v in sigma - {0}`` and wrap it as a valuation."""
-    vv = tuple(Fraction(x) if not isinstance(x, Fraction) else x for x in v)
+def toric_valuation(cone: ToricCone, v) -> ToricValuation:
+    """Validate ``v in sigma - {0}`` and wrap it as a valuation: the one coercion of
+    every v taken here, so a :class:`ToricValuation` is checked against this cone too."""
+    vv = v.v if isinstance(v, ToricValuation) else tuple(
+        x if isinstance(x, Fraction) else Fraction(x) for x in v)
     if len(vv) != cone.dim:
         raise ValueError(
             "valuation vector has length %d, expected %d" % (len(vv), cone.dim)
@@ -109,7 +112,7 @@ def log_discrepancy(l: GorensteinVector, v: ToricValuation):
 def s_value(cone: ToricCone, xi, v) -> object:
     """Expected vanishing order ``S(wt_v) = <v, bar(u)>`` on any cone, the int
     pair of :meth:`reebcone.geometry._SliceSums.s_value` as one ratio."""
-    val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
+    val = toric_valuation(cone, v)
     sums = _slice_sums(cone, xi)
     return ratio_type(sums.exact)(*sums.s_value(*_common_denominator(val.v)))
 
@@ -117,7 +120,7 @@ def s_value(cone: ToricCone, xi, v) -> object:
 def s_prime(cone: ToricCone, xi, v) -> object:
     """Normalized expected order ``S'(wt_v) = A(xi) <v, (n+1)/n bar(u)>``, the
     int pair of :meth:`reebcone.geometry._SliceSums.s_prime` as one ratio."""
-    val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
+    val = toric_valuation(cone, v)
     sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
     return ratio_type(sums.exact)(*sums.s_prime(*_common_denominator(val.v)))
 
@@ -130,10 +133,8 @@ def s_m_oracle(cone: ToricCone, xi, v, m: int) -> Fraction:
     arithmetic over one :func:`_level_sums` (rational ``xi`` only), so it is
     an independent check on the barycenter route to ``S``.
     """
-    if not isinstance(m, int) or m <= 0:
-        raise ValueError("m must be a positive integer, got %r" % (m,))
-    val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
-    total, den = _level_sums(cone, xi, m)
+    val = toric_valuation(cone, v)
+    total, den = _level_sums(cone, xi, _positive_int("m", m))
     return Fraction(linalg.dot(val.v, total), den)
 
 
@@ -150,9 +151,10 @@ def _level_sums(cone: ToricCone, xi, m: int) -> tuple[list[int], int]:
 def _oracle_table(cone: ToricCone, xi, m_max: int) -> list[dict]:
     """Rows ``{v, s_m: [S_m(v), m = 1..m_max], s: S(v), s_prime: S'(v)}`` over
     the rays v of sigma, from one lattice scan per level and one slice pass.
-    ExceedsSupportedSize when ``m_max`` times the prefixes of the
-    level-``m_max`` scan exceed ``MAX_LATTICE_SCAN``, then NotQGorenstein
-    from the slice pass, both before the first scan."""
+    Before the first scan: ValueError unless ``m_max`` is a positive integer,
+    ExceedsSupportedSize when it times the prefixes of the level-``m_max`` scan
+    exceeds ``MAX_LATTICE_SCAN``, then NotQGorenstein from the slice pass."""
+    m_max = _positive_int("m_max", m_max)
     prefixes = _scan_box(cone, xi, m_max)[-1]
     if m_max * prefixes > MAX_LATTICE_SCAN:
         raise ExceedsSupportedSize(
@@ -258,7 +260,7 @@ def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):
     (:func:`reebcone.geometry.numerators`), ``t`` and ``f(t)`` are one int ratio
     each, ``f(t)`` over ``d l_d s_d t_d``; UnboundedSlice if ``S'(v) + t A(xi) <= 0``.
     """
-    val = v if isinstance(v, ToricValuation) else toric_valuation(cone, v)
+    val = toric_valuation(cone, v)
     sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
     ratio = ratio_type(sums.exact)
     v_num, v_d = _common_denominator(val.v)

@@ -33,7 +33,7 @@ from reebcone import (
     truncated_character_oracle,
     weight_character,
 )
-from reebcone.characters import MAX_ORDER, _box_points, _g_coeff
+from reebcone.characters import MAX_ORDER, _box_points, _default_cutoff, _g_coeff
 from reebcone.cli import parse_cone_spec
 from reebcone.config import mp_context, ratio_type, series_rtol, to_mpf
 from reebcone.geometry import MAX_DIM, numerators, simplices
@@ -370,6 +370,18 @@ class TestTruncatedOracle:
     def test_bad_t(self, orthant2):
         with pytest.raises(ValueError):
             truncated_character_oracle(orthant2, (1, 1), None, 0.0, cutoff=50)
+
+    def test_default_cutoff(self):
+        # ceil(14 / t), and ceil(18 / t) for the eta-weighted sum's longer tail
+        assert (_default_cutoff(0.2, False), _default_cutoff(0.2, True)) == (70, 90)
+        assert (_default_cutoff(Fraction(1, 5), False), _default_cutoff(7, True)) == (70, 3)
+        for t in (0, -1.0, math.nan, math.inf, 10 ** 400, "x", None):
+            with pytest.raises(ValueError, match="t must be positive and finite"):
+                _default_cutoff(t, False)
+        # a subnormal t, or an exact one that rounds to 0.0, has no float cutoff
+        for t in (1e-320, Fraction(1, 10 ** 400)):
+            with pytest.raises(ExceedsSupportedSize, match="past every float"):
+                _default_cutoff(t, True)
 
     @pytest.mark.parametrize("cutoff", [0, -3])
     def test_nonpositive_cutoff(self, orthant2, cutoff):

@@ -15,6 +15,7 @@ import pytest
 import test_golden
 from reebcone import (
     NonIntegerRay,
+    ReebconeError,
     SchemaError,
     decompose_dual,
     delta,
@@ -23,8 +24,8 @@ from reebcone import (
     index_character,
     weight_character,
 )
-from reebcone.cli import ConeSpec, main, parse_cone_spec, run
-from reebcone.config import MAX_PRECISION
+from reebcone.cli import ConeSpec, _attempt, main, parse_cone_spec, run
+from reebcone.config import DEFAULT_TOL, MAX_PRECISION
 from conftest import minor_futaki_coefficients
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "src" / "reebcone" / "specs"
@@ -245,6 +246,76 @@ class TestRunReports:
     def test_unknown_command(self):
         with pytest.raises(ValueError):
             run("frobnicate", spec_text("a1"), {})
+
+
+_POSITIVE_INT = "must be a positive integer"
+_POSITIVE_FINITE = "must be positive and finite"
+# (subcommand, flags, error type, message part); a None flag is one not given
+FLAG_CASES = [
+    ("oracle", {"m_max": 2.5}, "UsageError", "m_max " + _POSITIVE_INT),
+    ("oracle", {"m_max": "3"}, "UsageError", "m_max " + _POSITIVE_INT),
+    ("oracle", {"m_max": None}, "SchemaError", "--m-max and/or --t"),
+    ("minimize", {"max_iter": 2.5}, "UsageError", "max_iter " + _POSITIVE_INT),
+    ("minimize", {"max_iter": "3"}, "UsageError", "max_iter " + _POSITIVE_INT),
+    ("minimize", {"max_iter": None}, None, None),
+    ("minimize", {"probe_rational": 2.5}, "UsageError", "probe_rational " + _POSITIVE_INT),
+    ("minimize", {"probe_rational": "3"}, "UsageError", "probe_rational " + _POSITIVE_INT),
+    ("minimize", {"probe_rational": None}, None, None),
+    ("character", {"order": 2.5}, "UsageError", "order must be an integer"),
+    ("character", {"order": "3"}, "UsageError", "order must be an integer"),
+    ("character", {"order": 1.0}, "UsageError", "order must be an integer"),
+    ("character", {"order": None}, None, None),
+    ("minimize", {"tol": "x"}, "UsageError", "tol " + _POSITIVE_FINITE),
+    ("minimize", {"tol": math.nan}, "UsageError", "tol " + _POSITIVE_FINITE),
+    ("minimize", {"tol": math.inf}, "UsageError", "tol " + _POSITIVE_FINITE),
+    ("oracle", {"t": ["x"]}, "UsageError", "t " + _POSITIVE_FINITE),
+    ("oracle", {"t": [math.nan]}, "UsageError", "t " + _POSITIVE_FINITE),
+    ("oracle", {"t": [math.inf]}, "UsageError", "t " + _POSITIVE_FINITE),
+    ("oracle", {"t": [0.5], "cutoff": "x"}, "UsageError", "cutoff " + _POSITIVE_FINITE),
+]
+
+
+class TestInProcessFlags:
+    """``run`` takes flags that ``main``'s argparse types would refuse. Each goes
+    unchecked to the library function that takes it, so a bad value ends in
+    ``_attempt``'s report with a typed error, never a raw exception."""
+
+    @pytest.mark.parametrize("command, flags, kind, match", FLAG_CASES, ids=[
+        "%s-%s" % (command, "-".join("%s=%r" % kv for kv in flags.items()))
+        for command, flags, _, _ in FLAG_CASES])
+    def test_flag_outside_its_domain(self, command, flags, kind, match):
+        # None is a flag not given: the report of the library's default
+        report, failure = _attempt(command, spec_text("y21"), flags)
+        if kind is None:
+            assert failure is None
+            assert report.results == _attempt(command, spec_text("y21"), {})[0].results
+        else:
+            assert isinstance(failure, (ReebconeError, ValueError))
+            assert report.error["type"] == kind
+            assert match in report.error["message"]
+
+    def test_tol_is_reported_as_given(self):
+        # provenance.tol is the flag as given, else DEFAULT_TOL: no float() of it
+        # outside _attempt's error handling, which lost the report
+        report, _ = _attempt("minimize", spec_text("conifold"), {"tol": "x"})
+        assert (report.provenance["tol"], report.error["type"]) == ("x", "UsageError")
+        report, failure = _attempt("check", spec_text("conifold"), {"tol": "x"})
+        assert (report.provenance["tol"], report.error, failure) == ("x", None, None)  # no tol taken
+        assert json.loads(report.to_json())["provenance"]["tol"] == "x"
+        assert run("minimize", spec_text("conifold"), {}).provenance["tol"] == DEFAULT_TOL
+
+    def test_minimize_passes_only_the_flags_given(self, monkeypatch):
+        # the library fills in its own defaults; the CLI restates none
+        import reebcone.optimize
+
+        seen = []
+        real = reebcone.optimize.minimize_volume
+        monkeypatch.setattr(reebcone.optimize, "minimize_volume",
+                            lambda cone, **kwargs: seen.append(kwargs) or real(cone, **kwargs))
+        run("minimize", spec_text("conifold"), {})
+        run("minimize", spec_text("conifold"), {"max_iter": 7, "tol": 1e-9})
+        assert seen == [{"start": (1, Fraction(1, 2), Fraction(1, 2))},
+                        {"start": (1, Fraction(1, 2), Fraction(1, 2)), "max_iter": 7, "tol": 1e-9}]
 
 
 class TestMainExitCodes:

@@ -29,6 +29,7 @@ from reebcone.characters import _shell_counts
 from reebcone.cli import parse_cone_spec
 from reebcone.geometry import _INT64_SAFE, _scan_box, integer_reeb, lattice_rows
 from reebcone.linalg import dot
+from reebcone.stability import _oracle_table
 from conftest import (brute_lattice_points, fraction_scan_box, make_conifold, make_kgon,
                       make_orthant2, make_orthant3, make_y21, random_box_cone_suite,
                       random_cone_suite)
@@ -233,10 +234,27 @@ def test_exact_t_is_summed_as_its_float():
     (s_m_oracle, ((1, 0, 0), 2.5), "m must be a positive integer"),
     (s_m_oracle, ((1, 0, 0), Fraction(2)), "m must be a positive integer"),
     (s_m_oracle, ((1, 0, 0), math.inf), "m must be a positive integer"),
+    (_oracle_table, (2.5,), "m_max must be a positive integer"),
+    (_oracle_table, ("3",), "m_max must be a positive integer"),
+    (_oracle_table, (0,), "m_max must be a positive integer"),
 ], ids=["t-nan", "t-inf", "t-minus-inf", "t-past-float", "cutoff-nan", "cutoff-inf",
         "cutoff-past-float", "points-inf", "points-nan", "points-float", "points-str",
         "points-none", "points-zero",
-        "rows-minus-inf", "m-float", "m-fraction", "m-inf"])
+        "rows-minus-inf", "m-float", "m-fraction", "m-inf", "table-float", "table-str",
+        "table-zero"])
 def test_oracle_inputs_outside_their_domain(call, args, match):
     with pytest.raises(ValueError, match=match):
         call(make_conifold(), (3, 2, 2), *args)
+
+
+def test_numpy_integer_level():
+    # one positive-integer check for every oracle level: a NumPy integer is an
+    # integer, as in grid_search_oracle's resolution
+    from reebcone import grid_search_oracle
+
+    orthant3, m = make_orthant3(), numpy.int64(3)
+    assert lattice_points(orthant3, (1, 1, 1), m) == lattice_points(orthant3, (1, 1, 1), 3)
+    assert len(lattice_points(orthant3, (1, 1, 1), m)) == 20
+    assert s_m_oracle(orthant3, (1, 1, 1), (1, 0, 0), m) == s_m_oracle(orthant3, (1, 1, 1), (1, 0, 0), 3)
+    assert _oracle_table(orthant3, (1, 1, 1), m) == _oracle_table(orthant3, (1, 1, 1), 3)
+    assert grid_search_oracle(orthant3, m) == grid_search_oracle(orthant3, 3)

@@ -249,6 +249,19 @@ class TestMinimize:
         assert res.kss_residual == 0.0
         assert res.margin == 0.5
 
+    def test_margin_is_the_least_pairing(self, y21):
+        # xi* of y21 pairs unequally with its dual rays: margin is the smallest pairing
+        res = minimize_volume(y21)
+        xs = tuple(float(x) for x in res.xi_star.xi)
+        pairings = [float(linalg.dot(xs, u)) for u in y21.dual_rays]
+        assert max(pairings) - min(pairings) > 0.1
+        assert res.margin == min(pairings)
+
+    def test_stops_at_a_rounding_residual(self, y21):
+        # the decrement test at tol = 1e-10 takes the step that leaves bar_P = l
+        # to rounding: 2.2e-17 on y21, where a test at 1e-4 leaves 2.4e-10
+        assert minimize_volume(y21).kss_residual <= 2.0 ** -40
+
     def test_start_override(self, conifold):
         # any interior start is rescaled onto the slice and converges
         res = minimize_volume(conifold, start=(4, Fraction(1, 5), 2))

@@ -74,6 +74,28 @@ class TestToricValuation:
         assert not toric_valuation(conifold, (1, 0, 0)).interior
         assert toric_valuation(conifold, (1, Fraction(1, 2), Fraction(1, 2))).interior
 
+    def test_valuation_of_another_cone_is_checked(self, conifold, orthant3):
+        # (0, 0, 1) spans a ray of the orthant but lies outside the conifold's
+        # cone, as a valuation or as a vector
+        xi, foreign = (2, Fraction(1, 2), Fraction(1, 2)), toric_valuation(orthant3, (0, 0, 1))
+        for call in (lambda v: s_value(conifold, xi, v), lambda v: s_prime(conifold, xi, v),
+                     lambda v: s_m_oracle(conifold, xi, v, 2),
+                     lambda v: ratio_profile(conifold, xi, v, [0]),
+                     lambda v: toric_valuation(conifold, v)):
+            for v in (foreign, foreign.v):
+                with pytest.raises(ValueError, match="lies outside the cone"):
+                    call(v)
+
+    def test_valuation_is_rewrapped_for_its_cone(self, conifold, orthant3):
+        # interior is decided on the cone at hand: (1, 1, 1) is interior to the
+        # orthant, on the boundary of the conifold's cone
+        own = toric_valuation(orthant3, (1, 1, 1))
+        assert own.interior
+        assert toric_valuation(conifold, own) == toric_valuation(conifold, (1, 1, 1))
+        assert not toric_valuation(conifold, own).interior
+        xi = (2, Fraction(1, 2), Fraction(1, 2))
+        assert s_value(conifold, xi, own) == s_value(conifold, xi, (1, 1, 1))
+
 
 class TestLogDiscrepancy:
     def test_worked_values(self, orthant2, a1):

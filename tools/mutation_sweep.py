@@ -38,8 +38,16 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 900  # far above a full Tier-1 run: a mutant that hangs counts as killed
 
 # (name, file under src/reebcone, old text, new text, the test that killed it in
-# the last full sweep); each old text occurs once
+# the last full sweep, or a test of behaviour that kills it where the sweep's first
+# failure was only a byte-compare with a golden file); each old text occurs once
 MUTANTS = [
+    # geometry: the argument checks every layer shares
+    ("positive-int-bound", "geometry.py",
+     "if index < 1:", "if index < 0:",
+     "tests/test_cli.py::TestInProcessFlags::test_flag_outside_its_domain[oracle-m_max=2.5]"),
+    ("positive-finite-bound", "geometry.py",
+     "0 < value <= sys.float_info.max", "0 < value",
+     "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
     # geometry: double description, triangulation, slice sums
     ("dd-adjacency-rank", "geometry.py",
      "common.bit_count() >= dim - 2", "common.bit_count() >= dim - 1",
@@ -114,6 +122,9 @@ MUTANTS = [
      "    if eta_num is None:\n        return F, None",
      "    if eta_num is None:\n        return F, F",
      "tests/test_acceptance.py::test_criterion_10_determinism"),
+    ("weighted-reach", "characters.py",
+     "18.0 if weighted", "14.0 if weighted",
+     "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
     ("order-negative-bound", "characters.py",
      "if order < 0:", "if order < -1:",
      "tests/test_characters.py::TestBadArguments::test_negative_order[-1]"),
@@ -124,7 +135,11 @@ MUTANTS = [
     ("shells-live-threshold", "characters.py",
      "(counts - 1) > xs[0]", "(counts - 1) > xs[1]",
      "tests/test_lattice.py::test_shell_counts_match_brute_force[kgon-negative]"),
-    # stability: delta and its working-precision tolerances
+    # stability: the one coercion of a valuation, delta and its working-precision tolerances
+    ("valuation-unchecked", "stability.py",
+     "    vv = v.v if isinstance(v, ToricValuation) else tuple(",
+     "    if isinstance(v, ToricValuation):\n        return v\n    vv = tuple(",
+     "tests/test_stability.py::TestToricValuation::test_valuation_of_another_cone_is_checked"),
     ("delta-tie-inclusive", "stability.py",
      "<= tie_num * low_a * s)", "< tie_num * low_a * s)",
      "tests/test_cli.py::TestRunReports::test_delta_is_a_thin_shell"),
@@ -133,7 +148,7 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_03_worked_cases"),
     ("delta-prime-cap", "stability.py",
      "delta_prime=min(ratio(1, 1), low)", "delta_prime=max(ratio(1, 1), low)",
-     "tests/test_cli.py::TestConsoleScript::test_optimized_interpreter_matches_goldens"),
+     "tests/test_stability.py::TestDelta::test_a1_worked"),
     ("kss-rtol", "config.py",
      "KSS_RTOL = 1e-9", "KSS_RTOL = 1e-3",
      "tests/test_stability.py::TestDelta::test_kss_is_tight"),
@@ -146,17 +161,17 @@ MUTANTS = [
      "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
     ("newton-log-hessian", "optimize.py",
      "[h / value - a * b for b, h", "[h / value for b, h",
-     "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
+     "tests/test_optimize.py::TestMinimize::test_start_near_the_boundary"),
     ("newton-stop-tol", "optimize.py",
      "while decrement > tol:", "while decrement > 1e6 * tol:",
-     "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
+     "tests/test_optimize.py::TestMinimize::test_stops_at_a_rounding_residual"),
     ("newton-last-step", "optimize.py",
      "        scale_t = 1.0 / (1.0 + decrement)\n",
      "        if decrement <= tol:\n            break\n        scale_t = 1.0 / (1.0 + decrement)\n",
      "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
     ("newton-margin", "optimize.py",
      "margin = min(", "margin = max(",
-     "tests/test_cli.py::TestConsoleScript::test_optimized_interpreter_matches_goldens"),
+     "tests/test_optimize.py::TestMinimize::test_margin_is_the_least_pairing"),
     ("ladder-fixed-start", "optimize.py",
      "lam = scale * 2.0**-52", "lam = 1e-12",
      "tests/test_optimize.py::TestRegularizedStep::test_singular_hessian_is_regularized"),
@@ -175,7 +190,7 @@ MUTANTS = [
      "tests/test_acceptance.py::test_criterion_08_minimizer_endpoint"),
     # cli: orders 0 and 1 take the closed form and load no characters
     ("cli-closed-form-orders", "cli.py",
-     "if order in (0, 1):", "if order in (0,):",
+     "and order in (0, 1):", "and order in (0,):",
      "tests/test_cli.py::TestMainExitCodes::test_character_beyond_the_box_point_bound"),
 ]
 
