@@ -5,8 +5,9 @@ calls the library routines of one subcommand, and serializes the
 result.  It computes no invariant: each report block is a library result
 type (``StabilityReport``, ``MinimizeResult`` with xi* as floats,
 ``LaurentSeries``) written out field by field.  Each flag given goes unchecked
-to the library function that takes it, and one not given is left to that
-function's default, but for ``character``'s order 2.  Rational values are
+to the library function that takes it (``t``, which the CLI iterates, must be a
+list), and one not given is left to that function's default, but for
+``character``'s order 2.  Rational values are
 emitted as exact ``"p/q"`` strings so that exactness survives the pipe,
 and reports are deterministic byte-for-byte for identical inputs, flags
 and version.
@@ -197,29 +198,15 @@ def parse_cone_spec(text: str) -> ConeSpec:
         raise SchemaError("rays: expected a nonempty list of integer vectors")
     rays = []
     for i, ray in enumerate(rays_doc):
-        if not isinstance(ray, list) or len(ray) != dim:
-            raise SchemaError("rays[%d]: expected %d integer entries" % (i, dim))
-        coords = []
-        for j, x in enumerate(ray):
-            value = _parse_scalar(x, "rays[%d][%d]" % (i, j))
-            if value.denominator != 1:
-                raise NonIntegerRay(
-                    "rays[%d][%d]: %s is not an integer" % (i, j, value)
-                )
-            coords.append(int(value))
-        rays.append(tuple(coords))
+        coords = _parse_vector(ray, dim, "rays[%d]" % i)
+        for j, x in enumerate(coords):
+            if x.denominator != 1:
+                raise NonIntegerRay("rays[%d][%d]: %s is not an integer" % (i, j, x))
+        rays.append(tuple(map(int, coords)))
     xi = _parse_vector(doc["xi"], dim, "xi") if "xi" in doc else None
     eta = _parse_vector(doc["eta"], dim, "eta") if "eta" in doc else None
-    boundary = None
-    if "boundary_coeffs" in doc:
-        raw = doc["boundary_coeffs"]
-        if not isinstance(raw, list) or len(raw) != len(rays):
-            raise SchemaError(
-                "boundary_coeffs: expected one rational per ray (%d)" % len(rays)
-            )
-        boundary = tuple(
-            _parse_scalar(v, "boundary_coeffs[%d]" % i) for i, v in enumerate(raw)
-        )
+    boundary = (_parse_vector(doc["boundary_coeffs"], len(rays), "boundary_coeffs")
+                if "boundary_coeffs" in doc else None)
     return ConeSpec(
         name=name,
         dim=dim,
@@ -236,18 +223,13 @@ def _flag(flags: dict, key: str, default=None):
     return default if value is None else value
 
 
-def _require_xi(spec: ConeSpec, flags: dict) -> Tuple[Fraction, ...]:
-    xi = _flag(flags, "xi", spec.xi)
-    if xi is None:
-        raise SchemaError("no Reeb vector: provide --xi or an 'xi' field")
-    return xi
-
-
-def _require_eta(spec: ConeSpec, flags: dict) -> Tuple[Fraction, ...]:
-    eta = _flag(flags, "eta", spec.eta)
-    if eta is None:
-        raise SchemaError("no direction: provide --eta or an 'eta' field")
-    return eta
+def _require(spec: ConeSpec, flags: dict, key: str) -> Tuple[Fraction, ...]:
+    """The vector of flag ``key`` ("xi" or "eta"), else the spec's field of that name."""
+    value = _flag(flags, key, getattr(spec, key))
+    if value is None:
+        what = "Reeb vector" if key == "xi" else "direction"
+        raise SchemaError("no %s: provide --%s or an '%s' field" % (what, key, key))
+    return value
 
 
 def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
@@ -288,7 +270,7 @@ def _warn_boundary(spec: ConeSpec) -> None:
 def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     from .stability import delta
 
-    xi = _require_xi(spec, flags)
+    xi = _require(spec, flags, "xi")
     _warn_boundary(spec)
     results.update(dataclasses.asdict(delta(cone, xi, spec.boundary_coeffs, experimental=True)))
 
@@ -304,14 +286,14 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -
 def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
     from .stability import futaki_pairing
 
-    xi = _require_xi(spec, flags)
-    eta = _require_eta(spec, flags)
+    xi = _require(spec, flags, "xi")
+    eta = _require(spec, flags, "eta")
     F, C = futaki_coefficients(cone, xi, eta)
     results.update(futaki=futaki_pairing(F, C), a0=F.a0, a1=F.a1, b0=C.b0, b1=C.b1)
 
 
 def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
-    xi = _require_xi(spec, flags)
+    xi = _require(spec, flags, "xi")
     order = _flag(flags, "order", 2)
     eta = _flag(flags, "eta", spec.eta)
     if isinstance(order, int) and order in (0, 1):  # closed form: no characters, no box points
@@ -335,9 +317,11 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
     from .characters import _default_cutoff, truncated_character_oracle
     from .stability import _oracle_table
 
-    xi = _require_xi(spec, flags)
+    xi = _require(spec, flags, "xi")
     m_max = flags.get("m_max")
     t_values = flags.get("t")
+    if t_values is not None and not isinstance(t_values, (list, tuple)):
+        raise ValueError("t must be a list of numbers, got %r" % (t_values,))
     if m_max is None and not t_values:
         raise SchemaError("oracle: provide --m-max and/or --t")
     if m_max is not None:
@@ -519,10 +503,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "max_iter", "probe_rational")
         if getattr(args, key, None) is not None
     }
-    if "xi" in flags:
-        flags["xi"] = tuple(flags["xi"])
-    if "eta" in flags:
-        flags["eta"] = tuple(flags["eta"])
     report, failure = _attempt(args.command, Path(args.spec), flags)
     payload = report.to_json()
     if args.json_out:

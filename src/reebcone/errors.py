@@ -32,8 +32,8 @@ class SchemaError(InputError):
     """Cone-spec document does not match the expected schema."""
 
 
-class DimensionMismatch(InputError):
-    """A vector's length disagrees with the declared ambient dimension."""
+class DimensionMismatch(InputError, ValueError):
+    """A vector's length disagrees with the ambient dimension (a ValueError too)."""
 
 
 class NonIntegerRay(InputError):

@@ -11,10 +11,11 @@ through the origin, give the index and weight characters to order 1, as
 :class:`LaurentSeries`.
 
 All computations with rational data are exact (``fractions.Fraction``).
-Any other Reeb vector is rounded to an mpf at the configured working
-precision p and split exactly into integer numerators over a power of two;
-the closed forms then sum integers, truncated in fixed point to p plus a
-guard of bits below each term, and round each output once to an mpf.
+Any other entry of a Reeb vector is rounded to an mpf at the configured
+working precision p and read as the dyadic rational it then is, so the
+vector is integer numerators over one denominator; the closed forms then sum
+integers, truncated in fixed point to p plus a guard of bits below each
+term, and round each output once to an mpf.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .config import DEFAULT_TOL, mp_context, precision_bits, ratio_type, to_mpf
+from .config import DEFAULT_TOL, mp_context, precision_bits, ratio_type
 from .errors import (
     DegenerateSolutionSet,
     DimensionMismatch,
@@ -185,12 +186,16 @@ def _validate_rays(cone_rays: Sequence[Sequence], dim: int) -> list[tuple[int, .
         raise DimensionMismatch(f"ambient dimension must be positive, got {dim}")
     if dim > MAX_DIM:
         raise ExceedsSupportedSize(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
-    if len(cone_rays) > MAX_RAYS:
-        raise ExceedsSupportedSize(f"{len(cone_rays)} rays exceed supported maximum {MAX_RAYS}")
+    try:
+        count, sizes = len(cone_rays), [len(raw) for raw in cone_rays]
+    except TypeError:
+        raise DimensionMismatch(f"rays must be a list of vectors, got {cone_rays!r}") from None
+    if count > MAX_RAYS:
+        raise ExceedsSupportedSize(f"{count} rays exceed supported maximum {MAX_RAYS}")
     rays = []
-    for k, raw in enumerate(cone_rays):
-        if len(raw) != dim:
-            raise DimensionMismatch(f"ray {k} has length {len(raw)}, expected {dim}")
+    for k, (raw, size) in enumerate(zip(cone_rays, sizes)):
+        if size != dim:
+            raise DimensionMismatch(f"ray {k} has length {size}, expected {dim}")
         entries = []
         for x in raw:
             if isinstance(x, Fraction) and x.denominator == 1:
@@ -311,20 +316,19 @@ def gorenstein_vector(cone: ToricCone,
     """The rational covector with <v_i, l> = 1 on all ray generators.
 
     With per-ray boundary coefficients c_i (experimental log-pair support)
-    the right-hand side becomes 1 - c_i.  Raises NotQGorenstein when the
-    system is inconsistent and DegenerateSolutionSet when it has a
+    the right-hand side becomes 1 - c_i, read by :func:`numerators`, one per
+    ray, each in [0, 1) (ValueError).  Raises NotQGorenstein when the system
+    is inconsistent and DegenerateSolutionSet when it has a
     positive-dimensional solution set.
     """
     if boundary is None:
         rhs = (1,) * len(cone.rays)
     else:
-        if len(boundary) != len(cone.rays):
-            raise DimensionMismatch("one boundary coefficient per ray is required")
-        coeffs = [Fraction(c) for c in boundary]
-        for c in coeffs:
-            if not 0 <= c < 1:
-                raise ValueError(f"boundary coefficient {c} outside [0, 1)")
-        rhs = tuple(1 - c for c in coeffs)
+        [(c_num, c_d)], _ = numerators(len(cone.rays), boundary=boundary)
+        for c in c_num:
+            if not 0 <= c < c_d:
+                raise ValueError(f"boundary coefficient {Fraction(c, c_d)} outside [0, 1)")
+        rhs = tuple(Fraction(c_d - c, c_d) for c in c_num)
     try:
         return _solve_gorenstein(cone, rhs)
     except linalg.LinearSystemInconsistent as exc:
@@ -347,21 +351,12 @@ def _solve_gorenstein(cone: ToricCone, rhs: tuple) -> GorensteinVector:
 # ---------------------------------------------------------------------------
 
 def reeb_numerators(n: int, xi, eta: Optional[Sequence] = None) -> tuple[list, bool]:
-    """xi (and eta) as the pairs of :func:`numerators`, and whether they are exact.
-
-    The one coercion of every function that takes xi: unwraps a ReebVector
-    and raises DimensionMismatch unless xi (and eta) have length n.  The
-    exact flag picks the arithmetic of the whole call: Fractions when xi and
-    eta are rational, otherwise the working precision of
-    :func:`reebcone.config.mp_context`.
-    """
+    """xi (a ReebVector unwrapped) and eta of length n as :func:`numerators`:
+    the coercion of every function that takes xi, whose exact flag picks the
+    arithmetic of the whole call, Fractions or the working precision."""
     if isinstance(xi, ReebVector):
         xi = xi.xi
-    vecs = {"xi": xi} if eta is None else {"xi": xi, "eta": eta}
-    for name, vec in vecs.items():
-        if len(vec) != n:
-            raise DimensionMismatch(f"{name} has length {len(vec)}, expected {n}")
-    return numerators(list(vecs.values()))
+    return numerators(n, xi=xi) if eta is None else numerators(n, xi=xi, eta=eta)
 
 
 def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
@@ -378,7 +373,7 @@ def reeb_vector(cone: ToricCone, xi: Sequence) -> ReebVector:
         normalized = abs(ratio(a - b, b)) <= (0 if exact else DEFAULT_TOL)
     except (NotQGorenstein, DegenerateSolutionSet):
         normalized = False
-    # exact on both paths: a dyadic numerator has at most the working precision's bits
+    # exact for rational xi, and for a dyadic one within the precision; else rounded once
     return ReebVector(xi=tuple(ratio(x, d) for x in xi_num), normalized=normalized)
 
 
@@ -485,38 +480,63 @@ def _common_denominator(vec: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (d // x.denominator) for x in vec), d
 
 
-def numerators(vecs: Sequence[Sequence]) -> tuple[list, bool]:
-    """Vectors as ``(numerators, denominator)`` pairs, and whether they are exact.
+def numerators(n: Optional[int], **vecs) -> tuple[list, bool]:
+    """The named vectors as ``(numerators, denominator)`` pairs, in order, and
+    whether they are exact: the one coercion of every vector the library takes.
 
-    Rational vectors become integer numerators over their least common
-    denominator d.  Anything else is rounded to mpf at the working precision
-    and split exactly into its dyadic parts man 2^exp, so its numerators are
-    ints over d = 2^k, the least power of two that clears every exp.  NaN
-    and infinite entries, which have no such parts, raise UnboundedSlice;
-    numerators or d wider than the precision plus ``_MAX_SPREAD_BITS`` bits
-    raise ExceedsSupportedSize.  Either way the closed forms run on ints.
+    Each must be a sequence, not a str, of length n (any length when n is
+    None): ValueError otherwise, DimensionMismatch for a wrong length.  Every
+    integer, NumPy's too, and every Fraction is exact; any other entry makes
+    the call inexact and is read by :func:`_dyadic`.  Each vector becomes
+    integer numerators over the least common denominator d of its entries, so
+    the closed forms run on ints; in an inexact call, numerators or d wider
+    than the precision plus ``_MAX_SPREAD_BITS`` bits raise ExceedsSupportedSize.
     """
-    if all(isinstance(x, (int, Fraction)) for vec in vecs for x in vec):
-        return [_common_denominator(vec) for vec in vecs], True
+    out, exact = [], True
+    for name, vec in vecs.items():
+        try:
+            size = None if isinstance(vec, (str, bytes)) else len(vec)
+        except TypeError:
+            size = None
+        if size is None:
+            raise ValueError(f"{name} must be a sequence of numbers, got {vec!r}")
+        if n is not None and size != n:
+            raise DimensionMismatch(f"{name} has length {size}, expected {n}")
+        row = []
+        for x in vec:
+            if not isinstance(x, Fraction):
+                try:
+                    x = operator.index(x)  # any integer, NumPy's too
+                except TypeError:
+                    x, exact = _dyadic(name, x), False
+            row.append(x)
+        nums, d = _common_denominator(row)
+        if not exact:
+            width, limit = max(map(int.bit_length, (d, *nums))), precision_bits() + _MAX_SPREAD_BITS
+            if width > limit:
+                raise ExceedsSupportedSize(f"binary exponents of {name} spread over {width} "
+                                           f"bits, beyond the supported {limit}")
+        out.append((nums, d))
+    return out, exact
+
+
+def _dyadic(name: str, x):
+    """A number other than an integer or a Fraction, rounded to mpf at the working
+    precision, as the dyadic rational man 2^exp it then is.  ValueError for what
+    mpmath cannot take (None, a str), UnboundedSlice for NaN and infinities."""
     ctx = mp_context()
-    out = []
-    for vec in vecs:
-        values = [to_mpf(x, ctx) for x in vec]
-        if not all(map(ctx.isfinite, values)):
-            raise UnboundedSlice(f"non-finite entry in {[str(x) for x in values]}")
-        # (sign, man, exp), man odd or 0; int(man) because mpmath's gmpy
-        # backend stores mantissas as mpz
-        parts = [(sign, int(man), exp) for sign, man, exp, _ in (x._mpf_ for x in values)]
-        k = max([0] + [-exp for _, man, exp in parts if man])
-        nums = tuple((-man if sign else man) << (exp + k) for sign, man, exp in parts)
-        width = max(k, *map(int.bit_length, nums))
-        if width > ctx.prec + _MAX_SPREAD_BITS:
-            raise ExceedsSupportedSize(
-                f"binary exponents of {[str(x) for x in values]} spread over {width} bits, "
-                f"beyond the supported {ctx.prec + _MAX_SPREAD_BITS}"
-            )
-        out.append((nums, 1 << k))
-    return out, False
+    try:
+        value = None if isinstance(x, (str, bytes)) else ctx.mpf(x)  # mpmath would parse a str
+    except TypeError:
+        value = None
+    if value is None:
+        raise ValueError(f"{name} has an entry that is not a number: {x!r}")
+    if not ctx.isfinite(value):
+        raise UnboundedSlice(f"non-finite entry {value} in {name}")
+    # man odd or 0; int(man) because mpmath's gmpy backend stores mantissas as mpz
+    sign, man, exp, _ = value._mpf_
+    man = -int(man) if sign else int(man)
+    return man << exp if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _slice_pairings(cone: ToricCone, xi_num: Sequence) -> dict:

@@ -65,17 +65,14 @@ class ToricValuation:
 
 def toric_valuation(cone: ToricCone, v) -> ToricValuation:
     """Validate ``v in sigma - {0}`` and wrap it as a valuation: the one coercion of
-    every v taken here, so a :class:`ToricValuation` is checked against this cone too."""
-    vv = v.v if isinstance(v, ToricValuation) else tuple(
-        x if isinstance(x, Fraction) else Fraction(x) for x in v)
-    if len(vv) != cone.dim:
-        raise ValueError(
-            "valuation vector has length %d, expected %d" % (len(vv), cone.dim)
-        )
-    if all(x == 0 for x in vv):
+    every v taken here, so a :class:`ToricValuation` is checked against this cone too.
+    ``v`` is read by :func:`reebcone.geometry.numerators`, so an mpf or float entry
+    is the dyadic rational it stands for; ValueError at the apex and outside sigma."""
+    [(v_num, d)], _ = numerators(cone.dim, v=v.v if isinstance(v, ToricValuation) else v)
+    vv = tuple(Fraction(x, d) for x in v_num)
+    if not any(v_num):
         raise ValueError("the apex v = 0 does not define a valuation")
-    v_num, _ = _common_denominator(vv)  # d v, d > 0: the signs of v's pairings, in ints
-    if not cone.contains(v_num):
+    if not cone.contains(v_num):  # d v, d > 0: the signs of v's pairings, in ints
         raise ValueError("v = %s lies outside the cone" % (vv,))
     return ToricValuation(v=vv, interior=cone.interior_contains(v_num))
 
@@ -256,11 +253,12 @@ def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):
     bounds the whole profile on the side determined by the sign of
     ``A(v) - S'(v)``.  Returned as a tuple of ``(t, f(t))`` pairs.
 
-    With ``S'(v) = s / s_d`` from :func:`s_prime` and ``t = t_num / t_d``
-    (:func:`reebcone.geometry.numerators`), ``t`` and ``f(t)`` are one int ratio
-    each, ``f(t)`` over ``d l_d s_d t_d``; UnboundedSlice if ``S'(v) + t A(xi) <= 0``.
+    With ``S'(v) = s / s_d`` from :func:`s_prime` and ``t = t_num / t_d``, the t values
+    one vector of :func:`reebcone.geometry.numerators`, ``t`` and ``f(t)`` are one int
+    ratio each, ``f(t)`` over ``d l_d s_d t_d``; UnboundedSlice if ``S'(v) + t A(xi) <= 0``.
     """
     val = toric_valuation(cone, v)
+    [(t_nums, t_d)], _ = numerators(None, t=t_values)
     sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
     ratio = ratio_type(sums.exact)
     v_num, v_d = _common_denominator(val.v)
@@ -268,8 +266,7 @@ def ratio_profile(cone: ToricCone, xi, v, t_values: Sequence):
     # A(v), A(xi) and S'(v) times d l_d s_d
     a_v, a_xi, s = linalg.dot(v_num, sums.l_num) * sums.d * sums.den, sums.a * s_d, s * sums.d * sums.l_d
     out = []
-    for t in t_values:
-        [((t_num,), t_d)], _ = numerators([(t,)])
+    for t_num in t_nums:
         den = s * t_d + t_num * a_xi
         if den <= 0:
             raise UnboundedSlice("ratio profile hit a nonpositive denominator")

@@ -575,7 +575,7 @@ class TestBoxPointKernel:
         for cone, xi, eta in self.mpf_cases():
             pieces = decompose_dual(cone)
             xi_mp = tuple(to_mpf(x, ctx) for x in xi)
-            [(nums, d)], _ = numerators([xi_mp])
+            [(nums, d)], _ = numerators(len(xi_mp), xi=xi_mp)
             dyadic = tuple(Fraction(x, d) for x in nums)
             for order in range(MAX_ORDER + 1):
                 pairs = [(index_character(pieces, dyadic, order=order),

@@ -272,6 +272,19 @@ FLAG_CASES = [
     ("oracle", {"t": [math.nan]}, "UsageError", "t " + _POSITIVE_FINITE),
     ("oracle", {"t": [math.inf]}, "UsageError", "t " + _POSITIVE_FINITE),
     ("oracle", {"t": [0.5], "cutoff": "x"}, "UsageError", "cutoff " + _POSITIVE_FINITE),
+    ("oracle", {"t": 0.5}, "UsageError", "t must be a list"),
+    ("oracle", {"t": "1"}, "UsageError", "t must be a list"),
+]
+# a vector flag that is not a sequence, a str or holds a None, through every subcommand
+# that reads it (oracle reads xi with --m-max and eta with --t)
+FLAG_CASES += [
+    (command, {key: bad, **extra}, "UsageError", key + message)
+    for key, commands in (("xi", ("check", "delta", "minimize", "futaki", "character", "oracle")),
+                          ("eta", ("futaki", "character", "oracle")))
+    for command in commands
+    for extra in [{} if command != "oracle" else {"m_max": 1} if key == "xi" else {"t": [0.5]}]
+    for bad, message in ((3, " must be a sequence"), ("211", " must be a sequence"),
+                         ((1, None, 1), " has an entry that is not a number"))
 ]
 
 

@@ -19,6 +19,7 @@ import reebcone.geometry as geometry
 import reebcone.linalg as linalg
 from reebcone import (
     DegenerateSolutionSet,
+    DimensionMismatch,
     ExceedsSupportedSize,
     GorensteinVector,
     InputError,
@@ -150,6 +151,12 @@ class TestDualCone:
     def test_non_integer_ray(self):
         with pytest.raises(NonIntegerRay):
             dual_cone([(1, 0), (0, Fraction(1, 2))], 2)
+
+    @pytest.mark.parametrize("rays", [3, None, [(1, 0, 0), 5, (0, 0, 1)], [(1, 0, 0), None]])
+    def test_rays_not_a_list_of_vectors(self, rays):
+        # a DimensionMismatch, hence a ValueError, not a raw TypeError from len()
+        with pytest.raises(DimensionMismatch, match="rays must be a list of vectors"):
+            dual_cone(rays, 3)
 
     def test_numpy_integer_rays(self):
         rays = [(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)]

@@ -588,7 +588,7 @@ class TestWorkingPrecision:
         # type mpmath's backend stores its mantissas in
         ctx = mp_context()
         xi = (to_mpf(Fraction(1, 3), ctx), ctx.mpf(-2.5), ctx.mpf(0), ctx.mpf(3) * 2 ** 200)
-        [(nums, d)], exact = geometry.numerators([xi])
+        [(nums, d)], exact = geometry.numerators(len(xi), xi=xi)
         assert not exact
         assert all(type(x) is int for x in nums + (d,))
         assert [Fraction(x, d) for x in nums] == [_exact(x) for x in xi]

@@ -1,0 +1,127 @@
+"""Every vector argument of the library is read by one coercion,
+``geometry.numerators``: a bad vector is a ValueError (DimensionMismatch, itself a
+ValueError, for a wrong length) before any work, and a NumPy integer or an mpf
+equal to an integer gives the exact result of that integer."""
+
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+
+from reebcone import (
+    DimensionMismatch,
+    character_series,
+    decompose_dual,
+    delta,
+    futaki_product,
+    gorenstein_vector,
+    index_character,
+    lattice_points,
+    minimize_volume,
+    polytope_Q,
+    ratio_profile,
+    reeb_vector,
+    s_m_oracle,
+    s_prime,
+    s_value,
+    toric_valuation,
+    truncated_character_oracle,
+    weight_character,
+)
+from reebcone.geometry import futaki_coefficients, lattice_rows
+from conftest import make_conifold, make_orthant3
+
+XI, ETA, V, B, T = (2, Fraction(1, 2), Fraction(1, 2)), (0, 1, 0), (1, 0, 0), (0, 0, 0, 0), (0, 1)
+
+# (name, call of the one bad vector) over the conifold, whose 4 rays give 4 boundary coefficients
+CALLS = [
+    ("xi", lambda c, p, x: reeb_vector(c, x)),
+    ("xi", lambda c, p, x: polytope_Q(c, x)),
+    ("xi", lambda c, p, x: futaki_coefficients(c, x, ETA)),
+    ("eta", lambda c, p, x: futaki_coefficients(c, XI, x)),
+    ("xi", lambda c, p, x: lattice_points(c, x, 1)),
+    ("xi", lambda c, p, x: lattice_rows(c, x, 1)),
+    ("xi", lambda c, p, x: delta(c, x)),
+    ("boundary", lambda c, p, x: delta(c, XI, x, experimental=True)),
+    ("boundary", lambda c, p, x: gorenstein_vector(c, x)),
+    ("v", lambda c, p, x: toric_valuation(c, x)),
+    ("xi", lambda c, p, x: s_value(c, x, V)),
+    ("v", lambda c, p, x: s_value(c, XI, x)),
+    ("xi", lambda c, p, x: s_prime(c, x, V)),
+    ("v", lambda c, p, x: s_prime(c, XI, x)),
+    ("xi", lambda c, p, x: s_m_oracle(c, x, V, 1)),
+    ("v", lambda c, p, x: s_m_oracle(c, XI, x, 1)),
+    ("xi", lambda c, p, x: futaki_product(c, x, ETA)),
+    ("eta", lambda c, p, x: futaki_product(c, XI, x)),
+    ("xi", lambda c, p, x: ratio_profile(c, x, V, T)),
+    ("v", lambda c, p, x: ratio_profile(c, XI, x, T)),
+    ("t", lambda c, p, x: ratio_profile(c, XI, V, x)),
+    ("xi", lambda c, p, x: index_character(p, x)),
+    ("xi", lambda c, p, x: weight_character(p, x, ETA)),
+    ("eta", lambda c, p, x: weight_character(p, XI, x)),
+    ("xi", lambda c, p, x: character_series(p, x, ETA)),
+    ("eta", lambda c, p, x: character_series(p, XI, x)),
+    ("xi", lambda c, p, x: truncated_character_oracle(c, x, None, 0.5, 50)),
+    ("eta", lambda c, p, x: truncated_character_oracle(c, XI, x, 0.5, 50)),
+    ("xi", lambda c, p, x: minimize_volume(c, start=x)),
+]
+# (kind, bad value of length n, message); t takes any length, so it has no wrong one
+BAD = [
+    ("not a sequence", lambda n: 3, "must be a sequence of numbers"),
+    ("str", lambda n: "1" * n, "must be a sequence of numbers"),
+    ("None entry", lambda n: (None,) + (0,) * (n - 1), "has an entry that is not a number"),
+    ("wrong length", lambda n: (1,) * (n - 1), "has length"),
+]
+LENGTH = {"xi": 3, "eta": 3, "v": 3, "boundary": 4, "t": 2}
+CASES = [(name, call, kind, bad(LENGTH[name]), message)
+         for name, call in CALLS for kind, bad, message in BAD
+         if not (name == "t" and kind == "wrong length")]
+
+
+@pytest.fixture(scope="module")
+def cone_and_pieces():
+    cone = make_conifold()
+    return cone, decompose_dual(cone)
+
+
+@pytest.mark.parametrize("name, call, kind, bad, message", CASES, ids=[
+    "%s-%s-%s" % (CALLS.index((name, call)), name, kind.replace(" ", "-"))
+    for name, call, kind, _, _ in CASES])
+def test_bad_vector_is_a_value_error(cone_and_pieces, name, call, kind, bad, message):
+    with pytest.raises(ValueError, match=f"{name} {message}") as info:
+        call(*cone_and_pieces, bad)
+    assert isinstance(info.value, DimensionMismatch) == (kind == "wrong length")
+
+
+def test_numpy_integers_are_exact(cone_and_pieces):
+    # the same Fractions, type and value, as the equal Python ints
+    cone, pieces = cone_and_pieces
+    xi, eta, v, boundary = (4, 1, 1), (0, 1, 0), (1, 1, 1), (0, 0, 0, 0)
+    xi_np, eta_np, v_np = (np.array(x, dtype=np.int64) for x in (xi, eta, v))
+    boundary_np = tuple(np.int64(c) for c in boundary)
+    for call in (lambda x, e, w, b: polytope_Q(cone, x),
+                 lambda x, e, w, b: delta(cone, x),
+                 lambda x, e, w, b: futaki_coefficients(cone, x, e),
+                 lambda x, e, w, b: character_series(pieces, x, e, 2),
+                 lambda x, e, w, b: lattice_points(cone, x, 2),
+                 lambda x, e, w, b: s_value(cone, x, w),
+                 lambda x, e, w, b: (gorenstein_vector(cone, b),
+                                     delta(cone, x, b, experimental=True))):
+        assert repr(call(xi_np, eta_np, v_np, boundary_np)) == repr(call(xi, eta, v, boundary))
+    # beside a float, a NumPy integer is the int it stands for
+    mixed = (np.int64(4), 1.0, 1.0)
+    assert repr(polytope_Q(cone, mixed)) == repr(polytope_Q(cone, (4, 1.0, 1.0)))
+
+
+def test_mpf_valuation_and_boundary_are_exact(cone_and_pieces):
+    # an mpf v or boundary coefficient is the dyadic rational it stands for
+    cone, _ = cone_and_pieces
+    one, zero = mpmath.mpf(1), mpmath.mpf(0)
+    for v, w in (((1, 1, 1), (one, one, one)), ((1, 0, 0), (one, zero, zero))):
+        assert repr(s_value(cone, XI, w)) == repr(s_value(cone, XI, v))
+        assert toric_valuation(cone, w) == toric_valuation(cone, v)
+    assert gorenstein_vector(cone, (zero,) * 4) == gorenstein_vector(cone, B)
+    orthant3 = make_orthant3()
+    assert gorenstein_vector(orthant3, (mpmath.mpf(0.5), zero, zero)) == gorenstein_vector(
+        orthant3, (Fraction(1, 2), 0, 0))

@@ -48,6 +48,16 @@ MUTANTS = [
     ("positive-finite-bound", "geometry.py",
      "0 < value <= sys.float_info.max", "0 < value",
      "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
+    # geometry: the one coercion of a vector argument
+    ("numerators-numpy-int", "geometry.py",
+     "x = operator.index(x)  # any integer, NumPy's too", "x = int.__index__(x)",
+     "tests/test_vectors.py::test_numpy_integers_are_exact"),
+    ("numerators-length", "geometry.py",
+     "if n is not None and size != n:", "if False:",
+     "tests/test_characters.py::TestWrongLength::test_eta[eta0]"),
+    ("numerators-str", "geometry.py",
+     "size = None if isinstance(vec, (str, bytes)) else len(vec)", "size = len(vec)",
+     "tests/test_cli.py::TestInProcessFlags::test_flag_outside_its_domain[check-xi='211']"),
     # geometry: double description, triangulation, slice sums
     ("dd-adjacency-rank", "geometry.py",
      "common.bit_count() >= dim - 2", "common.bit_count() >= dim - 1",
@@ -137,8 +147,9 @@ MUTANTS = [
      "tests/test_lattice.py::test_shell_counts_match_brute_force[kgon-negative]"),
     # stability: the one coercion of a valuation, delta and its working-precision tolerances
     ("valuation-unchecked", "stability.py",
-     "    vv = v.v if isinstance(v, ToricValuation) else tuple(",
-     "    if isinstance(v, ToricValuation):\n        return v\n    vv = tuple(",
+     "    [(v_num, d)], _ = numerators(cone.dim, v=v.v if isinstance(v, ToricValuation) else v)",
+     "    if isinstance(v, ToricValuation):\n        return v\n"
+     "    [(v_num, d)], _ = numerators(cone.dim, v=v)",
      "tests/test_stability.py::TestToricValuation::test_valuation_of_another_cone_is_checked"),
     ("delta-tie-inclusive", "stability.py",
      "<= tie_num * low_a * s)", "< tie_num * low_a * s)",
