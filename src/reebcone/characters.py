@@ -41,6 +41,7 @@ from . import linalg
 from .config import ratio_type
 from .errors import (
     CutoffTooSmall,
+    DimensionMismatch,
     ExceedsSupportedSize,
     OrderTooLarge,
     UnboundedSlice,
@@ -280,12 +281,15 @@ def character_series(pieces: Sequence[SimplicialPiece], xi, eta=None,
     K) / (N! G^n L) at t^(j-n), and -d^(n+1-j) sum_k V_j (L / K)^2 / (e N! G^n
     L^2) at t^(j-n-1), C = -(1/t) d/ds F(xi + s eta)|_{s=0}.  Fractions for
     rational xi and eta, else mpfs at the working precision.  ValueError on
-    no pieces, and :func:`check_order`'s errors on a bad order, before any work.
+    no pieces, DimensionMismatch unless every piece has n generators of length
+    n, and :func:`check_order`'s errors on a bad order, before any work.
     """
     order = check_order(order)
     if not pieces:
         raise ValueError("no simplicial pieces: pass those of decompose_dual")
     n = len(pieces[0].generators)
+    if any(len(p.generators) != n or any(len(u) != n for u in p.generators) for p in pieces):
+        raise DimensionMismatch(f"pieces of more than one dimension: the first has {n} generators")
     pairs, exact = reeb_numerators(n, xi, eta)
     (xi_num, d), (eta_num, e) = [*pairs, (None, 1)][:2]
     g = [_g_coeff(j) for j in range(order + 1)]

@@ -21,9 +21,8 @@ and ``oracle``, :mod:`reebcone.characters` for ``oracle`` and for one
 with the first mpf (``minimize``), numpy with the lattice oracles
 (``oracle``).
 
-Exit codes: 0 success, 1 usage, 2 malformed input, 3 mathematical
-domain error (not Q-Gorenstein, irrational Reeb where rationality is
-required, ...), 4 non-convergence.
+Exit codes: 0 success, 1 usage, else the ``exit_code`` of the error's type
+in :mod:`reebcone.errors`.
 """
 
 from __future__ import annotations
@@ -43,20 +42,11 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .config import DEFAULT_TOL, precision_bits
-from .errors import (
-    ConvergenceError,
-    InputError,
-    MathDomainError,
-    NonIntegerRay,
-    ReebconeError,
-    ReebconeWarning,
-    SchemaError,
-)
+from .errors import InputError, NonIntegerRay, ReebconeError, ReebconeWarning, SchemaError
 # every subcommand builds its cone here; each runner imports the other layers
 # it calls, so a cold call loads only those
 from .geometry import ToricCone, dual_cone, futaki_coefficients, gorenstein_vector, reeb_vector
 
-COMMANDS = ("check", "delta", "minimize", "futaki", "character", "oracle")
 MAX_EXPONENT = 4300  # largest |exponent| of a decimal input such as 1e-4300
 
 
@@ -109,11 +99,13 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj):
         return _jsonable(dataclasses.asdict(obj))
-    return float(obj)
+    try:
+        len(obj)  # any other sized iterable, a NumPy array included, is a list
+    except TypeError:  # a scalar: an mpf, a NumPy number or a 0-d array
+        return float(obj)
+    return [_jsonable(v) for v in obj]
 
 
 def _rational(token: str) -> Fraction:
@@ -236,7 +228,6 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
     results["dim"] = cone.dim
     results["rays"] = [list(v) for v in cone.rays]
     results["dual_rays"] = [list(u) for u in cone.dual_rays]
-    _warn_boundary(spec)
     l = gorenstein_vector(cone, boundary=spec.boundary_coeffs)
     results["gorenstein"] = {"l": list(l.l)}
     results["q_gorenstein"] = True
@@ -257,7 +248,8 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
 
 
 def _warn_boundary(spec: ConeSpec) -> None:
-    """Warn of a boundary divisor: in a spec file, the CLI user's opt-in to it."""
+    """Warn of a boundary divisor: in a spec file, the CLI user's opt-in to it.
+    Every subcommand warns; only ``check`` and ``delta`` read the divisor."""
     if spec.boundary_coeffs is not None:
         warnings.warn(
             "boundary divisor coefficients are experimental and excluded "
@@ -271,7 +263,6 @@ def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
     from .stability import delta
 
     xi = _require(spec, flags, "xi")
-    _warn_boundary(spec)
     results.update(dataclasses.asdict(delta(cone, xi, spec.boundary_coeffs, experimental=True)))
 
 
@@ -341,14 +332,16 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
         }
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "delta": _run_delta,
-    "minimize": _run_minimize,
-    "futaki": _run_futaki,
-    "character": _run_character,
-    "oracle": _run_oracle,
+# each subcommand's runner and help line
+_COMMAND_TABLE = {
+    "check": (_run_check, "Q-Gorenstein check, Reeb membership and K-ss verdict"),
+    "delta": (_run_delta, "stability threshold delta and barycenter report"),
+    "minimize": (_run_minimize, "normalized-volume-minimizing Reeb vector"),
+    "futaki": (_run_futaki, "Futaki pairing Fut(xi; eta)"),
+    "character": (_run_character, "index/weight character Laurent coefficients"),
+    "oracle": (_run_oracle, "brute-force S_m table and truncated character sums"),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run(command: str, spec, flags: Optional[dict] = None) -> Report:
@@ -385,14 +378,18 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
                     raise InputError(str(exc)) from exc
                 except UnicodeDecodeError as exc:
                     raise SchemaError("spec is not UTF-8: %s" % exc) from exc
+            if not isinstance(spec, str):
+                raise SchemaError("spec: expected JSON text or a Path, got %s"
+                                  % type(spec).__name__)
             text = spec
             spec = parse_cone_spec(text)
             name = spec.name
             cone = dual_cone(spec.rays, spec.dim)
-            _RUNNERS[command](cone, spec, flags, results)
+            _warn_boundary(spec)
+            _COMMAND_TABLE[command][0](cone, spec, flags, results)
         except (ReebconeError, ValueError) as exc:
             failure = exc
-    floaty = command == "minimize" or (command == "oracle" and flags.get("t"))
+    floaty = command == "minimize" or (command == "oracle" and flags.get("t") is not None)
     provenance = {
         "package": "reebcone",
         "version": __version__,
@@ -400,10 +397,6 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
         "precision_bits": bits,
         "tol": _flag(flags, "tol", DEFAULT_TOL),  # as given: minimize_volume checks it
     }
-    error = None
-    if failure is not None:
-        kind = type(failure).__name__ if isinstance(failure, ReebconeError) else "UsageError"
-        error = {"type": kind, "message": str(failure)}
     digest = "" if text is None else "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     report = Report(
         command=command,
@@ -413,9 +406,15 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
         results=results,
         provenance=provenance,
         warnings=tuple(str(w.message) for w in caught),
-        error=error,
+        error=None if failure is None else _error_block(failure),
     )
     return report, failure
+
+
+def _error_block(exc: Exception) -> dict:
+    """A report's ``error``: a ValueError not of the package is a usage error."""
+    kind = type(exc).__name__ if isinstance(exc, ReebconeError) else "UsageError"
+    return {"type": kind, "message": str(exc)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -451,14 +450,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, blurb in (
-        ("check", "Q-Gorenstein check, Reeb membership and K-ss verdict"),
-        ("delta", "stability threshold delta and barycenter report"),
-        ("minimize", "normalized-volume-minimizing Reeb vector"),
-        ("futaki", "Futaki pairing Fut(xi; eta)"),
-        ("character", "index/weight character Laurent coefficients"),
-        ("oracle", "brute-force S_m table and truncated character sums"),
-    ):
+    for command, (_, blurb) in _COMMAND_TABLE.items():
         p = sub.add_parser(command, help=blurb)
         p.add_argument("--spec", required=True, help="path to a cone spec (JSON)")
         p.add_argument("--xi", nargs="+", type=_fraction_arg, metavar="C",
@@ -485,35 +477,23 @@ def _build_parser() -> _Parser:
 
 
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, InputError):
-        return 2
-    if isinstance(exc, MathDomainError):
-        return 3
-    if isinstance(exc, ConvergenceError):
-        return 4
-    return 1
+    return getattr(exc, "exit_code", 1)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    flags = {
-        key: getattr(args, key)
-        for key in ("xi", "eta", "order", "tol", "m_max", "t", "cutoff",
-                    "max_iter", "probe_rational")
-        if getattr(args, key, None) is not None
-    }
-    report, failure = _attempt(args.command, Path(args.spec), flags)
+    args = vars(parser.parse_args(argv))
+    command, spec, json_out = args.pop("command"), args.pop("spec"), args.pop("json_out")
+    flags = {key: value for key, value in args.items() if value is not None}
+    report, failure = _attempt(command, Path(spec), flags)
     payload = report.to_json()
-    if args.json_out:
+    if json_out:
         # written before stdout, so that a failed write is the report's error
         try:
-            Path(args.json_out).write_text(payload, encoding="utf-8")
+            Path(json_out).write_text(payload, encoding="utf-8")
         except OSError as exc:
             failure = InputError("cannot write --json-out: %s" % exc)
-            payload = dataclasses.replace(
-                report, error={"type": "InputError", "message": str(failure)}
-            ).to_json()
+            payload = dataclasses.replace(report, error=_error_block(failure)).to_json()
     sys.stdout.write(payload)
     return 0 if failure is None else _exit_code(failure)
 

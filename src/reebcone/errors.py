@@ -1,8 +1,8 @@
 """Exception and warning types shared across the package.
 
-Exit-code classes used by the CLI: usage errors are handled by argparse,
-input errors map to exit code 2, mathematical domain errors to 3, and
-non-convergence to 4.
+Each exit-code class carries the code the CLI exits with as ``exit_code``:
+2 for input errors, 3 for mathematical domain errors and 4 for
+non-convergence.  Any other failure, a usage error included, exits 1.
 """
 
 
@@ -22,10 +22,12 @@ class RedundantRayWarning(ReebconeWarning):
     """An input ray was not an extreme ray of the generated cone and was dropped."""
 
 
-# -- input errors (exit code 2) ------------------------------------------
+# -- input errors ---------------------------------------------------------
 
 class InputError(ReebconeError):
     """Structurally invalid input."""
+
+    exit_code = 2
 
 
 class SchemaError(InputError):
@@ -52,10 +54,12 @@ class ExceedsSupportedSize(InputError):
     """Input is beyond the supported desk-scale bounds."""
 
 
-# -- mathematical domain errors (exit code 3) ----------------------------
+# -- mathematical domain errors -------------------------------------------
 
 class MathDomainError(ReebconeError):
     """The requested quantity is undefined for this input."""
+
+    exit_code = 3
 
 
 class NotQGorenstein(MathDomainError):
@@ -82,10 +86,12 @@ class CutoffTooSmall(MathDomainError):
     """Truncated-sum tail estimate exceeds the requested tolerance."""
 
 
-# -- non-convergence (exit code 4) ----------------------------------------
+# -- non-convergence ------------------------------------------------------
 
 class ConvergenceError(ReebconeError):
     """An iterative method failed to converge."""
+
+    exit_code = 4
 
 
 class MaxIterations(ConvergenceError):

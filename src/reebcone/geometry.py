@@ -280,6 +280,10 @@ def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
     or NotPointed on degenerate input, and ExceedsSupportedSize as soon as
     the double description holds more than MAX_DUAL_RAYS rays.
     """
+    try:
+        dim = operator.index(dim)  # any integer, NumPy's too, as an int
+    except TypeError:
+        raise DimensionMismatch(f"ambient dimension must be an integer, got {dim!r}") from None
     rays = _validate_rays(cone_rays, dim)
     unique: dict[tuple[int, ...], None] = {}
     for k, r in enumerate(rays):
@@ -494,12 +498,7 @@ def numerators(n: Optional[int], **vecs) -> tuple[list, bool]:
     """
     out, exact = [], True
     for name, vec in vecs.items():
-        try:
-            size = None if isinstance(vec, (str, bytes)) else len(vec)
-        except TypeError:
-            size = None
-        if size is None:
-            raise ValueError(f"{name} must be a sequence of numbers, got {vec!r}")
+        size = _sequence_length(name, vec)
         if n is not None and size != n:
             raise DimensionMismatch(f"{name} has length {size}, expected {n}")
         row = []
@@ -518,6 +517,17 @@ def numerators(n: Optional[int], **vecs) -> tuple[list, bool]:
                                            f"bits, beyond the supported {limit}")
         out.append((nums, d))
     return out, exact
+
+
+def _sequence_length(name: str, vec) -> int:
+    """``len(vec)``, with ValueError unless ``vec`` is a sequence and not a str."""
+    try:
+        size = None if isinstance(vec, (str, bytes)) else len(vec)
+    except TypeError:
+        size = None
+    if size is None:
+        raise ValueError(f"{name} must be a sequence of numbers, got {vec!r}")
+    return size
 
 
 def _dyadic(name: str, x):

@@ -35,6 +35,7 @@ from typing import Optional, Sequence, Tuple
 
 from .config import DEFAULT_TOL
 from .errors import (
+    DimensionMismatch,
     ExceedsSupportedSize,
     MaxIterations,
     NonConvergent,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .geometry import ReebVector, ToricCone, gorenstein_vector, polytope_Q, reeb_vector, simplices
 from .geometry import CONE_CACHE_SIZE, _positive_finite, _positive_int, _simplex_sums
-from .geometry import _slice_pairings, _slice_sums, _volume_sums
+from .geometry import _sequence_length, _slice_pairings, _slice_sums, _volume_sums
 from . import linalg
 
 MAX_GRID_SAMPLES = 10**4
@@ -107,15 +108,23 @@ def _chart(cone: ToricCone):
 
 
 def _embed(cone: ToricCone, coords: Sequence) -> Tuple[float, ...]:
-    """Map chart coordinates to the full Reeb vector on the slice, in floats."""
+    """Map chart coordinates to the full Reeb vector on the slice, in floats.
+
+    ValueError unless ``coords`` is a sequence of numbers, not a str, and
+    DimensionMismatch unless it has one number per free coordinate.
+    """
     l, pivot, free = _chart(cone)[:3]
-    if len(coords) != len(free):
-        raise ValueError("expected %d slice coordinates, got %d" % (len(free), len(coords)))
+    size = _sequence_length("xi_slice_coords", coords)
+    if size != len(free):
+        raise DimensionMismatch(f"xi_slice_coords has length {size}, expected {len(free)}")
     xi = [0.0] * cone.dim
     acc = 1.0
-    for j, c in zip(free, coords):
-        xi[j] = c = float(c)
-        acc -= l[j] * c
+    try:
+        for j, c in zip(free, coords):
+            xi[j] = c = float(c)
+            acc -= l[j] * c
+    except (TypeError, ValueError):
+        raise ValueError(f"xi_slice_coords has an entry that is not a number: {c!r}") from None
     xi[pivot] = acc / l[pivot]
     return tuple(xi)
 
@@ -365,14 +374,20 @@ def rationality_probe(xi_star, max_denominator: int) -> RationalCandidate:
     Stern-Brocot (mediant) search per coordinate via
     ``Fraction.limit_denominator``; the reported distance is the
     max-norm gap, which callers compare against the convergence
-    tolerance to judge whether the minimizer looks quasi-regular.
+    tolerance to judge whether the minimizer looks quasi-regular.  ValueError
+    unless ``xi_star`` is a sequence, not a str, of finite numbers.
     """
     max_denominator = _positive_int("max_denominator", max_denominator)
-    coords = xi_star.xi if isinstance(xi_star, ReebVector) else tuple(xi_star)
-    vector = tuple(
-        Fraction(float(c)).limit_denominator(max_denominator) for c in coords
-    )
-    distance = max(abs(float(c) - float(r)) for c, r in zip(coords, vector))
+    coords = xi_star.xi if isinstance(xi_star, ReebVector) else xi_star
+    _sequence_length("xi_star", coords)
+    try:
+        floats = [float(c) for c in coords]
+    except (TypeError, ValueError):
+        raise ValueError(f"xi_star has an entry that is not a number: {coords!r}") from None
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"xi_star has an entry that is not finite: {coords!r}")
+    vector = tuple(Fraction(x).limit_denominator(max_denominator) for x in floats)
+    distance = max(abs(x - float(r)) for x, r in zip(floats, vector))
     return RationalCandidate(
         vector=vector, max_denominator=max_denominator, distance=distance
     )

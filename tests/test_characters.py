@@ -416,6 +416,12 @@ class TestWrongLength:
         with pytest.raises(DimensionMismatch, match="xi has length"):
             truncated_character_oracle(conifold, xi, None, 0.5, cutoff=50)
 
+    def test_pieces_of_two_dimensions(self, conifold):
+        # raised before any pairing: zip stopped at the shorter vector and mixed the sums
+        pieces = decompose_dual(conifold) + decompose_dual(dual_cone([(1, 0), (1, 1)], 2))
+        with pytest.raises(DimensionMismatch, match="pieces of more than one dimension"):
+            character_series(pieces, (2, Fraction(1, 2), Fraction(1, 2)))
+
 
 class TestBadArguments:
     """A bad order or no pieces raise ValueError before any work, not a raw error."""

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import test_golden
@@ -24,7 +25,7 @@ from reebcone import (
     index_character,
     weight_character,
 )
-from reebcone.cli import ConeSpec, _attempt, main, parse_cone_spec, run
+from reebcone.cli import COMMANDS, ConeSpec, _attempt, main, parse_cone_spec, run
 from reebcone.config import DEFAULT_TOL, MAX_PRECISION
 from conftest import minor_futaki_coefficients
 
@@ -210,6 +211,16 @@ class TestRunReports:
         assert any("experimental" in w for w in report.warnings)
         assert report.results["gorenstein"]["l"] == [Fraction(1, 2), 1]
 
+    @pytest.mark.parametrize("command", COMMANDS + ("delta-without-xi",))
+    def test_boundary_warns_once_in_every_command(self, command):
+        # acknowledged once per report, also where the boundary is not read or a runner fails
+        text = BOUNDARY_SPEC
+        if command == "delta-without-xi":
+            command, text = "delta", text.replace('"xi": [1, 1],', "")
+        flags = {"oracle": {"m_max": 1}, "futaki": {"eta": (0, 1)}}.get(command, {})
+        report, _ = _attempt(command, text, flags)
+        assert sum("experimental" in w for w in report.warnings) == 1
+
     def test_character_is_one_pass_per_piece(self, monkeypatch):
         # both characters come from one _piece_series per piece
         import reebcone.characters
@@ -306,6 +317,27 @@ class TestInProcessFlags:
             assert isinstance(failure, (ReebconeError, ValueError))
             assert report.error["type"] == kind
             assert match in report.error["message"]
+
+    @pytest.mark.parametrize("command, flags, kind", [
+        ("check", {"xi": np.array([1, 1, 1])}, None),
+        ("oracle", {"t": np.array([0.5])}, "UsageError"),
+        ("oracle", {"t": np.array([0.5, 1.0])}, "UsageError"),
+    ], ids=["check-xi", "oracle-t", "oracle-t2"])
+    def test_numpy_array_flag(self, command, flags, kind):
+        # the report lists the array: neither float() of it nor its truth value raises
+        report, failure = _attempt(command, spec_text("y21"), flags)
+        assert report.flags == {key: value.tolist() for key, value in flags.items()}
+        assert (report.error or {}).get("type") == kind
+        if kind is None:
+            assert report.results == run(command, spec_text("y21"), {"xi": (1, 1, 1)}).results
+
+    @pytest.mark.parametrize("spec", [spec_text("y21").encode(), None, {"dim": 1}],
+                             ids=["bytes", "None", "dict"])
+    def test_spec_neither_text_nor_path(self, spec):
+        report, failure = _attempt("check", spec, {})
+        assert isinstance(failure, SchemaError)
+        assert report.error == {"type": "SchemaError", "message": str(failure)}
+        assert "expected JSON text or a Path" in str(failure)
 
     def test_tol_is_reported_as_given(self):
         # provenance.tol is the flag as given, else DEFAULT_TOL: no float() of it

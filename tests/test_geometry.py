@@ -158,6 +158,16 @@ class TestDualCone:
         with pytest.raises(DimensionMismatch, match="rays must be a list of vectors"):
             dual_cone(rays, 3)
 
+    @pytest.mark.parametrize("dim", ["3", None, 3.0, Fraction(3)])
+    def test_dim_not_an_integer(self, dim):
+        # a DimensionMismatch, not a raw TypeError from dim < 1 nor a cone of float dim
+        with pytest.raises(DimensionMismatch, match="ambient dimension must be an integer"):
+            dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], dim)
+
+    def test_numpy_integer_dim_is_an_int(self):
+        cone = dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], numpy.int64(3))
+        assert type(cone.dim) is int and cone.dim == 3
+
     def test_numpy_integer_rays(self):
         rays = [(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)]
         cone = dual_cone([tuple(map(numpy.int64, v)) for v in rays], 3)

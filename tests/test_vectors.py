@@ -1,8 +1,11 @@
 """Every vector argument of the library is read by one coercion,
 ``geometry.numerators``: a bad vector is a ValueError (DimensionMismatch, itself a
 ValueError, for a wrong length) before any work, and a NumPy integer or an mpf
-equal to an integer gives the exact result of that integer."""
+equal to an integer gives the exact result of that integer.  The float vectors of
+``volume_objective`` and ``rationality_probe`` are read by their own code, with the
+same errors."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -21,12 +24,14 @@ from reebcone import (
     minimize_volume,
     polytope_Q,
     ratio_profile,
+    rationality_probe,
     reeb_vector,
     s_m_oracle,
     s_prime,
     s_value,
     toric_valuation,
     truncated_character_oracle,
+    volume_objective,
     weight_character,
 )
 from reebcone.geometry import futaki_coefficients, lattice_rows
@@ -65,18 +70,23 @@ CALLS = [
     ("xi", lambda c, p, x: truncated_character_oracle(c, x, None, 0.5, 50)),
     ("eta", lambda c, p, x: truncated_character_oracle(c, XI, x, 0.5, 50)),
     ("xi", lambda c, p, x: minimize_volume(c, start=x)),
+    ("xi_slice_coords", lambda c, p, x: volume_objective(c, x)),
+    ("xi_star", lambda c, p, x: rationality_probe(x, 10)),
 ]
-# (kind, bad value of length n, message); t takes any length, so it has no wrong one
+# (kind, bad value of length n, message); t and xi_star take any length, so have no wrong one
 BAD = [
     ("not a sequence", lambda n: 3, "must be a sequence of numbers"),
     ("str", lambda n: "1" * n, "must be a sequence of numbers"),
     ("None entry", lambda n: (None,) + (0,) * (n - 1), "has an entry that is not a number"),
     ("wrong length", lambda n: (1,) * (n - 1), "has length"),
 ]
-LENGTH = {"xi": 3, "eta": 3, "v": 3, "boundary": 4, "t": 2}
+LENGTH = {"xi": 3, "eta": 3, "v": 3, "boundary": 4, "t": 2, "xi_slice_coords": 2, "xi_star": 3}
 CASES = [(name, call, kind, bad(LENGTH[name]), message)
          for name, call in CALLS for kind, bad, message in BAD
-         if not (name == "t" and kind == "wrong length")]
+         if not (name in ("t", "xi_star") and kind == "wrong length")]
+# rationality_probe rounds each float to a Fraction, which has no infinity
+CASES.append(("xi_star", CALLS[-1][1], "not finite", (math.inf, 1.0, 1.0),
+              "has an entry that is not finite"))
 
 
 @pytest.fixture(scope="module")

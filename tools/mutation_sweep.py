@@ -58,6 +58,9 @@ MUTANTS = [
     ("numerators-str", "geometry.py",
      "size = None if isinstance(vec, (str, bytes)) else len(vec)", "size = len(vec)",
      "tests/test_cli.py::TestInProcessFlags::test_flag_outside_its_domain[check-xi='211']"),
+    ("dim-index", "geometry.py",
+     "dim = operator.index(dim)", "dim = int(dim)",
+     "tests/test_geometry.py::TestDualCone::test_dim_not_an_integer[3]"),
     # geometry: double description, triangulation, slice sums
     ("dd-adjacency-rank", "geometry.py",
      "common.bit_count() >= dim - 2", "common.bit_count() >= dim - 1",
@@ -132,6 +135,9 @@ MUTANTS = [
      "    if eta_num is None:\n        return F, None",
      "    if eta_num is None:\n        return F, F",
      "tests/test_acceptance.py::test_criterion_10_determinism"),
+    ("series-pieces-one-dimension", "characters.py",
+     "if any(len(p.generators) != n or", "if False and any(len(p.generators) != n or",
+     "tests/test_characters.py::TestWrongLength::test_pieces_of_two_dimensions"),
     ("weighted-reach", "characters.py",
      "18.0 if weighted", "14.0 if weighted",
      "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
@@ -192,6 +198,10 @@ MUTANTS = [
     ("ladder-ceiling", "optimize.py",
      "if not 0.0 < lam <= scale < math.inf:", "if not 0.0 < lam <= 1e12 * scale < math.inf:",
      "tests/test_optimize.py::TestRegularizedStep::test_indefinite_hessian_raises"),
+    ("embed-entries", "optimize.py",
+     "    except (TypeError, ValueError):\n        raise ValueError(f\"xi_slice_coords",
+     "    except ZeroDivisionError:\n        raise ValueError(f\"xi_slice_coords",
+     "tests/test_vectors.py::test_bad_vector_is_a_value_error[29-xi_slice_coords-None-entry]"),
     # optimize: the grid oracle's ranking by the integer ratio T/L
     ("grid-first-minimum", "optimize.py",
      "total * best_big < best_total * big", "total * best_big <= best_total * big",
@@ -203,6 +213,14 @@ MUTANTS = [
     ("cli-closed-form-orders", "cli.py",
      "and order in (0, 1):", "and order in (0,):",
      "tests/test_cli.py::TestMainExitCodes::test_character_beyond_the_box_point_bound"),
+    # cli: every subcommand acknowledges a spec's boundary, and the error type sets the exit code
+    ("cli-boundary-every-command", "cli.py",
+     "            _warn_boundary(spec)\n",
+     "            if command in (\"check\", \"delta\"):\n                _warn_boundary(spec)\n",
+     "tests/test_cli.py::TestRunReports::test_boundary_warns_once_in_every_command[minimize]"),
+    ("exit-code-domain", "errors.py",
+     "exit_code = 3", "exit_code = 2",
+     "tests/test_cli.py::TestMainExitCodes::test_not_q_gorenstein_is_domain_error"),
 ]
 
 # (name, file, old text, new text, why no test can kill it); listed, never run
