@@ -15,11 +15,11 @@ and version.
 Each call starts a cold interpreter, so each subcommand imports only the
 layers it runs: :mod:`reebcone.geometry` always (every subcommand builds
 its cone), :mod:`reebcone.stability` for ``check``, ``delta``, ``futaki``
-and ``oracle``, :mod:`reebcone.characters` for ``oracle`` and for one
+and ``oracle``, :mod:`reebcone.characters` for ``oracle --t`` and for one
 ``character_series`` call at every ``character`` order but the closed-form
 0 and 1, and :mod:`reebcone.optimize` for ``minimize``.  mpmath loads
-with the first mpf (``minimize``), numpy with the lattice oracles
-(``oracle``).
+with the first mpf (``minimize``), numpy with the character sums of
+``oracle --t``: the ``oracle --m-max`` table is one pure-Python scan.
 
 Exit codes: 0 success, 1 usage, else the ``exit_code`` of the error's type
 in :mod:`reebcone.errors`.
@@ -88,7 +88,8 @@ def _jsonable(obj):
     Fractions become exact "p/q" strings (just "p" when q = 1), of any
     size: the digits go through Decimal, which has no limit on converting
     an int to a string; any non-rational scalar is forced through float
-    (shortest round-trip repr keeps the bytes deterministic).
+    (shortest round-trip repr keeps the bytes deterministic), and ValueError
+    names the type of one that float cannot take.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -104,7 +105,10 @@ def _jsonable(obj):
     try:
         len(obj)  # any other sized iterable, a NumPy array included, is a list
     except TypeError:  # a scalar: an mpf, a NumPy number or a 0-d array
-        return float(obj)
+        try:
+            return float(obj)
+        except (TypeError, ValueError):
+            raise ValueError("no report can hold a value of type %s" % type(obj).__name__) from None
     return [_jsonable(v) for v in obj]
 
 
@@ -305,7 +309,6 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
 
 
 def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
-    from .characters import _default_cutoff, truncated_character_oracle
     from .stability import _oracle_table
 
     xi = _require(spec, flags, "xi")
@@ -318,6 +321,8 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
     if m_max is not None:
         results["s_m_table"] = {"m_max": m_max, "rows": _oracle_table(cone, xi, m_max)}
     if t_values:
+        from .characters import _default_cutoff, truncated_character_oracle
+
         eta = _flag(flags, "eta", spec.eta)
         entries = []
         for t in t_values:
@@ -366,11 +371,19 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
     before it: the spec name, the warnings so far, the results a runner
     had filled in and the full provenance.
     """
-    text, name, results, failure, bits = None, "", {}, None, None
+    digest, name, shown, results, failure, bits = "", "", {}, {}, None, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             bits = precision_bits()
+            unreported = []
+            for key, value in flags.items():
+                try:
+                    shown[str(key)] = _jsonable(value)
+                except ValueError as exc:
+                    unreported.append("flag %s: %s" % (key, exc))
+            if unreported:
+                raise ValueError("; ".join(unreported))
             if isinstance(spec, Path):
                 try:
                     spec = spec.read_text(encoding="utf-8")
@@ -381,8 +394,11 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
             if not isinstance(spec, str):
                 raise SchemaError("spec: expected JSON text or a Path, got %s"
                                   % type(spec).__name__)
-            text = spec
-            spec = parse_cone_spec(text)
+            try:
+                digest = "sha256:" + hashlib.sha256(spec.encode("utf-8")).hexdigest()
+            except UnicodeEncodeError as exc:
+                raise SchemaError("spec is not UTF-8: %s" % exc) from exc
+            spec = parse_cone_spec(spec)
             name = spec.name
             cone = dual_cone(spec.rays, spec.dim)
             _warn_boundary(spec)
@@ -395,14 +411,13 @@ def _attempt(command: str, spec, flags: dict) -> Tuple[Report, Optional[Exceptio
         "version": __version__,
         "arithmetic": "float64" if floaty else "exact-rational",
         "precision_bits": bits,
-        "tol": _flag(flags, "tol", DEFAULT_TOL),  # as given: minimize_volume checks it
+        "tol": _flag(shown, "tol", DEFAULT_TOL),  # as given: minimize_volume checks it
     }
-    digest = "" if text is None else "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     report = Report(
         command=command,
         input_hash=digest,
         spec_name=name,
-        flags=_jsonable(flags),
+        flags=shown,
         results=results,
         provenance=provenance,
         warnings=tuple(str(w.message) for w in caught),

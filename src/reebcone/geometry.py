@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -800,6 +801,28 @@ def _scan_box(cone: ToricCone, xi, level) -> tuple:
     return xi_int, bound, lo, hi, math.prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1]))
 
 
+def _scan_plan(cone: ToricCone, xi, level) -> tuple:
+    """``(lo, hi, constraints)`` of the row scan of level*Q_xi: the box of
+    :func:`_scan_box` and each ``(coeffs, rhs)`` with <coeffs, u> >= rhs, the rays and
+    then the top level <d xi, u> <= floor(d level).  ExceedsSupportedSize above
+    MAX_LATTICE_SCAN prefixes or where an int64 sum could overflow, so that
+    :func:`lattice_rows` and :func:`_python_rows` refuse the same scans.
+    """
+    xi_int, bound, lo, hi, prefixes = _scan_box(cone, xi, level)
+    if prefixes > MAX_LATTICE_SCAN:
+        raise ExceedsSupportedSize(
+            f"lattice scan of {prefixes} prefixes exceeds the supported {MAX_LATTICE_SCAN}"
+        )
+    constraints = [(v, 0) for v in cone.rays] + [(tuple(-c for c in xi_int), -bound)]
+    reach = [max(-l, h) for l, h in zip(lo, hi)]
+    largest = max([prefixes * (hi[-1] - lo[-1] + 1) * max(reach)] + [
+        sum(abs(c) * r for c, r in zip(coeffs, reach)) + abs(rhs) for coeffs, rhs in constraints
+    ])
+    if largest >= _INT64_SAFE:
+        raise ExceedsSupportedSize(f"lattice scan values up to {largest} overflow int64")
+    return lo, hi, constraints
+
+
 def lattice_rows(cone: ToricCone, xi, level):
     """The integer points of level*Q_xi as innermost runs {prefix} x [a, b].
 
@@ -812,24 +835,12 @@ def lattice_rows(cone: ToricCone, xi, level):
     raises ExceedsSupportedSize, before allocating, above MAX_LATTICE_SCAN
     prefixes or where an int64 sum could overflow.
     """
+    lo, hi, constraints = _scan_plan(cone, xi, level)
     import numpy as np
 
-    xi_int, bound, lo, hi, prefixes = _scan_box(cone, xi, level)
     widths = [h - l + 1 for l, h in zip(lo, hi)]
-    if prefixes > MAX_LATTICE_SCAN:
-        raise ExceedsSupportedSize(
-            f"lattice scan of {prefixes} prefixes exceeds the supported {MAX_LATTICE_SCAN}"
-        )
-    # <coeffs, u> >= rhs, all integer
-    constraints = [(v, 0) for v in cone.rays] + [(tuple(-c for c in xi_int), -bound)]
-    reach = [max(-l, h) for l, h in zip(lo, hi)]
-    largest = max([prefixes * widths[-1] * max(reach)] + [
-        sum(abs(c) * r for c, r in zip(coeffs, reach)) + abs(rhs) for coeffs, rhs in constraints
-    ])
-    if largest >= _INT64_SAFE:
-        raise ExceedsSupportedSize(f"lattice scan values up to {largest} overflow int64")
-
     offset = np.array(lo[:-1], dtype=np.int64)  # int64 even when empty, in dim 1
+    prefixes = math.prod(widths[:-1])
     prefix = np.indices(widths[:-1], dtype=np.int64).reshape(len(lo) - 1, prefixes).T + offset
     a = np.full(len(prefix), lo[-1], dtype=np.int64)
     b = np.full(len(prefix), hi[-1], dtype=np.int64)
@@ -844,6 +855,66 @@ def lattice_rows(cone: ToricCone, xi, level):
             b[partial < rhs] = lo[-1] - 1
     keep = a <= b
     return prefix[keep], a[keep], b[keep]
+
+
+def _python_rows(cone: ToricCone, xi, level) -> tuple[int, list[tuple[tuple[int, ...], int, int]]]:
+    """``(axis, rows)``: the integer points of level*Q_xi as runs along the widest
+    axis of the box of :func:`_scan_box`, the last of those as wide.  Each row is a
+    ``(prefix, a, b)`` of ints and holds the points whose other coordinates are
+    ``prefix``, in order, and whose coordinate ``axis`` is in [a, b].  Scanned in
+    pure Python, so no NumPy loads, with the refusals of :func:`lattice_rows`.
+
+    Depth first, one coordinate at a time and ``axis`` last, a prefix keeps the room
+    left in each constraint: ``<coeffs, prefix> - rhs`` plus the most the later
+    coordinates of a point in the box could add.  The next coordinate x runs only
+    where ``room + c x >= 0`` in every constraint, c its coefficient there; a prefix
+    outside that range would start only empty runs, and at ``axis`` the range is the run.
+    """
+    lo, hi, constraints = _scan_plan(cone, xi, level)
+    n = len(lo)
+    # the widest axis last: the fewest prefixes, and on a long thin box the fewest rows
+    axis = max(range(n), key=lambda j: (hi[j] - lo[j], j))
+    order = [j for j in range(n) if j != axis] + [axis]
+    lo, hi = [lo[j] for j in order], [hi[j] for j in order]
+    constraints = [(tuple(coeffs[j] for j in order), rhs) for coeffs, rhs in constraints]
+    # reach[j][k]: the most the coordinates j.. of a point in the box add to constraint k
+    reach = [[0] * len(constraints)]
+    for j in reversed(range(n)):
+        reach.insert(0, [r + max(c[j] * lo[j], c[j] * hi[j]) for r, (c, _) in
+                         zip(reach[0], constraints)])
+    # per coordinate: the constraints that bound it below, above or not at all, by |c|,
+    # and the room of x there minus that of the prefix before it
+    signs, steps = [], []
+    for j in range(n):
+        column = [coeffs[j] for coeffs, _ in constraints]
+        signs.append(([c > 0 for c in column], [c < 0 for c in column],
+                      [c == 0 for c in column] if 0 in column else None,
+                      [abs(c) or 1 for c in column]))
+        steps.append([[c * x + r - s for c, r, s in zip(column, reach[j + 2], reach[j + 1])]
+                      for x in range(lo[j], hi[j] + 1)] if j < n - 1 else None)
+
+    def span(j, room):
+        up, down, flat, size = signs[j]
+        if flat and min(compress(room, flat)) < 0:
+            return range(0)
+        q = list(map(operator.floordiv, room, size))
+        return range(max(lo[j], -min(compress(q, up), default=-lo[j])),
+                     min(hi[j], min(compress(q, down), default=hi[j])) + 1)
+
+    def grow(prefixes, j):
+        for p, room in prefixes:
+            for x in span(j, room):
+                yield p + (x,), list(map(operator.add, room, steps[j][x - lo[j]]))
+
+    prefixes = iter([((), [r - rhs for r, (_, rhs) in zip(reach[1], constraints)])])
+    for j in range(n - 1):
+        prefixes = grow(prefixes, j)
+    rows = []
+    for p, room in prefixes:
+        run = span(n - 1, room)
+        if run:
+            rows.append((p, run.start, run.stop - 1))
+    return axis, rows
 
 
 def lattice_points(cone: ToricCone, xi, m: int) -> tuple[tuple[int, ...], ...]:

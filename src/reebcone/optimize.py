@@ -384,6 +384,8 @@ def rationality_probe(xi_star, max_denominator: int) -> RationalCandidate:
         floats = [float(c) for c in coords]
     except (TypeError, ValueError):
         raise ValueError(f"xi_star has an entry that is not a number: {coords!r}") from None
+    except OverflowError:  # an exact entry past the floats, whose repr may exceed int's digit limit
+        raise ValueError("xi_star has an entry that is not finite as a float") from None
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"xi_star has an entry that is not finite: {coords!r}")
     vector = tuple(Fraction(x).limit_denominator(max_denominator) for x in floats)

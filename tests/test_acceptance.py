@@ -38,6 +38,7 @@ from reebcone import (
     truncated_character_oracle,
     weight_character,
 )
+from reebcone.stability import _oracle_table
 from conftest import (
     FIXTURE_MAKERS,
     apply_unimodular,
@@ -149,6 +150,8 @@ def test_criterion_04_sm_envelope(fixtures, capsys):
         for name, cone in fixtures.items():
             xi = FIXTURE_XI[name]
             table = _sm_table(cone, xi, m_max)
+            # the CLI's table, from one pure-Python scan at m_max, is the same
+            assert {tuple(row["v"]): row["s_m"] for row in _oracle_table(cone, xi, m_max)} == table
             # the fast table is the oracle: spot-weld them together
             for m in (1, 5, 17):
                 assert table[cone.rays[0]][m - 1] == s_m_oracle(

@@ -50,7 +50,7 @@ UNLOADED = {
     "futaki": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
     "character": ("mpmath", "numpy", "reebcone.stability", "reebcone.optimize"),
     "minimize": ("logging", "numpy", "reebcone.characters"),
-    "oracle": ("mpmath", "reebcone.optimize"),
+    "oracle": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
 }
 
 
@@ -236,11 +236,11 @@ class TestRunReports:
         assert calls == list(pieces)
 
     def test_oracle_table_is_one_slice_pass(self, monkeypatch):
-        # S and S' of every ray from one slice pass, S_m from one lattice scan per level
+        # S and S' of every ray from one slice pass, and S_m of every level from one
+        # pure-Python scan at the top level: no NumPy scan
         from reebcone import geometry, stability
 
-        calls = {"slice": 0, "scan": 0}
-        kernel, scan = geometry._simplex_sums, stability.lattice_rows
+        calls = {"slice": 0, "scan": 0, "numpy scan": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -248,11 +248,12 @@ class TestRunReports:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(geometry, "_simplex_sums", counted("slice", kernel))
-        monkeypatch.setattr(stability, "lattice_rows", counted("scan", scan))
+        monkeypatch.setattr(geometry, "_simplex_sums", counted("slice", geometry._simplex_sums))
+        monkeypatch.setattr(stability, "_python_rows", counted("scan", stability._python_rows))
+        monkeypatch.setattr(stability, "lattice_rows", counted("numpy scan", stability.lattice_rows))
         report = run("oracle", spec_text("y21"), {"m_max": 3})
         assert len(report.results["s_m_table"]["rows"]) == 4
-        assert calls == {"slice": 1, "scan": 3}
+        assert calls == {"slice": 1, "scan": 1, "numpy scan": 0}
 
     def test_unknown_command(self):
         with pytest.raises(ValueError):
@@ -338,6 +339,24 @@ class TestInProcessFlags:
         assert isinstance(failure, SchemaError)
         assert report.error == {"type": "SchemaError", "message": str(failure)}
         assert "expected JSON text or a Path" in str(failure)
+
+    def test_flag_no_report_can_hold(self):
+        # neither a number nor sized: a usage error in the report, which keeps the other flags
+        report, failure = _attempt("character", spec_text("y21"), {"order": object(), "eta": (0, 1, 0)})
+        assert isinstance(failure, ValueError) and not isinstance(failure, ReebconeError)
+        assert report.error == {"type": "UsageError",
+                                "message": "flag order: no report can hold a value of type object"}
+        assert (report.flags, report.results) == ({"eta": [0, 1, 0]}, {})
+        assert json.loads(report.to_json())["spec_name"] == ""
+
+    def test_spec_text_not_utf8(self):
+        # a lone surrogate cannot be hashed as UTF-8: the digest's failure is the report's error
+        report, failure = _attempt("character", '"\ud800"', {})
+        assert isinstance(failure, SchemaError)
+        assert report.error["type"] == "SchemaError"
+        assert report.error["message"].startswith("spec is not UTF-8: ")
+        assert (report.input_hash, report.results) == ("", {})
+        assert json.loads(report.to_json())["error"] == report.error
 
     def test_tol_is_reported_as_given(self):
         # provenance.tol is the flag as given, else DEFAULT_TOL: no float() of it
@@ -667,7 +686,8 @@ class TestMainExitCodes:
         def no_scan(*args):
             raise AssertionError("a lattice level was scanned")
 
-        monkeypatch.setattr(reebcone.stability, "lattice_rows", no_scan)
+        for scan in ("_python_rows", "lattice_rows"):
+            monkeypatch.setattr(reebcone.stability, scan, no_scan)
         start = time.perf_counter()
         code, payload = self.run_main(
             ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "1000000000"], capsys
@@ -683,7 +703,8 @@ class TestMainExitCodes:
         def no_scan(*args):
             raise AssertionError("a lattice level was scanned")
 
-        monkeypatch.setattr(reebcone.stability, "lattice_rows", no_scan)
+        for scan in ("_python_rows", "lattice_rows"):
+            monkeypatch.setattr(reebcone.stability, scan, no_scan)
         start = time.perf_counter()
         code, payload = self.run_main(
             ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "63"], capsys
@@ -702,9 +723,10 @@ class TestMainExitCodes:
         import reebcone.stability
 
         scans = []
-        scan = reebcone.stability.lattice_rows
-        monkeypatch.setattr(reebcone.stability, "lattice_rows",
-                            lambda *args: scans.append(args) or scan(*args))
+        for name in ("_python_rows", "lattice_rows"):
+            scan = getattr(reebcone.stability, name)
+            monkeypatch.setattr(reebcone.stability, name,
+                                lambda *args, scan=scan: scans.append(args) or scan(*args))
         spec = tmp_path / "nqg.json"
         spec.write_text('{"dim":3,"rays":[[2,0,0],[1,1,0],[1,1,1],[2,0,1]]}')
         code, payload = self.run_main(
@@ -861,6 +883,24 @@ class TestConsoleScript:
         assert code == 0
         assert stdout.encode("utf-8") == (GOLDEN_DIR / golden).read_bytes()
         assert not set(loaded) & set(UNLOADED[command])
+
+    def test_cold_oracle_t_loads_numpy(self):
+        # the S_m table alone loads neither numpy nor the characters; the character sums do
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            "from reebcone import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = cli.main(sys.argv[1:])",
+            "print(json.dumps([code, sorted(sys.modules)]))",
+        ])
+        argv = ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "5", "--t", "1"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert {"numpy", "reebcone.characters"} <= set(loaded)
+        assert not set(loaded) & {"mpmath", "reebcone.optimize"}
 
     def test_cold_closed_form_character_loads_no_box_points(self):
         # orders 0 and 1 read the closed form of reebcone.geometry

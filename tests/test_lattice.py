@@ -4,9 +4,13 @@
 over ``geometry.lattice_rows``.  Each is checked here against
 ``brute_lattice_points`` from ``conftest.py``, which shares no code with the
 row scan: nested loops over the bounding box with Fraction membership tests.
+The CLI's S_m table reads its levels from one pure-Python scan,
+``geometry._python_rows``, checked here against ``lattice_rows`` and the
+per-level sums of ``stability._level_sums``.
 """
 
 import bisect
+import collections
 import functools
 import math
 import random
@@ -27,9 +31,9 @@ from reebcone import (
 )
 from reebcone.characters import _shell_counts
 from reebcone.cli import parse_cone_spec
-from reebcone.geometry import _INT64_SAFE, _scan_box, integer_reeb, lattice_rows
+from reebcone.geometry import _INT64_SAFE, _python_rows, _scan_box, integer_reeb, lattice_rows
 from reebcone.linalg import dot
-from reebcone.stability import _oracle_table
+from reebcone.stability import _level_sums, _oracle_table, _python_table_sums
 from conftest import (brute_lattice_points, fraction_scan_box, make_conifold, make_kgon,
                       make_orthant2, make_orthant3, make_y21, random_box_cone_suite,
                       random_cone_suite)
@@ -206,6 +210,8 @@ def test_oversized_scan_raises_before_allocating(monkeypatch):
     with pytest.raises(ExceedsSupportedSize, match="int64"):
         s_m_oracle(make_orthant2(), (1, Fraction(1, 10 ** 12)), (1, 0), 10)
     with pytest.raises(ExceedsSupportedSize, match="int64"):
+        _oracle_table(make_orthant2(), (1, Fraction(1, 10 ** 12)), 10)
+    with pytest.raises(ExceedsSupportedSize, match="int64"):
         lattice_points(dual_cone([(1,)], 1), (1,), 2 ** 62)
 
 
@@ -258,3 +264,86 @@ def test_numpy_integer_level():
     assert s_m_oracle(orthant3, (1, 1, 1), (1, 0, 0), m) == s_m_oracle(orthant3, (1, 1, 1), (1, 0, 0), 3)
     assert _oracle_table(orthant3, (1, 1, 1), m) == _oracle_table(orthant3, (1, 1, 1), 3)
     assert grid_search_oracle(orthant3, m) == grid_search_oracle(orthant3, 3)
+
+
+def _expanded(axis, rows):
+    """The points of ``(prefix, a, b)`` runs along ``axis``, sorted."""
+    return sorted((*p[:axis], x, *p[axis:]) for p, a, b in rows for x in range(a, b + 1))
+
+
+@pytest.mark.parametrize("case", range(len(CASES)), ids=IDS)
+def test_python_rows_match_lattice_rows(case):
+    _, cone, xi, _ = CASES[case]
+    for level in (1, LEVEL, Fraction(37, 3)):
+        prefix, a, b = lattice_rows(cone, xi, level)
+        numpy_rows = zip(map(tuple, prefix.tolist()), a.tolist(), b.tolist())
+        assert _expanded(*_python_rows(cone, xi, level)) == _expanded(cone.dim - 1, numpy_rows)
+
+
+def test_python_rows_run_along_the_widest_axis():
+    # a box 1001 wide in x_1 and 2 in x_2: two rows along x_1, not 1001 along x_2
+    axis, rows = _python_rows(make_orthant2(), (Fraction(1, 1000), 1), 1)
+    assert (axis, rows) == (0, [((0,), 0, 1000), ((1,), 0, 0)])
+    assert _python_table_sums(make_orthant2(), (Fraction(1, 1000), 1), 1) == [([500500, 1], 1002)]
+
+
+def _signed_xi(cone, sign, j):
+    """An xi interior to sigma whose coordinate j has the given sign, else None:
+    the mean of the rays, those with coordinate j > 0 and < 0 weighted so that
+    coordinate j comes out of that sign."""
+    pos = sum(v[j] for v in cone.rays if v[j] > 0)
+    neg = -sum(v[j] for v in cone.rays if v[j] < 0)
+    if (sign >= 0 and not pos) or (sign <= 0 and not neg):
+        return None
+    up, down = neg + (sign > 0), pos + (sign < 0)
+    weights = [up if v[j] > 0 else down if v[j] < 0 else 1 for v in cone.rays]
+    return tuple(Fraction(sum(w * v[k] for w, v in zip(weights, cone.rays)), sum(weights))
+                 for k in range(cone.dim))
+
+
+def _row_axis(cone, xi, level):
+    """The axis the rows of ``_python_rows`` run along: the widest of the box, the
+    last of those as wide."""
+    lo, hi = _scan_box(cone, xi, level)[2:4]
+    return max(range(cone.dim), key=lambda j: (hi[j] - lo[j], j))
+
+
+def _table_cases():
+    """(id, cone, xi, m_max): random cones of dims 2-5, up to two for each dim and
+    sign of the coordinate of xi on the row axis, positive, negative or zero, the
+    two dim-1 cones, and y21 to a level whose rows cross up to 12 levels."""
+    out = [("dim1-positive", dual_cone([(1,)], 1), (Fraction(2, 3),), 7),
+           ("dim1-negative", dual_cone([(-1,)], 1), (Fraction(-3, 2),), 7),
+           ("y21", make_y21(), (1, Fraction(1, 3), Fraction(2, 3)), 12)]
+    taken = collections.Counter()
+    for k, (cone, _) in enumerate(random_cone_suite(seed=23, count=60, dims=(2, 3, 4, 5))):
+        m_max = 6 if cone.dim <= 3 else 3
+        for sign, name in ((1, "positive"), (-1, "negative"), (0, "zero")):
+            for j in range(cone.dim):
+                xi = _signed_xi(cone, sign, j)
+                if (taken[cone.dim, sign] < 2 and xi is not None
+                        and _scan_box(cone, xi, 3)[-1] <= 10 ** 5 and _row_axis(cone, xi, m_max) == j):
+                    out.append(("random%02d-%s" % (k, name), cone, xi, m_max))
+                    taken[cone.dim, sign] += 1
+                    break
+    return out
+
+
+TABLE_CASES = _table_cases()
+TABLE_IDS = [case[0] for case in TABLE_CASES]
+
+
+def test_table_cases_cover_every_sign():
+    # a partial row is cut by the sign of the coordinate of xi along the row
+    signs = set()
+    for _, cone, xi, m_max in TABLE_CASES:
+        axis = _python_rows(cone, xi, m_max)[0]
+        signs.add((cone.dim, (xi[axis] > 0) - (xi[axis] < 0)))
+    assert signs >= {(1, 1), (1, -1)} | {(dim, s) for dim in (2, 3, 4) for s in (1, -1, 0)}
+    assert {dim for dim, _ in signs} == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("case, cone, xi, m_max", TABLE_CASES, ids=TABLE_IDS)
+def test_python_table_matches_level_sums(case, cone, xi, m_max):
+    assert _python_table_sums(cone, xi, m_max) == [_level_sums(cone, xi, m)
+                                                   for m in range(1, m_max + 1)]

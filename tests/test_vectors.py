@@ -84,8 +84,13 @@ LENGTH = {"xi": 3, "eta": 3, "v": 3, "boundary": 4, "t": 2, "xi_slice_coords": 2
 CASES = [(name, call, kind, bad(LENGTH[name]), message)
          for name, call in CALLS for kind, bad, message in BAD
          if not (name in ("t", "xi_star") and kind == "wrong length")]
-# rationality_probe rounds each float to a Fraction, which has no infinity
+# rationality_probe rounds each float to a Fraction, which has no infinity, and an
+# exact entry past the floats is not finite as a float
 CASES.append(("xi_star", CALLS[-1][1], "not finite", (math.inf, 1.0, 1.0),
+              "has an entry that is not finite"))
+CASES.append(("xi_star", CALLS[-1][1], "past the floats", (10 ** 400, 1),
+              "has an entry that is not finite"))
+CASES.append(("xi_star", CALLS[-1][1], "past the digit limit", (10 ** 5000, 1),
               "has an entry that is not finite"))
 
 

@@ -112,6 +112,14 @@ MUTANTS = [
     ("scan-box-ceil", "geometry.py",
      "[-(-x // p) for x in u]", "[x // p for x in u]",
      "tests/test_lattice.py::test_scan_box_matches_fraction_box"),
+    # geometry: the pure-Python row scan starts from the room the rest of the box
+    # leaves, and runs its rows along the widest axis of the box
+    ("python-rows-room", "geometry.py",
+     "zip(reach[1], constraints)", "zip(reach[0], constraints)",
+     "tests/test_acceptance.py::test_criterion_04_sm_envelope"),
+    ("python-rows-widest-axis", "geometry.py",
+     "axis = max(range(n), key=lambda j: (hi[j] - lo[j], j))", "axis = n - 1",
+     "tests/test_lattice.py::test_python_rows_run_along_the_widest_axis"),
     # characters: box points, the per-piece series and the one order check
     ("box-half-open", "characters.py",
      "tuple([r or count for r in rs]) if off", "tuple(rs) if off",
@@ -166,6 +174,18 @@ MUTANTS = [
     ("delta-prime-cap", "stability.py",
      "delta_prime=min(ratio(1, 1), low)", "delta_prime=max(ratio(1, 1), low)",
      "tests/test_stability.py::TestDelta::test_a1_worked"),
+    # stability: the S_m table of one Python scan: the level a whole row enters at,
+    # the end a negative step cuts a partial row at, and the residue of its pairing
+    # that its cut count depends on
+    ("table-whole-level", "stability.py",
+     "last = max(1, -((-s - step * greatest) // d))", "last = max(1, (s + step * greatest) // d)",
+     "tests/test_lattice.py::test_python_table_matches_level_sums[dim1-positive]"),
+    ("table-negative-step-cut", "stability.py",
+     "if step > 0 else (q - b - 1, 2 * b + 1)", "if step else (q - b - 1, 2 * b + 1)",
+     "tests/test_lattice.py::test_python_table_matches_level_sums[dim1-negative]"),
+    ("table-residue", "stability.py",
+     "q, t = divmod(s, size)", "q, t = s // size, 0",
+     "tests/test_lattice.py::test_python_table_matches_level_sums[random10-negative]"),
     ("kss-rtol", "config.py",
      "KSS_RTOL = 1e-9", "KSS_RTOL = 1e-3",
      "tests/test_stability.py::TestDelta::test_kss_is_tight"),
