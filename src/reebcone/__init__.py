@@ -28,18 +28,19 @@ _EXPORTS = {
     ),
     "geometry": (
         "GorensteinVector", "LaurentSeries", "PolytopeSlice", "ReebVector",
-        "ToricCone", "dual_cone", "gorenstein_vector", "lattice_points",
-        "polytope_Q", "reeb_vector", "triangulate_cone",
+        "ToricCone", "dual_cone", "gorenstein_vector", "polytope_Q",
+        "reeb_vector", "triangulate_cone",
     ),
     "characters": (
         "SimplicialPiece", "character_series", "decompose_dual", "index_character",
-        "truncated_character_oracle", "weight_character",
+        "weight_character",
     ),
     "stability": (
         "StabilityReport", "ToricValuation", "delta", "futaki_pairing",
-        "futaki_product", "log_discrepancy", "ratio_profile", "s_m_oracle",
-        "s_prime", "s_value", "toric_valuation",
+        "futaki_product", "log_discrepancy", "ratio_profile", "s_prime",
+        "s_value", "toric_valuation",
     ),
+    "lattice": ("lattice_points", "s_m_oracle", "truncated_character_oracle"),
     "optimize": (
         "GridResult", "MinimizeResult", "RationalCandidate", "grid_search_oracle",
         "minimize_volume", "rationality_probe", "volume_objective",

@@ -39,15 +39,8 @@ from typing import Sequence
 
 from . import linalg
 from .config import ratio_type
-from .errors import (
-    CutoffTooSmall,
-    DimensionMismatch,
-    ExceedsSupportedSize,
-    OrderTooLarge,
-    UnboundedSlice,
-)
-from .geometry import (LaurentSeries, ToricCone, _common_scale, _positive_finite, integer_reeb,
-                       lattice_rows, reeb_numerators, simplices)
+from .errors import DimensionMismatch, ExceedsSupportedSize, OrderTooLarge, UnboundedSlice
+from .geometry import LaurentSeries, ToricCone, _common_scale, reeb_numerators, simplices
 
 MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
@@ -321,149 +314,3 @@ def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2)
     """C of :func:`character_series`; goes once ROADMAP item 1b moves the
     benchmark's ``kgon-characters`` op to :func:`character_series`."""
     return character_series(pieces, xi, eta, order)[1]
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-def _shell_counts(s0, counts, step: int, xs: Sequence[int]):
-    """The points of the runs in each shell ``(xs[i-1], xs[i]]``, as int64.
-
-    Run r holds the pairings s0[r] + j h, j < counts[r], h = |step|, of the
-    row scan (int64 arrays), and ``xs`` is increasing.  Runs wholly at or
-    below xs[0] add the same count at or below every x and are dropped
-    first.  With h = 0 a run is counts[r] points at s0[r], and the points at
-    or below x are a prefix sum over the sorted s0.  Otherwise a run is the
-    progression from s0 less the one from its end s0 + counts h, and the
-    points at or below x of the progressions from the ends e <= x are
-
-        Phi(x) = sum_{e <= x} (floor((x - e) / h) + 1)
-               = m (Q + 1) - sum_{e <= x} q - #{e <= x : r > P}
-
-    for m ends e = q h + r at or below x = Q h + P, 0 <= r, P < h: one
-    searchsorted, a prefix sum of q over the sorted ends, and one prefix
-    count of [r > P] for each residue P of xs below h - 1.
-    """
-    import numpy as np
-
-    h = abs(step)
-    live = s0 + h * (counts - 1) > xs[0]
-    s0, counts = s0[live], counts[live]
-    xs = np.array(xs, dtype=np.int64)
-    acc = np.zeros(len(s0) + 1, dtype=np.int64)  # one buffer for every prefix sum
-    if not h:
-        order = np.argsort(s0)
-        np.cumsum(counts[order], out=acc[1:])
-        return np.diff(acc[np.searchsorted(s0[order], xs, side="right")])
-    x_q, x_r = np.divmod(xs, h)
-    residues = {r for r in x_r.tolist() if r < h - 1}  # no r is above h - 1
-
-    def phi(ends):
-        ends.sort()
-        at = np.searchsorted(ends, xs, side="right")
-        e_q, e_r = np.divmod(ends, h)
-        np.cumsum(e_q, out=acc[1:])
-        below = at * (x_q + 1) - acc[at]
-        for r in residues:
-            np.cumsum(e_r > r, out=acc[1:])
-            picked = x_r == r
-            below[picked] -= acc[at[picked]]
-        return below
-
-    # m (Q + 1) and the prefix sums of q can leave int64 and wrap around, but
-    # the difference is a count of scanned points, below 2^62 by the guard of
-    # lattice_rows, so int64's arithmetic modulo 2^64 leaves it exact
-    ends = s0 + h * counts
-    return np.diff(phi(s0) - phi(ends))
-
-
-def _default_cutoff(t, weighted: bool) -> int:
-    """The oracle's cutoff when none is given: ceil(14 / t), or ceil(18 / t) for the
-    eta-weighted sum, whose tail has one more power of the pairing.  ValueError unless
-    t is positive and finite, ExceedsSupportedSize if the cutoff passes every float."""
-    reach, value = 18.0 if weighted else 14.0, float(_positive_finite("t", t))
-    if not value or reach / value == math.inf:  # an exact t may round to 0.0
-        raise ExceedsSupportedSize(f"t = {t!r} puts the default cutoff past every float")
-    return math.ceil(reach / value)
-
-
-def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
-                               rel_tol: float = 1e-3) -> float:
-    """Brute-force lattice sum approximating F (or C_eta with eta given).
-
-    Sums e^{-t<xi,u>} (times <eta,u> when eta is given) over all lattice
-    points of sigma^v with <xi,u> <= cutoff, entirely independently of the
-    simplicial decomposition.  The points are exactly those of the row scan
-    :func:`reebcone.geometry.lattice_rows` (rational xi only); the weights
-    are floats.  Along a run the pairing steps by |xi_n|, so each run sums
-    in closed form as a geometric series, arithmetico-geometric when eta is
-    given.  The neglected tail is bounded by fitting the observed polynomial
-    growth of the pairing shells k - 1 < <xi,u> <= k, k from cutoff/2 up,
-    whose sizes :func:`_shell_counts` takes from prefix sums over the sorted
-    run ends, not from a pass per shell; if the bound exceeds rel_tol times the
-    partial sum, CutoffTooSmall is raised.
-    """
-    import numpy as np
-
-    t = float(_positive_finite("t", t))
-    _positive_finite("cutoff", cutoff)
-    n = cone.dim
-    if eta_or_none is not None:
-        [_, (eta_num, e)], _ = reeb_numerators(n, xi, eta_or_none)
-        eta_f = np.array([float(x / e) for x in eta_num])
-    prefix, a, b = lattice_rows(cone, xi, cutoff)
-    xi_int, denom = integer_reeb(cone, xi)
-    counts = b - a + 1
-    # run r starts at its lowest pairing s0[r] / denom and steps by h / t
-    step = xi_int[-1]
-    sign = 1 if step >= 0 else -1
-    x0 = a if step >= 0 else b
-    s0 = prefix @ np.array(xi_int[:-1], dtype=np.int64) + step * x0
-    h = t * abs(step) / denom
-    if step:
-        # a run weighs q^j, j < L, q = e^{-h}: sum (1 - q^L) / (1 - q), mean
-        # index 1/(e^h - 1) - L/(e^{hL} - 1), written to neither overflow nor
-        # leave rounding residue on one-point runs
-        one_minus_q, one_minus_q_l = -np.expm1(-h), -np.expm1(-h * counts)
-        geometric = one_minus_q_l / one_minus_q
-        mean = np.where(counts > 1, np.exp(-h) / one_minus_q
-                        - counts * np.exp(-h * counts) / one_minus_q_l, 0.0)
-    else:
-        geometric = counts.astype(float)
-        mean = (counts - 1) / 2
-    weights = np.exp(-t / denom * s0) * geometric
-    if eta_or_none is not None:
-        weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * mean)
-    partial = float(weights.sum())
-
-    del prefix, a, b, x0, geometric, mean, weights  # only the run starts and lengths count
-    num_shells = int(math.ceil(cutoff))
-    half = max(1, num_shells // 2)
-    shell_counts = dict(zip(range(half, num_shells + 1), _shell_counts(
-        s0, counts, step, [k * denom for k in range(half - 1, num_shells + 1)]).tolist()))
-
-    # Tail bound: shell counts grow like A * s^(n-1) (Ehrhart), with one
-    # extra power of s for the eta-weighted sum.
-    densities = [c / k ** (n - 1) for k, c in shell_counts.items() if c > 0]
-    amp = 2.0 * max(densities) if densities else 2.0
-    degree = n - 1
-    weight_amp = 1.0
-    if eta_or_none is not None:
-        degree += 1
-        rho = max(abs(x) * denom / linalg.dot(xi_int, u) for u in cone.dual_rays for x in u)
-        weight_amp = float(np.abs(eta_f).sum()) * max(rho, 1e-9)
-    tail = 0.0
-    k = num_shells + 1
-    while k < num_shells + 200000:
-        term = amp * weight_amp * k ** degree * math.exp(-t * (k - 1))
-        tail += term
-        if term < 1e-18 * (abs(partial) + tail + 1e-300):
-            break
-        k += 1
-    if tail > rel_tol * max(abs(partial), 1e-300):
-        raise CutoffTooSmall(
-            f"estimated tail {tail:.3g} exceeds {rel_tol:.1g} * |partial sum| "
-            f"{abs(partial):.6g}; increase the cutoff"
-        )
-    return partial

@@ -15,11 +15,12 @@ and version.
 Each call starts a cold interpreter, so each subcommand imports only the
 layers it runs: :mod:`reebcone.geometry` always (every subcommand builds
 its cone), :mod:`reebcone.stability` for ``check``, ``delta``, ``futaki``
-and ``oracle``, :mod:`reebcone.characters` for ``oracle --t`` and for one
-``character_series`` call at every ``character`` order but the closed-form
-0 and 1, and :mod:`reebcone.optimize` for ``minimize``.  mpmath loads
-with the first mpf (``minimize``), numpy with the character sums of
-``oracle --t``: the ``oracle --m-max`` table is one pure-Python scan.
+and ``oracle``, :mod:`reebcone.lattice` for ``oracle`` alone,
+:mod:`reebcone.characters` for one ``character_series`` call at every
+``character`` order but the closed-form 0 and 1, and
+:mod:`reebcone.optimize` for ``minimize``.  mpmath loads with the first mpf
+(``minimize``), numpy with the character sums of ``oracle --t``: the
+``oracle --m-max`` table is one pure-Python scan.
 
 Exit codes: 0 success, 1 usage, else the ``exit_code`` of the error's type
 in :mod:`reebcone.errors`.
@@ -309,7 +310,7 @@ def _run_character(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) 
 
 
 def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
-    from .stability import _oracle_table
+    from .lattice import _default_cutoff, _oracle_table, truncated_character_oracle
 
     xi = _require(spec, flags, "xi")
     m_max = flags.get("m_max")
@@ -321,8 +322,6 @@ def _run_oracle(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> 
     if m_max is not None:
         results["s_m_table"] = {"m_max": m_max, "rows": _oracle_table(cone, xi, m_max)}
     if t_values:
-        from .characters import _default_cutoff, truncated_character_oracle
-
         eta = _flag(flags, "eta", spec.eta)
         entries = []
         for t in t_values:

@@ -61,11 +61,6 @@ def precision_bits() -> int:
     return bits
 
 
-def series_rtol() -> float:
-    """Relative tolerance of mpf character coefficients (24 bits for the long box sums)."""
-    return 2.0 ** (24 - precision_bits())
-
-
 def mp_context() -> mpmath.ctx_mp.MPContext:
     """The mpmath context at the configured precision, shared by all callers.
 
@@ -85,20 +80,6 @@ def _context(bits: int) -> mpmath.ctx_mp.MPContext:
     ctx = mpmath.mp.clone()
     ctx.prec = bits
     return ctx
-
-
-def to_mpf(x, ctx=None):
-    """Coerce ``x`` (int, Fraction, float, mpf) to an mpf in ``ctx``, by
-    default :func:`mp_context`.
-
-    Fractions are converted as numerator/denominator so no precision is
-    lost before the final division.
-    """
-    if ctx is None:
-        ctx = mp_context()
-    if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
-    return ctx.mpf(x)
 
 
 def ratio_type(exact: bool):

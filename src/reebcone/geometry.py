@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -36,7 +35,6 @@ from .errors import (
     DegenerateSolutionSet,
     DimensionMismatch,
     ExceedsSupportedSize,
-    IrrationalReeb,
     NonIntegerRay,
     NotFullDimensional,
     NotPointed,
@@ -760,179 +758,3 @@ def futaki_coefficients(cone: ToricCone, xi, eta=None) -> tuple:
         ratio(d ** (n + 1) * linalg.dot(eta_num, m_s), e * l_s ** 2),
         ratio(d ** n * linalg.dot(eta_num, m_f), 2 * e * l_f ** 2),
     ), n, "weight")
-
-
-# ---------------------------------------------------------------------------
-# lattice points
-# ---------------------------------------------------------------------------
-
-# prefixes materialized (peak RSS 62 B each in dim 3, 113-127 B in dim 8), or points
-# listed (232 B and 366 B each, rows included): no accepted call passes about 1 GB
-MAX_LATTICE_SCAN = 2 * 10 ** 6
-_INT64_SAFE = 2 ** 62  # bound on every int64 the row scan and its callers form
-
-
-def integer_reeb(cone: ToricCone, xi) -> tuple[tuple[int, ...], int]:
-    """``(d xi, d)`` for the least d > 0 making d xi integral; xi rational and interior."""
-    [(xi_int, denom)], exact = reeb_numerators(cone.dim, xi)
-    if not exact:
-        raise IrrationalReeb("lattice enumeration requires a rational Reeb vector")
-    _slice_pairings(cone, xi_int)
-    return xi_int, denom
-
-
-def _scan_box(cone: ToricCone, xi, level) -> tuple:
-    """``(d xi, floor(d level), lo, hi, prefixes)``: d xi integral, the bounding
-    box ``[lo, hi]`` of level*Q_xi, whose vertices other than 0 lie on the dual
-    rays, and the number of prefixes :func:`lattice_rows` scans in it.
-
-    The vertex on the dual ray u is (bound / p) u with p = <d xi, u> > 0 and
-    bound = floor(d level), so axis j of the box runs from min(0, floor(bound
-    u_j / p)) to max(0, ceil(bound u_j / p)) over the dual rays, each an int
-    quotient ``bound * u_j // p`` or ``-(-bound * u_j // p)``.
-    """
-    if not -math.inf < level < math.inf:
-        raise ValueError(f"level must be finite, got {level!r}")
-    xi_int, denom = integer_reeb(cone, xi)
-    bound = math.floor(Fraction(level) * denom)
-    scaled = [([bound * x for x in u], linalg.dot(xi_int, u)) for u in cone.dual_rays]
-    lo = [min(0, *axis) for axis in zip(*([x // p for x in u] for u, p in scaled))]
-    hi = [max(0, *axis) for axis in zip(*([-(-x // p) for x in u] for u, p in scaled))]
-    return xi_int, bound, lo, hi, math.prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1]))
-
-
-def _scan_plan(cone: ToricCone, xi, level) -> tuple:
-    """``(lo, hi, constraints)`` of the row scan of level*Q_xi: the box of
-    :func:`_scan_box` and each ``(coeffs, rhs)`` with <coeffs, u> >= rhs, the rays and
-    then the top level <d xi, u> <= floor(d level).  ExceedsSupportedSize above
-    MAX_LATTICE_SCAN prefixes or where an int64 sum could overflow, so that
-    :func:`lattice_rows` and :func:`_python_rows` refuse the same scans.
-    """
-    xi_int, bound, lo, hi, prefixes = _scan_box(cone, xi, level)
-    if prefixes > MAX_LATTICE_SCAN:
-        raise ExceedsSupportedSize(
-            f"lattice scan of {prefixes} prefixes exceeds the supported {MAX_LATTICE_SCAN}"
-        )
-    constraints = [(v, 0) for v in cone.rays] + [(tuple(-c for c in xi_int), -bound)]
-    reach = [max(-l, h) for l, h in zip(lo, hi)]
-    largest = max([prefixes * (hi[-1] - lo[-1] + 1) * max(reach)] + [
-        sum(abs(c) * r for c, r in zip(coeffs, reach)) + abs(rhs) for coeffs, rhs in constraints
-    ])
-    if largest >= _INT64_SAFE:
-        raise ExceedsSupportedSize(f"lattice scan values up to {largest} overflow int64")
-    return lo, hi, constraints
-
-
-def lattice_rows(cone: ToricCone, xi, level):
-    """The integer points of level*Q_xi as innermost runs {prefix} x [a, b].
-
-    Returns int64 arrays ``(prefix, a, b)``: row r holds the points
-    ``(*prefix[r], x)``, ``a[r] <= x <= b[r]``, and the rows hold every u in
-    sigma^v cap Z^n with <xi, u> <= level once, in lexicographic order.  The
-    prefixes run over the bounding box in the first n-1 coordinates; the rays
-    and <d xi, u> <= floor(d level), d xi integral, cut each run exactly.
-    Requires rational xi (IrrationalReeb) interior to sigma (UnboundedSlice);
-    raises ExceedsSupportedSize, before allocating, above MAX_LATTICE_SCAN
-    prefixes or where an int64 sum could overflow.
-    """
-    lo, hi, constraints = _scan_plan(cone, xi, level)
-    import numpy as np
-
-    widths = [h - l + 1 for l, h in zip(lo, hi)]
-    offset = np.array(lo[:-1], dtype=np.int64)  # int64 even when empty, in dim 1
-    prefixes = math.prod(widths[:-1])
-    prefix = np.indices(widths[:-1], dtype=np.int64).reshape(len(lo) - 1, prefixes).T + offset
-    a = np.full(len(prefix), lo[-1], dtype=np.int64)
-    b = np.full(len(prefix), hi[-1], dtype=np.int64)
-    for coeffs, rhs in constraints:
-        partial = prefix @ np.array(coeffs[:-1], dtype=np.int64)
-        c = coeffs[-1]
-        if c > 0:
-            np.maximum(a, -((partial - rhs) // c), out=a)
-        elif c < 0:
-            np.minimum(b, (partial - rhs) // -c, out=b)
-        else:
-            b[partial < rhs] = lo[-1] - 1
-    keep = a <= b
-    return prefix[keep], a[keep], b[keep]
-
-
-def _python_rows(cone: ToricCone, xi, level) -> tuple[int, list[tuple[tuple[int, ...], int, int]]]:
-    """``(axis, rows)``: the integer points of level*Q_xi as runs along the widest
-    axis of the box of :func:`_scan_box`, the last of those as wide.  Each row is a
-    ``(prefix, a, b)`` of ints and holds the points whose other coordinates are
-    ``prefix``, in order, and whose coordinate ``axis`` is in [a, b].  Scanned in
-    pure Python, so no NumPy loads, with the refusals of :func:`lattice_rows`.
-
-    Depth first, one coordinate at a time and ``axis`` last, a prefix keeps the room
-    left in each constraint: ``<coeffs, prefix> - rhs`` plus the most the later
-    coordinates of a point in the box could add.  The next coordinate x runs only
-    where ``room + c x >= 0`` in every constraint, c its coefficient there; a prefix
-    outside that range would start only empty runs, and at ``axis`` the range is the run.
-    """
-    lo, hi, constraints = _scan_plan(cone, xi, level)
-    n = len(lo)
-    # the widest axis last: the fewest prefixes, and on a long thin box the fewest rows
-    axis = max(range(n), key=lambda j: (hi[j] - lo[j], j))
-    order = [j for j in range(n) if j != axis] + [axis]
-    lo, hi = [lo[j] for j in order], [hi[j] for j in order]
-    constraints = [(tuple(coeffs[j] for j in order), rhs) for coeffs, rhs in constraints]
-    # reach[j][k]: the most the coordinates j.. of a point in the box add to constraint k
-    reach = [[0] * len(constraints)]
-    for j in reversed(range(n)):
-        reach.insert(0, [r + max(c[j] * lo[j], c[j] * hi[j]) for r, (c, _) in
-                         zip(reach[0], constraints)])
-    # per coordinate: the constraints that bound it below, above or not at all, by |c|,
-    # and the room of x there minus that of the prefix before it
-    signs, steps = [], []
-    for j in range(n):
-        column = [coeffs[j] for coeffs, _ in constraints]
-        signs.append(([c > 0 for c in column], [c < 0 for c in column],
-                      [c == 0 for c in column] if 0 in column else None,
-                      [abs(c) or 1 for c in column]))
-        steps.append([[c * x + r - s for c, r, s in zip(column, reach[j + 2], reach[j + 1])]
-                      for x in range(lo[j], hi[j] + 1)] if j < n - 1 else None)
-
-    def span(j, room):
-        up, down, flat, size = signs[j]
-        if flat and min(compress(room, flat)) < 0:
-            return range(0)
-        q = list(map(operator.floordiv, room, size))
-        return range(max(lo[j], -min(compress(q, up), default=-lo[j])),
-                     min(hi[j], min(compress(q, down), default=hi[j])) + 1)
-
-    def grow(prefixes, j):
-        for p, room in prefixes:
-            for x in span(j, room):
-                yield p + (x,), list(map(operator.add, room, steps[j][x - lo[j]]))
-
-    prefixes = iter([((), [r - rhs for r, (_, rhs) in zip(reach[1], constraints)])])
-    for j in range(n - 1):
-        prefixes = grow(prefixes, j)
-    rows = []
-    for p, room in prefixes:
-        run = span(n - 1, room)
-        if run:
-            rows.append((p, run.start, run.stop - 1))
-    return axis, rows
-
-
-def lattice_points(cone: ToricCone, xi, m: int) -> tuple[tuple[int, ...], ...]:
-    """All integer points of m*Q_xi, i.e. u in sigma^v with <xi, u> <= m.
-
-    The rows of :func:`lattice_rows` expanded, in lexicographic order;
-    requires rational xi (IrrationalReeb) and a positive integer m (ValueError, before numpy loads).
-    """
-    m = _positive_int("m", m)
-    import numpy as np
-
-    prefix, a, b = lattice_rows(cone, xi, m)
-    counts = b - a + 1
-    total = int(counts.sum())
-    if total > MAX_LATTICE_SCAN:
-        raise ExceedsSupportedSize(
-            f"{total} lattice points exceed the supported {MAX_LATTICE_SCAN}"
-        )
-    last = np.arange(total) + np.repeat(a - (np.cumsum(counts) - counts), counts)
-    points = np.column_stack((np.repeat(prefix, counts, axis=0), last))
-    return tuple(map(tuple, points.tolist()))

@@ -125,6 +125,8 @@ def _embed(cone: ToricCone, coords: Sequence) -> Tuple[float, ...]:
             acc -= l[j] * c
     except (TypeError, ValueError):
         raise ValueError(f"xi_slice_coords has an entry that is not a number: {c!r}") from None
+    except OverflowError:  # an exact entry past the floats, as in rationality_probe
+        raise ValueError("xi_slice_coords has an entry that is not finite as a float") from None
     xi[pivot] = acc / l[pivot]
     return tuple(xi)
 

@@ -29,26 +29,19 @@ once at the working precision.  K-semistability is equivalent to
 from __future__ import annotations
 
 import dataclasses
-import operator
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Sequence, Tuple
 
 from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type
-from .errors import ExceedsSupportedSize, UnboundedSlice
+from .errors import UnboundedSlice
 from .geometry import (
-    MAX_LATTICE_SCAN,
     GorensteinVector,
     ToricCone,
     _common_denominator,
-    _positive_int,
-    _python_rows,
-    _scan_box,
     _slice_sums,
     futaki_coefficients,
     gorenstein_vector,
-    integer_reeb,
-    lattice_rows,
     numerators,
 )
 from . import linalg
@@ -123,121 +116,6 @@ def s_prime(cone: ToricCone, xi, v) -> object:
     val = toric_valuation(cone, v)
     sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
     return ratio_type(sums.exact)(*sums.s_prime(*_common_denominator(val.v)))
-
-
-def s_m_oracle(cone: ToricCone, xi, v, m: int) -> Fraction:
-    """Finite-level average ``S_m(wt_v)`` from an explicit weight count.
-
-    Averages ``<v, u>/m`` over the lattice points ``u`` of the dual cone with
-    ``<xi, u> <= m``, which converges to ``S(wt_v)`` as ``m`` grows.  Exact
-    arithmetic over one :func:`_level_sums` (rational ``xi`` only), so it is
-    an independent check on the barycenter route to ``S``.
-    """
-    val = toric_valuation(cone, v)
-    total, den = _level_sums(cone, xi, _positive_int("m", m))
-    return Fraction(linalg.dot(val.v, total), den)
-
-
-def _level_sums(cone: ToricCone, xi, m: int) -> tuple[list[int], int]:
-    """``(sum of u, m #points)`` over the lattice points u of ``m Q_xi``, each run
-    ``{p} x [a, b]`` of :func:`reebcone.geometry.lattice_rows` summed in closed form."""
-    prefix, a, b = lattice_rows(cone, xi, m)
-    counts = b - a + 1
-    sums = [int(col @ counts) for col in prefix.T]
-    sums.append(int(((a + b) * counts).sum()) // 2)
-    return sums, m * int(counts.sum())  # the origin is always counted
-
-
-def _python_table_sums(cone: ToricCone, xi, m_max: int) -> list[tuple[list[int], int]]:
-    """``[_level_sums(cone, xi, m) for m = 1..m_max]`` from the one row scan of
-    :func:`reebcone.geometry._python_rows` at m_max, in pure Python.
-
-    A row {p} x [a, b] runs along one axis, x its coordinate there, and its pairing
-    ``s + step x`` with d xi is affine in x.  So the row is whole from the level of
-    its greatest pairing on, and each level m from that of its least pairing up to
-    there cuts a part of it at pairing d m: from x = a if step > 0, up to x = b if
-    step < 0.  With s = |step| q + t, 0 <= t < |step|, that part holds c = F - e
-    points, where F = (d m - t) // |step| and e = q + a - 1 (step > 0) or q - b - 1
-    (step < 0): only F depends on m, and F depends on the row only through t.  The
-    part's count, its sums of p and twice its sum of x, c (2a + c - 1) or
-    c (2b - c + 1), are then polynomials in F of degree at most 2.  A row adds their
-    coefficients once, at its first and at its last level, to differences over
-    levels: those of F and F^2 under its t, the rest beside its whole.
-    """
-    n = cone.dim
-    xi_int, d = integer_reeb(cone, xi)
-    axis, rows = _python_rows(cone, xi, m_max)
-    head, step = xi_int[:axis] + xi_int[axis + 1:], xi_int[axis]
-    size, sign = abs(step), (step > 0) - (step < 0)
-    # per quantity (the points, the sums of their coordinates in p, twice that of x),
-    # a difference over levels of the whole rows and of the parts' terms free of F;
-    # then, per t and per level, the differences of the parts' coefficients of F
-    constant = [[0] * (m_max + 2) for _ in range(n + 1)]
-    in_f = {}
-    for p, a, b in rows:
-        s = sum(map(operator.mul, head, p))
-        least, greatest = (a, b) if step >= 0 else (b, a)  # the x of least and greatest pairing
-        # the levels of those pairings, the origin's at 1
-        first = max(1, -((-s - step * least) // d))
-        last = max(1, -((-s - step * greatest) // d))
-        count = b - a + 1
-        for diff, value in zip(constant, (count, *(z * count for z in p), (a + b) * count)):
-            diff[last] += value
-        if first == last:
-            continue
-        q, t = divmod(s, size)
-        # c = F - e and twice the x sum sign c^2 + h c: (sign F + h - 2 sign e) F + (sign e - h) e
-        e, h = (q + a - 1, 2 * a - 1) if step > 0 else (q - b - 1, 2 * b + 1)
-        for diff, value in zip(constant, (-e, *(-z * e for z in p), (sign * e - h) * e)):
-            diff[first] += value
-            diff[last] -= value
-        coefficients = (1, *p, h - 2 * sign * e)  # of F; twice the x sum adds sign F^2
-        by_level = in_f.setdefault(t, {})
-        for m, add in ((first, operator.add), (last, operator.sub)):
-            diff = by_level.setdefault(m, [0] * (n + 1))
-            diff[:] = map(add, diff, coefficients)
-    # per quantity, then per level: the parts' terms in F
-    terms = [[0] * (m_max + 1) for _ in range(n + 1)]
-    for t, by_level in in_f.items():
-        running = [0] * (n + 1)
-        marks = sorted(by_level)
-        for start, stop in zip(marks, marks[1:]):
-            running = list(map(operator.add, running, by_level[start]))
-            *linear, slope = running
-            for m in range(start, stop):
-                f = (d * m - t) // size
-                for sums, value in zip(terms, (*linear, sign * running[0] * f + slope)):
-                    sums[m] += value * f
-    levels, running = [], [0] * (n + 1)
-    for m in range(1, m_max + 1):
-        running = [r + diff[m] for r, diff in zip(running, constant)]
-        count, *total, twice = [r + sums[m] for r, sums in zip(running, terms)]
-        total.insert(axis, twice // 2)
-        levels.append((total, m * count))
-    return levels
-
-
-def _oracle_table(cone: ToricCone, xi, m_max: int) -> list[dict]:
-    """Rows ``{v, s_m: [S_m(v), m = 1..m_max], s: S(v), s_prime: S'(v)}`` over
-    the rays v of sigma, from one slice pass and :func:`_python_table_sums`.
-    Before the first scan: ValueError unless ``m_max`` is a positive integer,
-    ExceedsSupportedSize when it times the prefixes of the level-``m_max`` scan
-    exceeds ``MAX_LATTICE_SCAN``, then NotQGorenstein from the slice pass."""
-    m_max = _positive_int("m_max", m_max)
-    prefixes = _scan_box(cone, xi, m_max)[-1]
-    if m_max * prefixes > MAX_LATTICE_SCAN:
-        raise ExceedsSupportedSize(
-            "%d levels of up to %d prefixes exceed the supported %d"
-            % (m_max, prefixes, MAX_LATTICE_SCAN)
-        )
-    sums = _slice_sums(cone, xi, gorenstein_vector(cone).l)
-    levels = _python_table_sums(cone, xi, m_max)
-    ratio = ratio_type(sums.exact)
-    return [
-        {"v": list(v), "s_m": [Fraction(linalg.dot(v, total), den) for total, den in levels],
-         "s": ratio(*sums.s_value(v)), "s_prime": ratio(*sums.s_prime(v))}
-        for v in cone.rays
-    ]
 
 
 def delta(

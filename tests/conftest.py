@@ -33,7 +33,7 @@ from reebcone import (
 from reebcone import linalg
 from reebcone.characters import _g_coeff
 from reebcone.cli import parse_cone_spec
-from reebcone.config import mp_context, ratio_type, to_mpf
+from reebcone.config import mp_context, precision_bits, ratio_type
 from reebcone.geometry import (LaurentSeries, _simplex_sums, _slice_pairings, boundary_faces,
                                gorenstein_vector, reeb_numerators, simplices)
 from reebcone.linalg import (
@@ -43,6 +43,25 @@ from reebcone.linalg import (
     transpose,
 )
 from reebcone.optimize import GridResult, _chart, _compositions, _ray_average
+
+
+def series_rtol() -> float:
+    """Relative tolerance of mpf character coefficients (24 bits for the long box sums)."""
+    return 2.0 ** (24 - precision_bits())
+
+
+def to_mpf(x, ctx=None):
+    """Coerce ``x`` (int, Fraction, float, mpf) to an mpf in ``ctx``, by
+    default :func:`reebcone.config.mp_context`.
+
+    Fractions are converted as numerator/denominator so no precision is
+    lost before the final division.
+    """
+    if ctx is None:
+        ctx = mp_context()
+    if isinstance(x, Fraction):
+        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+    return ctx.mpf(x)
 
 
 def make_orthant2():
@@ -668,7 +687,7 @@ def brute_lattice_points(cone, xi, level):
 def fraction_scan_box(cone, xi, level):
     """``(lo, hi, prefixes)`` of the row scan's bounding box, in Fractions.
 
-    The reference for ``geometry._scan_box``: with d the least common
+    The reference for ``lattice._scan_box``: with d the least common
     denominator of xi and bound = floor(d level), the corner on each dual ray
     u is the Fraction (bound / <d xi, u>) u, and the box floors the least and
     ceils the greatest of 0 and the corners, axis by axis; ``prefixes`` counts

@@ -38,7 +38,7 @@ from reebcone import (
     truncated_character_oracle,
     weight_character,
 )
-from reebcone.stability import _oracle_table
+from reebcone.lattice import _oracle_table
 from conftest import (
     FIXTURE_MAKERS,
     apply_unimodular,

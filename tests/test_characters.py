@@ -33,10 +33,11 @@ from reebcone import (
     truncated_character_oracle,
     weight_character,
 )
-from reebcone.characters import MAX_ORDER, _box_points, _default_cutoff, _g_coeff
+from reebcone.characters import MAX_ORDER, _box_points, _g_coeff
 from reebcone.cli import parse_cone_spec
-from reebcone.config import mp_context, ratio_type, series_rtol, to_mpf
+from reebcone.config import mp_context, ratio_type
 from reebcone.geometry import MAX_DIM, numerators, simplices
+from reebcone.lattice import _default_cutoff
 from conftest import (
     fraction_box_points,
     fraction_det,
@@ -49,6 +50,8 @@ from conftest import (
     random_cone_suite,
     random_height_one_cone,
     random_interior_xi,
+    series_rtol,
+    to_mpf,
     unimodular_matrix,
 )
 

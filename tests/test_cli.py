@@ -45,11 +45,11 @@ BOUNDARY_SPEC = ('{"dim": 2, "rays": [[1, 0], [1, 2]],'
 
 # The modules a cold call of each subcommand must not load.
 UNLOADED = {
-    "check": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
-    "delta": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
-    "futaki": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
-    "character": ("mpmath", "numpy", "reebcone.stability", "reebcone.optimize"),
-    "minimize": ("logging", "numpy", "reebcone.characters"),
+    "check": ("mpmath", "numpy", "reebcone.characters", "reebcone.lattice", "reebcone.optimize"),
+    "delta": ("mpmath", "numpy", "reebcone.characters", "reebcone.lattice", "reebcone.optimize"),
+    "futaki": ("mpmath", "numpy", "reebcone.characters", "reebcone.lattice", "reebcone.optimize"),
+    "character": ("mpmath", "numpy", "reebcone.lattice", "reebcone.stability", "reebcone.optimize"),
+    "minimize": ("logging", "numpy", "reebcone.characters", "reebcone.lattice"),
     "oracle": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
 }
 
@@ -238,7 +238,7 @@ class TestRunReports:
     def test_oracle_table_is_one_slice_pass(self, monkeypatch):
         # S and S' of every ray from one slice pass, and S_m of every level from one
         # pure-Python scan at the top level: no NumPy scan
-        from reebcone import geometry, stability
+        from reebcone import geometry, lattice
 
         calls = {"slice": 0, "scan": 0, "numpy scan": 0}
 
@@ -249,8 +249,8 @@ class TestRunReports:
             return wrapper
 
         monkeypatch.setattr(geometry, "_simplex_sums", counted("slice", geometry._simplex_sums))
-        monkeypatch.setattr(stability, "_python_rows", counted("scan", stability._python_rows))
-        monkeypatch.setattr(stability, "lattice_rows", counted("numpy scan", stability.lattice_rows))
+        monkeypatch.setattr(lattice, "_python_rows", counted("scan", lattice._python_rows))
+        monkeypatch.setattr(lattice, "lattice_rows", counted("numpy scan", lattice.lattice_rows))
         report = run("oracle", spec_text("y21"), {"m_max": 3})
         assert len(report.results["s_m_table"]["rows"]) == 4
         assert calls == {"slice": 1, "scan": 1, "numpy scan": 0}
@@ -681,13 +681,13 @@ class TestMainExitCodes:
 
     def test_m_max_beyond_the_scan_bound(self, capsys, monkeypatch):
         # refused before the first lattice scan: 10^9 levels used to run unbounded
-        import reebcone.stability
+        import reebcone.lattice
 
         def no_scan(*args):
             raise AssertionError("a lattice level was scanned")
 
         for scan in ("_python_rows", "lattice_rows"):
-            monkeypatch.setattr(reebcone.stability, scan, no_scan)
+            monkeypatch.setattr(reebcone.lattice, scan, no_scan)
         start = time.perf_counter()
         code, payload = self.run_main(
             ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "1000000000"], capsys
@@ -698,13 +698,13 @@ class TestMainExitCodes:
 
     def test_m_max_bound_keeps_scans_small(self, capsys, monkeypatch):
         # y21: 62 levels of up to 31,125 prefixes pass the cap, 63 of 32,131 do not
-        import reebcone.stability
+        import reebcone.lattice
 
         def no_scan(*args):
             raise AssertionError("a lattice level was scanned")
 
         for scan in ("_python_rows", "lattice_rows"):
-            monkeypatch.setattr(reebcone.stability, scan, no_scan)
+            monkeypatch.setattr(reebcone.lattice, scan, no_scan)
         start = time.perf_counter()
         code, payload = self.run_main(
             ["oracle", "--spec", str(SPEC_DIR / "y21.json"), "--m-max", "63"], capsys
@@ -720,12 +720,12 @@ class TestMainExitCodes:
 
     def test_m_max_on_a_cone_not_q_gorenstein_scans_nothing(self, tmp_path, capsys, monkeypatch):
         # S' needs l, and its absence ends the call before the first level is scanned
-        import reebcone.stability
+        import reebcone.lattice
 
         scans = []
         for name in ("_python_rows", "lattice_rows"):
-            scan = getattr(reebcone.stability, name)
-            monkeypatch.setattr(reebcone.stability, name,
+            scan = getattr(reebcone.lattice, name)
+            monkeypatch.setattr(reebcone.lattice, name,
                                 lambda *args, scan=scan: scans.append(args) or scan(*args))
         spec = tmp_path / "nqg.json"
         spec.write_text('{"dim":3,"rays":[[2,0,0],[1,1,0],[1,1,1],[2,0,1]]}')
@@ -854,7 +854,7 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
         assert not loaded & {"mpmath", "numpy", "logging", "reebcone.stability",
-                             "reebcone.characters", "reebcone.optimize"}
+                             "reebcone.characters", "reebcone.lattice", "reebcone.optimize"}
 
     @pytest.mark.parametrize("command", list(UNLOADED))
     def test_cold_subcommand_loads_only_its_layers(self, command):
@@ -885,7 +885,8 @@ class TestConsoleScript:
         assert not set(loaded) & set(UNLOADED[command])
 
     def test_cold_oracle_t_loads_numpy(self):
-        # the S_m table alone loads neither numpy nor the characters; the character sums do
+        # the S_m table alone loads no numpy; the character sums load it, in the lattice
+        # module, and still no characters
         script = "\n".join([
             "import contextlib, io, json, sys",
             "from reebcone import cli",
@@ -899,8 +900,8 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         code, loaded = json.loads(proc.stdout)
         assert code == 0
-        assert {"numpy", "reebcone.characters"} <= set(loaded)
-        assert not set(loaded) & {"mpmath", "reebcone.optimize"}
+        assert {"numpy", "reebcone.lattice"} <= set(loaded)
+        assert not set(loaded) & {"mpmath", "reebcone.characters", "reebcone.optimize"}
 
     def test_cold_closed_form_character_loads_no_box_points(self):
         # orders 0 and 1 read the closed form of reebcone.geometry

@@ -16,6 +16,7 @@ import pytest
 
 import reebcone.config as config
 import reebcone.geometry as geometry
+import reebcone.lattice as lattice
 import reebcone.linalg as linalg
 from reebcone import (
     DegenerateSolutionSet,
@@ -45,7 +46,7 @@ from reebcone import (
     reeb_vector,
     triangulate_cone,
 )
-from reebcone.config import mp_context, series_rtol, to_mpf
+from reebcone.config import mp_context
 from conftest import (
     FIXTURE_MAKERS,
     brute_force_dual_cone,
@@ -61,6 +62,8 @@ from conftest import (
     random_height_one_cone,
     random_interior_xi,
     reverse_bary_P,
+    series_rtol,
+    to_mpf,
 )
 
 
@@ -622,14 +625,14 @@ class TestLatticePoints:
     def test_scan_cap_at_its_exact_value(self, monkeypatch, y21):
         # y21 at its spec xi and level 20: 3,321 prefixes and 19,861 points
         xi = (1, Fraction(1, 3), Fraction(2, 3))
-        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 3321)
-        assert len(geometry.lattice_rows(y21, xi, 20)[0]) <= 3321
-        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 3320)
+        monkeypatch.setattr(lattice, "MAX_LATTICE_SCAN", 3321)
+        assert len(lattice.lattice_rows(y21, xi, 20)[0]) <= 3321
+        monkeypatch.setattr(lattice, "MAX_LATTICE_SCAN", 3320)
         with pytest.raises(ExceedsSupportedSize, match="3321 prefixes"):
-            geometry.lattice_rows(y21, xi, 20)
-        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 19861)
+            lattice.lattice_rows(y21, xi, 20)
+        monkeypatch.setattr(lattice, "MAX_LATTICE_SCAN", 19861)
         assert len(lattice_points(y21, xi, 20)) == 19861
-        monkeypatch.setattr(geometry, "MAX_LATTICE_SCAN", 19860)
+        monkeypatch.setattr(lattice, "MAX_LATTICE_SCAN", 19860)
         with pytest.raises(ExceedsSupportedSize, match="19861 lattice points"):
             lattice_points(y21, xi, 20)
 

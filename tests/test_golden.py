@@ -22,10 +22,10 @@ from pathlib import Path
 import pytest
 
 from reebcone import cli, minimize_volume, polytope_Q
-from reebcone.config import mp_context, to_mpf
+from reebcone.config import mp_context
 from reebcone.geometry import _simplex_sums, _slice_pairings, gorenstein_vector, simplices
 
-from conftest import random_cone_suite
+from conftest import random_cone_suite, to_mpf
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = ROOT / "src" / "reebcone" / "specs"

@@ -1,12 +1,13 @@
-"""The exact lattice row scan and the three brute-force oracles built on it.
+"""The exact lattice row scans of ``reebcone.lattice`` and the three brute-force
+oracles built on them.
 
 ``lattice_points``, ``s_m_oracle`` and ``truncated_character_oracle`` all sum
-over ``geometry.lattice_rows``.  Each is checked here against
+over ``lattice.lattice_rows``.  Each is checked here against
 ``brute_lattice_points`` from ``conftest.py``, which shares no code with the
 row scan: nested loops over the bounding box with Fraction membership tests.
 The CLI's S_m table reads its levels from one pure-Python scan,
-``geometry._python_rows``, checked here against ``lattice_rows`` and the
-per-level sums of ``stability._level_sums``.
+``lattice._python_rows``, checked here against ``lattice_rows`` and the
+per-level sums of ``lattice._level_sums``.
 """
 
 import bisect
@@ -14,6 +15,8 @@ import collections
 import functools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,11 +32,11 @@ from reebcone import (
     s_m_oracle,
     truncated_character_oracle,
 )
-from reebcone.characters import _shell_counts
 from reebcone.cli import parse_cone_spec
-from reebcone.geometry import _INT64_SAFE, _python_rows, _scan_box, integer_reeb, lattice_rows
+from reebcone.lattice import (_INT64_SAFE, _level_sums, _oracle_table, _python_rows,
+                              _python_table_sums, _scan_box, _shell_counts, integer_reeb,
+                              lattice_rows)
 from reebcone.linalg import dot
-from reebcone.stability import _level_sums, _oracle_table, _python_table_sums
 from conftest import (brute_lattice_points, fraction_scan_box, make_conifold, make_kgon,
                       make_orthant2, make_orthant3, make_y21, random_box_cone_suite,
                       random_cone_suite)
@@ -266,6 +269,18 @@ def test_numpy_integer_level():
     assert grid_search_oracle(orthant3, m) == grid_search_oracle(orthant3, 3)
 
 
+def test_float_level_loads_no_mpmath():
+    # Fraction reads an int, float or Fraction level exactly; only another number, an
+    # mpf say, is read at the working precision, which loads mpmath
+    script = ("import sys; from reebcone import dual_cone, truncated_character_oracle; "
+              "orthant2 = dual_cone([(1, 0), (0, 1)], 2); "
+              "truncated_character_oracle(orthant2, (1, 1), None, 0.5, 40.5); "
+              "print('mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def _expanded(axis, rows):
     """The points of ``(prefix, a, b)`` runs along ``axis``, sorted."""
     return sorted((*p[:axis], x, *p[axis:]) for p, a, b in rows for x in range(a, b + 1))
@@ -285,6 +300,10 @@ def test_python_rows_run_along_the_widest_axis():
     axis, rows = _python_rows(make_orthant2(), (Fraction(1, 1000), 1), 1)
     assert (axis, rows) == (0, [((0,), 0, 1000), ((1,), 0, 0)])
     assert _python_table_sums(make_orthant2(), (Fraction(1, 1000), 1), 1) == [([500500, 1], 1002)]
+    # the mirror image, whose box runs from -1000 to 0 in x_1: the width picks the axis
+    cone, xi = dual_cone([(-1, 0), (0, 1)], 2), (Fraction(-1, 1000), 1)
+    assert _python_rows(cone, xi, 1) == (0, [((0,), -1000, 0), ((1,), 0, 0)])
+    assert _python_table_sums(cone, xi, 1) == [([-500500, 1], 1002)]
 
 
 def _signed_xi(cone, sign, j):

@@ -1,5 +1,5 @@
-"""The package surface: every export resolves lazily to its submodule's object, and no
-library module has a bare assert."""
+"""The package surface: every export resolves lazily to its submodule's object, no
+library module has a bare assert, and NumPy is imported by the lattice module only."""
 
 import ast
 import importlib
@@ -58,3 +58,32 @@ def test_library_has_no_bare_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imported_modules(node) -> list:
+    """The modules an import statement names, relative ones under ``reebcone``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if not node.level:
+        return [node.module]
+    if node.module:
+        return ["reebcone." + node.module]
+    return ["reebcone." + alias.name for alias in node.names]
+
+
+def test_numpy_is_imported_by_the_lattice_module_only():
+    # reebcone.lattice owns every row scan and imports NumPy inside the functions that
+    # use it; no module imports either at its top, so a layer that scans nothing loads neither
+    importers, at_top = set(), set()
+    for path in sorted(Path(reebcone.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = _imported_modules(node)
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+            if node in tree.body and {"numpy", "reebcone.lattice"} & set(names):
+                at_top.add(path.name)
+    assert importers == {"lattice.py"}
+    assert at_top == set()

@@ -35,7 +35,7 @@ from reebcone import (
     weight_character,
 )
 from reebcone.characters import MAX_BOX_POINTS
-from reebcone.config import mp_context, ratio_type, series_rtol, to_mpf
+from reebcone.config import mp_context, ratio_type
 from reebcone.geometry import futaki_coefficients, simplices
 from conftest import (
     bundled_specs,
@@ -52,6 +52,8 @@ from conftest import (
     random_interior_xi,
     rescaled_delta,
     reverse_bary_P,
+    series_rtol,
+    to_mpf,
 )
 
 

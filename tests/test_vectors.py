@@ -34,7 +34,8 @@ from reebcone import (
     volume_objective,
     weight_character,
 )
-from reebcone.geometry import futaki_coefficients, lattice_rows
+from reebcone.geometry import futaki_coefficients
+from reebcone.lattice import lattice_rows
 from conftest import make_conifold, make_orthant3
 
 XI, ETA, V, B, T = (2, Fraction(1, 2), Fraction(1, 2)), (0, 1, 0), (1, 0, 0), (0, 0, 0, 0), (0, 1)
@@ -92,6 +93,12 @@ CASES.append(("xi_star", CALLS[-1][1], "past the floats", (10 ** 400, 1),
               "has an entry that is not finite"))
 CASES.append(("xi_star", CALLS[-1][1], "past the digit limit", (10 ** 5000, 1),
               "has an entry that is not finite"))
+# so is an exact entry of the float chart coordinates, or of the eta of the character
+# oracle (CALLS[27])
+for name, call in (CALLS[-2], CALLS[27]):
+    for kind, big in (("past the floats", 10 ** 400), ("past the digit limit", 10 ** 5000)):
+        CASES.append((name, call, kind, (big,) + (1,) * (LENGTH[name] - 1),
+                      "has an entry that is not finite"))
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +137,7 @@ def test_numpy_integers_are_exact(cone_and_pieces):
 
 
 def test_mpf_valuation_and_boundary_are_exact(cone_and_pieces):
-    # an mpf v or boundary coefficient is the dyadic rational it stands for
+    # an mpf v, boundary coefficient or oracle cutoff is the dyadic rational it stands for
     cone, _ = cone_and_pieces
     one, zero = mpmath.mpf(1), mpmath.mpf(0)
     for v, w in (((1, 1, 1), (one, one, one)), ((1, 0, 0), (one, zero, zero))):
@@ -140,3 +147,6 @@ def test_mpf_valuation_and_boundary_are_exact(cone_and_pieces):
     orthant3 = make_orthant3()
     assert gorenstein_vector(orthant3, (mpmath.mpf(0.5), zero, zero)) == gorenstein_vector(
         orthant3, (Fraction(1, 2), 0, 0))
+    for cutoff, exact in ((mpmath.mpf(50), 50), (mpmath.mpf(50.5), Fraction(101, 2))):
+        assert truncated_character_oracle(cone, XI, ETA, 0.5, cutoff) == truncated_character_oracle(
+            cone, XI, ETA, 0.5, exact)

@@ -105,21 +105,57 @@ MUTANTS = [
     ("spread-bits", "geometry.py",
      "_MAX_SPREAD_BITS = 4096", "_MAX_SPREAD_BITS = 40960",
      "tests/test_stability.py::TestWorkingPrecision::test_exponent_spread_just_past_the_bound"),
-    # geometry: the integer scan box
-    ("scan-box-floor", "geometry.py",
+    # lattice: the integer scan box, at a level read exactly
+    ("scan-box-floor", "lattice.py",
      "[x // p for x in u]", "[-(-x // p) for x in u]",
      "tests/test_lattice.py::test_scan_box_matches_fraction_box"),
-    ("scan-box-ceil", "geometry.py",
+    ("scan-box-ceil", "lattice.py",
      "[-(-x // p) for x in u]", "[x // p for x in u]",
      "tests/test_lattice.py::test_scan_box_matches_fraction_box"),
-    # geometry: the pure-Python row scan starts from the room the rest of the box
+    ("scan-level-mpf", "lattice.py",
+     "except TypeError:  # another number", "except ValueError:  # another number",
+     "tests/test_vectors.py::test_mpf_valuation_and_boundary_are_exact"),
+    ("scan-level-float", "lattice.py",
+     "level = Fraction(level)", "level = _dyadic(\"level\", level)",
+     "tests/test_lattice.py::test_float_level_loads_no_mpmath"),
+    # lattice: the pure-Python row scan starts from the room the rest of the box
     # leaves, and runs its rows along the widest axis of the box
-    ("python-rows-room", "geometry.py",
+    ("python-rows-room", "lattice.py",
      "zip(reach[1], constraints)", "zip(reach[0], constraints)",
      "tests/test_acceptance.py::test_criterion_04_sm_envelope"),
-    ("python-rows-widest-axis", "geometry.py",
+    ("python-rows-widest-axis", "lattice.py",
      "axis = max(range(n), key=lambda j: (hi[j] - lo[j], j))", "axis = n - 1",
      "tests/test_lattice.py::test_python_rows_run_along_the_widest_axis"),
+    ("python-rows-axis-width", "lattice.py",
+     "(hi[j] - lo[j], j)", "(hi[j] + lo[j], j)",
+     "tests/test_lattice.py::test_python_rows_run_along_the_widest_axis"),
+    # lattice: the truncated oracle's default cutoff and its eta, which floats must hold
+    ("weighted-reach", "lattice.py",
+     "18.0 if weighted", "14.0 if weighted",
+     "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
+    ("oracle-eta-past-floats", "lattice.py",
+     "except OverflowError:  # an entry past the floats",
+     "except ZeroDivisionError:  # an entry past the floats",
+     "tests/test_vectors.py::test_bad_vector_is_a_value_error[27-eta-past-the-floats]"),
+    # lattice: the oracle's shell counts from the sorted run ends
+    ("shells-residue-strict", "lattice.py",
+     "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,",
+     "tests/test_lattice.py::test_shell_counts_match_brute_force[y21]"),
+    ("shells-live-threshold", "lattice.py",
+     "(counts - 1) > xs[0]", "(counts - 1) > xs[1]",
+     "tests/test_lattice.py::test_shell_counts_match_brute_force[kgon-negative]"),
+    # lattice: the S_m table of one Python scan: the level a whole row enters at,
+    # the end a negative step cuts a partial row at, and the residue of its pairing
+    # that its cut count depends on
+    ("table-whole-level", "lattice.py",
+     "last = max(1, -((-s - step * greatest) // d))", "last = max(1, (s + step * greatest) // d)",
+     "tests/test_lattice.py::test_python_table_matches_level_sums[dim1-positive]"),
+    ("table-negative-step-cut", "lattice.py",
+     "if step > 0 else (q - b - 1, 2 * b + 1)", "if step else (q - b - 1, 2 * b + 1)",
+     "tests/test_lattice.py::test_python_table_matches_level_sums[dim1-negative]"),
+    ("table-residue", "lattice.py",
+     "q, t = divmod(s, size)", "q, t = s // size, 0",
+     "tests/test_lattice.py::test_python_table_matches_level_sums[random10-negative]"),
     # characters: box points, the per-piece series and the one order check
     ("box-half-open", "characters.py",
      "tuple([r or count for r in rs]) if off", "tuple(rs) if off",
@@ -146,19 +182,9 @@ MUTANTS = [
     ("series-pieces-one-dimension", "characters.py",
      "if any(len(p.generators) != n or", "if False and any(len(p.generators) != n or",
      "tests/test_characters.py::TestWrongLength::test_pieces_of_two_dimensions"),
-    ("weighted-reach", "characters.py",
-     "18.0 if weighted", "14.0 if weighted",
-     "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
     ("order-negative-bound", "characters.py",
      "if order < 0:", "if order < -1:",
      "tests/test_characters.py::TestBadArguments::test_negative_order[-1]"),
-    # characters: the oracle's shell counts from the sorted run ends
-    ("shells-residue-strict", "characters.py",
-     "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,",
-     "tests/test_lattice.py::test_shell_counts_match_brute_force[y21]"),
-    ("shells-live-threshold", "characters.py",
-     "(counts - 1) > xs[0]", "(counts - 1) > xs[1]",
-     "tests/test_lattice.py::test_shell_counts_match_brute_force[kgon-negative]"),
     # stability: the one coercion of a valuation, delta and its working-precision tolerances
     ("valuation-unchecked", "stability.py",
      "    [(v_num, d)], _ = numerators(cone.dim, v=v.v if isinstance(v, ToricValuation) else v)",
@@ -174,18 +200,6 @@ MUTANTS = [
     ("delta-prime-cap", "stability.py",
      "delta_prime=min(ratio(1, 1), low)", "delta_prime=max(ratio(1, 1), low)",
      "tests/test_stability.py::TestDelta::test_a1_worked"),
-    # stability: the S_m table of one Python scan: the level a whole row enters at,
-    # the end a negative step cuts a partial row at, and the residue of its pairing
-    # that its cut count depends on
-    ("table-whole-level", "stability.py",
-     "last = max(1, -((-s - step * greatest) // d))", "last = max(1, (s + step * greatest) // d)",
-     "tests/test_lattice.py::test_python_table_matches_level_sums[dim1-positive]"),
-    ("table-negative-step-cut", "stability.py",
-     "if step > 0 else (q - b - 1, 2 * b + 1)", "if step else (q - b - 1, 2 * b + 1)",
-     "tests/test_lattice.py::test_python_table_matches_level_sums[dim1-negative]"),
-    ("table-residue", "stability.py",
-     "q, t = divmod(s, size)", "q, t = s // size, 0",
-     "tests/test_lattice.py::test_python_table_matches_level_sums[random10-negative]"),
     ("kss-rtol", "config.py",
      "KSS_RTOL = 1e-9", "KSS_RTOL = 1e-3",
      "tests/test_stability.py::TestDelta::test_kss_is_tight"),
@@ -222,6 +236,10 @@ MUTANTS = [
      "    except (TypeError, ValueError):\n        raise ValueError(f\"xi_slice_coords",
      "    except ZeroDivisionError:\n        raise ValueError(f\"xi_slice_coords",
      "tests/test_vectors.py::test_bad_vector_is_a_value_error[29-xi_slice_coords-None-entry]"),
+    ("embed-past-floats", "optimize.py",
+     "except OverflowError:  # an exact entry past the floats, as in",
+     "except ZeroDivisionError:  # as in",
+     "tests/test_vectors.py::test_bad_vector_is_a_value_error[29-xi_slice_coords-past-the-floats]"),
     # optimize: the grid oracle's ranking by the integer ratio T/L
     ("grid-first-minimum", "optimize.py",
      "total * best_big < best_total * big", "total * best_big <= best_total * big",
