@@ -18,8 +18,9 @@ its cone), :mod:`reebcone.stability` for ``check``, ``delta``, ``futaki``
 and ``oracle``, :mod:`reebcone.lattice` for ``oracle`` alone,
 :mod:`reebcone.characters` for one ``character_series`` call at every
 ``character`` order but the closed-form 0 and 1, and
-:mod:`reebcone.optimize` for ``minimize``.  mpmath loads with the first mpf
-(``minimize``), numpy with the character sums of ``oracle --t``: the
+:mod:`reebcone.optimize` for ``minimize``.  mpmath loads with the first mpf,
+which no subcommand makes on a rational spec (``minimize`` reads its float
+xi* exactly), and numpy with the character sums of ``oracle --t``: the
 ``oracle --m-max`` table is one pure-Python scan.
 
 Exit codes: 0 success, 1 usage, else the ``exit_code`` of the error's type

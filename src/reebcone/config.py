@@ -5,7 +5,8 @@ One environment variable tunes the numerics:
 ``REEBCONE_PRECISION``
     Working precision p, in bits, of every input that is not rational
     (default 128; 53 to ``MAX_PRECISION``, else :class:`InputError`).
-    Such an input is rounded to p bits, and the closed
+    Such an input is rounded to p bits (a float needs no rounding: its 53
+    bits are at most p, so it is read exactly), and the closed
     forms sum its exact dyadic numerators in integers, in fixed point p
     plus a guard of bits deep, then round each output once to a p-bit mpf
     (:func:`ratio_type`, the one scalar coercion of the library's outputs,
@@ -17,8 +18,9 @@ One environment variable tunes the numerics:
 the normalization tolerance of a working-precision Reeb vector; ``--tol`` and
 ``minimize_volume(tol=...)`` set the solver's per call.
 
-mpmath is imported by :func:`mp_context` on first use, so exact-only
-callers never load it.
+mpmath is imported by :func:`mp_context` on first use, so callers whose
+inputs are rational or floats, and whose outputs are Fractions or floats,
+never load it.
 """
 
 from __future__ import annotations

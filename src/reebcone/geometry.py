@@ -11,11 +11,12 @@ through the origin, give the index and weight characters to order 1, as
 :class:`LaurentSeries`.
 
 All computations with rational data are exact (``fractions.Fraction``).
-Any other entry of a Reeb vector is rounded to an mpf at the configured
-working precision p and read as the dyadic rational it then is, so the
-vector is integer numerators over one denominator; the closed forms then sum
-integers, truncated in fixed point to p plus a guard of bits below each
-term, and round each output once to an mpf.
+A float entry of a Reeb vector is read as the dyadic rational it is, and
+any other entry is rounded to an mpf at the configured working precision p
+and read as the dyadic rational it then is, so the vector is integer
+numerators over one denominator; the closed forms then sum integers,
+truncated in fixed point to p plus a guard of bits below each term, and
+round each output once to an mpf.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class ReebVector:
     """A point of the interior Reeb cone int(sigma).
 
     Entries are Fractions when the vector is rational and multiprecision
-    floats otherwise; ``normalized`` records whether <xi, l> = 1.
+    floats otherwise, from :func:`reeb_vector`; the minimizer of
+    :func:`reebcone.optimize.minimize_volume` keeps the floats it found.
+    ``normalized`` records whether <xi, l> = 1.
     """
 
     xi: tuple
@@ -169,9 +172,11 @@ def _positive_int(name: str, value) -> int:
 def _positive_finite(name: str, value):
     """``value`` as given, with ValueError unless it is a positive number in float range."""
     try:
-        if 0 < value <= sys.float_info.max:  # not NaN, nor an exact value past the floats
+        # not NaN, nor a value past the floats; float() first, as a NumPy float32
+        # would cast the bound to its own overflowing type
+        if 0 < value and float(value) <= sys.float_info.max:
             return value
-    except TypeError:
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
@@ -531,8 +536,14 @@ def _sequence_length(name: str, vec) -> int:
 
 def _dyadic(name: str, x):
     """A number other than an integer or a Fraction, rounded to mpf at the working
-    precision, as the dyadic rational man 2^exp it then is.  ValueError for what
-    mpmath cannot take (None, a str), UnboundedSlice for NaN and infinities."""
+    precision, as the dyadic rational man 2^exp it then is.  A float, NumPy's
+    float64 too, is that dyadic already (53 bits, at most the precision), so it
+    is read exactly with no mpmath.  ValueError for what mpmath cannot take
+    (None, a str), UnboundedSlice for NaN and infinities."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise UnboundedSlice(f"non-finite entry {x} in {name}")
+        return Fraction(x)
     ctx = mp_context()
     try:
         value = None if isinstance(x, (str, bytes)) else ctx.mpf(x)  # mpmath would parse a str

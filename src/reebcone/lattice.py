@@ -70,8 +70,8 @@ def _scan_plan(cone: ToricCone, xi, level) -> tuple:
     """``(lo, hi, constraints)`` of the row scan of level*Q_xi: the box of
     :func:`_scan_box` and each ``(coeffs, rhs)`` with <coeffs, u> >= rhs, the rays and
     then the top level <d xi, u> <= floor(d level).  ExceedsSupportedSize above
-    MAX_LATTICE_SCAN prefixes or where an int64 sum could overflow, so that
-    :func:`lattice_rows` and :func:`_python_rows` refuse the same scans.
+    MAX_LATTICE_SCAN prefixes or where an int64 sum, or a coefficient, could
+    overflow, so that :func:`lattice_rows` and :func:`_python_rows` refuse the same scans.
     """
     xi_int, bound, lo, hi, prefixes = _scan_box(cone, xi, level)
     if prefixes > MAX_LATTICE_SCAN:
@@ -81,10 +81,13 @@ def _scan_plan(cone: ToricCone, xi, level) -> tuple:
     constraints = [(v, 0) for v in cone.rays] + [(tuple(-c for c in xi_int), -bound)]
     reach = [max(-l, h) for l, h in zip(lo, hi)]
     largest = max([prefixes * (hi[-1] - lo[-1] + 1) * max(reach)] + [
-        sum(abs(c) * r for c, r in zip(coeffs, reach)) + abs(rhs) for coeffs, rhs in constraints
+        sum(abs(c) * r for c, r in zip(coeffs, reach)) + abs(rhs) + max(map(abs, coeffs))
+        for coeffs, rhs in constraints
     ])
     if largest >= _INT64_SAFE:
-        raise ExceedsSupportedSize(f"lattice scan values up to {largest} overflow int64")
+        # bits, not digits: an int past str's digit limit has no decimal form
+        raise ExceedsSupportedSize(f"lattice scan values up to 2^{largest.bit_length()} "
+                                   "overflow int64")
     return lo, hi, constraints
 
 
@@ -391,12 +394,20 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     growth of the pairing shells k - 1 < <xi,u> <= k, k from cutoff/2 up,
     whose sizes :func:`_shell_counts` takes from prefix sums over the sorted
     run ends, not from a pass per shell; if the bound exceeds rel_tol times the
-    partial sum, CutoffTooSmall is raised.
+    partial sum, CutoffTooSmall is raised.  ValueError unless t and cutoff
+    are positive numbers in float range and rel_tol is a positive float, inf
+    (no tail check) included.
     """
     import numpy as np
 
     t = float(_positive_finite("t", t))
     _positive_finite("cutoff", cutoff)
+    try:
+        rel_tol = float(rel_tol)
+    except (TypeError, ValueError, OverflowError):
+        rel_tol = math.nan
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be a positive float, inf included")
     n = cone.dim
     if eta_or_none is not None:
         [_, (eta_num, e)], _ = reeb_numerators(n, xi, eta_or_none)

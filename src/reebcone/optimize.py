@@ -63,8 +63,9 @@ class RationalCandidate:
 class MinimizeResult:
     """Converged state of the volume minimization.
 
-    ``margin`` is the smallest pairing of ``xi_star`` against the dual
-    rays, i.e. the distance witness for strict interiority.
+    ``xi_star`` holds the floats the Newton iteration found.  ``margin``
+    is the smallest pairing of ``xi_star`` against the dual rays, i.e. the
+    distance witness for strict interiority.
     """
 
     xi_star: ReebVector
@@ -155,11 +156,15 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     T``, its gradient ``-M`` and its Hessian ``H`` in the full
     coordinates, pushed through the affine chart of :func:`_chart`.
     Raises :class:`UnboundedSlice` if the point pairs nonpositively with
-    some dual ray, i.e. lies outside the interior of ``sigma``.
+    some dual ray, i.e. lies outside the interior of ``sigma``, or so near
+    its boundary that a product of pairings underflows to 0.
     """
     _, pivot, free, ratios, products = _chart(cone)
     pairings = _slice_pairings(cone, _embed(cone, xi_slice_coords))
-    total, moment, _, hess_full = _simplex_sums(simplices(cone), pairings, divide=True)
+    try:
+        total, moment, _, hess_full = _simplex_sums(simplices(cone), pairings, divide=True)
+    except ZeroDivisionError:
+        raise UnboundedSlice("xi is too near the boundary of sigma for float arithmetic") from None
     norm = math.factorial(cone.dim - 1)
     # push through the chart xi = b + E x, columns E[:, j] = e_{free_j} -
     # (l_{free_j}/l_pivot) e_pivot: grad_x = E^T grad, hess_x = E^T H E.
@@ -255,7 +260,11 @@ def minimize_volume(
     ``_MIN_STEP_SCALE``.  Failures surface as :class:`MaxIterations` or
     :class:`NonConvergent`.  Raises ``ValueError`` unless ``tol`` is a
     positive number in float range and ``max_iter`` (and ``probe_rational``, when
-    given) is a positive integer.
+    given) is a positive integer.  ``xi_star`` is the floats of the last
+    iterate on the slice, ``normalized`` when ``<xi*, l>`` read exactly is
+    within ``DEFAULT_TOL`` of 1; ``vol_star`` and ``kss_residual`` are the
+    exact values at that dyadic ``xi*`` rescaled onto the slice, each
+    rounded once to a float, so a cold call loads no mpmath.
     """
     _positive_finite("tol", tol)
     max_iter = _positive_int("max_iter", max_iter)
@@ -309,8 +318,12 @@ def minimize_volume(
     candidate = None
     if probe_rational is not None:
         candidate = rationality_probe(xi_star_tuple, probe_rational)
+    # xi* as the floats found, normalized when <xi*, l> = a / (d l_d) is within the
+    # tolerance of 1; _slice_sums has checked that xi* is interior
+    b = sums.d * sums.l_d
+    normalized = abs(Fraction(sums.a - b, b)) <= DEFAULT_TOL
     return MinimizeResult(
-        xi_star=reeb_vector(cone, xi_star_tuple),
+        xi_star=ReebVector(xi=xi_star_tuple, normalized=normalized),
         vol_star=sums.a ** n * sums.total / (sums.l_d ** n * math.factorial(n - 1) * sums.big),
         gradient_norm=math.sqrt(sum(c * c for c in grad)),
         iterations=iterations,

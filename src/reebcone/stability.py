@@ -39,6 +39,7 @@ from .geometry import (
     GorensteinVector,
     ToricCone,
     _common_denominator,
+    _sequence_length,
     _slice_sums,
     futaki_coefficients,
     gorenstein_vector,
@@ -191,7 +192,9 @@ def futaki_pairing(F, C):
 def futaki_product(cone: ToricCone, xi, eta):
     """Futaki pairing of a cone: :func:`futaki_pairing` of the closed-form
     characters of :func:`reebcone.geometry.futaki_coefficients`, equal to
-    those of the box points to order 1."""
+    those of the box points to order 1; ValueError for an eta of None, which
+    there means no eta."""
+    _sequence_length("eta", eta)
     return futaki_pairing(*futaki_coefficients(cone, xi, eta))
 
 

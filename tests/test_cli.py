@@ -49,7 +49,7 @@ UNLOADED = {
     "delta": ("mpmath", "numpy", "reebcone.characters", "reebcone.lattice", "reebcone.optimize"),
     "futaki": ("mpmath", "numpy", "reebcone.characters", "reebcone.lattice", "reebcone.optimize"),
     "character": ("mpmath", "numpy", "reebcone.lattice", "reebcone.stability", "reebcone.optimize"),
-    "minimize": ("logging", "numpy", "reebcone.characters", "reebcone.lattice"),
+    "minimize": ("logging", "mpmath", "numpy", "reebcone.characters", "reebcone.lattice"),
     "oracle": ("mpmath", "numpy", "reebcone.characters", "reebcone.optimize"),
 }
 

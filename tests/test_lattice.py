@@ -216,6 +216,10 @@ def test_oversized_scan_raises_before_allocating(monkeypatch):
         _oracle_table(make_orthant2(), (1, Fraction(1, 10 ** 12)), 10)
     with pytest.raises(ExceedsSupportedSize, match="int64"):
         lattice_points(dual_cone([(1,)], 1), (1,), 2 ** 62)
+    # a level below 1/d leaves one prefix and no sum, but the coefficient 2**63 of
+    # the top level is itself past int64
+    with pytest.raises(ExceedsSupportedSize, match="int64"):
+        truncated_character_oracle(make_orthant2(), (2 ** 63, 1), None, 0.5, 0.5)
 
 
 def test_exact_t_is_summed_as_its_float():
@@ -233,6 +237,9 @@ def test_exact_t_is_summed_as_its_float():
     (truncated_character_oracle, (None, 0.5, math.nan), "cutoff must be positive and finite"),
     (truncated_character_oracle, (None, 0.5, math.inf), "cutoff must be positive and finite"),
     (truncated_character_oracle, (None, 0.5, 10**400), "cutoff must be positive and finite"),
+    (truncated_character_oracle, (None, 0.5, 40, None), "rel_tol must be a positive float"),
+    (truncated_character_oracle, (None, 0.5, 40, math.nan), "rel_tol must be a positive float"),
+    (truncated_character_oracle, (None, 0.5, 40, 10**400), "rel_tol must be a positive float"),
     (lattice_points, (math.inf,), "m must be a positive integer"),
     (lattice_points, (math.nan,), "m must be a positive integer"),
     (lattice_points, (2.5,), "m must be a positive integer"),
@@ -247,7 +254,7 @@ def test_exact_t_is_summed_as_its_float():
     (_oracle_table, ("3",), "m_max must be a positive integer"),
     (_oracle_table, (0,), "m_max must be a positive integer"),
 ], ids=["t-nan", "t-inf", "t-minus-inf", "t-past-float", "cutoff-nan", "cutoff-inf",
-        "cutoff-past-float", "points-inf", "points-nan", "points-float", "points-str",
+        "cutoff-past-float", "rel-tol-none", "rel-tol-nan", "rel-tol-past-float", "points-inf", "points-nan", "points-float", "points-str",
         "points-none", "points-zero",
         "rows-minus-inf", "m-float", "m-fraction", "m-inf", "table-float", "table-str",
         "table-zero"])
@@ -271,11 +278,17 @@ def test_numpy_integer_level():
 
 def test_float_level_loads_no_mpmath():
     # Fraction reads an int, float or Fraction level exactly; only another number, an
-    # mpf say, is read at the working precision, which loads mpmath
-    script = ("import sys; from reebcone import dual_cone, truncated_character_oracle; "
-              "orthant2 = dual_cone([(1, 0), (0, 1)], 2); "
-              "truncated_character_oracle(orthant2, (1, 1), None, 0.5, 40.5); "
-              "print('mpmath' in sys.modules)")
+    # mpf say, is read at the working precision, which loads mpmath (geometry._dyadic
+    # reads a float exactly too, but an int or a Fraction only through mpmath)
+    script = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from reebcone import dual_cone, truncated_character_oracle",
+        "orthant2 = dual_cone([(1, 0), (0, 1)], 2)",
+        "for cutoff in (40.5, 40, Fraction(81, 2)):",
+        "    truncated_character_oracle(orthant2, (1, 1), None, 0.5, cutoff)",
+        "print('mpmath' in sys.modules)",
+    ])
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=False)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

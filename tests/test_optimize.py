@@ -18,6 +18,7 @@ from reebcone import (
     minimize_volume,
     polytope_Q,
     rationality_probe,
+    reeb_vector,
     volume_objective,
 )
 import reebcone.geometry as geometry
@@ -157,6 +158,9 @@ class TestVolumeObjective:
             volume_objective(orthant2, (2.0,))
         with pytest.raises(UnboundedSlice):
             volume_objective(conifold, (1.5, 0.5))
+        # inside, but a product of pairings underflows to 0.0
+        with pytest.raises(UnboundedSlice, match="too near the boundary"):
+            volume_objective(conifold, (5e-324, 0.5))
 
     def test_chart_roundtrip(self, y21):
         coords = (1 / 3, 2 / 3)
@@ -217,6 +221,16 @@ class TestRegularizedStep:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("spec", bundled_specs(), ids=lambda spec: spec.name)
+    def test_xi_star_keeps_the_floats_found(self, spec):
+        # the floats of the last iterate, equal to the mpfs reeb_vector makes of them
+        # and, like it, normalized
+        cone = dual_cone(spec.rays, spec.dim)
+        xi_star = minimize_volume(cone).xi_star
+        assert type(xi_star.xi) is tuple and {type(x) for x in xi_star.xi} == {float}
+        assert xi_star.normalized is True
+        assert xi_star == reeb_vector(cone, xi_star.xi)
+
     def test_orthant2(self, orthant2):
         res = minimize_volume(orthant2)
         assert res.xi_star.xi == (0.5, 0.5)

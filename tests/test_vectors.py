@@ -1,11 +1,16 @@
 """Every vector argument of the library is read by one coercion,
 ``geometry.numerators``: a bad vector is a ValueError (DimensionMismatch, itself a
-ValueError, for a wrong length) before any work, and a NumPy integer or an mpf
-equal to an integer gives the exact result of that integer.  The float vectors of
+ValueError, for a wrong length) before any work, a NumPy integer or an mpf
+equal to an integer gives the exact result of that integer, and a float is read
+as the dyadic rational it is, with no mpmath.  The float vectors of
 ``volume_objective`` and ``rationality_probe`` are read by their own code, with the
 same errors."""
 
+import json
 import math
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -34,7 +39,7 @@ from reebcone import (
     volume_objective,
     weight_character,
 )
-from reebcone.geometry import futaki_coefficients
+from reebcone.geometry import futaki_coefficients, numerators
 from reebcone.lattice import lattice_rows
 from conftest import make_conifold, make_orthant3
 
@@ -99,6 +104,8 @@ for name, call in (CALLS[-2], CALLS[27]):
     for kind, big in (("past the floats", 10 ** 400), ("past the digit limit", 10 ** 5000)):
         CASES.append((name, call, kind, (big,) + (1,) * (LENGTH[name] - 1),
                       "has an entry that is not finite"))
+# futaki_coefficients reads an eta of None as no eta, but futaki_product needs one
+CASES.append(("eta", CALLS[17][1], "None", None, "must be a sequence of numbers"))
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +157,47 @@ def test_mpf_valuation_and_boundary_are_exact(cone_and_pieces):
     for cutoff, exact in ((mpmath.mpf(50), 50), (mpmath.mpf(50.5), Fraction(101, 2))):
         assert truncated_character_oracle(cone, XI, ETA, 0.5, cutoff) == truncated_character_oracle(
             cone, XI, ETA, 0.5, exact)
+
+
+def test_float32_scalar_is_in_float_range():
+    # the float-range check of a scalar such as t converts first: a NumPy float32
+    # compared with the largest float would cast it to an overflowing float32, and warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncated_character_oracle(make_conifold(), XI, None, np.float32(0.5),
+                                          50) == truncated_character_oracle(
+            make_conifold(), XI, None, 0.5, 50)
+
+
+# floats, each the source of an expression that the child process below evaluates too
+FLOATS = ("0.1", "-0.0", "5e-324", "1e308", "1.5 * 2.0 ** 1000", "np.float64(0.1)")
+
+
+@pytest.mark.parametrize("bits", ["53", "128"])
+def test_float_is_read_exactly_with_no_mpmath(bits, monkeypatch):
+    # a double has 53 bits, at most the precision, so rounding it to an mpf changes
+    # nothing: numerators reads it to the pairs of the mpf route, with no mpmath loaded,
+    # and NaN and the infinities are still UnboundedSlice
+    monkeypatch.setenv("REEBCONE_PRECISION", bits)
+    script = "\n".join([
+        "import json, sys",
+        "import numpy as np",
+        "from reebcone.geometry import numerators",
+        f"values = [{', '.join(FLOATS)}]",
+        "pairs = [numerators(None, x=[x]) for x in values] + [numerators(None, x=values)]",
+        "errors = []",
+        "for bad in (float('nan'), float('inf'), -float('inf')):",
+        "    try:",
+        "        numerators(None, x=[1, bad])",
+        "    except Exception as exc:",
+        "        errors.append(type(exc).__name__)",
+        "print(json.dumps([pairs, errors, 'mpmath' in sys.modules]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    pairs, errors, loaded = json.loads(proc.stdout)
+    assert (errors, loaded) == (["UnboundedSlice"] * 3, False)
+    mpfs = [mpmath.mpf(eval(x), prec=int(bits)) for x in FLOATS]
+    want = [numerators(None, x=[x]) for x in mpfs] + [numerators(None, x=mpfs)]
+    assert pairs == json.loads(json.dumps(want))

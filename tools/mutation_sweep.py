@@ -45,8 +45,11 @@ MUTANTS = [
     ("positive-int-bound", "geometry.py",
      "if index < 1:", "if index < 0:",
      "tests/test_cli.py::TestInProcessFlags::test_flag_outside_its_domain[oracle-m_max=2.5]"),
+    ("positive-finite-float-first", "geometry.py",
+     "0 < value and float(value) <= sys.float_info.max", "0 < value <= sys.float_info.max",
+     "tests/test_vectors.py::test_float32_scalar_is_in_float_range"),
     ("positive-finite-bound", "geometry.py",
-     "0 < value <= sys.float_info.max", "0 < value",
+     "0 < value and float(value) <= sys.float_info.max", "0 < value",
      "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
     # geometry: the one coercion of a vector argument
     ("numerators-numpy-int", "geometry.py",
@@ -61,6 +64,16 @@ MUTANTS = [
     ("dim-index", "geometry.py",
      "dim = operator.index(dim)", "dim = int(dim)",
      "tests/test_geometry.py::TestDualCone::test_dim_not_an_integer[3]"),
+    # geometry: a float entry is read exactly, with no mpmath, and only when finite
+    ("dyadic-float-branch", "geometry.py",
+     "    if isinstance(x, float):\n", "    if False:\n",
+     "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[53]"),
+    ("dyadic-float-narrow", "geometry.py",
+     "    if isinstance(x, float):\n", "    if isinstance(x, int):\n",
+     "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[53]"),
+    ("dyadic-float-finite", "geometry.py",
+     "if not math.isfinite(x):", "if False:",
+     "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[128]"),
     # geometry: double description, triangulation, slice sums
     ("dd-adjacency-rank", "geometry.py",
      "common.bit_count() >= dim - 2", "common.bit_count() >= dim - 1",
@@ -112,6 +125,9 @@ MUTANTS = [
     ("scan-box-ceil", "lattice.py",
      "[-(-x // p) for x in u]", "[x // p for x in u]",
      "tests/test_lattice.py::test_scan_box_matches_fraction_box"),
+    ("scan-coefficient-int64", "lattice.py",
+     "+ abs(rhs) + max(map(abs, coeffs))", "+ abs(rhs)",
+     "tests/test_lattice.py::test_oversized_scan_raises_before_allocating"),
     ("scan-level-mpf", "lattice.py",
      "except TypeError:  # another number", "except ValueError:  # another number",
      "tests/test_vectors.py::test_mpf_valuation_and_boundary_are_exact"),
@@ -129,7 +145,8 @@ MUTANTS = [
     ("python-rows-axis-width", "lattice.py",
      "(hi[j] - lo[j], j)", "(hi[j] + lo[j], j)",
      "tests/test_lattice.py::test_python_rows_run_along_the_widest_axis"),
-    # lattice: the truncated oracle's default cutoff and its eta, which floats must hold
+    # lattice: the truncated oracle's default cutoff and its eta, which floats must hold,
+    # and a rel_tol that is a positive float
     ("weighted-reach", "lattice.py",
      "18.0 if weighted", "14.0 if weighted",
      "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
@@ -137,6 +154,9 @@ MUTANTS = [
      "except OverflowError:  # an entry past the floats",
      "except ZeroDivisionError:  # an entry past the floats",
      "tests/test_vectors.py::test_bad_vector_is_a_value_error[27-eta-past-the-floats]"),
+    ("oracle-rel-tol", "lattice.py",
+     "if not rel_tol > 0:", "if rel_tol < 0:",
+     "tests/test_lattice.py::test_oracle_inputs_outside_their_domain[rel-tol-nan]"),
     # lattice: the oracle's shell counts from the sorted run ends
     ("shells-residue-strict", "lattice.py",
      "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,",
@@ -185,7 +205,11 @@ MUTANTS = [
     ("order-negative-bound", "characters.py",
      "if order < 0:", "if order < -1:",
      "tests/test_characters.py::TestBadArguments::test_negative_order[-1]"),
-    # stability: the one coercion of a valuation, delta and its working-precision tolerances
+    # stability: the one coercion of a valuation, delta and its working-precision tolerances,
+    # and futaki_product's eta, which futaki_coefficients would read as None for no eta
+    ("futaki-product-eta", "stability.py",
+     "    _sequence_length(\"eta\", eta)\n", "",
+     "tests/test_vectors.py::test_bad_vector_is_a_value_error[17-eta-None]"),
     ("valuation-unchecked", "stability.py",
      "    [(v_num, d)], _ = numerators(cone.dim, v=v.v if isinstance(v, ToricValuation) else v)",
      "    if isinstance(v, ToricValuation):\n        return v\n"
@@ -240,6 +264,18 @@ MUTANTS = [
      "except OverflowError:  # an exact entry past the floats, as in",
      "except ZeroDivisionError:  # as in",
      "tests/test_vectors.py::test_bad_vector_is_a_value_error[29-xi_slice_coords-past-the-floats]"),
+    # optimize: a float product of pairings that underflows is off the slice
+    ("objective-underflow", "optimize.py",
+     "    except ZeroDivisionError:\n        raise UnboundedSlice(",
+     "    except OverflowError:\n        raise UnboundedSlice(",
+     "tests/test_optimize.py::TestVolumeObjective::test_left_cone"),
+    # optimize: xi* keeps its floats, normalized when <xi*, l> is within the tolerance of 1
+    ("xi-star-normalized-flip", "optimize.py",
+     "abs(Fraction(sums.a - b, b)) <= DEFAULT_TOL", "abs(Fraction(sums.a - b, b)) > DEFAULT_TOL",
+     "tests/test_optimize.py::TestMinimize::test_xi_star_keeps_the_floats_found[y21]"),
+    ("xi-star-normalized-exact", "optimize.py",
+     "abs(Fraction(sums.a - b, b)) <= DEFAULT_TOL", "abs(Fraction(sums.a - b, b)) <= 0",
+     "tests/test_optimize.py::TestMinimize::test_xi_star_keeps_the_floats_found[orthant3]"),
     # optimize: the grid oracle's ranking by the integer ratio T/L
     ("grid-first-minimum", "optimize.py",
      "total * best_big < best_total * big", "total * best_big <= best_total * big",
