@@ -30,12 +30,11 @@ points themselves are a view for tests and counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, index, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .config import ratio_type
@@ -46,8 +45,7 @@ MAX_ORDER = 4
 MAX_BOX_POINTS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SimplicialPiece:
+class SimplicialPiece(NamedTuple):
     """A half-open simplicial subcone of sigma^v with its box points as numerators.
 
     ``generators`` are n linearly independent primitive dual rays u_i; facet

@@ -21,7 +21,8 @@ and ``oracle``, :mod:`reebcone.lattice` for ``oracle`` alone,
 :mod:`reebcone.optimize` for ``minimize``.  mpmath loads with the first mpf,
 which no subcommand makes on a rational spec (``minimize`` reads its float
 xi* exactly), and numpy with the character sums of ``oracle --t``: the
-``oracle --m-max`` table is one pure-Python scan.
+``oracle --m-max`` table is one pure-Python scan.  Every result type is a
+``typing.NamedTuple``, so no subcommand loads :mod:`dataclasses`.
 
 Exit codes: 0 success, 1 usage, else the ``exit_code`` of the error's type
 in :mod:`reebcone.errors`.
@@ -30,7 +31,6 @@ in :mod:`reebcone.errors`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -40,7 +40,7 @@ import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .config import DEFAULT_TOL, precision_bits
@@ -52,8 +52,7 @@ from .geometry import ToricCone, dual_cone, futaki_coefficients, gorenstein_vect
 MAX_EXPONENT = 4300  # largest |exponent| of a decimal input such as 1e-4300
 
 
-@dataclasses.dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(NamedTuple):
     """Validated cone description parsed from a JSON document."""
 
     name: str
@@ -64,8 +63,7 @@ class ConeSpec:
     boundary_coeffs: Optional[Tuple[Fraction, ...]] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Machine-readable outcome of one CLI invocation."""
 
     command: str
@@ -78,7 +76,7 @@ class Report:
     error: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return _jsonable(dataclasses.asdict(self))
+        return _jsonable(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -93,17 +91,15 @@ def _jsonable(obj):
     (shortest round-trip repr keeps the bytes deterministic), and ValueError
     names the type of one that float cannot take.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
     if isinstance(obj, Fraction):
         p, q = (str(Decimal(k)) for k in obj.as_integer_ratio())
         return p if q == "1" else p + "/" + q
-    if isinstance(obj, float):
-        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
+    if hasattr(obj, "_asdict"):  # a NamedTuple record, which the list branch would list
+        return _jsonable(obj._asdict())
     try:
         len(obj)  # any other sized iterable, a NumPy array included, is a list
     except TypeError:  # a scalar: an mpf, a NumPy number or a 0-d array
@@ -112,6 +108,11 @@ def _jsonable(obj):
         except (TypeError, ValueError):
             raise ValueError("no report can hold a value of type %s" % type(obj).__name__) from None
     return [_jsonable(v) for v in obj]
+
+
+def _fields(record) -> dict:
+    """A result record's fields by name, each one that is a record itself as a dict."""
+    return {k: _fields(v) if hasattr(v, "_asdict") else v for k, v in record._asdict().items()}
 
 
 def _rational(token: str) -> Fraction:
@@ -242,11 +243,7 @@ def _run_check(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
         from .stability import delta
 
         rv = reeb_vector(cone, xi)  # normalized against the Gorenstein vector, not a boundary's l
-        results["reeb"] = {
-            "xi": list(rv.xi),
-            "interior": True,
-            "normalized": rv.normalized,
-        }
+        results["reeb"] = dict(_fields(rv), xi=list(rv.xi), interior=True)
         report = delta(cone, xi, spec.boundary_coeffs, experimental=True)
         results["kss"] = report.kss
         results["delta"] = report.delta
@@ -269,7 +266,7 @@ def _run_delta(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> N
     from .stability import delta
 
     xi = _require(spec, flags, "xi")
-    results.update(dataclasses.asdict(delta(cone, xi, spec.boundary_coeffs, experimental=True)))
+    results.update(_fields(delta(cone, xi, spec.boundary_coeffs, experimental=True)))
 
 
 def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
@@ -277,7 +274,7 @@ def _run_minimize(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -
 
     given = {k: flags[k] for k in ("tol", "max_iter", "probe_rational") if flags.get(k) is not None}
     res = minimize_volume(cone, start=_flag(flags, "xi", spec.xi), **given)
-    results.update(dataclasses.asdict(res), xi_star=[float(x) for x in res.xi_star.xi])
+    results.update(_fields(res), xi_star=[float(x) for x in res.xi_star.xi])
 
 
 def _run_futaki(cone: ToricCone, spec: ConeSpec, flags: dict, results: dict) -> None:
@@ -508,7 +505,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             Path(json_out).write_text(payload, encoding="utf-8")
         except OSError as exc:
             failure = InputError("cannot write --json-out: %s" % exc)
-            payload = dataclasses.replace(report, error=_error_block(failure)).to_json()
+            payload = report._replace(error=_error_block(failure)).to_json()
     sys.stdout.write(payload)
     return 0 if failure is None else _exit_code(failure)
 

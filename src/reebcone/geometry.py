@@ -25,7 +25,6 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -65,8 +64,7 @@ _MAX_SPREAD_BITS = 4096
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ToricCone:
+class ToricCone(NamedTuple):
     """A full-dimensional pointed cone together with its dual description.
 
     ``rays`` are the primitive extreme-ray generators of sigma; ``dual_rays``
@@ -89,15 +87,13 @@ class ToricCone:
         return all(linalg.dot(v, u) > 0 for u in self.dual_rays)
 
 
-@dataclass(frozen=True)
-class GorensteinVector:
+class GorensteinVector(NamedTuple):
     """The rational covector l with <v_i, l> = 1 on every ray generator."""
 
     l: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class ReebVector:
+class ReebVector(NamedTuple):
     """A point of the interior Reeb cone int(sigma).
 
     Entries are Fractions when the vector is rational and multiprecision
@@ -110,8 +106,7 @@ class ReebVector:
     normalized: bool
 
 
-@dataclass(frozen=True)
-class PolytopeSlice:
+class PolytopeSlice(NamedTuple):
     """The volume of Q_xi and its barycenters, exact for rational xi.
 
     ``bary_Q`` / ``bary_P`` are the barycenters of Q_xi and of the facet
@@ -123,8 +118,7 @@ class PolytopeSlice:
     bary_P: tuple
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(NamedTuple):
     """Principal-part coefficients of a character expansion at t = 0.
 
     ``coeffs[j]`` is the Laurent coefficient of t^(order_low + j), with
@@ -536,14 +530,20 @@ def _sequence_length(name: str, vec) -> int:
 
 def _dyadic(name: str, x):
     """A number other than an integer or a Fraction, rounded to mpf at the working
-    precision, as the dyadic rational man 2^exp it then is.  A float, NumPy's
-    float64 too, is that dyadic already (53 bits, at most the precision), so it
-    is read exactly with no mpmath.  ValueError for what mpmath cannot take
-    (None, a str), UnboundedSlice for NaN and infinities."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise UnboundedSlice(f"non-finite entry {x} in {name}")
-        return Fraction(x)
+    precision p, as the dyadic rational man 2^exp it then is.  An entry with an exact
+    ratio (a float of any width, NumPy's too, or a Decimal) is read from it, with no
+    mpmath when it is a dyadic of at most p significant bits, as every float of 53
+    bits or fewer is.  ValueError for what mpmath cannot take (None, a str),
+    UnboundedSlice for NaN and infinities."""
+    if hasattr(x, "as_integer_ratio"):
+        try:
+            num, den = x.as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinity or a NaN
+            raise UnboundedSlice(f"non-finite entry {x} in {name}") from None
+        odd = num // (num & -num) if num else 0  # num without its trailing zero bits
+        if den & (den - 1) == 0 and odd.bit_length() <= precision_bits():
+            return Fraction(num, den)
+        x = ratio_type(False)(num, den)  # the ratio rounded once to an mpf
     ctx = mp_context()
     try:
         value = None if isinstance(x, (str, bytes)) else ctx.mpf(x)  # mpmath would parse a str

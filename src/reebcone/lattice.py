@@ -56,8 +56,8 @@ def _scan_box(cone: ToricCone, xi, level) -> tuple:
         raise ValueError(f"level must be finite, got {level!r}")
     xi_int, denom = integer_reeb(cone, xi)
     try:
-        level = Fraction(level)  # an int, float or Fraction exactly, with no mpmath
-    except TypeError:  # another number, an mpf say, as geometry.numerators reads it
+        level = Fraction(level)  # an int, float, Fraction or Decimal exactly, with no mpmath
+    except TypeError:  # another number, an mpf or a NumPy float32 say, as numerators reads it
         level = _dyadic("level", level)
     bound = math.floor(level * denom)
     scaled = [([bound * x for x in u], linalg.dot(xi_int, u)) for u in cone.dual_rays]
@@ -370,6 +370,25 @@ def _shell_counts(s0, counts, step: int, xs: Sequence[int]):
     return np.diff(phi(s0) - phi(ends))
 
 
+def _run_means(h: float, counts):
+    """The mean index 1/(e^h - 1) - L/(e^{hL} - 1) of each run of L = counts[r]
+    points weighing e^{-hj}, j < L, 0 at L = 1.  Below hL = 0.01 its two terms
+    near 1/h cancel, so there it is the series (L-1)/2 - h(L^2-1)/12 +
+    h^3(L^4-1)/720, whose first term left out is below 2e-14 of it."""
+    import numpy as np
+
+    if h * counts.max(initial=0) >= 0.01:  # else no run takes it, and 1 / h may overflow
+        mean = np.where(counts > 1, np.exp(-h) / -np.expm1(-h)
+                        - counts * np.exp(-h * counts) / -np.expm1(-h * counts), 0.0)
+    else:
+        mean = np.zeros(len(counts))
+    if h < 0.005:  # else every run of L >= 2 has hL >= 0.01
+        short = (counts > 1) & (h * counts < 0.01)
+        n = counts[short].astype(float)
+        mean[short] = (n - 1) * (0.5 - h * (n + 1) / 12 * (1 - h * h * (n * n + 1) / 60))
+    return mean
+
+
 def _default_cutoff(t, weighted: bool) -> int:
     """The oracle's cutoff when none is given: ceil(14 / t), or ceil(18 / t) for the
     eta-weighted sum, whose tail has one more power of the pairing.  ValueError unless
@@ -424,23 +443,14 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     x0 = a if step >= 0 else b
     s0 = prefix @ np.array(xi_int[:-1], dtype=np.int64) + step * x0
     h = t * abs(step) / denom
-    if step:
-        # a run weighs q^j, j < L, q = e^{-h}: sum (1 - q^L) / (1 - q), mean
-        # index 1/(e^h - 1) - L/(e^{hL} - 1), written to neither overflow nor
-        # leave rounding residue on one-point runs
-        one_minus_q, one_minus_q_l = -np.expm1(-h), -np.expm1(-h * counts)
-        geometric = one_minus_q_l / one_minus_q
-        mean = np.where(counts > 1, np.exp(-h) / one_minus_q
-                        - counts * np.exp(-h * counts) / one_minus_q_l, 0.0)
-    else:
-        geometric = counts.astype(float)
-        mean = (counts - 1) / 2
+    # a run of L points weighs q^j, j < L, q = e^{-h}: sum (1 - q^L) / (1 - q)
+    geometric = -np.expm1(-h * counts) / -np.expm1(-h) if h else counts.astype(float)
     weights = np.exp(-t / denom * s0) * geometric
     if eta_or_none is not None:
-        weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * mean)
+        weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * _run_means(h, counts))
     partial = float(weights.sum())
 
-    del prefix, a, b, x0, geometric, mean, weights  # only the run starts and lengths count
+    del prefix, a, b, x0, geometric, weights  # only the run starts and lengths count
     num_shells = int(math.ceil(cutoff))
     half = max(1, num_shells // 2)
     shell_counts = dict(zip(range(half, num_shells + 1), _shell_counts(
@@ -464,7 +474,7 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
         if term < 1e-18 * (abs(partial) + tail + 1e-300):
             break
         k += 1
-    if tail > rel_tol * max(abs(partial), 1e-300):
+    if not math.isfinite(partial + tail) or tail > rel_tol * max(abs(partial), 1e-300):
         raise CutoffTooSmall(
             f"estimated tail {tail:.3g} exceeds {rel_tol:.1g} * |partial sum| "
             f"{abs(partial):.6g}; increase the cutoff"

@@ -25,13 +25,12 @@ winner with :func:`reebcone.geometry.polytope_Q`.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -50,8 +49,7 @@ MAX_GRID_SAMPLES = 10**4
 _MIN_STEP_SCALE = 2.0**-60
 
 
-@dataclasses.dataclass(frozen=True)
-class RationalCandidate:
+class RationalCandidate(NamedTuple):
     """Best simultaneous rational approximation of a minimizer."""
 
     vector: Tuple[Fraction, ...]
@@ -59,8 +57,7 @@ class RationalCandidate:
     distance: float
 
 
-@dataclasses.dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Converged state of the volume minimization.
 
     ``xi_star`` holds the floats the Newton iteration found.  ``margin``
@@ -77,8 +74,7 @@ class MinimizeResult:
     rational_candidate: Optional[RationalCandidate]
 
 
-@dataclasses.dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     """Best point of a brute-force slice grid scan (exact arithmetic)."""
 
     xi: Tuple[Fraction, ...]

@@ -28,10 +28,9 @@ once at the working precision.  K-semistability is equivalent to
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type
 from .errors import UnboundedSlice
@@ -48,8 +47,7 @@ from .geometry import (
 from . import linalg
 
 
-@dataclasses.dataclass(frozen=True)
-class ToricValuation:
+class ToricValuation(NamedTuple):
     """A toric valuation ``wt_v`` given by a point ``v`` of ``sigma``.
 
     ``v`` may sit anywhere in the cone except the apex; valuations
@@ -74,8 +72,7 @@ def toric_valuation(cone: ToricCone, v) -> ToricValuation:
     return ToricValuation(v=vv, interior=cone.interior_contains(v_num))
 
 
-@dataclasses.dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Outcome of the barycenter criterion for one Reeb vector.
 
     ``delta`` is the stability threshold and ``delta_prime`` its

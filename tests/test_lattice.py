@@ -17,6 +17,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import numpy
 import pytest
 
 from reebcone import (
+    CutoffTooSmall,
     ExceedsSupportedSize,
     IrrationalReeb,
     dual_cone,
@@ -119,6 +121,45 @@ def test_character_oracle_keeps_points_on_the_cutoff():
     expected = math.fsum(math.exp(-float(dot(xi, u))) for u in pts)
     observed = truncated_character_oracle(cone, xi, None, 1.0, 14)
     assert abs(observed - expected) <= 1e-12 * expected
+
+
+# y21 at xi = (1, 1/3, 2/3), where a run of the scan steps its pairing by 2/3
+Y21_XI = (1, Fraction(1, 3), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-310, 1e-300, 1e-200])
+def test_weighted_oracle_at_tiny_t_is_cutoff_too_small(t):
+    # the run means 1/(e^h - 1) - L/(e^{hL} - 1) cancelled to NaN or to a huge value
+    # here; the partial sum is now finite and the tail bound refuses it, as unweighted
+    for eta in (None, (0, 1, 1)):
+        with pytest.raises(CutoffTooSmall):
+            truncated_character_oracle(make_y21(), Y21_XI, eta, t, 40)
+
+
+def test_oracle_sum_past_the_floats_is_cutoff_too_small():
+    # with no tail check at all, a partial sum or tail that is not finite is still no value
+    with numpy.errstate(over="ignore", invalid="ignore"), pytest.raises(CutoffTooSmall):
+        truncated_character_oracle(make_y21(), Y21_XI, (1e308, 0, 0), 1.0, 40, rel_tol=math.inf)
+
+
+@pytest.mark.parametrize("make, xi, eta, cutoff", [
+    (make_y21, Y21_XI, (0, 1, 1), 16),
+    # t / 9 of the least float is 0, so every run weighs 1 per point
+    (make_y21, (1, Fraction(1, 3), Fraction(1, 9)), (0, 1, 1), 16),
+    # runs of up to 201 points, so hL runs up to 0.8 at t = 0.2, where h = 0.004
+    (make_orthant2, (1, Fraction(1, 50)), (0, 1), 4),
+], ids=["y21", "y21-h-underflow", "orthant2-long-runs"])
+def test_weighted_oracle_matches_the_direct_sum_at_every_t(make, xi, eta, cutoff):
+    # the run means and sums at every scale of hL, series and closed form alike,
+    # against the sum over the points of lattice_points, with no overflow warned
+    cone = make()
+    points = [(float(dot(xi, u)), dot(eta, u)) for u in lattice_points(cone, xi, cutoff)]
+    for t in (5e-324, 1e-310, 1e-300, 1e-200, 1e-6, 1e-3, 0.02, 0.2, 0.3):
+        expected = math.fsum(w * math.exp(-t * s) for s, w in points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            observed = truncated_character_oracle(cone, xi, eta, t, cutoff, rel_tol=math.inf)
+        assert abs(observed - expected) <= 1e-9 * expected, t
 
 
 def test_scan_box_matches_fraction_box():
@@ -278,14 +319,16 @@ def test_numpy_integer_level():
 
 def test_float_level_loads_no_mpmath():
     # Fraction reads an int, float or Fraction level exactly; only another number, an
-    # mpf say, is read at the working precision, which loads mpmath (geometry._dyadic
-    # reads a float exactly too, but an int or a Fraction only through mpmath)
+    # mpf say, is read at the working precision, which loads mpmath for an mpf but not
+    # for a NumPy float32 (geometry._dyadic reads every float exactly too, but rounds a
+    # Fraction such as 121/3, which is no dyadic, through mpmath)
     script = "\n".join([
         "import sys",
         "from fractions import Fraction",
+        "import numpy as np",
         "from reebcone import dual_cone, truncated_character_oracle",
         "orthant2 = dual_cone([(1, 0), (0, 1)], 2)",
-        "for cutoff in (40.5, 40, Fraction(81, 2)):",
+        "for cutoff in (40.5, 40, Fraction(81, 2), Fraction(121, 3), np.float32(40.5)):",
         "    truncated_character_oracle(orthant2, (1, 1), None, 0.5, cutoff)",
         "print('mpmath' in sys.modules)",
     ])

@@ -1,5 +1,6 @@
 """The package surface: every export resolves lazily to its submodule's object, no
-library module has a bare assert, and NumPy is imported by the lattice module only."""
+library module has a bare assert, NumPy is imported by the lattice module only, no
+module imports dataclasses, and every result type is an immutable record."""
 
 import ast
 import importlib
@@ -11,6 +12,19 @@ from pathlib import Path
 import pytest
 
 import reebcone
+from reebcone import (
+    decompose_dual,
+    delta,
+    dual_cone,
+    gorenstein_vector,
+    grid_search_oracle,
+    index_character,
+    minimize_volume,
+    polytope_Q,
+    reeb_vector,
+    toric_valuation,
+)
+from reebcone import cli
 
 
 def test_exports_are_the_submodule_objects():
@@ -87,3 +101,39 @@ def test_numpy_is_imported_by_the_lattice_module_only():
                 at_top.add(path.name)
     assert importers == {"lattice.py"}
     assert at_top == set()
+
+
+def test_no_module_imports_dataclasses():
+    # every result type is a typing.NamedTuple: importing dataclasses would cost each
+    # cold CLI call its own import and inspect's, and each class an exec of its methods
+    importers = set()
+    for path in sorted(Path(reebcone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "dataclasses" in _imported_modules(node):
+                importers.add(path.name)
+    assert importers == set()
+
+
+def _results():
+    """One value of each public result type, from the library call that makes it."""
+    cone = dual_cone([(1, 0), (1, 2)], 2)
+    spec = '{"name": "a1", "dim": 2, "rays": [[1, 0], [1, 2]], "xi": [1, 1]}'
+    res = minimize_volume(cone, probe_rational=10)
+    return [cone, gorenstein_vector(cone), reeb_vector(cone, (1, 1)), polytope_Q(cone, (1, 1)),
+            index_character(decompose_dual(cone), (1, 1)), decompose_dual(cone)[0],
+            toric_valuation(cone, (1, 0)), delta(cone, (1, 1)), res, res.rational_candidate,
+            grid_search_oracle(cone, 4), cli.parse_cone_spec(spec), cli.run("check", spec)]
+
+
+def test_result_types_are_immutable():
+    values = _results()
+    assert [type(v).__name__ for v in values] == [
+        "ToricCone", "GorensteinVector", "ReebVector", "PolytopeSlice", "LaurentSeries",
+        "SimplicialPiece", "ToricValuation", "StabilityReport", "MinimizeResult",
+        "RationalCandidate", "GridResult", "ConeSpec", "Report"]
+    for value in values:
+        for field in (*value._fields, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        assert value == type(value)(*value)
+        assert value._replace() == value

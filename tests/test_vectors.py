@@ -1,8 +1,9 @@
 """Every vector argument of the library is read by one coercion,
 ``geometry.numerators``: a bad vector is a ValueError (DimensionMismatch, itself a
 ValueError, for a wrong length) before any work, a NumPy integer or an mpf
-equal to an integer gives the exact result of that integer, and a float is read
-as the dyadic rational it is, with no mpmath.  The float vectors of
+equal to an integer gives the exact result of that integer, and a float of any
+width, or a Decimal that is a dyadic within the precision, is read as the dyadic
+rational it is, with no mpmath.  The float vectors of
 ``volume_objective`` and ``rationality_probe`` are read by their own code, with the
 same errors."""
 
@@ -11,6 +12,7 @@ import math
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -40,8 +42,8 @@ from reebcone import (
     weight_character,
 )
 from reebcone.geometry import futaki_coefficients, numerators
-from reebcone.lattice import lattice_rows
-from conftest import make_conifold, make_orthant3
+from reebcone.lattice import _scan_box, lattice_rows
+from conftest import make_conifold, make_orthant2, make_orthant3
 
 XI, ETA, V, B, T = (2, Fraction(1, 2), Fraction(1, 2)), (0, 1, 0), (1, 0, 0), (0, 0, 0, 0), (0, 1)
 
@@ -201,3 +203,63 @@ def test_float_is_read_exactly_with_no_mpmath(bits, monkeypatch):
     mpfs = [mpmath.mpf(eval(x), prec=int(bits)) for x in FLOATS]
     want = [numerators(None, x=[x]) for x in mpfs] + [numerators(None, x=mpfs)]
     assert pairs == json.loads(json.dumps(want))
+
+
+# entries that mpmath cannot take but that hold an exact ratio, each the source of an
+# expression that the child process below evaluates too: floats of 11 and 24 bits,
+# and a Decimal that is a dyadic rational
+NARROW = ("np.float16(0.1)", "np.float16(-65504)", "np.float32(0.1)", "np.float32(3e38)",
+          "np.float32(1e-45)", "Decimal('0.375')")
+
+
+@pytest.mark.parametrize("bits", ["53", "128"])
+def test_narrow_float_is_read_exactly_with_no_mpmath(bits, monkeypatch):
+    # a float16 or float32 entry, a scan level included, is the dyadic rational it is, with
+    # no mpmath loaded, and NaN and the infinities are still UnboundedSlice
+    monkeypatch.setenv("REEBCONE_PRECISION", bits)
+    script = "\n".join([
+        "import json, sys",
+        "from decimal import Decimal",
+        "import numpy as np",
+        "from reebcone import dual_cone",
+        "from reebcone.geometry import numerators",
+        "from reebcone.lattice import _scan_box",
+        f"values = [{', '.join(NARROW)}]",
+        "pairs = [numerators(None, x=[x]) for x in values]",
+        "box = _scan_box(dual_cone([(1, 0), (0, 1)], 2), (1, 2), np.float32(40.5))",
+        "errors = []",
+        "for bad in (np.float32('nan'), np.float16('inf'), Decimal('-Infinity'), Decimal('sNaN')):",
+        "    try:",
+        "        numerators(None, x=[1, bad])",
+        "    except Exception as exc:",
+        "        errors.append(type(exc).__name__)",
+        "print(json.dumps([pairs, box, errors, 'mpmath' in sys.modules]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    pairs, box, errors, loaded = json.loads(proc.stdout)
+    assert (errors, loaded) == (["UnboundedSlice"] * 4, False)
+    want = [[[[[num], den]], False] for num, den in (eval(x).as_integer_ratio() for x in NARROW)]
+    assert pairs == want
+    assert box == json.loads(json.dumps(_scan_box(make_orthant2(), (1, 2), Fraction(81, 2))))
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_wide_entry_is_rounded_once(bits, monkeypatch):
+    # a Decimal or a long double that is no dyadic of at most p bits is its exact
+    # ratio rounded once to p bits, the mpf that mpmath rounds that ratio to
+    monkeypatch.setenv("REEBCONE_PRECISION", str(bits))
+    for x in (Decimal("0.1"), Decimal("-7.3e-200"), Decimal(2 ** 200 + 1),
+              np.longdouble(1) / 3, np.longdouble(2) ** 60 + 1):
+        mpf = mpmath.mpf(mpmath.libmp.from_rational(*x.as_integer_ratio(), bits, "n"), prec=bits)
+        assert numerators(None, x=[x]) == numerators(None, x=[mpf])
+
+
+def test_narrow_floats_give_the_results_of_their_values():
+    # the calls that refused a NumPy float32 entry or cutoff as not a number
+    orthant2, conifold = make_orthant2(), make_conifold()
+    assert repr(polytope_Q(orthant2, (np.float32(0.5), 1))) == repr(polytope_Q(orthant2, (0.5, 1)))
+    assert repr(delta(conifold, (np.float16(2), 0.5, 0.5))) == repr(delta(conifold, (2.0, 0.5, 0.5)))
+    assert truncated_character_oracle(conifold, XI, None, 0.5, np.float32(50)) == \
+        truncated_character_oracle(conifold, XI, None, 0.5, 50)

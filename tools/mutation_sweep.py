@@ -64,16 +64,29 @@ MUTANTS = [
     ("dim-index", "geometry.py",
      "dim = operator.index(dim)", "dim = int(dim)",
      "tests/test_geometry.py::TestDualCone::test_dim_not_an_integer[3]"),
-    # geometry: a float entry is read exactly, with no mpmath, and only when finite
-    ("dyadic-float-branch", "geometry.py",
-     "    if isinstance(x, float):\n", "    if False:\n",
+    # geometry: an entry with an exact ratio, a float of any width say, is read from it
+    # with no mpmath when it is a dyadic within the precision, else rounded once, and
+    # only when finite
+    ("dyadic-ratio-branch", "geometry.py",
+     "    if hasattr(x, \"as_integer_ratio\"):\n", "    if False:\n",
      "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[53]"),
-    ("dyadic-float-narrow", "geometry.py",
-     "    if isinstance(x, float):\n", "    if isinstance(x, int):\n",
-     "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[53]"),
-    ("dyadic-float-finite", "geometry.py",
-     "if not math.isfinite(x):", "if False:",
+    ("dyadic-ratio-float-only", "geometry.py",
+     "    if hasattr(x, \"as_integer_ratio\"):\n", "    if isinstance(x, float):\n",
+     "tests/test_vectors.py::test_narrow_float_is_read_exactly_with_no_mpmath[53]"),
+    ("dyadic-ratio-nan", "geometry.py",
+     "except (OverflowError, ValueError):  # an infinity or a NaN",
+     "except OverflowError:  # an infinity or a NaN",
      "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[128]"),
+    ("dyadic-odd-part", "geometry.py",
+     "odd = num // (num & -num) if num else 0", "odd = num",
+     "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[53]"),
+    ("dyadic-within-precision", "geometry.py",
+     "odd.bit_length() <= precision_bits()", "odd.bit_length() <= 64",
+     "tests/test_vectors.py::test_wide_entry_is_rounded_once[53]"),
+    # geometry: every per-cone cache is bounded, so an earlier cone is freed
+    ("cone-cache-unbounded", "geometry.py",
+     "CONE_CACHE_SIZE = 16", "CONE_CACHE_SIZE = 1000",
+     "tests/test_geometry.py::TestCacheRetention::test_caches_let_go_of_earlier_cones"),
     # geometry: double description, triangulation, slice sums
     ("dd-adjacency-rank", "geometry.py",
      "common.bit_count() >= dim - 2", "common.bit_count() >= dim - 1",
@@ -157,6 +170,25 @@ MUTANTS = [
     ("oracle-rel-tol", "lattice.py",
      "if not rel_tol > 0:", "if rel_tol < 0:",
      "tests/test_lattice.py::test_oracle_inputs_outside_their_domain[rel-tol-nan]"),
+    # lattice: the weighted oracle's run means, a series where hL is small, every run
+    # weighing 1 per point where h is below the least float, and no sum past the floats
+    ("run-means-series", "lattice.py",
+     "(0.5 - h * (n + 1) / 12 * (1 - h * h", "(0.5 - h * (n - 1) / 12 * (1 - h * h",
+     "tests/test_lattice.py::test_weighted_oracle_matches_the_direct_sum_at_every_t[y21]"),
+    ("run-means-threshold", "lattice.py",
+     "(h * counts < 0.01)", "(h * counts < 1.0)",
+     "tests/test_lattice.py::test_weighted_oracle_matches_the_direct_sum_at_every_t"
+     "[orthant2-long-runs]"),
+    ("run-means-overflow", "lattice.py",
+     "if h * counts.max(initial=0) >= 0.01:", "if True:",
+     "tests/test_lattice.py::test_weighted_oracle_matches_the_direct_sum_at_every_t[y21]"),
+    ("oracle-h-underflow", "lattice.py",
+     "/ -np.expm1(-h) if h else", "/ -np.expm1(-h) if step else",
+     "tests/test_lattice.py::test_weighted_oracle_matches_the_direct_sum_at_every_t"
+     "[y21-h-underflow]"),
+    ("oracle-sum-finite", "lattice.py",
+     "if not math.isfinite(partial + tail) or tail >", "if tail >",
+     "tests/test_lattice.py::test_oracle_sum_past_the_floats_is_cutoff_too_small"),
     # lattice: the oracle's shell counts from the sorted run ends
     ("shells-residue-strict", "lattice.py",
      "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,",
@@ -288,6 +320,17 @@ MUTANTS = [
      "and order in (0, 1):", "and order in (0,):",
      "tests/test_cli.py::TestMainExitCodes::test_character_beyond_the_box_point_bound"),
     # cli: every subcommand acknowledges a spec's boundary, and the error type sets the exit code
+    # cli: a report holds each result record as a dict, in process as in its JSON; below
+    # the sized-iterable branch of _jsonable no record would reach the record branch, so
+    # moving it there is deleting it
+    ("cli-fields-shallow", "cli.py",
+     "_fields(v) if hasattr(v, \"_asdict\") else v", "v",
+     "tests/test_cli.py::TestRunReports::test_boundary_spec_is_experimental"),
+    ("cli-jsonable-record-last", "cli.py",
+     "    if hasattr(obj, \"_asdict\"):  # a NamedTuple record, which the list branch would list\n"
+     "        return _jsonable(obj._asdict())\n",
+     "",
+     "tests/test_cli.py::TestRunReports::test_character_coefficients_serialized"),
     ("cli-boundary-every-command", "cli.py",
      "            _warn_boundary(spec)\n",
      "            if command in (\"check\", \"delta\"):\n                _warn_boundary(spec)\n",
