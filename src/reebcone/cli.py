@@ -22,7 +22,10 @@ and ``oracle``, :mod:`reebcone.lattice` for ``oracle`` alone,
 which no subcommand makes on a rational spec (``minimize`` reads its float
 xi* exactly), and numpy with the character sums of ``oracle --t``: the
 ``oracle --m-max`` table is one pure-Python scan.  Every result type is a
-``typing.NamedTuple``, so no subcommand loads :mod:`dataclasses`.
+``typing.NamedTuple``, so no subcommand loads :mod:`dataclasses`, and one flag
+table read by :func:`_parse_args`, by argparse's token rules, takes argparse's
+place, so none loads :mod:`argparse` or the :mod:`gettext` and :mod:`locale`
+it loads.
 
 Exit codes: 0 success, 1 usage, else the ``exit_code`` of the error's type
 in :mod:`reebcone.errors`.
@@ -30,7 +33,6 @@ in :mod:`reebcone.errors`.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -429,19 +431,11 @@ def _error_block(exc: Exception) -> dict:
     return {"type": kind, "message": str(exc)}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
-
-
 def _fraction_arg(token: str) -> Fraction:
     try:
         return _rational(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError("%r is not a rational number: %s" % (token, exc))
+        raise ValueError("%r is not a rational number: %s" % (token, exc)) from None
 
 
 def _finite_arg(token: str) -> float:
@@ -450,42 +444,159 @@ def _finite_arg(token: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("%r is not a finite number" % (token,))
+        raise ValueError("%r is not a finite number" % (token,))
     return value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="reebcone",
-        description="K-semistability of toric Fano cone singularities "
-        "via the barycenter criterion.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, blurb) in _COMMAND_TABLE.items():
-        p = sub.add_parser(command, help=blurb)
-        p.add_argument("--spec", required=True, help="path to a cone spec (JSON)")
-        p.add_argument("--xi", nargs="+", type=_fraction_arg, metavar="C",
-                       help="Reeb vector coordinates (overrides the spec)")
-        p.add_argument("--eta", nargs="+", type=_fraction_arg, metavar="C",
-                       help="direction coordinates (overrides the spec)")
-        p.add_argument("--order", type=int, help="character expansion order")
-        p.add_argument("--tol", type=_finite_arg, help="convergence tolerance")
-        p.add_argument("--m-max", type=int, dest="m_max",
-                       help="oracle: compute S_m for m = 1..M")
-        p.add_argument("--t", nargs="+", type=_finite_arg, metavar="T",
-                       help="oracle: evaluate truncated character at these t")
-        p.add_argument("--cutoff", type=_finite_arg,
-                       help="oracle: pairing cutoff for the lattice sum "
-                            "(default ceil(14/t), ceil(18/t) with eta)")
-        p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="minimize: Newton iteration cap")
-        p.add_argument("--probe-rational", type=int, dest="probe_rational",
-                       metavar="N", help="minimize: probe a rational "
-                       "minimizer with denominators up to N")
-        p.add_argument("--json-out", dest="json_out",
-                       help="also write the report to this file")
-    return parser
+def _int_arg(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("invalid int value: %r" % (token,)) from None
+
+
+# every subcommand's flags: dest, arity (1 value, or "+" for one or more), the
+# converter of each value (ValueError says what is wrong), metavar and help line
+_FLAGS = {
+    "--spec": ("spec", 1, str, "SPEC", "path to a cone spec (JSON)"),
+    "--xi": ("xi", "+", _fraction_arg, "C [C ...]", "Reeb vector coordinates (overrides the spec)"),
+    "--eta": ("eta", "+", _fraction_arg, "C [C ...]", "direction coordinates (overrides the spec)"),
+    "--order": ("order", 1, _int_arg, "ORDER", "character expansion order"),
+    "--tol": ("tol", 1, _finite_arg, "TOL", "convergence tolerance"),
+    "--m-max": ("m_max", 1, _int_arg, "M_MAX", "oracle: compute S_m for m = 1..M"),
+    "--t": ("t", "+", _finite_arg, "T [T ...]", "oracle: evaluate truncated character at these t"),
+    "--cutoff": ("cutoff", 1, _finite_arg, "CUTOFF", "oracle: pairing cutoff for the lattice "
+                 "sum (default ceil(14/t), ceil(18/t) with eta)"),
+    "--max-iter": ("max_iter", 1, _int_arg, "MAX_ITER", "minimize: Newton iteration cap"),
+    "--probe-rational": ("probe_rational", 1, _int_arg, "N", "minimize: probe a rational "
+                         "minimizer with denominators up to N"),
+    "--json-out": ("json_out", 1, str, "JSON_OUT", "also write the report to this file"),
+}
+
+
+def _help(prog: str) -> str:
+    """The help of ``prog``, "reebcone" or "reebcone <command>": its usage line,
+    what it does, and a line per command or flag."""
+    if prog == "reebcone":
+        usage = "[-h] [--version] {%s} ..." % ",".join(COMMANDS)
+        about = "K-semistability of toric Fano cone singularities via the barycenter criterion."
+        rows = [*((command, blurb) for command, (_, blurb) in _COMMAND_TABLE.items()),
+                ("--version", "show the version and exit")]
+    else:
+        rows = [(flag + " " + entry[3], entry[4]) for flag, entry in _FLAGS.items()]
+        usage = "[-h] %s [%s]" % (rows[0][0], "] [".join(flag for flag, _ in rows[1:]))
+        about = _COMMAND_TABLE[prog.split()[1]][1]
+    return "usage: %s %s\n\n%s\n\n  %-24s %s\n%s" % (
+        prog, usage, about, "-h, --help", "show this help message and exit",
+        "".join("  %-24s %s\n" % row for row in rows))
+
+
+def _refuse(prog: str, message: str):
+    """A usage error: the usage line and the reason on stderr, exit 1."""
+    sys.stderr.write("%s\n%s: error: %s\n" % (_help(prog).split("\n", 1)[0], prog, message))
+    raise SystemExit(1)
+
+
+def _read(tokens: Sequence[str], names: Tuple[str, ...], prog: str) -> list:
+    """How each token reads among the flags ``names``, by argparse's rules: None
+    for a value, else (flag, the text after "=" or None), the flag None for a
+    token that no flag takes: an unknown flag, or "--" and every token after it,
+    as no command takes a positional argument.  A flag is named in full, or by a
+    prefix that only it has; an exact name wins over a longer name it starts."""
+    kinds = []
+    for k, token in enumerate(tokens):
+        if token == "--":
+            return kinds + [(None, after) for after in tokens[k:]]
+        name, eq, value = token.partition("=")
+        if token[:1] != "-" or token == "-":
+            kinds.append(None)
+        elif token in names:
+            kinds.append((token, None))
+        elif eq and name in names:
+            kinds.append((name, value))
+        else:
+            if token[1] == "-":
+                found = [(flag, value if eq else None) for flag in names if flag.startswith(name)]
+            else:  # one dash: only -h, whose text may follow it
+                found = [("-h", token[2:])] if token.startswith("-h") else []
+            if len(found) > 1:
+                _refuse(prog, "ambiguous option: %s could match %s"
+                        % (token, ", ".join(flag for flag, _ in found)))
+            if found:
+                kinds.append(found[0])
+            elif re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:  # -1, -.5, "-a b"
+                kinds.append(None)
+            else:
+                kinds.append((None, token))
+    return kinds
+
+
+def _answer(prog: str, flag: str, value: Optional[str]):
+    """Print the help or the version that ``flag`` asks for and exit 0; -h takes
+    more h's after it, as -h -h, and no flag takes any other text."""
+    if value is not None and (flag != "-h" or not value or value.strip("h")):
+        _refuse(prog, "argument %s: ignored explicit argument %r"
+                % ("--version" if flag == "--version" else "-h/--help", value))
+    sys.stdout.write(__version__ + "\n" if flag == "--version" else _help(prog))
+    raise SystemExit(0)
+
+
+def _parse_args(argv: Sequence[str]) -> dict:
+    """The command of ``argv`` and each flag's value, None when not given.
+
+    Tokens are read left to right as argparse read them: a flag converts its
+    values when it is reached, a help or version flag answers at once, and the
+    tokens that no flag took are refused at the end.  SystemExit(1) on a usage
+    error, SystemExit(0) after a help or version answer.
+    """
+    argv, prog, extras = list(argv), "reebcone", []
+    kinds = _read(argv, ("-h", "--help", "--version"), prog)
+    i = 0
+    while i < len(argv) and kinds[i] is not None:
+        flag, value = kinds[i]
+        if flag is not None:
+            _answer(prog, flag, value)
+        extras.append(argv[i])
+        i += 1
+    if i == len(argv):
+        _refuse(prog, "the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        _refuse(prog, "argument command: invalid choice: %r (choose from %s)"
+                % (command, ", ".join(map(repr, COMMANDS))))
+    prog += " " + command
+    kinds = _read(rest, ("-h", "--help", *_FLAGS), prog)
+    args = dict(command=command, **{entry[0]: None for entry in _FLAGS.values()})
+    i = 0
+    while i < len(rest):
+        flag, value = kinds[i] or (None, None)
+        if flag is None:  # a value that no flag took, or a token that no flag takes
+            extras.append(rest[i])
+            i += 1
+            continue
+        if flag in ("-h", "--help"):
+            _answer(prog, flag, value)
+        dest, arity, convert = _FLAGS[flag][:3]
+        if value is not None:
+            tokens, i = [value], i + 1
+        else:
+            end = i + 1  # one value, or values up to the next flag
+            while end < len(rest) and kinds[end] is None and (arity == "+" or end == i + 1):
+                end += 1
+            tokens, i = rest[i + 1:end], end
+            if not tokens:
+                _refuse(prog, "argument %s: expected %s"
+                        % (flag, "one argument" if arity == 1 else "at least one argument"))
+        try:
+            values = [convert(token) for token in tokens]
+        except ValueError as exc:
+            _refuse(prog, "argument %s: %s" % (flag, exc))
+        args[dest] = values if arity == "+" else values[0]  # a repeated flag: the last wins
+    if args["spec"] is None:
+        _refuse(prog, "the following arguments are required: --spec")
+    if extras:
+        _refuse("reebcone", "unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def _exit_code(exc: Exception) -> int:
@@ -493,8 +604,7 @@ def _exit_code(exc: Exception) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = vars(parser.parse_args(argv))
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     command, spec, json_out = args.pop("command"), args.pop("spec"), args.pop("json_out")
     flags = {key: value for key, value in args.items() if value is not None}
     report, failure = _attempt(command, Path(spec), flags)

@@ -446,11 +446,18 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
     # a run of L points weighs q^j, j < L, q = e^{-h}: sum (1 - q^L) / (1 - q)
     geometric = -np.expm1(-h * counts) / -np.expm1(-h) if h else counts.astype(float)
     weights = np.exp(-t / denom * s0) * geometric
-    if eta_or_none is not None:
-        weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * _run_means(h, counts))
-    partial = float(weights.sum())
+    means = None if eta_or_none is None else _run_means(h, counts)
+    # an eta entry near the float limit takes the sum past the floats, which is
+    # refused below, so that overflow is not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        if means is not None:
+            weights *= prefix @ eta_f[:-1] + eta_f[-1] * (x0 + sign * means)
+        partial = float(weights.sum())
+    if not math.isfinite(partial):
+        raise CutoffTooSmall(f"the partial sum {partial} is past the floats, "
+                             "which no cutoff mends")
 
-    del prefix, a, b, x0, geometric, weights  # only the run starts and lengths count
+    del prefix, a, b, x0, geometric, weights, means  # only the run starts and lengths count
     num_shells = int(math.ceil(cutoff))
     half = max(1, num_shells // 2)
     shell_counts = dict(zip(range(half, num_shells + 1), _shell_counts(
@@ -466,17 +473,20 @@ def truncated_character_oracle(cone: ToricCone, xi, eta_or_none, t, cutoff,
         degree += 1
         rho = max(abs(x) * denom / linalg.dot(xi_int, u) for u in cone.dual_rays for x in u)
         weight_amp = float(np.abs(eta_f).sum()) * max(rho, 1e-9)
+    # the terms are not negative, so the tail only grows: past the bound, or past
+    # the floats, it decides the call
+    bound = rel_tol * max(abs(partial), 1e-300)
     tail = 0.0
-    k = num_shells + 1
-    while k < num_shells + 200000:
+    for k in range(num_shells + 1, num_shells + 200000):
         term = amp * weight_amp * k ** degree * math.exp(-t * (k - 1))
         tail += term
+        if not math.isfinite(tail):
+            raise CutoffTooSmall("the estimated tail is past the floats")
+        if tail > bound:
+            raise CutoffTooSmall(
+                f"estimated tail at least {tail:.3g} exceeds {rel_tol:.1g} * |partial sum| "
+                f"{abs(partial):.6g}; increase the cutoff"
+            )
         if term < 1e-18 * (abs(partial) + tail + 1e-300):
             break
-        k += 1
-    if not math.isfinite(partial + tail) or tail > rel_tol * max(abs(partial), 1e-300):
-        raise CutoffTooSmall(
-            f"estimated tail {tail:.3g} exceeds {rel_tol:.1g} * |partial sum| "
-            f"{abs(partial):.6g}; increase the cutoff"
-        )
     return partial

@@ -44,8 +44,9 @@ BOUNDARY_SPEC = ('{"dim": 2, "rays": [[1, 0], [1, 2]],'
                  ' "xi": [1, 1], "boundary_coeffs": ["1/2", 0]}')
 
 # The modules a cold call of each subcommand must not load: the stdlib and
-# third-party ones no subcommand loads, and the layers that one does not run.
-NO_COLD_CALL = ("dataclasses", "mpmath", "numpy")
+# third-party ones no subcommand loads (argparse, and gettext and locale, which
+# argparse loads), and the layers that one does not run.
+NO_COLD_CALL = ("argparse", "dataclasses", "gettext", "locale", "mpmath", "numpy")
 UNLOADED = {
     "check": (*NO_COLD_CALL, "reebcone.characters", "reebcone.lattice", "reebcone.optimize"),
     "delta": (*NO_COLD_CALL, "reebcone.characters", "reebcone.lattice", "reebcone.optimize"),
@@ -303,7 +304,7 @@ FLAG_CASES += [
 
 
 class TestInProcessFlags:
-    """``run`` takes flags that ``main``'s argparse types would refuse. Each goes
+    """``run`` takes flags that ``main``'s flag converters would refuse. Each goes
     unchecked to the library function that takes it, so a bad value ends in
     ``_attempt``'s report with a typed error, never a raw exception."""
 
@@ -635,7 +636,7 @@ class TestMainExitCodes:
         ["oracle", "--t", "0.5", "--cutoff", "nan"],
     ], ids=["tol-inf", "cutoff-inf", "t-nan", "t-inf", "cutoff-nan"])
     def test_non_finite_flag_exits_1(self, flags, capsys):
-        # refused by argparse, naming the flag, like any other malformed flag
+        # refused by the parser, naming the flag, like any other malformed flag
         command, *rest = flags
         with pytest.raises(SystemExit) as exc:
             main([command, "--spec", str(SPEC_DIR / "y21.json"), *rest])
@@ -754,10 +755,11 @@ class TestMainExitCodes:
         [entry] = payload["results"]["character_values"]["entries"]
         assert abs(entry["value"] - math.exp(-1) / (1 - math.exp(-1)) ** 2) < 1e-5
 
-    def test_argparse_usage_exits_1(self):
+    def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["delta"])  # --spec is required
         assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
 
     def test_json_out_equals_stdout(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
@@ -903,7 +905,7 @@ class TestConsoleScript:
         code, loaded = json.loads(proc.stdout)
         assert code == 0
         assert {"numpy", "reebcone.lattice"} <= set(loaded)
-        assert not set(loaded) & {"dataclasses", "mpmath", "reebcone.characters",
+        assert not set(loaded) & {"argparse", "dataclasses", "mpmath", "reebcone.characters",
                                   "reebcone.optimize"}
 
     def test_cold_closed_form_character_loads_no_box_points(self):

@@ -6,7 +6,8 @@ mutated flags.  Each case must end in one of two ways:
 
 * one JSON report on stdout, valid without NaN or Infinity, and an exit
   code equal to ``_exit_code`` of its ``error.type`` (0 without error);
-* an argparse rejection: ``SystemExit(1)`` with nothing on stdout.
+* a usage error of the command-line parser: ``SystemExit(1)`` with nothing
+  on stdout.
 
 Anything else, a traceback included, fails the test.  Numbers stay small
 enough that no accepted case reaches a size cap: those are tested on their
@@ -31,7 +32,7 @@ VALUES = (
     "nan", "inf", float("nan"), float("-inf"), "x", True, None,
     [], {}, [1, 0], [[1, 0]], ["1/2", 0], [1, 0, 0, 0],
 )
-# flag values: argparse rejects some, the library others
+# flag values: the parser rejects some, the library others
 FLAG_VALUES = {
     "--xi": (["1", "1", "1"], ["1", "1/3", "2/3"], ["1", "1"], ["0", "1", "1"], ["abc"],
              ["1e-100000"]),
@@ -123,7 +124,7 @@ def expected_exit(error) -> int:
 def test_fuzz_main(tmp_path, capsys):
     rng = random.Random(SEED)
     specs = sorted(SPEC_DIR.glob("*.json"))
-    outcomes = {"report": 0, "argparse": 0}
+    outcomes = {"report": 0, "usage": 0}
     for case in range(CASES):
         spec = tmp_path / ("case%d.json" % case)
         source = rng.choice(specs).read_text(encoding="utf-8")
@@ -139,7 +140,7 @@ def test_fuzz_main(tmp_path, capsys):
         except SystemExit as exc:
             out = capsys.readouterr().out
             assert exc.code == 1 and out == "", argv
-            outcomes["argparse"] += 1
+            outcomes["usage"] += 1
             continue
         finally:
             assert time.perf_counter() - start < CASE_BUDGET_S, argv

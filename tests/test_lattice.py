@@ -142,6 +142,38 @@ def test_oracle_sum_past_the_floats_is_cutoff_too_small():
         truncated_character_oracle(make_y21(), Y21_XI, (1e308, 0, 0), 1.0, 40, rel_tol=math.inf)
 
 
+def test_oracle_sum_past_the_floats_warns_nothing():
+    # the overflow is the refusal's, and no larger cutoff would mend it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CutoffTooSmall, match="past the floats, which no cutoff mends"):
+            truncated_character_oracle(make_y21(), Y21_XI, (1e308, 0, 0), 1.0, 40)
+
+
+def test_oracle_tail_past_the_floats_is_cutoff_too_small():
+    # the partial sum, about 4e306, is finite, and its tail bound is not
+    with pytest.raises(CutoffTooSmall, match="estimated tail is past the floats"):
+        truncated_character_oracle(make_y21(), Y21_XI, (1e305, 0, 0), 1.0, 40, rel_tol=math.inf)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-6])
+@pytest.mark.parametrize("eta", [None, (0, 1, 1)], ids=["index", "weight"])
+def test_oracle_tail_stops_once_past_the_bound(t, eta, monkeypatch):
+    # the tail only grows, so its first term past rel_tol * |partial| decides the
+    # call; summing on to the 200,000-term cap took 199,999 calls of math.exp
+    import reebcone.lattice
+
+    calls = []
+    spy = type(math)("math")
+    spy.__dict__.update(math.__dict__)
+    spy.exp = lambda x: calls.append(x) or math.exp(x)
+    monkeypatch.setattr(reebcone.lattice, "math", spy)
+    with pytest.raises(CutoffTooSmall) as exc:
+        truncated_character_oracle(make_y21(), Y21_XI, eta, t, 40)
+    assert len(calls) == 1
+    assert "estimated tail at least" in str(exc.value)
+
+
 @pytest.mark.parametrize("make, xi, eta, cutoff", [
     (make_y21, Y21_XI, (0, 1, 1), 16),
     # t / 9 of the least float is 0, so every run weighs 1 per point

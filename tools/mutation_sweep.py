@@ -186,9 +186,20 @@ MUTANTS = [
      "/ -np.expm1(-h) if h else", "/ -np.expm1(-h) if step else",
      "tests/test_lattice.py::test_weighted_oracle_matches_the_direct_sum_at_every_t"
      "[y21-h-underflow]"),
-    ("oracle-sum-finite", "lattice.py",
-     "if not math.isfinite(partial + tail) or tail >", "if tail >",
-     "tests/test_lattice.py::test_oracle_sum_past_the_floats_is_cutoff_too_small"),
+    ("oracle-sum-errstate", "lattice.py",
+     "with np.errstate(over=\"ignore\", invalid=\"ignore\"):", "with np.errstate():",
+     "tests/test_lattice.py::test_oracle_sum_past_the_floats_warns_nothing"),
+    ("oracle-partial-finite", "lattice.py",
+     "    if not math.isfinite(partial):\n", "    if False:\n",
+     "tests/test_lattice.py::test_oracle_sum_past_the_floats_warns_nothing"),
+    ("oracle-tail-finite", "lattice.py",
+     "        if not math.isfinite(tail):\n", "        if False:\n",
+     "tests/test_lattice.py::test_oracle_tail_past_the_floats_is_cutoff_too_small"),
+    # lattice: the tail only grows, so the first term past the bound decides the call
+    ("oracle-tail-early-stop", "lattice.py",
+     "        if tail > bound:\n",
+     "        if tail > bound and term < 1e-18 * (abs(partial) + tail + 1e-300):\n",
+     "tests/test_lattice.py::test_oracle_tail_stops_once_past_the_bound[index-1e-06]"),
     # lattice: the oracle's shell counts from the sorted run ends
     ("shells-residue-strict", "lattice.py",
      "np.cumsum(e_r > r,", "np.cumsum(e_r >= r,",
@@ -315,6 +326,39 @@ MUTANTS = [
     ("grid-cross-multiply", "optimize.py",
      "total * best_big < best_total * big", "total * big < best_total * best_big",
      "tests/test_acceptance.py::test_criterion_08_minimizer_endpoint"),
+    # cli: the parser's reading of argv, by argparse's token rules: a unique prefix
+    # names a flag, an exact name first, a prefix of two flags is refused, a value
+    # starts with "-" only as a negative number, a "+" flag stops at the next flag
+    # and a one-value flag after one value, the last of a repeated flag wins, and
+    # --spec is required
+    ("cli-prefix-match", "cli.py",
+     "for flag in names if flag.startswith(name)]", "for flag in names if flag == name]",
+     "tests/test_cli_parser.py::test_parser_decision[prefix]"),
+    ("cli-exact-first", "cli.py",
+     "        elif token in names:\n            kinds.append((token, None))\n", "",
+     "tests/test_cli_parser.py::test_parser_decision[exact-first]"),
+    ("cli-ambiguous", "cli.py",
+     "            if len(found) > 1:\n", "            if False:\n",
+     "tests/test_cli_parser.py::test_parser_decision[ambiguous]"),
+    ("cli-negative-number", "cli.py",
+     "elif re.match(r\"^-\\d+$|^-\\d*\\.\\d+$\", token) or", "elif",
+     "tests/test_cli_parser.py::test_parser_decision[negative]"),
+    ("cli-negative-pattern", "cli.py",
+     r'r"^-\d+$|^-\d*\.\d+$"', r'r"-\.?\d"',
+     "tests/test_cli_parser.py::test_pinned_edge_case[negative-rational]"),
+    ("cli-plus-stops", "cli.py",
+     "while end < len(rest) and kinds[end] is None and (", "while end < len(rest) and (",
+     "tests/test_cli_parser.py::test_parser_decision[plus-stops]"),
+    ("cli-one-value", "cli.py",
+     "kinds[end] is None and (arity == \"+\" or end == i + 1):", "kinds[end] is None:",
+     "tests/test_cli_parser.py::test_parser_decision[one-value]"),
+    ("cli-last-wins", "cli.py",
+     "args[dest] = values if arity == \"+\" else values[0]",
+     "args[dest] = args[dest] or (values if arity == \"+\" else values[0])",
+     "tests/test_cli_parser.py::test_parser_decision[last-wins]"),
+    ("cli-spec-required", "cli.py",
+     "    if args[\"spec\"] is None:\n", "    if False:\n",
+     "tests/test_cli_parser.py::test_parser_decision[spec-required]"),
     # cli: orders 0 and 1 take the closed form and load no characters
     ("cli-closed-form-orders", "cli.py",
      "and order in (0, 1):", "and order in (0,):",
