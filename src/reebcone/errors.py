@@ -67,7 +67,7 @@ class NotQGorenstein(MathDomainError):
 
 
 class DegenerateSolutionSet(MathDomainError):
-    """The Gorenstein system has a positive-dimensional solution set."""
+    """The ray generators do not span, so no Gorenstein vector is unique."""
 
 
 class UnboundedSlice(MathDomainError):

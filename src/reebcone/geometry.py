@@ -319,33 +319,37 @@ def gorenstein_vector(cone: ToricCone,
 
     With per-ray boundary coefficients c_i (experimental log-pair support)
     the right-hand side becomes 1 - c_i, read by :func:`numerators`, one per
-    ray, each in [0, 1) (ValueError).  Raises NotQGorenstein when the system
-    is inconsistent and DegenerateSolutionSet when it has a
-    positive-dimensional solution set.
+    ray, each in [0, 1) (ValueError).  Raises NotQGorenstein when no
+    covector pairs so with every ray, and DegenerateSolutionSet when the
+    rays do not span, which only a hand-built ToricCone can do.
     """
     if boundary is None:
-        rhs = (1,) * len(cone.rays)
-    else:
-        [(c_num, c_d)], _ = numerators(len(cone.rays), boundary=boundary)
-        for c in c_num:
-            if not 0 <= c < c_d:
-                raise ValueError(f"boundary coefficient {Fraction(c, c_d)} outside [0, 1)")
-        rhs = tuple(Fraction(c_d - c, c_d) for c in c_num)
-    try:
-        return _solve_gorenstein(cone, rhs)
-    except linalg.LinearSystemInconsistent as exc:
-        raise NotQGorenstein("no rational covector pairs correctly with every ray generator") from exc
-    except linalg.LinearSystemUnderdetermined as exc:
-        raise DegenerateSolutionSet("Gorenstein system has a positive-dimensional solution set; "
-                                    "supply l explicitly") from exc
+        return _solve_gorenstein(cone, (1,) * len(cone.rays), 1)
+    [(c_num, c_d)], _ = numerators(len(cone.rays), boundary=boundary)
+    for c in c_num:
+        if not 0 <= c < c_d:
+            raise ValueError(f"boundary coefficient {Fraction(c, c_d)} outside [0, 1)")
+    return _solve_gorenstein(cone, tuple(c_d - c for c in c_num), c_d)
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
-def _solve_gorenstein(cone: ToricCone, rhs: tuple) -> GorensteinVector:
-    """l with ``<v_i, l> = rhs_i``, cached for the last CONE_CACHE_SIZE pairs of
-    cone and rhs (a failed solve raises again); interior to sigma^v with no
-    further check: the solve holds every row exactly, so ``<v_i, l> = rhs_i > 0``."""
-    return GorensteinVector(l=linalg.solve_unique(cone.rays, rhs))
+def _solve_gorenstein(cone: ToricCone, rhs: tuple[int, ...], d: int) -> GorensteinVector:
+    """l with ``<v_i, l> = rhs_i / d``, cached for the last CONE_CACHE_SIZE
+    triples (a failed solve raises again).  As the double description starts:
+    the first n independent rays B are inverted, l = S b / (|det B| d) for
+    the scaled inverse S and their entries b of rhs, and every ray is
+    checked in ints.  So l is interior to sigma^v with no further check:
+    ``<v_i, l> = rhs_i / d > 0``."""
+    basis = linalg.pivot_columns(linalg.transpose(cone.rays))
+    if len(basis) < cone.dim:
+        raise DegenerateSolutionSet(f"rays span a subspace of dimension {len(basis)} < "
+                                    f"{cone.dim}, so no Gorenstein vector is unique")
+    det, scaled = linalg.integer_inverse([cone.rays[i] for i in basis])
+    basis_rhs = [rhs[i] for i in basis]
+    l_num = [linalg.dot(row, basis_rhs) for row in scaled]
+    if any(linalg.dot(v, l_num) != det * r for v, r in zip(cone.rays, rhs)):
+        raise NotQGorenstein("no rational covector pairs correctly with every ray generator")
+    return GorensteinVector(l=tuple(Fraction(x, det * d) for x in l_num))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +404,10 @@ def triangulate_cone(rays: Sequence[tuple[int, ...]],
     ``rays``.  Another input order generally yields a different triangulation
     of the same cone.  The library triangulates each cone once, through
     :func:`simplices`.  Raises ExceedsSupportedSize as soon as more than
-    MAX_SIMPLICES simplices are emitted.
+    MAX_SIMPLICES simplices are emitted, and ValueError for rays of unequal lengths.
     """
+    if any(len(r) != len(rays[0]) for r in rays):
+        raise ValueError("rays of unequal lengths")
     zero = _incidence(normals, rays)
     emitted = 0
 

@@ -1,26 +1,19 @@
 """Exact linear algebra for small integer matrices.
 
 Every matrix the package eliminates is integer (rays, dual rays, simplex
-generators; n <= 8, at most 64 rows), so pivot columns, rank, determinant,
-inverse and solve are views of one fraction-free Bareiss elimination on
-Python ints; besides it the module has only ``dot``, ``transpose`` and
-``primitivize``.  Vectors are tuples; matrices are sequences of row tuples.
+generators; n <= 8, at most 64 rows), so pivot columns, rank, determinant
+and the scaled inverse are the four views of one fraction-free Bareiss
+elimination on Python ints; besides it the module has only ``dot``,
+``transpose`` and ``primitivize``.  A linear system is solved through the
+scaled inverse of its pivot rows, as ``geometry._solve_gorenstein`` does.
+Vectors are tuples; matrices are sequences of row tuples.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Sequence
-
-
-class LinearSystemInconsistent(ValueError):
-    """The linear system has no solution."""
-
-
-class LinearSystemUnderdetermined(ValueError):
-    """The linear system has a positive-dimensional solution set."""
 
 
 def dot(u: Sequence, v: Sequence):
@@ -115,27 +108,3 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int
         raise ValueError("matrix is singular")
     sign = 1 if last > 0 else -1
     return abs(last), tuple(tuple(sign * x for x in row[n:]) for row in reduced)
-
-
-def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve a (possibly overdetermined) integer system A x = b exactly.
-
-    The rational right-hand side is scaled by the lcm d of its denominators
-    and [A | d b] reduced; then x_k = row_k[n] / (last pivot * d).  Raises
-    LinearSystemInconsistent when no solution exists and
-    LinearSystemUnderdetermined when the solution is not unique.
-    """
-    m = len(rows)
-    if m != len(rhs):
-        raise ValueError("row/rhs length mismatch")
-    n = len(rows[0]) if m else 0
-    rhs = [Fraction(b) for b in rhs]
-    d = math.lcm(*(b.denominator for b in rhs))
-    augmented = [list(row) + [int(b * d)] for row, b in zip(rows, rhs)]
-    pivots, reduced, last, _ = _bareiss(augmented, n)
-    if any(row[n] for row in reduced[len(pivots):]):
-        raise LinearSystemInconsistent("inconsistent linear system")
-    if len(pivots) < n:
-        raise LinearSystemUnderdetermined("solution set is positive-dimensional")
-    return tuple(Fraction(row[n], last * d) for row in reduced[:n])
-

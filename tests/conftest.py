@@ -36,12 +36,7 @@ from reebcone.cli import parse_cone_spec
 from reebcone.config import mp_context, precision_bits, ratio_type
 from reebcone.geometry import (LaurentSeries, _simplex_sums, _slice_pairings, boundary_faces,
                                gorenstein_vector, reeb_numerators, simplices)
-from reebcone.linalg import (
-    LinearSystemInconsistent,
-    LinearSystemUnderdetermined,
-    dot,
-    transpose,
-)
+from reebcone.linalg import dot, transpose
 from reebcone.optimize import GridResult, _chart, _compositions, _ray_average
 
 
@@ -234,7 +229,8 @@ def brute_force_dual_cone(rays, dim):
 
 def fraction_solve(rows, rhs):
     """Solve A x = b by Fraction Gauss-Jordan elimination, as an oracle for
-    ``linalg.solve_unique``: the same exceptions in the same cases."""
+    ``gorenstein_vector``: None when no x solves it, ValueError when more
+    than one x does."""
     m = len(rows)
     if m != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -255,11 +251,10 @@ def fraction_solve(rows, rhs):
                 a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
         r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise LinearSystemInconsistent("inconsistent linear system")
+    if any(a[i][n] != 0 for i in range(r, m)):
+        return None
     if len(pivots) < n:
-        raise LinearSystemUnderdetermined("solution set is positive-dimensional")
+        raise ValueError("solution set is positive-dimensional")
     x = [Fraction(0)] * n
     for i, col in enumerate(pivots):
         x[col] = a[i][n]
@@ -368,11 +363,7 @@ def random_box_cone_suite(seed: int, count: int, dims=(2, 3, 4, 5), high: int = 
 
 def is_q_gorenstein(cone):
     """Whether one rational covector pairs to 1 with every ray, by ``fraction_solve``."""
-    try:
-        fraction_solve(cone.rays, [1] * len(cone.rays))
-    except LinearSystemInconsistent:
-        return False
-    return True
+    return fraction_solve(cone.rays, [1] * len(cone.rays)) is not None
 
 
 def fraction_polytope_Q(cone, xi):

@@ -1,21 +1,23 @@
 """Seeded fuzz of the library API: every call ends in a result or a documented error.
 
-Each call takes one public function of ``reebcone`` (``__init__._EXPORTS``) whose
-first parameter is a cone, its pieces or a minimizer xi*, runs it on one of the
-bundled cones, and draws every other argument from the pool of its parameter
-name: floats, NaN, the infinities, 5e-324 and 1e308; NumPy int64, float32 and
-bool_; mpmath mpf and mpc; complex numbers; ints past the floats (10**400,
-10**5000); str entries, dicts and iterators; wrong lengths, and zero or
-negated vectors.  Each
-call draws a share of its arguments (none, a quarter, half or all) from those
-pools and the rest from values its function accepts, and leaves optional
-parameters out now and then.  A call passes when it returns or raises a
-``ReebconeError`` or a ``ValueError`` within ``CALL_CAP_S``; anything else fails
-the test with the seed and a one-line repro, runnable from ``tests`` with
-``PYTHONPATH=../src``.  ``futaki_pairing`` and ``log_discrepancy`` take result
-objects and ``dual_cone`` and ``triangulate_cone`` raw rays, each with rules of
-its own tested elsewhere, so none of them is drawn.  The 3,000 calls take a few
-seconds.
+Each call takes one public function of ``reebcone`` (``__init__._EXPORTS``),
+runs it on one of the bundled cones, and draws every argument from the pool
+of its parameter name: floats, NaN, the infinities, 5e-324 and 1e308; NumPy
+int64, float32 and bool_; mpmath mpf and mpc; complex numbers; ints past the
+floats (10**400, 10**5000); str entries, dicts and iterators; wrong lengths,
+and zero or negated vectors.  ``dual_cone`` draws the cone's rays with such
+entries, rays or counts, and its dim from the integers' pool.  The result
+objects that ``futaki_pairing`` and ``log_discrepancy`` take are drawn from
+results of the cone: the characters of the other kind or of order 0, and
+results of another bundled cone.  ``triangulate_cone`` takes int rays, as
+:func:`reebcone.geometry.simplices` passes them, so it draws lists of int
+vectors wrong in count, order, length or cone.  Each call draws a share of
+its arguments (none, a quarter, half or all) from those pools and the rest
+from values its function accepts, and leaves optional parameters out now
+and then.  A call passes when it returns or raises a ``ReebconeError`` or a
+``ValueError`` within ``CALL_CAP_S``; anything else fails the test with the
+seed and a one-line repro, runnable from ``tests`` with ``PYTHONPATH=../src``.
+The 3,000 calls take a few seconds.
 """
 
 import inspect
@@ -30,7 +32,10 @@ import pytest
 from mpmath import mpc, mpf
 
 import reebcone
-from reebcone import ReebconeError, decompose_dual, dual_cone
+# the result types too, whose reprs the repro lines of drawn results name
+from reebcone import (GorensteinVector, LaurentSeries, ReebconeError, ToricValuation,
+                      character_series, decompose_dual, dual_cone, gorenstein_vector,
+                      toric_valuation)
 from reebcone.optimize import _project, _ray_average
 from conftest import bundled_specs
 
@@ -42,8 +47,6 @@ FUNCTIONS = [
     getattr(reebcone, name)
     for names in reebcone._EXPORTS.values() for name in names
     if inspect.isfunction(getattr(reebcone, name))
-    and next(iter(inspect.signature(getattr(reebcone, name)).parameters))
-    in ("cone", "pieces", "xi_star")
 ]
 
 # one entry of a vector, besides the entries of the valid vector it replaces
@@ -81,14 +84,27 @@ VALID = {
 
 @pytest.fixture(scope="module")
 def cones():
-    """Per bundled spec name, the cone and its pieces."""
-    return {name: (bundled_cone(name), decompose_dual(bundled_cone(name))) for name in SPECS}
+    """Per bundled spec name, the cone, its pieces and its results."""
+    out = {}
+    for name in SPECS:
+        cone = bundled_cone(name)
+        out[name] = cone, decompose_dual(cone), results(cone, SPECS[name])
+    return out
 
 
 def bundled_cone(name):
     """The cone of a bundled spec, for the repro lines."""
     spec = SPECS[name]
     return dual_cone(spec.rays, spec.dim)
+
+
+def results(cone, spec):
+    """Per result parameter, the result of this cone that it accepts: the
+    characters to order 1, the Gorenstein vector and the valuation of a ray."""
+    F, C = character_series(decompose_dual(cone), _valid_vector("xi", cone, spec),
+                            _valid_vector("eta", cone, spec), 1)
+    return {"F": F, "C": C, "l": gorenstein_vector(cone),
+            "valuation": toric_valuation(cone, cone.rays[0])}
 
 
 def _valid_vector(param, cone, spec):
@@ -142,12 +158,67 @@ def _vector(rng, param, cone, spec):
     return tuple(vec) if rng.random() < 0.7 else vec
 
 
-def draw(rng, param, cone, pieces, spec, valid):
-    """An argument for the named parameter: one it accepts when ``valid``."""
+def _rays(rng, rays):
+    """``dual_cone``'s rays with one entry, ray or count wrong, or no list at all."""
+    rays = [list(r) for r in rays]
+    i = rng.randrange(len(rays))
+    kind = rng.choice(("entry", "ray", "length", "drop", "repeat", "negate", "whole"))
+    if kind == "entry":
+        rays[i][rng.randrange(len(rays[i]))] = rng.choice(ENTRIES)
+    elif kind == "ray":
+        rays[i] = rng.choice(VECTORS)
+    elif kind == "length":
+        rays[i] = rays[i][:-1] if rng.random() < 0.5 else rays[i] + [1]
+    elif kind == "drop":
+        del rays[i]
+    elif kind == "repeat":
+        rays.insert(rng.randrange(len(rays) + 1), rays[i])
+    elif kind == "negate":
+        rays[i] = [-x for x in rays[i]]
+    else:
+        return rng.choice(VECTORS + (_Iterator(rays), np.array(rays)))
+    return rays
+
+
+def _int_rays(rng, rays, other):
+    """``triangulate_cone``'s int vectors, wrong in count, order, length or cone."""
+    rays = list(rays)
+    kind = rng.choice(("subset", "reversed", "repeat", "length", "other", "empty"))
+    if kind == "subset":
+        return [r for r in rays if rng.random() < 0.6]
+    if kind == "reversed":
+        return rays[::-1]
+    if kind == "repeat":
+        return rays + rays[:rng.randrange(1, len(rays) + 1)]
+    if kind == "length":
+        i = rng.randrange(len(rays))
+        return rays[:i] + [rays[i][:-1] if rng.random() < 0.5 else rays[i] + (1,)] + rays[i + 1:]
+    return list(other) if kind == "other" else []
+
+
+def draw(rng, param, cone, pieces, spec, valid, mine, other):
+    """An argument for the named parameter: one it accepts when ``valid``.
+    ``mine`` holds the :func:`results` of this cone, ``other`` the cone, its
+    pieces and its results of another bundled spec."""
     if param == "cone":
         return cone
     if param == "pieces":
         return pieces if valid else rng.choice(((), pieces[:1], None))
+    if param in ("F", "C", "l", "valuation"):
+        if valid:
+            return mine[param]
+        if param in ("F", "C"):
+            series = mine["C" if param == "F" else "F"]
+            return rng.choice((series, mine[param]._replace(coeffs=mine[param].coeffs[:1]),
+                               other[2][param]))
+        return other[2][param]
+    if param in ("rays", "normals"):
+        rays = (cone.dual_rays, other[0].dual_rays) if param == "rays" else (cone.rays, other[0].rays)
+        return rays[0] if valid else _int_rays(rng, *rays)
+    if param == "cone_rays":
+        return spec.rays if valid else _rays(rng, spec.rays)
+    if param == "dim":
+        return spec.dim if valid else rng.choice(INTEGERS)
     if param == "eta_or_none" and rng.random() < 0.3:
         return None
     if valid:
@@ -187,9 +258,10 @@ def _on_alarm(signum, frame):
     raise _CallTimeout
 
 
+@pytest.mark.filterwarnings("ignore::reebcone.ReebconeWarning")  # dual_cone's, documented
 def test_fuzz_api(cones):
     rng = random.Random(SEED)
-    assert len(FUNCTIONS) == 20, [f.__name__ for f in FUNCTIONS]
+    assert len(FUNCTIONS) == 24, [f.__name__ for f in FUNCTIONS]
     capped = hasattr(signal, "setitimer")
     if capped:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -198,13 +270,18 @@ def test_fuzz_api(cones):
         for call in range(CALLS):
             func = rng.choice(FUNCTIONS)
             name = rng.choice(sorted(SPECS))
-            cone, pieces = cones[name]
+            cone, pieces, mine = cones[name]
+            other = cones[rng.choice(sorted(SPECS))]
             rate = rng.choice((0.0, 0.25, 0.5, 1.0))  # the share of arguments drawn to fail
             args, kwargs = [], {}
             for param in inspect.signature(func).parameters.values():
                 if param.default is not param.empty and rng.random() < 0.3:
                     continue  # left to its default
-                value = draw(rng, param.name, cone, pieces, SPECS[name], rng.random() >= rate)
+                # log_discrepancy's v is a valuation, every other v a vector
+                key = "valuation" if func.__name__ == "log_discrepancy" and param.name == "v" \
+                    else param.name
+                value = draw(rng, key, cone, pieces, SPECS[name], rng.random() >= rate,
+                             mine, other)
                 if param.default is param.empty:
                     args.append(value)
                 else:

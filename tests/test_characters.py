@@ -44,7 +44,6 @@ from conftest import (
     fraction_inverse,
     fraction_pieces,
     fraction_rank,
-    fraction_solve,
     make_kgon,
     per_point_characters,
     random_cone_suite,
@@ -431,6 +430,15 @@ class TestBadArguments:
 
     XI, ETA = (1, Fraction(1, 2), Fraction(1, 2)), (0, 1, 0)
 
+    def test_coefficient_of_the_other_character(self, conifold):
+        F, C = character_series(decompose_dual(conifold), self.XI, self.ETA, 1)
+        for name in ("b0", "b1"):
+            with pytest.raises(ValueError, match=f"{name} is a coefficient of the weight character"):
+                getattr(F, name)
+        for name in ("a0", "a1"):
+            with pytest.raises(ValueError, match=f"{name} is a coefficient of the index character"):
+                getattr(C, name)
+
     @pytest.mark.parametrize("order", [2.5, 2.0, Fraction(2), "2", None])
     def test_non_integer_order(self, conifold, order):
         pieces = decompose_dual(conifold)
@@ -482,12 +490,8 @@ class TestBoxPointKernel:
                                    for row in fraction_inverse(mat))
 
     def test_rank_det_solve(self):
-        def outcome(fn, *args):
-            try:
-                return fn(*args)
-            except (linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined) as exc:
-                return type(exc)
-
+        # rank, pivot columns and det; the solve that this test once checked
+        # is gorenstein_vector's, against fraction_solve in test_geometry.py
         rng = random.Random(43)
         seen = set()
         for _ in range(600):
@@ -505,25 +509,13 @@ class TestBoxPointKernel:
                 if fraction_rank([[row[i] for i in greedy + [j]] for row in mat]) > len(greedy):
                     greedy.append(j)
             assert linalg.pivot_columns(mat) == greedy
-            if r < min(m, n):
-                seen.add("rank-deficient")
+            seen.add("rank-deficient" if r < min(m, n) else "full rank")
             if m == n:
                 det = linalg.det(mat)
                 assert type(det) is int and det == fraction_det(mat)
                 assert (det != 0) == (r == n)
-            if rng.random() < 0.5:  # consistent: the image of a rational x
-                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-                rhs = [sum(a * b for a, b in zip(row, x)) for row in mat]
-            else:
-                rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m)]
-            got = outcome(linalg.solve_unique, mat, rhs)
-            assert got == outcome(fraction_solve, mat, rhs)
-            if isinstance(got, type):
-                seen.add(got)
-            else:
-                seen.add("solved, overdetermined" if m > n else "solved, square")
-        assert seen == {linalg.LinearSystemInconsistent, linalg.LinearSystemUnderdetermined,
-                        "rank-deficient", "solved, overdetermined", "solved, square"}
+                seen.add("square")
+        assert seen == {"rank-deficient", "full rank", "square"}
 
     @staticmethod
     def cases():

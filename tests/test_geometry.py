@@ -53,6 +53,9 @@ from conftest import (
     bundled_specs,
     fraction_det,
     fraction_polytope_Q,
+    fraction_rank,
+    fraction_solve,
+    is_q_gorenstein,
     make_conifold,
     make_kgon,
     many_simplex_suite,
@@ -182,6 +185,32 @@ class TestDualCone:
             cone = dual_cone([(1.0, 0), (0, 2.0)], 2)
         assert cone.rays == ((1, 0), (0, 1))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_not_positive(self, dim):
+        with pytest.raises(DimensionMismatch, match=f"ambient dimension must be positive, got {dim}"):
+            dual_cone([], dim)
+
+    def test_dim_past_the_cap(self):
+        units = [tuple(int(i == j) for j in range(9)) for i in range(9)]
+        with pytest.raises(ExceedsSupportedSize, match="dimension 9 exceeds supported maximum 8"):
+            dual_cone(units, 9)
+
+    def test_rays_past_the_cap(self):
+        # 65 points of a grid at height one: refused before any work
+        rays = [(1, i, j) for i in range(9) for j in range(8)][:geometry.MAX_RAYS + 1]
+        with pytest.raises(ExceedsSupportedSize, match="65 rays exceed supported maximum 64"):
+            dual_cone(rays, 3)
+
+    @pytest.mark.parametrize("short", [(0, 1), (0, 1, 0, 0)], ids=["short", "long"])
+    def test_ray_of_the_wrong_length(self, short):
+        with pytest.raises(DimensionMismatch, match=f"ray 1 has length {len(short)}, expected 3"):
+            dual_cone([(1, 0, 0), short, (0, 0, 1)], 3)
+
+    def test_integral_fraction_entries_are_ints(self):
+        cone = dual_cone([(Fraction(1), 0), (Fraction(3, 3), Fraction(2))], 2)
+        assert cone == dual_cone([(1, 0), (1, 2)], 2)
+        assert all(type(x) is int for v in cone.rays for x in v)
+
     def test_cube7_at_the_ray_cap(self):
         # the cone over the unit 6-cube at height one: 64 rays, 12 facets
         cone = dual_cone(cube_rays(7), 7)
@@ -297,6 +326,52 @@ class TestGorensteinVector:
             gorenstein_vector(a1, boundary=(1, 0))
         with pytest.raises(ValueError):
             gorenstein_vector(a1, boundary=(Fraction(-1, 2), 0))
+
+    def test_matches_fraction_solve(self):
+        # the same l, as Fractions, and the same NotQGorenstein decision as a
+        # Fraction elimination, on Q-Gorenstein and mostly non-Q-Gorenstein
+        # suites, with no boundary, a random one (mostly inconsistent) and one
+        # that a covector interior to sigma^v solves on every cone; the first
+        # four rays of the cone over the 3-cube span only 3 dims, and the
+        # hand-built cones, whose rays do not span, are degenerate
+        from reebcone.geometry import ToricCone
+
+        rng = random.Random(67)
+        cones = [cone for cone, _ in random_cone_suite(seed=67, count=30, dims=(2, 3, 4, 5))]
+        cones += [cone for cone, _, _ in random_box_cone_suite(seed=67, count=40)]
+        assert sum(not is_q_gorenstein(cone) for cone in cones) == 22
+        cones += [dual_cone(cube_rays(4), 4),
+                  ToricCone(dim=2, rays=((1, 0),), dual_rays=((0, 1), (1, 0))),
+                  ToricCone(dim=3, rays=((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+                            dual_rays=((1, 0, 0), (0, 1, 0)))]
+        seen = set()
+        for cone in cones:
+            weights = [rng.randint(1, 5) for _ in cone.dual_rays]
+            u = [linalg.dot(weights, col) for col in zip(*cone.dual_rays)]
+            pairings = [linalg.dot(v, u) for v in cone.rays]
+            for kind, boundary in (
+                    ("none", None),
+                    ("random", [Fraction(rng.randrange(4), 4) for _ in cone.rays]),
+                    ("interior", [1 - Fraction(p, max(pairings)) for p in pairings])):
+                rhs = [1] * len(cone.rays) if boundary is None else [1 - c for c in boundary]
+                if fraction_rank(cone.rays) < cone.dim:
+                    expected = DegenerateSolutionSet
+                else:
+                    expected = fraction_solve(cone.rays, rhs)  # None: no covector
+                try:
+                    got = gorenstein_vector(cone, boundary).l
+                    assert all(type(x) is Fraction for x in got)
+                except NotQGorenstein:
+                    got = None
+                except DegenerateSolutionSet:
+                    got = DegenerateSolutionSet
+                assert got == expected, (cone, boundary)
+                seen.add((kind, "solved" if isinstance(got, tuple) else got,
+                          is_q_gorenstein(cone) if got is not DegenerateSolutionSet else None))
+        assert seen >= {("none", "solved", True), ("none", None, False),
+                        ("random", None, True), ("random", None, False),
+                        ("interior", "solved", True), ("interior", "solved", False),
+                        ("none", DegenerateSolutionSet, None)}, seen
 
     def test_rational_gorenstein_index(self):
         # rays at height 2: l = (1/2, 0, ...) is rational, not integral
@@ -500,6 +575,11 @@ class TestTriangulation:
             facet = [u for u in cone.dual_rays if linalg.dot(cone.rays[0], u) == 0]
             assert triangulate_cone(facet, normals) == triangulate_cone(facet, cone.rays)
 
+    def test_rays_of_unequal_lengths(self):
+        # a ValueError, not a raw IndexError from the rank of ragged rows
+        with pytest.raises(ValueError, match="rays of unequal lengths"):
+            triangulate_cone([(0, 0, 1), (0, 1), (1, -1, 0)], [])
+
     def test_faces_by_incidence(self, monkeypatch):
         # the cone over the 6-cube: rank checks pointedness and span and the
         # dimension at the top of the triangulation; every other face is a bitmask
@@ -510,12 +590,12 @@ class TestTriangulation:
         assert len(calls) <= 3
 
     def test_one_triangulation_per_cone(self, monkeypatch):
-        calls, solves = [], []
+        calls, pivots = [], []
+        cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
         monkeypatch.setattr(geometry, "triangulate_cone", counting(geometry.triangulate_cone, calls))
-        monkeypatch.setattr(linalg, "solve_unique", counting(linalg.solve_unique, solves))
+        monkeypatch.setattr(linalg, "pivot_columns", counting(linalg.pivot_columns, pivots))
         geometry.simplices.cache_clear()
         geometry._solve_gorenstein.cache_clear()
-        cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
         xi = (3, Fraction(3, 2), Fraction(3, 4))
         polytope_Q(cone, xi)
         delta(cone, xi)
@@ -523,6 +603,8 @@ class TestTriangulation:
         futaki_product(cone, xi, (0, 1, 0))
         minimize_volume(cone)
         assert len(calls) == 1
+        # a Gorenstein solve starts by picking the pivot rows of the rays
+        solves = [args for args in pivots if args == (linalg.transpose(cone.rays),)]
         assert len(solves) == 1  # one Gorenstein solve per cone
 
 
@@ -657,12 +739,16 @@ class TestImmutability:
 
     def test_degenerate_solution_set_direct(self):
         # unreachable through dual_cone (cones are validated full-dimensional
-        # first), so exercised on a hand-made degenerate instance
+        # first), so exercised on hand-made degenerate instances; the span is
+        # checked before the rays, so rays that no covector pairs to 1 with
+        # (the second cone) are degenerate too
         from reebcone.geometry import ToricCone
 
-        cone = ToricCone(dim=2, rays=((1, 0),), dual_rays=((0, 1), (1, 0)))
-        with pytest.raises((DegenerateSolutionSet, NotQGorenstein)):
-            gorenstein_vector(cone)
+        for cone in (ToricCone(dim=2, rays=((1, 0),), dual_rays=((0, 1), (1, 0))),
+                     ToricCone(dim=3, rays=((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+                               dual_rays=((1, 0, 0), (0, 1, 0)))):
+            with pytest.raises(DegenerateSolutionSet, match="rays span a subspace of dimension"):
+                gorenstein_vector(cone)
 
     def test_gorenstein_vector_type(self, orthant2):
         assert isinstance(gorenstein_vector(orthant2), GorensteinVector)

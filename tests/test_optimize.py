@@ -321,6 +321,24 @@ class TestMinimize:
         assert res.kss_residual <= 1e-12
         assert abs(float(delta(cone, res.xi_star.xi).delta) - 1) <= 1e-12
 
+    def test_every_trial_off_the_cone_is_non_convergent(self, monkeypatch, y21):
+        # the start passes, and every damped step is read as leaving the Reeb
+        # cone: the step is halved until it falls below _MIN_STEP_SCALE, which
+        # from a first scale 1 / (1 + decrement) in (0, 1] takes at least 60 trials
+        calls = []
+        objective = optimize.volume_objective
+
+        def off_the_cone(cone, x):
+            calls.append(x)
+            if len(calls) > 1:
+                raise UnboundedSlice("xi is not interior to sigma")
+            return objective(cone, x)
+
+        monkeypatch.setattr(optimize, "volume_objective", off_the_cone)
+        with pytest.raises(NonConvergent, match="damped Newton step left the Reeb cone"):
+            minimize_volume(y21)
+        assert len(calls) - 1 >= 60
+
     def test_start_near_the_boundary(self):
         # weights 1e-11 on two rays of a simplicial cone put the start next to
         # two facets; the minimizer is the ray barycentre, where bar_P = l

@@ -83,6 +83,46 @@ MUTANTS = [
     ("dyadic-within-precision", "geometry.py",
      "odd.bit_length() <= precision_bits()", "odd.bit_length() <= 64",
      "tests/test_vectors.py::test_wide_entry_is_rounded_once[53]"),
+    # geometry: the refusals of dual_cone's rays, before any work
+    ("rays-dim-positive", "geometry.py",
+     "if dim < 1:", "if dim < 0:",
+     "tests/test_geometry.py::TestDualCone::test_dim_not_positive[0]"),
+    ("rays-dim-cap", "geometry.py",
+     "if dim > MAX_DIM:", "if dim > MAX_DIM + 1:",
+     "tests/test_geometry.py::TestDualCone::test_dim_past_the_cap"),
+    ("rays-count-cap", "geometry.py",
+     "if count > MAX_RAYS:", "if count > MAX_RAYS + 1:",
+     "tests/test_geometry.py::TestDualCone::test_rays_past_the_cap"),
+    ("rays-length", "geometry.py",
+     "if size != dim:", "if size > dim:",
+     "tests/test_geometry.py::TestDualCone::test_ray_of_the_wrong_length[short]"),
+    ("rays-integral-fraction", "geometry.py",
+     "if isinstance(x, Fraction) and x.denominator == 1:", "if False:",
+     "tests/test_geometry.py::TestDualCone::test_integral_fraction_entries_are_ints"),
+    # geometry: a character's coefficient is read only from its own kind
+    ("series-coefficient-kind", "geometry.py",
+     "if self.kind != kind:", "if False:",
+     "tests/test_characters.py::TestBadArguments::test_coefficient_of_the_other_character"),
+    # geometry: the Gorenstein solve inverts the first n independent rays, solves
+    # with their entries of the right-hand side, checks every ray in ints (scaled by
+    # |det|), and refuses rays that do not span
+    ("gorenstein-pivot-rows", "geometry.py",
+     "linalg.integer_inverse([cone.rays[i] for i in basis])",
+     "linalg.integer_inverse(cone.rays[:cone.dim])",
+     "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
+    ("gorenstein-pivot-rhs", "geometry.py",
+     "basis_rhs = [rhs[i] for i in basis]", "basis_rhs = rhs[:cone.dim]",
+     "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
+    ("gorenstein-ray-check", "geometry.py",
+     "    if any(linalg.dot(v, l_num) != det * r for v, r in zip(cone.rays, rhs)):\n",
+     "    if False:\n",
+     "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
+    ("gorenstein-ray-check-scale", "geometry.py",
+     "!= det * r for v, r in", "!= r for v, r in",
+     "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
+    ("gorenstein-span", "geometry.py",
+     "    if len(basis) < cone.dim:\n", "    if False:\n",
+     "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
     # geometry: every per-cone cache is bounded, so an earlier cone is freed
     ("cone-cache-unbounded", "geometry.py",
      "CONE_CACHE_SIZE = 16", "CONE_CACHE_SIZE = 1000",
@@ -106,6 +146,9 @@ MUTANTS = [
      "                out.append((det // linalg.dot(ray, u), face))\n    return tuple(out)",
      "                out.append((det // linalg.dot(ray, u), face))\n    return tuple(out[1:])",
      "tests/test_cli.py::TestMainExitCodes::test_futaki_beyond_the_box_point_bound"),
+    ("tri-ragged-rays", "geometry.py",
+     "if any(len(r) != len(rays[0]) for r in rays):", "if False:",
+     "tests/test_geometry.py::TestTriangulation::test_rays_of_unequal_lengths"),
     ("futaki-slice-route", "geometry.py",
      "(a * m - t_s * l_s * x)", "(a * m - t_s * x)",
      "tests/test_acceptance.py::test_criterion_07_futaki_properties"),
@@ -119,6 +162,12 @@ MUTANTS = [
     ("sums-weight-accumulate", "geometry.py",
      "            weights[u] += w", "            weights[u] = w",
      "tests/test_acceptance.py::test_criterion_01_barycenter_relation"),
+    # geometry: a one-unit edit of the exact volume sum, which the quasi-regular
+    # Y^{p,q} see as a minimizer that is no longer K-semistable
+    ("volume-sums-total-unit", "geometry.py",
+     "return simplex_weights, sum(simplex_weights), big",
+     "return simplex_weights, sum(simplex_weights) + 1, big",
+     "tests/test_literature.py::test_quasi_regular_ypq_is_kss_exactly"),
     ("sums-guard-bits", "geometry.py",
      "_GUARD_BITS = 32", "_GUARD_BITS = 4",
      "tests/test_characters.py::TestBoxPointKernel::test_mpf_path_rounds_once"),
@@ -131,6 +180,14 @@ MUTANTS = [
     ("spread-bits", "geometry.py",
      "_MAX_SPREAD_BITS = 4096", "_MAX_SPREAD_BITS = 40960",
      "tests/test_stability.py::TestWorkingPrecision::test_exponent_spread_just_past_the_bound"),
+    # linalg: a row swap flips the determinant, and the scaled inverse takes the
+    # sign of the last pivot, so its factor |det A| is positive
+    ("bareiss-swap-sign", "linalg.py",
+     "            sign = -sign\n", "",
+     "tests/test_characters.py::TestBoxPointKernel::test_rank_det_solve"),
+    ("inverse-pivot-sign", "linalg.py",
+     "sign = 1 if last > 0 else -1", "sign = 1",
+     "tests/test_characters.py::TestBoxPointKernel::test_integer_inverse"),
     # lattice: the integer scan box, at a level read exactly
     ("scan-box-floor", "lattice.py",
      "[x // p for x in u]", "[-(-x // p) for x in u]",
@@ -287,6 +344,9 @@ MUTANTS = [
      "        scale_t = 1.0 / (1.0 + decrement)\n",
      "        if decrement <= tol:\n            break\n        scale_t = 1.0 / (1.0 + decrement)\n",
      "tests/test_cli.py::TestConsoleScript::test_byte_determinism_across_hash_seeds"),
+    ("newton-min-step-scale", "optimize.py",
+     "_MIN_STEP_SCALE = 2.0**-60", "_MIN_STEP_SCALE = 2.0**-20",
+     "tests/test_optimize.py::TestMinimize::test_every_trial_off_the_cone_is_non_convergent"),
     ("newton-margin", "optimize.py",
      "margin = min(", "margin = max(",
      "tests/test_optimize.py::TestMinimize::test_margin_is_the_least_pairing"),
@@ -307,6 +367,10 @@ MUTANTS = [
      "except OverflowError:  # an exact entry past the floats, as in",
      "except ZeroDivisionError:  # as in",
      "tests/test_vectors.py::test_bad_vector_is_a_value_error[29-xi_slice_coords-past-the-floats]"),
+    # optimize: vol* by the homogeneity of degree -n from xi* to the slice
+    ("vol-star-power", "optimize.py",
+     "vol_star=sums.a ** n * sums.total", "vol_star=sums.a ** (n - 1) * sums.total",
+     "tests/test_literature.py::test_ypq_minimizer_and_volume"),
     # optimize: a float product of pairings that underflows is off the slice
     ("objective-underflow", "optimize.py",
      "    except ZeroDivisionError:\n        raise UnboundedSlice(",
