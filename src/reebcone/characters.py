@@ -41,7 +41,9 @@ from .config import ratio_type
 from .errors import DimensionMismatch, ExceedsSupportedSize, OrderTooLarge, UnboundedSlice
 from .geometry import LaurentSeries, ToricCone, _common_scale, reeb_numerators, simplices
 
-MAX_ORDER = 4
+# Taylor coefficients g_j of g(z) = z / (1 - e^{-z}) = sum_j g_j z^j (Bernoulli numbers)
+_G_COEFFS = (Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0), Fraction(-1, 720))
+MAX_ORDER = len(_G_COEFFS) - 1
 MAX_BOX_POINTS = 10 ** 6
 
 
@@ -150,21 +152,6 @@ def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
 # ---------------------------------------------------------------------------
 # series engine
 # ---------------------------------------------------------------------------
-
-_G_COEFFS: list[Fraction] = [Fraction(1)]
-
-
-def _g_coeff(j: int) -> Fraction:
-    """Taylor coefficients of g(z) = z / (1 - e^{-z}) (Bernoulli numbers)."""
-    while len(_G_COEFFS) <= j:
-        m = len(_G_COEFFS) + 1  # solving the z^m coefficient of (1-e^{-z})g(z) = z
-        acc = Fraction(0)
-        for k in range(2, m + 1):
-            sign = 1 if k % 2 else -1
-            acc += Fraction(sign, math.factorial(k)) * _G_COEFFS[m - k]
-        _G_COEFFS.append(-acc)
-    return _G_COEFFS[j]
-
 
 def _series_mul(a: list, b: list) -> list:
     order = len(a) - 1
@@ -283,7 +270,7 @@ def character_series(pieces: Sequence[SimplicialPiece], xi, eta=None,
         raise DimensionMismatch(f"pieces of more than one dimension: the first has {n} generators")
     pairs, exact = reeb_numerators(n, xi, eta)
     (xi_num, d), (eta_num, e) = [*pairs, (None, 1)][:2]
-    g = [_g_coeff(j) for j in range(order + 1)]
+    g = _G_COEFFS[:order + 1]
     big_g, fact = math.lcm(*(x.denominator for x in g)), math.factorial(order)
     shared = ([int(x * big_g) for x in g],
               [(-1) ** j * (fact // math.factorial(j)) for j in range(order + 1)],

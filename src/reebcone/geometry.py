@@ -588,10 +588,10 @@ def _common_scale(prods: Sequence[int], exact: bool) -> int:
 
 def _volume_sums(table, pairings: dict, exact: bool = False, divide: bool = False) -> tuple:
     """``(w, T, L)``: the volume part of :func:`_simplex_sums`, the per-simplex
-    weights w_k = det_k L / P_k, their sum T and the scale L, with L and the
-    quotient chosen by ``exact`` and ``divide`` as there.  T / L is (n-1)! a0
-    over :func:`simplices`; alone it ranks the samples of
-    :func:`reebcone.optimize.grid_search_oracle`."""
+    weights w_k = det_k L / P_k, their sum T and the scale L, with L chosen by
+    ``exact`` as there, or L = 1 and true division when ``divide``, as in its
+    ``coords`` pass.  T / L is (n-1)! a0 over :func:`simplices`; alone it
+    ranks the samples of :func:`reebcone.optimize.grid_search_oracle`."""
     prods = [math.prod(pairings[u] for u in gens) for _, gens in table]
     if divide:
         div, big = operator.truediv, 1
@@ -601,7 +601,7 @@ def _volume_sums(table, pairings: dict, exact: bool = False, divide: bool = Fals
     return simplex_weights, sum(simplex_weights), big
 
 
-def _simplex_sums(table, pairings: dict, exact: bool = False, divide: bool = False) -> tuple:
+def _simplex_sums(table, pairings: dict, exact: bool = False, coords: Optional[dict] = None) -> tuple:
     """``(T, M, L)``: the sums of every closed form over a table of simplices.
 
     ``table`` holds ``(det_k, U_k)`` pairs (:func:`simplices` or
@@ -620,29 +620,32 @@ def _simplex_sums(table, pairings: dict, exact: bool = False, divide: bool = Fal
     is truncated by less than one unit in 2^b of itself; every term of T,
     of W_u below and of <v, M> for v in sigma is positive, so each of them
     carries a relative error below 2^-b times a small count of roundings,
-    whatever the number of simplices.  With ``divide`` the p_u are floats,
-    mpfs or Fractions, L = 1, the same loop runs with true division, and
-    the Hessian in xi of T, whose gradient is -M, is appended for p_u =
-    <xi, u>: with u~ = u / p_u, s_k = sum_{u in U_k} u~, w_k = det_k / P_k
-    and W_u = sum_{k : u in U_k} w_k,
+    whatever the number of simplices.  With ``coords``, a map from each u to
+    the coordinates E^T u in which to sum it, the p_u are floats, mpfs or
+    Fractions, L = 1, the same loop runs with true division on E^T u in
+    place of u, and the Hessian E^T H E of T, whose gradient is -E^T M, is
+    appended for p_u = <xi, u>, xi = b + E x: with u~ = E^T u / p_u, s_k =
+    sum_{u in U_k} u~, w_k = det_k / P_k and W_u = sum_{k : u in U_k} w_k,
 
-        H = sum_k w_k s_k s_k^T + sum_u W_u u~ u~^T,
+        E^T H E = sum_k w_k s_k s_k^T + sum_u W_u u~ u~^T,
 
     one dot product per entry over the rows s_k and u~.
     """
+    divide = coords is not None
     simplex_weights, total, big = _volume_sums(table, pairings, exact, divide)
     div = operator.truediv if divide else operator.floordiv
+    coords = coords if divide else {u: u for u in pairings}
     weights = dict.fromkeys(pairings, 0)
     for w, (_, gens) in zip(simplex_weights, table):
         for u in gens:
             weights[u] += w
-    moment = [0] * len(next(iter(pairings)))
+    moment = [0] * len(next(iter(coords.values())))
     for u, w in weights.items():
         c = w * div(big, pairings[u])
-        moment = [m + c * x for m, x in zip(moment, u)]
+        moment = [m + c * x for m, x in zip(moment, coords[u])]
     if not divide:
         return total, moment, big
-    scaled = {u: [x / p for x in u] for u, p in pairings.items()}
+    scaled = {u: [x / p for x in coords[u]] for u, p in pairings.items()}
     rows = [list(map(sum, zip(*map(scaled.get, gens)))) for _, gens in table]
     rows += scaled.values()
     row_weights = simplex_weights + list(weights.values())

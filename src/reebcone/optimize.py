@@ -89,19 +89,16 @@ def _chart(cone: ToricCone):
     The pivot coordinate is the one with the largest ``|l_j|``
     (rightmost on ties); the remaining ``n - 1`` coordinates are free,
     and ``xi[pivot]`` is recovered as ``(1 - sum l_j xi_j) / l_pivot``.
-    Returns ``(l, pivot, free, ratios, products)``: the Gorenstein
-    vector, ``ratios[a] = l_{free_a} / l_pivot`` and ``products[a][b] =
-    ratios[a] * ratios[b]``, every float rounded once from its exact
-    value.  Cached for the last CONE_CACHE_SIZE cones, so every step of
-    one minimization reads one chart.
+    Returns ``(l, pivot, free, ratios)``: the Gorenstein vector and
+    ``ratios[a] = l_{free_a} / l_pivot``, every float rounded once from its
+    exact value.  Cached for the last CONE_CACHE_SIZE cones, so every step
+    of one minimization reads one chart.
     """
     l = gorenstein_vector(cone).l
     best = max(abs(x) for x in l)
     pivot = max(j for j, x in enumerate(l) if abs(x) == best)
     free = tuple(j for j in range(cone.dim) if j != pivot)
-    ratios = [l[j] / l[pivot] for j in free]
-    products = tuple(tuple(float(a * b) for b in ratios) for a in ratios)
-    return tuple(map(float, l)), pivot, free, tuple(map(float, ratios)), products
+    return tuple(map(float, l)), pivot, free, tuple(float(l[j] / l[pivot]) for j in free)
 
 
 def _embed(cone: ToricCone, coords: Sequence) -> Tuple[float, ...]:
@@ -148,36 +145,24 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
 
     The objective of the Newton iteration; exact values of ``a0`` come
     from :func:`reebcone.geometry.polytope_Q`.  One pass of the slice
-    kernel :func:`reebcone.geometry._simplex_sums` gives ``(n-1)! a0 =
-    T``, its gradient ``-M`` and its Hessian ``H`` in the full
-    coordinates, pushed through the affine chart of :func:`_chart`.
+    kernel :func:`reebcone.geometry._simplex_sums`, summing each dual ray u
+    in the chart's coordinates E^T u = (u_{free_a} - ratios[a] u_pivot)_a
+    of :func:`_chart`, where xi = b + E x, gives ``(n-1)! a0 = T``, its
+    gradient ``-M`` and its Hessian ``H`` in the chart.
     Raises :class:`UnboundedSlice` if the point pairs nonpositively with
     some dual ray, i.e. lies outside the interior of ``sigma``, or so near
     its boundary that a product of pairings underflows to 0.
     """
-    _, pivot, free, ratios, products = _chart(cone)
+    _, pivot, free, ratios = _chart(cone)
+    coords = {u: tuple(u[j] - r * u[pivot] for j, r in zip(free, ratios)) for u in cone.dual_rays}
     pairings = _slice_pairings(cone, _embed(cone, xi_slice_coords))
     try:
-        total, moment, _, hess_full = _simplex_sums(simplices(cone), pairings, divide=True)
+        total, moment, _, hess = _simplex_sums(simplices(cone), pairings, coords=coords)
     except ZeroDivisionError:
         raise UnboundedSlice("xi is too near the boundary of sigma for float arithmetic") from None
     norm = math.factorial(cone.dim - 1)
-    # push through the chart xi = b + E x, columns E[:, j] = e_{free_j} -
-    # (l_{free_j}/l_pivot) e_pivot: grad_x = E^T grad, hess_x = E^T H E.
-    grad = tuple(
-        (ratios[a] * moment[pivot] - moment[j]) / norm for a, j in enumerate(free)
-    )
-    hess = tuple(
-        tuple(
-            (hess_full[free[a]][free[b]]
-             - ratios[b] * hess_full[free[a]][pivot]
-             - ratios[a] * hess_full[pivot][free[b]]
-             + products[a][b] * hess_full[pivot][pivot]) / norm
-            for b in range(len(free))
-        )
-        for a in range(len(free))
-    )
-    return total / norm, grad, hess
+    return (total / norm, tuple(-m / norm for m in moment),
+            tuple(tuple(h / norm for h in row) for row in hess))
 
 
 def _cholesky(hess: Sequence[Sequence[float]], lam: float):

@@ -36,6 +36,7 @@ from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type
 from .errors import UnboundedSlice
 from .geometry import (
     GorensteinVector,
+    LaurentSeries,
     ToricCone,
     _common_denominator,
     _sequence_length,
@@ -95,9 +96,14 @@ class StabilityReport(NamedTuple):
     scale: object
 
 
-def log_discrepancy(l: GorensteinVector, v: ToricValuation):
-    """``A(wt_v) = <v, l>`` for a toric valuation."""
-    return linalg.dot(v.v, l.l)
+def log_discrepancy(l: GorensteinVector, v):
+    """``A(wt_v) = <v, l>``, exactly, for ``v`` a vector or a :class:`ToricValuation`,
+    read by :func:`reebcone.geometry.numerators` against n = ``len(l.l)``;
+    ValueError unless ``l`` is a :class:`GorensteinVector`."""
+    if not isinstance(l, GorensteinVector):
+        raise ValueError(f"l must be a GorensteinVector, got {l!r}")
+    [(v_num, d)], _ = numerators(len(l.l), v=v.v if isinstance(v, ToricValuation) else v)
+    return linalg.dot(v_num, l.l) / d
 
 
 def s_value(cone: ToricCone, xi, v) -> object:
@@ -181,9 +187,16 @@ def futaki_pairing(F, C):
     :class:`reebcone.geometry.LaurentSeries` of order at least 1; the
     combination is exactly the derivative of the normalized volume of
     ``xi + s eta`` at ``s = 0`` up to positive scale, so a critical Reeb
-    vector has vanishing pairing against every ``eta``.
+    vector has vanishing pairing against every ``eta``.  ValueError unless
+    both are LaurentSeries, and for a0 = 0, which no Reeb vector gives.
     """
-    return -2 * (F.a0 * C.b1 - F.a1 * C.b0) / (F.a0 * F.a0)
+    for name, series in (("F", F), ("C", C)):
+        if not isinstance(series, LaurentSeries):
+            raise ValueError(f"{name} must be a LaurentSeries, got {series!r}")
+    a0 = F.a0
+    if not a0:
+        raise ValueError("the index character has a0 = 0: it is no character of a Reeb vector")
+    return -2 * (a0 * C.b1 - F.a1 * C.b0) / (a0 * a0)
 
 
 def futaki_product(cone: ToricCone, xi, eta):

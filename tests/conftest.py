@@ -31,7 +31,6 @@ from reebcone import (
     triangulate_cone,
 )
 from reebcone import linalg
-from reebcone.characters import _g_coeff
 from reebcone.cli import parse_cone_spec
 from reebcone.config import mp_context, precision_bits, ratio_type
 from reebcone.geometry import (LaurentSeries, _simplex_sums, _slice_pairings, boundary_faces,
@@ -265,12 +264,6 @@ def fraction_inverse(mat):
     """Exact inverse of a nonsingular matrix, one Fraction solve per column."""
     n = len(mat)
     return transpose([fraction_solve(mat, [int(i == j) for i in range(n)]) for j in range(n)])
-
-
-def covector_transform(mat, u):
-    """How dual vectors move: by the inverse-transpose, i.e. solve M^T x = u."""
-    inv_t = transpose(fraction_inverse([list(r) for r in mat]))
-    return tuple(mat_vec(inv_t, u))
 
 
 def random_height_one_cone(rng: random.Random, dim: int, transformed: bool = True,
@@ -784,6 +777,16 @@ def fraction_pieces(cone):
     return tuple(pieces)
 
 
+def g_coefficients(order):
+    """The Taylor coefficients g_0..g_order of g(z) = z / (1 - e^{-z}) (the
+    Bernoulli numbers), by solving (1 - e^{-z}) g(z) = z one power at a time."""
+    g = [Fraction(1)]
+    for m in range(2, order + 2):  # the z^m coefficient gives g_{m-1}
+        g.append(-sum(Fraction((-1) ** (k + 1), math.factorial(k)) * g[m - k]
+                      for k in range(2, m + 1)))
+    return g
+
+
 def per_point_box_series(points, xi, order):
     """Taylor coefficients of sum_p e^{-t<xi,p>}, one Fraction term per point."""
     out = [Fraction(0)] * (order + 1)
@@ -817,7 +820,7 @@ def per_point_characters(pieces, xi, eta, order):
     """
     xi = tuple(Fraction(x) for x in xi)
     eta = tuple(Fraction(x) for x in eta)
-    g = [_g_coeff(j) for j in range(order + 1)]
+    g = g_coefficients(order)
 
     def product(series):
         out = [Fraction(1)] + [Fraction(0)] * order

@@ -8,10 +8,12 @@ floats (10**400, 10**5000); str entries, dicts and iterators; wrong lengths,
 and zero or negated vectors.  ``dual_cone`` draws the cone's rays with such
 entries, rays or counts, and its dim from the integers' pool.  The result
 objects that ``futaki_pairing`` and ``log_discrepancy`` take are drawn from
-results of the cone: the characters of the other kind or of order 0, and
-results of another bundled cone.  ``triangulate_cone`` takes int rays, as
-:func:`reebcone.geometry.simplices` passes them, so it draws lists of int
-vectors wrong in count, order, length or cone.  Each call draws a share of
+results of the cone: the characters of the other kind, of order 0 or with a
+zero a0, results of another bundled cone, None, and the bare coefficients or
+vector a result holds; ``log_discrepancy``'s v is a valuation or a vector.
+``triangulate_cone`` takes int rays, as :func:`reebcone.geometry.simplices`
+passes them, so it draws lists of int vectors wrong in count, order, length
+or cone.  Each call draws a share of
 its arguments (none, a quarter, half or all) from those pools and the rest
 from values its function accepts, and leaves optional parameters out now
 and then.  A call passes when it returns or raises a ``ReebconeError`` or a
@@ -208,9 +210,12 @@ def draw(rng, param, cone, pieces, spec, valid, mine, other):
         if valid:
             return mine[param]
         if param in ("F", "C"):
-            series = mine["C" if param == "F" else "F"]
-            return rng.choice((series, mine[param]._replace(coeffs=mine[param].coeffs[:1]),
-                               other[2][param]))
+            series, coeffs = mine["C" if param == "F" else "F"], mine[param].coeffs
+            return rng.choice((series, mine[param]._replace(coeffs=coeffs[:1]),
+                               mine[param]._replace(coeffs=(0,) * len(coeffs)),
+                               other[2][param], None, coeffs))
+        if param == "l":
+            return rng.choice((other[2][param], None, mine[param].l))
         return other[2][param]
     if param in ("rays", "normals"):
         rays = (cone.dual_rays, other[0].dual_rays) if param == "rays" else (cone.rays, other[0].rays)
@@ -277,9 +282,9 @@ def test_fuzz_api(cones):
             for param in inspect.signature(func).parameters.values():
                 if param.default is not param.empty and rng.random() < 0.3:
                     continue  # left to its default
-                # log_discrepancy's v is a valuation, every other v a vector
+                # log_discrepancy's v is a valuation or a vector, every other v a vector
                 key = "valuation" if func.__name__ == "log_discrepancy" and param.name == "v" \
-                    else param.name
+                    and rng.random() < 0.5 else param.name
                 value = draw(rng, key, cone, pieces, SPECS[name], rng.random() >= rate,
                              mine, other)
                 if param.default is param.empty:

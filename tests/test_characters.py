@@ -33,7 +33,7 @@ from reebcone import (
     truncated_character_oracle,
     weight_character,
 )
-from reebcone.characters import MAX_ORDER, _box_points, _g_coeff
+from reebcone.characters import MAX_ORDER, _G_COEFFS, _box_points
 from reebcone.cli import parse_cone_spec
 from reebcone.config import mp_context, ratio_type
 from reebcone.geometry import MAX_DIM, numerators, simplices
@@ -44,6 +44,7 @@ from conftest import (
     fraction_inverse,
     fraction_pieces,
     fraction_rank,
+    g_coefficients,
     make_kgon,
     per_point_characters,
     random_cone_suite,
@@ -91,16 +92,20 @@ def halfopen_points_upto(piece, xi, m):
 class TestGCoefficients:
     def test_classical_values(self):
         # z/(1 - e^{-z}) = 1 + z/2 + z^2/12 - z^4/720 + ...
-        assert [_g_coeff(j) for j in range(5)] == [
+        assert g_coefficients(4) == [
             Fraction(1), Fraction(1, 2), Fraction(1, 12),
             Fraction(0), Fraction(-1, 720),
         ]
 
+    def test_table_matches_recurrence(self):
+        # the library's table, one entry per implemented order, against the oracle
+        assert list(_G_COEFFS) == g_coefficients(MAX_ORDER)
+
     def test_matches_mpmath_taylor(self):
         f = lambda z: z / (1 - mpmath.exp(-z)) if z != 0 else mpmath.mpf(1)
         taylor = mpmath.taylor(f, 0, 6)
-        for j, c in enumerate(taylor):
-            assert abs(float(_g_coeff(j)) - float(c)) < 1e-12
+        for j, c in enumerate(g_coefficients(6)):
+            assert abs(float(c) - float(taylor[j])) < 1e-12
 
 
 class TestDecomposeDual:

@@ -155,7 +155,7 @@ def test_newton_suite_near_root():
 
         def jacobian(*xi):
             total, moment, _, hess = _simplex_sums(simplices(cone), _slice_pairings(cone, xi),
-                                                   divide=True)
+                                                   coords={u: u for u in cone.dual_rays})
             return ctx.matrix([[(a * b / total**2 - h / total) / n for b, h in zip(moment, row)]
                                for a, row in zip(moment, hess)])
 

@@ -111,7 +111,8 @@ class TestVolumeObjective:
         for cone, xi in objective_cases():
             xi = tuple(map(Fraction, xi))
             pairings = {u: linalg.dot(xi, u) for u in cone.dual_rays}
-            total, moment, big, hess = _simplex_sums(simplices(cone), pairings, divide=True)
+            total, moment, big, hess = _simplex_sums(simplices(cone), pairings,
+                                                     coords={u: u for u in cone.dual_rays})
             norm = math.factorial(cone.dim - 1)
             assert big == 1
             assert (total / norm, tuple(-m / norm for m in moment),
@@ -125,13 +126,14 @@ class TestVolumeObjective:
             for _ in range(60):
                 xi = _ray_average(cone, [rng.randint(1, 12) for _ in cone.rays])
                 pairings = {u: linalg.dot(xi, u) for u in cone.dual_rays}
-                _, moment, _, hess = _simplex_sums(simplices(cone), pairings, divide=True)
+                _, moment, _, hess = _simplex_sums(simplices(cone), pairings,
+                                                   coords={u: u for u in cone.dual_rays})
                 _, chart_hess = fraction_chart(cone, [-m for m in moment], hess)
                 assert fraction_positive_definite(chart_hess)
 
     def test_float_mode_matches_exact(self):
         # the float objective against the Fraction oracle, to 1e-12 relative;
-        # the chart's push-through cancels, so gradient and Hessian entries
+        # the chart's coordinates E^T u cancel, so gradient and Hessian entries
         # are compared at the scale of the full-coordinate ones times the
         # chart's stretch 1 + max |l_free / l_pivot|
         for cone, xi in objective_cases():

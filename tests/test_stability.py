@@ -36,7 +36,7 @@ from reebcone import (
 )
 from reebcone.characters import MAX_BOX_POINTS
 from reebcone.config import mp_context, ratio_type
-from reebcone.geometry import futaki_coefficients, simplices
+from reebcone.geometry import LaurentSeries, futaki_coefficients, simplices
 from conftest import (
     bundled_specs,
     faces_futaki_coefficients,
@@ -118,6 +118,24 @@ class TestLogDiscrepancy:
                 log_discrepancy(l, toric_valuation(conifold, v))
                 + t * linalg.dot(xi, l.l)
             )
+
+
+    def test_vector_or_valuation(self, conifold):
+        # v is read as every other vector argument, a ToricValuation's too
+        l = gorenstein_vector(conifold)
+        for v in ((1, 0, 0), (2, 1, 1), (Fraction(1, 2), 0.25, 0)):
+            assert log_discrepancy(l, v) == linalg.dot(tuple(map(Fraction, v)), l.l)
+            assert log_discrepancy(l, v) == log_discrepancy(l, toric_valuation(conifold, v))
+        with pytest.raises(DimensionMismatch):
+            log_discrepancy(l, (1, 0))
+
+    def test_wrong_type_is_a_value_error(self, conifold):
+        l = gorenstein_vector(conifold)
+        for call in (lambda: log_discrepancy(None, (1, 0, 0)),
+                     lambda: log_discrepancy(l.l, (1, 0, 0)),
+                     lambda: log_discrepancy(l, None)):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestSValues:
@@ -378,6 +396,18 @@ class TestFutaki:
         assert slope < 0
         assert C.b0 > 0
 
+    def test_pairing_of_wrong_type_is_a_value_error(self, conifold):
+        F, C = futaki_coefficients(conifold, (3, 2, 2), (0, 1, 0))
+        for args in ((None, None), (F, None), (None, C), (F.coeffs, C), (F, C.coeffs)):
+            with pytest.raises(ValueError):
+                futaki_pairing(*args)
+
+    def test_pairing_at_zero_a0_is_a_value_error(self, conifold):
+        # a0 = n vol(Q_xi) > 0 for every Reeb vector
+        _, C = futaki_coefficients(conifold, (3, 2, 2), (0, 1, 0))
+        with pytest.raises(ValueError, match="a0 = 0"):
+            futaki_pairing(LaurentSeries(-3, (0, 0), 3, "index"), C)
+
 
 class TestFutakiClosedForm:
     def test_matches_characters(self):
@@ -622,9 +652,9 @@ class TestWorkingPrecision:
         # only the float Newton objective divides there
         kernel, calls = geometry._simplex_sums, []
 
-        def recording(table, pairings, exact=False, divide=False):
-            calls.append((divide, {type(p) for p in pairings.values()}))
-            return kernel(table, pairings, exact, divide)
+        def recording(table, pairings, exact=False, coords=None):
+            calls.append((coords is not None, {type(p) for p in pairings.values()}))
+            return kernel(table, pairings, exact, coords)
 
         monkeypatch.setattr(geometry, "_simplex_sums", recording)
         monkeypatch.setattr(optimize, "_simplex_sums", recording)

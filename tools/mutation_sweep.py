@@ -302,6 +302,11 @@ MUTANTS = [
     ("series-pieces-one-dimension", "characters.py",
      "if any(len(p.generators) != n or", "if False and any(len(p.generators) != n or",
      "tests/test_characters.py::TestWrongLength::test_pieces_of_two_dimensions"),
+    # characters: the Taylor coefficients of z / (1 - e^{-z}), which the per-point
+    # oracle rebuilds by their recurrence
+    ("g-coefficient-entry", "characters.py",
+     "Fraction(-1, 720))", "Fraction(1, 720))",
+     "tests/test_characters.py::TestBoxPointKernel::test_characters_match_per_point_oracle"),
     ("order-negative-bound", "characters.py",
      "if order < 0:", "if order < -1:",
      "tests/test_characters.py::TestBadArguments::test_negative_order[-1]"),
@@ -315,6 +320,20 @@ MUTANTS = [
      "    if isinstance(v, ToricValuation):\n        return v\n"
      "    [(v_num, d)], _ = numerators(cone.dim, v=v)",
      "tests/test_stability.py::TestToricValuation::test_valuation_of_another_cone_is_checked"),
+    # stability: the two functions of result objects refuse another type, and a0 = 0
+    ("log-discrepancy-type", "stability.py",
+     "    if not isinstance(l, GorensteinVector):\n", "    if False:\n",
+     "tests/test_stability.py::TestLogDiscrepancy::test_wrong_type_is_a_value_error"),
+    ("futaki-pairing-type", "stability.py",
+     "        if not isinstance(series, LaurentSeries):\n", "        if False:\n",
+     "tests/test_stability.py::TestFutaki::test_pairing_of_wrong_type_is_a_value_error"),
+    ("futaki-pairing-zero-a0", "stability.py",
+     "    if not a0:\n", "    if False:\n",
+     "tests/test_stability.py::TestFutaki::test_pairing_at_zero_a0_is_a_value_error"),
+    # stability: the orbifold pairs' boundary right-hand side 1 - c_i
+    ("boundary-rhs", "geometry.py",
+     "tuple(c_d - c for c in c_num)", "tuple(c_d + c for c in c_num)",
+     "tests/test_literature.py::test_orbifold_pairs_are_kss"),
     ("delta-tie-inclusive", "stability.py",
      "<= tie_num * low_a * s)", "< tie_num * low_a * s)",
      "tests/test_cli.py::TestRunReports::test_delta_is_a_thin_shell"),
@@ -367,10 +386,21 @@ MUTANTS = [
      "except OverflowError:  # an exact entry past the floats, as in",
      "except ZeroDivisionError:  # as in",
      "tests/test_vectors.py::test_bad_vector_is_a_value_error[29-xi_slice_coords-past-the-floats]"),
+    # optimize: the chart coordinates E^T u = (u_free - ratios u_pivot) each dual ray
+    # is summed in
+    ("chart-ratio-sign", "optimize.py",
+     "u[j] - r * u[pivot]", "u[j] + r * u[pivot]",
+     "tests/test_optimize.py::TestVolumeObjective::test_float_mode_matches_exact"),
+    ("chart-pivot-index", "optimize.py",
+     "u[j] - r * u[pivot]", "u[j] - r * u[pivot - 1]",
+     "tests/test_optimize.py::TestVolumeObjective::test_float_mode_matches_exact"),
     # optimize: vol* by the homogeneity of degree -n from xi* to the slice
     ("vol-star-power", "optimize.py",
      "vol_star=sums.a ** n * sums.total", "vol_star=sums.a ** (n - 1) * sums.total",
      "tests/test_literature.py::test_ypq_minimizer_and_volume"),
+    ("vol-star-gorenstein-scale", "optimize.py",
+     "(sums.l_d ** n * math.factorial", "(sums.l_d ** (n - 1) * math.factorial",
+     "tests/test_literature.py::test_normalized_volume_bound"),
     # optimize: a float product of pairings that underflows is off the slice
     ("objective-underflow", "optimize.py",
      "    except ZeroDivisionError:\n        raise UnboundedSlice(",
