@@ -51,8 +51,9 @@ MAX_RAYS = 64
 # takes up to 0.4 ms with 1000 dual rays in dim 8)
 MAX_DUAL_RAYS = 1000  # running rays of the double description
 MAX_SIMPLICES = 20000  # simplices of the triangulation of sigma^v
-# entries of each per-cone cache (simplices, _solve_gorenstein, optimize._chart): an op
-# reuses only the cone it works on, so a process that sweeps cones holds flat memory
+# entries of each cache an op pays once through: per ray set the pivot inverse, per cone
+# simplices, _solve_gorenstein and optimize._chart, and per (cone, xi) the slice pass; an
+# op reuses only the cone it works on, so a process that sweeps cones holds flat memory
 CONE_CACHE_SIZE = 16
 _GUARD_BITS = 32  # fixed-point bits of the working-precision sums beyond the precision
 # bits of a working-precision numerator or denominator beyond the precision;
@@ -223,25 +224,41 @@ def _incidence(normals: Sequence[Sequence[int]], gens: Sequence[Sequence[int]]) 
     return [sum(1 << i for i, g in enumerate(gens) if linalg.dot(a, g) == 0) for a in normals]
 
 
+@lru_cache(maxsize=CONE_CACHE_SIZE)
+def _pivot_inverse(rays: tuple[tuple[int, ...], ...], dim: int) -> tuple:
+    """``(basis, |det B|, S)``: the indices of the linearly independent rays
+    picked greedily in order, the matrix B of those rays and its scaled
+    inverse S = |det B| B^-1, with det and S None when fewer than dim rays
+    are independent.  The double description of :func:`dual_cone` and the
+    Gorenstein solve both start from it, so it is cached for the last
+    CONE_CACHE_SIZE ray sets and a cone eliminates its rays once."""
+    basis = tuple(linalg.pivot_columns(linalg.transpose(rays)))
+    if len(basis) < dim:
+        return basis, None, None
+    det, scaled = linalg.integer_inverse([rays[i] for i in basis])
+    return basis, det, scaled
+
+
 def _double_description(constraints: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {u : <a, u> >= 0 for each constraint a}.
 
     Incremental insertion: start from the first n linearly independent
-    constraints (whose cone is spanned by the columns of the inverse
-    matrix), then cut with the remaining halfspaces.  Each ray keeps the
-    bitmask of the inserted constraints it is tight on.  A ray on the
+    constraints (whose cone is spanned by the columns of the inverse matrix
+    of :func:`_pivot_inverse`, which the Gorenstein solve of the same rays
+    reads again), then cut with the remaining halfspaces.  Each ray keeps
+    the bitmask of the inserted constraints it is tight on.  A ray on the
     positive and a ray on the negative side of the new constraint span a
     new ray on its hyperplane when they are adjacent, which the
     combinatorial test of Fukuda and Prodon (LNCS 1120, 1996) decides: no
     third ray is tight on every constraint that both are tight on.  Adjacent
     rays share at least n - 2 tight constraints, which is checked first.
     """
-    basis_idx = linalg.pivot_columns(linalg.transpose(constraints))
+    basis_idx, _, scaled = _pivot_inverse(tuple(constraints), dim)
     if len(basis_idx) < dim:
         raise NotFullDimensional(
             f"rays span a subspace of dimension {len(basis_idx)} < {dim}"
         )
-    inv_cols = linalg.transpose(linalg.integer_inverse([constraints[i] for i in basis_idx])[1])
+    inv_cols = linalg.transpose(scaled)
     inserted = sum(1 << i for i in basis_idx)
     # column j of the inverse pairs to 0 with every basis constraint but the j-th
     rays = {linalg.primitivize(col): inserted & ~(1 << i) for col, i in zip(inv_cols, basis_idx)}
@@ -335,16 +352,16 @@ def gorenstein_vector(cone: ToricCone,
 @lru_cache(maxsize=CONE_CACHE_SIZE)
 def _solve_gorenstein(cone: ToricCone, rhs: tuple[int, ...], d: int) -> GorensteinVector:
     """l with ``<v_i, l> = rhs_i / d``, cached for the last CONE_CACHE_SIZE
-    triples (a failed solve raises again).  As the double description starts:
-    the first n independent rays B are inverted, l = S b / (|det B| d) for
-    the scaled inverse S and their entries b of rhs, and every ray is
-    checked in ints.  So l is interior to sigma^v with no further check:
-    ``<v_i, l> = rhs_i / d > 0``."""
-    basis = linalg.pivot_columns(linalg.transpose(cone.rays))
+    triples (a failed solve raises again).  From the inverse the double
+    description started with, :func:`_pivot_inverse` of the rays, read again
+    rather than redone when :func:`dual_cone` kept every ray: the first n
+    independent rays B, l = S b / (|det B| d) for the scaled inverse S and
+    their entries b of rhs, and every ray checked in ints.  So l is interior
+    to sigma^v with no further check: ``<v_i, l> = rhs_i / d > 0``."""
+    basis, det, scaled = _pivot_inverse(cone.rays, cone.dim)
     if len(basis) < cone.dim:
         raise DegenerateSolutionSet(f"rays span a subspace of dimension {len(basis)} < "
                                     f"{cone.dim}, so no Gorenstein vector is unique")
-    det, scaled = linalg.integer_inverse([cone.rays[i] for i in basis])
     basis_rhs = [rhs[i] for i in basis]
     l_num = [linalg.dot(row, basis_rhs) for row in scaled]
     if any(linalg.dot(v, l_num) != det * r for v, r in zip(cone.rays, rhs)):
@@ -668,7 +685,7 @@ class _SliceSums(NamedTuple):
     d: int
     exact: bool
     total: int
-    moment: list
+    moment: tuple
     big: int
     l_num: Optional[tuple] = None
     l_d: int = 1
@@ -691,11 +708,26 @@ class _SliceSums(NamedTuple):
         return gap, self.den * self.l_d
 
 
+@lru_cache(maxsize=CONE_CACHE_SIZE)
+def _slice_pass(cone: ToricCone, xi_num: tuple[int, ...], bits: Optional[int]) -> tuple:
+    """``(T, M, L)`` of :func:`_simplex_sums` over :func:`simplices` at the
+    pairings of xi_num, M a tuple: exact when ``bits`` is None, else in the
+    fixed point of the working precision ``bits``, on which L depends, so
+    both key the cache.  Cached for the last CONE_CACHE_SIZE keys, so an op
+    sums its slice once per (cone, xi) whatever it reads from it;
+    UnboundedSlice, which is not cached, unless xi is interior to sigma."""
+    pairings = _slice_pairings(cone, xi_num)
+    total, moment, big = _simplex_sums(simplices(cone), pairings, bits is None)
+    return total, tuple(moment), big
+
+
 def _slice_sums(cone: ToricCone, xi, l: Optional[Sequence[Fraction]] = None) -> _SliceSums:
-    """The :class:`_SliceSums` of xi, against l when given; UnboundedSlice
-    unless xi is interior to sigma."""
+    """The :class:`_SliceSums` of xi, against l when given, from the cached
+    :func:`_slice_pass`: :func:`polytope_Q`, the stability invariants, the
+    oracle table and the end of :func:`reebcone.optimize.minimize_volume`
+    share one pass at one xi.  UnboundedSlice unless xi is interior to sigma."""
     [(xi_num, d)], exact = reeb_numerators(cone.dim, xi)
-    total, moment, big = _simplex_sums(simplices(cone), _slice_pairings(cone, xi_num), exact)
+    total, moment, big = _slice_pass(cone, tuple(xi_num), None if exact else precision_bits())
     if l is None:
         return _SliceSums(cone, d, exact, total, moment, big)
     l_num, l_d = _common_denominator(l)
@@ -755,17 +787,18 @@ def futaki_coefficients(cone: ToricCone, xi, eta=None) -> tuple:
     <xi_num, l_num>, from the one slice pass, and no face is built.  Only
     where :func:`gorenstein_vector` raises NotQGorenstein or
     DegenerateSolutionSet are the faces summed.  No box points, so no piece
-    size bound applies.
+    size bound applies.  (T, M, L) is the cached :func:`_slice_pass` that
+    :func:`polytope_Q` and the stability invariants read at the same xi,
+    inexact when eta is.
     """
     n = cone.dim
     pairs, exact = reeb_numerators(n, xi, eta)
     (xi_num, d), ratio = pairs[0], ratio_type(exact)
-    pairings = _slice_pairings(cone, xi_num)
-    t_s, m_s, l_s = _simplex_sums(simplices(cone), pairings, exact)
+    t_s, m_s, l_s = _slice_pass(cone, tuple(xi_num), None if exact else precision_bits())
     try:
         l_num, l_d = _common_denominator(gorenstein_vector(cone).l)
     except (NotQGorenstein, DegenerateSolutionSet):
-        t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), pairings, exact)
+        t_f, m_f, l_f = _simplex_sums(boundary_faces(cone), _slice_pairings(cone, xi_num), exact)
     else:
         a = linalg.dot(xi_num, l_num)
         t_f, l_f = a * t_s, l_d * l_s

@@ -30,6 +30,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .config import DEFAULT_TOL
@@ -89,16 +90,20 @@ def _chart(cone: ToricCone):
     The pivot coordinate is the one with the largest ``|l_j|``
     (rightmost on ties); the remaining ``n - 1`` coordinates are free,
     and ``xi[pivot]`` is recovered as ``(1 - sum l_j xi_j) / l_pivot``.
-    Returns ``(l, pivot, free, ratios)``: the Gorenstein vector and
+    Returns ``(l, pivot, free, ratios, coords)``: the Gorenstein vector,
     ``ratios[a] = l_{free_a} / l_pivot``, every float rounded once from its
-    exact value.  Cached for the last CONE_CACHE_SIZE cones, so every step
-    of one minimization reads one chart.
+    exact value, and ``coords``, a read-only map from each dual ray u to its
+    chart coordinates E^T u = (u_{free_a} - ratios[a] u_pivot)_a.  Cached for
+    the last CONE_CACHE_SIZE cones, so every step of one minimization reads
+    one chart and builds no coordinates.
     """
     l = gorenstein_vector(cone).l
     best = max(abs(x) for x in l)
     pivot = max(j for j, x in enumerate(l) if abs(x) == best)
     free = tuple(j for j in range(cone.dim) if j != pivot)
-    return tuple(map(float, l)), pivot, free, tuple(float(l[j] / l[pivot]) for j in free)
+    ratios = tuple(float(l[j] / l[pivot]) for j in free)
+    coords = {u: tuple(u[j] - r * u[pivot] for j, r in zip(free, ratios)) for u in cone.dual_rays}
+    return tuple(map(float, l)), pivot, free, ratios, MappingProxyType(coords)
 
 
 def _embed(cone: ToricCone, coords: Sequence) -> Tuple[float, ...]:
@@ -146,15 +151,15 @@ def volume_objective(cone: ToricCone, xi_slice_coords: Sequence):
     The objective of the Newton iteration; exact values of ``a0`` come
     from :func:`reebcone.geometry.polytope_Q`.  One pass of the slice
     kernel :func:`reebcone.geometry._simplex_sums`, summing each dual ray u
-    in the chart's coordinates E^T u = (u_{free_a} - ratios[a] u_pivot)_a
-    of :func:`_chart`, where xi = b + E x, gives ``(n-1)! a0 = T``, its
-    gradient ``-M`` and its Hessian ``H`` in the chart.
+    in the chart's coordinates E^T u = (u_{free_a} - ratios[a] u_pivot)_a,
+    cached by :func:`_chart`, where xi = b + E x, gives ``(n-1)! a0 = T``,
+    its gradient ``-M`` and its Hessian ``H`` in the chart.  Not cached:
+    every Newton step evaluates a new xi.
     Raises :class:`UnboundedSlice` if the point pairs nonpositively with
     some dual ray, i.e. lies outside the interior of ``sigma``, or so near
     its boundary that a product of pairings underflows to 0.
     """
-    _, pivot, free, ratios = _chart(cone)
-    coords = {u: tuple(u[j] - r * u[pivot] for j, r in zip(free, ratios)) for u in cone.dual_rays}
+    coords = _chart(cone)[4]
     pairings = _slice_pairings(cone, _embed(cone, xi_slice_coords))
     try:
         total, moment, _, hess = _simplex_sums(simplices(cone), pairings, coords=coords)
@@ -287,9 +292,10 @@ def minimize_volume(
 
     xi_star_tuple = _embed(cone, x)
     # vol* and the residual at the exact dyadic xi* rescaled onto the slice, by
-    # homogeneity from the sums at xi* that stability.delta uses too, each rounded
-    # once to float: the float objective carries the slice rounding of _embed,
-    # amplified n-fold by a0's homogeneity of degree -n
+    # homogeneity from the cached slice pass at xi*, which stability.delta at the
+    # same floats reads again, each rounded once to float: the float objective
+    # carries the slice rounding of _embed, amplified n-fold by a0's homogeneity
+    # of degree -n
     n = cone.dim
     sums = _slice_sums(cone, xi_star_tuple, l)
     gap, gap_den = sums.residual

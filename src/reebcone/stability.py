@@ -1,9 +1,9 @@
 """Stability invariants of a Fano cone singularity.
 
 Everything here is built from the integer sums ``(T, M, L)`` of the Reeb
-slice's closed forms in :mod:`reebcone.geometry`: one
-:class:`reebcone.geometry._SliceSums` per ``(cone, xi)``, the value behind
-:func:`reebcone.geometry.polytope_Q` too, and for the Futaki invariant
+slice's closed forms in :mod:`reebcone.geometry`: one cached slice pass per
+``(cone, xi)``, read as a :class:`reebcone.geometry._SliceSums`, the value
+behind :func:`reebcone.geometry.polytope_Q` too, and for the Futaki invariant
 :func:`reebcone.geometry.futaki_coefficients`, which gives the index and
 weight characters to order 1 as :class:`reebcone.geometry.LaurentSeries`,
 without box points: from those sums and the Gorenstein vector alone on a
@@ -33,7 +33,7 @@ from functools import cmp_to_key
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .config import KSS_RTOL, RAY_TIE_RTOL, ratio_type
-from .errors import UnboundedSlice
+from .errors import DimensionMismatch, UnboundedSlice
 from .geometry import (
     GorensteinVector,
     LaurentSeries,
@@ -188,11 +188,14 @@ def futaki_pairing(F, C):
     combination is exactly the derivative of the normalized volume of
     ``xi + s eta`` at ``s = 0`` up to positive scale, so a critical Reeb
     vector has vanishing pairing against every ``eta``.  ValueError unless
-    both are LaurentSeries, and for a0 = 0, which no Reeb vector gives.
+    both are LaurentSeries, and for a0 = 0, which no Reeb vector gives;
+    DimensionMismatch for characters of cones of two dimensions.
     """
     for name, series in (("F", F), ("C", C)):
         if not isinstance(series, LaurentSeries):
             raise ValueError(f"{name} must be a LaurentSeries, got {series!r}")
+    if F.dim != C.dim:
+        raise DimensionMismatch(f"F is a character in dimension {F.dim}, C in dimension {C.dim}")
     a0 = F.a0
     if not a0:
         raise ValueError("the index character has a0 = 0: it is no character of a Reeb vector")

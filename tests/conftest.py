@@ -7,9 +7,11 @@ under test while scrambling the coordinates.
 """
 
 import functools
+import importlib
 import itertools
 import math
 import operator
+import pkgutil
 import random
 import warnings
 from fractions import Fraction
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import reebcone
 from reebcone import (
     NonConvergent,
     PolytopeSlice,
@@ -37,6 +40,16 @@ from reebcone.geometry import (LaurentSeries, _simplex_sums, _slice_pairings, bo
                                gorenstein_vector, reeb_numerators, simplices)
 from reebcone.linalg import dot, transpose
 from reebcone.optimize import GridResult, _chart, _compositions, _ray_average
+
+
+def clear_caches():
+    """Empty every ``functools`` cache of the package, so that a test counting an
+    op's work sees a cold op, whatever the tests before it computed."""
+    for info in pkgutil.iter_modules(reebcone.__path__):
+        module = importlib.import_module("reebcone." + info.name)
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 def series_rtol() -> float:

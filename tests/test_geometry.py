@@ -51,6 +51,7 @@ from conftest import (
     FIXTURE_MAKERS,
     brute_force_dual_cone,
     bundled_specs,
+    clear_caches,
     fraction_det,
     fraction_polytope_Q,
     fraction_rank,
@@ -315,6 +316,25 @@ class TestGorensteinVector:
         cone = dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, -1)], 3)
         with pytest.raises(NotQGorenstein):
             gorenstein_vector(cone)
+
+    def test_one_pivot_elimination_of_the_rays(self, monkeypatch, y21):
+        # the Gorenstein solve reads the pivot inverse the double description started from
+        pivots = []
+        monkeypatch.setattr(linalg, "pivot_columns", counting(linalg.pivot_columns, pivots))
+        clear_caches()
+        cone = dual_cone(y21.rays, 3)
+        assert gorenstein_vector(cone).l == (1, 0, 0)
+        assert pivots.count((linalg.transpose(cone.rays),)) == 1
+
+    def test_redundant_ray_leaves_its_own_pivot_rows(self):
+        # the double description eliminates the rays as given, the first two and a sum
+        # of them dependent; the Gorenstein solve eliminates the rays dual_cone kept
+        given = [(1, 0, 0), (1, 1, 1), (2, 1, 1), (1, 1, 0), (1, 0, 1)]
+        clear_caches()
+        with pytest.warns(RedundantRayWarning):
+            cone = dual_cone(given, 3)
+        assert (2, 1, 1) not in cone.rays
+        assert gorenstein_vector(cone).l == (1, 0, 0)
 
     def test_boundary_coefficients(self, a1):
         l = gorenstein_vector(a1, boundary=(Fraction(1, 2), 0)).l
@@ -591,11 +611,11 @@ class TestTriangulation:
 
     def test_one_triangulation_per_cone(self, monkeypatch):
         calls, pivots = [], []
-        cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
         monkeypatch.setattr(geometry, "triangulate_cone", counting(geometry.triangulate_cone, calls))
         monkeypatch.setattr(linalg, "pivot_columns", counting(linalg.pivot_columns, pivots))
-        geometry.simplices.cache_clear()
-        geometry._solve_gorenstein.cache_clear()
+        clear_caches()
+        # from the start of the op: dual_cone eliminates the rays that the Gorenstein solve reads
+        cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
         xi = (3, Fraction(3, 2), Fraction(3, 4))
         polytope_Q(cone, xi)
         delta(cone, xi)
@@ -603,9 +623,9 @@ class TestTriangulation:
         futaki_product(cone, xi, (0, 1, 0))
         minimize_volume(cone)
         assert len(calls) == 1
-        # a Gorenstein solve starts by picking the pivot rows of the rays
+        # the double description and a Gorenstein solve start by picking the pivot rows of the rays
         solves = [args for args in pivots if args == (linalg.transpose(cone.rays),)]
-        assert len(solves) == 1  # one Gorenstein solve per cone
+        assert len(solves) == 1  # one elimination of the rays per cone
 
 
 class TestCacheRetention:

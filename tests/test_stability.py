@@ -36,9 +36,10 @@ from reebcone import (
 )
 from reebcone.characters import MAX_BOX_POINTS
 from reebcone.config import mp_context, ratio_type
-from reebcone.geometry import LaurentSeries, futaki_coefficients, simplices
+from reebcone.geometry import LaurentSeries, futaki_coefficients, reeb_numerators, simplices
 from conftest import (
     bundled_specs,
+    clear_caches,
     faces_futaki_coefficients,
     is_q_gorenstein,
     make_kgon,
@@ -402,6 +403,13 @@ class TestFutaki:
             with pytest.raises(ValueError):
                 futaki_pairing(*args)
 
+    def test_pairing_of_two_cones_is_a_dimension_mismatch(self, conifold, orthant2):
+        F, _ = futaki_coefficients(conifold, (3, 2, 2), (0, 1, 0))
+        _, C = futaki_coefficients(orthant2, (1, 1), (0, 1))
+        for args in ((F, C), (futaki_coefficients(orthant2, (1, 1))[0], F._replace(kind="weight"))):
+            with pytest.raises(DimensionMismatch, match="dimension 3.*dimension 2|dimension 2.*dimension 3"):
+                futaki_pairing(*args)
+
     def test_pairing_at_zero_a0_is_a_value_error(self, conifold):
         # a0 = n vol(Q_xi) > 0 for every Reeb vector
         _, C = futaki_coefficients(conifold, (3, 2, 2), (0, 1, 0))
@@ -648,8 +656,8 @@ class TestWorkingPrecision:
             polytope_Q(orthant2, (ctx.mpf(1), ctx.mpf(2) ** -(ctx.prec + 4172)))
 
     def test_kernel_sums_ints(self, monkeypatch):
-        # working-precision xi reaches the slice kernel as integer numerators;
-        # only the float Newton objective divides there
+        # working-precision xi reaches the slice kernel as integer numerators, one
+        # pass per distinct numerators; only the float Newton objective divides there
         kernel, calls = geometry._simplex_sums, []
 
         def recording(table, pairings, exact=False, coords=None):
@@ -658,17 +666,19 @@ class TestWorkingPrecision:
 
         monkeypatch.setattr(geometry, "_simplex_sums", recording)
         monkeypatch.setattr(optimize, "_simplex_sums", recording)
+        clear_caches()
         ctx = mp_context()
         for cone, xi in random_cone_suite(seed=11, count=12, dims=(2, 3, 4, 5)):
             xi_mp = tuple(to_mpf(x, ctx) for x in xi)
             polytope_Q(cone, xi_mp)
             delta(cone, xi_mp)
             futaki_coefficients(cone, xi_mp, (0, 1) + (0,) * (cone.dim - 2))
-            futaki_coefficients(cone, xi, xi_mp)
+            futaki_coefficients(cone, xi, xi_mp)  # inexact at the numerators of xi
             s_value(cone, xi_mp, cone.rays[0])
             s_prime(cone, xi_mp, cone.rays[0])
             ratio_profile(cone, xi_mp, cone.rays[0], (0, 1))
-            assert len(calls) == 7
+            distinct = {tuple(reeb_numerators(cone.dim, x)[0][0][0]) for x in (xi, xi_mp)}
+            assert len(calls) == len(distinct)
             assert all(not h and types == {int} for h, types in calls)
             calls.clear()
             minimize_volume(cone)
@@ -730,6 +740,70 @@ def _exact(m):
     man, exp = m.man_exp
     value = Fraction(man) * Fraction(2) ** exp
     return -value if m < 0 else value
+
+
+def count_slice_passes(monkeypatch) -> list:
+    """The calls of the slice kernel from :mod:`reebcone.geometry`, not those of
+    the Newton objective, as a list that fills as they come."""
+    calls, kernel = [], geometry._simplex_sums
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(geometry, "_simplex_sums", counting)
+    return calls
+
+
+class TestOneSlicePassPerXi:
+    def test_invariants_at_one_xi_share_one_pass(self, monkeypatch, y21):
+        calls = count_slice_passes(monkeypatch)
+        for xi in ((3, 2, 2), (3.1, 1.3, 0.7), tuple(to_mpf(x) for x in (3, 2, Fraction(7, 3)))):
+            clear_caches()
+            calls.clear()
+            polytope_Q(y21, xi)
+            delta(y21, xi)
+            s_value(y21, xi, y21.rays[1])
+            s_prime(y21, xi, y21.rays[1])
+            ratio_profile(y21, xi, y21.rays[1], (0, 1))
+            futaki_coefficients(y21, xi, (0, 1, 0))
+            assert len(calls) == 1
+
+    def test_delta_at_the_minimizer_reads_its_pass(self, monkeypatch, y21):
+        # the exact values at xi* that minimize_volume ends with are delta's too
+        calls = count_slice_passes(monkeypatch)
+        clear_caches()
+        res = minimize_volume(y21)
+        report = delta(y21, res.xi_star.xi)
+        assert len(calls) == 1
+        assert abs(report.delta - 1) < 1e-12
+
+    def test_pass_is_not_served_at_another_precision(self, monkeypatch, y21):
+        # the fixed-point scale L of an inexact pass depends on the precision; the
+        # outputs alone rarely show a stale pass, as L keeps 32 guard bits
+        monkeypatch.delenv("REEBCONE_PRECISION", raising=False)
+        clear_caches()
+        xi = (3.1, 1.3, 0.7)
+        polytope_Q(y21, xi)
+        delta(y21, xi)
+        monkeypatch.setenv("REEBCONE_PRECISION", "160")
+
+        def at_xi():
+            return polytope_Q(y21, xi), delta(y21, xi).delta, geometry._slice_sums(y21, xi)
+
+        served = at_xi()
+        clear_caches()
+        assert served == at_xi()
+
+    def test_exact_and_inexact_passes_are_apart(self, orthant3):
+        # (3/4, 1/2, 1/4) has the numerators of its floats; vol(Q_xi) = 1 / (3! xi_1 xi_2 xi_3)
+        clear_caches()
+        inexact = polytope_Q(orthant3, (0.75, 0.5, 0.25)).volume_Q
+        exact = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
+        assert polytope_Q(orthant3, exact).volume_Q == Fraction(16, 9)
+        clear_caches()
+        polytope_Q(orthant3, exact)
+        assert polytope_Q(orthant3, (0.75, 0.5, 0.25)).volume_Q == inexact
 
 
 class TestRatioProfile:

@@ -103,12 +103,13 @@ MUTANTS = [
     ("series-coefficient-kind", "geometry.py",
      "if self.kind != kind:", "if False:",
      "tests/test_characters.py::TestBadArguments::test_coefficient_of_the_other_character"),
-    # geometry: the Gorenstein solve inverts the first n independent rays, solves
-    # with their entries of the right-hand side, checks every ray in ints (scaled by
-    # |det|), and refuses rays that do not span
+    # geometry: the Gorenstein solve inverts the first n independent rays (the pivot
+    # inverse it shares with the double description), solves with their entries of the
+    # right-hand side, checks every ray in ints (scaled by |det|), and refuses rays that
+    # do not span
     ("gorenstein-pivot-rows", "geometry.py",
-     "linalg.integer_inverse([cone.rays[i] for i in basis])",
-     "linalg.integer_inverse(cone.rays[:cone.dim])",
+     "linalg.integer_inverse([rays[i] for i in basis])",
+     "linalg.integer_inverse(rays[:len(basis)])",
      "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
     ("gorenstein-pivot-rhs", "geometry.py",
      "basis_rhs = [rhs[i] for i in basis]", "basis_rhs = rhs[:cone.dim]",
@@ -123,6 +124,20 @@ MUTANTS = [
     ("gorenstein-span", "geometry.py",
      "    if len(basis) < cone.dim:\n", "    if False:\n",
      "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
+    # geometry: one slice pass per (cone, xi), keyed by the exact flag and, for an
+    # inexact pass, the precision its fixed point was taken at; the closed-form
+    # characters read that pass too
+    ("slice-pass-precision-key", "geometry.py",
+     "moment, big = _slice_pass(cone, tuple(xi_num), None if exact else precision_bits())",
+     "moment, big = _slice_pass(cone, tuple(xi_num), None if exact else 0)",
+     "tests/test_stability.py::TestOneSlicePassPerXi::test_pass_is_not_served_at_another_precision"),
+    ("slice-pass-exact-key", "geometry.py",
+     "moment, big = _slice_pass(cone, tuple(xi_num), None if exact else precision_bits())",
+     "moment, big = _slice_pass(cone, tuple(xi_num), precision_bits())",
+     "tests/test_stability.py::TestOneSlicePassPerXi::test_exact_and_inexact_passes_are_apart"),
+    ("futaki-shared-pass", "geometry.py",
+     "t_s, m_s, l_s = _slice_pass(cone,", "t_s, m_s, l_s = _slice_pass.__wrapped__(cone,",
+     "tests/test_stability.py::TestOneSlicePassPerXi::test_invariants_at_one_xi_share_one_pass"),
     # geometry: every per-cone cache is bounded, so an earlier cone is freed
     ("cone-cache-unbounded", "geometry.py",
      "CONE_CACHE_SIZE = 16", "CONE_CACHE_SIZE = 1000",
@@ -330,6 +345,9 @@ MUTANTS = [
     ("futaki-pairing-zero-a0", "stability.py",
      "    if not a0:\n", "    if False:\n",
      "tests/test_stability.py::TestFutaki::test_pairing_at_zero_a0_is_a_value_error"),
+    ("futaki-pairing-dim", "stability.py",
+     "    if F.dim != C.dim:\n", "    if False:\n",
+     "tests/test_stability.py::TestFutaki::test_pairing_of_two_cones_is_a_dimension_mismatch"),
     # stability: the orbifold pairs' boundary right-hand side 1 - c_i
     ("boundary-rhs", "geometry.py",
      "tuple(c_d - c for c in c_num)", "tuple(c_d + c for c in c_num)",
