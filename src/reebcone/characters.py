@@ -126,19 +126,19 @@ def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
     pieces partition sigma^v cap Z^n.  Each piece keeps the barycentric
     numerators of its box points from the coset walk of :func:`_box_points`
     and builds no point.  Raises ExceedsSupportedSize above MAX_BOX_POINTS
-    box points in one piece, before any piece is walked.  Not cached: each
-    call walks afresh, and the box points live as long as the caller keeps them.
+    box points in all pieces together, the sum of their |det|, before any
+    piece is walked.  Not cached: each call walks afresh, and the box points
+    live as long as the caller keeps them.
     """
     found = simplices(cone)
-    too_big = next((count for count, _ in found if count > MAX_BOX_POINTS), None)
-    if too_big is not None:
-        raise ExceedsSupportedSize(
-            f"simplicial piece has {too_big} box points, above the {MAX_BOX_POINTS} bound"
-        )
+    total = sum(count for count, _ in found)
+    if total > MAX_BOX_POINTS:
+        raise ExceedsSupportedSize(f"the {len(found)} simplicial pieces have {total} box points, "
+                                   f"above the {MAX_BOX_POINTS} bound")
     q_ref = tuple(sum(col) for col in zip(*cone.dual_rays))
     pieces = []
     for count, generators in found:
-        _, scaled_inverse = linalg.integer_inverse(linalg.transpose(generators))
+        _, _, scaled_inverse = linalg.pivot_inverse(linalg.transpose(generators), len(generators))
         origin = (0,) * (len(generators) + 1)
         excluded = tuple((linalg.dot(row, q_ref),) + row < origin for row in scaled_inverse)
         pieces.append(SimplicialPiece(

@@ -229,18 +229,18 @@ def _pivot_inverse(rays: tuple[tuple[int, ...], ...], dim: int) -> tuple:
     """``(basis, |det B|, S)``: the indices of the linearly independent rays
     picked greedily in order, the matrix B of those rays and its scaled
     inverse S = |det B| B^-1, with det and S None when fewer than dim rays
-    are independent.  The double description of :func:`dual_cone` and the
-    Gorenstein solve both start from it, so it is cached for the last
-    CONE_CACHE_SIZE ray sets and a cone eliminates its rays once."""
-    basis = tuple(linalg.pivot_columns(linalg.transpose(rays)))
-    if len(basis) < dim:
-        return basis, None, None
-    det, scaled = linalg.integer_inverse([rays[i] for i in basis])
-    return basis, det, scaled
+    are independent: :func:`reebcone.linalg.pivot_inverse`, one elimination
+    that picks the rows and inverts them.  The double description of
+    :func:`dual_cone` and the Gorenstein solve both start from it, so it is
+    cached for the last CONE_CACHE_SIZE ray sets and a cone eliminates its
+    rays once."""
+    return linalg.pivot_inverse(rays, dim)
 
 
-def _double_description(constraints: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
-    """Extreme rays of {u : <a, u> >= 0 for each constraint a}.
+def _double_description(constraints: list[tuple[int, ...]], dim: int) -> dict[tuple[int, ...], int]:
+    """Extreme rays of {u : <a, u> >= 0 for each constraint a}, each with
+    the bitmask of the constraints it is tight on: bit k is set exactly when
+    ``<constraints[k], u> = 0``.
 
     Incremental insertion: start from the first n linearly independent
     constraints (whose cone is spanned by the columns of the inverse matrix
@@ -251,7 +251,10 @@ def _double_description(constraints: list[tuple[int, ...]], dim: int) -> list[tu
     new ray on its hyperplane when they are adjacent, which the
     combinatorial test of Fukuda and Prodon (LNCS 1120, 1996) decides: no
     third ray is tight on every constraint that both are tight on.  Adjacent
-    rays share at least n - 2 tight constraints, which is checked first.
+    rays share at least n - 2 tight constraints, which is checked first.  The
+    masks are exact as they go: a kept ray adds the bit of each constraint
+    it meets, and a fresh ray, a positive combination of rp and rm, is tight
+    on exactly the constraints both are tight on and the new one.
     """
     basis_idx, _, scaled = _pivot_inverse(tuple(constraints), dim)
     if len(basis_idx) < dim:
@@ -281,7 +284,7 @@ def _double_description(constraints: list[tuple[int, ...]], dim: int) -> list[tu
         if len(rays) > MAX_DUAL_RAYS:
             raise ExceedsSupportedSize(f"dual cone exceeds the supported {MAX_DUAL_RAYS} rays")
         inserted |= 1 << k
-    return list(rays)
+    return rays
 
 
 def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
@@ -289,7 +292,13 @@ def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
 
     Computes the extreme rays of sigma^v by double description, drops input
     generators that are not extreme rays of sigma (with a warning), and
-    records the facet data.  The extreme-ray test is by incidence: the dual
+    records the facet data.  Both tests read the tight sets the double
+    description kept, turned into each generator's facets: the bitmask of
+    the sorted dual rays it pairs to 0 with.  The cone is pointed unless
+    some generator lies on every facet (or there is none): a line w = sum
+    lambda_i v_i, lambda >= 0, pairs to 0 with every dual ray, and so does
+    each v_i with lambda_i > 0; conversely a generator on every facet puts
+    sigma^v in a hyperplane.  The extreme-ray test is by incidence: the dual
     rays are the facets of sigma, and a generator is extreme unless another
     one lies on a strict superset of its facets.  Raises NotFullDimensional
     or NotPointed on degenerate input, and ExceedsSupportedSize as soon as
@@ -309,11 +318,13 @@ def dual_cone(cone_rays: Sequence[Sequence], dim: int) -> ToricCone:
             unique[r] = None
     rays = list(unique)
 
-    duals = sorted(_double_description(rays, dim))
-    if linalg.rank(duals) < dim:
+    tight = _double_description(rays, dim)
+    duals = sorted(tight)
+    facets = [sum(1 << j for j, u in enumerate(duals) if tight[u] >> i & 1)
+              for i in range(len(rays))]
+    everywhere = (1 << len(duals)) - 1
+    if any(mask == everywhere for mask in facets):
         raise NotPointed("cone contains a line (dual cone is not full-dimensional)")
-
-    facets = _incidence(rays, duals)
     kept = []
     for k, (v, mask) in enumerate(zip(rays, facets)):
         if not any(mask & other == mask != other for other in facets):
@@ -340,13 +351,20 @@ def gorenstein_vector(cone: ToricCone,
     covector pairs so with every ray, and DegenerateSolutionSet when the
     rays do not span, which only a hand-built ToricCone can do.
     """
+    return _solve_gorenstein(cone, *_gorenstein_rhs(cone, boundary))
+
+
+def _gorenstein_rhs(cone: ToricCone, boundary: Optional[Sequence]) -> tuple[tuple[int, ...], int]:
+    """``(rhs, d)``: the pairings <v_i, l> = rhs_i / d = 1 - c_i that the
+    Gorenstein vector solves for, all 1 without a boundary; ValueError for a
+    boundary coefficient outside [0, 1)."""
     if boundary is None:
-        return _solve_gorenstein(cone, (1,) * len(cone.rays), 1)
+        return (1,) * len(cone.rays), 1
     [(c_num, c_d)], _ = numerators(len(cone.rays), boundary=boundary)
     for c in c_num:
         if not 0 <= c < c_d:
             raise ValueError(f"boundary coefficient {Fraction(c, c_d)} outside [0, 1)")
-    return _solve_gorenstein(cone, tuple(c_d - c for c in c_num), c_d)
+    return tuple(c_d - c for c in c_num), c_d
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
@@ -510,27 +528,37 @@ def numerators(n: Optional[int], **vecs) -> tuple[list, bool]:
     whether they are exact: the one coercion of every vector the library takes.
 
     Each must be a sequence, not a str, of length n (any length when n is
-    None): ValueError otherwise, DimensionMismatch for a wrong length.  Every
-    integer, NumPy's too, and every Fraction is exact; any other entry makes
-    the call inexact and is read by :func:`_dyadic`.  Each vector becomes
-    integer numerators over the least common denominator d of its entries, so
-    the closed forms run on ints; in an inexact call, numerators or d wider
-    than the precision plus ``_MAX_SPREAD_BITS`` bits raise ExceedsSupportedSize.
+    None): ValueError otherwise, DimensionMismatch for a wrong length.  Each
+    entry is read as an integer pair (numerator, denominator), with no
+    Fraction built.  Every integer, NumPy's too, and every Fraction is exact;
+    a float is its ``as_integer_ratio()``, the dyadic of at most 53 <= p bits
+    that :func:`_dyadic` reads it as, and any other entry is read by
+    :func:`_dyadic`; both make the call inexact, and NaN and the infinities
+    raise UnboundedSlice.  Each vector becomes integer numerators over the
+    least common denominator d of its entries, so the closed forms run on
+    ints; in an inexact call, numerators or d wider than the precision plus
+    ``_MAX_SPREAD_BITS`` bits raise ExceedsSupportedSize.
     """
     out, exact = [], True
     for name, vec in vecs.items():
         size = _sequence_length(name, vec)
         if n is not None and size != n:
             raise DimensionMismatch(f"{name} has length {size}, expected {n}")
-        row = []
+        pairs = []
         for x in vec:
-            if not isinstance(x, Fraction):
+            if isinstance(x, Fraction):
+                pairs.append((x.numerator, x.denominator))
+            elif type(x) is float:  # _dyadic raises on NaN and the infinities
+                pairs.append(x.as_integer_ratio() if math.isfinite(x) else _dyadic(name, x))
+                exact = False
+            else:
                 try:
-                    x = operator.index(x)  # any integer, NumPy's too
+                    pairs.append((operator.index(x), 1))  # any integer, NumPy's too
                 except TypeError:
                     x, exact = _dyadic(name, x), False
-            row.append(x)
-        nums, d = _common_denominator(row)
+                    pairs.append((x.numerator, x.denominator))
+        d = math.lcm(*(den for _, den in pairs))
+        nums = tuple(num * (d // den) for num, den in pairs)
         if not exact:
             width, limit = max(map(int.bit_length, (d, *nums))), precision_bits() + _MAX_SPREAD_BITS
             if width > limit:

@@ -1,9 +1,11 @@
 """Exact linear algebra for small integer matrices.
 
 Every matrix the package eliminates is integer (rays, dual rays, simplex
-generators; n <= 8, at most 64 rows), so pivot columns, rank, determinant
-and the scaled inverse are the four views of one fraction-free Bareiss
-elimination on Python ints; besides it the module has only ``dot``,
+generators; n <= 8, at most 64 rows), so ``det``, ``pivot_columns``,
+``rank`` and ``pivot_inverse`` are the four views of one fraction-free
+Bareiss elimination on Python ints.  The first three need only forward
+elimination; the inverse alone is Gauss-Jordan, and it picks the pivot rows
+it inverts in the same pass.  Besides them the module has only ``dot``,
 ``transpose`` and ``primitivize``.  A linear system is solved through the
 scaled inverse of its pivot rows, as ``geometry._solve_gorenstein`` does.
 Vectors are tuples; matrices are sequences of row tuples.
@@ -38,17 +40,20 @@ def primitivize(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def _bareiss(rows: Sequence[Sequence[int]], width: int):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+def _bareiss(rows: Sequence[Sequence[int]], width: int, jordan: bool = False):
+    """Fraction-free elimination of an integer matrix.
 
     Pivots in the first ``width`` columns only, on each column's first
-    nonzero entry at or below the current row.  Each step sets every other
-    row to ``(pivot * row - factor * pivot_row) // previous_pivot``, exact by
+    nonzero entry at or below the current row.  Each step sets every row
+    below the pivot row, and with ``jordan`` every row above it too, to
+    ``(pivot * row - factor * pivot_row) // previous_pivot``, exact by
     Sylvester's identity (Bareiss, Math. Comp. 22, 1968): after k steps every
-    entry is a minor of the input, and the pivot rows are the k x k pivot
-    minor times the reduced echelon form.  Returns
-    ``(pivots, reduced, last, sign)``: the pivot columns, the reduced rows,
-    the last pivot (1 if none) and the sign of the row swaps.
+    entry of a row it updates is a minor of the input.  The rows below decide
+    the pivots, so both modes find the same pivots, last pivot and sign; with
+    ``jordan`` the pivot rows end as the k x k pivot minor times the reduced
+    echelon form.  Returns ``(pivots, reduced, last, sign)``: the pivot
+    columns, the reduced rows, the last pivot (1 if none) and the sign of the
+    row swaps.
     """
     a = [list(row) for row in rows]
     m = len(a)
@@ -66,7 +71,7 @@ def _bareiss(rows: Sequence[Sequence[int]], width: int):
             sign = -sign
         pivot_row = a[r]
         p = pivot_row[col]
-        for i in range(m):
+        for i in range(0 if jordan else r + 1, m):
             if i != r:
                 factor = a[i][col]
                 a[i] = [(p * x - factor * y) // last for x, y in zip(a[i], pivot_row)]
@@ -95,16 +100,24 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(pivot_columns(rows))
 
 
-def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(|det A|, |det A| * A^-1)`` for a nonsingular integer matrix A.
+def pivot_inverse(rows: Sequence[Sequence[int]], dim: int) -> tuple:
+    """``(basis, |det B|, S)`` for integer rows R of length ``dim``: the
+    indices of the rows independent of the rows before them (the first basis
+    of the row space, picked greedily), the matrix B of those rows and its
+    scaled inverse S = |det B| B^-1, with det and S None when fewer than dim
+    rows are independent.
 
-    Reduces [A | I]: the last pivot is +-det A, and the right block ends as
-    that pivot times A^-1.  ValueError if A is singular.
+    Reduces [R^T | I] once by Gauss-Jordan, pivoting in the columns of R^T:
+    the pivot columns are the basis, the last pivot is +-det B, and the right
+    block ends as that pivot times (B^T)^-1, so S is its transpose times the
+    sign of the last pivot.
     """
-    n = len(rows)
-    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    pivots, reduced, last, _ = _bareiss(augmented, n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
+    m = len(rows)
+    augmented = [[row[i] for row in rows] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    pivots, reduced, last, _ = _bareiss(augmented, m, jordan=True)
+    basis = tuple(pivots)
+    if len(basis) < dim:
+        return basis, None, None
     sign = 1 if last > 0 else -1
-    return abs(last), tuple(tuple(sign * x for x in row[n:]) for row in reduced)
+    block = transpose(row[m:] for row in reduced)
+    return basis, abs(last), tuple(tuple(sign * x for x in row) for row in block)

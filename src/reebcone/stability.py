@@ -39,8 +39,10 @@ from .geometry import (
     LaurentSeries,
     ToricCone,
     _common_denominator,
+    _gorenstein_rhs,
     _sequence_length,
     _slice_sums,
+    _solve_gorenstein,
     futaki_coefficients,
     gorenstein_vector,
     numerators,
@@ -155,11 +157,13 @@ def delta(
             "delta with a boundary divisor is experimental; "
             "pass experimental=True to opt in"
         )
-    l = gorenstein_vector(cone, boundary=boundary)
+    rhs, c_d = _gorenstein_rhs(cone, boundary)
+    l = _solve_gorenstein(cone, rhs, c_d)
     sums = _slice_sums(cone, xi, l.l)
     ratio = ratio_type(sums.exact)
-    # A(v_i) / S'(v_i) = (<v_i, l_num> / l_d) / (s_i / den): compare <v_i, l_num> / s_i
-    pairs = [(linalg.dot(v, sums.l_num), sums.s_prime(v)[0]) for v in cone.rays]
+    # A(v_i) / S'(v_i) = (<v_i, l_num> / l_d) / (s_i / den): compare <v_i, l_num> / s_i,
+    # where <v_i, l_num> = l_d <v_i, l> = l_d rhs_i / c_d, an int
+    pairs = [(sums.l_d * r // c_d, sums.s_prime(v)[0]) for v, r in zip(cone.rays, rhs)]
     low_a, low_s = min(pairs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
     low = ratio(low_a * sums.den, sums.l_d * low_s)
     residual = ratio(*sums.residual)

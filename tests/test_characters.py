@@ -146,21 +146,49 @@ class TestDecomposeDual:
         assert sorted(any(p.excluded) for p in pieces) == [False, True]
 
     def test_box_guard(self):
-        # the first simplex of this cone has 1,113,098 box points
+        # the first simplex of this cone has 1,113,098 box points, the four 16,571,413
         cone = dual_cone([(1, 1, 0, 3, 3), (1, 1, 2, 1, 3), (2, 0, 0, 3, 2),
                           (2, 1, 2, 0, 1), (2, 3, 3, 2, 1), (3, 2, 2, 1, 3)], 5)
-        with pytest.raises(ExceedsSupportedSize, match="1113098 box points"):
+        with pytest.raises(ExceedsSupportedSize, match="4 simplicial pieces have 16571413 box points"):
             decompose_dual(cone)
+
+    @staticmethod
+    def spy_on_walks(monkeypatch):
+        walk, calls = characters._box_points, []
+        monkeypatch.setattr(characters, "_box_points",
+                            lambda *args: calls.append(args) or walk(*args))
+        return calls
 
     def test_box_guard_refuses_before_walking(self, monkeypatch):
         # pieces of 1 and 1,000,001 box points, the small one first
         cone = dual_cone([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1000001)], 3)
         assert [det for det, _ in simplices(cone)] == [1, 1000001]
-        walk, calls = characters._box_points, []
-        monkeypatch.setattr(characters, "_box_points",
-                            lambda *args: calls.append(args) or walk(*args))
+        calls = self.spy_on_walks(monkeypatch)
         with pytest.raises(ExceedsSupportedSize,
-                           match="has 1000001 box points, above the 1000000 bound"):
+                           match="have 1000002 box points, above the 1000000 bound"):
+            decompose_dual(cone)
+        assert calls == []
+
+    def test_box_guard_bounds_the_sum_of_the_pieces(self, monkeypatch):
+        # every piece of the 16-gon is far below the bound, their 3220 box points are not
+        cone = make_kgon(16, 10)
+        found = simplices(cone)
+        assert sum(det for det, _ in found) == 3220 and max(det for det, _ in found) < 1000
+        monkeypatch.setattr(characters, "MAX_BOX_POINTS", 3220)
+        assert sum(len(p.box_points) for p in decompose_dual(cone)) == 3220
+        monkeypatch.setattr(characters, "MAX_BOX_POINTS", 3219)
+        with pytest.raises(ExceedsSupportedSize, match="have 3220 box points, above the 3219 bound"):
+            decompose_dual(cone)
+
+    def test_many_pieces_within_the_piece_bound_are_refused(self, monkeypatch):
+        # 58 pieces of at most 934,360 box points each, 8,528,328 in all: refused
+        # before any walk, where a bound per piece would list them all
+        cone = make_kgon(60, 682)
+        found = simplices(cone)
+        assert (len(found), sum(det for det, _ in found)) == (58, 8528328)
+        assert max(det for det, _ in found) == 934360
+        calls = self.spy_on_walks(monkeypatch)
+        with pytest.raises(ExceedsSupportedSize, match="58 simplicial pieces have 8528328 box points"):
             decompose_dual(cone)
         assert calls == []
 
@@ -186,7 +214,7 @@ class TestBoxWalk:
         seen = 0
         for generators in self.generator_sets():
             n = len(generators)
-            count, scaled_inverse = linalg.integer_inverse(linalg.transpose(generators))
+            _, count, scaled_inverse = linalg.pivot_inverse(linalg.transpose(generators), n)
             for excluded in [(False,) * n, tuple(i % 2 == 0 for i in range(n))]:
                 numerators = _box_points(count, scaled_inverse, excluded)
                 assert all(len(rs) == count for rs in numerators)
@@ -478,21 +506,35 @@ class TestBadArguments:
 class TestBoxPointKernel:
     """The integer box-point kernel against the Fraction per-point oracles."""
 
-    def test_integer_inverse(self):
+    def test_pivot_inverse(self):
+        # the greedy basis of the rows, |det B| and |det B| B^-1 of one elimination,
+        # on square matrices and on taller ones with dependent rows
         rng = random.Random(41)
-        for _ in range(150):
+        seen = set()
+        for _ in range(300):
             n = rng.randint(1, 8)
+            m = n if rng.random() < 0.5 else rng.randint(1, 12)
             mat = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
-                   for _ in range(n)]
-            det = fraction_det(mat)
-            if det == 0:
-                with pytest.raises(ValueError):
-                    linalg.integer_inverse(mat)
+                   for _ in range(m)]
+            if m > 1 and rng.random() < 0.5:  # a row that is a sum of earlier ones
+                k = rng.randrange(1, m)
+                mat[k] = [x + y for x, y in zip(mat[rng.randrange(k)], mat[rng.randrange(k)])]
+            greedy = []  # each row independent of the rows kept before it
+            for i in range(m):
+                if fraction_rank([mat[j] for j in greedy + [i]]) > len(greedy):
+                    greedy.append(i)
+            basis, count, scaled = linalg.pivot_inverse(mat, n)
+            assert basis == tuple(greedy)
+            if len(greedy) < n:
+                assert (count, scaled) == (None, None)
+                seen.add("rank-deficient")
                 continue
-            count, scaled = linalg.integer_inverse(mat)
-            assert count == abs(det)
+            pivot_rows = [mat[i] for i in greedy]
+            assert count == abs(fraction_det(pivot_rows))
             assert scaled == tuple(tuple(count * x for x in row)
-                                   for row in fraction_inverse(mat))
+                                   for row in fraction_inverse(pivot_rows))
+            seen.add("square" if m == n else "tall")
+        assert seen == {"rank-deficient", "square", "tall"}
 
     def test_rank_det_solve(self):
         # rank, pivot columns and det; the solve that this test once checked

@@ -78,6 +78,27 @@ def counting(fn, calls):
     return wrapper
 
 
+def spy_on_eliminations(monkeypatch):
+    """The ``(rows, width)`` of every ``linalg._bareiss`` call from here on."""
+    calls, bareiss = [], linalg._bareiss
+
+    def spy(rows, width, *args, **kwargs):
+        calls.append((rows, width))
+        return bareiss(rows, width, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_bareiss", spy)
+    return calls
+
+
+def ray_eliminations(calls, rays) -> int:
+    """How many of the eliminations ``calls`` pivot on rays of ``rays``: those whose
+    pivot block, the first ``width`` columns, has only such rays as rows or as columns."""
+    rays = set(rays)
+    blocks = [[tuple(row[:width]) for row in rows] for rows, width in calls]
+    return sum(bool(block) and (set(block) <= rays or set(zip(*block)) <= rays)
+               for block in blocks)
+
+
 def cube_rays(n):
     """The rays of the cone over the unit (n-1)-cube at height one."""
     return [(1,) + e for e in itertools.product((0, 1), repeat=n - 1)]
@@ -149,6 +170,69 @@ class TestDualCone:
             dual_cone([(1, 0), (-1, 0), (0, 1)], 2)
         with pytest.raises(NotPointed):
             dual_cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+
+    def test_pointedness_is_no_rank(self, monkeypatch):
+        # pointedness is read from the tight sets of the double description
+        calls = []
+        monkeypatch.setattr(linalg, "rank", counting(linalg.rank, calls))
+        dual_cone(cube_rays(5), 5)
+        with pytest.raises(NotPointed):
+            dual_cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        assert calls == []
+
+    @staticmethod
+    def ray_sets():
+        """Seeded ``(rays, dim)`` of dims 1-8: rays in an open half-space, some with a
+        line, a duplicate or a sum of two rays added, and the whole space."""
+        rng = random.Random(61)
+        out = [([(1,), (-1,)], 1), ([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)]
+        for _ in range(120):
+            dim = rng.randint(1, 8)
+            rays = [tuple([rng.randint(1, 2)] + [rng.randint(-2, 2) for _ in range(dim - 1)])
+                    for _ in range(rng.randint(dim, dim + 3))]
+            extra = rng.choice(["line", "duplicate", "sum", None])
+            if extra == "line":
+                v = rays[rng.randrange(len(rays))]
+                rays.append(tuple(-x for x in v))
+            elif extra == "duplicate":
+                rays.append(rays[rng.randrange(len(rays))])
+            elif extra == "sum":
+                rays.append(tuple(map(operator.add, rays[0], rays[-1])))
+            rng.shuffle(rays)
+            out.append((rays, dim))
+        return out
+
+    def test_pointedness_and_facets_from_the_tight_sets(self):
+        # the double description's tight sets are exact; NotPointed is raised exactly
+        # when its rays have rank below dim; and the rays kept are those that no other
+        # ray's facets strictly contain, by the incidence of rays and dual rays
+        seen = set()
+        for rays, dim in self.ray_sets():
+            unique = list(dict.fromkeys(linalg.primitivize(v) for v in rays))
+            try:
+                tight = geometry._double_description(unique, dim)
+            except NotFullDimensional:
+                seen.add("not full-dimensional")
+                continue
+            duals = sorted(tight)
+            assert tight == {u: sum(1 << i for i, v in enumerate(unique) if linalg.dot(v, u) == 0)
+                             for u in duals}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RedundantRayWarning)
+                warnings.simplefilter("ignore", RayPrimitivizedWarning)
+                if fraction_rank(duals) < dim:
+                    with pytest.raises(NotPointed):
+                        dual_cone(rays, dim)
+                    seen.add("no dual ray" if not duals else "not pointed")
+                    continue
+                cone = dual_cone(rays, dim)
+            facets = geometry._incidence(unique, duals)
+            kept = tuple(v for v, f in zip(unique, facets)
+                         if not any(f & g == f != g for g in facets))
+            assert (cone.rays, cone.dual_rays) == (kept, tuple(duals))
+            seen.add("redundant" if len(kept) < len(unique) else "pointed")
+        assert seen == {"not full-dimensional", "no dual ray", "not pointed", "redundant",
+                        "pointed"}
 
     def test_line_is_not_full_dimensional(self):
         # two opposite rays span a line, which fails the rank check first
@@ -318,13 +402,13 @@ class TestGorensteinVector:
             gorenstein_vector(cone)
 
     def test_one_pivot_elimination_of_the_rays(self, monkeypatch, y21):
-        # the Gorenstein solve reads the pivot inverse the double description started from
-        pivots = []
-        monkeypatch.setattr(linalg, "pivot_columns", counting(linalg.pivot_columns, pivots))
+        # the Gorenstein solve reads the pivot inverse the double description started
+        # from, and that one elimination both picks the pivot rays and inverts them
+        calls = spy_on_eliminations(monkeypatch)
         clear_caches()
         cone = dual_cone(y21.rays, 3)
         assert gorenstein_vector(cone).l == (1, 0, 0)
-        assert pivots.count((linalg.transpose(cone.rays),)) == 1
+        assert ray_eliminations(calls, cone.rays) == 1
 
     def test_redundant_ray_leaves_its_own_pivot_rows(self):
         # the double description eliminates the rays as given, the first two and a sum
@@ -601,18 +685,18 @@ class TestTriangulation:
             triangulate_cone([(0, 0, 1), (0, 1), (1, -1, 0)], [])
 
     def test_faces_by_incidence(self, monkeypatch):
-        # the cone over the 6-cube: rank checks pointedness and span and the
-        # dimension at the top of the triangulation; every other face is a bitmask
+        # the cone over the 6-cube: rank gives the dimension at the top of the
+        # triangulation; pointedness and every face are bitmasks
         calls = []
         monkeypatch.setattr(linalg, "rank", counting(linalg.rank, calls))
         geometry.simplices.cache_clear()
         geometry.simplices(dual_cone(cube_rays(7), 7))
-        assert len(calls) <= 3
+        assert len(calls) == 1
 
     def test_one_triangulation_per_cone(self, monkeypatch):
-        calls, pivots = [], []
+        calls = []
         monkeypatch.setattr(geometry, "triangulate_cone", counting(geometry.triangulate_cone, calls))
-        monkeypatch.setattr(linalg, "pivot_columns", counting(linalg.pivot_columns, pivots))
+        eliminations = spy_on_eliminations(monkeypatch)
         clear_caches()
         # from the start of the op: dual_cone eliminates the rays that the Gorenstein solve reads
         cone = dual_cone([(1, 0, 0), (1, 3, 0), (1, 2, 2), (1, 0, 1)], 3)
@@ -623,9 +707,8 @@ class TestTriangulation:
         futaki_product(cone, xi, (0, 1, 0))
         minimize_volume(cone)
         assert len(calls) == 1
-        # the double description and a Gorenstein solve start by picking the pivot rows of the rays
-        solves = [args for args in pivots if args == (linalg.transpose(cone.rays),)]
-        assert len(solves) == 1  # one elimination of the rays per cone
+        # the double description and a Gorenstein solve start from the pivot inverse of the rays
+        assert ray_eliminations(eliminations, cone.rays) == 1  # one elimination of the rays per cone
 
 
 class TestCacheRetention:

@@ -21,6 +21,7 @@ import pytest
 
 from reebcone import (
     DimensionMismatch,
+    UnboundedSlice,
     character_series,
     decompose_dual,
     delta,
@@ -203,6 +204,26 @@ def test_float_is_read_exactly_with_no_mpmath(bits, monkeypatch):
     mpfs = [mpmath.mpf(eval(x), prec=int(bits)) for x in FLOATS]
     want = [numerators(None, x=[x]) for x in mpfs] + [numerators(None, x=mpfs)]
     assert pairs == json.loads(json.dumps(want))
+
+
+def test_entries_are_read_as_their_integer_ratios():
+    # each entry is its exact ratio over the least common denominator of the vector, a
+    # float or any other inexact entry marking the call inexact: the Fraction reading
+    # of every entry gives the same ints
+    values = [0.0, -0.0, 5e-324, 2.0 ** 1000, 1e308, -0.1, np.float64(0.1), np.float32(0.1),
+              Decimal("0.375"), Decimal(-3), 3, Fraction(1, 3)]
+    exact = [Fraction(*x.as_integer_ratio()) for x in values]
+    d = math.lcm(*(x.denominator for x in exact))
+    want = [x.numerator * (d // x.denominator) for x in exact]
+    assert numerators(None, x=values) == ([(tuple(want), d)], False)
+    for x, ratio in zip(values, exact):
+        assert numerators(None, x=[x]) == ([((ratio.numerator,), ratio.denominator)],
+                                           type(x) in (int, Fraction))
+    # an exact vector beside a float one is read exactly, in an inexact call
+    assert numerators(2, xi=(1, Fraction(1, 2)), eta=(0.25, 1)) == ([((2, 1), 2), ((1, 4), 4)], False)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(UnboundedSlice, match=f"^non-finite entry {bad} in x$"):
+            numerators(None, x=[1.0, bad])
 
 
 # entries that mpmath cannot take but that hold an exact ratio, each the source of an

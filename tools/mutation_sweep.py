@@ -53,8 +53,12 @@ MUTANTS = [
      "tests/test_characters.py::TestTruncatedOracle::test_default_cutoff"),
     # geometry: the one coercion of a vector argument
     ("numerators-numpy-int", "geometry.py",
-     "x = operator.index(x)  # any integer, NumPy's too", "x = int.__index__(x)",
+     "pairs.append((operator.index(x), 1))  # any integer, NumPy's too",
+     "pairs.append((int.__index__(x), 1))",
      "tests/test_vectors.py::test_numpy_integers_are_exact"),
+    ("numerators-float-inexact", "geometry.py",
+     "_dyadic(name, x))\n                exact = False\n", "_dyadic(name, x))\n",
+     "tests/test_vectors.py::test_entries_are_read_as_their_integer_ratios"),
     ("numerators-length", "geometry.py",
      "if n is not None and size != n:", "if False:",
      "tests/test_characters.py::TestWrongLength::test_eta[eta0]"),
@@ -79,7 +83,7 @@ MUTANTS = [
      "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[128]"),
     ("dyadic-odd-part", "geometry.py",
      "odd = num // (num & -num) if num else 0", "odd = num",
-     "tests/test_vectors.py::test_float_is_read_exactly_with_no_mpmath[53]"),
+     "tests/test_vectors.py::test_narrow_float_is_read_exactly_with_no_mpmath[53]"),
     ("dyadic-within-precision", "geometry.py",
      "odd.bit_length() <= precision_bits()", "odd.bit_length() <= 64",
      "tests/test_vectors.py::test_wide_entry_is_rounded_once[53]"),
@@ -104,12 +108,11 @@ MUTANTS = [
      "if self.kind != kind:", "if False:",
      "tests/test_characters.py::TestBadArguments::test_coefficient_of_the_other_character"),
     # geometry: the Gorenstein solve inverts the first n independent rays (the pivot
-    # inverse it shares with the double description), solves with their entries of the
-    # right-hand side, checks every ray in ints (scaled by |det|), and refuses rays that
-    # do not span
-    ("gorenstein-pivot-rows", "geometry.py",
-     "linalg.integer_inverse([rays[i] for i in basis])",
-     "linalg.integer_inverse(rays[:len(basis)])",
+    # inverse it shares with the double description, whose basis is the pivot columns
+    # of the one elimination), solves with their entries of the right-hand side, checks
+    # every ray in ints (scaled by |det|), and refuses rays that do not span
+    ("gorenstein-pivot-rows", "linalg.py",
+     "basis = tuple(pivots)", "basis = tuple(range(len(pivots)))",
      "tests/test_geometry.py::TestGorensteinVector::test_matches_fraction_solve"),
     ("gorenstein-pivot-rhs", "geometry.py",
      "basis_rhs = [rhs[i] for i in basis]", "basis_rhs = rhs[:cone.dim]",
@@ -150,6 +153,14 @@ MUTANTS = [
      "for r, mask in rays.items() if values[r] >= 0}",
      "for r, mask in rays.items() if values[r] > 0}",
      "tests/test_lattice.py"),
+    # geometry: dual_cone reads each ray's facets and pointedness from the tight sets
+    # of the double description
+    ("facet-bit-index", "geometry.py",
+     "if tight[u] >> i & 1)", "if tight[u] >> j & 1)",
+     "tests/test_geometry.py::TestDualCone::test_pointedness_and_facets_from_the_tight_sets"),
+    ("pointedness-mask", "geometry.py",
+     "everywhere = (1 << len(duals)) - 1", "everywhere = 1 << len(duals)",
+     "tests/test_geometry.py::TestDualCone::test_pointedness_and_facets_from_the_tight_sets"),
     ("tri-maximal-facets", "geometry.py",
      "if facet >> first & 1 or any(facet & g == facet != g for g in proper):",
      "if facet >> first & 1:",
@@ -196,13 +207,20 @@ MUTANTS = [
      "_MAX_SPREAD_BITS = 4096", "_MAX_SPREAD_BITS = 40960",
      "tests/test_stability.py::TestWorkingPrecision::test_exponent_spread_just_past_the_bound"),
     # linalg: a row swap flips the determinant, and the scaled inverse takes the
-    # sign of the last pivot, so its factor |det A| is positive
+    # sign of the last pivot, so its factor |det A| is positive; the inverse alone
+    # reduces the rows above each pivot, and its block is (B^T)^-1, transposed
     ("bareiss-swap-sign", "linalg.py",
      "            sign = -sign\n", "",
      "tests/test_characters.py::TestBoxPointKernel::test_rank_det_solve"),
     ("inverse-pivot-sign", "linalg.py",
      "sign = 1 if last > 0 else -1", "sign = 1",
-     "tests/test_characters.py::TestBoxPointKernel::test_integer_inverse"),
+     "tests/test_characters.py::TestBoxPointKernel::test_pivot_inverse"),
+    ("inverse-rows-above", "linalg.py",
+     "for i in range(0 if jordan else r + 1, m):", "for i in range(r + 1, m):",
+     "tests/test_characters.py::TestBoxPointKernel::test_pivot_inverse"),
+    ("inverse-block-transpose", "linalg.py",
+     "block = transpose(row[m:] for row in reduced)", "block = [row[m:] for row in reduced]",
+     "tests/test_characters.py::TestBoxPointKernel::test_pivot_inverse"),
     # lattice: the integer scan box, at a level read exactly
     ("scan-box-floor", "lattice.py",
      "[x // p for x in u]", "[-(-x // p) for x in u]",
@@ -291,7 +309,11 @@ MUTANTS = [
     ("table-residue", "lattice.py",
      "q, t = divmod(s, size)", "q, t = s // size, 0",
      "tests/test_lattice.py::test_python_table_matches_level_sums[random10-negative]"),
-    # characters: box points, the per-piece series and the one order check
+    # characters: box points, bounded in all pieces together, the per-piece series and
+    # the one order check
+    ("box-total", "characters.py",
+     "total = sum(count for count, _ in found)", "total = max(count for count, _ in found)",
+     "tests/test_characters.py::TestDecomposeDual::test_box_guard_bounds_the_sum_of_the_pieces"),
     ("box-half-open", "characters.py",
      "tuple([r or count for r in rs]) if off", "tuple(rs) if off",
      "tests/test_acceptance.py::test_criterion_05_index_character"),
@@ -351,6 +373,9 @@ MUTANTS = [
     # stability: the orbifold pairs' boundary right-hand side 1 - c_i
     ("boundary-rhs", "geometry.py",
      "tuple(c_d - c for c in c_num)", "tuple(c_d + c for c in c_num)",
+     "tests/test_literature.py::test_orbifold_pairs_are_kss"),
+    ("delta-boundary-pairing", "stability.py",
+     "(sums.l_d * r // c_d,", "(sums.l_d,",
      "tests/test_literature.py::test_orbifold_pairs_are_kss"),
     ("delta-tie-inclusive", "stability.py",
      "<= tie_num * low_a * s)", "< tie_num * low_a * s)",
