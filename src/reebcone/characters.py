@@ -9,9 +9,10 @@ are directly testable against lattice enumeration); each piece contributes
     (sum over its box points p of e^{-t<xi,p>}) * prod_i 1/(1 - e^{-t<xi,u_i>})
 
 and the factors are expanded as exact truncated power series using the
-Bernoulli-type series of z/(1 - e^{-z}).  The weight character C_eta is
-obtained from the same closed form via the directional derivative
-C_eta = -(1/t) * d/ds F(xi + s*eta)|_{s=0}, applied term by term.
+Bernoulli-type series of g(z) = z/(1 - e^{-z}).  As z/(e^z - 1) = g(z) - z,
+z g'(z) - g(z) = g(z) (z - g(z)), so in the weight character C_eta = -(1/t)
+d/ds F(xi + s eta)|_{s=0} the derivative of a piece's n generator factors is
+their product times one series: n + 2 series products per piece, n without eta.
 
 The box points are summed as integer moments: with xi and eta written as
 integer numerators over common denominators, :func:`character_series` makes
@@ -30,16 +31,18 @@ points themselves are a view for tests and counts.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, index, mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import linalg
 from .config import ratio_type
 from .errors import DimensionMismatch, ExceedsSupportedSize, OrderTooLarge, UnboundedSlice
-from .geometry import LaurentSeries, ToricCone, _common_scale, reeb_numerators, simplices
+from .geometry import (LaurentSeries, ToricCone, _common_scale, _sequence_length,
+                       reeb_numerators, simplices)
 
 # Taylor coefficients g_j of g(z) = z / (1 - e^{-z}) = sum_j g_j z^j (Bernoulli numbers)
 _G_COEFFS = (Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0), Fraction(-1, 720))
@@ -154,14 +157,7 @@ def decompose_dual(cone: ToricCone) -> tuple[SimplicialPiece, ...]:
 # ---------------------------------------------------------------------------
 
 def _series_mul(a: list, b: list) -> list:
-    order = len(a) - 1
-    out = [0 * a[0]] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] = out[i + j] + ai * b[j]
-    return out
+    return [sum(map(mul, a[:j + 1], b[j::-1])) for j in range(len(a))]
 
 
 def check_order(order) -> int:
@@ -187,21 +183,20 @@ def _piece_series(piece: SimplicialPiece, xi_num, eta_num, shared) -> tuple:
     sum_j g_j z^j.  With xi = xi_num / d and eta = eta_num / e, k = <xi_num,
     .> and eps = <eta_num, .>, the factors in tau = t / d are the integer
     series (-1)^j (N!/j!) sum_p k_p^j tau^j for N! B and gamma_j k_i^j tau^j
-    for G g(c_i t), with N the order, G the least common denominator of
-    g_0..g_N and gamma_j = G g_j, ``shared`` as :func:`character_series` gives
-    them.  The box points enter through K_p = |det| k_p = sum_i k_i r_i, one
-    chained map over the numerators r_i, and their powers: sum_p k_p^j is
-    sum_p K_p^j / |det|^j and sum_p eps_p k_p^j is sum_p E_p K_p^j /
-    |det|^(j+1), both exact.  Their product P has coefficient P_j d^(n-j) /
-    (N! G^n K) at t^(j-n), K = prod_i k_i.  The product rule over the
-    derivative factors K (-1)^j (N!/(j-1)!) sum_p eps_p k_p^(j-1) (box) and
-    eps_i (K/k_i) (j-1) gamma_j k_i^j (factor i) gives V with d/ds
-    coefficient V_j d^(n+1-j) / (e K^2 N! G^n).  A working-precision xi or
-    eta runs the same code on the dyadic numerators of
-    :func:`reebcone.geometry.numerators`, d and e powers of two.
+    for G g(c_i t), with N the order, G = gamma_0 the least common
+    denominator of g_0..g_N and gamma_j = G g_j (``shared``).  The box points
+    enter through K_p = |det| k_p = sum_i k_i r_i over the numerators r_i:
+    sum_p k_p^j = sum_p K_p^j / |det|^j and sum_p eps_p k_p^j = sum_p E_p
+    K_p^j / |det|^(j+1), both exact.  P = B H, H = prod_i (gamma_j k_i^j)_j, has
+    coefficient P_j d^(n-j) / (N! G^n K) at t^(j-n), K = prod_i k_i.  Since
+    z g'(z) - g(z) = g(z) (z - g(z)), V = H (G dB + B Psi) // G exactly, where
+    dB = K (-1)^j (N!/(j-1)!) sum_p eps_p k_p^(j-1) is the box derivative and
+    Psi_j = sum_i (K/k_i) eps_i (G k_i [j = 1] - gamma_j k_i^j); V has d/ds
+    coefficient V_j d^(n+1-j) / (e K^2 N! G^n): n + 2 series products with eta,
+    n without.  A working-precision xi or eta runs on its dyadic numerators.
     """
     gammas, box, _ = shared
-    n, count, order = len(piece.generators), len(piece.numerators[0]), len(gammas) - 1
+    count, order, big_g = len(piece.numerators[0]), len(gammas) - 1, gammas[0]
     ks = [sum(map(mul, xi_num, u)) for u in piece.generators]
     if not all(k > 0 for k in ks):
         raise UnboundedSlice("xi pairs nonpositively with a dual-cone generator")
@@ -216,24 +211,21 @@ def _piece_series(piece: SimplicialPiece, xi_num, eta_num, shared) -> tuple:
     while len(powers) < order - 1:
         powers.append(list(map(mul, powers[-1], kp)))
     sums = [count, sum(kp)] + [sum(map(mul, p, kp)) for p in powers[:order - 1]]
-    factors = [[b * m // count ** j for j, (b, m) in enumerate(zip(box, sums))]]
-    factors += [[gamma * k ** j for j, gamma in enumerate(gammas)] for k in ks]
-    series, derivative = factors[0], None
-    if eta_num is not None:
-        es = [sum(map(mul, eta_num, u)) for u in piece.generators]
-        ep = scaled_pairings(es)
-        moments = [sum(ep)] + [sum(map(mul, ep, p)) for p in powers[:order - 1]]
-        dfactors = [[0] + [-b * k_prod * m // count ** (j + 1)
-                           for j, (b, m) in enumerate(zip(box[:order], moments))]]
-        dfactors += [[eps * (k_prod // k) * (j - 1) * gamma * k ** j
-                      for j, gamma in enumerate(gammas)] for k, eps in zip(ks, es)]
-        derivative = dfactors[0]
-    for i in range(1, n + 1):
-        if derivative is not None:
-            derivative = [a + b for a, b in zip(_series_mul(derivative, factors[i]),
-                                                _series_mul(series, dfactors[i]))]
-        series = _series_mul(series, factors[i])
-    return k_prod, series, derivative
+    factors = [[gamma * k ** j for j, gamma in enumerate(gammas)] for k in ks]
+    product = reduce(_series_mul, factors)
+    box_series = [b * m // count ** j for j, (b, m) in enumerate(zip(box, sums))]
+    series = _series_mul(box_series, product)
+    if eta_num is None:
+        return k_prod, series, None
+    es = [sum(map(mul, eta_num, u)) for u in piece.generators]
+    ep = scaled_pairings(es)
+    moments = [sum(ep)] + [sum(map(mul, ep, p)) for p in powers[:order - 1]]
+    d_box = [0] + [-b * k_prod * m // count ** (j + 1)
+                   for j, (b, m) in enumerate(zip(box[:order], moments))]
+    psi = [sum(k_prod // k * eps * (big_g * k * (j == 1) - f[j]) for k, eps, f in
+               zip(ks, es, factors)) for j in range(order + 1)]
+    inner = [big_g * a + b for a, b in zip(d_box, _series_mul(box_series, psi))]
+    return k_prod, series, [v // big_g for v in _series_mul(product, inner)]
 
 
 def _summed(parts, power: int, exact: bool) -> tuple[list, int]:
@@ -258,11 +250,17 @@ def character_series(pieces: Sequence[SimplicialPiece], xi, eta=None,
     scale L each, and each coefficient is rounded once: d^(n-j) sum_k P_j (L /
     K) / (N! G^n L) at t^(j-n), and -d^(n+1-j) sum_k V_j (L / K)^2 / (e N! G^n
     L^2) at t^(j-n-1), C = -(1/t) d/ds F(xi + s eta)|_{s=0}.  Fractions for
-    rational xi and eta, else mpfs at the working precision.  ValueError on
-    no pieces, DimensionMismatch unless every piece has n generators of length
-    n, and :func:`check_order`'s errors on a bad order, before any work.
+    rational xi and eta, else mpfs at the working precision.  Before any work:
+    ValueError unless ``pieces`` is a nonempty sequence of SimplicialPieces
+    whose n numerator lists share one nonzero length, DimensionMismatch unless
+    every piece has n generators of length n, and :func:`check_order`'s errors.
     """
     order = check_order(order)
+    if not isinstance(pieces, Sequence) or not all(
+            isinstance(p, SimplicialPiece) and len(p.numerators) == len(p.generators)
+            and len(set(map(len, p.numerators))) == 1 and p.numerators[0] for p in pieces):
+        raise ValueError("pieces must be a sequence of SimplicialPieces, each of n numerator "
+                         "lists of one nonzero length: pass those of decompose_dual")
     if not pieces:
         raise ValueError("no simplicial pieces: pass those of decompose_dual")
     n = len(pieces[0].generators)
@@ -296,6 +294,7 @@ def index_character(pieces: Sequence[SimplicialPiece], xi, order: int = 2) -> La
 
 
 def weight_character(pieces: Sequence[SimplicialPiece], xi, eta, order: int = 2) -> LaurentSeries:
-    """C of :func:`character_series`; goes once ROADMAP item 1b moves the
-    benchmark's ``kgon-characters`` op to :func:`character_series`."""
+    """C of :func:`character_series`, ValueError for an eta of None; goes once ROADMAP
+    item 1b moves the benchmark's ``kgon-characters`` op to :func:`character_series`."""
+    _sequence_length("eta", eta)
     return character_series(pieces, xi, eta, order)[1]

@@ -11,6 +11,9 @@ objects that ``futaki_pairing`` and ``log_discrepancy`` take are drawn from
 results of the cone: the characters of the other kind, of order 0 or with a
 zero a0, results of another bundled cone, None, and the bare coefficients or
 vector a result holds; ``log_discrepancy``'s v is a valuation or a vector.
+The characters' pieces are drawn as no pieces, the first alone, None, the
+other cone's pieces, an iterator over the cone's, ints, the pieces as bare
+tuples, and a piece with empty numerators.
 ``triangulate_cone`` takes int rays, as :func:`reebcone.geometry.simplices`
 passes them, so it draws lists of int vectors wrong in count, order, length
 or cone.  Each call draws a share of
@@ -34,10 +37,10 @@ import pytest
 from mpmath import mpc, mpf
 
 import reebcone
-# the result types too, whose reprs the repro lines of drawn results name
-from reebcone import (GorensteinVector, LaurentSeries, ReebconeError, ToricValuation,
-                      character_series, decompose_dual, dual_cone, gorenstein_vector,
-                      toric_valuation)
+# the result types too, whose reprs the repro lines of drawn results and pieces name
+from reebcone import (GorensteinVector, LaurentSeries, ReebconeError, SimplicialPiece,
+                      ToricValuation, character_series, decompose_dual, dual_cone,
+                      gorenstein_vector, toric_valuation)
 from reebcone.optimize import _project, _ray_average
 from conftest import bundled_specs
 
@@ -205,7 +208,12 @@ def draw(rng, param, cone, pieces, spec, valid, mine, other):
     if param == "cone":
         return cone
     if param == "pieces":
-        return pieces if valid else rng.choice(((), pieces[:1], None))
+        if valid:
+            return pieces
+        piece = pieces[0]
+        return rng.choice((
+            (), pieces[:1], None, other[1], _Iterator(pieces), [1, 2], [tuple(p) for p in pieces],
+            [piece._replace(numerators=((),) * len(piece.numerators))]))
     if param in ("F", "C", "l", "valuation"):
         if valid:
             return mine[param]
@@ -241,7 +249,7 @@ def draw(rng, param, cone, pieces, spec, valid, mine, other):
 
 def _source(x):
     """Python source of an argument, for the repro line."""
-    if isinstance(x, (tuple, list)):
+    if type(x) in (tuple, list):  # a named tuple's repr names its type
         inner = ", ".join(map(_source, x)) + ("," if isinstance(x, tuple) and len(x) == 1 else "")
         return ("(%s)" if isinstance(x, tuple) else "[%s]") % inner
     if isinstance(x, np.ndarray):
@@ -271,6 +279,7 @@ def test_fuzz_api(cones):
     if capped:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
     outcomes = {"returned": 0, "raised": 0}
+    decomposed = {id(pieces): name for name, (_, pieces, _) in cones.items()}
     try:
         for call in range(CALLS):
             func = rng.choice(FUNCTIONS)
@@ -292,8 +301,8 @@ def test_fuzz_api(cones):
                 else:
                     kwargs[param.name] = value
             sources = ["bundled_cone(%r)" % name if a is cone
-                       else "decompose_dual(bundled_cone(%r))" % name if a is pieces
-                       else _source(a) for a in args]
+                       else "decompose_dual(bundled_cone(%r))" % decomposed[id(a)]
+                       if id(a) in decomposed else _source(a) for a in args]
             sources += ["%s=%s" % (k, _source(v)) for k, v in kwargs.items()]
             repro = ("seed %d, call %d: from test_api_fuzz import *; reebcone.%s(%s)"
                      % (SEED, call, func.__name__, ", ".join(sources)))

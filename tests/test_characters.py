@@ -107,6 +107,16 @@ class TestGCoefficients:
         for j, c in enumerate(g_coefficients(6)):
             assert abs(float(c) - float(taylor[j])) < 1e-12
 
+    @pytest.mark.parametrize("g", [g_coefficients(6), list(_G_COEFFS)], ids=["order6", "table"])
+    def test_derivative_identity(self, g):
+        # z g'(z) - g(z) = g(z) (z - g(z)) mod z^(N+1) at every order N: the
+        # weight character's derivative of the generator factors is one series
+        for order in range(len(g)):
+            lhs = [(j - 1) * c for j, c in enumerate(g[:order + 1])]
+            z_minus_g = [(j == 1) - c for j, c in enumerate(g[:order + 1])]
+            rhs = [sum(g[i] * z_minus_g[j - i] for i in range(j + 1)) for j in range(order + 1)]
+            assert lhs == rhs
+
 
 class TestDecomposeDual:
     def test_partition_fixtures(self, fixture_cone):
@@ -493,6 +503,30 @@ class TestBadArguments:
                 call()
             assert str(info.value) == f"order must be nonnegative, got {order}"
 
+    @pytest.mark.parametrize("kind", ["iterator", "ints", "bare tuples", "no numerators",
+                                      "ragged numerators"])
+    def test_pieces_that_are_not_pieces(self, conifold, kind):
+        # raw TypeError, AttributeError or ZeroDivisionError once, or a silent
+        # zip over numerator lists of two lengths
+        pieces = decompose_dual(conifold)
+        piece = pieces[0]
+        rows = piece.numerators
+        bad = {"iterator": lambda: iter(pieces), "ints": lambda: [1, 2],
+               "bare tuples": lambda: [tuple(p) for p in pieces],
+               "no numerators": lambda: [piece._replace(numerators=((),) * len(rows))],
+               "ragged numerators": lambda: [piece._replace(numerators=(rows[0] * 2,) + rows[1:])]
+               }[kind]
+        for call in (lambda: index_character(bad(), self.XI),
+                     lambda: weight_character(bad(), self.XI, self.ETA),
+                     lambda: character_series(bad(), self.XI, self.ETA)):
+            with pytest.raises(ValueError, match="pieces must be a sequence of SimplicialPieces"):
+                call()
+
+    def test_weight_character_of_no_eta(self, conifold):
+        # returned None once, as character_series's C without eta
+        with pytest.raises(ValueError, match="eta must be a sequence of numbers, got None"):
+            weight_character(decompose_dual(conifold), self.XI, None)
+
     @pytest.mark.parametrize("pieces", [(), []])
     def test_no_pieces(self, pieces):
         with pytest.raises(ValueError, match="no simplicial pieces"):
@@ -585,6 +619,25 @@ class TestBoxPointKernel:
                 index, weight = per_point_characters(pieces, xi, eta, order)
                 assert index_character(pieces, xi, order=order).coeffs == tuple(index)
                 assert weight_character(pieces, xi, eta, order=order).coeffs == tuple(weight)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_series_products_per_piece(self, monkeypatch, dim):
+        # one generator product, reused by the weight character: n + 2 series
+        # products per piece with eta and n without (the product rule made 3n)
+        cone, xi = random_cone_suite(seed=34, count=1, dims=(dim,))[0]
+        pieces, eta = decompose_dual(cone), (1,) + (0,) * (dim - 1)
+        series_mul, calls = characters._series_mul, []
+
+        def counting(a, b):
+            calls.append(len(a))
+            return series_mul(a, b)
+
+        monkeypatch.setattr(characters, "_series_mul", counting)
+        character_series(pieces, xi, eta, 3)
+        assert len(calls) == (dim + 2) * len(pieces)
+        calls.clear()
+        character_series(pieces, xi, None, 3)
+        assert len(calls) == dim * len(pieces)
 
     @staticmethod
     def mpf_cases():

@@ -309,8 +309,9 @@ MUTANTS = [
     ("table-residue", "lattice.py",
      "q, t = divmod(s, size)", "q, t = s // size, 0",
      "tests/test_lattice.py::test_python_table_matches_level_sums[random10-negative]"),
-    # characters: box points, bounded in all pieces together, the per-piece series and
-    # the one order check
+    # characters: box points, bounded in all pieces together, the per-piece series (its
+    # series product, the one series of the generator factors' derivative and the exact
+    # division by G) and the one order check
     ("box-total", "characters.py",
      "total = sum(count for count, _ in found)", "total = max(count for count, _ in found)",
      "tests/test_characters.py::TestDecomposeDual::test_box_guard_bounds_the_sum_of_the_pieces"),
@@ -324,8 +325,14 @@ MUTANTS = [
      "if not all(k > 0 for k in ks):", "if not all(k >= 0 for k in ks):",
      "tests/test_fuzz.py::test_fuzz_main"),
     ("series-derivative-power", "characters.py",
-     "* (j - 1) * gamma * k ** j", "* j * gamma * k ** j",
+     "(big_g * k * (j == 1) - f[j])", "(big_g * k * (j == 0) - f[j])",
      "tests/test_acceptance.py::test_criterion_06_b0_identity"),
+    ("series-exact-division", "characters.py",
+     "[v // big_g for v in", "[v for v in",
+     "tests/test_characters.py::TestBoxPointKernel::test_characters_match_per_point_oracle"),
+    ("series-mul-reversed", "characters.py",
+     "b[j::-1]", "b[:j + 1]",
+     "tests/test_characters.py::TestBoxPointKernel::test_characters_match_per_point_oracle"),
     ("series-order-shift", "characters.py",
      "ratio(s * d ** n, scale * d ** j)", "ratio(s * d ** n, scale * d ** (j + 1))",
      "tests/test_acceptance.py::test_criterion_05_index_character"),
@@ -336,6 +343,16 @@ MUTANTS = [
      "    if eta_num is None:\n        return F, None",
      "    if eta_num is None:\n        return F, F",
      "tests/test_acceptance.py::test_criterion_10_determinism"),
+    ("series-pieces-sequence", "characters.py",
+     "if not isinstance(pieces, Sequence) or not all(", "if not all(",
+     "tests/test_characters.py::TestBadArguments::test_pieces_that_are_not_pieces[iterator]"),
+    ("series-pieces-numerator-lengths", "characters.py",
+     "len(set(map(len, p.numerators))) == 1", "len(set(map(len, p.numerators))) >= 1",
+     "tests/test_characters.py::TestBadArguments::"
+     "test_pieces_that_are_not_pieces[ragged numerators]"),
+    ("weight-character-eta", "characters.py",
+     "    _sequence_length(\"eta\", eta)\n    return character_series", "    return character_series",
+     "tests/test_characters.py::TestBadArguments::test_weight_character_of_no_eta"),
     ("series-pieces-one-dimension", "characters.py",
      "if any(len(p.generators) != n or", "if False and any(len(p.generators) != n or",
      "tests/test_characters.py::TestWrongLength::test_pieces_of_two_dimensions"),
